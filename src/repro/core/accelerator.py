@@ -26,7 +26,7 @@ from repro.core.interconnect import HostInterface
 from repro.core.pe import ProcessingElement
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
 from repro.core.raycast_unit import RayCastingUnit
-from repro.core.scheduler import VoxelScheduler, VoxelUpdateRequest
+from repro.core.scheduler import VoxelScheduler
 from repro.core.timing import CycleBreakdown, ScanTiming
 from repro.octomap.counters import OperationCounters, OperationKind
 from repro.octomap.logodds import probability as logodds_to_probability
@@ -108,7 +108,7 @@ class OMUAccelerator:
         self.host.finish(timing.critical_path_cycles())
         return timing
 
-    def apply_update_batch(self, requests: Sequence["VoxelUpdateRequest"]) -> ScanTiming:
+    def apply_update_batch(self, requests, occupied=None) -> ScanTiming:
         """Apply an ordered stream of pre-computed voxel updates.
 
         The serving layer ray-casts once in its shared front end and then
@@ -117,27 +117,29 @@ class OMUAccelerator:
         the voxel scheduler.  Stream order is preserved per voxel, so a batch
         spanning several scans produces exactly the map that sequential
         :meth:`process_scan` calls would.
+
+        The stream is either a sequence of
+        :class:`~repro.core.scheduler.VoxelUpdateRequest` or, with
+        ``occupied`` given, its columns: ``requests`` is then the ``(N, 3)``
+        array of key components and ``occupied`` the ``(N,)`` flags.
         """
-        batch = self.scheduler.schedule_requests(requests)
+        if occupied is None:
+            batch = self.scheduler.schedule_requests(requests)
+        else:
+            batch = self.scheduler.schedule_key_arrays(requests, occupied)
         timing = self._execute_batch(batch, raycast_cycles=0)
         self.map_timing.merge(timing)
         return timing
 
     def _execute_batch(self, batch, raycast_cycles: int) -> ScanTiming:
         """Run one scheduled batch on the PE array and account its cycles."""
-        per_pe_cycles: Dict[int, int] = {}
-        per_pe_breakdowns: Dict[int, CycleBreakdown] = {}
-        for pe_id, queue in batch.per_pe.items():
-            pe = self.pes[pe_id]
-            before = pe.stats.breakdown.copy()
-            cycles = 0
-            for request in queue:
-                cycles += pe.update_voxel(request.key, request.occupied)
-            per_pe_cycles[pe_id] = cycles
-            delta = pe.stats.breakdown.copy()
-            for stage, value in before.cycles.items():
-                delta.cycles[stage] = delta.cycles.get(stage, 0) - value
-            per_pe_breakdowns[pe_id] = delta
+        per_pe_breakdowns: Dict[int, CycleBreakdown] = {
+            pe_id: self.pes[pe_id].update_paths(queue.paths, queue.occupied.tolist())
+            for pe_id, queue in batch.per_pe.items()
+        }
+        per_pe_cycles = {
+            pe_id: breakdown.total() for pe_id, breakdown in per_pe_breakdowns.items()
+        }
 
         timing = ScanTiming(
             scheduler_cycles=batch.issue_cycles,

@@ -123,6 +123,29 @@ class AddressGenerator:
             subtree = subtree * 8 + child
         return subtree % num_shards
 
+    def paths_for_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Array counterpart of :meth:`full_path` for ``(N, 3)`` key components.
+
+        Returns an ``(N, tree_depth)`` ``uint8`` array: row ``i`` is the child
+        index chosen at every level from the root down to voxel ``i``.
+
+        Raises:
+            ValueError: if a component lies outside the 16-bit key space
+                (what constructing the :class:`OcTreeKey` would reject).
+        """
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+        if keys.size and not (0 <= keys.min() and keys.max() <= 0xFFFF):
+            raise ValueError("key component outside [0, 65535]")
+        bits = np.arange(self._tree_depth - 1, -1, -1)
+        axes = (keys[:, :, None] >> bits) & 1
+        return (axes[:, 0] | (axes[:, 1] << 1) | (axes[:, 2] << 2)).astype(np.uint8)
+
+    def pes_for_paths(self, paths: np.ndarray) -> np.ndarray:
+        """Array counterpart of :meth:`pe_for_key` over :meth:`paths_for_keys` rows."""
+        if self._num_pes <= 8:
+            return paths[:, 0] % self._num_pes
+        return (paths[:, 0].astype(np.int64) * 8 + paths[:, 1]) % self._num_pes
+
     def child_path(self, key: OcTreeKey) -> Tuple[int, ...]:
         """Child indices from below the root down to the leaf.
 

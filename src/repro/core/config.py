@@ -109,6 +109,8 @@ class OMUConfig:
             raise ValueError("bank_kilobytes must be at least 1")
         if self.entry_bytes != 8:
             raise ValueError("entry_bytes is fixed to 8 (the 64-bit packed entry)")
+        if self.fixed_point.total_bits > 16:
+            raise ValueError("fixed_point must fit the entry's 16-bit probability field")
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
         if not 1 <= self.tree_depth <= 16:

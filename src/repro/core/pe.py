@@ -16,14 +16,17 @@ PE-count ablation).  A voxel update walks down the key path reading one entry
 per level, updates the leaf, then walks back up reading each parent's whole
 children row in a single banked access, recomputing the max occupancy,
 re-deriving the status tags and applying the pruning rule.  Every primitive
-action charges cycles to the pipeline stage it belongs to, so the accelerator
+action is charged to the pipeline stage it belongs to, so the accelerator
 reproduces the paper's runtime breakdown (Fig. 10) structurally rather than by
-fiat.
+fiat.  The walks are integer loops over the TreeMem arrays: no entry object is
+built on the update or query path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import OMUConfig
 from repro.core.prune_manager import PruneAddressManager
@@ -39,6 +42,15 @@ from repro.octomap.counters import OperationCounters, OperationKind
 from repro.octomap.keys import OcTreeKey
 
 __all__ = ["ProcessingElement", "ExportedNode"]
+
+# Tag words of a row whose eight children all classify alike, and the
+# (occupied, free, inner) tag of each child shifted to its place in the word.
+_ALL_OCCUPIED = 0x5555 * ChildStatus.OCCUPIED
+_ALL_FREE = 0x5555 * ChildStatus.FREE
+_CHILD_TAGS = tuple(
+    tuple(int(status) << (2 * child) for status in (ChildStatus.OCCUPIED, ChildStatus.FREE, ChildStatus.INNER))
+    for child in range(8)
+)
 
 
 class ExportedNode:
@@ -76,6 +88,14 @@ class ProcessingElement:
         self.query_cycles = 0
         # Which first-level branches have an initialised local root in row 0.
         self._local_roots: Dict[int, int] = {}
+        # The SRAM image as the kernels index it: field[bank][row].
+        banks = self.memory.banks
+        self._valid = [bank.valid for bank in banks]
+        self._pointers = [bank.pointers for bank in banks]
+        self._tags = [bank.tags for bank in banks]
+        self._probabilities = [bank.probabilities for bank in banks]
+        self._columns = tuple(zip(self._valid, self._pointers, self._probabilities, _CHILD_TAGS))
+        self._threshold = self.probability_unit.params.raw_threshold
 
     # ------------------------------------------------------------------
     # Voxel update (the main datapath)
@@ -85,191 +105,193 @@ class ProcessingElement:
 
         Returns the number of cycles the update consumed on this PE.
         """
-        timing = self.config.timing
-        breakdown = CycleBreakdown()
-        path = key.path(self.config.tree_depth)
-        branch = path[0]
-        levels = path[1:]
+        path = np.array([key.path(self.config.tree_depth)], dtype=np.uint8)
+        return self.update_paths(path, (occupied,)).total()
 
-        # --- locate (or create) the local root of this branch ---------------
-        root_bank = branch
-        if branch not in self._local_roots:
-            root_entry = TreeMemEntry(probability_raw=0)
-            self.memory.write_entry(0, root_bank, root_entry)
-            self._local_roots[branch] = root_bank
-            self.counters.node_allocations += 1
-            self.stats.bank_writes += 1
-            breakdown.charge(OperationKind.UPDATE_LEAF, timing.bank_write_cycles)
-        entry = self.memory.read_entry(0, root_bank)
-        assert entry is not None
-        self.stats.bank_reads += 1
-        breakdown.charge(OperationKind.UPDATE_LEAF, timing.bank_read_cycles)
+    def update_paths(self, paths: np.ndarray, occupied: Sequence[bool]) -> CycleBreakdown:
+        """Integrate an ordered stream of measurements for voxels this PE owns.
 
-        # --- walk down the key path, allocating / expanding as needed -------
-        # trail holds the (row, bank) location of every node on the path so
-        # the upward pass knows where to write the parents back.
-        trail: List[Tuple[int, int, TreeMemEntry]] = [(0, root_bank, entry)]
-        current = entry
-        current_row, current_bank = 0, root_bank
+        ``paths`` is an ``(N, tree_depth)`` array of child indices from the
+        global root down to each leaf voxel, ``occupied`` the N measurements.
+        Returns the cycles the stream consumed on this PE, by stage.
 
-        for child_index in levels:
-            child_entry, child_row = self._descend(
-                current, current_row, current_bank, child_index, breakdown
-            )
-            trail.append((child_row, child_index, child_entry))
-            current = child_entry
-            current_row, current_bank = child_row, child_index
-
-        # --- leaf update (paper eq. (2)) -------------------------------------
-        leaf_row, leaf_bank, leaf_entry = trail[-1]
-        leaf_entry.probability_raw = self.probability_unit.update_leaf(
-            leaf_entry.probability_raw, occupied
-        )
-        self.memory.write_entry(leaf_row, leaf_bank, leaf_entry)
-        self.counters.leaf_updates += 1
-        self.stats.bank_writes += 1
-        breakdown.charge(
-            OperationKind.UPDATE_LEAF, timing.alu_cycles + timing.bank_write_cycles
-        )
-
-        # --- upward pass: parent update (eq. (3)) and pruning ---------------
-        for level in range(len(trail) - 2, -1, -1):
-            parent_row, parent_bank, parent_entry = trail[level]
-            self._update_parent(parent_entry, breakdown)
-            self.memory.write_entry(parent_row, parent_bank, parent_entry)
-            self.stats.bank_writes += 1
-            breakdown.charge(OperationKind.UPDATE_PARENTS, timing.bank_write_cycles)
-
-        self.stats.breakdown.merge(breakdown)
-        self.stats.voxel_updates += 1
-        self.counters.extra["pe_updates"] = self.counters.extra.get("pe_updates", 0) + 1
-        return breakdown.total()
-
-    def _descend(
-        self,
-        parent: TreeMemEntry,
-        parent_row: int,
-        parent_bank: int,
-        child_index: int,
-        breakdown: CycleBreakdown,
-    ) -> Tuple[TreeMemEntry, int]:
-        """Fetch (creating or expanding if necessary) one child on the path.
-
-        Returns the child's entry and the row of the children block it lives
-        in (the child's bank is ``child_index``).
+        Each update is one fused integer loop over the SRAM image: down the
+        path (allocating or expanding as needed), the leaf update of eq. (2),
+        then back up recomputing each parent from its children row (eq. (3))
+        and pruning.  Whatever it finds, an update costs one bank read per
+        level down and one row read, ALU pass, prune check and write-back per
+        level up; only new nodes, row allocations, expansions and prunes add
+        to that, so the loop tallies those four and :meth:`_charge` books the
+        whole stream from ``TimingParams`` afterwards.
         """
+        if not len(paths):
+            return CycleBreakdown()
+        banks = self.memory.banks
+        valid, pointers, tags, probabilities = self._valid, self._pointers, self._tags, self._probabilities
+        params = self.probability_unit.params
+        raw_hit, raw_miss, threshold = params.raw_hit, params.raw_miss, self._threshold
+        clamp_min, clamp_max = params.raw_clamp_min, params.raw_clamp_max
+        allocator = self.allocator
+        roots = self._local_roots
+        depth = self.config.tree_depth
+        ancestors = range(depth - 2, -1, -1)
+        new_nodes = allocations = expansions = prunes = done = 0
+        try:
+            for path, hit in zip(paths.tolist(), occupied):
+                # --- locate (or create) the local root of this branch -------
+                levels = iter(path)
+                bank = next(levels)
+                row = 0
+                if bank not in roots:
+                    banks[bank].store(0, NULL_POINTER, 0, 0)
+                    roots[bank] = bank
+                    new_nodes += 1
+
+                # --- walk down the key path, allocating / expanding ---------
+                # rows[level] is the row holding the path's node at that level
+                # (its bank is path[level]); from level ``grown`` down, the
+                # path's nodes were leaves before this update gave them rows.
+                rows = [0]
+                grown = depth
+                for child in levels:
+                    block = pointers[bank][row]
+                    if block == NULL_POINTER:
+                        block = allocator.allocate_row()
+                        allocations += 1
+                        grown = min(grown, len(rows) - 1)
+                        if tags[bank][row]:
+                            # A pruned leaf covering a uniform region: the
+                            # eight children are re-materialised with its value.
+                            value = probabilities[bank][row]
+                            uniform = _ALL_OCCUPIED if value > threshold else _ALL_FREE
+                            for sibling in banks:
+                                sibling.store(block, NULL_POINTER, uniform, value)
+                            self.memory.row_writes += 1
+                            expansions += 1
+                        else:
+                            banks[child].store(block, NULL_POINTER, 0, 0)
+                            new_nodes += 1
+                        # Persist the parent's new pointer immediately; the
+                        # upward pass rewrites the entry anyway but a
+                        # partially-written tree must never be observable by
+                        # queries issued between updates.
+                        pointers[bank][row] = block
+                        banks[bank].write_accesses += 1
+                    elif not (tags[bank][row] >> (child + child)) & 0b11:
+                        banks[child].store(block, NULL_POINTER, 0, 0)
+                        new_nodes += 1
+                    if not valid[child][block]:
+                        # The tag said the child exists but the bank holds
+                        # nothing: tags and memory image are out of sync.
+                        raise RuntimeError(
+                            f"PE {self.pe_id}: tag/memory mismatch at row {block} bank {child}"
+                        )
+                    rows.append(block)
+                    bank, row = child, block
+
+                # --- leaf update (paper eq. (2)): saturating add, clamped ---
+                value = probabilities[bank][row] + (raw_hit if hit else raw_miss)
+                probabilities[bank][row] = (
+                    clamp_min if value < clamp_min else clamp_max if value > clamp_max else value
+                )
+
+                # --- upward pass: parent update (eq. (3)) and pruning -------
+                for level in ancestors:
+                    bank, row = path[level], rows[level]
+                    block = pointers[bank][row]
+                    word, values = self._read_children(block)
+                    value = max(values)
+                    if (
+                        len(values) == 8
+                        and (word == _ALL_OCCUPIED or word == _ALL_FREE)
+                        and min(values) == value
+                    ):
+                        # All eight children are leaves with identical values.
+                        self.memory.clear_row(block)
+                        allocator.free_row(block)
+                        pointers[bank][row] = NULL_POINTER
+                        prunes += 1
+                    elif (
+                        level < grown
+                        and word == tags[bank][row]
+                        and value == probabilities[bank][row]
+                    ):
+                        # This inner node is as its parent last saw it, so no
+                        # ancestor's children row changes either, and none can
+                        # prune over an inner child: their (fixed) accesses
+                        # are charged unwalked.
+                        break
+                    tags[bank][row] = word
+                    probabilities[bank][row] = value
+                done += 1
+        finally:
+            charged = self._charge(paths[:done], new_nodes, allocations, expansions, prunes)
+        return charged
+
+    def _read_children(self, block: int) -> Tuple[int, List[int]]:
+        """One banked row read: the tag word the row implies and its valid children's values."""
+        word = 0
+        values = []
+        for child_valid, child_pointers, child_probabilities, (occupied, free, inner) in self._columns:
+            if child_valid[block]:
+                value = child_probabilities[block]
+                values.append(value)
+                if child_pointers[block] != NULL_POINTER:
+                    word |= inner
+                elif value > self._threshold:
+                    word |= occupied
+                else:
+                    word |= free
+        if not values:
+            raise RuntimeError(f"PE {self.pe_id}: parent at row {block} has no children")
+        return word, values
+
+    def _charge(
+        self, paths: np.ndarray, new_nodes: int, allocations: int, expansions: int, prunes: int
+    ) -> CycleBreakdown:
+        """Book ``len(paths)`` completed updates plus the tallied events, stage by stage."""
         timing = self.config.timing
-
-        if parent.pointer == NULL_POINTER:
-            homogeneous = any(tag != ChildStatus.UNKNOWN for tag in parent.child_tags)
-            row = self.allocator.allocate_row()
-            parent.pointer = row
-            breakdown.charge(OperationKind.PRUNE_EXPAND, timing.prune_stack_cycles)
-            if homogeneous:
-                # The parent was a pruned leaf covering a uniform region: the
-                # eight children are re-materialised with the parent's value.
-                status = self.probability_unit.classify(parent.probability_raw)
-                children = [
-                    TreeMemEntry(
-                        pointer=NULL_POINTER,
-                        child_tags=[status] * 8,
-                        probability_raw=parent.probability_raw,
-                    )
-                    for _ in range(8)
-                ]
-                self.memory.write_row(row, children)
-                self.stats.row_accesses += 1
-                self.counters.expansions += 1
-                self.counters.node_allocations += 8
-                breakdown.charge(OperationKind.PRUNE_EXPAND, timing.row_write_cycles)
-            else:
-                child = TreeMemEntry(probability_raw=0)
-                self.memory.write_entry(row, child_index, child)
-                self.stats.bank_writes += 1
-                self.counters.node_allocations += 1
-                breakdown.charge(OperationKind.UPDATE_LEAF, timing.bank_write_cycles)
-            # Persist the parent's new pointer immediately; the upward pass
-            # will rewrite the entry anyway but a partially-written tree must
-            # never be observable by queries issued between updates.
-            self.memory.write_entry(parent_row, parent_bank, parent)
-            self.stats.bank_writes += 1
-            breakdown.charge(OperationKind.UPDATE_LEAF, timing.bank_write_cycles)
-        elif parent.tag(child_index) == ChildStatus.UNKNOWN:
-            child = TreeMemEntry(probability_raw=0)
-            self.memory.write_entry(parent.pointer, child_index, child)
-            self.stats.bank_writes += 1
-            self.counters.node_allocations += 1
-            breakdown.charge(OperationKind.UPDATE_LEAF, timing.bank_write_cycles)
-
-        row = parent.pointer
-        child_entry = self.memory.read_entry(row, child_index)
-        self.stats.bank_reads += 1
-        breakdown.charge(OperationKind.UPDATE_LEAF, timing.bank_read_cycles)
-        if child_entry is None:
-            # The tag said the child exists but the bank holds nothing: the
-            # tags and the memory image are out of sync, which is a model bug.
-            raise RuntimeError(
-                f"PE {self.pe_id}: tag/memory mismatch at row {row} bank {child_index}"
-            )
-        return child_entry, row
-
-    def _update_parent(self, parent: TreeMemEntry, breakdown: CycleBreakdown) -> None:
-        """Recompute a parent entry from its children row; prune if possible."""
-        timing = self.config.timing
-        children = self.memory.read_row(parent.pointer)
-        self.stats.row_accesses += 1
-        breakdown.charge(OperationKind.UPDATE_PARENTS, timing.row_read_cycles)
-        self.counters.child_reads += 8
-
-        present = [child for child in children if child is not None]
-        if not present:
-            raise RuntimeError(
-                f"PE {self.pe_id}: parent at row {parent.pointer} has no children"
-            )
-
-        # Max-of-children aggregation (eq. (3)).
-        new_value = self.probability_unit.parent_value(
-            child.probability_raw for child in present
+        depth = self.config.tree_depth
+        updates = len(paths)
+        parents = updates * (depth - 1)
+        # Every new node is one bank write, every row allocation one more
+        # (the parent's pointer); an expansion's eight nodes are a row write.
+        event_writes = new_nodes + allocations
+        breakdown = CycleBreakdown()
+        breakdown.charge(
+            OperationKind.UPDATE_LEAF,
+            updates * (depth * timing.bank_read_cycles + timing.alu_cycles + timing.bank_write_cycles)
+            + event_writes * timing.bank_write_cycles,
         )
-        breakdown.charge(OperationKind.UPDATE_PARENTS, timing.alu_cycles)
-
-        # Re-derive the status tags from the freshly read children.
-        for index in range(8):
-            child = children[index]
-            if child is None:
-                parent.set_tag(index, ChildStatus.UNKNOWN)
-            elif child.pointer != NULL_POINTER:
-                parent.set_tag(index, ChildStatus.INNER)
-            else:
-                parent.set_tag(index, self.probability_unit.classify(child.probability_raw))
-
-        # Pruning rule: all eight children are leaves with identical values.
-        self.counters.prune_checks += 1
-        breakdown.charge(OperationKind.PRUNE_EXPAND, timing.alu_cycles)
-        prunable = len(present) == 8 and all(
-            child.pointer == NULL_POINTER for child in present
-        ) and all(
-            child.probability_raw == present[0].probability_raw for child in present
+        breakdown.charge(
+            OperationKind.UPDATE_PARENTS,
+            parents * (timing.row_read_cycles + timing.alu_cycles + timing.bank_write_cycles),
         )
-        if prunable:
-            freed_row = parent.pointer
-            self.memory.clear_row(freed_row)
-            self.stats.row_accesses += 1
-            self.allocator.free_row(freed_row)
-            parent.pointer = NULL_POINTER
-            parent.probability_raw = present[0].probability_raw
-            status = self.probability_unit.classify(parent.probability_raw)
-            for index in range(8):
-                parent.set_tag(index, status)
-            self.counters.prunes += 1
-            self.counters.node_deletions += 8
-            breakdown.charge(
-                OperationKind.PRUNE_EXPAND,
-                timing.row_write_cycles + timing.prune_stack_cycles,
-            )
-        else:
-            parent.probability_raw = new_value
-            self.counters.parent_updates += 1
+        breakdown.charge(
+            OperationKind.PRUNE_EXPAND,
+            parents * timing.alu_cycles
+            + (allocations + prunes) * timing.prune_stack_cycles
+            + (expansions + prunes) * timing.row_write_cycles,
+        )
+        self.stats.breakdown.merge(breakdown)
+        self.stats.voxel_updates += updates
+        self.stats.bank_reads += updates * depth
+        self.stats.bank_writes += updates * depth + event_writes
+        self.stats.row_accesses += parents + expansions + prunes
+        self.memory.charge_update_accesses(
+            np.bincount(paths.ravel(), minlength=8).tolist(), row_reads=parents
+        )
+        counters = self.counters
+        counters.leaf_updates += updates
+        counters.child_reads += 8 * parents
+        counters.prune_checks += parents
+        counters.parent_updates += parents - prunes
+        counters.prunes += prunes
+        counters.node_deletions += 8 * prunes
+        counters.expansions += expansions
+        counters.node_allocations += new_nodes + 8 * expansions
+        counters.extra["pe_updates"] = counters.extra.get("pe_updates", 0) + updates
+        return breakdown
 
     # ------------------------------------------------------------------
     # Voxel query (service used by collision detection etc.)
@@ -281,40 +303,39 @@ class ProcessingElement:
         ``probability_raw`` is None for unknown voxels.
         """
         timing = self.config.timing
-        cycles = 0
-        path = key.path(self.config.tree_depth)
-        branch = path[0]
+        banks = self.memory.banks
+        valid, pointers, tags = self._valid, self._pointers, self._tags
+        levels = iter(key.path(self.config.tree_depth))
+        bank = next(levels)
+        row = 0
         self.counters.queries += 1
-
-        if branch not in self._local_roots:
+        if bank not in self._local_roots:
             self.query_cycles += timing.bank_read_cycles
             return ("unknown", None)
-        entry = self.memory.read_entry(0, self._local_roots[branch])
-        cycles += timing.bank_read_cycles
-        self.stats.bank_reads += 1
-        assert entry is not None
-
-        for child_index in path[1:]:
-            if entry.pointer == NULL_POINTER:
-                # Leaf above the finest depth: homogeneous region (pruned) or
-                # an unobserved fresh node.
-                if all(tag == ChildStatus.UNKNOWN for tag in entry.child_tags):
-                    self.query_cycles += cycles
+        banks[bank].read_accesses += 1
+        reads = 1
+        try:
+            for child in levels:
+                block = pointers[bank][row]
+                if block == NULL_POINTER:
+                    # Leaf above the finest depth: homogeneous region (pruned)
+                    # or an unobserved fresh node.
+                    if not tags[bank][row]:
+                        return ("unknown", None)
+                    break
+                if not (tags[bank][row] >> (child + child)) & 0b11:
                     return ("unknown", None)
-                break
-            if entry.tag(child_index) == ChildStatus.UNKNOWN:
-                self.query_cycles += cycles
-                return ("unknown", None)
-            entry = self.memory.read_entry(entry.pointer, child_index)
-            cycles += timing.bank_read_cycles
-            self.stats.bank_reads += 1
-            if entry is None:
-                raise RuntimeError(f"PE {self.pe_id}: dangling tag during query")
-
-        cycles += timing.alu_cycles
-        self.query_cycles += cycles
-        status = "occupied" if self.probability_unit.is_occupied(entry.probability_raw) else "free"
-        return (status, entry.probability_raw)
+                banks[child].read_accesses += 1
+                reads += 1
+                if not valid[child][block]:
+                    raise RuntimeError(f"PE {self.pe_id}: dangling tag during query")
+                bank, row = child, block
+            value = self._probabilities[bank][row]
+            self.query_cycles += timing.alu_cycles
+            return ("occupied" if value > self._threshold else "free", value)
+        finally:
+            self.stats.bank_reads += reads
+            self.query_cycles += reads * timing.bank_read_cycles
 
     # ------------------------------------------------------------------
     # Map read-back (verification / host transfer)
@@ -351,7 +372,7 @@ class ProcessingElement:
     # ------------------------------------------------------------------
     def nodes_stored(self) -> int:
         """Number of valid node entries currently held in TreeMem."""
-        return self.memory.occupied_entries() + 0
+        return self.memory.occupied_entries()
 
     def memory_utilization(self) -> float:
         """Fraction of this PE's SRAM holding live entries."""

@@ -22,7 +22,12 @@ __all__ = ["ProbabilityUpdateUnit"]
 
 
 class ProbabilityUpdateUnit:
-    """Fixed-point occupancy arithmetic shared by all PEs."""
+    """Fixed-point occupancy arithmetic shared by all PEs.
+
+    The PE's update and query kernels inline these three operations from
+    :attr:`params`; the counters below count calls to the methods themselves
+    (snapshot restore and tests).
+    """
 
     def __init__(self, params: QuantizedOccupancyParams) -> None:
         self._params = params

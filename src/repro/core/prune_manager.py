@@ -15,7 +15,7 @@ every children-block address from a single place and the allocation policy
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Set
 
 from repro.core.treemem import MemoryCapacityError
 
@@ -41,6 +41,7 @@ class PruneAddressManager:
         self._reserved_rows = reserved_rows
         self._next_fresh_row = reserved_rows
         self._stack: List[int] = []
+        self._stacked: Set[int] = set()  # the stack's rows, for the O(1) double-free check
         # Statistics used by the memory-utilisation experiments.
         self.allocations = 0
         self.fresh_allocations = 0
@@ -61,7 +62,9 @@ class PruneAddressManager:
         self.allocations += 1
         if self._stack:
             self.reused_allocations += 1
-            return self._stack.pop()
+            row = self._stack.pop()
+            self._stacked.remove(row)
+            return row
         if self._next_fresh_row >= self._num_rows:
             raise MemoryCapacityError(
                 f"TreeMem exhausted: all {self._num_rows} rows are in use and "
@@ -80,12 +83,13 @@ class PruneAddressManager:
                 f"row {row} is not an allocatable address "
                 f"(valid range [{self._reserved_rows}, {self._num_rows - 1}])"
             )
-        if row in self._stack:
+        if row in self._stacked:
             raise ValueError(f"row {row} freed twice (double prune)")
         if row >= self._next_fresh_row:
             raise ValueError(f"row {row} freed but was never allocated")
         self.frees += 1
         self._stack.append(row)
+        self._stacked.add(row)
         self.peak_stack_depth = max(self.peak_stack_depth, len(self._stack))
 
     # ------------------------------------------------------------------

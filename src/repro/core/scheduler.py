@@ -12,14 +12,17 @@ reduces the achievable parallel speedup).
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import OMUConfig
 from repro.octomap.keys import OcTreeKey
 
-__all__ = ["VoxelUpdateRequest", "ScheduledBatch", "VoxelScheduler"]
+__all__ = ["VoxelUpdateRequest", "PEQueue", "ScheduledBatch", "VoxelScheduler"]
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,32 @@ class VoxelUpdateRequest:
 
     key: OcTreeKey
     occupied: bool
+
+
+class PEQueue(SequenceABC):
+    """One PE's ordered slice of a batch, held as columns.
+
+    Reads as a sequence of :class:`VoxelUpdateRequest`; the PE consumes the
+    columns directly.
+
+    Attributes:
+        keys: ``(N, 3)`` key components, in issue order.
+        occupied: ``(N,)`` measurement flags.
+        paths: ``(N, tree_depth)`` root-to-leaf child indices of each key.
+    """
+
+    def __init__(self, keys: np.ndarray, occupied: np.ndarray, paths: np.ndarray) -> None:
+        self.keys = keys
+        self.occupied = occupied
+        self.paths = paths
+
+    def __len__(self) -> int:
+        return len(self.occupied)
+
+    def __getitem__(self, index: int) -> VoxelUpdateRequest:
+        return VoxelUpdateRequest(
+            OcTreeKey(*self.keys[index].tolist()), bool(self.occupied[index])
+        )
 
 
 @dataclass
@@ -39,7 +68,7 @@ class ScheduledBatch:
         issue_cycles: cycles the scheduler spent issuing (serial front end).
     """
 
-    per_pe: Dict[int, List[VoxelUpdateRequest]] = field(default_factory=dict)
+    per_pe: Dict[int, PEQueue] = field(default_factory=dict)
     issue_cycles: int = 0
 
     def total_updates(self) -> int:
@@ -79,12 +108,11 @@ class VoxelScheduler:
         are already de-duplicated upstream, so in practice each voxel appears
         once).
         """
-        batch = ScheduledBatch(per_pe={pe: [] for pe in range(self.config.num_pes)})
-        for key in free_keys:
-            self._issue(batch, VoxelUpdateRequest(key, occupied=False))
-        for key in occupied_keys:
-            self._issue(batch, VoxelUpdateRequest(key, occupied=True))
-        return batch
+        keys = [key.as_tuple() for key in free_keys]
+        keys.extend(key.as_tuple() for key in occupied_keys)
+        occupied = np.zeros(len(keys), dtype=bool)
+        occupied[len(free_keys) :] = True
+        return self.schedule_key_arrays(keys, occupied)
 
     def schedule_requests(self, requests: Sequence[VoxelUpdateRequest]) -> ScheduledBatch:
         """Build per-PE queues from an already ordered update stream.
@@ -96,17 +124,32 @@ class VoxelScheduler:
         with sequential insertion because the clamped log-odds update is not
         commutative once a value saturates.
         """
-        batch = ScheduledBatch(per_pe={pe: [] for pe in range(self.config.num_pes)})
-        for request in requests:
-            self._issue(batch, request)
-        return batch
+        return self.schedule_key_arrays(
+            [request.key.as_tuple() for request in requests],
+            [request.occupied for request in requests],
+        )
 
-    def _issue(self, batch: ScheduledBatch, request: VoxelUpdateRequest) -> None:
-        pe = self.address_generator.pe_for_key(request.key)
-        batch.per_pe[pe].append(request)
-        batch.issue_cycles += self.config.timing.scheduler_issue_cycles
-        self.issued_updates += 1
-        self.per_pe_issued[pe] = self.per_pe_issued.get(pe, 0) + 1
+    def schedule_key_arrays(self, keys, occupied) -> ScheduledBatch:
+        """:meth:`schedule_requests` for a stream held as columns.
+
+        ``keys`` is an ``(N, 3)`` array of key components and ``occupied`` the
+        ``(N,)`` measurement flags.  Routing and the per-level child indices
+        of every key come out of one numpy pass; boolean masking keeps the
+        stream order inside each PE's queue.
+        """
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+        occupied = np.asarray(occupied, dtype=bool)
+        paths = self.address_generator.paths_for_keys(keys)
+        pes = self.address_generator.pes_for_paths(paths)
+        batch = ScheduledBatch(
+            issue_cycles=len(keys) * self.config.timing.scheduler_issue_cycles
+        )
+        for pe in range(self.config.num_pes):
+            mine = pes == pe
+            queue = batch.per_pe[pe] = PEQueue(keys[mine], occupied[mine], paths[mine])
+            self.per_pe_issued[pe] = self.per_pe_issued.get(pe, 0) + len(queue)
+        self.issued_updates += len(keys)
+        return batch
 
     def load_histogram(self) -> Tuple[int, ...]:
         """Updates issued to each PE since construction (load-balance view)."""

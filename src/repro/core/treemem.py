@@ -15,13 +15,19 @@ Every 64-bit entry packs three fields (paper Fig. 5):
 * ``probability`` (bits [15:0]) -- the node's occupancy as a 16-bit
   fixed-point log-odds value.
 
-The Python model stores entries as small objects for clarity but provides
-exact 64-bit pack/unpack so tests can verify the bit layout, and counts every
-bank access so the timing and energy models can charge them.
+The model stores the SRAM image itself: each bank keeps the three fields of
+its entries in fixed-size typed arrays (pointer ``u32``, the eight tags as one
+``u16`` word, probability ``i16``) plus a valid bit per address.  The PE's
+update and query kernels run as integer loops over those arrays;
+:class:`TreeMemEntry` is the *decoded view* of one word that the
+``read``/``write`` API hands to the cold paths (map export, snapshot restore,
+tests), with exact 64-bit pack/unpack so tests can verify the bit layout.
+Every bank access is counted so the timing and energy models can charge it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import List, Optional, Sequence
@@ -106,13 +112,22 @@ class TreeMemEntry:
     # ------------------------------------------------------------------
     # 64-bit packing (paper Fig. 5 bit layout)
     # ------------------------------------------------------------------
+    def tags_word(self) -> int:
+        """The eight tags as the entry's 16-bit field (child 0 in the low bits)."""
+        word = 0
+        for index, tag in enumerate(self.child_tags):
+            word |= (int(tag) & 0b11) << (2 * index)
+        return word
+
+    @staticmethod
+    def tags_from_word(word: int) -> List[ChildStatus]:
+        """Decode a 16-bit tag field back into eight :class:`ChildStatus` values."""
+        return [ChildStatus((word >> (2 * index)) & 0b11) for index in range(8)]
+
     def pack(self, fixed_point_bits: int = 16) -> int:
         """Pack the entry into its 64-bit word."""
-        tags_word = 0
-        for index, tag in enumerate(self.child_tags):
-            tags_word |= (int(tag) & 0b11) << (2 * index)
         probability_word = self.probability_raw & ((1 << fixed_point_bits) - 1)
-        return (self.pointer << 32) | (tags_word << 16) | probability_word
+        return (self.pointer << 32) | (self.tags_word() << 16) | probability_word
 
     @classmethod
     def unpack(cls, word: int, fixed_point_bits: int = 16) -> "TreeMemEntry":
@@ -120,8 +135,7 @@ class TreeMemEntry:
         if not 0 <= word < (1 << 64):
             raise ValueError(f"word {word} does not fit in 64 bits")
         pointer = (word >> 32) & 0xFFFFFFFF
-        tags_word = (word >> 16) & 0xFFFF
-        tags = [ChildStatus((tags_word >> (2 * index)) & 0b11) for index in range(8)]
+        tags = cls.tags_from_word((word >> 16) & 0xFFFF)
         probability_word = word & ((1 << fixed_point_bits) - 1)
         sign_bit = 1 << (fixed_point_bits - 1)
         probability_raw = probability_word - (1 << fixed_point_bits) if probability_word & sign_bit else probability_word
@@ -131,8 +145,12 @@ class TreeMemEntry:
 class TreeMemBank:
     """One single-port SRAM bank of a PE.
 
-    Reads and writes are counted individually; the energy model charges each
-    access and the timing model enforces one access per bank per cycle.
+    The bank's image lives in four parallel arrays indexed by address:
+    :attr:`valid`, :attr:`pointers`, :attr:`tags` and :attr:`probabilities`.
+    The PE kernels read and update them in place; everything else goes
+    through :meth:`read` / :meth:`write`.  Reads and writes are counted
+    individually; the energy model charges each access and the timing model
+    enforces one access per bank per cycle.
     """
 
     def __init__(self, bank_index: int, num_entries: int) -> None:
@@ -140,32 +158,54 @@ class TreeMemBank:
             raise ValueError("a bank needs at least one entry")
         self.bank_index = bank_index
         self.num_entries = num_entries
-        self._entries: List[Optional[TreeMemEntry]] = [None] * num_entries
+        self.valid = bytearray(num_entries)
+        self.pointers = array("I", [NULL_POINTER]) * num_entries
+        self.tags = array("H", bytes(2 * num_entries))
+        self.probabilities = array("h", bytes(2 * num_entries))
         self.read_accesses = 0
         self.write_accesses = 0
+        self._occupied = 0
 
     def read(self, address: int) -> Optional[TreeMemEntry]:
         """Read the entry at ``address`` (None if never written)."""
         self._check_address(address)
         self.read_accesses += 1
-        entry = self._entries[address]
-        return entry.copy() if entry is not None else None
+        if not self.valid[address]:
+            return None
+        return TreeMemEntry(
+            self.pointers[address],
+            TreeMemEntry.tags_from_word(self.tags[address]),
+            self.probabilities[address],
+        )
 
     def write(self, address: int, entry: TreeMemEntry) -> None:
         """Write ``entry`` at ``address``."""
         self._check_address(address)
+        self.store(address, entry.pointer, entry.tags_word(), entry.probability_raw)
+
+    def store(self, address: int, pointer: int, tags: int, probability_raw: int) -> None:
+        """One write access given as raw field values (the PE datapath's form).
+
+        The address is the caller's to vouch for (it comes from the row
+        allocator or from a stored pointer).
+        """
         self.write_accesses += 1
-        self._entries[address] = entry.copy()
+        self._occupied += not self.valid[address]
+        self.valid[address] = 1
+        self.pointers[address] = pointer
+        self.tags[address] = tags
+        self.probabilities[address] = probability_raw
 
     def clear(self, address: int) -> None:
         """Invalidate the entry at ``address`` (used when a row is freed)."""
         self._check_address(address)
         self.write_accesses += 1
-        self._entries[address] = None
+        self._occupied -= self.valid[address]
+        self.valid[address] = 0
 
     def occupied_entries(self) -> int:
-        """Number of valid entries currently stored."""
-        return sum(1 for entry in self._entries if entry is not None)
+        """Number of valid entries currently stored (a live count, not a scan)."""
+        return self._occupied
 
     def _check_address(self, address: int) -> None:
         if not 0 <= address < self.num_entries:
@@ -225,6 +265,18 @@ class BankedTreeMemory:
             bank.clear(row)
 
     # -- statistics ------------------------------------------------------------
+    def charge_update_accesses(self, path_nodes_per_bank: Sequence[int], row_reads: int) -> None:
+        """Book the array accesses the PE's fused update kernel performed.
+
+        An update reads each node on its path once on the way down and writes
+        it once on the way back up (``path_nodes_per_bank[b]`` of them live in
+        bank ``b``), and reads one children row per parent (``row_reads``).
+        """
+        self.row_reads += row_reads
+        for bank, nodes in zip(self.banks, path_nodes_per_bank):
+            bank.read_accesses += nodes + row_reads
+            bank.write_accesses += nodes
+
     def total_reads(self) -> int:
         """Total single-bank read accesses (row reads count as 8)."""
         return sum(bank.read_accesses for bank in self.banks)

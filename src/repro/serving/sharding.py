@@ -144,10 +144,15 @@ class MapShardWorker:
         self.batches_applied = 0
         self.updates_applied = 0
 
-    def apply_updates(self, requests: Sequence[VoxelUpdateRequest]) -> ScanTiming:
-        """Apply an ordered update stream and invalidate this shard's cache."""
-        timing = self.accelerator.apply_update_batch(requests)
-        if requests:
+    def apply_updates(self, requests, occupied=None) -> ScanTiming:
+        """Apply an ordered update stream and invalidate this shard's cache.
+
+        Takes what :meth:`OMUAccelerator.apply_update_batch` takes: a sequence
+        of :class:`VoxelUpdateRequest`, or an ``(N, 3)`` key array plus its
+        ``(N,)`` ``occupied`` flags.
+        """
+        timing = self.accelerator.apply_update_batch(requests, occupied)
+        if len(requests):
             self.generation += 1
             self.batches_applied += 1
             self.updates_applied += len(requests)
@@ -183,12 +188,14 @@ class MapShardWorker:
             raise ValueError(
                 f"batch for shard {batch.shard_id} delivered to shard {self.shard_id}"
             )
-        updates = batch.to_updates()
-        timing = self.apply_updates(updates)
+        # The packed (x, y, z, occupied) entries go to the accelerator as
+        # columns: no per-update key or request object is rebuilt here.
+        columns = np.array(batch.entries, dtype=np.int64).reshape(-1, 4)
+        timing = self.apply_updates(columns[:, :3], columns[:, 3] != 0)
         return ShardApplyResult(
             shard_id=self.shard_id,
-            updates_applied=len(updates),
-            critical_path_cycles=timing.critical_path_cycles() if updates else 0,
+            updates_applied=len(columns),
+            critical_path_cycles=timing.critical_path_cycles() if len(columns) else 0,
             generation=self.generation,
         )
 

@@ -10,9 +10,8 @@ a session and its shard execution backend
 (:mod:`repro.serving.backends`).  They are deliberately flat -- ints, floats,
 strings and tuples of them -- so every message pickles cheaply across a
 process boundary; voxel updates travel as packed ``(x, y, z, occupied)``
-tuples and are rebuilt into :class:`~repro.core.scheduler.VoxelUpdateRequest`
-objects on the worker side, keeping object construction inside the parallel
-section.
+tuples, which the worker hands to its accelerator as key columns (no
+per-update object is rebuilt on either side).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 from repro.core.scheduler import VoxelUpdateRequest
-from repro.octomap.keys import OcTreeKey
 from repro.octomap.pointcloud import PointCloud, ScanNode
 
 __all__ = [
@@ -267,8 +265,8 @@ class ShardUpdateBatch:
         entries: packed updates ``(key_x, key_y, key_z, occupied)`` in
             dispatch order.  The packed form pickles an order of magnitude
             cheaper than the :class:`~repro.core.scheduler.VoxelUpdateRequest`
-            objects it encodes, and rebuilding those objects happens on the
-            worker -- inside the parallel section for pool backends.
+            objects it encodes, and the worker reads it back as columns
+            (:meth:`~repro.serving.sharding.MapShardWorker.apply_message`).
     """
 
     shard_id: int
@@ -301,13 +299,6 @@ class ShardUpdateBatch:
                 (key[0], key[1], key[2], flag)
                 for key, flag in zip(keys.tolist(), occupied.tolist())
             ),
-        )
-
-    def to_updates(self) -> Tuple[VoxelUpdateRequest, ...]:
-        """Rebuild the ordered update stream on the worker side."""
-        return tuple(
-            VoxelUpdateRequest(OcTreeKey(x, y, z), occupied)
-            for x, y, z, occupied in self.entries
         )
 
     def __len__(self) -> int:

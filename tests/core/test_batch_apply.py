@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import OMUAccelerator, OMUConfig
@@ -45,6 +46,26 @@ def test_apply_update_batch_accumulates_map_timing(config):
     # Empty batches are harmless no-ops.
     empty = accelerator.apply_update_batch([])
     assert empty.voxel_updates == 0
+
+
+def test_key_columns_are_validated_like_keys(config):
+    """The column path builds no OcTreeKey, so it checks the key space itself."""
+    accelerator = OMUAccelerator(config)
+    for bad in ([[70000, 0, 0]], [[0, -1, 0]]):
+        with pytest.raises(ValueError, match="outside"):
+            accelerator.apply_update_batch(np.array(bad), np.array([True]))
+    assert accelerator.statistics().voxel_updates == 0
+    assert accelerator.scheduler.issued_updates == 0
+
+
+def test_array_paths_match_the_scalar_address_generator(config):
+    generator = AddressGenerator(config.resolution_m, config.tree_depth, 3)
+    keys = np.array([[0, 0, 0], [65535, 65535, 65535], [32768, 1, 40000], [12345, 54321, 999]])
+    paths = generator.paths_for_keys(keys)
+    assert paths.dtype == np.uint8 and paths.shape == (4, config.tree_depth)
+    for row, pe, key in zip(paths.tolist(), generator.pes_for_paths(paths).tolist(), keys.tolist()):
+        assert tuple(row) == generator.full_path(OcTreeKey(*key))
+        assert pe == generator.pe_for_key(OcTreeKey(*key))
 
 
 def test_schedule_requests_preserves_stream_order(config):

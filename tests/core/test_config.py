@@ -44,6 +44,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             OMUConfig(entry_bytes=4)
 
+    def test_probability_must_fit_the_sixteen_bit_field(self):
+        """The TreeMem image stores probabilities as i16, like the packed word."""
+        from repro.core.fixedpoint import FixedPointFormat
+
+        OMUConfig(fixed_point=FixedPointFormat(total_bits=12, fraction_bits=6))
+        with pytest.raises(ValueError, match="16-bit probability field"):
+            OMUConfig(fixed_point=FixedPointFormat(total_bits=24, fraction_bits=17))
+
     def test_pe_count_must_be_positive(self):
         with pytest.raises(ValueError):
             OMUConfig(num_pes=0)

@@ -195,5 +195,26 @@ class TestExportAndCapacity:
         root_bank = key.child_index(0, pe.config.tree_depth)
         root = pe.memory.read_entry(0, root_bank)
         pe.memory.clear_row(root.pointer)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="tag/memory mismatch"):
             pe.update_voxel(key, occupied=True)
+        with pytest.raises(RuntimeError, match="dangling tag"):
+            pe.query_voxel(key)
+
+    def test_childless_parent_guard(self, pe, converter):
+        """A parent whose children row holds nothing cannot be recomputed."""
+        key = key_at(converter, 1.0, 1.0, 1.0)
+        pe.update_voxel(key, occupied=True)
+        root = pe.memory.read_entry(0, key.child_index(0, pe.config.tree_depth))
+        pe.memory.clear_row(root.pointer)
+        with pytest.raises(RuntimeError, match=f"row {root.pointer} has no children"):
+            pe._read_children(root.pointer)
+
+    def test_live_node_count_equals_a_full_scan_after_pruning(self, pe, converter):
+        """nodes_stored is maintained at every write and clear, prunes included."""
+        blocks = TestPruneAndExpand()
+        for occupied in (True, False, True):  # saturate, flip (expand + re-prune), flip back
+            blocks._saturate_block(pe, converter, occupied=occupied, repeats=40)
+        pe.update_voxel(key_at(converter, 3.0, -2.0, 0.4), occupied=False)
+        assert pe.counters.prunes >= 3 and pe.counters.expansions >= 2
+        assert pe.allocator.reused_allocations >= 1
+        assert pe.nodes_stored() == sum(sum(bank.valid) for bank in pe.memory.banks)

@@ -54,7 +54,7 @@ class TestReuse:
 
     def test_free_validation_rejects_unallocated_rows(self):
         manager = PruneAddressManager(num_rows=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="row 5 freed but was never allocated"):
             manager.free_row(5)
 
     def test_free_validation_rejects_reserved_row(self):
@@ -66,8 +66,20 @@ class TestReuse:
         manager = PruneAddressManager(num_rows=8)
         row = manager.allocate_row()
         manager.free_row(row)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"row {row} freed twice"):
             manager.free_row(row)
+
+    def test_a_reused_row_can_be_freed_again(self):
+        """The double-free check follows the stack: a popped row is live again."""
+        manager = PruneAddressManager(num_rows=8)
+        first, second = manager.allocate_row(), manager.allocate_row()
+        manager.free_row(first)
+        manager.free_row(second)
+        assert manager.allocate_row() == second
+        manager.free_row(second)
+        with pytest.raises(ValueError, match=f"row {first} freed twice"):
+            manager.free_row(first)
+        assert (manager.frees, manager.reused_allocations, manager.peak_stack_depth) == (3, 1, 2)
 
     def test_free_out_of_range_rejected(self):
         manager = PruneAddressManager(num_rows=8)

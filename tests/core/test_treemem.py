@@ -147,6 +147,28 @@ class TestBankedTreeMemory:
         memory = BankedTreeMemory(8, 16)
         with pytest.raises(IndexError):
             memory.read_entry(0, 8)
+        with pytest.raises(IndexError):
+            memory.write_entry(0, -1, TreeMemEntry())
+
+    def test_row_bounds(self):
+        """The typed arrays would wrap a negative index: the API must not."""
+        memory = BankedTreeMemory(8, 16)
+        for row in (-1, 16):
+            with pytest.raises(IndexError):
+                memory.read_entry(row, 0)
+            with pytest.raises(IndexError):
+                memory.write_entry(row, 0, TreeMemEntry())
+
+    def test_entries_read_back_as_written(self):
+        """read_entry decodes the stored fields into an equal, independent view."""
+        memory = BankedTreeMemory(8, 16)
+        entry = TreeMemEntry(pointer=9, probability_raw=-300)
+        entry.set_tag(2, ChildStatus.INNER)
+        entry.set_tag(5, ChildStatus.FREE)
+        memory.write_entry(3, 4, entry)
+        assert memory.read_entry(3, 4) == entry
+        memory.read_entry(3, 4).set_tag(0, ChildStatus.OCCUPIED)
+        assert memory.read_entry(3, 4) == entry
 
     def test_row_access_touches_all_banks(self):
         memory = BankedTreeMemory(8, 16)
@@ -182,3 +204,15 @@ class TestBankedTreeMemory:
         memory.write_row(0, [TreeMemEntry()] * 8)
         assert memory.utilization() == pytest.approx(8 / 32)
         assert memory.occupied_entries() == 8
+
+    def test_occupied_entries_is_a_live_count(self):
+        """Overwrites, partial row writes and clears keep the count equal to a scan."""
+        memory = BankedTreeMemory(8, 4)
+        memory.write_entry(1, 0, TreeMemEntry())
+        memory.write_entry(1, 0, TreeMemEntry(probability_raw=3))  # overwrite: still one
+        memory.write_row(2, [TreeMemEntry()] * 8)
+        memory.write_row(2, [TreeMemEntry(), None] * 4)  # four written, four cleared
+        memory.clear_row(3)  # clearing an empty row changes nothing
+        assert memory.occupied_entries() == 5 == sum(sum(bank.valid) for bank in memory.banks)
+        memory.clear_row(2)
+        assert memory.occupied_entries() == 1 == sum(sum(bank.valid) for bank in memory.banks)
