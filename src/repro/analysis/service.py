@@ -959,16 +959,17 @@ def kill_recovery_experiment(
             "socket", config, num_shards, snapshot_every_batches=cadence
         )
         try:
+            engine = backend.pool.engine
             for index, batches in enumerate(rounds):
                 if index == kill_round:
-                    endpoint = str(backend.registry.endpoint_for(0))
-                    for handle in backend.owned_workers:
+                    endpoint = engine.channels.worker_id(backend.slot_of(0))
+                    for handle in engine.channels.owned_workers:
                         if handle.endpoint == endpoint:
                             handle.kill()
                 backend.apply_shard_batches(batches)
             merged = merge_trees(backend.export_all())
             comparison = compare_trees(reference, merged, 0.0)
-            recovery = backend.recoveries[0]
+            recovery = next(r for r in engine.recoveries if r.shard_id == 0)
             rows.append(
                 (
                     cadence,

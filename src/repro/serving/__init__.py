@@ -10,13 +10,19 @@ ingestion pipeline and a cached query engine.
   ``Shard*`` messages the execution backends exchange with shard workers.
 * :mod:`repro.serving.sharding` -- octree-key-prefix shard routing and the
   :class:`MapShardWorker` accelerator wrapper.
-* :mod:`repro.serving.backends` -- pluggable shard execution
-  (:class:`InlineBackend`, :class:`ThreadPoolBackend`,
-  :class:`ProcessPoolBackend`).
-* :mod:`repro.serving.remote` -- the socket-transport backend
-  (:class:`SocketBackend`): shard workers behind TCP endpoints
-  (``repro-serve-worker``), with heartbeat liveness probes, periodic shard
-  snapshots, and live failover onto standby or surviving workers.
+* :mod:`repro.serving.backends` -- the shard execution contract
+  (:class:`ShardBackend`: tickets, barriers, fail-stop, generation stamps)
+  and :func:`make_backend`.
+* :mod:`repro.serving.fleet` -- where shards execute: a :class:`BackendPool`
+  owns one fixed set of execution slots (inline, threads, worker processes
+  or socket workers) and hands each session a lease
+  (:class:`SessionBackendView`, the one :class:`ShardBackend`
+  implementation) -- the only lease of a private pool, or one of hundreds
+  sharing O(pool size) OS resources.
+* :mod:`repro.serving.remote` -- the socket channel kind: shard workers
+  behind TCP endpoints (``repro-serve-worker``), with heartbeat liveness
+  probes and re-homing of lost slots onto standby or surviving workers, so
+  the pool's engine recovers from snapshots and replay tails.
 * :mod:`repro.serving.schedulers` -- pluggable ingestion ordering (FIFO,
   priority, earliest-deadline-first).
 * :mod:`repro.serving.batching` -- the ingestion pipeline: admission queue,
@@ -25,10 +31,6 @@ ingestion pipeline and a cached query engine.
 * :mod:`repro.serving.cache` -- the generation-stamped LRU query cache with
   per-shard invalidation, TTL-bounded negative entries for unknown space,
   and whole box-sweep result caching keyed by the shard generation vector.
-* :mod:`repro.serving.fleet` -- the shared backend fleet:
-  :class:`BackendPool` owns one fixed set of execution workers and hands
-  each session a lease (:class:`SessionBackendView`), so hundreds of
-  sessions share O(fleet size) OS resources instead of each owning workers.
 * :mod:`repro.serving.query_engine` -- cached point / batch / bounding-box /
   collision-raycast queries.
 * :mod:`repro.serving.stats` -- per-session latency, throughput and cache
@@ -56,9 +58,10 @@ ingestion pipeline and a cached query engine.
 Execution backends
 ------------------
 
-Every session executes its shard work through a pluggable
-:class:`~repro.serving.backends.ShardBackend`, selected by
-``SessionConfig(backend=...)`` (or ``repro-serve --backend ...``):
+Every session executes its shard work through the
+:class:`~repro.serving.backends.ShardBackend` contract, on a pool of the
+kind selected by ``SessionConfig(backend=...)`` (or ``repro-serve --backend
+...``) -- private to the session, or shared when ``fleet_workers > 0``:
 
 * ``"inline"`` (default) -- workers run serially in the calling thread.
   Zero overhead and fully deterministic scheduling: pick it for tests,
@@ -68,25 +71,26 @@ Every session executes its shard work through a pluggable
   The pure-Python accelerator model is GIL-bound, so this buys little
   wall-clock speedup today; pick it to exercise concurrent fan-out without
   process isolation, or once the update kernels release the GIL.
-* ``"process"`` -- one OS process per shard, each owning its shard's
-  accelerator; flushes fan update batches out to all shards at once and
-  exports gather in parallel.  Pick it for throughput: sustained multi-scan
-  ingestion on multi-core hosts (it overtakes ``inline`` from ~4 shards on
-  the default workload -- see ``python -m repro.analysis.service``).  Worker
-  start-up and per-batch pickling make it a poor fit for tiny maps or
-  one-scan sessions.
-* ``"socket"`` -- one shard per TCP worker endpoint
-  (``repro-serve-worker``), reachable across process or machine boundaries
-  over a length-prefixed socket RPC.  The only backend that survives worker
-  loss: heartbeat probes detect dead workers, periodic shard snapshots plus
-  a replay tail bound the state at risk, and a dead shard re-homes onto a
-  standby (or surviving) worker with a bounded stall instead of killing the
-  session.  See :mod:`repro.serving.remote`.
+* ``"process"`` -- worker processes, each hosting shards' accelerators;
+  flushes fan update batches out to all of them at once and exports gather
+  in parallel.  Pick it for throughput: sustained multi-scan ingestion on
+  multi-core hosts (it overtakes ``inline`` from ~4 shards on the default
+  workload -- see ``python -m repro.analysis.service``).  Worker start-up
+  and per-batch pickling make it a poor fit for tiny maps or one-scan
+  sessions.  Worker death is fail-stop.
+* ``"socket"`` -- TCP worker endpoints (``repro-serve-worker``), reachable
+  across process or machine boundaries over a length-prefixed socket RPC.
+  The only kind that survives worker loss: heartbeat probes detect dead
+  workers, periodic shard snapshots plus a replay tail bound the state at
+  risk, and a lost slot re-homes onto a standby (or surviving) worker with a
+  bounded stall instead of killing the sessions on it.  See
+  :mod:`repro.serving.remote`.
 
 All four produce leaf-for-leaf identical maps (a property-based test pins
-this, including across a mid-ingest worker kill on the socket backend), and
-the generation-stamped query cache stays correct across process boundaries
-because every apply acknowledgement carries the worker's write generation.
+this, including across a mid-ingest worker kill on the socket backend, for
+private pools and shared fleets alike), and the generation-stamped query
+cache stays correct across process boundaries because every apply
+acknowledgement carries the worker's write generation.
 
 Pipelined ingestion
 -------------------
@@ -113,7 +117,7 @@ leaf-for-leaf faithful to the paper's sequential update semantics:
 On the inline backend the "async" apply runs eagerly, so pipelined
 ingestion degenerates to the serial reference; the process backend is where
 the overlap buys wall-clock throughput (given spare cores).  Crash semantics
-are unchanged: a worker that dies with a batch in flight surfaces as
+are unchanged: a worker process that dies with a batch in flight surfaces as
 :class:`ShardBackendError` on the next submit/flush/query and fail-stops the
 backend.
 
@@ -125,18 +129,15 @@ Quickstart::
     manager.ingest(ScanRequest.from_scan_node("warehouse", scan, max_range=15.0))
     if manager.query("warehouse", 1.0, 0.0, 0.5).occupied:
         ...
-    manager.shutdown()  # releases worker processes for pool backends
+    manager.shutdown()  # releases every pool's workers
 """
 
 from repro.serving.aio import AdmissionQueueFull, AsyncMapService, submit_interleaved_stream
 from repro.serving.backends import (
     BACKEND_NAMES,
     ApplyTicket,
-    InlineBackend,
-    ProcessPoolBackend,
     ShardBackend,
     ShardBackendError,
-    ThreadPoolBackend,
     make_backend,
 )
 from repro.serving.batching import IngestionPipeline
@@ -160,7 +161,6 @@ from repro.serving.query_engine import QueryEngine
 from repro.serving.remote import (
     LocalWorkerHandle,
     ShardWorkerServer,
-    SocketBackend,
     WorkerRegistry,
     spawn_local_worker,
     spawn_worker_process,
@@ -174,7 +174,7 @@ from repro.serving.schedulers import (
     make_scheduler,
 )
 from repro.serving.session import MapSession, SessionConfig
-from repro.serving.sharding import MapShardWorker, ShardRouter
+from repro.serving.sharding import MapShardWorker, ShardHost, ShardRouter
 from repro.serving.stats import ServiceStats, SessionStats
 from repro.serving.types import (
     BatchReport,
@@ -212,7 +212,6 @@ __all__ = [
     "IngestReceipt",
     "IngestScheduler",
     "IngestionPipeline",
-    "InlineBackend",
     "LatencyHistogram",
     "LocalWorkerHandle",
     "MapSession",
@@ -222,7 +221,6 @@ __all__ = [
     "MetricsStore",
     "OperationRollup",
     "PriorityScheduler",
-    "ProcessPoolBackend",
     "QueryEngine",
     "RequestRecord",
     "QueryResponse",
@@ -237,17 +235,16 @@ __all__ = [
     "ShardBackend",
     "ShardBackendError",
     "ShardExportResult",
+    "ShardHost",
     "ShardQueryRequest",
     "ShardQueryResult",
     "ShardRouter",
     "ShardSnapshot",
     "ShardUpdateBatch",
     "ShardWorkerServer",
-    "SocketBackend",
     "TenantQuota",
     "TenantQuotaExceeded",
     "TenantQuotaRegistry",
-    "ThreadPoolBackend",
     "WorkerRegistry",
     "make_backend",
     "make_scheduler",

@@ -1,28 +1,21 @@
-"""Pluggable shard execution backends: inline, thread pool, process pool.
+"""The shard execution contract: what a session may ask of its shards.
 
-PR 2 sharded each map session over :class:`~repro.serving.sharding.
-MapShardWorker` accelerators, but every worker still executed serially in the
-caller's thread -- sharding bought modelled-hardware parallelism and zero
-wall-clock speedup.  This module makes the execution substrate pluggable:
+:class:`ShardBackend` is the only interface the ingestion pipeline, the
+query engine and the stats layers see.  It owns everything that must be
+identical no matter where the shards run -- the ticket protocol, the
+read-side barriers, fail-stop, and the parent-side generation stamps the
+query cache validates against -- and leaves *where the shards run* to one
+implementation: a :class:`~repro.serving.fleet.SessionBackendView`, a lease
+on a :class:`~repro.serving.fleet.BackendPool` whose engine executes
+``inline``, on a ``thread`` pool, in worker ``process``\\ es or on
+``socket`` workers.  :func:`make_backend` hands out such a lease -- on a
+shared pool when given one, else on a private pool sized to the session.
 
-* :class:`InlineBackend` -- the reference.  Workers live in the calling
-  thread and apply their slices one after another.  Zero overhead, zero
-  parallelism; every other backend must be leaf-for-leaf identical to it.
-* :class:`ThreadPoolBackend` -- workers live in the calling process but each
-  shard's slice is applied on a thread pool.  The GIL serialises the pure-
-  Python accelerator model, so this backend mainly exercises the concurrent
-  fan-out/gather machinery (and would win if the update path grew C/numpy
-  kernels that release the GIL).
-* :class:`ProcessPoolBackend` -- one OS process per shard, each owning its
-  shard's :class:`~repro.core.accelerator.OMUAccelerator`.  The session's
-  flush fans update batches out to all shard processes and gathers their
-  acknowledgements, so ingestion finally scales with cores.
-
-Every backend speaks the same pickle-safe ``Shard*`` message vocabulary from
+Every engine speaks the same pickle-safe ``Shard*`` message vocabulary from
 :mod:`repro.serving.types` and routes it through the same
-:meth:`MapShardWorker.apply_message` handlers, which is what keeps the three
-execution paths byte-identical (the serving equivalence property is tested
-over all of them).
+:class:`~repro.serving.sharding.ShardHost` verb handler, which is what keeps
+the execution paths byte-identical (the serving equivalence property is
+tested over all of them).
 
 Cache correctness across process boundaries: the generation-stamped query
 cache needs the *parent* to know each shard's write generation.  Shard state
@@ -34,13 +27,8 @@ stamp when the round-trip settles.  Queries therefore validate against
 exactly the generation the owning worker reported last, no matter which side
 of a process boundary it lives on.
 
-A worker process that dies (crash, OOM kill, ``terminate()``) surfaces as a
-:class:`ShardBackendError` on the next interaction instead of a hang, and
-:meth:`ShardBackend.close` always reaps every child, so no orphan processes
-outlive the session.
-
 Pipelined (double-buffered) dispatch: besides the blocking
-:meth:`ShardBackend.apply_shard_batches`, every backend offers a
+:meth:`ShardBackend.apply_shard_batches`, the backend offers a
 non-blocking :meth:`ShardBackend.apply_async` /
 :meth:`ShardBackend.drain` pair.  ``apply_async`` hands each shard its slice
 and immediately returns an :class:`~repro.serving.types.ApplyTicket` while
@@ -51,23 +39,25 @@ the parent-side cache bookkeeping.  At most one ticket is ever in flight
 raises.  Every read path -- ``query_key``, ``generation_of``,
 ``export_all`` -- first :meth:`ShardBackend.barrier`\\ s on the in-flight
 ticket when it touches the shards being read, so no reader can observe a
-half-applied generation (and, for the process backend, no query can cut in
-front of a pending apply acknowledgement on the same pipe).  The inline
-backend applies eagerly inside ``apply_async``, so pipelined ingestion on it
-degenerates to exactly the serial reference semantics.
+half-applied generation (and no query can cut in front of a pending apply
+acknowledgement on the same pipe or socket).  The inline engine applies
+eagerly inside ``apply_async``, so pipelined ingestion on it degenerates to
+exactly the serial reference semantics.
+
+A failure the engine could not recover from (a worker process that died, a
+socket worker lost with no live worker left to re-home onto, an exception
+reported by a worker) surfaces as a structured :class:`ShardBackendError`
+instead of a hang and fail-stops the backend, and :meth:`ShardBackend.close`
+always reaps what the lease owns, so no orphan worker outlives the session.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import traceback
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import OMUConfig
 from repro.octomap.octree import OccupancyOcTree
-from repro.serving.sharding import MapShardWorker
 from repro.serving.types import (
     ApplyTicket,
     ShardApplyResult,
@@ -80,11 +70,8 @@ from repro.serving.types import (
 __all__ = [
     "BACKEND_NAMES",
     "ApplyTicket",
-    "InlineBackend",
-    "ProcessPoolBackend",
     "ShardBackend",
     "ShardBackendError",
-    "ThreadPoolBackend",
     "make_backend",
 ]
 
@@ -140,9 +127,9 @@ class ShardBackend(ABC):
     at most one :class:`~repro.serving.types.ApplyTicket` in flight.  The
     read path calls :meth:`query_key`; export stitching calls
     :meth:`export_all`; both barrier on in-flight tickets for the shards they
-    touch.  Subclasses implement the ``_``-prefixed hooks; the base class
+    touch.  The lease implements the ``_``-prefixed hooks; this class
     owns the parent-side accounting (generations, per-shard update counts,
-    ticket bookkeeping) so every backend reports identically.
+    ticket bookkeeping) so every execution kind reports identically.
     """
 
     #: registry name, e.g. ``"process"``; used by config / CLI / stats.
@@ -280,8 +267,8 @@ class ShardBackend(ABC):
         """Settle in-flight work touching the given shards (all when None).
 
         The read-side half of the one-in-flight invariant: every read path
-        calls this before trusting generation stamps (or, for the process
-        backend, before sharing a pipe with a pending apply), so no query,
+        calls this before trusting generation stamps (or, across a process
+        boundary, before sharing a pipe with a pending apply), so no query,
         export or cache validation can observe a half-applied flush.  The
         settled acknowledgements stay parked for the ticket owner's later
         :meth:`drain`.  A no-op when nothing relevant is in flight.
@@ -351,19 +338,6 @@ class ShardBackend(ABC):
         self.barrier((shard_id,))
         return self._generations[shard_id]
 
-    @property
-    def workers(self) -> List[MapShardWorker]:
-        """In-process shard workers; backends without them raise.
-
-        Raises AttributeError (not :class:`ShardBackendError`) so
-        ``hasattr``/``getattr`` probing keeps its usual semantics -- but with
-        a message that explains where the workers actually live.
-        """
-        raise AttributeError(
-            f"{self.name} backend workers are not in-process; "
-            "use the Shard* message API instead"
-        )
-
     def shard_load(self) -> Tuple[int, ...]:
         """Updates applied per shard (parent-side accounting)."""
         return tuple(self._updates_applied)
@@ -371,12 +345,11 @@ class ShardBackend(ABC):
     def failover_stats(self) -> Dict[str, float]:
         """Liveness/recovery counters of the backend (all zero by default).
 
-        Backends without detect-and-recover machinery (everything in this
-        module) report zeros; :class:`~repro.serving.remote.SocketBackend`
-        overrides this with its snapshot/failover accounting.  The ingestion
-        pipeline copies the dict into :class:`~repro.serving.stats.
-        SessionStats` after every finalized batch, the same way it adopts
-        ``shard_load``.
+        Zero here; the lease adds what the pool's engine counted for this
+        session's shards (only the socket engine snapshots, probes and
+        recovers).  The ingestion pipeline copies the dict into
+        :class:`~repro.serving.stats.SessionStats` after every finalized
+        batch, the same way it adopts ``shard_load``.
         """
         return {
             "snapshots_taken": 0,
@@ -452,366 +425,47 @@ class ShardBackend(ABC):
             )
 
 
-class _LocalWorkersMixin:
-    """Shared plumbing of the backends whose workers live in-process."""
-
-    def _make_workers(self) -> List[MapShardWorker]:
-        return [
-            MapShardWorker(shard_id, self.config) for shard_id in range(self.num_shards)
-        ]
-
-    @property
-    def workers(self) -> List[MapShardWorker]:
-        """The in-process shard workers (tests and tools may inspect them)."""
-        return self._workers
-
-    def generation_of(self, shard_id: int) -> int:
-        """Live worker generation: in-process workers can be read directly,
-        which also keeps out-of-band writes (tests poking a worker) visible
-        to the cache.  Still guarded, so cached reads cannot outlive a
-        closed or fail-stopped backend, and still barriered, so a thread
-        still applying an in-flight slice cannot leak a half-bumped
-        generation to cache validation."""
-        self._ensure_open()
-        self.barrier((shard_id,))
-        return self._workers[shard_id].generation
-
-    def _query(self, request: ShardQueryRequest) -> ShardQueryResult:
-        return self._workers[request.shard_id].query_message(request)
-
-    def _export(self) -> List[ShardExportResult]:
-        return [worker.export_message() for worker in self._workers]
-
-
-class InlineBackend(_LocalWorkersMixin, ShardBackend):
-    """The reference backend: serial execution in the calling thread.
-
-    ``apply_async`` applies eagerly (there is nothing to overlap with), so
-    pipelined ingestion on this backend degenerates to exactly the serial
-    reference semantics -- same apply order, same generations, zero
-    concurrency.
-    """
-
-    name = "inline"
-
-    def __init__(self, config: OMUConfig, num_shards: int) -> None:
-        super().__init__(config, num_shards)
-        self._workers = self._make_workers()
-
-    def _apply_begin(self, batches: Sequence[ShardUpdateBatch]) -> object:
-        return [self._workers[batch.shard_id].apply_message(batch) for batch in batches]
-
-    def _apply_collect(self, handle: object) -> List[ShardApplyResult]:
-        return handle
-
-
-class ThreadPoolBackend(_LocalWorkersMixin, ShardBackend):
-    """In-process workers fed concurrently from a thread pool.
-
-    Each shard slice of a flush is applied on its own pool thread; slices
-    never share a worker, so no locking is needed.  Queries and exports run
-    on the calling thread (they are read-only between flushes).
-    """
-
-    name = "thread"
-
-    def __init__(self, config: OMUConfig, num_shards: int) -> None:
-        super().__init__(config, num_shards)
-        self._workers = self._make_workers()
-        self._executor = ThreadPoolExecutor(
-            max_workers=num_shards, thread_name_prefix="shard"
-        )
-
-    def _apply_begin(self, batches: Sequence[ShardUpdateBatch]) -> object:
-        return [
-            self._executor.submit(self._workers[batch.shard_id].apply_message, batch)
-            for batch in batches
-        ]
-
-    def _apply_collect(self, handle: object) -> List[ShardApplyResult]:
-        return [future.result() for future in handle]
-
-    def _close(self) -> None:
-        # wait=True also settles an abandoned in-flight slice: the pool
-        # threads finish before their workers are released.
-        self._executor.shutdown(wait=True)
-
-
-# ---------------------------------------------------------------------------
-# Process pool
-# ---------------------------------------------------------------------------
-def _shard_worker_main(connection, shard_id: int, config: OMUConfig) -> None:
-    """Entry point of one shard worker process.
-
-    Owns this shard's accelerator and serves ``(verb, payload)`` commands
-    from the parent until told to stop.  Every reply is ``("ok", payload)``
-    or ``("error", message)``; an unexpected exception is reported rather
-    than killing the process, so a poisoned request cannot silently lose a
-    shard.
-    """
-    worker = MapShardWorker(shard_id, config)
-    while True:
-        try:
-            verb, payload = connection.recv()
-        except (EOFError, OSError):  # parent died: nothing left to serve
-            break
-        if verb == "stop":
-            connection.send(("ok", None))
-            break
-        try:
-            if verb == "apply":
-                reply = worker.apply_message(payload)
-            elif verb == "query":
-                reply = worker.query_message(payload)
-            elif verb == "export":
-                reply = worker.export_message()
-            else:
-                raise ValueError(f"unknown shard command {verb!r}")
-            connection.send(("ok", reply))
-        except Exception as error:  # noqa: BLE001 - report, don't die
-            connection.send(
-                ("error", (f"{type(error).__name__}: {error}", traceback.format_exc()))
-            )
-    connection.close()
-
-
-class ProcessPoolBackend(ShardBackend):
-    """One OS process per shard; the only backend with true CPU parallelism.
-
-    The parent keeps a duplex pipe per shard.  A flush *sends* every shard's
-    slice before *receiving* any acknowledgement, so all shard processes
-    compute concurrently while the parent waits; export gathers the same way.
-    Worker death is detected on the next interaction (a broken pipe plus the
-    child's exit code) and raised as :class:`ShardBackendError`.
-
-    Args:
-        config: accelerator configuration replicated into every worker.
-        num_shards: worker process count.
-        start_method: ``multiprocessing`` start method; defaults to ``fork``
-            where available (fastest startup, works from unguarded scripts
-            and the REPL) and the platform default elsewhere.  Caveat of the
-            default: forking a process with *running* extra threads can
-            deadlock the child on a lock another thread held at fork time --
-            a parent that mixes live worker threads with this backend should
-            pass ``"forkserver"`` or ``"spawn"`` explicitly (both require
-            the importable-``__main__`` discipline of the multiprocessing
-            docs).
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        config: OMUConfig,
-        num_shards: int,
-        start_method: Optional[str] = None,
-    ) -> None:
-        super().__init__(config, num_shards)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        context = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-        self._connections = []
-        self.processes = []
-        try:
-            for shard_id in range(num_shards):
-                parent_end, child_end = context.Pipe(duplex=True)
-                process = context.Process(
-                    target=_shard_worker_main,
-                    args=(child_end, shard_id, config),
-                    name=f"shard-{shard_id}",
-                    daemon=True,
-                )
-                process.start()
-                child_end.close()  # the child keeps its own handle
-                self._connections.append(parent_end)
-                self.processes.append(process)
-        except Exception:
-            self._close()
-            raise
-
-    # ------------------------------------------------------------------
-    # Round-trip plumbing
-    # ------------------------------------------------------------------
-    def _send(self, shard_id: int, verb: str, payload) -> None:
-        try:
-            self._connections[shard_id].send((verb, payload))
-        except (BrokenPipeError, OSError) as error:
-            raise self._worker_lost(shard_id, error) from error
-
-    def _recv(self, shard_id: int):
-        try:
-            status, payload = self._connections[shard_id].recv()
-        except (EOFError, OSError) as error:
-            raise self._worker_lost(shard_id, error) from error
-        if status != "ok":
-            message, remote_traceback = payload
-            raise ShardBackendError(
-                f"shard {shard_id} worker failed: {message}",
-                shard_id=shard_id,
-                worker_id=self._worker_id(shard_id),
-                remote_traceback=remote_traceback,
-            )
-        return payload
-
-    def _worker_id(self, shard_id: int) -> str:
-        return f"process:{self.processes[shard_id].pid}"
-
-    def _worker_lost(self, shard_id: int, error: Exception) -> ShardBackendError:
-        process = self.processes[shard_id]
-        process.join(timeout=1.0)
-        return ShardBackendError(
-            f"shard {shard_id} worker process died "
-            f"(exit code {process.exitcode}): {error}",
-            shard_id=shard_id,
-            worker_id=self._worker_id(shard_id),
-        )
-
-    def _health_check(self) -> None:
-        """Surface a dead worker *now*, even if the current interaction
-        would not touch it: a session missing a shard is broken for every
-        future query of that shard's region, so no interaction may silently
-        succeed.  ``apply_shard_batches`` runs this hook before the
-        empty-slice filter, so even an all-empty flush reports the loss."""
-        for shard_id, process in enumerate(self.processes):
-            if not process.is_alive():
-                raise ShardBackendError(
-                    f"shard {shard_id} worker process died "
-                    f"(exit code {process.exitcode})",
-                    shard_id=shard_id,
-                    worker_id=self._worker_id(shard_id),
-                )
-
-    def _gather(self, shard_ids: Sequence[int]) -> List:
-        """Receive one reply per shard, draining *every* pipe even when one
-        shard reports an error -- an unread acknowledgement left behind would
-        desynchronise that shard's request/reply stream for all later
-        round-trips.  The first error is re-raised after the drain."""
-        results: List = []
-        first_error: Optional[ShardBackendError] = None
-        for shard_id in shard_ids:
-            try:
-                results.append(self._recv(shard_id))
-            except ShardBackendError as error:
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def _apply_begin(self, batches: Sequence[ShardUpdateBatch]) -> object:
-        # Send everything without receiving: this is the fan-out that lets
-        # all shard processes chew on their slices at the same time -- and,
-        # pipelined, lets the parent ray-cast the next batch meanwhile.
-        # (The public wrapper already ran _health_check.)
-        for batch in batches:
-            self._send(batch.shard_id, "apply", batch)
-        return [batch.shard_id for batch in batches]
-
-    def _apply_collect(self, handle: object) -> List[ShardApplyResult]:
-        return self._gather(handle)
-
-    def _query(self, request: ShardQueryRequest) -> ShardQueryResult:
-        # The public query_key already barriered on the owning shard, so the
-        # pipe cannot hold a pending apply acknowledgement that this
-        # request/reply round-trip would desynchronise.
-        self._health_check()
-        self._send(request.shard_id, "query", request)
-        return self._recv(request.shard_id)
-
-    def _export(self) -> List[ShardExportResult]:
-        self._health_check()
-        for shard_id in range(self.num_shards):
-            self._send(shard_id, "export", None)
-        return self._gather(list(range(self.num_shards)))
-
-    def _close(self) -> None:
-        for shard_id, connection in enumerate(self._connections):
-            try:
-                connection.send(("stop", None))
-            except (BrokenPipeError, OSError):
-                pass
-        for shard_id, process in enumerate(self.processes):
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=2.0)
-        for connection in self._connections:
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover
-                pass
-
-
-BACKENDS: Dict[str, Type[ShardBackend]] = {
-    InlineBackend.name: InlineBackend,
-    ThreadPoolBackend.name: ThreadPoolBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
-}
-
-#: The socket-transport backend lives in :mod:`repro.serving.remote` and is
-#: registered by name only: importing it here would pull the whole remote
-#: stack (and its worker server) into every session, so ``make_backend``
-#: imports it lazily on first use.
-SOCKET_BACKEND_NAME = "socket"
-
 #: Names accepted by :class:`~repro.serving.session.SessionConfig` / the CLI.
-BACKEND_NAMES: Tuple[str, ...] = tuple(sorted((*BACKENDS, SOCKET_BACKEND_NAME)))
+BACKEND_NAMES: Tuple[str, ...] = ("inline", "process", "socket", "thread")
 
 
 def make_backend(
     name: str,
     config: OMUConfig,
     num_shards: int,
-    start_method: Optional[str] = None,
-    workers: Sequence[str] = (),
-    standby_workers: int = 1,
-    snapshot_every_batches: int = 8,
-    heartbeat_interval_s: float = 1.0,
-    heartbeat_timeout_s: float = 5.0,
     fleet=None,
     session_id: str = "",
+    **pool_options,
 ) -> ShardBackend:
-    """Instantiate a shard execution backend by registry name.
+    """Lease shard execution of the named kind for one session.
 
-    ``start_method`` applies to the process backend only; ``workers`` (and
-    the snapshot/heartbeat knobs) to the socket backend only -- an empty
-    ``workers`` tuple makes the socket backend spawn local in-process
-    workers, so tests and demos need no manual orchestration.
-
-    ``fleet`` flips the ownership model: instead of constructing a backend
-    this session owns, the session *leases* execution from the given
-    :class:`~repro.serving.fleet.BackendPool` and gets back a
-    :class:`~repro.serving.fleet.SessionBackendView` (which must match
-    ``name`` -- mixing a thread fleet into a process-backend session would
-    silently change the execution substrate).
+    With a shared ``fleet`` (a :class:`~repro.serving.fleet.BackendPool`,
+    which must run ``name`` workers -- mixing a thread fleet into a
+    process-backend session would silently change the execution substrate)
+    the session gets one more lease on it.  Without one it gets the single
+    lease of a *private* pool of ``num_shards`` slots, built from
+    ``pool_options`` (the keyword arguments of
+    :class:`~repro.serving.fleet.BackendPool`); closing that lease closes
+    the pool with it.
     """
+    # Imported here: the fleet module builds on the contract defined above.
+    from repro.serving.fleet import BackendPool
+
     if fleet is not None:
         if fleet.backend != name:
             raise ValueError(
                 f"session wants the {name!r} backend but the shared fleet "
                 f"runs {fleet.backend!r} workers"
             )
+        if pool_options:
+            raise ValueError(
+                f"pool options {sorted(pool_options)} shape a private pool; "
+                "a shared fleet was built with its own"
+            )
         return fleet.lease(session_id, config, num_shards)
-    if name == SOCKET_BACKEND_NAME:
-        from repro.serving.remote import SocketBackend
-
-        return SocketBackend(
-            config,
-            num_shards,
-            endpoints=workers,
-            standby_workers=standby_workers,
-            snapshot_every_batches=snapshot_every_batches,
-            heartbeat_interval_s=heartbeat_interval_s,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-        )
+    pool = BackendPool(name, num_shards, **pool_options)
     try:
-        backend_type = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown shard backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
-        ) from None
-    if backend_type is ProcessPoolBackend:
-        return ProcessPoolBackend(config, num_shards, start_method=start_method)
-    return backend_type(config, num_shards)
+        return pool.lease(session_id, config, num_shards, owns_pool=True)
+    except BaseException:
+        pool.close()
+        raise

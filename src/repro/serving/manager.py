@@ -27,8 +27,9 @@ class MapSessionManager:
 
     Fleet lifecycle: when a session's config sets ``fleet_workers > 0``, the
     manager lazily stands up one shared :class:`~repro.serving.fleet.
-    BackendPool` per ``(backend, fleet_workers)`` combination and every such
-    session leases execution from it instead of owning workers.  The fleets
+    BackendPool` per distinct pool shape -- backend kind, ``fleet_workers``
+    and every field of :meth:`SessionConfig.pool_options` -- and every such
+    session leases execution from it instead of a private pool.  The fleets
     live for the manager's whole life -- session churn attaches and releases
     leases without spawning or reaping a single OS resource -- and
     :meth:`shutdown` closes them after the last session released its lease.
@@ -45,7 +46,7 @@ class MapSessionManager:
         #: end, and the HTTP middleware all record into this one store.
         self.metrics = metrics if metrics is not None else MetricsStore()
         self._sessions: Dict[str, MapSession] = {}
-        self._fleets: Dict[Tuple[str, int], BackendPool] = {}
+        self._fleets: Dict[tuple, BackendPool] = {}
         self._next_request_id = 0
 
     # ------------------------------------------------------------------
@@ -55,16 +56,14 @@ class MapSessionManager:
         """The shared fleet this config leases from (created on first use)."""
         if config.fleet_workers < 1:
             return None
-        key = (config.backend, config.fleet_workers)
+        options = config.pool_options()
+        # Keyed on everything that shapes a pool of this kind: a config naming
+        # other workers or other recovery settings must not join this one's
+        # fleet, and one differing only in a field the kind ignores must.
+        key = (config.backend, config.fleet_workers, *options.values())
         fleet = self._fleets.get(key)
         if fleet is None:
-            fleet = BackendPool(
-                config.backend,
-                config.fleet_workers,
-                start_method=config.mp_start_method,
-                endpoints=config.workers,
-                heartbeat_interval_s=config.heartbeat_interval_s,
-            )
+            fleet = BackendPool(config.backend, config.fleet_workers, **options)
             self._fleets[key] = fleet
         return fleet
 

@@ -1,6 +1,6 @@
 """Socket-transport shard serving: remote workers, registry, failover.
 
-This package turns the serving layer's shard backends from a
+This package turns the serving layer's shard execution from a
 single-process affair into a small distributed system:
 
 * :mod:`~repro.serving.remote.transport` -- length-prefixed pickle framing
@@ -13,13 +13,14 @@ single-process affair into a small distributed system:
   liveness tracking, standby promotion and co-hosting on survivor workers.
 * :mod:`~repro.serving.remote.failover` -- replay-tail bookkeeping between
   snapshots and per-recovery reports.
-* :mod:`~repro.serving.remote.backend` -- :class:`SocketBackend`, the
-  :class:`~repro.serving.backends.ShardBackend` implementation tying it all
-  together: heartbeat liveness probes, periodic shard snapshots, and live
-  shard re-homing instead of fail-stop.
+* :mod:`~repro.serving.remote.backend` -- :class:`SocketChannels`, the
+  channel kind a ``socket`` :class:`~repro.serving.fleet.BackendPool` runs
+  its slot engine over: one connection per slot, heartbeat liveness probes,
+  and re-homing of a lost slot so the engine recovers instead of
+  fail-stopping.
 """
 
-from repro.serving.remote.backend import SocketBackend, SocketFleetEngine
+from repro.serving.remote.backend import SocketChannels
 from repro.serving.remote.failover import RecoveryReport, ReplayLog
 from repro.serving.remote.registry import (
     NoLiveWorkerError,
@@ -41,8 +42,7 @@ from repro.serving.remote.worker import (
 )
 
 __all__ = [
-    "SocketBackend",
-    "SocketFleetEngine",
+    "SocketChannels",
     "RecoveryReport",
     "ReplayLog",
     "NoLiveWorkerError",

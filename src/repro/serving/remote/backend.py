@@ -1,48 +1,40 @@
-"""The socket-transport shard backend with detect-and-recover failover.
+"""The socket channel kind: slots of a pool served by TCP shard workers.
 
-:class:`SocketBackend` implements the :class:`~repro.serving.backends.
-ShardBackend` contract -- the blocking ``apply_shard_batches`` path, the
-pipelined ``apply_async``/``drain`` ticket pair, read-side barriers -- over
-the framed socket RPC of :mod:`repro.serving.remote.transport`, one
-connection per shard.  Workers are real TCP endpoints: started by hand via
-``repro-serve-worker``, listed in ``SessionConfig(workers=...)``, or (the
-zero-orchestration default) spawned in-process by the backend itself.
+:class:`SocketChannels` plugs the framed socket RPC of
+:mod:`repro.serving.remote.transport` into the pool's
+:class:`~repro.serving.fleet.SlotEngine`: each slot is one connection to a
+:class:`~repro.serving.remote.worker.ShardWorkerServer` endpoint.  Workers
+are real TCP endpoints: started by hand via ``repro-serve-worker`` and
+listed in ``SessionConfig(workers=...)``, or (the zero-orchestration
+default) spawned in-process by the channel kind itself.
 
-What distinguishes it from the process backend is the failure model.  The
-in-tree backends are fail-stop: a dead worker poisons the whole session.
-This backend generalises that into detect-and-recover:
+What distinguishes it from the pipe kind is that a lost slot has somewhere
+to go, which turns the engine's failure model from fail-stop into
+detect-and-recover:
 
-* **Detect** -- every transport failure on a shard connection, plus
+* **Detect** -- every transport failure on a slot's connection, plus
   rate-limited heartbeat probes (``ping`` with a reply deadline) that run
-  before a dispatch when a shard has been quiet for longer than the
+  before a dispatch when a slot has been quiet for longer than the
   heartbeat interval.
-* **Snapshot** -- every ``snapshot_every_batches`` acknowledged batches, a
-  shard's subtree is pulled as a :class:`~repro.serving.types.ShardSnapshot`
-  (serialized-octree payload) and the shard's replay tail is truncated, so
-  the state at risk is bounded by the cadence.
-* **Recover** -- the dead shard re-homes onto an idle standby (or co-hosts
-  on the least-loaded survivor), rehydrates its last snapshot, replays the
-  un-snapshotted tail in dispatch order, and the in-flight slice (if the
-  death was mid-flush) is re-sent.  A worker kill costs one bounded stall;
-  the map stays leaf-for-leaf equal to sequential ingestion, and the
-  recovered shard lands on exactly the write generation the parent last
-  adopted, keeping the generation-stamped query cache honest.
+* **Re-home** -- the :class:`~repro.serving.remote.registry.WorkerRegistry`
+  moves the slot onto an idle standby, or co-hosts it on the least-loaded
+  survivor.
+* **Recover** -- the engine (which keeps each hosted shard's snapshot and
+  replay tail because this kind can re-home) rehydrates every shard the
+  slot hosted and re-runs the interrupted exchange.  A worker kill costs one
+  bounded stall; every map stays leaf-for-leaf equal to sequential
+  ingestion.
 
-Only when recovery itself finds no live worker does the backend fall back
-to the classic fail-stop :class:`~repro.serving.backends.ShardBackendError`.
+Only when re-homing finds no live worker does the loss surface as the
+fail-stop :class:`~repro.serving.backends.ShardBackendError`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.config import OMUConfig
-from repro.serving.backends import ShardBackend, ShardBackendError
-from repro.serving.remote.failover import RecoveryReport, ReplayLog
+from repro.serving.backends import ShardBackendError
 from repro.serving.remote.registry import (
     NoLiveWorkerError,
     WorkerEndpoint,
@@ -50,707 +42,153 @@ from repro.serving.remote.registry import (
 )
 from repro.serving.remote.transport import Transport, TransportError
 from repro.serving.remote.worker import LocalWorkerHandle, spawn_local_worker
-from repro.serving.types import (
-    ShardApplyResult,
-    ShardExportResult,
-    ShardQueryRequest,
-    ShardQueryResult,
-    ShardSnapshot,
-    ShardUpdateBatch,
-)
 
-__all__ = ["SocketBackend", "SocketFleetEngine"]
+__all__ = ["SocketChannels"]
 
-#: Signature of the test-only transport interposer: ``(transport, shard_id,
-#: endpoint) -> transport-like``.  The fault-injection harness wraps every
-#: connection the backend opens (including post-recovery reconnects).
+#: Signature of the transport interposer: ``(transport, slot, endpoint) ->
+#: transport-like``.  The fault-injection harness wraps every connection the
+#: channel kind opens (including post-recovery reconnects).
 TransportWrapper = Callable[[Transport, int, WorkerEndpoint], Transport]
 
+#: Blocking-I/O deadline of an ordinary request/reply on a connection.
+IO_TIMEOUT_S = 60.0
+CONNECT_TIMEOUT_S = 5.0
 
-class SocketBackend(ShardBackend):
-    """One TCP worker per shard, with snapshots and live failover."""
 
-    name = "socket"
+class _SocketChannel:
+    """One slot's framed connection to its current worker endpoint."""
 
     def __init__(
         self,
-        config: OMUConfig,
-        num_shards: int,
-        endpoints: Sequence[str] = (),
-        standby_workers: int = 1,
-        snapshot_every_batches: int = 8,
-        heartbeat_interval_s: float = 1.0,
-        heartbeat_timeout_s: float = 5.0,
-        io_timeout_s: float = 60.0,
-        connect_timeout_s: float = 5.0,
-        transport_wrapper: Optional[TransportWrapper] = None,
+        transport: Transport,
+        external: bool,
+        heartbeat_interval_s: float,
+        heartbeat_timeout_s: float,
     ) -> None:
-        super().__init__(config, num_shards)
-        if snapshot_every_batches < 1:
-            raise ValueError("snapshot_every_batches must be at least 1")
-        if heartbeat_interval_s <= 0.0 or heartbeat_timeout_s <= 0.0:
-            raise ValueError("heartbeat interval and timeout must be positive")
-        if standby_workers < 0:
-            raise ValueError("standby_workers must be non-negative")
-        self.snapshot_every_batches = snapshot_every_batches
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.io_timeout_s = io_timeout_s
-        self.connect_timeout_s = connect_timeout_s
-        self._transport_wrapper = transport_wrapper
+        self.send = transport.send
+        self._transport = transport
+        self._external = external
+        self._heartbeat_interval_s = heartbeat_interval_s
+        self._heartbeat_timeout_s = heartbeat_timeout_s
+        self._last_contact = time.perf_counter()
 
-        #: workers this backend spawned itself (and must reap on close).
-        self.owned_workers: List[LocalWorkerHandle] = []
-        if not endpoints:
-            self.owned_workers = [
-                spawn_local_worker() for _ in range(num_shards + standby_workers)
-            ]
-            endpoints = [handle.endpoint for handle in self.owned_workers]
-        self.registry = WorkerRegistry(
-            [WorkerEndpoint.parse(endpoint) for endpoint in endpoints], num_shards
-        )
+    def recv(self):
+        reply = self._transport.recv()
+        self._last_contact = time.perf_counter()
+        return reply
 
-        self.replay_log = ReplayLog(num_shards)
-        self._snapshots: List[Optional[ShardSnapshot]] = [None] * num_shards
-        self._transports: List[Optional[Transport]] = [None] * num_shards
-        self._last_contact = [float("-inf")] * num_shards
-        #: the current flush's per-shard slices, kept from dispatch until the
-        #: acks settle so a mid-flush death can re-send its slice.
-        self._dispatching: Dict[int, ShardUpdateBatch] = {}
-
-        # --- failover / snapshot accounting (failover_stats + stats tables)
-        self.snapshots_taken = 0
-        self.failovers = 0
-        self.replayed_batches = 0
-        self.replayed_updates = 0
-        self.recovery_wall_seconds = 0.0
-        self.heartbeat_probes = 0
-        self.heartbeat_failures = 0
-        #: one :class:`RecoveryReport` per completed failover, oldest first.
-        self.recoveries: List[RecoveryReport] = []
-
-        try:
-            for shard_id in range(num_shards):
-                self._connect_shard(shard_id)
-                self._command(shard_id, "attach", (shard_id, self.config))
-        except Exception:
-            self._close()
-            raise
-
-    # ------------------------------------------------------------------
-    # Connection plumbing
-    # ------------------------------------------------------------------
-    def _connect_shard(self, shard_id: int) -> None:
-        """(Re)open the framed connection to a shard's current endpoint."""
-        endpoint = self.registry.endpoint_for(shard_id)
-        transport = Transport.connect(
-            endpoint.host,
-            endpoint.port,
-            connect_timeout_s=self.connect_timeout_s,
-            timeout_s=self.io_timeout_s,
-        )
-        if self._transport_wrapper is not None:
-            transport = self._transport_wrapper(transport, shard_id, endpoint)
-        self._transports[shard_id] = transport
-        self._last_contact[shard_id] = time.perf_counter()
-
-    def _worker_id(self, shard_id: int) -> str:
-        return str(self.registry.endpoint_for(shard_id))
-
-    def _receive(self, shard_id: int):
-        """Read one reply frame; worker-reported errors become backend errors.
-
-        Transport loss propagates as :class:`TransportError` for the caller
-        to turn into a recovery; a worker-side exception (the worker is alive
-        and answering) is *not* recoverable by re-homing -- replaying the
-        same poisoned request would fail again -- so it surfaces as a
-        structured :class:`ShardBackendError` exactly like the process
-        backend's error replies.
-        """
-        status, payload = self._transports[shard_id].recv()
-        self._last_contact[shard_id] = time.perf_counter()
-        if status != "ok":
-            raise ShardBackendError(
-                f"shard {shard_id} worker failed: {payload['message']}",
-                shard_id=shard_id,
-                worker_id=self._worker_id(shard_id),
-                remote_traceback=payload.get("traceback"),
-            )
-        return payload
-
-    def _command(self, shard_id: int, verb: str, payload) -> object:
-        """One round-trip on a shard's connection, no recovery (setup paths)."""
-        try:
-            self._transports[shard_id].send((verb, payload))
-            return self._receive(shard_id)
-        except TransportError as error:
-            raise self._lost(shard_id, error) from error
-
-    def _request_with_recovery(
-        self,
-        shard_id: int,
-        verb: str,
-        payload,
-        expected_generation: Optional[int] = None,
-    ) -> object:
-        """One round-trip that survives a worker death (query/export/snapshot)."""
-        try:
-            self._transports[shard_id].send((verb, payload))
-            return self._receive(shard_id)
-        except TransportError as error:
-            self._recover_shard(
-                shard_id,
-                error,
-                redispatch_inflight=False,
-                expected_generation=expected_generation,
-            )
-            try:
-                self._transports[shard_id].send((verb, payload))
-                return self._receive(shard_id)
-            except TransportError as retry_error:
-                raise self._lost(shard_id, retry_error) from retry_error
-
-    def _lost(self, shard_id: int, error: Exception) -> ShardBackendError:
-        return ShardBackendError(
-            f"shard {shard_id} worker {self._worker_id(shard_id)} is "
-            f"unreachable and could not be recovered: {error}",
-            shard_id=shard_id,
-            worker_id=self._worker_id(shard_id),
-        )
-
-    # ------------------------------------------------------------------
-    # Failover
-    # ------------------------------------------------------------------
-    def _recover_shard(
-        self,
-        shard_id: int,
-        error: Exception,
-        redispatch_inflight: bool,
-        expected_generation: Optional[int] = None,
-    ) -> None:
-        """Re-home a dead shard and replay it back to the adopted generation.
-
-        ``redispatch_inflight=True`` additionally re-sends the current
-        flush's slice (the caller then awaits its ack as usual).
-        ``expected_generation`` overrides the replay target when the caller
-        holds an ack the session has not adopted yet (the snapshot-at-cadence
-        path).  Raises :class:`ShardBackendError` -- fail-stop, as before
-        this backend existed -- when no live worker remains or the
-        replacement dies too.
-        """
-        started = time.perf_counter()
-        if expected_generation is None:
-            expected_generation = self._generations[shard_id]
-        dead = self.registry.endpoint_for(shard_id)
-        self.registry.mark_dead(dead)
-        old_transport = self._transports[shard_id]
-        if old_transport is not None:
-            old_transport.close()
-        try:
-            target = self.registry.reassign(shard_id)
-        except NoLiveWorkerError as exhausted:
-            raise ShardBackendError(
-                f"shard {shard_id} worker {dead} died and no live worker "
-                f"remains to re-home it: {error}",
-                shard_id=shard_id,
-                worker_id=str(dead),
-            ) from exhausted
-        snapshot = self._snapshots[shard_id]
-        tail = self.replay_log.tail(shard_id)
-        try:
-            self._connect_shard(shard_id)
-            if snapshot is not None:
-                self._command(shard_id, "restore", (snapshot, self.config))
-            else:
-                self._command(shard_id, "attach", (shard_id, self.config))
-            generation = snapshot.generation if snapshot is not None else 0
-            for batch in tail:
-                ack = self._command(shard_id, "apply", batch)
-                generation = ack.generation
-            if generation != expected_generation:
-                raise ShardBackendError(
-                    f"shard {shard_id} replay ended at generation {generation} "
-                    f"but the session had adopted {expected_generation}; "
-                    "the recovered map cannot be trusted",
-                    shard_id=shard_id,
-                    worker_id=str(target),
-                )
-            if redispatch_inflight:
-                self._transports[shard_id].send(
-                    ("apply", self._dispatching[shard_id])
-                )
-        except TransportError as cascade:
-            # The replacement died during recovery: recurse -- the dead
-            # replacement is marked and the registry either finds another
-            # home or raises the terminal fail-stop error above.
-            self._recover_shard(
-                shard_id, cascade, redispatch_inflight, expected_generation
-            )
+    def check(self, counters: Dict[str, float]) -> None:
+        """Probe a quiet connection with a deadline-bounded ping."""
+        if time.perf_counter() - self._last_contact < self._heartbeat_interval_s:
             return
-        elapsed = time.perf_counter() - started
-        self.failovers += 1
-        self.replayed_batches += len(tail)
-        self.replayed_updates += sum(len(batch) for batch in tail)
-        self.recovery_wall_seconds += elapsed
-        self.recoveries.append(
-            RecoveryReport(
-                shard_id=shard_id,
-                from_worker=str(dead),
-                to_worker=str(target),
-                restored_generation=snapshot.generation if snapshot else 0,
-                replayed_batches=len(tail),
-                replayed_updates=sum(len(batch) for batch in tail),
-                redispatched_inflight=redispatch_inflight,
-                wall_seconds=elapsed,
-            )
-        )
-
-    def _take_snapshot(self, shard_id: int, expected_generation: int) -> None:
-        snapshot = self._request_with_recovery(
-            shard_id, "snapshot", shard_id, expected_generation=expected_generation
-        )
-        if snapshot.generation != expected_generation:
-            raise ShardBackendError(
-                f"shard {shard_id} snapshot carries generation "
-                f"{snapshot.generation}, expected {expected_generation}",
-                shard_id=shard_id,
-                worker_id=self._worker_id(shard_id),
-            )
-        self._snapshots[shard_id] = snapshot
-        self.replay_log.truncate(shard_id)
-        self.snapshots_taken += 1
-
-    # ------------------------------------------------------------------
-    # ShardBackend hooks
-    # ------------------------------------------------------------------
-    def _health_check(self) -> None:
-        """Probe quiet shards with a deadline-bounded ping; recover the dead.
-
-        Skipped entirely while a ticket is in flight: the pending apply ack
-        is itself the liveness signal then, and a ping interleaved on the
-        same connection would desynchronise the request/reply stream.
-        """
-        if self._inflight is not None:
-            return
-        now = time.perf_counter()
-        for shard_id in range(self.num_shards):
-            if now - self._last_contact[shard_id] < self.heartbeat_interval_s:
-                continue
-            self.heartbeat_probes += 1
-            transport = self._transports[shard_id]
-            transport.settimeout(self.heartbeat_timeout_s)
-            try:
-                transport.send(("ping", None))
-                self._receive(shard_id)
-            except TransportError as error:
-                self.heartbeat_failures += 1
-                self._recover_shard(shard_id, error, redispatch_inflight=False)
-            finally:
-                live = self._transports[shard_id]
-                if live is not None:
-                    live.settimeout(self.io_timeout_s)
-
-    def _apply_begin(self, batches: Sequence[ShardUpdateBatch]) -> object:
-        # Fan every slice out before receiving any ack, so all shard workers
-        # chew concurrently (and, pipelined, the parent ray-casts meanwhile).
-        self._dispatching = {batch.shard_id: batch for batch in batches}
-        for batch in batches:
-            try:
-                self._transports[batch.shard_id].send(("apply", batch))
-            except TransportError as error:
-                # The slice never reached the dead worker; recovery replays
-                # the tail and re-sends it on the replacement.
-                self._recover_shard(
-                    batch.shard_id, error, redispatch_inflight=True
-                )
-        return [batch.shard_id for batch in batches]
-
-    def _apply_collect(self, handle: object) -> List[ShardApplyResult]:
-        results: List[ShardApplyResult] = []
-        first_error: Optional[ShardBackendError] = None
-        for shard_id in handle:
-            try:
-                results.append(self._collect_ack(shard_id))
-            except ShardBackendError as error:
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
-        # The flush is fully acknowledged: it joins every shard's replay
-        # tail, and shards whose tail reached the cadence snapshot now.
-        for result in results:
-            batch = self._dispatching[result.shard_id]
-            self.replay_log.record(batch)
-            if self.replay_log.tail_length(result.shard_id) >= self.snapshot_every_batches:
-                self._take_snapshot(result.shard_id, result.generation)
-        self._dispatching = {}
-        return results
-
-    def _collect_ack(self, shard_id: int) -> ShardApplyResult:
+        counters["heartbeat_probes"] += 1
+        self._transport.settimeout(self._heartbeat_timeout_s)
         try:
-            return self._receive(shard_id)
-        except TransportError as error:
-            # Died with the slice in flight: recover (snapshot + tail replay
-            # discards whatever the dead worker half-applied), re-send the
-            # slice, await its ack on the replacement.
-            self._recover_shard(shard_id, error, redispatch_inflight=True)
-            try:
-                return self._receive(shard_id)
-            except TransportError as retry_error:
-                raise self._lost(shard_id, retry_error) from retry_error
+            self.send(("ping", None, None))
+            self.recv()
+        except TransportError:
+            counters["heartbeat_failures"] += 1
+            raise  # the connection is discarded; its deadline no longer matters
+        self._transport.settimeout(IO_TIMEOUT_S)
 
-    def _query(self, request: ShardQueryRequest) -> ShardQueryResult:
-        return self._request_with_recovery(request.shard_id, "query", request)
+    def close(self, hosted: Sequence[int]) -> None:
+        """Close the connection; first hand an external worker back empty.
 
-    def _export(self) -> List[ShardExportResult]:
-        # Unlike apply, exports are idempotent reads: fan out, then gather
-        # with per-shard recovery (a re-homed shard just re-serves the
-        # export from its recovered state).
-        failed: List[int] = []
-        for shard_id in range(self.num_shards):
+        Externally managed workers outlive the pool, so the shards still
+        hosted through this connection are released instead of the server
+        being stopped (workers the pool spawned are stopped by
+        :meth:`SocketChannels.close`).
+        """
+        if self._external:
             try:
-                self._transports[shard_id].send(("export", shard_id))
-            except TransportError as error:
-                self._recover_shard(shard_id, error, redispatch_inflight=False)
-                failed.append(shard_id)
-        exports: List[ShardExportResult] = []
-        for shard_id in range(self.num_shards):
-            try:
-                if shard_id in failed:
-                    exports.append(
-                        self._request_with_recovery(shard_id, "export", shard_id)
-                    )
-                else:
-                    exports.append(self._receive(shard_id))
-            except TransportError as error:
-                self._recover_shard(shard_id, error, redispatch_inflight=False)
-                exports.append(
-                    self._request_with_recovery(shard_id, "export", shard_id)
-                )
-        return exports
-
-    def _close(self) -> None:
-        for shard_id, transport in enumerate(self._transports):
-            if transport is None:
-                continue
-            if not self.owned_workers:
-                # Externally managed workers outlive the session: release
-                # the shard instead of stopping the server.
-                try:
-                    transport.send(("detach", shard_id))
-                    transport.recv()
-                except TransportError:
-                    pass
-            transport.close()
-        self._transports = [None] * self.num_shards
-        for handle in self.owned_workers:
-            try:
-                handle.stop()
-            except Exception:  # pragma: no cover - best-effort reaping
+                for gid in hosted:
+                    self.send(("detach", gid, None))
+                    self.recv()
+            except TransportError:
                 pass
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def failover_stats(self) -> Dict[str, float]:
-        """Snapshot/failover counters (adopted by the session stats)."""
-        return {
-            "snapshots_taken": self.snapshots_taken,
-            "failovers": self.failovers,
-            "replayed_batches": self.replayed_batches,
-            "replayed_updates": self.replayed_updates,
-            "recovery_wall_seconds": self.recovery_wall_seconds,
-            "heartbeat_probes": self.heartbeat_probes,
-            "heartbeat_failures": self.heartbeat_failures,
-        }
+        self._transport.close()
 
 
-# ---------------------------------------------------------------------------
-# Socket fleet: W worker endpoints hosting shards from many sessions
-# ---------------------------------------------------------------------------
-class SocketFleetEngine:
-    """Execution engine of a socket :class:`~repro.serving.fleet.BackendPool`.
+class SocketChannels:
+    """Opens one connection per slot to TCP shard workers; re-homes lost slots.
 
-    Where :class:`SocketBackend` dedicates one TCP worker per shard of one
-    session, the fleet engine keeps W connections to W
-    :class:`~repro.serving.remote.worker.ShardWorkerServer` endpoints and
-    multiplexes *every* leased session's shards onto them.  The worker
-    protocol is completely unchanged -- the pool's fleet-global gids ride the
-    existing ``attach``/``apply``/``query``/``export``/``detach`` verbs, so
-    one unmodified worker server hosts gid-keyed shards from many sessions
-    side by side.  Generation bookkeeping stays keyed by ``(session, shard)``
-    in each :class:`~repro.serving.fleet.SessionBackendView`.
-
-    Failure model: detect-and-refresh, not detect-and-recover.  A dead fleet
-    member loses the (session, shard) state it hosted -- those sessions
-    fail-stop with a structured error (a per-slot *epoch* stamp detects
-    leases that outlived their slot's worker) -- but the slot itself re-homes
-    onto a surviving or standby endpoint through the shared
-    :class:`~repro.serving.remote.registry.WorkerRegistry`, so the fleet
-    keeps admitting *new* leases at full width.  Sessions that need per-shard
-    snapshot/replay recovery should keep using :class:`SocketBackend`
-    directly; the fleet trades that machinery for O(W) sockets across
-    hundreds of tenants.
+    Args:
+        num_slots: slots to serve.
+        endpoints: external ``host:port`` workers -- the first ``num_slots``
+            are the slots' primary homes, the rest standbys.  Empty spawns
+            ``num_slots + standby_workers`` local in-process workers, reaped
+            on close.
+        standby_workers: extra local workers to spawn as re-homing targets.
+        heartbeat_interval_s / heartbeat_timeout_s: quiet time before a
+            connection is probed, and the probe's reply deadline.
+        transport_wrapper: interposer applied to every connection opened.
     """
-
-    kind = "socket"
 
     def __init__(
         self,
         num_slots: int,
         endpoints: Sequence[str] = (),
+        standby_workers: int = 1,
         heartbeat_interval_s: float = 1.0,
         heartbeat_timeout_s: float = 5.0,
-        io_timeout_s: float = 60.0,
-        connect_timeout_s: float = 5.0,
+        transport_wrapper: Optional[TransportWrapper] = None,
     ) -> None:
-        self.num_slots = num_slots
+        if heartbeat_interval_s <= 0.0 or heartbeat_timeout_s <= 0.0:
+            raise ValueError("heartbeat interval and timeout must be positive")
+        if standby_workers < 0:
+            raise ValueError("standby_workers must be non-negative")
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.io_timeout_s = io_timeout_s
-        self.connect_timeout_s = connect_timeout_s
-        self.heartbeat_probes = 0
-        self.heartbeat_failures = 0
-
+        self._transport_wrapper = transport_wrapper
+        #: workers this pool spawned itself (and must reap on close).
         self.owned_workers: List[LocalWorkerHandle] = []
         if not endpoints:
-            self.owned_workers = [spawn_local_worker() for _ in range(num_slots)]
+            self.owned_workers = [
+                spawn_local_worker() for _ in range(num_slots + standby_workers)
+            ]
             endpoints = [handle.endpoint for handle in self.owned_workers]
+        # (Only a caller's endpoint list can be rejected here, and then there
+        # are no spawned workers to reap.)
         self.registry = WorkerRegistry(
             [WorkerEndpoint.parse(endpoint) for endpoint in endpoints], num_slots
         )
 
-        self._transports: List[Optional[Transport]] = [None] * num_slots
-        self._locks = [threading.Lock() for _ in range(num_slots)]
-        self._io = ThreadPoolExecutor(max_workers=num_slots, thread_name_prefix="fleet-io")
-        self._slot_of: Dict[int, int] = {}
-        self._slot_load = [0] * num_slots
-        self._last_contact = [float("-inf")] * num_slots
-        #: bumped every time a slot's worker is replaced; a gid attached
-        #: under an older epoch has lost its hosted state.
-        self._slot_epoch = [0] * num_slots
-        self._gid_epoch: Dict[int, int] = {}
-        try:
-            for slot in range(num_slots):
-                self._connect_slot(slot)
-        except Exception:
-            self.close()
-            raise
-
-    # -- connection plumbing --------------------------------------------
-    def _connect_slot(self, slot: int) -> None:
+    def open(self, slot: int) -> _SocketChannel:
+        """(Re)connect a slot to the endpoint the registry assigns it."""
         endpoint = self.registry.endpoint_for(slot)
-        self._transports[slot] = Transport.connect(
+        transport = Transport.connect(
             endpoint.host,
             endpoint.port,
-            connect_timeout_s=self.connect_timeout_s,
-            timeout_s=self.io_timeout_s,
+            connect_timeout_s=CONNECT_TIMEOUT_S,
+            timeout_s=IO_TIMEOUT_S,
         )
-        self._last_contact[slot] = time.perf_counter()
+        if self._transport_wrapper is not None:
+            transport = self._transport_wrapper(transport, slot, endpoint)
+        return _SocketChannel(
+            transport,
+            external=not self.owned_workers,
+            heartbeat_interval_s=self.heartbeat_interval_s,
+            heartbeat_timeout_s=self.heartbeat_timeout_s,
+        )
 
-    def _worker_id(self, slot: int) -> str:
+    def worker_id(self, slot: int) -> str:
         return str(self.registry.endpoint_for(slot))
 
-    def _slot_lost(self, slot: int, error: Exception) -> ShardBackendError:
-        """Declare a slot's worker dead and re-home the slot for new leases.
-
-        The hosted (session, shard) state is gone: bumping the slot epoch
-        makes every lease that was multiplexed here fail-stop with a clear
-        message, while the slot itself reconnects to a standby or survivor
-        (registry reassignment) so *new* leases keep the fleet at width W.
-        """
+    def rehome(self, slot: int, error: Exception) -> None:
+        """Declare the slot's worker dead and move the slot elsewhere."""
         dead = self.registry.endpoint_for(slot)
         self.registry.mark_dead(dead)
-        transport = self._transports[slot]
-        if transport is not None:
-            transport.close()
-            self._transports[slot] = None
-        self._slot_epoch[slot] += 1
         try:
             self.registry.reassign(slot)
-            self._connect_slot(slot)
-        except (NoLiveWorkerError, TransportError):
-            pass  # the fleet is degraded; new attaches on this slot will fail
-        return ShardBackendError(
-            f"fleet slot {slot} worker {dead} died; the session shards it "
-            f"hosted are lost: {error}",
-            worker_id=str(dead),
-        )
-
-    def _receive(self, slot: int):
-        status, payload = self._transports[slot].recv()
-        self._last_contact[slot] = time.perf_counter()
-        if status != "ok":
+        except NoLiveWorkerError as exhausted:
             raise ShardBackendError(
-                f"fleet slot {slot} worker failed: {payload['message']}",
-                worker_id=self._worker_id(slot),
-                remote_traceback=payload.get("traceback"),
-            )
-        return payload
-
-    def _roundtrip(self, slot: int, verb: str, payload):
-        with self._locks[slot]:
-            if self._transports[slot] is None:
-                raise ShardBackendError(
-                    f"fleet slot {slot} has no live worker",
-                    worker_id=self._worker_id(slot),
-                )
-            try:
-                self._transports[slot].send((verb, payload))
-                return self._receive(slot)
-            except TransportError as error:
-                raise self._slot_lost(slot, error) from error
-
-    # -- engine API -----------------------------------------------------
-    def attach(self, gid: int, config) -> None:
-        slot = min(range(self.num_slots), key=lambda s: self._slot_load[s])
-        self._roundtrip(slot, "attach", (gid, config))
-        self._slot_of[gid] = slot
-        self._slot_load[slot] += 1
-        self._gid_epoch[gid] = self._slot_epoch[slot]
-
-    def detach(self, gid: int) -> None:
-        slot = self._slot_of.pop(gid, None)
-        if slot is None:
-            return
-        self._slot_load[slot] -= 1
-        epoch = self._gid_epoch.pop(gid, None)
-        if epoch != self._slot_epoch[slot]:
-            return  # the worker that hosted this gid is gone; nothing to free
-        try:
-            self._roundtrip(slot, "detach", gid)
-        except ShardBackendError:
-            pass
-
-    def slot_of(self, gid: int) -> int:
-        return self._slot_of[gid]
-
-    def _check_epochs(self, gids: Sequence[int]) -> None:
-        for gid in gids:
-            slot = self._slot_of[gid]
-            if self._gid_epoch[gid] != self._slot_epoch[slot]:
-                raise ShardBackendError(
-                    f"fleet slot {slot} worker died and took this session's "
-                    "hosted shards with it",
-                    worker_id=self._worker_id(slot),
-                )
-
-    def apply(self, batches: Sequence[ShardUpdateBatch]) -> object:
-        self._check_epochs([batch.shard_id for batch in batches])
-        by_slot: Dict[int, List[ShardUpdateBatch]] = defaultdict(list)
-        for batch in batches:
-            by_slot[self._slot_of[batch.shard_id]].append(batch)
-        return [
-            self._io.submit(self._apply_slot, slot, group)
-            for slot, group in sorted(by_slot.items())
-        ]
-
-    def _apply_slot(self, slot: int, group: List[ShardUpdateBatch]) -> List[ShardApplyResult]:
-        with self._locks[slot]:
-            if self._transports[slot] is None:
-                raise ShardBackendError(
-                    f"fleet slot {slot} has no live worker",
-                    worker_id=self._worker_id(slot),
-                )
-            try:
-                for batch in group:
-                    self._transports[slot].send(("apply", batch))
-                # Drain every ack even when one is a worker-reported error:
-                # an unread reply would desynchronise the shared connection
-                # for every other session on this slot.
-                results: List[ShardApplyResult] = []
-                first_error: Optional[ShardBackendError] = None
-                for _ in group:
-                    try:
-                        results.append(self._receive(slot))
-                    except ShardBackendError as error:
-                        if first_error is None:
-                            first_error = error
-                if first_error is not None:
-                    raise first_error
-                return results
-            except TransportError as error:
-                raise self._slot_lost(slot, error) from error
-
-    def collect(self, handle: object) -> List[ShardApplyResult]:
-        results: List[ShardApplyResult] = []
-        first_error: Optional[ShardBackendError] = None
-        for future in handle:
-            try:
-                results.extend(future.result())
-            except ShardBackendError as error:
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def query(self, request: ShardQueryRequest) -> ShardQueryResult:
-        self._check_epochs([request.shard_id])
-        return self._roundtrip(self._slot_of[request.shard_id], "query", request)
-
-    def export(self, gid: int) -> ShardExportResult:
-        self._check_epochs([gid])
-        return self._roundtrip(self._slot_of[gid], "export", gid)
-
-    def check(self, gids: Sequence[int]) -> None:
-        """Epoch check plus a rate-limited liveness ping on quiet slots."""
-        self._check_epochs(gids)
-        now = time.perf_counter()
-        for slot in sorted({self._slot_of[gid] for gid in gids}):
-            if now - self._last_contact[slot] < self.heartbeat_interval_s:
-                continue
-            self.heartbeat_probes += 1
-            with self._locks[slot]:
-                transport = self._transports[slot]
-                if transport is None:
-                    raise ShardBackendError(
-                        f"fleet slot {slot} has no live worker",
-                        worker_id=self._worker_id(slot),
-                    )
-                transport.settimeout(self.heartbeat_timeout_s)
-                try:
-                    transport.send(("ping", None))
-                    self._receive(slot)
-                except TransportError as error:
-                    self.heartbeat_failures += 1
-                    raise self._slot_lost(slot, error) from error
-                finally:
-                    live = self._transports[slot]
-                    if live is not None:
-                        live.settimeout(self.io_timeout_s)
-
-    def local_workers(self, gids: Sequence[int]):
-        raise AttributeError(
-            "socket fleet workers are not in-process; use the Shard* message API"
-        )
-
-    @property
-    def attached_shards(self) -> int:
-        return len(self._slot_of)
+                f"worker {dead} died and no live worker remains to re-home "
+                f"it: {error}"
+            ) from exhausted
 
     def close(self) -> None:
-        for slot, transport in enumerate(self._transports):
-            if transport is None:
-                continue
-            if not self.owned_workers:
-                # External workers outlive the fleet: release the gids this
-                # slot still hosts instead of stopping the server.
-                for gid, owner in list(self._slot_of.items()):
-                    if owner != slot or self._gid_epoch.get(gid) != self._slot_epoch[slot]:
-                        continue
-                    try:
-                        transport.send(("detach", gid))
-                        transport.recv()
-                    except TransportError:
-                        break
-            transport.close()
-        self._transports = [None] * self.num_slots
-        self._slot_of.clear()
-        self._gid_epoch.clear()
         for handle in self.owned_workers:
             try:
                 handle.stop()
             except Exception:  # pragma: no cover - best-effort reaping
                 pass
-        self._io.shutdown(wait=True)

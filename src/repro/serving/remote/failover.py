@@ -4,21 +4,22 @@ Snapshots make worker loss survivable; the replay log makes it *cheap*.
 Between two snapshots of a shard, every acknowledged non-empty update batch
 is kept (parent-side) in that shard's replay tail.  Recovery is then:
 rehydrate the last snapshot on a new worker, replay the tail in dispatch
-order, re-send whatever was in flight when the worker died.  Because the
-log is truncated at every snapshot, the tail -- and therefore the recovery
-stall -- is bounded by the snapshot cadence, not by the session's age.
+order, run the exchange that was in flight when the worker died again.
+Because the log is truncated at every snapshot, the tail -- and therefore
+the recovery stall -- is bounded by the snapshot cadence, not by the
+session's age.
 
 Replaying is exact, not approximate: per-shard batches apply in dispatch
 order, each non-empty batch bumps the worker's generation by one, and the
 snapshot restored the pre-tail generation -- so a recovered shard lands on
-precisely the generation the parent last adopted, keeping the
+precisely the generation it last acknowledged, keeping the
 generation-stamped query cache honest across a failover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.serving.types import ShardUpdateBatch
 
@@ -26,32 +27,36 @@ __all__ = ["ReplayLog", "RecoveryReport"]
 
 
 class ReplayLog:
-    """Per-shard tails of acknowledged batches since the last snapshot."""
+    """Per-shard tails of acknowledged batches since the last snapshot.
 
-    def __init__(self, num_shards: int) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        self._tails: List[List[ShardUpdateBatch]] = [[] for _ in range(num_shards)]
+    Keyed by the fleet-global ``gid`` a shard is hosted under (the batches
+    themselves carry session-local shard ids, which collide across the
+    sessions of a shared fleet).
+    """
 
-    def record(self, batch: ShardUpdateBatch) -> None:
-        """Append one acknowledged batch to its shard's tail."""
-        self._tails[batch.shard_id].append(batch)
+    def __init__(self) -> None:
+        self._tails: Dict[int, List[ShardUpdateBatch]] = {}
 
-    def truncate(self, shard_id: int) -> None:
-        """Drop a shard's tail (a fresh snapshot covers it now)."""
-        self._tails[shard_id] = []
+    def record(self, gid: int, batch: ShardUpdateBatch) -> None:
+        """Append one acknowledged batch to a shard's tail."""
+        self._tails.setdefault(gid, []).append(batch)
 
-    def tail(self, shard_id: int) -> Tuple[ShardUpdateBatch, ...]:
+    def truncate(self, gid: int) -> None:
+        """Drop a shard's tail (a fresh snapshot covers it now, or the
+        shard was detached)."""
+        self._tails.pop(gid, None)
+
+    def tail(self, gid: int) -> Tuple[ShardUpdateBatch, ...]:
         """The batches to replay on top of the shard's last snapshot."""
-        return tuple(self._tails[shard_id])
+        return tuple(self._tails.get(gid, ()))
 
-    def tail_length(self, shard_id: int) -> int:
+    def tail_length(self, gid: int) -> int:
         """Batches currently in a shard's tail (snapshot-cadence trigger)."""
-        return len(self._tails[shard_id])
+        return len(self._tails.get(gid, ()))
 
-    def tail_updates(self, shard_id: int) -> int:
+    def tail_updates(self, gid: int) -> int:
         """Voxel updates currently in a shard's tail."""
-        return sum(len(batch) for batch in self._tails[shard_id])
+        return sum(len(batch) for batch in self._tails.get(gid, ()))
 
 
 @dataclass(frozen=True)
@@ -59,14 +64,12 @@ class RecoveryReport:
     """One completed shard recovery (observability/tests).
 
     Attributes:
-        shard_id: shard that was re-homed.
+        shard_id: session-local id of the shard that was re-homed.
         from_worker: endpoint of the dead worker.
         to_worker: endpoint the shard now lives on.
         restored_generation: generation of the snapshot image the new worker
             started from (0 when the shard restarted fresh, pre-snapshot).
         replayed_batches / replayed_updates: size of the replayed tail.
-        redispatched_inflight: True when the flush that detected the death
-            had this shard's slice in flight and it was re-sent.
         wall_seconds: kill-detection to recovered wall-clock time.
     """
 
@@ -76,5 +79,4 @@ class RecoveryReport:
     restored_generation: int
     replayed_batches: int
     replayed_updates: int
-    redispatched_inflight: bool
     wall_seconds: float

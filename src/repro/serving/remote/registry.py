@@ -1,13 +1,14 @@
-"""Worker registry: which TCP endpoint serves which shard, and who is left.
+"""Worker registry: which TCP endpoint serves which slot, and who is left.
 
-The registry is the socket backend's map of the worker fleet.  Endpoints are
-ordered: the first ``num_shards`` of them are the primary homes of shards
-``0..num_shards-1``; any extras are *standbys* -- idle workers a failed
-shard re-homes onto first.  When no idle standby is left, the shard is
-co-hosted on the live worker already carrying the fewest shards, so a
-session degrades gradually (less parallelism) instead of dying with its
-first worker.  Only when every worker is dead does reassignment fail, and
-the backend falls back to the old fail-stop behaviour.
+The registry is a socket pool's map of its workers.  What it assigns is a
+pool *slot* (the ``shard_id`` of this module's API: a private pool has one
+slot per shard).  Endpoints are ordered: the first ``num_shards`` of them
+are the primary homes of slots ``0..num_shards-1``; any extras are
+*standbys* -- idle workers a lost slot re-homes onto first.  When no idle
+standby is left, the slot is co-hosted on the live worker already carrying
+the fewest, so a pool degrades gradually (less parallelism) instead of dying
+with its first worker.  Only when every worker is dead does reassignment
+fail, and the loss becomes fail-stop.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Length-prefixed pickle framing over TCP sockets.
 
-The socket backend and its shard workers exchange the same pickle-safe
-``(verb, payload)`` command tuples the process backend sends over
+The socket channel and its shard workers exchange the same pickle-safe
+``(verb, gid, payload)`` command tuples the process channel sends over
 ``multiprocessing.Pipe`` -- this module is the pipe's stand-in for real
 sockets: every message travels as a 4-byte big-endian length prefix followed
 by the pickled body, so a reader always knows exactly where one message ends
@@ -13,8 +13,8 @@ Failure taxonomy (the failover logic keys off it):
 * :class:`TransportClosed` -- the peer closed the connection cleanly at a
   frame boundary.  Expected at worker shutdown.
 * :class:`TransportError` -- everything else: torn frames, resets, timeouts,
-  oversized length prefixes.  The socket backend treats any of these on a
-  shard connection as "the worker is gone" and starts recovery.
+  oversized length prefixes.  The slot engine treats any of these on a
+  worker connection as "the worker is gone" and starts recovery.
 
 Both derive from :class:`ConnectionError`, so callers that do not care about
 the distinction can catch one type.
@@ -109,9 +109,9 @@ class Transport:
             )
         return pickle.loads(self._recv_exact(length, at_boundary=False))
 
-    def request(self, verb: str, payload: object = None) -> object:
-        """One blocking command round-trip: send ``(verb, payload)``, recv."""
-        self.send((verb, payload))
+    def request(self, verb: str, gid: Optional[int] = None, payload: object = None) -> object:
+        """One blocking command round-trip: send ``(verb, gid, payload)``, recv."""
+        self.send((verb, gid, payload))
         return self.recv()
 
     def _recv_exact(self, count: int, at_boundary: bool) -> bytes:

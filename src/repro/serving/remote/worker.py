@@ -1,18 +1,17 @@
 """The shard worker server: one TCP endpoint hosting map shard workers.
 
-A worker is a small threaded TCP server around a dict of
-:class:`~repro.serving.sharding.MapShardWorker` instances.  It boots empty --
-the owning :class:`~repro.serving.remote.backend.SocketBackend` pushes each
-shard's configuration over the wire (``attach`` for a fresh shard,
-``restore`` to rehydrate a snapshot), so the worker CLI needs no session
-knowledge at all.  One endpoint normally hosts one shard, but nothing below
-assumes that: after a failover a surviving worker co-hosts the dead worker's
-re-homed shard next to its own.
+A worker is a small threaded TCP server around a
+:class:`~repro.serving.sharding.ShardHost`.  It boots empty -- the socket
+slot engine pushes each shard's configuration over the wire (``attach`` for
+a fresh shard, ``restore`` to rehydrate a snapshot), so the worker CLI
+needs no session knowledge at all.  One endpoint hosts gid-keyed shards
+from any number of sessions, and after a failover a surviving worker
+co-hosts the dead worker's re-homed shards next to its own.
 
-Protocol: framed ``(verb, payload)`` commands over
+Protocol: framed ``(verb, gid, payload)`` commands over
 :class:`~repro.serving.remote.transport.Transport`, one reply per command --
 ``("ok", payload)`` or ``("error", {"message", "traceback"})``.  Worker-side
-exceptions are reported, not fatal (same policy as the process backend's
+exceptions are reported, not fatal (same policy as the process channel's
 worker loop); only transport loss or an explicit ``stop`` ends a connection.
 
 The module doubles as the ``repro-serve-worker`` console entry point, and
@@ -29,11 +28,10 @@ import socket
 import subprocess
 import sys
 import threading
-import traceback
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.serving.remote.transport import Transport, TransportError
-from repro.serving.sharding import MapShardWorker
+from repro.serving.sharding import ShardHost
 
 __all__ = [
     "ShardWorkerServer",
@@ -55,7 +53,8 @@ class ShardWorkerServer:
         self.host, self.port = self._listener.getsockname()[:2]
         #: stable identity reported in errors and stats tables.
         self.worker_id = f"{self.host}:{self.port}"
-        self._workers: Dict[int, MapShardWorker] = {}
+        #: the shards hosted here, shared by every connection.
+        self.shards = ShardHost()
         self._lock = threading.Lock()
         self._connections: List[socket.socket] = []
         self._stopping = threading.Event()
@@ -94,71 +93,25 @@ class ShardWorkerServer:
     def _serve_connection(self, transport: Transport) -> None:
         while not self._stopping.is_set():
             try:
-                verb, payload = transport.recv()
+                message = transport.recv()
             except (TransportError, ValueError, EOFError):
                 break  # peer gone (or unframed garbage): nothing left to serve
-            if verb == "stop":
+            if message == ("stop", None, None):
                 try:
                     transport.send(("ok", None))
                 except TransportError:
                     pass
                 self.shutdown()
                 break
-            try:
-                reply = ("ok", self._handle(verb, payload))
-            except Exception as error:  # noqa: BLE001 - report, don't die
-                reply = (
-                    "error",
-                    {
-                        "message": f"{type(error).__name__}: {error}",
-                        "traceback": traceback.format_exc(),
-                    },
-                )
+            if message == ("hello", None, None):
+                reply = ("ok", {"worker_id": self.worker_id, "shards": self.shards.hosted()})
+            else:
+                reply = self.shards.reply(message)
             try:
                 transport.send(reply)
             except TransportError:
                 break
         transport.close()
-
-    def _handle(self, verb: str, payload):
-        if verb == "ping":
-            return "pong"
-        if verb == "hello":
-            with self._lock:
-                return {"worker_id": self.worker_id, "shards": sorted(self._workers)}
-        if verb == "attach":
-            shard_id, config = payload
-            with self._lock:
-                self._workers[shard_id] = MapShardWorker(shard_id, config)
-            return shard_id
-        if verb == "restore":
-            snapshot, config = payload
-            worker = MapShardWorker.from_snapshot(snapshot, config)
-            with self._lock:
-                self._workers[worker.shard_id] = worker
-            return worker.shard_id
-        if verb == "detach":
-            with self._lock:
-                self._workers.pop(payload, None)
-            return payload
-        if verb == "apply":
-            return self._worker(payload.shard_id).apply_message(payload)
-        if verb == "query":
-            return self._worker(payload.shard_id).query_message(payload)
-        if verb == "export":
-            return self._worker(payload).export_message()
-        if verb == "snapshot":
-            return self._worker(payload).snapshot_message()
-        raise ValueError(f"unknown worker command {verb!r}")
-
-    def _worker(self, shard_id: int) -> MapShardWorker:
-        with self._lock:
-            worker = self._workers.get(shard_id)
-        if worker is None:
-            raise KeyError(
-                f"shard {shard_id} is not hosted on worker {self.worker_id}"
-            )
-        return worker
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -195,8 +148,7 @@ class ShardWorkerServer:
         resets / torn frames on their next interaction.
         """
         self.shutdown()
-        with self._lock:
-            self._workers.clear()
+        self.shards.clear()
 
     @property
     def alive(self) -> bool:
@@ -273,8 +225,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-serve-worker",
         description=(
-            "Occupancy-map shard worker: hosts map shards for a socket-backend "
-            "session. Shard configuration arrives over the wire (attach/restore), "
+            "Occupancy-map shard worker: hosts map shards for socket-backend "
+            "sessions. Shard configuration arrives over the wire (attach/restore), "
             "so the worker only needs an address to listen on."
         ),
     )

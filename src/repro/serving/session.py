@@ -1,21 +1,20 @@
 """Map sessions: one tenant's map, sharded over an execution backend.
 
-A :class:`MapSession` is the unit of multi-tenancy: it owns a pool of shard
-workers behind a pluggable :class:`~repro.serving.backends.ShardBackend`
-(inline, thread pool, one process per shard, or one TCP worker per shard
-with live failover), partitioned by octree-key
+A :class:`MapSession` is the unit of multi-tenancy: it holds a lease on a
+pool of shard workers behind the :class:`~repro.serving.backends.
+ShardBackend` contract (inline, thread pool, worker processes, or TCP
+workers with live failover), partitioned by octree-key
 prefix, an ingestion pipeline feeding them, a cached query engine reading
-them, and a stats block recording everything.  Sessions are fully isolated --
-nothing but the Python process is shared between two sessions of one
-:class:`~repro.serving.manager.MapSessionManager` (and with the process
-backend, not even that: each shard's accelerator lives in its own worker
-process).
+them, and a stats block recording everything.  Sessions never share map
+state: every shard of every session is its own hosted worker, whether the
+pool executing it is private to the session or shared by a whole
+:class:`~repro.serving.manager.MapSessionManager`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DEFAULT_CONFIG, OMUConfig
 from repro.octomap.merge import merge_trees
@@ -114,8 +113,8 @@ class SessionConfig:
         heartbeat_timeout_s: reply deadline of a liveness ping; a missed
             deadline triggers shard recovery.
         fleet_workers: size of the *shared* backend fleet.  ``0`` (the
-            default) keeps the classic ownership model -- every session
-            constructs and owns its backend, N sessions cost N x num_shards
+            default) means not shared -- every session leases from a private
+            pool of ``num_shards`` slots, so N sessions cost N x num_shards
             workers.  A positive value makes the owning
             :class:`~repro.serving.manager.MapSessionManager` run one
             :class:`~repro.serving.fleet.BackendPool` of this many execution
@@ -159,7 +158,7 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         if self.fleet_workers < 0:
-            raise ValueError("fleet_workers must be non-negative (0 = owned backend)")
+            raise ValueError("fleet_workers must be non-negative (0 = private pool)")
         if self.flusher_concurrency < 1:
             raise ValueError("flusher_concurrency must be at least 1")
         if self.negative_ttl_s < 0.0:
@@ -215,6 +214,26 @@ class SessionConfig:
         """Copy leasing execution from a shared fleet of this many slots."""
         return replace(self, fleet_workers=fleet_workers)
 
+    def pool_options(self) -> Dict[str, object]:
+        """The fields that shape a :class:`~repro.serving.fleet.BackendPool`
+        of this config's backend kind, as its keyword arguments -- used alike
+        for the session's private pool and a manager's shared one.
+
+        Only what the kind consumes: configs that differ in a field their
+        backend ignores describe the same pool (and share one fleet).
+        """
+        if self.backend == "process":
+            return {"start_method": self.mp_start_method}
+        if self.backend == "socket":
+            return {
+                "endpoints": self.workers,
+                "standby_workers": self.standby_workers,
+                "snapshot_every_batches": self.snapshot_every_batches,
+                "heartbeat_interval_s": self.heartbeat_interval_s,
+                "heartbeat_timeout_s": self.heartbeat_timeout_s,
+            }
+        return {}
+
     def resolved_tenant(self, session_id: str) -> str:
         """The accounting principal: ``tenant``, or the session id when unset."""
         return self.tenant or session_id
@@ -250,21 +269,16 @@ class MapSession:
             self.config.num_shards,
             prefix_levels=self.config.shard_prefix_levels,
         )
-        # With a shared fleet the session holds a lease (SessionBackendView),
-        # not a backend it owns: close() releases this session's hosted
-        # shards and leaves the fleet serving everyone else.
+        # A lease either way: on the shared pool handed in (close() releases
+        # this session's hosted shards and leaves the pool serving everyone
+        # else), or on a private pool shaped by this config.
         self.backend: ShardBackend = make_backend(
             self.config.backend,
             self.config.accelerator,
             self.config.num_shards,
-            start_method=self.config.mp_start_method,
-            workers=self.config.workers,
-            standby_workers=self.config.standby_workers,
-            snapshot_every_batches=self.config.snapshot_every_batches,
-            heartbeat_interval_s=self.config.heartbeat_interval_s,
-            heartbeat_timeout_s=self.config.heartbeat_timeout_s,
             fleet=backend_pool,
             session_id=session_id,
+            **({} if backend_pool is not None else self.config.pool_options()),
         )
         self.pipeline = IngestionPipeline(
             session_id,
@@ -294,7 +308,7 @@ class MapSession:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the execution backend (worker processes/threads).  Idempotent.
+        """Release the session's lease (and a private pool's workers).  Idempotent.
 
         When the session leases from a shared fleet, this releases only its
         lease -- the fleet (and every other session on it) keeps running.
@@ -316,8 +330,8 @@ class MapSession:
     def workers(self) -> List[MapShardWorker]:
         """The in-process shard workers (inline / thread backends only).
 
-        The process backend keeps its workers in child processes; inspect
-        those through the backend's message API instead.
+        The process and socket backends keep their workers elsewhere;
+        inspect those through the backend's message API instead.
         """
         return self.backend.workers
 

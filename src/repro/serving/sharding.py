@@ -24,7 +24,9 @@ region, which is what makes the export stitch conflict-free.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import threading
+import traceback
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from repro.serving.types import (
     ShardUpdateBatch,
 )
 
-__all__ = ["ShardRouter", "MapShardWorker"]
+__all__ = ["ShardRouter", "MapShardWorker", "ShardHost"]
 
 
 class ShardRouter:
@@ -177,10 +179,10 @@ class MapShardWorker:
     # ------------------------------------------------------------------
     # Message-level API (shared by every execution backend)
     # ------------------------------------------------------------------
-    # The pool backends in :mod:`repro.serving.backends` talk to workers only
-    # through the pickle-safe ``Shard*`` messages of
-    # :mod:`repro.serving.types`; routing them through these handlers keeps
-    # the inline, thread and process execution paths byte-identical.
+    # Execution engines talk to workers only through the pickle-safe
+    # ``Shard*`` messages of :mod:`repro.serving.types`, delivered by
+    # :class:`ShardHost`; routing them through these handlers keeps the
+    # inline, thread, process and socket execution paths byte-identical.
 
     def apply_message(self, batch: ShardUpdateBatch) -> ShardApplyResult:
         """Apply one wire-format update batch and acknowledge it."""
@@ -255,3 +257,93 @@ class MapShardWorker:
         worker.batches_applied = snapshot.batches_applied
         worker.updates_applied = snapshot.updates_applied
         return worker
+
+
+class ShardHost:
+    """The shard workers one execution context hosts, and the verbs it serves.
+
+    Every transport -- the in-process engine, a fleet worker process, a TCP
+    worker server -- hosts shards the same way: a dict of
+    :class:`MapShardWorker` keyed by the fleet-global ``gid`` the
+    :class:`~repro.serving.fleet.BackendPool` assigned, driven by
+    ``(verb, gid, payload)`` commands.  The gid only *names* the hosted
+    worker; the worker itself (and every ``Shard*`` message it exchanges)
+    keeps its session-local shard id, so the worker's "batch for shard X
+    delivered to shard Y" check guards the routing end to end.
+    """
+
+    def __init__(self) -> None:
+        self._workers: Dict[int, MapShardWorker] = {}
+        # Guards membership changes against a concurrent listing: one TCP
+        # worker serves several connections, each on its own thread.
+        self._lock = threading.Lock()
+
+    def handle(self, verb: str, gid=None, payload=None):
+        """Serve one command; raises on an unknown verb or unhosted gid.
+
+        Verbs: ``query`` / ``apply`` / ``export`` / ``snapshot`` address the
+        worker hosted under ``gid``; ``attach`` (payload ``(shard_id,
+        config)``) and ``restore`` (payload ``(snapshot, config)``) host a
+        fresh or rehydrated worker under it, replacing any previous one;
+        ``detach`` drops it (a no-op when absent); ``ping`` answers
+        ``"pong"``.
+        """
+        if verb == "query":
+            return self.worker(gid).query_message(payload)
+        if verb == "apply":
+            return self.worker(gid).apply_message(payload)
+        if verb == "export":
+            return self.worker(gid).export_message()
+        if verb == "snapshot":
+            return self.worker(gid).snapshot_message()
+        if verb == "ping":
+            return "pong"
+        with self._lock:
+            if verb == "attach":
+                shard_id, config = payload
+                self._workers[gid] = MapShardWorker(shard_id, config)
+            elif verb == "restore":
+                snapshot, config = payload
+                self._workers[gid] = MapShardWorker.from_snapshot(snapshot, config)
+            elif verb == "detach":
+                self._workers.pop(gid, None)
+            else:
+                raise ValueError(f"unknown shard command {verb!r}")
+        return gid
+
+    def reply(self, message) -> Tuple[str, object]:
+        """Serve one wire command; the reply a worker loop sends back.
+
+        ``("ok", result)``, or ``("error", {"message", "traceback"})`` --
+        an exception (a malformed message included) is reported rather than
+        killing the loop, so a poisoned request cannot silently lose every
+        shard hosted here.
+        """
+        try:
+            verb, gid, payload = message
+            return ("ok", self.handle(verb, gid, payload))
+        except Exception as error:  # noqa: BLE001 - report, don't die
+            return (
+                "error",
+                {
+                    "message": f"{type(error).__name__}: {error}",
+                    "traceback": traceback.format_exc(),
+                },
+            )
+
+    def worker(self, gid: int) -> MapShardWorker:
+        """The worker hosted under ``gid``; raises KeyError when absent."""
+        worker = self._workers.get(gid)
+        if worker is None:
+            raise KeyError(f"shard gid {gid} is not hosted here")
+        return worker
+
+    def hosted(self) -> List[int]:
+        """The gids currently hosted, sorted."""
+        with self._lock:
+            return sorted(self._workers)
+
+    def clear(self) -> None:
+        """Drop every hosted worker (shutdown, or a simulated crash)."""
+        with self._lock:
+            self._workers.clear()

@@ -1,13 +1,13 @@
-"""Fault-injection harness for the socket shard backend.
+"""Fault-injection harness for socket backend pools.
 
-The socket backend exposes a ``transport_wrapper`` seam: every connection it
-opens (including post-recovery reconnects) passes through the wrapper before
-use.  This module plugs a :class:`ChaosTransport` into that seam -- a
-transparent proxy around the real framed transport that consults an armed
-fault queue on every send/receive and can, at exactly the chosen protocol
-step:
+A socket :class:`~repro.serving.fleet.BackendPool` exposes a
+``transport_wrapper`` seam: every connection it opens (including
+post-recovery reconnects) passes through the wrapper before use.  This
+module plugs a :class:`ChaosTransport` into that seam -- a transparent proxy
+around the real framed transport that consults an armed fault queue on every
+send/receive and can, at exactly the chosen protocol step:
 
-* kill the shard's worker *before* an apply reaches it (the slice is lost in
+* kill the slot's worker *before* an apply reaches it (the slice is lost in
   flight and must be re-sent to the replacement);
 * kill the worker *after* it applied but before its ack arrives (the worst
   case: the dead worker's half-advanced state must be discarded and rebuilt
@@ -24,7 +24,7 @@ replays bit-for-bit.  Use the ``chaos`` pytest fixture from ``conftest.py``::
         backend = chaos.make_backend(CONFIG, num_shards=2)
         chaos.arm(Fault(KILL_WORKER, phase="recv", verb="apply", shard_id=1))
         backend.apply_shard_batches(batches)   # recovers under the hood
-        assert backend.failovers == 1
+        assert backend.failover_stats()["failovers"] == 1
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.serving.remote import LocalWorkerHandle, SocketBackend, Transport, TransportError
+from repro.serving import BackendPool, ShardBackend, make_backend
+from repro.serving.remote import LocalWorkerHandle, Transport, TransportError
 
 __all__ = [
     "KILL_WORKER",
@@ -75,8 +76,8 @@ class Fault:
             the apply, losing only the ack.
         verb: only trigger on this RPC verb (``"apply"``, ``"ping"``, ...);
             ``None`` matches any verb.
-        shard_id: only trigger on this shard's connection; ``None`` matches
-            any shard.
+        shard_id: only trigger on this pool slot's connection (a private
+            pool hosts shard N on slot N); ``None`` matches any slot.
         delay_s: sleep length for ``DELAY_REPLY`` / ``STALL_HEARTBEAT``.
     """
 
@@ -180,20 +181,27 @@ class ChaosHarness:
 
     # -- construction ----------------------------------------------------
     def wrap(self, transport: Transport, shard_id: int, endpoint) -> ChaosTransport:
-        """The ``transport_wrapper`` the socket backend calls on every connect."""
+        """The ``transport_wrapper`` a socket pool calls on every connect."""
         return ChaosTransport(transport, shard_id, str(endpoint), self)
 
-    def make_backend(self, config, num_shards: int, **kwargs) -> SocketBackend:
-        """A locally spawned socket backend with chaos on every connection."""
-        backend = SocketBackend(
-            config, num_shards, transport_wrapper=self.wrap, **kwargs
+    def make_backend(self, config, num_shards: int, **kwargs) -> ShardBackend:
+        """The lease of a private, locally spawned socket pool with chaos on
+        every connection."""
+        backend = make_backend(
+            "socket", config, num_shards, transport_wrapper=self.wrap, **kwargs
         )
-        self.adopt(backend)
+        self.adopt(backend.pool)
         return backend
 
-    def adopt(self, backend: SocketBackend) -> None:
-        """Register a backend's spawned workers for endpoint-addressed kills."""
-        for handle in backend.owned_workers:
+    def make_pool(self, fleet_workers: int, **kwargs) -> BackendPool:
+        """A shared, locally spawned socket pool with chaos on every connection."""
+        pool = BackendPool("socket", fleet_workers, transport_wrapper=self.wrap, **kwargs)
+        self.adopt(pool)
+        return pool
+
+    def adopt(self, pool: BackendPool) -> None:
+        """Register a pool's spawned workers for endpoint-addressed kills."""
+        for handle in pool.engine.channels.owned_workers:
             self.handles[handle.endpoint] = handle
 
     # -- fault control ----------------------------------------------------

@@ -13,20 +13,23 @@ import pytest
 from repro.core.config import DEFAULT_CONFIG
 from repro.serving import (
     BACKEND_NAMES,
-    InlineBackend,
     MapSession,
-    ProcessPoolBackend,
+    SessionBackendView,
     SessionConfig,
     ShardBackendError,
     ShardQueryRequest,
     ShardUpdateBatch,
-    ThreadPoolBackend,
     make_backend,
 )
 
 CONFIG = DEFAULT_CONFIG.with_resolution(0.25)
 
 ALL_BACKENDS = ["inline", "thread", "process", "socket"]
+
+
+def _processes(backend):
+    """The worker processes behind a process-kind lease (its pool's seam)."""
+    return backend.pool.engine.channels.processes
 
 
 def _updates_for(backend, n=16):
@@ -54,7 +57,12 @@ def _updates_for(backend, n=16):
 # ---------------------------------------------------------------------------
 def test_backend_registry_names():
     assert BACKEND_NAMES == ("inline", "process", "socket", "thread")
-    assert isinstance(make_backend("inline", CONFIG, 2), InlineBackend)
+    for name in BACKEND_NAMES:
+        with make_backend(name, CONFIG, 2) as backend:
+            # One implementation: the single lease of a private pool, sized
+            # to the session and reported under the bare kind.
+            assert isinstance(backend, SessionBackendView)
+            assert (backend.name, backend.pool.num_slots) == (name, 2)
 
 
 def test_unknown_backend_rejected():
@@ -117,8 +125,9 @@ def _updates_for_closed():
 
 
 def test_process_backend_shutdown_leaves_no_orphans():
-    backend = ProcessPoolBackend(CONFIG, num_shards=3)
-    processes = list(backend.processes)
+    backend = make_backend("process", CONFIG, num_shards=3)
+    processes = list(_processes(backend))
+    assert len(processes) == 3
     assert all(process.is_alive() for process in processes)
     backend.close()
     assert all(not process.is_alive() for process in processes)
@@ -129,7 +138,7 @@ def test_session_context_manager_closes_backend():
     config = SessionConfig(num_shards=2, backend="process").with_resolution(0.25)
     with MapSession("map", config) as session:
         assert not session.closed
-        processes = list(session.backend.processes)
+        processes = list(_processes(session.backend))
     assert session.closed
     assert all(not process.is_alive() for process in processes)
 
@@ -148,11 +157,12 @@ def test_manager_shutdown_closes_every_session():
 # Worker crash surfacing
 # ---------------------------------------------------------------------------
 def test_dead_worker_process_surfaces_as_backend_error():
-    backend = ProcessPoolBackend(CONFIG, num_shards=2)
+    backend = make_backend("process", CONFIG, num_shards=2)
+    processes = list(_processes(backend))
     try:
-        dead_pid = backend.processes[1].pid
-        backend.processes[1].terminate()
-        backend.processes[1].join(timeout=5.0)
+        dead_pid = processes[1].pid
+        processes[1].terminate()
+        processes[1].join(timeout=5.0)
         with pytest.raises(ShardBackendError, match="shard 1 worker process died") as info:
             # Killed worker: the round-trip must error out, not hang.
             backend.apply_shard_batches(
@@ -164,16 +174,16 @@ def test_dead_worker_process_surfaces_as_backend_error():
         assert f"[shard 1, worker process:{dead_pid}]" in info.value.describe()
     finally:
         backend.close()
-    assert all(not process.is_alive() for process in backend.processes)
+    assert all(not process.is_alive() for process in processes)
 
 
 def test_dead_worker_surfaces_even_when_batch_does_not_touch_it():
     """A session missing a shard is broken for that shard's whole region, so
     a flush must error out even if its update slices all land elsewhere."""
-    backend = ProcessPoolBackend(CONFIG, num_shards=2)
+    backend = make_backend("process", CONFIG, num_shards=2)
     try:
-        backend.processes[0].terminate()
-        backend.processes[0].join(timeout=5.0)
+        _processes(backend)[0].terminate()
+        _processes(backend)[0].join(timeout=5.0)
         with pytest.raises(ShardBackendError, match="shard 0 worker process died"):
             backend.apply_shard_batches(
                 [ShardUpdateBatch(shard_id=1, entries=((5, 5, 5, True),))]
@@ -193,14 +203,13 @@ def test_dead_worker_surfaces_even_when_batch_does_not_touch_it():
 
 
 def test_worker_side_exception_is_reported_not_fatal():
-    backend = ProcessPoolBackend(CONFIG, num_shards=1)
+    backend = make_backend("process", CONFIG, num_shards=1)
     try:
         # A message addressed to the wrong shard raises inside the worker;
         # the worker must report the error and keep serving.
         bad = ShardQueryRequest(shard_id=9, key=(1, 1, 1))
-        backend._send(0, "query", bad)
         with pytest.raises(ShardBackendError, match="shard 0 worker failed") as info:
-            backend._recv(0)
+            backend.pool.engine.query(backend.gids[0], bad)
         # The report carries the worker's own traceback for debugging.
         assert info.value.shard_id == 0
         assert "ValueError" in (info.value.remote_traceback or "")
@@ -217,6 +226,7 @@ def test_apply_error_fail_stops_the_backend(name):
     map no longer matches the sequential reference, so the backend must
     refuse every later interaction rather than serve inconsistent answers."""
     backend = make_backend(name, CONFIG, num_shards=2)
+    processes = list(_processes(backend)) if name == "process" else []
     try:
         good = ShardUpdateBatch(shard_id=1, entries=((5, 5, 5, True),))
         # Key component 70000 is outside the 16-bit key space: rebuilding the
@@ -233,16 +243,18 @@ def test_apply_error_fail_stops_the_backend(name):
         backend.close()
     # Close still reaps everything cleanly after a failure.
     if name == "process":
-        assert all(not process.is_alive() for process in backend.processes)
+        assert all(not process.is_alive() for process in processes)
 
 
 def test_unknown_verb_is_reported_not_fatal():
-    backend = ProcessPoolBackend(CONFIG, num_shards=1)
+    backend = make_backend("process", CONFIG, num_shards=1)
     try:
-        backend._send(0, "selfdestruct", None)
+        engine = backend.pool.engine
         with pytest.raises(ShardBackendError, match="unknown shard command"):
-            backend._recv(0)
-        assert backend.processes[0].is_alive()
+            engine._slot_task(backend.slot_of(0), [("selfdestruct", backend.gids[0], None)])
+        assert _processes(backend)[0].is_alive()
+        # The pipe stayed in step: a well-formed request still answers.
+        assert backend.query_key(ShardQueryRequest(shard_id=0, key=(1, 1, 1))).status == "unknown"
     finally:
         backend.close()
 
@@ -287,5 +299,6 @@ def test_thread_and_process_generations_agree(small_scans):
 
 def test_thread_pool_backend_has_inspectable_workers():
     with make_backend("thread", CONFIG, 2) as backend:
-        assert isinstance(backend, ThreadPoolBackend)
         assert [worker.shard_id for worker in backend.workers] == [0, 1]
+    with make_backend("process", CONFIG, 1) as backend:
+        assert not hasattr(backend, "workers")  # they live in another process

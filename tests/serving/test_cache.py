@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.serving import GenerationLRUCache, MapSession, SessionConfig
-from repro.serving.types import ScanRequest
+from repro.serving.types import ScanRequest, ShardUpdateBatch
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +147,21 @@ def test_write_invalidates_only_the_written_shards(warm_session, small_scans):
     for probe in probes:
         warm_session.query(*probe)  # fill
 
-    # Craft a scan whose updates all land on probe 0's shard: a zero-length
-    # batch for the other shard leaves its generation untouched.
+    # Write only to probe 0's shard, through the backend: the parent-side
+    # generation stamps the cache validates against are adopted from apply
+    # acknowledgements, so a write has to come this way to be seen.
     key0 = converter.coord_to_key(*probes[0])
-    target_worker = warm_session.workers[shard_ids[0]]
-    other_worker = warm_session.workers[shard_ids[1]]
-    generation_before = (target_worker.generation, other_worker.generation)
-    from repro.core.scheduler import VoxelUpdateRequest
-
-    target_worker.apply_updates([VoxelUpdateRequest(key0, occupied=True)])
-    assert target_worker.generation == generation_before[0] + 1
-    assert other_worker.generation == generation_before[1]
+    backend = warm_session.backend
+    generation_before = [backend.generation_of(shard) for shard in shard_ids]
+    backend.apply_shard_batches(
+        [ShardUpdateBatch(shard_id=shard_ids[0], entries=((key0.x, key0.y, key0.z, True),))]
+    )
+    assert backend.generation_of(shard_ids[0]) == generation_before[0] + 1
+    assert backend.generation_of(shard_ids[1]) == generation_before[1]
+    # The stamps are the workers' own generations, as acknowledged.
+    assert [warm_session.workers[shard].generation for shard in shard_ids] == [
+        backend.generation_of(shard) for shard in shard_ids
+    ]
 
     hits_before = warm_session.stats.cache.hits
     stale_before = warm_session.stats.cache.stale_hits

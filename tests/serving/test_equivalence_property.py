@@ -28,10 +28,12 @@ from repro.core.verification import compare_trees
 from repro.octomap import OccupancyOcTree, PointCloud
 from repro.octomap.merge import merge_trees
 from repro.serving import (
+    BackendPool,
     MapSession,
     ScanRequest,
     SessionConfig,
     ShardBackendError,
+    ShardQueryRequest,
     ShardUpdateBatch,
     make_backend,
 )
@@ -385,12 +387,23 @@ _BACKEND_CONFIG = DEFAULT_CONFIG.with_resolution(0.25)
 
 def _kill_socket_primary(backend, shard_id: int) -> str:
     """Abruptly kill the locally owned worker currently serving ``shard_id``."""
-    endpoint = str(backend.registry.endpoint_for(shard_id))
-    for handle in backend.owned_workers:
+    channels = backend.pool.engine.channels
+    endpoint = channels.worker_id(backend.slot_of(shard_id))
+    for handle in channels.owned_workers:
         if handle.endpoint == endpoint:
             handle.kill()
             return endpoint
     raise AssertionError(f"no owned worker serves endpoint {endpoint}")
+
+
+def _assert_recovered_onto_adopted_generations(backend, failovers_at_least=1) -> None:
+    """Recovery, not fail-stop -- counted on this lease, and every worker it
+    re-built answers with exactly the generation the lease had adopted."""
+    assert backend.failed is None, "recovery, not fail-stop"
+    assert backend.failover_stats()["failovers"] >= failovers_at_least
+    for shard in range(backend.num_shards):
+        answer = backend.query_key(ShardQueryRequest(shard_id=shard, key=(1, 1, 1)))
+        assert answer.generation == backend.generation_of(shard)
 
 
 def _shard_batch_rounds(num_shards: int, num_rounds: int, seed: int):
@@ -416,13 +429,68 @@ def _shard_batch_rounds(num_shards: int, num_rounds: int, seed: int):
     return rounds
 
 
-@given(
+def _assert_ingestion_survives_a_kill(
+    point_lists, num_shards, batch_size, kill_after, victim, shared: bool
+) -> None:
+    """Ingest through socket-backed session(s), kill the worker serving one
+    shard at a flush boundary, and hold every session to the sequential map.
+
+    ``shared`` runs two sessions on one fleet of ``num_shards`` slots, so the
+    killed worker hosts a shard of each; otherwise one session on its
+    private pool."""
+    requests = _requests_from_point_lists(point_lists, priorities=[0], deadlines=[math.inf])
+    config = SessionConfig(
+        num_shards=num_shards, batch_size=batch_size, backend="socket"
+    ).with_resolution(0.25)
+    pool = BackendPool("socket", num_shards, **config.pool_options()) if shared else None
+    sessions = [MapSession("map", config, backend_pool=pool) for _ in range(2 if shared else 1)]
+    try:
+        for session in sessions:
+            for request in requests:
+                session.submit(request)
+        flushes = 0
+        killed = False
+        reports = [[] for _ in sessions]
+        while True:
+            if not killed and flushes == kill_after:
+                _kill_socket_primary(sessions[0].backend, victim % num_shards)
+                killed = True
+            flushed = [session.flush() for session in sessions]
+            if flushed[0] is None:
+                break
+            for log, report in zip(reports, flushed):
+                log.append(report)
+            flushes += 1
+        if not killed:  # fewer boundaries than drawn: kill right before export
+            _kill_socket_primary(sessions[0].backend, victim % num_shards)
+
+        by_id = {request.request_id: request for request in requests}
+        for session, log in zip(sessions, reports):
+            exported = session.export_octree()  # export must recover too
+            _assert_recovered_onto_adopted_generations(session.backend)
+            dispatched = [rid for report in log for rid in report.request_ids]
+            assert sorted(dispatched) == sorted(by_id)
+            reference = _reference_tree(session, [by_id[rid] for rid in dispatched])
+            tolerance = session.config.accelerator.fixed_point.scale / 2.0
+            comparison = compare_trees(reference, exported, tolerance)
+            assert comparison.equivalent, comparison.summary()
+    finally:
+        for session in sessions:
+            session.close()
+        if pool is not None:
+            pool.close()
+
+
+_kill_at_a_flush_boundary = given(
     point_lists=scans_strategy,
     num_shards=st.integers(min_value=1, max_value=3),
     batch_size=st.integers(min_value=1, max_value=3),
     kill_after=st.integers(min_value=0, max_value=3),
     victim=st.integers(min_value=0, max_value=2),
 )
+
+
+@_kill_at_a_flush_boundary
 @settings(max_examples=8, deadline=None)
 def test_socket_ingestion_survives_a_worker_kill_at_any_flush_boundary(
     point_lists, num_shards, batch_size, kill_after, victim
@@ -431,55 +499,25 @@ def test_socket_ingestion_survives_a_worker_kill_at_any_flush_boundary(
     boundary (hypothesis picks which) leaves a socket-backed session alive
     and its final map leaf-for-leaf equal to sequential insertion -- the
     headline equivalence property survives the failover."""
-    requests = _requests_from_point_lists(point_lists, priorities=[0], deadlines=[math.inf])
-    session = _build_session("fifo", num_shards, batch_size, 0.25, backend="socket")
-    try:
-        for request in requests:
-            session.submit(request)
-        flushes = 0
-        killed = False
-        reports = []
-        while True:
-            if not killed and flushes == kill_after:
-                _kill_socket_primary(session.backend, victim % num_shards)
-                killed = True
-            report = session.flush()
-            if report is None:
-                break
-            reports.append(report)
-            flushes += 1
-        if not killed:  # fewer boundaries than drawn: kill right before export
-            _kill_socket_primary(session.backend, victim % num_shards)
-        exported = session.export_octree()  # export must recover too
-
-        assert session.backend.failed is None, "recovery, not fail-stop"
-        assert session.backend.failovers >= 1
-
-        dispatched = [rid for report in reports for rid in report.request_ids]
-        assert sorted(dispatched) == sorted(r.request_id for r in requests)
-        by_id = {request.request_id: request for request in requests}
-        reference = _reference_tree(session, [by_id[rid] for rid in dispatched])
-        tolerance = session.config.accelerator.fixed_point.scale / 2.0
-        comparison = compare_trees(reference, exported, tolerance)
-        assert comparison.equivalent, comparison.summary()
-    finally:
-        session.close()
+    _assert_ingestion_survives_a_kill(
+        point_lists, num_shards, batch_size, kill_after, victim, shared=False
+    )
 
 
-@given(
-    num_shards=st.integers(min_value=1, max_value=3),
-    kill_round=st.integers(min_value=0, max_value=4),
-    victim=st.integers(min_value=0, max_value=2),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-@settings(max_examples=8, deadline=None)
-def test_socket_ticket_api_survives_a_mid_flight_worker_kill(
-    num_shards, kill_round, victim, seed
+@_kill_at_a_flush_boundary
+@settings(max_examples=6, deadline=None)
+def test_socket_fleet_ingestion_survives_a_worker_kill_with_a_co_tenant_on_the_slot(
+    point_lists, num_shards, batch_size, kill_after, victim
 ):
-    """Property: killing a worker *between* ``apply_async`` and ``drain`` --
-    with its slice genuinely in flight -- must recover (discard the dead
-    worker's half-advanced state, re-home, replay, re-send) and still land on
-    the bit-exact inline-reference map."""
+    """The same property for two sessions leasing from one shared socket
+    fleet: the killed worker hosted a shard of each, and *both* stay
+    leaf-for-leaf equal to sequential insertion."""
+    _assert_ingestion_survives_a_kill(
+        point_lists, num_shards, batch_size, kill_after, victim, shared=True
+    )
+
+
+def _assert_ticket_api_survives_a_kill(num_shards, kill_round, victim, seed, shared: bool) -> None:
     rounds = _shard_batch_rounds(num_shards, num_rounds=5, seed=seed)
 
     reference_backend = make_backend("inline", _BACKEND_CONFIG, num_shards)
@@ -490,26 +528,62 @@ def test_socket_ticket_api_survives_a_mid_flight_worker_kill(
     finally:
         reference_backend.close()
 
-    backend = make_backend("socket", _BACKEND_CONFIG, num_shards, snapshot_every_batches=2)
+    if shared:
+        pool = BackendPool("socket", num_shards, snapshot_every_batches=2)
+        backends = [pool.lease(name, _BACKEND_CONFIG, num_shards) for name in ("a", "b")]
+        close = pool.close
+    else:
+        backends = [make_backend("socket", _BACKEND_CONFIG, num_shards, snapshot_every_batches=2)]
+        close = backends[0].close
     try:
         for index, batches in enumerate(rounds):
-            ticket = backend.apply_async(batches)
+            tickets = [backend.apply_async(batches) for backend in backends]
             if index == min(kill_round, len(rounds) - 1):
-                _kill_socket_primary(backend, victim % num_shards)
-            results = backend.drain(ticket)
-            assert len(results) == num_shards
-        merged = merge_trees(backend.export_all())
-        # The ack may already have been buffered client-side when the worker
-        # died, in which case the *next* interaction (or the export) detects
-        # the death -- either way, exactly-once recovery must have happened
-        # by now.
-        assert backend.failed is None
-        assert backend.failovers >= 1
-        comparison = compare_trees(reference, merged, 0.0)
-        assert comparison.equivalent, comparison.summary()
-        assert comparison.max_abs_error == 0.0
+                _kill_socket_primary(backends[0], victim % num_shards)
+            for backend, ticket in zip(backends, tickets):
+                assert len(backend.drain(ticket)) == num_shards
+        for backend in backends:
+            merged = merge_trees(backend.export_all())
+            # The ack may already have been buffered client-side when the
+            # worker died, in which case the *next* interaction (or the
+            # export) detects the death -- either way, exactly-once recovery
+            # must have happened by now.
+            _assert_recovered_onto_adopted_generations(backend)
+            comparison = compare_trees(reference, merged, 0.0)
+            assert comparison.equivalent, comparison.summary()
+            assert comparison.max_abs_error == 0.0
     finally:
-        backend.close()
+        close()
+
+
+_kill_mid_flight = given(
+    num_shards=st.integers(min_value=1, max_value=3),
+    kill_round=st.integers(min_value=0, max_value=4),
+    victim=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+
+
+@_kill_mid_flight
+@settings(max_examples=8, deadline=None)
+def test_socket_ticket_api_survives_a_mid_flight_worker_kill(
+    num_shards, kill_round, victim, seed
+):
+    """Property: killing a worker *between* ``apply_async`` and ``drain`` --
+    with its slice genuinely in flight -- must recover (discard the dead
+    worker's half-advanced state, re-home, replay, re-send) and still land on
+    the bit-exact inline-reference map."""
+    _assert_ticket_api_survives_a_kill(num_shards, kill_round, victim, seed, shared=False)
+
+
+@_kill_mid_flight
+@settings(max_examples=6, deadline=None)
+def test_socket_fleet_ticket_api_survives_a_mid_flight_kill_with_a_co_tenant_on_the_slot(
+    num_shards, kill_round, victim, seed
+):
+    """The same property with two leases of one shared socket fleet both in
+    flight on the killed worker."""
+    _assert_ticket_api_survives_a_kill(num_shards, kill_round, victim, seed, shared=True)
 
 
 @pytest.mark.slow
@@ -533,7 +607,7 @@ def test_process_backend_fail_stops_on_worker_kill_at_any_point(
         for batches in rounds[:kill_at]:
             backend.apply_shard_batches(batches)
         ticket = backend.apply_async(rounds[kill_at])
-        process = backend.processes[victim % num_shards]
+        process = backend.pool.engine.channels.processes[victim % num_shards]
         process.terminate()
         process.join(timeout=10.0)
         with pytest.raises(ShardBackendError, match="died") as info:

@@ -1,10 +1,12 @@
-"""Chaos tests: the socket backend under injected transport/worker faults.
+"""Chaos tests: socket backend pools under injected transport/worker faults.
 
 Each test arms a precise fault at a precise protocol step through the
 ``chaos`` fixture (see ``faultinject.py``) and asserts two things: the
 session *survives* (detect-and-recover, not fail-stop), and the map it
 serves afterwards is leaf-for-leaf identical to the same workload ingested
-with no faults at all.
+with no faults at all.  Every case runs on a session's private pool and
+again on a shared fleet where a second session has shards on the faulted
+slot: one guarantee, both ways of holding a lease.
 """
 
 from __future__ import annotations
@@ -62,19 +64,44 @@ def _reference_leaves(rounds):
     return tree
 
 
-def _drive_and_compare(chaos: ChaosHarness, rounds, **backend_kwargs):
-    """Ingest every round through a chaos-wrapped backend; assert equivalence."""
+def _leases(chaos: ChaosHarness, shared: bool, **pool_kwargs):
+    """``(leases, close)``: one private lease, or two tenants of one shared
+    fleet of NUM_SHARDS slots -- each slot then hosts a shard of both."""
+    if not shared:
+        backend = chaos.make_backend(CONFIG, NUM_SHARDS, **pool_kwargs)
+        return [backend], backend.close
+    pool = chaos.make_pool(NUM_SHARDS, **pool_kwargs)
+    leases = [pool.lease(name, CONFIG, NUM_SHARDS) for name in ("first", "second")]
+    assert {lease.slot_of(1) for lease in leases} == {1}, "co-tenants on every slot"
+    return leases, pool.close
+
+
+def _assert_matches(reference, backend) -> None:
+    report = compare_trees(reference, merge_trees(backend.export_all()), 0.0)
+    assert report.equivalent, report.summary()
+    assert report.max_abs_error == 0.0
+
+
+def _drive_and_compare(chaos: ChaosHarness, rounds, shared=False, export_fault=None, **pool_kwargs):
+    """Ingest every round through chaos-wrapped lease(s); assert every lease's
+    map equals the fault-free reference and lands on its adopted generations.
+    ``export_fault`` is armed after the last round, so it fires on an export.
+    Returns each lease's ``failover_stats()``."""
     reference = _reference_leaves(rounds)
-    backend = chaos.make_backend(CONFIG, NUM_SHARDS, **backend_kwargs)
+    leases, close = _leases(chaos, shared, **pool_kwargs)
     try:
         for batches in rounds:
-            backend.apply_shard_batches(batches)
-        report = compare_trees(reference, merge_trees(backend.export_all()), 0.0)
-        assert report.equivalent, report.summary()
-        assert report.max_abs_error == 0.0
-        return backend.failover_stats()
+            for lease in leases:
+                lease.apply_shard_batches(batches)
+        if export_fault is not None:
+            chaos.arm(export_fault)
+        for lease in leases:
+            _assert_matches(reference, lease)
+            assert lease.failed is None, "recovery, not fail-stop"
+            assert [lease.generation_of(s) for s in range(NUM_SHARDS)] == [len(rounds)] * NUM_SHARDS
+        return [lease.failover_stats() for lease in leases]
     finally:
-        backend.close()
+        close()
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +111,7 @@ def test_kill_before_apply_recovers_and_matches(chaos):
     """Worker dies before the slice is applied: recovery must re-send it."""
     rounds = _rounds()
     chaos.arm(Fault(KILL_WORKER, phase="send", verb="apply", shard_id=1))
-    stats = _drive_and_compare(chaos, rounds, snapshot_every_batches=2)
+    (stats,) = _drive_and_compare(chaos, rounds, snapshot_every_batches=2)
     assert stats["failovers"] == 1
     assert len(chaos.fired) == 1
 
@@ -96,7 +123,7 @@ def test_kill_after_apply_discards_the_half_advanced_worker(chaos):
     log-odds drift against the fault-free reference."""
     rounds = _rounds()
     chaos.arm(Fault(KILL_WORKER, phase="recv", verb="apply", shard_id=0))
-    stats = _drive_and_compare(chaos, rounds, snapshot_every_batches=2)
+    (stats,) = _drive_and_compare(chaos, rounds, snapshot_every_batches=2)
     assert stats["failovers"] == 1
 
 
@@ -105,14 +132,14 @@ def test_dropped_reply_triggers_rehoming_not_corruption(chaos):
     re-home and re-send rather than wait forever or double-count."""
     rounds = _rounds()
     chaos.arm(Fault(DROP_REPLY, phase="recv", verb="apply", shard_id=1))
-    stats = _drive_and_compare(chaos, rounds, snapshot_every_batches=2)
+    (stats,) = _drive_and_compare(chaos, rounds, snapshot_every_batches=2)
     assert stats["failovers"] == 1
 
 
 def test_severed_connection_mid_message_recovers(chaos):
     rounds = _rounds()
     chaos.arm(Fault(SEVER_CONNECTION, phase="recv", verb="apply", shard_id=0))
-    stats = _drive_and_compare(chaos, rounds, snapshot_every_batches=3)
+    (stats,) = _drive_and_compare(chaos, rounds, snapshot_every_batches=3)
     assert stats["failovers"] == 1
 
 
@@ -121,70 +148,147 @@ def test_delayed_reply_is_not_a_failure(chaos):
     timeout must cause no failover at all."""
     rounds = _rounds(num_rounds=3)
     chaos.arm(Fault(DELAY_REPLY, phase="recv", verb="apply", shard_id=0, delay_s=0.2))
-    stats = _drive_and_compare(chaos, rounds)
+    (stats,) = _drive_and_compare(chaos, rounds)
     assert stats["failovers"] == 0
 
 
-def test_stalled_heartbeat_triggers_recovery(chaos):
-    """A heartbeat that misses its deadline re-homes the shard even though
-    no apply was in flight."""
-    backend = chaos.make_backend(
-        CONFIG, NUM_SHARDS, heartbeat_interval_s=0.01, heartbeat_timeout_s=0.2
+def _assert_stalled_heartbeat_recovers(chaos, shared: bool):
+    leases, close = _leases(
+        chaos, shared, heartbeat_interval_s=0.01, heartbeat_timeout_s=0.2
     )
     try:
         rounds = _rounds(num_rounds=2)
-        backend.apply_shard_batches(rounds[0])
+        for lease in leases:
+            lease.apply_shard_batches(rounds[0])
         import time
 
         time.sleep(0.05)  # let the heartbeat interval elapse
         chaos.arm(Fault(STALL_HEARTBEAT, phase="recv", verb="ping", delay_s=0.3))
         # The next dispatch health-checks first; the stalled ping must
-        # recover the shard, then the flush proceeds normally.
-        backend.apply_shard_batches(rounds[1])
-        stats = backend.failover_stats()
+        # recover the slot, then the flush proceeds normally.
+        for lease in leases:
+            lease.apply_shard_batches(rounds[1])
+        stats = leases[0].failover_stats()
         assert stats["heartbeat_probes"] >= 1
         assert stats["heartbeat_failures"] == 1
-        assert stats["failovers"] == 1
         reference = _reference_leaves(rounds)
-        report = compare_trees(reference, merge_trees(backend.export_all()), 0.0)
-        assert report.equivalent, report.summary()
+        for lease in leases:
+            # Every tenant of the stalled slot was rehydrated with it.
+            assert lease.failover_stats()["failovers"] == 1
+            _assert_matches(reference, lease)
     finally:
-        backend.close()
+        close()
+
+
+def test_stalled_heartbeat_triggers_recovery(chaos):
+    """A heartbeat that misses its deadline re-homes the shard even though
+    no apply was in flight."""
+    _assert_stalled_heartbeat_recovers(chaos, shared=False)
+
+
+def test_stalled_heartbeat_on_a_shared_fleet_recovers_every_tenant(chaos):
+    _assert_stalled_heartbeat_recovers(chaos, shared=True)
 
 
 def test_kill_during_export_reserves_from_recovered_state(chaos):
+    (stats,) = _drive_and_compare(
+        chaos,
+        _rounds(num_rounds=3),
+        export_fault=Fault(KILL_WORKER, phase="recv", verb="export", shard_id=1),
+        snapshot_every_batches=2,
+    )
+    assert stats["failovers"] == 1
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        Fault(KILL_WORKER, phase="send", verb="apply", shard_id=1),
+        Fault(KILL_WORKER, phase="recv", verb="apply", shard_id=0),
+        Fault(DROP_REPLY, phase="recv", verb="apply", shard_id=1),
+        Fault(SEVER_CONNECTION, phase="recv", verb="apply", shard_id=0),
+        Fault(KILL_WORKER, phase="recv", verb="export", shard_id=1),
+    ],
+    ids=["kill-before-apply", "kill-after-apply", "dropped-ack", "severed", "kill-during-export"],
+)
+def test_shared_fleet_fault_recovers_both_tenants_of_the_slot(chaos, fault):
+    """The single-fault cases above, on a shared fleet: the fault hits one
+    tenant's exchange, and the slot's *other* tenant -- whose shard died with
+    the same worker -- must come back leaf-for-leaf too, each lease counting
+    the recovery of its own shard."""
+    on_export = fault.verb == "export"
+    if not on_export:
+        chaos.arm(fault)
+    both = _drive_and_compare(
+        chaos,
+        _rounds(),
+        shared=True,
+        export_fault=fault if on_export else None,
+        snapshot_every_batches=2,
+    )
+    assert [stats["failovers"] for stats in both] == [1, 1]
+    assert len(chaos.fired) == 1
+
+
+@pytest.mark.parametrize("snapshots_before_kill", [0, 1], ids=["first-shard", "second-shard"])
+def test_kill_during_snapshot_keeps_every_batch_acknowledged_in_the_exchange(
+    chaos, snapshots_before_kill
+):
+    """Both shards of one lease share the only slot, so one flush is one
+    exchange acknowledging both.  The worker dies during a cadence snapshot
+    that follows it: the replacement must hold *both* acknowledged batches,
+    the shard whose snapshot had not been reached yet included."""
     rounds = _rounds(num_rounds=3)
     reference = _reference_leaves(rounds)
-    backend = chaos.make_backend(CONFIG, NUM_SHARDS, snapshot_every_batches=2)
+    pool = chaos.make_pool(1, snapshot_every_batches=1)
     try:
+        lease = pool.lease("map", CONFIG, NUM_SHARDS)
+        chaos.arm(
+            *[Fault(DELAY_REPLY, phase="recv", verb="snapshot")] * snapshots_before_kill,
+            Fault(KILL_WORKER, phase="recv", verb="snapshot"),
+        )
         for batches in rounds:
-            backend.apply_shard_batches(batches)
-        chaos.arm(Fault(KILL_WORKER, phase="recv", verb="export", shard_id=1))
-        report = compare_trees(reference, merge_trees(backend.export_all()), 0.0)
-        assert report.equivalent, report.summary()
-        assert backend.failovers == 1
+            lease.apply_shard_batches(batches)
+        assert len(chaos.fired) == snapshots_before_kill + 1
+        _assert_matches(reference, lease)
+        assert lease.failed is None, "recovery, not fail-stop"
+        assert [lease.generation_of(s) for s in range(NUM_SHARDS)] == [len(rounds)] * NUM_SHARDS
+        assert lease.failover_stats()["failovers"] == NUM_SHARDS, "one per shard on the slot"
     finally:
-        backend.close()
+        pool.close()
 
 
 # ---------------------------------------------------------------------------
 # Exhaustion and determinism
 # ---------------------------------------------------------------------------
+def _assert_killing_every_worker_fail_stops(chaos, shared: bool):
+    leases, close = _leases(chaos, shared, standby_workers=0)
+    try:
+        rounds = _rounds(num_rounds=1)
+        for lease in leases:
+            lease.apply_shard_batches(rounds[0])
+        for handle in chaos.handles.values():
+            handle.kill()
+        for lease in leases:
+            with pytest.raises(ShardBackendError, match="no live worker") as info:
+                lease.apply_shard_batches(rounds[0])
+            assert info.value.shard_id is not None
+            assert info.value.worker_id is not None
+            assert lease.failed is not None
+            with pytest.raises(ShardBackendError, match="fail-stop"):
+                lease.export_all()
+    finally:
+        close()
+
+
 def test_killing_every_worker_fail_stops_with_structured_error(chaos):
     """Failover degrades gracefully until no live worker remains -- then the
     old fail-stop contract applies, with the shard named in the error."""
-    backend = chaos.make_backend(CONFIG, NUM_SHARDS, standby_workers=0)
-    try:
-        rounds = _rounds(num_rounds=1)
-        backend.apply_shard_batches(rounds[0])
-        for handle in backend.owned_workers:
-            handle.kill()
-        with pytest.raises(ShardBackendError, match="no live worker") as info:
-            backend.apply_shard_batches(rounds[0])
-        assert info.value.shard_id is not None
-        assert backend.failed is not None
-    finally:
-        backend.close()
+    _assert_killing_every_worker_fail_stops(chaos, shared=False)
+
+
+def test_killing_every_worker_fail_stops_every_tenant_of_a_shared_fleet(chaos):
+    _assert_killing_every_worker_fail_stops(chaos, shared=True)
 
 
 def test_seeded_fault_plans_are_deterministic():
@@ -194,15 +298,24 @@ def test_seeded_fault_plans_are_deterministic():
     assert plan_a != random_fault_plan(seed=8, num_shards=4, num_faults=5)
 
 
+def _assert_random_plan_survives(chaos, seed: int, shared: bool):
+    rounds = _rounds(num_rounds=6)
+    chaos.arm(*random_fault_plan(seed=seed, num_shards=NUM_SHARDS, num_faults=2))
+    # Two faults can kill both primaries; give the pool enough standbys.
+    for stats in _drive_and_compare(
+        chaos, rounds, shared=shared, standby_workers=3, snapshot_every_batches=2
+    ):
+        assert stats["failovers"] >= 1
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_random_fault_plan_survives_and_stays_equivalent(chaos, seed):
     """Whole seeded plans (kills, drops, severs at random shards/phases):
     as long as a live worker remains, the map must match the fault-free
     reference exactly."""
-    rounds = _rounds(num_rounds=6)
-    chaos.arm(*random_fault_plan(seed=seed, num_shards=NUM_SHARDS, num_faults=2))
-    # Two faults can kill both primaries; give the backend enough standbys.
-    stats = _drive_and_compare(
-        chaos, rounds, standby_workers=3, snapshot_every_batches=2
-    )
-    assert stats["failovers"] >= 1
+    _assert_random_plan_survives(chaos, seed, shared=False)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_fault_plan_on_a_shared_fleet_keeps_every_tenant_equivalent(chaos, seed):
+    _assert_random_plan_survives(chaos, seed, shared=True)

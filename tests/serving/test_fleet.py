@@ -7,10 +7,10 @@ Three families of guarantees:
 * **O(W) OS resources** -- a fleet of W slots serves hundreds of sessions
   with W pool threads / W worker processes, and heavy session churn leaks
   neither threads nor file descriptors.
-* **Leaf-for-leaf equivalence** -- a session leasing from a fleet produces
-  exactly the map an owned-backend session produces, on every fleet kind
-  (hypothesis explores inline/thread; deterministic cases pin process and
-  socket, which pay real worker start-up per example).
+* **Leaf-for-leaf equivalence** -- a session leasing from a shared fleet
+  produces exactly the map a session on its private pool produces, on every
+  kind (hypothesis explores inline/thread; deterministic cases pin process
+  and socket, which pay real worker start-up per example).
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def test_session_id_reuse_allocates_fresh_global_ids():
 
 
 def test_gids_stay_hidden_from_the_session_interface():
-    """A lease looks exactly like an owned backend: shard ids are local."""
+    """Nothing a session sees is in gids: shard ids are local end to end."""
     with BackendPool("inline", fleet_workers=2) as pool:
         view = pool.lease("alpha", _OMU_CONFIG, num_shards=3)
         try:
@@ -113,8 +113,13 @@ def test_gids_stay_hidden_from_the_session_interface():
             for shard_id in range(3):
                 assert view.generation_of(shard_id) == 0
                 assert 0 <= view.slot_of(shard_id) < pool.num_slots
-            # The hosted workers carry the fleet-global ids under the hood.
-            assert [worker.shard_id for worker in view.workers] == list(view.gids)
+            # The gids only name where the workers are hosted: the workers
+            # themselves (and every message they exchange) keep local ids.
+            other = pool.lease("beta", _OMU_CONFIG, num_shards=2)
+            assert set(view.gids).isdisjoint(other.gids)
+            assert [worker.shard_id for worker in view.workers] == [0, 1, 2]
+            assert [worker.shard_id for worker in other.workers] == [0, 1]
+            other.close()
         finally:
             view.close()
 
@@ -196,7 +201,7 @@ def test_session_churn_leaks_no_threads_or_descriptors():
 
 
 # ---------------------------------------------------------------------------
-# Leaf-for-leaf equivalence: fleet lease == owned backend
+# Leaf-for-leaf equivalence: shared-fleet lease == private pool
 # ---------------------------------------------------------------------------
 def _ingest_and_export(config: SessionConfig, requests, backend_pool=None):
     session = MapSession("map", config, backend_pool=backend_pool)
@@ -234,8 +239,8 @@ def test_fleet_lease_is_leaf_for_leaf_identical_to_owned_backend(
 ):
     """Property: for any workload, any shard count and any fleet size --
     including fleets smaller than the shard count, where slots host several
-    shards -- a leased session's map equals the owned inline session's map
-    exactly (zero tolerance)."""
+    shards -- the map of a session leasing from a shared fleet equals the
+    map of an inline session on its private pool exactly (zero tolerance)."""
     requests = [
         ScanRequest(
             session_id="map",
@@ -246,12 +251,12 @@ def test_fleet_lease_is_leaf_for_leaf_identical_to_owned_backend(
         )
         for index, points in enumerate(point_lists)
     ]
-    owned_config = SessionConfig(num_shards=num_shards, batch_size=batch_size).with_resolution(0.25)
-    owned = _ingest_and_export(owned_config, requests)
-    fleet_config = owned_config.with_backend(fleet_backend).with_fleet(fleet_workers)
+    private_config = SessionConfig(num_shards=num_shards, batch_size=batch_size).with_resolution(0.25)
+    private = _ingest_and_export(private_config, requests)
+    fleet_config = private_config.with_backend(fleet_backend).with_fleet(fleet_workers)
     with BackendPool(fleet_backend, fleet_workers=fleet_workers) as pool:
         leased = _ingest_and_export(fleet_config, requests, backend_pool=pool)
-    report = compare_trees(owned, leased, 0.0)
+    report = compare_trees(private, leased, 0.0)
     assert report.equivalent, f"{fleet_backend} fleet: {report.summary()}"
     assert report.max_abs_error == 0.0
 
@@ -262,9 +267,9 @@ def test_fleet_lease_matches_owned_backend_across_worker_boundaries(fleet_backen
     start-up per run keeps these deterministic rather than hypothesis-swept):
     two sessions sharing one 2-slot fleet both match the inline reference."""
     requests = _requests(3)
-    owned_config = SessionConfig(num_shards=3, batch_size=2).with_resolution(0.25)
-    owned = _ingest_and_export(owned_config, requests)
-    fleet_config = owned_config.with_backend(fleet_backend).with_fleet(2)
+    private_config = SessionConfig(num_shards=3, batch_size=2).with_resolution(0.25)
+    owned = _ingest_and_export(private_config, requests)
+    fleet_config = private_config.with_backend(fleet_backend).with_fleet(2)
     with BackendPool(fleet_backend, fleet_workers=2) as pool:
         first = _ingest_and_export(fleet_config, requests, backend_pool=pool)
         second = _ingest_and_export(fleet_config, requests, backend_pool=pool)
@@ -275,8 +280,8 @@ def test_fleet_lease_matches_owned_backend_across_worker_boundaries(fleet_backen
 
 
 def test_manager_builds_one_fleet_per_backend_and_size():
-    """Sessions with the same (backend, fleet size) share one pool; owned
-    sessions (fleet_workers=0) create none."""
+    """Sessions with the same (backend, fleet size) share one pool; sessions
+    that do not share (fleet_workers=0) create none."""
     manager = MapSessionManager()
     try:
         fleet_2 = SessionConfig(num_shards=2, backend="thread", fleet_workers=2)
@@ -286,6 +291,9 @@ def test_manager_builds_one_fleet_per_backend_and_size():
         manager.create_session("b", fleet_2)
         manager.create_session("c", fleet_3)
         manager.create_session("d", owned)
+        # A field the thread kind ignores does not shape its pool: no third
+        # set of W threads for it.
+        manager.create_session("e", replace(fleet_3, snapshot_every_batches=2, standby_workers=0))
         assert len(manager.fleets) == 2
         sizes = sorted(pool.num_slots for pool in manager.fleets)
         assert sizes == [2, 3]
@@ -294,3 +302,57 @@ def test_manager_builds_one_fleet_per_backend_and_size():
     finally:
         manager.shutdown()
     assert manager.fleets == ()
+
+
+def test_manager_never_joins_sessions_with_differently_shaped_fleets():
+    """Regression: the shared pool was keyed on (backend, fleet size) only, so
+    a config naming other worker endpoints or other recovery settings silently
+    joined the first config's fleet -- running on workers it never named."""
+    from repro.serving import spawn_local_worker
+
+    handles = [spawn_local_worker() for _ in range(4)]
+    endpoints = [handle.endpoint for handle in handles]
+    manager = MapSessionManager()
+    try:
+        base = SessionConfig(num_shards=2, fleet_workers=2).with_workers(endpoints[:2])
+        manager.create_session("a", base)
+        manager.create_session("b", base)  # same shape: same fleet
+        assert len(manager.fleets) == 1
+        manager.create_session("c", base.with_workers(endpoints[2:]))
+        manager.create_session("d", replace(base, snapshot_every_batches=2))
+        manager.create_session("e", replace(base, heartbeat_timeout_s=1.0, standby_workers=0))
+        assert len(manager.fleets) == 4
+        assert sorted(pool.active_leases for pool in manager.fleets) == [1, 1, 1, 2]
+        # Each fleet runs on the workers its own config named, with the
+        # cadence its own config set.
+        by_session = {sid: manager.get_session(sid).backend.pool for sid in "acd"}
+        homes = {
+            sid: {str(e) for e in pool.engine.channels.registry.endpoints}
+            for sid, pool in by_session.items()
+        }
+        assert homes["a"] == set(endpoints[:2]) and homes["c"] == set(endpoints[2:])
+        assert by_session["a"].engine.snapshot_every_batches == 8
+        assert by_session["d"].engine.snapshot_every_batches == 2
+    finally:
+        manager.shutdown()
+        for handle in handles:
+            handle.stop()
+
+
+def test_private_pool_is_sized_to_the_session_and_dies_with_its_lease():
+    """fleet_workers=0: the session's backend is the only lease of a pool it
+    owns -- one slot per shard, closed (workers reaped) with the lease."""
+    config = SessionConfig(num_shards=3, backend="process").with_resolution(0.25)
+    session = MapSession("map", config)
+    pool = session.backend.pool
+    processes = list(pool.engine.channels.processes)
+    try:
+        assert (pool.num_slots, pool.active_leases, session.backend.owns_pool) == (3, 1, True)
+        assert [session.backend.slot_of(shard) for shard in range(3)] == [0, 1, 2]
+        assert session.backend.name == session.stats.backend_name == "process"
+    finally:
+        session.close()
+    assert pool.closed and pool.active_leases == 0
+    assert all(not process.is_alive() for process in processes)
+    with pytest.raises(ShardBackendError):
+        pool.lease("late", _OMU_CONFIG, num_shards=1)

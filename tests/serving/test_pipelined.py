@@ -15,7 +15,6 @@ import pytest
 from repro.core.config import DEFAULT_CONFIG
 from repro.serving import (
     MapSession,
-    ProcessPoolBackend,
     ScanRequest,
     SessionConfig,
     ShardBackendError,
@@ -27,6 +26,11 @@ from repro.serving import (
 CONFIG = DEFAULT_CONFIG.with_resolution(0.25)
 
 ALL_BACKENDS = ["inline", "thread", "process"]
+
+
+def _processes(backend):
+    """The worker processes behind a process-kind lease (its pool's seam)."""
+    return backend.pool.engine.channels.processes
 
 
 def _batch_for_shard(backend, shard_id, n=64, occupied=True):
@@ -281,36 +285,37 @@ def test_manager_round_robin_drains_pipelined_sessions():
 # Crash injection: worker death with a batch in flight
 # ---------------------------------------------------------------------------
 def test_worker_death_with_batch_in_flight_surfaces_on_next_operation():
-    backend = ProcessPoolBackend(CONFIG, num_shards=2)
+    backend = make_backend("process", CONFIG, num_shards=2)
+    processes = list(_processes(backend))
     try:
         ticket = backend.apply_async(
             [_batch_for_shard(backend, shard, n=256) for shard in range(2)]
         )
-        backend.processes[0].terminate()
-        backend.processes[0].join(timeout=5.0)
+        processes[0].terminate()
+        processes[0].join(timeout=5.0)
         # The drain either sees the broken pipe, or -- if the worker's ack
         # raced ahead of the kill -- the very next interaction's health check
         # reports the death.  Either way the error never goes unnoticed.
         with pytest.raises(ShardBackendError, match="worker process died"):
             backend.drain(ticket)
             backend.query_key(ShardQueryRequest(shard_id=1, key=(5, 5, 5)))
-        assert backend.failed is not None or not backend.processes[0].is_alive()
+        assert backend.failed is not None or not processes[0].is_alive()
     finally:
         backend.close()
-    assert all(not process.is_alive() for process in backend.processes)
+    assert all(not process.is_alive() for process in processes)
 
 
 def test_worker_death_mid_flight_fail_stops_queries_on_every_shard():
     """No query may return a half-applied generation: once the drain failed,
     even shards whose slice *did* apply refuse to answer (fail-stop), because
     the map as a whole no longer matches the sequential reference."""
-    backend = ProcessPoolBackend(CONFIG, num_shards=2)
+    backend = make_backend("process", CONFIG, num_shards=2)
     try:
         backend.apply_async(
             [_batch_for_shard(backend, shard, n=256) for shard in range(2)]
         )
-        backend.processes[0].terminate()
-        backend.processes[0].join(timeout=5.0)
+        _processes(backend)[0].terminate()
+        _processes(backend)[0].join(timeout=5.0)
         with pytest.raises(ShardBackendError):
             backend.drain()
             backend.query_key(ShardQueryRequest(shard_id=0, key=(1, 1, 1)))
@@ -332,8 +337,8 @@ def test_worker_death_mid_flight_fail_stops_queries_on_every_shard():
 
 
 def test_close_with_batch_in_flight_reaps_all_children():
-    backend = ProcessPoolBackend(CONFIG, num_shards=3)
-    processes = list(backend.processes)
+    backend = make_backend("process", CONFIG, num_shards=3)
+    processes = list(_processes(backend))
     backend.apply_async([_batch_for_shard(backend, 0, n=256)])
     backend.close()
     assert all(not process.is_alive() for process in processes)
@@ -350,7 +355,7 @@ def test_pipelined_session_surfaces_worker_death_and_reaps_on_close():
             session.submit(request)
         session.flush()  # leaves a batch in flight
         assert session.backend.in_flight is not None
-        for process in session.backend.processes:
+        for process in _processes(session.backend):
             process.terminate()
             process.join(timeout=5.0)
         # The in-flight death surfaces on the next operation (here a query,
@@ -360,6 +365,6 @@ def test_pipelined_session_surfaces_worker_death_and_reaps_on_close():
         with pytest.raises(ShardBackendError):
             session.flush_all()
     finally:
-        processes = list(session.backend.processes)
+        processes = list(_processes(session.backend))
         session.close()
     assert all(not process.is_alive() for process in processes)

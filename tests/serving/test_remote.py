@@ -3,7 +3,7 @@
 Bottom-up coverage of every layer the failover path stands on: the framed
 transport and its failure taxonomy, the shard worker server protocol, the
 worker registry's re-homing policy, the replay log, snapshot/restore
-round-trips, and the socket backend's worker lifecycle (reaping owned
+round-trips, and the socket pool's worker lifecycle (reaping owned
 workers, detaching from external ones, snapshot cadence).
 """
 
@@ -13,6 +13,7 @@ import contextlib
 import pickle
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -20,13 +21,12 @@ import pytest
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.verification import compare_trees
-from repro.serving import ShardBackendError, ShardUpdateBatch, make_backend
+from repro.serving import BackendPool, ShardBackendError, ShardUpdateBatch, make_backend
 from repro.serving.remote import (
     MAX_FRAME_BYTES,
     NoLiveWorkerError,
     ReplayLog,
     ShardWorkerServer,
-    SocketBackend,
     Transport,
     TransportClosed,
     TransportError,
@@ -171,14 +171,14 @@ class TestShardWorkerServer:
         with _server_connection() as (server, transport):
             hello = _ok(transport.request("hello"))
             assert hello == {"worker_id": server.worker_id, "shards": []}
-            _ok(transport.request("attach", (2, CONFIG)))
+            _ok(transport.request("attach", 2, (2, CONFIG)))
             assert _ok(transport.request("hello"))["shards"] == [2]
 
     def test_attach_apply_query_export_roundtrip(self):
         with _server_connection() as (_server, transport):
-            _ok(transport.request("attach", (0, CONFIG)))
+            _ok(transport.request("attach", 0, (0, CONFIG)))
             batch = _batch(0)
-            ack = _ok(transport.request("apply", batch))
+            ack = _ok(transport.request("apply", 0, batch))
             assert ack.generation == 1
             assert ack.updates_applied == len(batch)
             exported = _ok(transport.request("export", 0))
@@ -191,16 +191,19 @@ class TestShardWorkerServer:
         local.apply_message(_batch(1, salt=1))
         snapshot = local.snapshot_message()
         with _server_connection() as (_server, transport):
-            assert _ok(transport.request("restore", (snapshot, CONFIG))) == 1
-            exported = _ok(transport.request("export", 1))
+            # Hosted under gid 7: the gid names the worker, the worker keeps
+            # the snapshot's own shard id.
+            assert _ok(transport.request("restore", 7, (snapshot, CONFIG))) == 7
+            exported = _ok(transport.request("export", 7))
+            assert exported.shard_id == 1
             assert exported.generation == local.generation
             _assert_trees_equal(local.export_octree(), exported.tree)
 
     def test_detached_shard_is_gone(self):
         with _server_connection() as (_server, transport):
-            _ok(transport.request("attach", (0, CONFIG)))
+            _ok(transport.request("attach", 0, (0, CONFIG)))
             _ok(transport.request("detach", 0))
-            status, payload = transport.request("apply", _batch(0))
+            status, payload = transport.request("apply", 0, _batch(0))
             assert status == "error"
             assert "not hosted" in payload["message"]
 
@@ -208,12 +211,12 @@ class TestShardWorkerServer:
         with _server_connection() as (_server, transport):
             status, payload = transport.request("bogus")
             assert status == "error"
-            assert "unknown worker command" in payload["message"]
+            assert "unknown shard command" in payload["message"]
             assert "ValueError" in payload["traceback"]
 
     def test_worker_exception_is_reported_not_fatal(self):
         with _server_connection() as (_server, transport):
-            status, _ = transport.request("apply", _batch(0))  # never attached
+            status, _ = transport.request("apply", 0, _batch(0))  # never attached
             assert status == "error"
             # The connection must survive a worker-side error.
             assert _ok(transport.request("ping")) == "pong"
@@ -222,10 +225,10 @@ class TestShardWorkerServer:
         """After a failover, a survivor hosts a re-homed shard next to its
         own; the server side must keep the two cleanly separated."""
         with _server_connection() as (_server, transport):
-            _ok(transport.request("attach", (0, CONFIG)))
-            _ok(transport.request("attach", (1, CONFIG)))
-            _ok(transport.request("apply", _batch(0)))
-            ack = _ok(transport.request("apply", _batch(1, salt=3)))
+            _ok(transport.request("attach", 0, (0, CONFIG)))
+            _ok(transport.request("attach", 1, (1, CONFIG)))
+            _ok(transport.request("apply", 0, _batch(0)))
+            ack = _ok(transport.request("apply", 1, _batch(1, salt=3)))
             assert ack.shard_id == 1
             tree_0 = _ok(transport.request("export", 0)).tree
             tree_1 = _ok(transport.request("export", 1)).tree
@@ -252,11 +255,11 @@ class TestShardWorkerServer:
     def test_kill_drops_port_and_state(self):
         server = ShardWorkerServer().start()
         transport = Transport.connect(server.host, server.port, timeout_s=10.0)
-        _ok(transport.request("attach", (0, CONFIG)))
+        _ok(transport.request("attach", 0, (0, CONFIG)))
         server.kill()
         transport.close()
         assert not server.alive
-        assert server._workers == {}
+        assert server.shards.hosted() == []
         with pytest.raises(TransportError):
             Transport.connect(server.host, server.port, connect_timeout_s=1.0)
 
@@ -344,27 +347,26 @@ class TestWorkerRegistry:
 # ---------------------------------------------------------------------------
 class TestReplayLog:
     def test_tails_accumulate_per_shard_in_order(self):
-        log = ReplayLog(2)
-        first, second, other = _batch(0), _batch(0, salt=1), _batch(1)
-        log.record(first)
-        log.record(other)
-        log.record(second)
-        assert log.tail(0) == (first, second)
-        assert log.tail(1) == (other,)
-        assert log.tail_length(0) == 2
-        assert log.tail_updates(0) == len(first) + len(second)
+        # Keyed by gid: two sessions' shard 0 never share a tail.
+        log = ReplayLog()
+        first, second, other = _batch(0), _batch(0, salt=1), _batch(0, salt=2)
+        log.record(4, first)
+        log.record(9, other)
+        log.record(4, second)
+        assert log.tail(4) == (first, second)
+        assert log.tail(9) == (other,)
+        assert log.tail_length(4) == 2
+        assert log.tail_updates(4) == len(first) + len(second)
+        assert (log.tail(5), log.tail_length(5), log.tail_updates(5)) == ((), 0, 0)
 
     def test_truncate_clears_only_one_shard(self):
-        log = ReplayLog(2)
-        log.record(_batch(0))
-        log.record(_batch(1))
+        log = ReplayLog()
+        log.record(0, _batch(0))
+        log.record(1, _batch(1))
         log.truncate(0)
+        log.truncate(0)  # idempotent
         assert log.tail(0) == ()
         assert log.tail_length(1) == 1
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            ReplayLog(0)
 
 
 # ---------------------------------------------------------------------------
@@ -460,28 +462,32 @@ class TestSnapshotRestore:
 
 
 # ---------------------------------------------------------------------------
-# Socket backend lifecycle
+# Socket pool lifecycle
 # ---------------------------------------------------------------------------
 class TestSocketBackendLifecycle:
     def test_close_reaps_owned_workers(self):
         backend = make_backend("socket", CONFIG, 2)
-        assert isinstance(backend, SocketBackend)
-        handles = list(backend.owned_workers)
+        handles = list(backend.pool.engine.channels.owned_workers)
         assert len(handles) == 3  # 2 primaries + 1 default standby
         backend.apply_shard_batches([_batch(0), _batch(1)])
         backend.close()
         assert all(not handle.alive for handle in handles)
 
-    def test_external_workers_are_detached_not_stopped(self):
-        """Closing a session must give externally managed workers back
-        empty, not kill them -- they belong to whoever spawned them."""
+    def _assert_external_workers_come_back_empty(self, shared: bool):
         handles = [spawn_local_worker() for _ in range(2)]
+        endpoints = [handle.endpoint for handle in handles]
         try:
-            backend = SocketBackend(
-                CONFIG, 2, endpoints=[handle.endpoint for handle in handles]
-            )
+            if shared:
+                pool = BackendPool("socket", 2, endpoints=endpoints)
+                backend = pool.lease("map", CONFIG, 2)
+                abandoned = pool.lease("never-closed", CONFIG, 2)
+                abandoned.apply_shard_batches([_batch(0), _batch(1)])
+            else:
+                backend = make_backend("socket", CONFIG, 2, endpoints=endpoints)
+                pool = backend.pool
             backend.apply_shard_batches([_batch(0), _batch(1)])
             backend.close()
+            pool.close()
             for handle in handles:
                 assert handle.alive
                 probe = Transport.connect(
@@ -495,29 +501,52 @@ class TestSocketBackendLifecycle:
             for handle in handles:
                 handle.stop()
 
+    def test_external_workers_are_detached_not_stopped(self):
+        """Closing a session must give externally managed workers back
+        empty, not kill them -- they belong to whoever spawned them."""
+        self._assert_external_workers_come_back_empty(shared=False)
+
+    def test_shared_pool_close_detaches_even_leases_nobody_closed(self):
+        self._assert_external_workers_come_back_empty(shared=True)
+
     def test_snapshot_cadence_bounds_the_replay_tail(self):
-        backend = SocketBackend(CONFIG, 1, snapshot_every_batches=2)
+        backend = make_backend("socket", CONFIG, 1, snapshot_every_batches=2)
         try:
             for salt in range(5):
                 backend.apply_shard_batches([_batch(0, salt=salt)])
             stats = backend.failover_stats()
             assert stats["snapshots_taken"] == 2  # after batches 2 and 4
-            assert backend.replay_log.tail_length(0) == 1  # only batch 5 left
+            replay_log = backend.pool.engine.replay_log
+            assert replay_log.tail_length(backend.gids[0]) == 1  # only batch 5 left
             assert stats["failovers"] == 0
         finally:
             backend.close()
 
     def test_empty_flushes_do_not_grow_the_replay_tail(self):
-        backend = SocketBackend(CONFIG, 2, snapshot_every_batches=100)
+        backend = make_backend("socket", CONFIG, 2, snapshot_every_batches=100)
         try:
             backend.apply_shard_batches([_batch(0)])
             backend.apply_shard_batches(
                 [ShardUpdateBatch(shard_id=0, entries=()), _batch(1)]
             )
-            assert backend.replay_log.tail_length(0) == 1
-            assert backend.replay_log.tail_length(1) == 1
+            replay_log = backend.pool.engine.replay_log
+            assert replay_log.tail_length(backend.gids[0]) == 1
+            assert replay_log.tail_length(backend.gids[1]) == 1
         finally:
             backend.close()
+
+    def test_released_lease_leaves_no_recovery_state_behind(self):
+        """Session churn on a shared socket fleet must not grow the engine's
+        replay log or shard table."""
+        with BackendPool("socket", 1, snapshot_every_batches=100) as pool:
+            for _ in range(3):
+                lease = pool.lease("churn", CONFIG, 1)
+                lease.apply_shard_batches([_batch(0)])
+                gid = lease.gids[0]
+                assert pool.engine.replay_log.tail_length(gid) == 1
+                lease.close()
+                assert pool.engine.replay_log.tail_length(gid) == 0
+            assert pool.attached_shards == 0
 
     def test_unreachable_endpoint_fails_fast_at_construction(self):
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -525,18 +554,20 @@ class TestSocketBackendLifecycle:
         port = probe.getsockname()[1]
         probe.close()
         with pytest.raises((TransportError, ShardBackendError)):
-            SocketBackend(
-                CONFIG,
-                1,
-                endpoints=[f"127.0.0.1:{port}"],
-                standby_workers=0,
-                connect_timeout_s=1.0,
+            make_backend(
+                "socket", CONFIG, 1, endpoints=[f"127.0.0.1:{port}"], standby_workers=0
             )
 
     def test_invalid_knobs_rejected(self):
+        before = threading.active_count()
         with pytest.raises(ValueError):
-            SocketBackend(CONFIG, 1, snapshot_every_batches=0)
+            make_backend("socket", CONFIG, 1, snapshot_every_batches=0)
         with pytest.raises(ValueError):
-            SocketBackend(CONFIG, 1, heartbeat_interval_s=0.0)
+            make_backend("socket", CONFIG, 1, heartbeat_interval_s=0.0)
         with pytest.raises(ValueError):
-            SocketBackend(CONFIG, 1, standby_workers=-1)
+            make_backend("socket", CONFIG, 1, standby_workers=-1)
+        # A rejected configuration spawned no worker it then leaked.
+        assert threading.active_count() <= before
+        with pytest.raises(ValueError, match="shape a private pool"):
+            with BackendPool("socket", 1) as pool:
+                make_backend("socket", CONFIG, 1, fleet=pool, standby_workers=3)

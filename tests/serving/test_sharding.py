@@ -75,3 +75,95 @@ def test_shard_index_matches_address_generator(config):
     for point in ((0.4, 0.4, 0.4), (-5.0, 3.0, 1.0), (7.7, -7.7, 0.1)):
         key = router.converter.coord_to_key(*point)
         assert router.shard_for_key(key) == generator.shard_index(key, 5, 3)
+
+
+# ---------------------------------------------------------------------------
+# ShardHost: the one verb handler behind every transport
+# ---------------------------------------------------------------------------
+def _batch(shard_id: int, x: int = 32768) -> "ShardUpdateBatch":
+    from repro.serving import ShardUpdateBatch
+
+    return ShardUpdateBatch(shard_id=shard_id, entries=((x, 32768, 32768, True),))
+
+
+def test_host_serves_the_verbs_under_a_gid_and_keeps_local_shard_ids(config):
+    from repro.serving import ShardHost, ShardQueryRequest
+
+    host = ShardHost()
+    # Two sessions' shard 1, side by side under different gids.
+    assert host.handle("attach", 40, (1, config)) == 40
+    assert host.handle("attach", 41, (1, config)) == 41
+    assert host.hosted() == [40, 41]
+    ack = host.handle("apply", 40, _batch(1))
+    assert (ack.shard_id, ack.generation, ack.updates_applied) == (1, 1, 1)
+    request = ShardQueryRequest(shard_id=1, key=(32768, 32768, 32768))
+    assert host.handle("query", 40, request).status == "occupied"
+    assert host.handle("query", 41, request).status == "unknown"  # never shared
+    assert host.handle("export", 40).shard_id == 1
+    assert host.handle("snapshot", 40).generation == 1
+    assert host.handle("ping") == "pong"
+    assert host.worker(40).shard_id == 1
+
+
+def test_host_unknown_verb_and_unknown_gid_raise(config):
+    from repro.serving import ShardHost
+
+    host = ShardHost()
+    with pytest.raises(ValueError, match="unknown shard command 'selfdestruct'"):
+        host.handle("selfdestruct", 0, None)
+    for verb in ("apply", "query", "export", "snapshot"):
+        with pytest.raises(KeyError, match="gid 7 is not hosted"):
+            host.handle(verb, 7, _batch(0))
+    # The wire form reports instead of raising, with the worker's traceback;
+    # a malformed message is reported the same way.
+    status, payload = host.reply(("apply", 7, _batch(0)))
+    assert status == "error" and "not hosted" in payload["message"]
+    assert "KeyError" in payload["traceback"]
+    assert host.reply("garbage")[0] == "error"
+    assert host.reply(("ping", None, None)) == ("ok", "pong")
+
+
+def test_host_restore_then_apply_continues_the_generation(config):
+    from repro.serving import ShardHost
+
+    source = ShardHost()
+    source.handle("attach", 3, (0, config))
+    source.handle("apply", 3, _batch(0))
+    source.handle("apply", 3, _batch(0, x=32770))
+    snapshot = source.handle("snapshot", 3)
+    assert snapshot.generation == 2
+
+    host = ShardHost()
+    # Rehydrated under another gid on another host: the gid is only a name.
+    assert host.handle("restore", 9, (snapshot, config)) == 9
+    ack = host.handle("apply", 9, _batch(0, x=32772))
+    assert (ack.shard_id, ack.generation) == (0, 3)
+    # A restore over a hosted gid replaces it (recovery restarts from the image).
+    host.handle("restore", 9, (snapshot, config))
+    assert host.handle("export", 9).generation == 2
+
+
+def test_host_detach_of_an_absent_gid_is_a_no_op(config):
+    from repro.serving import ShardHost
+
+    host = ShardHost()
+    assert host.handle("detach", 5) == 5
+    host.handle("attach", 5, (0, config))
+    assert host.handle("detach", 5) == 5
+    assert host.handle("detach", 5) == 5
+    assert host.hosted() == []
+
+
+def test_host_misrouted_message_still_trips_the_workers_own_check(config):
+    """Routing is by gid, out of band; the message's local shard id must
+    still match the worker hosted under that gid."""
+    from repro.serving import ShardHost, ShardQueryRequest
+
+    host = ShardHost()
+    host.handle("attach", 10, (0, config))
+    host.handle("attach", 11, (1, config))
+    with pytest.raises(ValueError, match="batch for shard 1 delivered to shard 0"):
+        host.handle("apply", 10, _batch(1))
+    with pytest.raises(ValueError, match="query for shard 0 delivered to shard 1"):
+        host.handle("query", 11, ShardQueryRequest(shard_id=0, key=(1, 1, 1)))
+    assert host.handle("export", 10).generation == 0  # nothing was applied
