@@ -25,11 +25,7 @@ from repro.analysis.metrics import (
     speedup,
 )
 from repro.analysis.service import (
-    DEFAULT_BENCH_CLIENTS,
     DEFAULT_SERVICE_CLIENTS,
-    backend_scaling_experiment,
-    frontend_scaling_experiment,
-    run_async_service_workload,
     run_service_workload,
     service_scaling_experiment,
     write_benchmark_json,
@@ -37,9 +33,7 @@ from repro.analysis.service import (
 from repro.analysis.tables import format_quantity, render_bar_chart, render_table
 
 __all__ = [
-    "DEFAULT_BENCH_CLIENTS",
     "DEFAULT_SERVICE_CLIENTS",
-    "backend_scaling_experiment",
     "write_benchmark_json",
     "SCALES",
     "DatasetEvaluation",
@@ -56,10 +50,8 @@ __all__ = [
     "normalise_breakdown",
     "power_budget",
     "relative_error",
-    "frontend_scaling_experiment",
     "render_bar_chart",
     "render_table",
-    "run_async_service_workload",
     "run_service_workload",
     "service_scaling_experiment",
     "speedup",

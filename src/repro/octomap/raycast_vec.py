@@ -23,7 +23,10 @@ same pre-dedup visit count for the stats layer.  The arithmetic deliberately
 mirrors the scalar path operation for operation (same epsilon, same division
 order, same floor/truncation) so the property suite can pin the two paths
 against each other bit for bit.  The scalar implementation stays as the
-verification reference behind ``SessionConfig(scalar_frontend=True)``.
+paper's software baseline and as the oracle of the equivalence suites
+(``tests/octomap/test_raycast_vec.py``,
+``tests/serving/test_frontend_equivalence.py``, ``benchmarks/e2e``); the
+serving runtime never calls it.
 """
 
 from __future__ import annotations

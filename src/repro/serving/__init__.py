@@ -74,8 +74,8 @@ kind selected by ``SessionConfig(backend=...)`` (or ``repro-serve --backend
 * ``"process"`` -- worker processes, each hosting shards' accelerators;
   flushes fan update batches out to all of them at once and exports gather
   in parallel.  Pick it for throughput: sustained multi-scan ingestion on
-  multi-core hosts (it overtakes ``inline`` from ~4 shards on the default
-  workload -- see ``python -m repro.analysis.service``).  Worker start-up
+  multi-core hosts (compare the ``ingest_inline`` and ``ingest_process``
+  workloads of ``python3 benchmarks/e2e/run.py``).  Worker start-up
   and per-batch pickling make it a poor fit for tiny maps or one-scan
   sessions.  Worker death is fail-stop.
 * ``"socket"`` -- TCP worker endpoints (``repro-serve-worker``), reachable

@@ -507,6 +507,9 @@ class AsyncMapService:
         """
         self._ensure_open()
         entry = self._entry(request.session_id, create=auto_create)
+        # Before the quota charge and the queue: the flusher must never pop
+        # a request its pipeline would refuse.
+        entry.session.pipeline.validate(request)
         stats = entry.session.stats
         config = entry.session.config
         timer = self._timer()
@@ -811,22 +814,15 @@ class AsyncMapService:
         return self.manager.render_stats()
 
 
-async def submit_interleaved_stream(
-    service: AsyncMapService,
-    events,
-    on_receipt=None,
-) -> int:
+async def submit_interleaved_stream(service: AsyncMapService, events) -> int:
     """Replay a multi-client scan stream as concurrent submitter coroutines.
 
-    The canonical async driver shared by ``repro-serve --async`` and the
-    :mod:`repro.analysis.service` front-end sweep: ``events`` is an iterable
+    The async driver of ``repro-serve --async``: ``events`` is an iterable
     of :class:`~repro.datasets.streams.StreamEvent`-shaped records (anything
     with ``client_id`` / ``session_id`` / ``scan`` / ``max_range_m`` /
     ``priority``); each client becomes one coroutine submitting its own
     events in order and yielding between submits, so clients genuinely
-    interleave with each other and with the flusher tasks.  ``on_receipt``
-    (if given) is called after every admission as ``on_receipt(event,
-    receipt, admit_seconds)`` -- the hook the latency-metering sweep uses.
+    interleave with each other and with the flusher tasks.
     Returns the number of requests submitted; does not flush.
     """
     per_client: Dict[str, List] = {}
@@ -842,10 +838,7 @@ async def submit_interleaved_stream(
                 priority=event.priority,
                 client_id=event.client_id,
             )
-            started = time.perf_counter()
-            receipt = await service.submit(request)
-            if on_receipt is not None:
-                on_receipt(event, receipt, time.perf_counter() - started)
+            await service.submit(request)
             await asyncio.sleep(0)
 
     await asyncio.gather(*(run_client(ev) for ev in per_client.values()))

@@ -14,13 +14,12 @@ The pipeline sits between request admission and the shard workers:
    inline reference backend, concurrently for the pool backends).
 
 The front end is the batched numpy pipeline of
-:mod:`repro.octomap.raycast_vec` by default: all rays of *every scan in the
-flush* step through one batched DDA as arrays (a scan-id lane keeps
-de-duplication per scan) and de-duplicate with one ``np.unique`` per scan.
-``scalar_frontend=True`` (``SessionConfig.scalar_frontend`` /
-``repro-serve --scalar-frontend``) routes flushes through the per-ray scalar
-reference instead; both paths emit byte-identical per-shard update streams,
-which the front-end equivalence property suite pins.
+:mod:`repro.octomap.raycast_vec`: all rays of *every scan in the flush* step
+through one batched DDA as arrays (a scan-id lane keeps de-duplication per
+scan) and de-duplicate with one ``np.unique`` per scan.  The per-ray scalar
+kernel (:mod:`repro.octomap.scan_insertion`) is not reachable from here; the
+front-end equivalence suite computes the expected per-shard streams with it
+and compares them with what this pipeline dispatched.
 
 De-duplication is deliberately *per scan*, not per batch: the clamped
 log-odds update saturates, so collapsing two same-voxel updates from
@@ -55,10 +54,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.scheduler import VoxelUpdateRequest
 from repro.octomap.counters import OperationCounters
 from repro.octomap.raycast_vec import compute_batch_update_arrays, unpack_key_array
-from repro.octomap.scan_insertion import compute_update_keys_for_converter
 from repro.serving.backends import ShardBackend
 from repro.serving.schedulers import IngestScheduler
 from repro.serving.sharding import ShardRouter
@@ -118,7 +115,6 @@ class IngestionPipeline:
         pipelined: bool = False,
         metrics=None,
         tenant: Optional[str] = None,
-        scalar_frontend: bool = False,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
@@ -138,10 +134,6 @@ class IngestionPipeline:
         #: finalized batch emits one ``batch_apply`` record into it.
         self.metrics = metrics
         self.tenant = tenant if tenant is not None else session_id
-        #: True routes every flush through the scalar reference front end
-        #: (:func:`compute_update_keys_for_converter`); False (the default)
-        #: uses the batched numpy front end of :mod:`repro.octomap.raycast_vec`.
-        self.scalar_frontend = scalar_frontend
         # The key converter is derived from the router once per session, not
         # once per flush; the stats counter makes a regression back to
         # per-flush derivation visible.
@@ -154,8 +146,26 @@ class IngestionPipeline:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
+    def validate(self, request: ScanRequest) -> None:
+        """Refuse a scan the front end could not ray-cast.
+
+        A sensor origin outside the mappable volume (non-finite included)
+        makes the batched DDA raise once the scan is popped, which would take
+        every co-batched scan down with it -- so it is refused here, before
+        anything is queued.
+
+        Raises:
+            ValueError: if the origin lies outside the mappable volume.
+        """
+        if not self.converter.is_coordinate_in_range(*request.origin):
+            raise ValueError(
+                f"scan origin {tuple(request.origin)!r} outside the mappable volume "
+                f"(+/- {self.converter.max_coordinate} m)"
+            )
+
     def submit(self, request: ScanRequest) -> IngestReceipt:
         """Admit one scan request into the scheduler."""
+        self.validate(request)
         self.scheduler.push(request)
         depth = len(self.scheduler)
         self.stats.queue_high_water = max(self.stats.queue_high_water, depth)
@@ -243,7 +253,7 @@ class IngestionPipeline:
         started = time.perf_counter()
         requests: List[ScanRequest] = []
         request_ids: List[int] = []
-        scans = points = rays = visits = 0
+        scans = points = rays = 0
         converter = self.converter
         dda_counters = OperationCounters()
         deadline_misses = 0
@@ -261,74 +271,43 @@ class IngestionPipeline:
             points += len(request.cloud)
             rays += len(request.cloud)
 
-        if self.scalar_frontend:
-            stream: List[VoxelUpdateRequest] = []
-            for request in requests:
-                free_keys, occupied_keys = compute_update_keys_for_converter(
-                    converter,
-                    request.cloud,
-                    request.origin,
-                    max_range=request.max_range,
-                    counters=dda_counters,
-                )
-                # Pre-dedup visits: every DDA step is one free-voxel visit,
-                # and each surviving endpoint voxel is one occupied visit.
-                visits += len(occupied_keys)
-                # The per-scan segment mirrors the accelerator's own issue
-                # order: free voxels first, occupied voxels last, both in
-                # sorted key order (occupied keys were already removed from
-                # the free set).
-                stream.extend(
-                    VoxelUpdateRequest(key, occupied=False) for key in sorted(free_keys)
-                )
-                stream.extend(
-                    VoxelUpdateRequest(key, occupied=True) for key in sorted(occupied_keys)
-                )
-        else:
-            # All popped scans ride one batched DDA: the loop overhead of the
-            # traversal is paid once per flush, not once per scan.
-            scan_arrays = compute_batch_update_arrays(
-                converter,
-                [(request.cloud.points, request.origin, request.max_range) for request in requests],
-                counters=dda_counters,
-            )
-            segments: List[np.ndarray] = []
-            segment_flags: List[np.ndarray] = []
-            for scan in scan_arrays:
-                visits += int(scan.occupied_packed.size)
-                # Packed codes sort exactly like OcTreeKeys, and np.unique
-                # already sorted both halves, so this segment is the same
-                # free-then-occupied sorted order the scalar branch emits.
-                segments.append(np.concatenate((scan.free_packed, scan.occupied_packed)))
-                flags = np.zeros(segments[-1].size, dtype=bool)
-                flags[scan.free_packed.size :] = True
-                segment_flags.append(flags)
-        visits += dda_counters.ray_steps
+        # All popped scans ride one batched DDA: the loop overhead of the
+        # traversal is paid once per flush, not once per scan.
+        scan_arrays = compute_batch_update_arrays(
+            converter,
+            [(request.cloud.points, request.origin, request.max_range) for request in requests],
+            counters=dda_counters,
+        )
+        # Pre-dedup visits: every DDA step is one free-voxel visit, and each
+        # surviving endpoint voxel is one occupied visit.
+        visits = dda_counters.ray_steps
+        segments: List[np.ndarray] = []
+        segment_flags: List[np.ndarray] = []
+        for scan in scan_arrays:
+            visits += int(scan.occupied_packed.size)
+            # The per-scan segment mirrors the accelerator's own issue order:
+            # free voxels first, occupied voxels last, both in sorted key
+            # order (packed codes sort exactly like OcTreeKeys, np.unique
+            # already sorted both halves, and occupied keys were already
+            # removed from the free set).
+            segments.append(np.concatenate((scan.free_packed, scan.occupied_packed)))
+            flags = np.zeros(segments[-1].size, dtype=bool)
+            flags[scan.free_packed.size :] = True
+            segment_flags.append(flags)
 
-        if self.scalar_frontend:
-            per_shard = self.router.partition(stream)
-            batches = [
-                ShardUpdateBatch.from_updates(shard_id, shard_stream)
-                for shard_id, shard_stream in enumerate(per_shard)
-            ]
-            voxel_updates = len(stream)
-            shard_updates = tuple(len(shard_stream) for shard_stream in per_shard)
+        if segments:
+            keys = unpack_key_array(np.concatenate(segments))
+            flags = np.concatenate(segment_flags)
         else:
-            if segments:
-                keys = unpack_key_array(np.concatenate(segments))
-                flags = np.concatenate(segment_flags)
-            else:
-                keys = np.empty((0, 3), dtype=np.int64)
-                flags = np.empty(0, dtype=bool)
-            per_shard_arrays = self.router.partition_key_arrays(keys, flags)
-            batches = [
-                ShardUpdateBatch.from_key_arrays(shard_id, shard_keys, shard_flags)
-                for shard_id, (shard_keys, shard_flags) in enumerate(per_shard_arrays)
-            ]
-            voxel_updates = int(keys.shape[0])
-            shard_updates = tuple(
-                int(shard_keys.shape[0]) for shard_keys, _ in per_shard_arrays
-            )
+            keys = np.empty((0, 3), dtype=np.int64)
+            flags = np.empty(0, dtype=bool)
+        per_shard_arrays = self.router.partition_key_arrays(keys, flags)
+        batches = [
+            ShardUpdateBatch.from_key_arrays(shard_id, shard_keys, shard_flags)
+            for shard_id, (shard_keys, shard_flags) in enumerate(per_shard_arrays)
+        ]
+        voxel_updates = int(keys.shape[0])
+        shard_updates = tuple(int(shard_keys.shape[0]) for shard_keys, _ in per_shard_arrays)
         return _PreparedBatch(
             request_ids=request_ids,
             scans=scans,

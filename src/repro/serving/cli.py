@@ -117,15 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
             "on multi-core hosts with the process backend)"
         ),
     )
-    parser.add_argument(
-        "--scalar-frontend",
-        action="store_true",
-        help=(
-            "route ingestion through the per-ray scalar reference front end "
-            "instead of the batched numpy pipeline (same maps, ~10x slower; "
-            "the A/B escape hatch for verification and benchmarking)"
-        ),
-    )
     parser.add_argument("--shards", type=int, default=2, help="shard workers per session (default 2)")
     parser.add_argument(
         "--fleet-workers",
@@ -278,7 +269,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pipelined=args.pipeline,
             scheduler_policy=args.scheduler,
             batch_size=args.batch_size,
-            scalar_frontend=args.scalar_frontend,
             workers=tuple(
                 endpoint.strip()
                 for endpoint in args.workers.split(",")

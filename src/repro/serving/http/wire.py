@@ -384,6 +384,27 @@ _CONFIG_FIELDS = (
 )
 
 
+def _require_json_type(name: str, value, default) -> None:
+    """Refuse a JSON value whose type differs from the default field's.
+
+    ``replace`` would take anything: the string ``"false"`` is truthy and a
+    fractional ``batch_size`` survives until something indexes with it.  A
+    float field takes any JSON number; ``bool`` is never a number here; a
+    field defaulting to ``None`` (``mp_start_method``) takes a string or null.
+    """
+    if default is None:
+        accepted: Tuple[type, ...] = (str, type(None))
+    elif isinstance(default, float):
+        accepted = (int, float)
+    else:
+        accepted = (type(default),)
+    if type(value) not in accepted:
+        raise TypeError(
+            f"{name} must be {' or '.join(kind.__name__ for kind in accepted)}, "
+            f"got {type(value).__name__} {value!r}"
+        )
+
+
 def session_config_from_payload(
     default: SessionConfig, payload: Optional[Mapping]
 ) -> Optional[SessionConfig]:
@@ -408,8 +429,11 @@ def session_config_from_payload(
             f"allowed: {sorted(_CONFIG_FIELDS + ('resolution_m',))}",
         )
     try:
+        for name, value in overrides.items():
+            _require_json_type(name, value, getattr(default, name))
         config = replace(default, **overrides)
         if resolution is not None:
+            _require_json_type("resolution_m", resolution, default.accelerator.resolution_m)
             config = config.with_resolution(float(resolution))
     except (TypeError, ValueError) as error:
         raise HttpError(400, "bad_config", f"bad session config: {error}") from None

@@ -91,12 +91,6 @@ class SessionConfig:
         quota_burst_s: quota bucket capacity as seconds of budget -- after
             idling, a tenant may burst ``quota_points_per_s * quota_burst_s``
             points at once.
-        scalar_frontend: route ingestion through the per-ray scalar front
-            end (the verification reference) instead of the batched numpy
-            pipeline of :mod:`repro.octomap.raycast_vec`.  Both produce
-            byte-identical per-shard update streams; the scalar path is an
-            order of magnitude slower and exists for A/B verification and
-            benchmarking (``repro-serve --scalar-frontend``).
         workers: ``host:port`` endpoints of ``repro-serve-worker`` processes
             for the ``"socket"`` backend, in shard order; endpoints beyond
             ``num_shards`` are standbys for failover.  Empty (the default)
@@ -147,7 +141,6 @@ class SessionConfig:
     tenant: str = ""
     quota_points_per_s: float = 0.0
     quota_burst_s: float = 1.0
-    scalar_frontend: bool = False
     workers: Tuple[str, ...] = ()
     standby_workers: int = 1
     snapshot_every_batches: int = 8
@@ -201,10 +194,6 @@ class SessionConfig:
     def with_pipelined(self, pipelined: bool = True) -> "SessionConfig":
         """Copy with double-buffered (pipelined) ingestion toggled."""
         return replace(self, pipelined=pipelined)
-
-    def with_scalar_frontend(self, scalar_frontend: bool = True) -> "SessionConfig":
-        """Copy with the scalar reference front end toggled."""
-        return replace(self, scalar_frontend=scalar_frontend)
 
     def with_workers(self, workers: Sequence[str]) -> "SessionConfig":
         """Copy served by the socket backend over the given worker endpoints."""
@@ -290,7 +279,6 @@ class MapSession:
             pipelined=self.config.pipelined,
             metrics=metrics,
             tenant=self.tenant,
-            scalar_frontend=self.config.scalar_frontend,
         )
         self.cache = GenerationLRUCache(
             self.config.cache_capacity, negative_ttl_s=self.config.negative_ttl_s

@@ -2,8 +2,9 @@
 
 Everything a client exchanges with :class:`~repro.serving.manager.
 MapSessionManager` is a small immutable dataclass defined here, so the
-session, pipeline, query-engine and stats layers share one vocabulary and the
-wire format of a future RPC front end is already pinned down.
+session, pipeline, query-engine and stats layers share one vocabulary; the
+HTTP front end's JSON codecs (:mod:`repro.serving.http.wire`) map these
+types to and from the network.
 
 The ``Shard*`` messages at the bottom are the *internal* wire format between
 a session and its shard execution backend
@@ -18,9 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from repro.core.scheduler import VoxelUpdateRequest
 from repro.octomap.pointcloud import PointCloud, ScanNode
 
 __all__ = [
@@ -273,25 +273,11 @@ class ShardUpdateBatch:
     entries: Tuple[Tuple[int, int, int, bool], ...]
 
     @classmethod
-    def from_updates(
-        cls, shard_id: int, updates: Sequence[VoxelUpdateRequest]
-    ) -> "ShardUpdateBatch":
-        """Pack an ordered update stream for the wire."""
-        return cls(
-            shard_id=shard_id,
-            entries=tuple(
-                (update.key.x, update.key.y, update.key.z, update.occupied)
-                for update in updates
-            ),
-        )
-
-    @classmethod
     def from_key_arrays(cls, shard_id: int, keys, occupied) -> "ShardUpdateBatch":
         """Pack an ``(N, 3)`` key array plus ``(N,)`` occupied flags for the wire.
 
-        ``tolist()`` converts the numpy scalars to plain ints/bools, so the
-        resulting entries are byte-identical (and pickle-identical) to what
-        :meth:`from_updates` builds from the equivalent request stream.
+        ``tolist()`` converts the numpy scalars to plain ints/bools, so no
+        numpy object is pickled onto a pipe or socket.
         """
         return cls(
             shard_id=shard_id,

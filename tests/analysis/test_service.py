@@ -4,16 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.analysis import run_service_workload, service_scaling_experiment
-from repro.analysis.service import (
-    backend_scaling_experiment,
-    frontend_scaling_experiment,
-    frontend_vectorized_experiment,
-    http_frontend_experiment,
-    main,
-    run_async_service_workload,
-    write_benchmark_json,
-)
+from repro.analysis.service import main, session_scaling_experiment, write_benchmark_json
 from repro.datasets.streams import ClientSpec
 
 TINY_CLIENTS = (
@@ -51,245 +45,99 @@ def test_service_scaling_experiment_table_shape():
         assert latencies[2] <= latencies[1] * 1.001, (policy, latencies)
 
 
-def test_backend_scaling_experiment_covers_backend_x_shards_x_mode():
-    result = backend_scaling_experiment(
-        TINY_CLIENTS,
-        backends=("inline", "thread", "process"),
-        shard_counts=(1, 2),
-    )
-    assert result.experiment_id == "backend_scaling"
-    # backends x shard counts x {blocking, pipelined}
-    assert len(result.rows) == 12
-    assert all(len(row) == len(result.headers) for row in result.rows)
-    records = result.records()
-    assert {r["Backend"] for r in records} == {"inline", "thread", "process"}
-    assert {r["Mode"] for r in records} == {"blocking", "pipelined"}
-    # Every backend and mode dispatched the same updates (equivalence).
-    assert len({r["Updates"] for r in records}) == 1
-    # Wall-clock columns are populated and positive.
-    assert all(r["Ingest wall (s)"] > 0 and r["Updates/s (wall)"] > 0 for r in records)
-    # Blocking rows are their own pipeline baseline; inline blocking is the
-    # cross-backend baseline.
-    assert all(r["Pipeline gain"] == 1.0 for r in records if r["Mode"] == "blocking")
-    assert all(
-        r["Speedup vs inline"] == 1.0
-        for r in records
-        if r["Backend"] == "inline" and r["Mode"] == "blocking"
-    )
-
-
-def test_backend_scaling_experiment_can_pin_one_mode():
-    result = backend_scaling_experiment(
-        TINY_CLIENTS, backends=("inline",), shard_counts=(1,), modes=(True,)
-    )
-    records = result.records()
-    assert len(records) == 1
-    assert records[0]["Mode"] == "pipelined"
-    # No blocking baseline in the sweep -> the gain column degrades politely.
-    assert records[0]["Pipeline gain"] == "n/a"
-
-
-def test_run_async_service_workload_matches_sync_updates():
-    sync_manager = run_service_workload(TINY_CLIENTS, num_shards=2, query_rounds=0)
-    async_manager, latencies = run_async_service_workload(TINY_CLIENTS, num_shards=2)
-    assert (
-        async_manager.service_stats.total_voxel_updates()
-        == sync_manager.service_stats.total_voxel_updates()
-    )
-    assert len(latencies) == sum(spec.num_scans for spec in TINY_CLIENTS)
-    assert all(latency >= 0.0 for latency in latencies)
-    stats = list(async_manager.service_stats)
-    assert sum(block.async_submits for block in stats) == len(latencies)
-
-
-def test_frontend_scaling_experiment_covers_sync_vs_async():
-    result = frontend_scaling_experiment(
-        client_counts=(1, 2), scans_per_client=1, num_shards=1, batch_size=1
-    )
-    assert result.experiment_id == "frontend_scaling"
-    # {sync, async} x client counts
-    assert len(result.rows) == 4
-    assert all(len(row) == len(result.headers) for row in result.rows)
-    records = result.records()
-    assert {r["Front end"] for r in records} == {"sync", "async"}
-    assert {r["Clients"] for r in records} == {1, 2}
-    # Same stream -> same maps -> same dispatched updates per client count.
-    by_count = {}
-    for r in records:
-        by_count.setdefault(r["Clients"], set()).add(r["Updates"])
-    assert all(len(updates) == 1 for updates in by_count.values())
-    # The headline claim: async admission does not hold the client for the
-    # whole ingest path.  Sync "admit" latency *is* ingestion; async stays
-    # orders of magnitude below it even with concurrent clients.
-    for count in (1, 2):
-        sync_row = next(r for r in records if r["Front end"] == "sync" and r["Clients"] == count)
-        async_row = next(r for r in records if r["Front end"] == "async" and r["Clients"] == count)
-        assert async_row["Mean admit (ms)"] < sync_row["Mean admit (ms)"]
-    assert "sync vs async" in result.title
-
-
 def test_write_benchmark_json_round_trips(tmp_path):
-    result = backend_scaling_experiment(TINY_CLIENTS, backends=("inline",), shard_counts=(1,))
-    path = write_benchmark_json(result, tmp_path / "BENCH_serving.json")
+    result = service_scaling_experiment(
+        TINY_CLIENTS, scheduler_policies=("fifo",), shard_counts=(1,)
+    )
+    path = write_benchmark_json([result], tmp_path / "BENCH_serving.json")
     payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["experiment_id"] == "backend_scaling"
-    assert payload["headers"] == list(result.headers)
-    assert payload["rows"] == [list(row) for row in result.rows]
     assert payload["environment"]["cpu_count"] >= 1
-    # Each row also travels as a self-describing record carrying the
-    # backend + pipeline flags by name.
-    assert payload["records"] == result.records()
-    for record in payload["records"]:
-        assert record["Backend"] == "inline"
-        assert record["Mode"] in ("blocking", "pipelined")
+    (entry,) = payload["experiments"]
+    assert entry["experiment_id"] == "service_scaling"
+    assert entry["headers"] == list(result.headers)
+    assert entry["rows"] == [list(row) for row in result.rows]
+    # Each row also travels as a self-describing record, fields by name.
+    assert entry["records"] == result.records()
+    for record in entry["records"]:
+        assert record["Scheduler"] == "fifo"
+        assert record["Shards"] == 1
 
 
 def test_write_benchmark_json_carries_extra_experiments(tmp_path):
-    primary = backend_scaling_experiment(TINY_CLIENTS, backends=("inline",), shard_counts=(1,))
-    extra = frontend_scaling_experiment(client_counts=(1,), scans_per_client=1, num_shards=1)
-    path = write_benchmark_json(primary, tmp_path / "BENCH_serving.json", extra_results=(extra,))
+    first = service_scaling_experiment(
+        TINY_CLIENTS, scheduler_policies=("fifo",), shard_counts=(1,)
+    )
+    second = session_scaling_experiment(
+        session_counts=(2,), fleet_workers=2, scans_per_session=1, arrival_rate_per_s=500.0
+    )
+    path = write_benchmark_json([first, second], tmp_path / "BENCH_serving.json")
     payload = json.loads(path.read_text(encoding="utf-8"))
-    # The established top-level schema still describes the primary result...
-    assert payload["experiment_id"] == "backend_scaling"
-    assert payload["rows"] == [list(row) for row in primary.rows]
-    # ... and the experiments list carries primary + extras by id.
     ids = [entry["experiment_id"] for entry in payload["experiments"]]
-    assert ids == ["backend_scaling", "frontend_scaling"]
-    frontend = payload["experiments"][1]
-    assert frontend["records"] == extra.records()
-    assert {r["Front end"] for r in frontend["records"]} == {"sync", "async"}
+    assert ids == ["service_scaling", "session_scaling"]
+    assert payload["experiments"][1]["records"] == second.records()
 
 
 def test_service_main_writes_json(tmp_path, capsys):
     out = tmp_path / "BENCH_serving.json"
     exit_code = main(
-        [
-            "--out", str(out),
-            "--backends", "inline",
-            "--shards", "1",
-            "--scans", "1",
-            "--clients", "1",
-            "--skip-scheduler-sweep",
-            "--skip-session-sweep",
-        ]
+        ["--out", str(out), "--session-counts", "2", "--fleet-workers", "2"]
     )
     assert exit_code == 0
     assert out.exists()
     captured = capsys.readouterr().out
-    assert "backend x shard-count x ingestion-mode" in captured
-    assert "admission front end (sync vs async)" in captured
+    assert "scheduler x shard-count sweep" in captured
+    assert "open-loop session-count sweep" in captured
     assert str(out) in captured
     payload = json.loads(out.read_text(encoding="utf-8"))
+    # No names given: all three, in the documented order.
     assert [entry["experiment_id"] for entry in payload["experiments"]] == [
-        "backend_scaling",
-        "frontend_scaling",
-        "http_frontend",
+        "service_scaling",
         "kill_recovery",
-        "metrics_overhead",
-        "frontend_vectorized",
+        "session_scaling",
     ]
-    failover = payload["experiments"][3]
+    failover = payload["experiments"][1]
     # Every cadence row recovered and re-verified leaf-for-leaf equivalence.
     assert failover["records"], "kill_recovery sweep produced no rows"
     assert all(r["Map equivalent"] == "yes" for r in failover["records"])
-    overhead = payload["experiments"][4]
-    # One row per instrumentation mode; both ingest the identical workload.
-    assert {r["Metrics"] for r in overhead["records"]} == {"on", "off"}
-    assert len({r["Updates"] for r in overhead["records"]}) == 1
-    http = payload["experiments"][2]
-    # {in-process, http} per client count, identical ingestion per pair.
-    assert {r["Transport"] for r in http["records"]} == {"in-process", "http"}
-    by_count = {}
-    for record in http["records"]:
-        by_count.setdefault(record["Clients"], set()).add(record["Updates"])
-    assert all(len(updates) == 1 for updates in by_count.values())
+    sessions = payload["experiments"][2]
+    assert [r["Sessions"] for r in sessions["records"]] == [2]
+    assert all(r["Fleet workers"] == 2 for r in sessions["records"])
 
 
-def test_service_main_can_skip_the_http_sweep(tmp_path, capsys):
+def test_service_main_runs_only_the_named_experiments(tmp_path, capsys):
     out = tmp_path / "BENCH_serving.json"
-    exit_code = main(
-        [
-            "--out", str(out),
-            "--backends", "inline",
-            "--shards", "1",
-            "--scans", "1",
-            "--clients", "1",
-            "--skip-scheduler-sweep",
-            "--skip-http-sweep",
-            "--skip-metrics-sweep",
-            "--skip-failover-sweep",
-            "--skip-session-sweep",
-        ]
-    )
-    assert exit_code == 0
+    assert main(["kill_recovery", "--out", str(out)]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
-    assert [entry["experiment_id"] for entry in payload["experiments"]] == [
-        "backend_scaling",
-        "frontend_scaling",
-        "frontend_vectorized",
-    ]
+    assert [entry["experiment_id"] for entry in payload["experiments"]] == ["kill_recovery"]
+    captured = capsys.readouterr().out
+    assert "worker kill" in captured
+    assert "session-count sweep" not in captured
 
 
-def test_frontend_vectorized_experiment_table_shape():
-    result = frontend_vectorized_experiment(TINY_CLIENTS, repeats=1)
-    assert result.experiment_id == "frontend_vectorized"
-    records = result.records()
-    assert [r["Front end"] for r in records] == ["scalar", "vectorized"]
-    scalar, vectorized = records
-    # Identical update streams is the whole point of the experiment.
-    assert scalar["Updates"] == vectorized["Updates"] > 0
-    assert scalar["Scans"] == vectorized["Scans"] == 2
-    assert scalar["Speedup vs scalar"] == 1.0
-    # The gated cell is the front-end wall ratio.
-    speedup = vectorized["Speedup vs scalar"]
-    assert isinstance(speedup, float)
-    assert speedup == scalar["Frontend wall (s)"] / vectorized["Frontend wall (s)"]
-    for record in records:
-        assert 0.0 <= record["Frontend share (%)"] <= 100.0
-        assert record["Updates/s (wall)"] > 0.0
+def test_service_main_rejects_an_unknown_experiment(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["backend_scaling", "--out", str(tmp_path / "unused.json")])
+    assert exit_info.value.code == 2
+    assert "unknown experiment" in capsys.readouterr().err
+    assert not (tmp_path / "unused.json").exists()
 
 
-def test_service_main_frontend_gate_fails_when_unmet(tmp_path, capsys):
-    out = tmp_path / "BENCH_gate.json"
+def test_service_main_session_gate_fails_when_unmet(tmp_path, capsys):
     argv = [
-        "--out", str(out),
-        "--backends", "inline",
-        "--shards", "1",
-        "--scans", "1",
-        "--clients", "1",
-        "--skip-scheduler-sweep",
-        "--skip-http-sweep",
-        "--skip-metrics-sweep",
-        "--skip-frontend-sweep",
+        "session_scaling",
+        "--out", str(tmp_path / "BENCH_gate.json"),
+        "--session-counts", "2",
+        "--fleet-workers", "2",
     ]
-    # An absurdly high floor must fail the run...
-    assert main(argv + ["--frontend-gate", "1e9"]) == 1
-    assert "below the" in capsys.readouterr().err
-    # ... and a trivially low one must pass and print the verdict.
-    assert main(argv + ["--frontend-gate", "0.0001"]) == 0
-    assert "Frontend gate OK" in capsys.readouterr().out
-
-
-def test_http_frontend_experiment_prices_the_network_hop():
-    result = http_frontend_experiment(
-        client_counts=(1,), scans_per_client=1, num_shards=1, batch_size=1
-    )
-    assert result.experiment_id == "http_frontend"
-    records = result.records()
-    assert {r["Transport"] for r in records} == {"in-process", "http"}
-    in_process = next(r for r in records if r["Transport"] == "in-process")
-    http = next(r for r in records if r["Transport"] == "http")
-    # Same stream underneath: the two transports ingest identical updates.
-    assert in_process["Updates"] == http["Updates"]
-    assert in_process["Scans"] == http["Scans"] == 1
-    for record in records:
-        assert record["Mean admit (ms)"] >= 0.0
-        assert record["Max admit (ms)"] >= record["Mean admit (ms)"]
+    # A floor no run can meet must fail the run...
+    assert main(argv + ["--session-gate", "1e-9"]) == 1
+    assert "exceeds the" in capsys.readouterr().err
+    # ... and a generous one must pass and print the verdict.
+    assert main(argv + ["--session-gate", "1e9"]) == 0
+    assert "Session gate OK" in capsys.readouterr().out
 
 
 def test_session_scaling_experiment_table_shape():
-    from repro.analysis.service import session_scaling_experiment
-
     result = session_scaling_experiment(
         session_counts=(3, 6),
         fleet_workers=2,

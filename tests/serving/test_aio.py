@@ -392,6 +392,26 @@ async def test_flusher_failure_fail_stops_the_session():
             await service.submit(_requests(1)[0])
 
 
+@async_test
+async def test_unmappable_origin_is_refused_at_admission_not_in_the_flusher():
+    async with AsyncMapService(
+        default_config=SessionConfig(num_shards=2, batch_size=2)
+    ) as service:
+        good, template = _requests(2)
+        await service.submit(good)
+        bad = ScanRequest("map", template.cloud, origin=(1e9, 0.0, 0.2))
+        with pytest.raises(ValueError, match="outside the mappable volume"):
+            await service.submit(bad)
+        # The co-batched scan is ingested and the session keeps serving.
+        await service.flush("map")
+        stats = service.manager.get_session("map").stats
+        assert (stats.async_submits, stats.scans_ingested) == (1, 1)
+        assert stats.voxel_updates > 0
+        await service.submit(template)
+        await service.flush("map")
+        assert stats.scans_ingested == 2
+
+
 # ---------------------------------------------------------------------------
 # Configuration plumbing
 # ---------------------------------------------------------------------------

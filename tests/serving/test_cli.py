@@ -17,22 +17,6 @@ def test_parser_defaults():
     assert args.backend == "inline"
     assert args.use_async is False
     assert args.queue_limit == 16
-    assert args.scalar_frontend is False
-
-
-def test_main_runs_with_scalar_frontend(capsys):
-    exit_code = main(
-        [
-            "--sessions", "1",
-            "--scans", "1",
-            "--shards", "2",
-            "--batch-size", "2",
-            "--backend", "inline",
-            "--scalar-frontend",
-        ]
-    )
-    assert exit_code == 0
-    assert "Serving: execution backend per session" in capsys.readouterr().out
 
 
 def test_parser_rejects_unknown_scheduler():

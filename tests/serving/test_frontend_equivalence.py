@@ -1,18 +1,22 @@
-"""Pipeline-level front-end equivalence: vectorized default vs scalar reference.
+"""Pipeline-level front-end equivalence: what the pipeline dispatches vs the scalar oracle.
 
 The kernel-level suite (``tests/octomap/test_raycast_vec.py``) pins the
 vectorized DDA against the scalar one per scan; this suite pins the whole
-ingestion path: a session running the batched numpy front end must produce a
-leaf-for-leaf identical map, identical per-shard update counts and identical
-accounting to the same session with ``scalar_frontend=True`` -- on every
-backend, for hypothesis-generated workloads.  It also covers the batch
-plumbing around the kernel: ``from_key_arrays`` wire identity and the
-converter hoist (exactly one converter derivation per session, however many
-flushes run).
+ingestion path.  The expected per-shard update streams and accounting are
+computed here from the scalar kernel
+(:func:`~repro.octomap.scan_insertion.compute_update_keys_for_converter`)
+and the reference partitioner (:meth:`ShardRouter.partition`), flush by
+flush; the session must hand its backend exactly those batches, report
+exactly those counts, and end up with a map leaf-for-leaf identical to the
+expected streams applied on a fresh inline backend -- on every backend, for
+hypothesis-generated workloads.  It also covers the batch plumbing around
+the kernel: the ``from_key_arrays`` wire form and the converter hoist
+(exactly one converter derivation per session, however many flushes run).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Tuple
 
 import numpy as np
@@ -22,26 +26,67 @@ from hypothesis import strategies as st
 
 from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.verification import compare_trees
-from repro.octomap import OcTreeKey, PointCloud
-from repro.serving import MapSession, ScanRequest, SessionConfig
+from repro.octomap import PointCloud
+from repro.octomap.counters import OperationCounters
+from repro.octomap.merge import merge_trees
+from repro.octomap.scan_insertion import compute_update_keys_for_converter
+from repro.serving import MapSession, ScanRequest, SessionConfig, make_backend
 from repro.serving.types import ShardUpdateBatch
 
+Scan = Tuple[List[Tuple[float, float, float]], Tuple[float, float, float], float]
 
-def _run_workload(
-    scans: List[Tuple[List[Tuple[float, float, float]], Tuple[float, float, float], float]],
-    scalar_frontend: bool,
-    backend: str = "inline",
-    num_shards: int = 2,
-    batch_size: int = 2,
-):
-    config = SessionConfig(
-        num_shards=num_shards,
-        backend=backend,
-        batch_size=batch_size,
-        scalar_frontend=scalar_frontend,
-    )
+ACCOUNTING_FIELDS = (
+    "rays_cast",
+    "ray_voxels_visited",
+    "voxel_updates",
+    "duplicates_removed",
+    "shard_updates",
+)
+
+
+def _expected_flush(router, scans: List[Scan]):
+    """One flush from the oracle: per-shard batches plus the accounting fields."""
+    counters = OperationCounters()
+    stream: List[VoxelUpdateRequest] = []
+    occupied_visits = 0
+    for points, origin, max_range in scans:
+        free_keys, occupied_keys = compute_update_keys_for_converter(
+            router.converter, PointCloud(points), origin, max_range=max_range, counters=counters
+        )
+        occupied_visits += len(occupied_keys)
+        # The accelerator's issue order: free voxels, then occupied, each sorted.
+        stream.extend(VoxelUpdateRequest(key, occupied=False) for key in sorted(free_keys))
+        stream.extend(VoxelUpdateRequest(key, occupied=True) for key in sorted(occupied_keys))
+    per_shard = router.partition(stream)
+    batches = [
+        ShardUpdateBatch(
+            shard_id,
+            tuple((u.key.x, u.key.y, u.key.z, u.occupied) for u in shard_stream),
+        )
+        for shard_id, shard_stream in enumerate(per_shard)
+    ]
+    visits = counters.ray_steps + occupied_visits
+    accounting = {
+        "rays_cast": sum(len(points) for points, _origin, _max_range in scans),
+        "ray_voxels_visited": visits,
+        "voxel_updates": len(stream),
+        "duplicates_removed": visits - len(stream),
+        "shard_updates": tuple(len(shard_stream) for shard_stream in per_shard),
+    }
+    return batches, accounting
+
+
+def _assert_pipeline_matches_oracle(scans: List[Scan], config: SessionConfig) -> None:
     session = MapSession("map", config)
     try:
+        dispatched: List[List[ShardUpdateBatch]] = []
+        apply_async = session.backend.apply_async
+
+        def recording_apply_async(batches):
+            dispatched.append(list(batches))
+            return apply_async(batches)
+
+        session.backend.apply_async = recording_apply_async
         for request_id, (points, origin, max_range) in enumerate(scans):
             session.submit(
                 ScanRequest(
@@ -52,36 +97,39 @@ def _run_workload(
                     max_range=max_range,
                 )
             )
-        session.flush_all()
+        reports = session.flush_all()
         tree = session.export_octree()
         stats = session.stats
     finally:
         session.close()
-    return tree, stats
 
+    flushes = [
+        _expected_flush(session.router, scans[start : start + config.batch_size])
+        for start in range(0, len(scans), config.batch_size)
+    ]
+    assert dispatched == [batches for batches, _accounting in flushes]
+    assert len(reports) == len(flushes)
+    for report, (_batches, accounting) in zip(reports, flushes):
+        for name in ACCOUNTING_FIELDS:
+            assert getattr(report, name) == accounting[name], name
+    for name in ACCOUNTING_FIELDS[:-1]:
+        assert getattr(stats, name) == sum(accounting[name] for _b, accounting in flushes), name
+    assert tuple(stats.shard_updates) == tuple(
+        sum(column) for column in zip(*(accounting["shard_updates"] for _b, accounting in flushes))
+    )
+    assert stats.scans_ingested == len(scans)
+    assert stats.batches_dispatched == len(flushes)
+    assert stats.frontend_converter_builds == 1
 
-def _assert_paths_equivalent(scans, backend="inline", **kwargs):
-    tree_scalar, stats_scalar = _run_workload(
-        scans, scalar_frontend=True, backend=backend, **kwargs
-    )
-    tree_vector, stats_vector = _run_workload(
-        scans, scalar_frontend=False, backend=backend, **kwargs
-    )
-    report = compare_trees(tree_scalar, tree_vector, tolerance=0.0)
+    reference = make_backend("inline", config.accelerator, config.num_shards)
+    try:
+        for batches, _accounting in flushes:
+            reference.apply_shard_batches(batches)
+        expected_tree = merge_trees(reference.export_all())
+    finally:
+        reference.close()
+    report = compare_trees(expected_tree, tree, tolerance=0.0)
     assert report.equivalent, report.summary()
-    for field in (
-        "scans_ingested",
-        "points_ingested",
-        "rays_cast",
-        "ray_voxels_visited",
-        "voxel_updates",
-        "duplicates_removed",
-        "batches_dispatched",
-    ):
-        assert getattr(stats_scalar, field) == getattr(stats_vector, field), field
-    assert stats_scalar.shard_updates == stats_vector.shard_updates
-    assert stats_scalar.frontend_converter_builds == 1
-    assert stats_vector.frontend_converter_builds == 1
 
 
 scan_points = st.lists(
@@ -108,7 +156,7 @@ class TestFrontendEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(scans=st.lists(scan_strategy, min_size=1, max_size=4))
     def test_inline_backend_random_scans(self, scans):
-        _assert_paths_equivalent(scans)
+        _assert_pipeline_matches_oracle(scans, SessionConfig(num_shards=2, batch_size=2))
 
     @pytest.mark.parametrize("backend", ["inline", "thread"])
     def test_fixed_workload_all_inprocess_backends(self, backend):
@@ -119,7 +167,9 @@ class TestFrontendEquivalence:
             points = [tuple(row) for row in rng.uniform(-4.0, 4.0, size=(n, 3)).tolist()]
             origin = tuple(rng.uniform(-0.5, 0.5, size=3).tolist())
             scans.append((points, origin, float(rng.choice([-1.0, 5.0]))))
-        _assert_paths_equivalent(scans, backend=backend, num_shards=3, batch_size=4)
+        _assert_pipeline_matches_oracle(
+            scans, SessionConfig(num_shards=3, batch_size=4, backend=backend)
+        )
 
     @pytest.mark.slow
     def test_fixed_workload_process_backend(self):
@@ -129,64 +179,40 @@ class TestFrontendEquivalence:
             points = [tuple(row) for row in rng.uniform(-3.0, 3.0, size=(10, 3)).tolist()]
             origin = tuple(rng.uniform(-0.5, 0.5, size=3).tolist())
             scans.append((points, origin, -1.0))
-        _assert_paths_equivalent(scans, backend="process", num_shards=2, batch_size=2)
+        _assert_pipeline_matches_oracle(
+            scans, SessionConfig(num_shards=2, batch_size=2, backend="process")
+        )
 
     def test_boundary_clipped_scan_through_pipeline(self):
         # Beams leaving the addressable volume must carve free space but no
-        # endpoint, identically on both front ends (the PR-5 no-hit fix).
+        # endpoint, exactly as the scalar kernel does (the PR-5 no-hit fix).
         # A shallow tree keeps the volume (and the clipped beam) small: at
         # depth 8 / 0.2 m the addressable cube is +/- 25.6 m.
-        from dataclasses import replace as dc_replace
-
         base = SessionConfig(num_shards=2, batch_size=2, shard_prefix_levels=8)
-        config = dc_replace(base, accelerator=dc_replace(base.accelerator, tree_depth=8))
+        config = replace(base, accelerator=replace(base.accelerator, tree_depth=8))
         far = config.accelerator.resolution_m * (1 << (config.accelerator.tree_depth - 1))
         scans = [
             ([(far * 3.0, 0.0, 0.0), (1.0, 1.0, 0.5)], (0.0, 0.0, 0.0), -1.0),
             ([(0.0, far * 2.0, 0.3)], (0.2, 0.2, 0.2), -1.0),
         ]
-
-        def run(scalar_frontend: bool):
-            session = MapSession(
-                "map", dc_replace(config, scalar_frontend=scalar_frontend)
-            )
-            try:
-                for request_id, (points, origin, max_range) in enumerate(scans):
-                    session.submit(
-                        ScanRequest(
-                            session_id="map",
-                            request_id=request_id,
-                            cloud=PointCloud(points),
-                            origin=origin,
-                            max_range=max_range,
-                        )
-                    )
-                session.flush_all()
-                return session.export_octree(), session.stats.voxel_updates
-            finally:
-                session.close()
-
-        tree_scalar, updates_scalar = run(True)
-        tree_vector, updates_vector = run(False)
-        report = compare_trees(tree_scalar, tree_vector, tolerance=0.0)
-        assert report.equivalent, report.summary()
-        assert updates_scalar == updates_vector > 0
+        _assert_pipeline_matches_oracle(scans, config)
 
 
 class TestBatchWirePlumbing:
-    def test_from_key_arrays_matches_from_updates(self):
+    def test_from_key_arrays_packs_plain_ints(self):
         rng = np.random.default_rng(31)
         keys = rng.integers(0, 0x10000, size=(50, 3), dtype=np.int64)
         occupied = rng.integers(0, 2, size=50).astype(bool)
-        updates = [
-            VoxelUpdateRequest(OcTreeKey(x, y, z), occupied=bool(flag))
-            for (x, y, z), flag in zip(keys.tolist(), occupied.tolist())
-        ]
-        via_objects = ShardUpdateBatch.from_updates(3, updates)
-        via_arrays = ShardUpdateBatch.from_key_arrays(3, keys, occupied)
-        assert via_arrays == via_objects
-        # Entries must be plain Python scalars (pickle-identical wire form).
-        for entry in via_arrays.entries:
+        batch = ShardUpdateBatch.from_key_arrays(3, keys, occupied)
+        assert batch == ShardUpdateBatch(
+            3,
+            tuple(
+                (int(x), int(y), int(z), bool(flag))
+                for (x, y, z), flag in zip(keys, occupied)
+            ),
+        )
+        # Entries must be plain Python scalars: no numpy object on the wire.
+        for entry in batch.entries:
             assert all(type(component) is int for component in entry[:3])
             assert type(entry[3]) is bool
 
@@ -207,26 +233,5 @@ class TestBatchWirePlumbing:
                 session.flush_all()
             assert session.stats.batches_dispatched == 5
             assert session.stats.frontend_converter_builds == 1
-        finally:
-            session.close()
-
-
-class TestScalarFrontendConfig:
-    def test_with_scalar_frontend_helper(self):
-        config = SessionConfig()
-        assert config.scalar_frontend is False
-        toggled = config.with_scalar_frontend()
-        assert toggled.scalar_frontend is True
-        assert toggled.with_scalar_frontend(False).scalar_frontend is False
-
-    def test_pipeline_respects_config(self):
-        session = MapSession("map", SessionConfig(scalar_frontend=True))
-        try:
-            assert session.pipeline.scalar_frontend is True
-        finally:
-            session.close()
-        session = MapSession("map", SessionConfig())
-        try:
-            assert session.pipeline.scalar_frontend is False
         finally:
             session.close()

@@ -254,6 +254,25 @@ async def test_malformed_json_is_a_400_with_a_stable_code():
 
 
 @async_test
+async def test_scan_with_an_unmappable_origin_is_a_400_and_spares_the_batch():
+    async with serve(SessionConfig(num_shards=2, batch_size=2)) as (server, client):
+        await client.create_session("map")
+        good, other = _scan_payloads(2)
+        await client.submit_scan("map", good["points"], good["origin"], max_range=5.0)
+        with pytest.raises(ServerError) as excinfo:
+            await client.submit_scan("map", other["points"], [1e9, 0.0, 0.0])
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_value")
+        assert "outside the mappable volume" in str(excinfo.value)
+        # The scan it would have been batched with is ingested; the session
+        # did not fail-stop.
+        reports = await client.flush("map")
+        assert sum(report["scans"] for report in reports) == 1
+        assert sum(report["voxel_updates"] for report in reports) > 0
+        await client.submit_scan("map", other["points"], other["origin"], max_range=5.0)
+        assert sum(report["scans"] for report in await client.flush("map")) == 1
+
+
+@async_test
 async def test_unknown_session_job_and_route_are_404s():
     async with serve() as (server, client):
         payload = _scan_payloads(1)[0]

@@ -439,3 +439,48 @@ def test_session_config_resolution_override_and_unknown_keys():
     with pytest.raises(HttpError) as excinfo:
         session_config_from_payload(default, {"num_shards": "many"})
     assert excinfo.value.code == "bad_config"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"pipelined": "false"},  # a truthy string would turn pipelining ON
+        {"pipelined": 0},
+        {"batch_size": 2.5},
+        {"batch_size": True},  # bool is not an int here
+        {"num_shards": "2"},
+        {"quota_points_per_s": "100"},
+        {"quota_burst_s": True},
+        {"tenant": 7},
+        {"mp_start_method": 1},
+        {"resolution_m": "0.1"},
+        {"resolution_m": True},
+    ],
+)
+def test_session_config_rejects_a_value_of_the_wrong_json_type(payload):
+    with pytest.raises(HttpError) as excinfo:
+        session_config_from_payload(SessionConfig(), payload)
+    assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config"), payload
+    assert next(iter(payload)) in excinfo.value.message
+
+
+def test_session_config_accepts_every_matching_json_type():
+    config = session_config_from_payload(
+        SessionConfig(),
+        {
+            "pipelined": True,
+            "batch_size": 3,
+            "quota_points_per_s": 100,  # any JSON number fits a float field
+            "quota_burst_s": 0.5,
+            "tenant": "fleet-a",
+            "mp_start_method": None,
+            "resolution_m": 1,
+        },
+    )
+    assert config.pipelined is True
+    assert config.batch_size == 3
+    assert config.quota_points_per_s == 100
+    assert config.tenant == "fleet-a"
+    assert config.accelerator.resolution_m == pytest.approx(1.0)
+    spawn = session_config_from_payload(SessionConfig(), {"mp_start_method": "spawn"})
+    assert spawn.mp_start_method == "spawn"

@@ -93,6 +93,23 @@ def test_session_rejects_foreign_requests(small_scans):
         session.submit(ScanRequest.from_scan_node("theirs", small_scans[0]))
 
 
+@pytest.mark.parametrize("bad_x", [1e9, float("nan"), float("inf")])
+def test_scan_with_an_unmappable_origin_is_refused_at_submit(small_requests, bad_x):
+    # The DDA raises on such an origin only after the batch was popped, which
+    # used to take every co-batched scan of other clients down with it.
+    session = MapSession("map", SessionConfig(num_shards=2, batch_size=2))
+    good, template = small_requests[:2]
+    session.submit(good)
+    bad = ScanRequest("map", template.cloud, origin=(bad_x, 0.0, 0.2), request_id=1)
+    with pytest.raises(ValueError, match="outside the mappable volume"):
+        session.submit(bad)
+    assert session.pipeline.pending() == 1, "the refused scan was never queued"
+    (report,) = session.flush_all()
+    assert report.request_ids == (good.request_id,)
+    assert session.stats.voxel_updates == report.voxel_updates > 0
+    assert session.pipeline.pending() == 0
+
+
 def test_default_max_range_applied(small_scans):
     config = SessionConfig(num_shards=1, default_max_range=5.0)
     session = MapSession("map", config)
