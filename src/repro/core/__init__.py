@@ -29,7 +29,7 @@ from repro.core.accelerator import AcceleratorStatistics, OMUAccelerator
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import DEFAULT_CONFIG, OMUConfig, TimingParams
 from repro.core.fixedpoint import DEFAULT_FORMAT, FixedPointFormat, QuantizedOccupancyParams
-from repro.core.pe import ProcessingElement
+from repro.core.pe import QUERY_STATUSES, ProcessingElement
 from repro.core.probability_unit import ProbabilityUpdateUnit
 from repro.core.prune_manager import PruneAddressManager
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
@@ -68,6 +68,7 @@ __all__ = [
     "ProbabilityUpdateUnit",
     "ProcessingElement",
     "PruneAddressManager",
+    "QUERY_STATUSES",
     "QuantizedOccupancyParams",
     "QueryResult",
     "RayCastingUnit",

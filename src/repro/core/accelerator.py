@@ -8,7 +8,8 @@ unit (paper Fig. 7) and exposes the operations the evaluation needs:
   voxel updates) and return the scan's cycle accounting;
 * :meth:`process_scan_graph` -- integrate a whole dataset and accumulate the
   map-level timing used by Tables III-V;
-* :meth:`query` -- the voxel query service;
+* :meth:`query` / :meth:`query_keys` -- the voxel query service, one point
+  or an array of voxel keys at a time;
 * :meth:`export_octree` -- read the distributed map back into a software
   :class:`~repro.octomap.octree.OccupancyOcTree` (verification / host use);
 * :meth:`statistics` -- memory, utilisation and access counts feeding the
@@ -227,6 +228,10 @@ class OMUAccelerator:
     def query(self, x: float, y: float, z: float) -> QueryResult:
         """Occupancy query for the voxel containing ``(x, y, z)``."""
         return self.query_unit.query(x, y, z)
+
+    def query_keys(self, keys):
+        """Occupancy of ``(N, 3)`` voxel keys in one pass; see :meth:`VoxelQueryUnit.query_keys`."""
+        return self.query_unit.query_keys(keys)
 
     def classify(self, x: float, y: float, z: float) -> str:
         """Shorthand returning just the occupancy status string."""

@@ -22,6 +22,9 @@ from repro.octomap.keys import KeyConverter, OcTreeKey
 
 __all__ = ["AddressGenerator"]
 
+#: ``_SPREAD[b]``: the bits of byte ``b`` moved from position ``i`` to ``3 * i``.
+_SPREAD = tuple(sum(((byte >> bit) & 1) << (3 * bit) for bit in range(8)) for byte in range(256))
+
 
 class AddressGenerator:
     """Derives PE routing and per-level child indices from voxel keys."""
@@ -90,9 +93,20 @@ class AddressGenerator:
         """
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        subtree = 0
-        for child_index in self.shard_prefix(key, prefix_levels):
-            subtree = subtree * 8 + child_index
+        if not 1 <= prefix_levels <= self._tree_depth:
+            raise ValueError(
+                f"prefix_levels must be in [1, {self._tree_depth}], got {prefix_levels}"
+            )
+        # Folding the prefix's child indices (x bit lowest) base 8 interleaves
+        # the top ``prefix_levels`` bits of the three components.
+        shift = self._tree_depth - prefix_levels
+        mask = (1 << prefix_levels) - 1
+        x, y, z = (key.x >> shift) & mask, (key.y >> shift) & mask, (key.z >> shift) & mask
+        subtree = (
+            (_SPREAD[x & 0xFF] | _SPREAD[x >> 8] << 24)
+            | (_SPREAD[y & 0xFF] | _SPREAD[y >> 8] << 24) << 1
+            | (_SPREAD[z & 0xFF] | _SPREAD[z >> 8] << 24) << 2
+        )
         return subtree % num_shards
 
     def shard_indices(self, keys: np.ndarray, num_shards: int, prefix_levels: int = 1) -> np.ndarray:

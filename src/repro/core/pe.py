@@ -41,7 +41,11 @@ from repro.core.timing import CycleBreakdown, PETimingStats
 from repro.octomap.counters import OperationCounters, OperationKind
 from repro.octomap.keys import OcTreeKey
 
-__all__ = ["ProcessingElement", "ExportedNode"]
+__all__ = ["ProcessingElement", "ExportedNode", "QUERY_STATUSES"]
+
+#: What a voxel look-up can answer; :meth:`ProcessingElement.query_paths`
+#: reports each voxel as an index into this tuple.
+QUERY_STATUSES = ("unknown", "free", "occupied")
 
 # Tag words of a row whose eight children all classify alike, and the
 # (occupied, free, inner) tag of each child shifted to its place in the word.
@@ -302,40 +306,80 @@ class ProcessingElement:
         ``status`` is ``"occupied"``, ``"free"`` or ``"unknown"``;
         ``probability_raw`` is None for unknown voxels.
         """
-        timing = self.config.timing
-        banks = self.memory.banks
-        valid, pointers, tags = self._valid, self._pointers, self._tags
-        levels = iter(key.path(self.config.tree_depth))
-        bank = next(levels)
-        row = 0
-        self.counters.queries += 1
-        if bank not in self._local_roots:
-            self.query_cycles += timing.bank_read_cycles
-            return ("unknown", None)
-        banks[bank].read_accesses += 1
-        reads = 1
+        (code,), (raw,), _ = self.query_paths((key.path(self.config.tree_depth),))
+        return (QUERY_STATUSES[code], raw if code else None)
+
+    def query_paths(self, paths: Sequence[Sequence[int]]) -> Tuple[List[int], List[int], int]:
+        """Look up a stream of voxels this PE owns: the read-side :meth:`update_paths`.
+
+        ``paths`` holds one row of ``tree_depth`` child indices (plain ints:
+        an array's ``tolist()``) per voxel, from the global root down to the
+        leaf.  Returns ``(codes, raws, cycles)``: per voxel its index into
+        :data:`QUERY_STATUSES` and its fixed-point log-odds (0 where
+        unknown), and the cycles the whole stream took on this PE.
+
+        One fused integer loop over the SRAM image.  A look-up reads one
+        entry per level until it reaches a leaf (a pruned region answers for
+        every voxel inside it) or a child the tags call unknown, then pays
+        one ALU pass to classify what it found; a voxel under a first-level
+        branch this PE never stored costs the one read that finds that out.
+        The loop tallies reads per bank and answers given, and books them
+        once at the end -- also when a corrupt image stops it half way.
+        """
+        valid, pointers, tags, probabilities = self._valid, self._pointers, self._tags, self._probabilities
+        roots = self._local_roots
+        threshold = self._threshold
+        bank_reads = [0] * 8
+        codes: List[int] = []
+        raws: List[int] = []
+        started = absent = 0
         try:
-            for child in levels:
-                block = pointers[bank][row]
-                if block == NULL_POINTER:
-                    # Leaf above the finest depth: homogeneous region (pruned)
-                    # or an unobserved fresh node.
-                    if not tags[bank][row]:
-                        return ("unknown", None)
-                    break
-                if not (tags[bank][row] >> (child + child)) & 0b11:
-                    return ("unknown", None)
-                banks[child].read_accesses += 1
-                reads += 1
-                if not valid[child][block]:
-                    raise RuntimeError(f"PE {self.pe_id}: dangling tag during query")
-                bank, row = child, block
-            value = self._probabilities[bank][row]
-            self.query_cycles += timing.alu_cycles
-            return ("occupied" if value > self._threshold else "free", value)
+            for path in paths:
+                started += 1
+                levels = iter(path)
+                bank = next(levels)
+                row = 0
+                if bank not in roots:
+                    absent += 1
+                    codes.append(0)
+                    raws.append(0)
+                    continue
+                bank_reads[bank] += 1
+                known = True
+                for child in levels:
+                    block = pointers[bank][row]
+                    word = tags[bank][row]
+                    if block == NULL_POINTER:
+                        # Leaf above the finest depth: homogeneous region
+                        # (pruned) or an unobserved fresh node.
+                        known = word != 0
+                        break
+                    if not (word >> (child + child)) & 0b11:
+                        known = False
+                        break
+                    bank_reads[child] += 1
+                    if not valid[child][block]:
+                        raise RuntimeError(f"PE {self.pe_id}: dangling tag during query")
+                    bank, row = child, block
+                if known:
+                    value = probabilities[bank][row]
+                    codes.append(2 if value > threshold else 1)
+                    raws.append(value)
+                else:
+                    codes.append(0)
+                    raws.append(0)
         finally:
+            timing = self.config.timing
+            reads = sum(bank_reads)
+            cycles = (absent + reads) * timing.bank_read_cycles + (
+                len(codes) - codes.count(0)
+            ) * timing.alu_cycles
+            for bank, count in zip(self.memory.banks, bank_reads):
+                bank.read_accesses += count
             self.stats.bank_reads += reads
-            self.query_cycles += reads * timing.bank_read_cycles
+            self.counters.queries += started
+            self.query_cycles += cycles
+        return codes, raws, cycles
 
     # ------------------------------------------------------------------
     # Map read-back (verification / host transfer)

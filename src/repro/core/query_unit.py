@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import OMUConfig
 from repro.core.pe import ProcessingElement
@@ -76,6 +78,31 @@ class VoxelQueryUnit:
     def query_batch(self, points: Sequence[Sequence[float]]) -> Tuple[QueryResult, ...]:
         """Serve a batch of queries (e.g. the sampled poses of a planned path)."""
         return tuple(self.query(*point) for point in points)
+
+    def query_keys(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Serve ``(N, 3)`` voxel keys in one pass: the array form of N :meth:`query` calls.
+
+        The keys become paths and PE ids once, and every PE that owns any of
+        them walks its share in a single
+        :meth:`~repro.core.pe.ProcessingElement.query_paths` call.  Returns
+        ``(codes, raws, cycles)``: per key its ``uint8`` index into
+        :data:`~repro.core.pe.QUERY_STATUSES` and its ``int16`` fixed-point
+        log-odds (0 where unknown), and the cycles of all N look-ups, issue
+        included.  Every simulated count ends up where N sequential point
+        queries of the same voxels would leave it.
+        """
+        paths = self.address_generator.paths_for_keys(keys)
+        pe_ids = self.address_generator.pes_for_paths(paths)
+        codes = np.zeros(len(paths), dtype=np.uint8)
+        raws = np.zeros(len(paths), dtype=np.int16)
+        cycles = len(paths) * self.config.timing.query_issue_cycles
+        for pe_id in np.unique(pe_ids).tolist():
+            mine = pe_ids == pe_id
+            codes[mine], raws[mine], pe_cycles = self._pes[pe_id].query_paths(paths[mine].tolist())
+            cycles += pe_cycles
+        self.queries_served += len(paths)
+        self.total_cycles += cycles
+        return codes, raws, cycles
 
     def average_cycles_per_query(self) -> float:
         """Mean query service latency in cycles."""

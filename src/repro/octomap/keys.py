@@ -72,7 +72,17 @@ class OcTreeKey:
         """
         if max_level is None:
             max_level = tree_depth
-        return tuple(self.child_index(level, tree_depth) for level in range(max_level))
+        elif max_level > tree_depth:
+            raise ValueError(f"level {max_level - 1} outside [0, {tree_depth - 1}]")
+        # child_index() of every level, with the bit tests inlined: the point
+        # read path builds one of these per voxel.
+        x, y, z = self.x, self.y, self.z
+        return tuple(
+            [
+                ((x >> bit) & 1) | (((y >> bit) & 1) << 1) | (((z >> bit) & 1) << 2)
+                for bit in range(tree_depth - 1, tree_depth - 1 - max_level, -1)
+            ]
+        )
 
     def at_depth(self, depth: int, tree_depth: int) -> "OcTreeKey":
         """Return the key of the ancestor voxel at coarser ``depth``.
@@ -155,14 +165,14 @@ class KeyConverter:
         Raises:
             ValueError: if the coordinate falls outside the addressable volume.
         """
-        component = int(math.floor(coordinate / self._resolution)) + self._tree_max_val
-        limit = 2 * self._tree_max_val
-        if not 0 <= component < limit:
+        cell = coordinate / self._resolution
+        # One comparison rejects what lies outside and what is not a number.
+        if not -self._tree_max_val <= cell < self._tree_max_val:
             raise ValueError(
                 f"coordinate {coordinate!r} outside the mappable volume "
                 f"(+/- {self.max_coordinate} m at resolution {self._resolution} m)"
             )
-        return component
+        return math.floor(cell) + self._tree_max_val
 
     def key_component_to_coord(self, component: int, depth: int | None = None) -> float:
         """Convert one key component back to the voxel-centre coordinate.
@@ -189,22 +199,39 @@ class KeyConverter:
             self.coord_to_key_component(z),
         )
 
+    def locate_coords(self, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Discretise ``(N, 3)`` coordinates, marking the rows that have no key.
+
+        Returns ``(components, inside)``: the ``(N, 3)`` ``int64`` key
+        components and an ``(N,)`` bool mask that is False where a point lies
+        outside the addressable volume or is not finite (its components then
+        read 0).  ``np.floor`` matches ``math.floor`` for every finite
+        float64, so an inside row equals :meth:`coord_to_key` of the same
+        point exactly.
+        """
+        coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+        finite = np.isfinite(coords).all(axis=1)
+        # Non-finite rows are zeroed before any arithmetic: comparing or
+        # casting a NaN warns on some numpy versions.
+        cells = np.floor(np.where(finite[:, None], coords, 0.0) / self._resolution)
+        inside = finite & ((cells >= -self._tree_max_val) & (cells < self._tree_max_val)).all(axis=1)
+        offset = self._tree_max_val
+        components = np.where(inside[:, None], cells, -offset).astype(np.int64) + offset
+        return components, inside
+
     def coords_to_key_array(self, coords: np.ndarray) -> np.ndarray:
         """Discretise an ``(N, 3)`` coordinate array into ``(N, 3)`` key components.
 
-        The array counterpart of :meth:`coord_to_key`: ``np.floor`` matches
-        ``math.floor`` for every finite float64, so each row equals the scalar
-        conversion of the same point exactly.
+        The array counterpart of :meth:`coord_to_key`: each row equals the
+        scalar conversion of the same point exactly.
 
         Raises:
             ValueError: if any coordinate falls outside the addressable
                 volume (same condition as :meth:`coord_to_key_component`).
         """
-        coords = np.asarray(coords, dtype=np.float64)
-        components = np.floor(coords / self._resolution).astype(np.int64) + self._tree_max_val
-        limit = 2 * self._tree_max_val
-        if components.size and ((components < 0) | (components >= limit)).any():
-            bad = coords[((components < 0) | (components >= limit)).any(axis=1)][0]
+        components, inside = self.locate_coords(coords)
+        if not inside.all():
+            bad = np.asarray(coords, dtype=np.float64).reshape(-1, 3)[~inside][0]
             raise ValueError(
                 f"coordinate {tuple(bad)!r} outside the mappable volume "
                 f"(+/- {self.max_coordinate} m at resolution {self._resolution} m)"

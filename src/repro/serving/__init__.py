@@ -31,8 +31,9 @@ ingestion pipeline and a cached query engine.
 * :mod:`repro.serving.cache` -- the generation-stamped LRU query cache with
   per-shard invalidation, TTL-bounded negative entries for unknown space,
   and whole box-sweep result caching keyed by the shard generation vector.
-* :mod:`repro.serving.query_engine` -- cached point / batch / bounding-box /
-  collision-raycast queries.
+* :mod:`repro.serving.query_engine` -- the read side, on two lanes: point
+  queries and collision raycasts one voxel at a time through the cache,
+  pose batches and bounding-box sweeps as one bulk read per shard.
 * :mod:`repro.serving.stats` -- per-session latency, throughput and cache
   counters, rendered in the :mod:`repro.analysis` table style.
 * :mod:`repro.serving.metrics` -- the queryable metrics pipeline: per-request
@@ -186,6 +187,8 @@ from repro.serving.types import (
     ScanRequest,
     ShardApplyResult,
     ShardExportResult,
+    ShardKeysQuery,
+    ShardKeysResult,
     ShardQueryRequest,
     ShardQueryResult,
     ShardSnapshot,
@@ -236,6 +239,8 @@ __all__ = [
     "ShardBackendError",
     "ShardExportResult",
     "ShardHost",
+    "ShardKeysQuery",
+    "ShardKeysResult",
     "ShardQueryRequest",
     "ShardQueryResult",
     "ShardRouter",

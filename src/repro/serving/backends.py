@@ -36,13 +36,13 @@ the workers apply in the background; ``drain`` redeems the ticket for the
 acknowledgements and only then adopts the workers' write generations into
 the parent-side cache bookkeeping.  At most one ticket is ever in flight
 (the one-in-flight invariant); a second ``apply_async`` before the drain
-raises.  Every read path -- ``query_key``, ``generation_of``,
-``export_all`` -- first :meth:`ShardBackend.barrier`\\ s on the in-flight
-ticket when it touches the shards being read, so no reader can observe a
-half-applied generation (and no query can cut in front of a pending apply
-acknowledgement on the same pipe or socket).  The inline engine applies
-eagerly inside ``apply_async``, so pipelined ingestion on it degenerates to
-exactly the serial reference semantics.
+raises.  Every read path -- ``query_key``, ``query_keys``,
+``generation_of``, ``export_all`` -- first :meth:`ShardBackend.barrier`\\ s
+on the in-flight ticket when it touches the shards being read, so no reader
+can observe a half-applied generation (and no query can cut in front of a
+pending apply acknowledgement on the same pipe or socket).  The inline
+engine applies eagerly inside ``apply_async``, so pipelined ingestion on it
+degenerates to exactly the serial reference semantics.
 
 A failure the engine could not recover from (a worker process that died, a
 socket worker lost with no live worker left to re-home onto, an exception
@@ -56,12 +56,16 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import OMUConfig
 from repro.octomap.octree import OccupancyOcTree
 from repro.serving.types import (
     ApplyTicket,
     ShardApplyResult,
     ShardExportResult,
+    ShardKeysQuery,
+    ShardKeysResult,
     ShardQueryRequest,
     ShardQueryResult,
     ShardUpdateBatch,
@@ -125,11 +129,12 @@ class ShardBackend(ABC):
     ingestion batch with one :class:`ShardUpdateBatch` per shard slice -- or,
     pipelined, the non-blocking :meth:`apply_async` / :meth:`drain` pair with
     at most one :class:`~repro.serving.types.ApplyTicket` in flight.  The
-    read path calls :meth:`query_key`; export stitching calls
-    :meth:`export_all`; both barrier on in-flight tickets for the shards they
-    touch.  The lease implements the ``_``-prefixed hooks; this class
-    owns the parent-side accounting (generations, per-shard update counts,
-    ticket bookkeeping) so every execution kind reports identically.
+    read path calls :meth:`query_key` (one voxel) or :meth:`query_keys` (an
+    array of them); export stitching calls :meth:`export_all`; all three
+    barrier on in-flight tickets for the shards they touch.  The lease
+    implements the ``_``-prefixed hooks; this class owns the parent-side
+    accounting (generations, per-shard update counts, ticket bookkeeping) so
+    every execution kind reports identically.
     """
 
     #: registry name, e.g. ``"process"``; used by config / CLI / stats.
@@ -314,6 +319,17 @@ class ShardBackend(ABC):
         self.barrier((request.shard_id,))
         return self._query(request)
 
+    def query_keys(self, shard_id: int, keys: np.ndarray) -> ShardKeysResult:
+        """Serve ``(N, 3)`` voxel keys of one shard in a single worker round trip.
+
+        Barriers exactly like :meth:`query_key`.  The keys travel as given
+        (the query engine sends ``uint16`` columns); a component outside the
+        key space is the worker's ``ValueError``.
+        """
+        self._ensure_open()
+        self.barrier((shard_id,))
+        return self._query_keys(ShardKeysQuery(shard_id, keys))
+
     def export_all(self) -> List[OccupancyOcTree]:
         """Gather every shard's exported subtree (concurrently where possible).
 
@@ -405,6 +421,10 @@ class ShardBackend(ABC):
     @abstractmethod
     def _query(self, request: ShardQueryRequest) -> ShardQueryResult:
         """Serve one lookup on the owning worker."""
+
+    @abstractmethod
+    def _query_keys(self, request: ShardKeysQuery) -> ShardKeysResult:
+        """Serve one bulk lookup on the owning worker."""
 
     @abstractmethod
     def _export(self) -> List[ShardExportResult]:

@@ -23,9 +23,10 @@ Two refinements for read-heavy multi-tenant serving:
   rate.  The default TTL of ``0.0`` disables the relaxation: negative
   entries then behave exactly like positive ones.
 
-* **Box-sweep result caching** (:class:`BboxResultCache`).  A bbox sweep is
-  thousands of point lookups; planners re-issue the same corridor boxes every
-  replan tick.  The bbox cache keys a whole
+* **Box-sweep result caching** (:class:`BboxResultCache`).  A bbox sweep
+  reads thousands of voxels -- in bulk, past this LRU, so it cannot evict the
+  hot points -- and planners re-issue the same corridor boxes every replan
+  tick.  The bbox cache keys a whole
   :class:`~repro.serving.types.BoxOccupancySummary` by the query box and
   validates it against the *full generation vector* of the map, so it is
   exact: any write to any shard invalidates the summary (lazily, on lookup).

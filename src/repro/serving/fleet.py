@@ -66,6 +66,8 @@ from repro.serving.sharding import MapShardWorker, ShardHost
 from repro.serving.types import (
     ShardApplyResult,
     ShardExportResult,
+    ShardKeysQuery,
+    ShardKeysResult,
     ShardQueryRequest,
     ShardQueryResult,
     ShardSnapshot,
@@ -129,6 +131,9 @@ class _LocalEngine:
 
     def query(self, gid: int, request: ShardQueryRequest) -> ShardQueryResult:
         return self.host.handle("query", gid, request)
+
+    def query_keys(self, gid: int, request: ShardKeysQuery) -> ShardKeysResult:
+        return self.host.handle("query_keys", gid, request)
 
     def export(self, gids: Sequence[int]) -> List[ShardExportResult]:
         return [self.host.handle("export", gid) for gid in gids]
@@ -549,6 +554,9 @@ class SlotEngine:
     def query(self, gid: int, request: ShardQueryRequest) -> ShardQueryResult:
         return self._slot_task(self._shards[gid].slot, [("query", gid, request)])[0]
 
+    def query_keys(self, gid: int, request: ShardKeysQuery) -> ShardKeysResult:
+        return self._slot_task(self._shards[gid].slot, [("query_keys", gid, request)])[0]
+
     def export(self, gids: Sequence[int]) -> List[ShardExportResult]:
         return self.collect(self._fan_out("export", [(gid, None) for gid in gids]))
 
@@ -840,6 +848,11 @@ class SessionBackendView(ShardBackend):
         # request/reply round-trip would desynchronise.
         self._health_check()
         return self.pool.engine.query(self.gids[request.shard_id], request)
+
+    def _query_keys(self, request: ShardKeysQuery) -> ShardKeysResult:
+        # Barriered by the public query_keys, like _query.
+        self._health_check()
+        return self.pool.engine.query_keys(self.gids[request.shard_id], request)
 
     def _export(self) -> List[ShardExportResult]:
         self._health_check()

@@ -483,7 +483,6 @@ def bbox_payload(summary: BoxOccupancySummary) -> dict:
         "free": summary.free,
         "unknown": summary.unknown,
         "voxels_scanned": summary.voxels_scanned,
-        "cache_hits": summary.cache_hits,
     }
 
 
@@ -493,7 +492,6 @@ def bbox_chunk_payload(chunk: BboxChunk, include_voxels: bool = True) -> dict:
         "occupied": chunk.occupied,
         "free": chunk.free,
         "unknown": chunk.unknown,
-        "cache_hits": chunk.cache_hits,
         "voxels_total": chunk.voxels_total,
     }
     if include_voxels:

@@ -1,20 +1,39 @@
-"""Query engine: cached point / batch / box / raycast queries over shards.
+"""Query engine: point / batch / box / raycast queries over shards, on two lanes.
 
 The engine is the read side of a map session.  Every query is resolved at
-voxel-key granularity: the key picks the owning shard, the shard's write
-generation (tracked by the execution backend, which stays correct even when
-the worker lives in another process) validates the cache entry, and only on a
-miss does the query reach the shard worker's accelerator through the
-backend.  Box sweeps and collision raycasts decompose into point lookups, so
-they share the cache and its invalidation rules.
+voxel-key granularity, on one of two lanes:
+
+* **The scalar lane** serves point queries and collision raycasts, one voxel
+  at a time: the key picks the owning shard, the shard's write generation
+  (tracked by the execution backend, which stays correct even when the
+  worker lives in another process) validates the cache entry, and only on a
+  miss does the query reach the shard worker's accelerator through the
+  backend.  A raycast walks its voxels in order and stops at the first
+  occupied one, so each step is a point lookup sharing the cache and its
+  invalidation rules.
+* **The bulk lane** serves pose batches and box sweeps: the keys of a whole
+  batch (or of a bounded slice of a sweep) are built as one array, split by
+  owning shard, and answered by one
+  :meth:`~repro.serving.backends.ShardBackend.query_keys` round trip per
+  touched shard.  It neither reads nor fills the point cache -- a sweep
+  would only flush the planner's hot points out of it -- while repeated
+  sweeps of an unchanged map are still answered whole by the box-summary
+  cache.
+
+Both lanes turn a raw log-odds into a probability with the same scalar
+functions, so a voxel answers float-identically on either.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.pe import QUERY_STATUSES
 from repro.octomap.keys import OcTreeKey
+from repro.octomap.logodds import probability as logodds_to_probability
 from repro.octomap.raycast import compute_ray_keys
 from repro.octomap.scan_insertion import clip_segment_to_volume
 from repro.serving.backends import ShardBackend
@@ -29,7 +48,12 @@ from repro.serving.types import (
     ShardQueryRequest,
 )
 
-__all__ = ["QueryEngine"]
+__all__ = ["QueryEngine", "BULK_SLICE_KEYS"]
+
+#: Most keys one bulk read carries.  Larger batches and sweeps go out slice
+#: by slice, so neither side of the wire ever holds the paths of a whole
+#: guardrail-sized box.
+BULK_SLICE_KEYS = 4096
 
 
 class QueryEngine:
@@ -58,6 +82,7 @@ class QueryEngine:
         #: shares the point cache's counter block so one stats surface shows
         #: both hit rates.
         self.bbox_cache = BboxResultCache(bbox_cache_capacity, stats=cache.stats)
+        self._probabilities: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Generations (cache validity)
@@ -118,9 +143,65 @@ class QueryEngine:
         )
 
     def query_batch(self, points: Sequence[Sequence[float]]) -> Tuple[QueryResponse, ...]:
-        """Serve a batch of point queries (e.g. sampled poses of a path)."""
+        """Serve a batch of point queries (e.g. sampled poses of a path).
+
+        Bulk lane: each response equals what :meth:`query` answers for the
+        same point, except that it is never ``cached`` and carries no
+        ``cycles`` of its own.
+        """
         self.stats.batch_queries += 1
-        return tuple(self.query(*point) for point in points)
+        keys, inside = self.router.converter.locate_coords(points)
+        codes, raws, shard_ids = self._lookup_keys(keys, inside)
+        probability = self._probability_of_raw
+        return tuple(
+            QueryResponse(
+                status=QUERY_STATUSES[code],
+                probability=probability(raw) if code else None,
+                shard_id=shard_id,
+            )
+            for code, raw, shard_id in zip(codes.tolist(), raws.tolist(), shard_ids.tolist())
+        )
+
+    # ------------------------------------------------------------------
+    # The bulk lane
+    # ------------------------------------------------------------------
+    def _lookup_keys(
+        self, keys: np.ndarray, inside: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Status code, raw log-odds and owning shard of every ``(N, 3)`` key row.
+
+        Rows outside the addressable volume (``inside`` False) answer
+        unknown from shard -1 without reaching a worker; the others go out
+        as one bulk read per touched shard per :data:`BULK_SLICE_KEYS` rows.
+        """
+        self.stats.point_queries += len(keys)
+        codes = np.zeros(len(keys), dtype=np.uint8)
+        raws = np.zeros(len(keys), dtype=np.int16)
+        shard_ids = np.full(len(keys), -1, dtype=np.int64)
+        rows = np.flatnonzero(inside)
+        for start in range(0, len(rows), BULK_SLICE_KEYS):
+            slice_rows = rows[start : start + BULK_SLICE_KEYS]
+            owners = self.router.shard_indices_for_keys(keys[slice_rows])
+            shard_ids[slice_rows] = owners
+            for shard_id in np.unique(owners).tolist():
+                mine = slice_rows[owners == shard_id]
+                result = self.backend.query_keys(shard_id, keys[mine].astype(np.uint16))
+                self.stats.modelled_query_cycles += result.cycles
+                codes[mine] = result.statuses
+                raws[mine] = result.raws
+        return codes, raws, shard_ids
+
+    def _probability_of_raw(self, raw: int) -> float:
+        """What a shard worker's point query reports for this raw log-odds.
+
+        Memoised: a raw is 16 bits wide, so the table cannot outgrow 65,536
+        floats, and a map holds a few dozen distinct values.
+        """
+        probability = self._probabilities.get(raw)
+        if probability is None:
+            value = self.backend.config.fixed_point.to_value(raw)
+            probability = self._probabilities[raw] = logodds_to_probability(value)
+        return probability
 
     # ------------------------------------------------------------------
     # Bounding-box sweeps
@@ -132,23 +213,30 @@ class QueryEngine:
 
         Raises:
             ValueError: when the box covers more than ``max_box_voxels``
-                voxels (guardrail against accidental whole-map sweeps) or is
-                inverted.
+                voxels (guardrail against accidental whole-map sweeps), is
+                inverted, or has a corner that is not finite.
         """
         resolution = self.router.converter.resolution
         # Grid indices of the voxels whose centre (index + 0.5) * resolution
         # lies inside [minimum, maximum] on each axis; an off-grid box
         # therefore never reports a voxel centred outside it.
         ranges = []
+        total = 1
         for axis in range(3):
+            low, high = minimum[axis] / resolution, maximum[axis] / resolution
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ValueError(
+                    f"box corners must be finite, got {tuple(minimum)!r} .. {tuple(maximum)!r}"
+                )
             if maximum[axis] < minimum[axis]:
                 raise ValueError(
                     f"inverted box on axis {axis}: {minimum[axis]} > {maximum[axis]}"
                 )
-            first = math.ceil(minimum[axis] / resolution - 0.5 - 1e-9)
-            last = math.floor(maximum[axis] / resolution - 0.5 + 1e-9)
+            first = math.ceil(low - 0.5 - 1e-9)
+            last = math.floor(high - 0.5 + 1e-9)
             ranges.append(range(first, last + 1))
-        total = len(ranges[0]) * len(ranges[1]) * len(ranges[2])
+            # Not len(): a box far outside the volume has indices beyond ssize_t.
+            total *= max(0, last + 1 - first)
         if total > self.max_box_voxels:
             raise ValueError(
                 f"box covers {total} voxels, above the {self.max_box_voxels} guardrail; "
@@ -186,52 +274,40 @@ class QueryEngine:
     def _iter_bbox_chunks(
         self, ranges: List[range], total: int, chunk_voxels: int, include_voxels: bool
     ) -> Iterator[BboxChunk]:
-        resolution = self.router.converter.resolution
-        index = 0
-        in_chunk = 0
-        voxels: List[Tuple[float, float, float, str]] = []
-        occupied = free = unknown = 0
-        hits_before = self.cache.stats.hits
-
-        def flush_chunk() -> BboxChunk:
-            nonlocal index, in_chunk, voxels, occupied, free, unknown, hits_before
-            hits_now = self.cache.stats.hits
-            chunk = BboxChunk(
+        if not total:
+            yield BboxChunk(index=0, voxels=(), occupied=0, free=0, unknown=0, voxels_total=0)
+            return
+        converter = self.router.converter
+        # Voxel centres per axis, from float grid indices: a box far outside
+        # the volume cannot overflow them.
+        axes = [
+            (np.array(indices, dtype=np.float64) + 0.5) * converter.resolution
+            for indices in ranges
+        ]
+        for index, start in enumerate(range(0, total, chunk_voxels)):
+            # Sweep order is x outermost, z innermost.
+            flat = np.arange(start, min(start + chunk_voxels, total))
+            centres = np.column_stack(
+                (
+                    axes[0][flat // (len(axes[1]) * len(axes[2]))],
+                    axes[1][flat // len(axes[2]) % len(axes[1])],
+                    axes[2][flat % len(axes[2])],
+                )
+            )
+            codes, _raws, _shard_ids = self._lookup_keys(*converter.locate_coords(centres))
+            unknown, free, occupied = np.bincount(codes, minlength=3).tolist()
+            voxels: Tuple[Tuple[float, float, float, str], ...] = ()
+            if include_voxels:
+                statuses = [QUERY_STATUSES[code] for code in codes.tolist()]
+                voxels = tuple(zip(*centres.T.tolist(), statuses))
+            yield BboxChunk(
                 index=index,
-                voxels=tuple(voxels),
+                voxels=voxels,
                 occupied=occupied,
                 free=free,
                 unknown=unknown,
-                cache_hits=hits_now - hits_before,
                 voxels_total=total,
             )
-            index += 1
-            in_chunk = 0
-            voxels = []
-            occupied = free = unknown = 0
-            hits_before = hits_now
-            return chunk
-
-        for ix in ranges[0]:
-            x = (ix + 0.5) * resolution
-            for iy in ranges[1]:
-                y = (iy + 0.5) * resolution
-                for iz in ranges[2]:
-                    z = (iz + 0.5) * resolution
-                    status = self.query(x, y, z).status
-                    if include_voxels:
-                        voxels.append((x, y, z, status))
-                    in_chunk += 1
-                    if status == "occupied":
-                        occupied += 1
-                    elif status == "free":
-                        free += 1
-                    else:
-                        unknown += 1
-                    if in_chunk >= chunk_voxels:
-                        yield flush_chunk()
-        if in_chunk or index == 0:
-            yield flush_chunk()
 
     def query_bbox(
         self,
@@ -247,8 +323,8 @@ class QueryEngine:
 
         Raises:
             ValueError: when the box covers more than ``max_box_voxels``
-                voxels (guardrail against accidental whole-map sweeps) or is
-                inverted.
+                voxels (guardrail against accidental whole-map sweeps), is
+                inverted, or has a corner that is not finite.
         """
         box_key = (tuple(float(c) for c in minimum), tuple(float(c) for c in maximum))
         # generation_of barriers in-flight work per shard, so the vector (and
@@ -260,21 +336,16 @@ class QueryEngine:
         if cached is not None:
             self.stats.bbox_queries += 1
             return cached
-        occupied = free = unknown = scanned = cache_hits = 0
+        occupied = free = unknown = scanned = 0
         for chunk in self.iter_bbox(
-            minimum, maximum, chunk_voxels=self.max_box_voxels, include_voxels=False
+            minimum, maximum, chunk_voxels=BULK_SLICE_KEYS, include_voxels=False
         ):
             occupied += chunk.occupied
             free += chunk.free
             unknown += chunk.unknown
-            cache_hits += chunk.cache_hits
             scanned = chunk.voxels_total
         summary = BoxOccupancySummary(
-            occupied=occupied,
-            free=free,
-            unknown=unknown,
-            voxels_scanned=scanned,
-            cache_hits=cache_hits,
+            occupied=occupied, free=free, unknown=unknown, voxels_scanned=scanned
         )
         self.bbox_cache.put(box_key, generations, summary)
         return summary
@@ -288,10 +359,24 @@ class QueryEngine:
         direction: Sequence[float],
         max_range: float,
     ) -> RaycastResponse:
-        """Walk a ray until it strikes an occupied voxel (collision check)."""
+        """Walk a ray until it strikes an occupied voxel (collision check).
+
+        Scalar lane: the voxels are inspected in ray order through the point
+        cache, and the walk stops at the first occupied one.
+
+        Raises:
+            ValueError: when ``max_range`` is not positive, ``direction`` is
+                the zero vector, or any argument is not finite.
+        """
+        # Squares by multiplication: it overflows to inf where ``**`` raises.
+        norm = math.sqrt(sum(component * component for component in direction))
+        if not all(math.isfinite(value) for value in (*origin, norm, max_range)):
+            raise ValueError(
+                "raycast origin, direction and max_range must be finite, got "
+                f"{tuple(origin)!r}, {tuple(direction)!r}, {max_range!r}"
+            )
         if max_range <= 0.0:
             raise ValueError("max_range must be positive")
-        norm = math.sqrt(sum(component ** 2 for component in direction))
         if norm <= 0.0:
             raise ValueError("direction must be a non-zero vector")
         self.stats.raycast_queries += 1

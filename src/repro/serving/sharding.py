@@ -41,6 +41,8 @@ from repro.octomap.octree import OccupancyOcTree
 from repro.serving.types import (
     ShardApplyResult,
     ShardExportResult,
+    ShardKeysQuery,
+    ShardKeysResult,
     ShardQueryRequest,
     ShardQueryResult,
     ShardSnapshot,
@@ -216,6 +218,21 @@ class MapShardWorker:
             generation=self.generation,
         )
 
+    def query_keys_message(self, request: ShardKeysQuery) -> ShardKeysResult:
+        """Answer one wire-format bulk lookup."""
+        if request.shard_id != self.shard_id:
+            raise ValueError(
+                f"query for shard {request.shard_id} delivered to shard {self.shard_id}"
+            )
+        statuses, raws, cycles = self.accelerator.query_keys(request.keys)
+        return ShardKeysResult(
+            shard_id=self.shard_id,
+            statuses=statuses,
+            raws=raws,
+            cycles=cycles,
+            generation=self.generation,
+        )
+
     def export_message(self) -> ShardExportResult:
         """Export this shard's subtree, stamped with its write generation."""
         return ShardExportResult(
@@ -281,15 +298,17 @@ class ShardHost:
     def handle(self, verb: str, gid=None, payload=None):
         """Serve one command; raises on an unknown verb or unhosted gid.
 
-        Verbs: ``query`` / ``apply`` / ``export`` / ``snapshot`` address the
-        worker hosted under ``gid``; ``attach`` (payload ``(shard_id,
-        config)``) and ``restore`` (payload ``(snapshot, config)``) host a
-        fresh or rehydrated worker under it, replacing any previous one;
-        ``detach`` drops it (a no-op when absent); ``ping`` answers
-        ``"pong"``.
+        Verbs: ``query`` / ``query_keys`` / ``apply`` / ``export`` /
+        ``snapshot`` address the worker hosted under ``gid``; ``attach``
+        (payload ``(shard_id, config)``) and ``restore`` (payload
+        ``(snapshot, config)``) host a fresh or rehydrated worker under it,
+        replacing any previous one; ``detach`` drops it (a no-op when
+        absent); ``ping`` answers ``"pong"``.
         """
         if verb == "query":
             return self.worker(gid).query_message(payload)
+        if verb == "query_keys":
+            return self.worker(gid).query_keys_message(payload)
         if verb == "apply":
             return self.worker(gid).apply_message(payload)
         if verb == "export":

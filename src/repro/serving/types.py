@@ -9,10 +9,11 @@ types to and from the network.
 The ``Shard*`` messages at the bottom are the *internal* wire format between
 a session and its shard execution backend
 (:mod:`repro.serving.backends`).  They are deliberately flat -- ints, floats,
-strings and tuples of them -- so every message pickles cheaply across a
-process boundary; voxel updates travel as packed ``(x, y, z, occupied)``
-tuples, which the worker hands to its accelerator as key columns (no
-per-update object is rebuilt on either side).
+strings and tuples of them, or one numpy array per column -- so every
+message pickles cheaply across a process boundary; voxel updates travel as
+packed ``(x, y, z, occupied)`` tuples, which the worker hands to its
+accelerator as key columns (no per-update object is rebuilt on either side),
+and bulk reads as key and answer arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.octomap.pointcloud import PointCloud, ScanNode
 
@@ -36,6 +39,8 @@ __all__ = [
     "ShardApplyResult",
     "ShardQueryRequest",
     "ShardQueryResult",
+    "ShardKeysQuery",
+    "ShardKeysResult",
     "ShardExportResult",
     "ShardSnapshot",
 ]
@@ -175,7 +180,9 @@ class QueryResponse:
         probability: occupancy probability, or ``None`` when unknown.
         shard_id: shard that owns (or would own) the voxel.
         cached: True when the answer came from the query cache.
-        cycles: modelled service cycles (0 for a cache hit).
+        cycles: modelled service cycles (0 for a cache hit, and for an answer
+            of a batch: a bulk read books its cycles per call, in
+            ``SessionStats.modelled_query_cycles``).
     """
 
     status: str
@@ -198,7 +205,6 @@ class BoxOccupancySummary:
     free: int
     unknown: int
     voxels_scanned: int
-    cache_hits: int
 
     @property
     def any_occupied(self) -> bool:
@@ -220,7 +226,6 @@ class BboxChunk:
         voxels: classified voxel centres ``(x, y, z, status)`` in sweep
             order, at most the sweep's ``chunk_voxels`` of them.
         occupied / free / unknown: per-status counts within this chunk.
-        cache_hits: chunk lookups served from the query cache.
         voxels_total: size of the *whole* sweep in voxels (every chunk
             carries it, so a consumer can report progress from any frame).
     """
@@ -230,7 +235,6 @@ class BboxChunk:
     occupied: int
     free: int
     unknown: int
-    cache_hits: int
     voxels_total: int
 
 
@@ -349,6 +353,40 @@ class ShardQueryResult:
     shard_id: int
     status: str
     probability: Optional[float]
+    cycles: int
+    generation: int
+
+
+@dataclass(frozen=True, eq=False)
+class ShardKeysQuery:
+    """A bulk occupancy lookup addressed to a shard: the read-side ``ShardUpdateBatch``.
+
+    Attributes:
+        shard_id: shard that owns every key.
+        keys: ``(N, 3)`` voxel key components (``uint16`` from the query
+            engine; any integer dtype is read the same).
+    """
+
+    shard_id: int
+    keys: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class ShardKeysResult:
+    """A shard worker's answer to one :class:`ShardKeysQuery`, row for row.
+
+    Attributes:
+        shard_id: shard that answered.
+        statuses: ``(N,)`` ``uint8`` indices into
+            :data:`~repro.core.pe.QUERY_STATUSES`.
+        raws: ``(N,)`` ``int16`` fixed-point log-odds (0 where unknown).
+        cycles: modelled service cycles of the N lookups together.
+        generation: the shard's write generation when it answered.
+    """
+
+    shard_id: int
+    statuses: np.ndarray
+    raws: np.ndarray
     cycles: int
     generation: int
 

@@ -1,8 +1,10 @@
 """Unit tests for address generation (key -> PE routing, key -> path)."""
 
+import numpy as np
 import pytest
 
 from repro.core.address_gen import AddressGenerator
+from repro.octomap.keys import OcTreeKey
 
 
 @pytest.fixture
@@ -82,3 +84,33 @@ class TestPaths:
         key = generator.key_for_point(3.1, -2.7, 0.4)
         centre = generator.converter.key_to_coord(key)
         assert generator.key_for_point(*centre) == key
+
+
+class TestShardIndex:
+    @pytest.mark.parametrize("prefix_levels", [1, 3, 8, 9, 12, 16])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 7])
+    def test_bit_spread_equals_the_level_fold_and_the_array_form(self, generator, prefix_levels, num_shards):
+        keys = np.random.default_rng(prefix_levels * 8 + num_shards).integers(0, 0x10000, size=(200, 3))
+        keys[:4] = [[0, 0, 0], [0xFFFF, 0xFFFF, 0xFFFF], [0xFFFF, 0, 0], [0, 0, 0xFFFF]]
+        scalar = []
+        for x, y, z in keys.tolist():
+            key = OcTreeKey(x, y, z)
+            folded = 0
+            for child_index in generator.shard_prefix(key, prefix_levels):
+                folded = folded * 8 + child_index
+            shard = generator.shard_index(key, num_shards, prefix_levels)
+            assert shard == folded % num_shards
+            scalar.append(shard)
+        assert scalar == generator.shard_indices(keys, num_shards, prefix_levels).tolist()
+
+    def test_a_shallower_tree_ignores_the_bits_above_its_depth(self):
+        shallow = AddressGenerator(0.2, tree_depth=12, num_pes=8)
+        assert shallow.shard_index(OcTreeKey(0xF123, 0xF456, 0xF789), 5, 9) == shallow.shard_index(
+            OcTreeKey(0x0123, 0x0456, 0x0789), 5, 9
+        )
+
+    def test_rejects_a_prefix_deeper_than_the_tree(self, generator):
+        with pytest.raises(ValueError, match="prefix_levels"):
+            generator.shard_index(OcTreeKey(1, 2, 3), 2, 17)
+        with pytest.raises(ValueError, match="num_shards"):
+            generator.shard_index(OcTreeKey(1, 2, 3), 0, 1)

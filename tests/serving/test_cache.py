@@ -183,22 +183,35 @@ def test_ingest_through_pipeline_bumps_generations(warm_session, small_scans):
     assert all(after > before for before, after in zip(generations_before, generations_after))
 
 
-def test_raycast_and_bbox_share_the_point_cache(warm_session):
+def test_sweeps_and_batches_bypass_the_point_cache(warm_session):
+    """The bulk lane is scan-resistant: it neither reads nor fills the point LRU."""
+    cache = warm_session.cache
+    hot = (0.3, 0.1, 0.1)
+    warm_session.query(*hot)
+    before = (len(cache), cache.stats.puts, cache.stats.evictions, cache.stats.lookups)
+
     box = warm_session.query_bbox((-0.6, -0.6, 0.0), (0.6, 0.6, 0.2))
     assert box.voxels_scanned > 0
-    # The sweep's point lookups populated the shared point cache, so a
-    # raycast through the same volume hits it.
-    response = warm_session.raycast((-0.5, 0.0, 0.1), (1.0, 0.0, 0.0), 1.0)
-    assert response.cache_hits > 0
+    batch = warm_session.query_batch([(0.1 * step, 0.0, 0.1) for step in range(-5, 6)] + [hot])
+    assert not any(response.cached for response in batch)
+    assert (len(cache), cache.stats.puts, cache.stats.evictions, cache.stats.lookups) == before
+    # The hot point survived both, and answers the same on either lane.
+    again = warm_session.query(*hot)
+    assert again.cached
+    assert (again.status, again.probability) == (batch[-1].status, batch[-1].probability)
+
+    # Raycast steps are point lookups: a repeated ray hits what the first cached.
+    # (The first ray already hits the hot point's voxel, and nothing the sweep read.)
+    first = warm_session.raycast((-0.5, 0.0, 0.1), (1.0, 0.0, 0.0), 1.0)
+    assert first.cache_hits == 1
+    second = warm_session.raycast((-0.5, 0.0, 0.1), (1.0, 0.0, 0.0), 1.0)
+    assert second.cache_hits == second.voxels_traversed == first.voxels_traversed
+
     # A repeated identical sweep over the unchanged map is answered whole by
     # the bbox summary cache, without re-walking the voxels.
     repeat = warm_session.query_bbox((-0.6, -0.6, 0.0), (0.6, 0.6, 0.2))
     assert warm_session.stats.cache.bbox_hits == 1
-    assert (repeat.occupied, repeat.free, repeat.unknown) == (
-        box.occupied,
-        box.free,
-        box.unknown,
-    )
+    assert repeat == box
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ slot: one guarantee, both ways of holding a lease.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from faultinject import (
     DELAY_REPLY,
@@ -228,6 +229,91 @@ def test_shared_fleet_fault_recovers_both_tenants_of_the_slot(chaos, fault):
     )
     assert [stats["failovers"] for stats in both] == [1, 1]
     assert len(chaos.fired) == 1
+
+
+# ---------------------------------------------------------------------------
+# Faults on a bulk read
+# ---------------------------------------------------------------------------
+def _shard_keys(rounds, shard_id: int) -> np.ndarray:
+    """Every key the rounds wrote to one shard, plus one nothing wrote."""
+    written = [entry[:3] for batches in rounds for entry in batches[shard_id].entries]
+    return np.array(written + [(1, 2, 3)], dtype=np.uint16)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["private", "shared-fleet"])
+@pytest.mark.parametrize(
+    "fault",
+    [
+        Fault(KILL_WORKER, phase="recv", verb="query_keys", shard_id=1),
+        Fault(SEVER_CONNECTION, phase="recv", verb="query_keys", shard_id=1),
+    ],
+    ids=["kill-before-reply", "sever-mid-message"],
+)
+def test_a_faulted_bulk_read_recovers_and_answers_like_the_reference(chaos, fault, shared):
+    """``query_keys`` runs on the same locked, recovering exchange as every
+    other verb: the slot is re-homed, its shards rehydrated, the read re-sent."""
+    rounds = _rounds(num_rounds=3)
+    keys = _shard_keys(rounds, 1)
+    reference = make_backend("inline", CONFIG, NUM_SHARDS)
+    try:
+        for batches in rounds:
+            reference.apply_shard_batches(batches)
+        expected = reference.query_keys(1, keys)
+    finally:
+        reference.close()
+    assert set(expected.statuses.tolist()) == {0, 2}
+
+    leases, close = _leases(chaos, shared, snapshot_every_batches=2)
+    try:
+        for batches in rounds:
+            for lease in leases:
+                lease.apply_shard_batches(batches)
+        chaos.arm(fault)
+        for lease in leases:
+            answer = lease.query_keys(1, keys)
+            assert answer.statuses.tolist() == expected.statuses.tolist()
+            assert answer.raws.tolist() == expected.raws.tolist()
+            assert (answer.cycles, answer.generation) == (expected.cycles, expected.generation)
+            assert lease.failed is None, "recovery, not fail-stop"
+            assert lease.failover_stats()["failovers"] == 1
+        assert len(chaos.fired) == 1
+    finally:
+        close()
+
+
+@pytest.mark.parametrize("how", ["kill-before-reply", "sever-mid-message"])
+def test_a_faulted_bulk_read_fail_stops_the_process_fleet_naming_shard_and_worker(how):
+    """Pipes have nowhere to re-home: the loss surfaces, structured."""
+    rounds = _rounds(num_rounds=1)
+    backend = make_backend("process", CONFIG, NUM_SHARDS)
+    try:
+        backend.apply_shard_batches(rounds[0])
+        slot = backend.slot_of(1)
+        channel = backend.pool.engine._slots[slot]
+        process = backend.pool.engine.channels.processes[slot]
+        send = channel.send
+
+        def faulted_send(message):
+            # After the health check passed, before the request leaves.
+            if how == "kill-before-reply":
+                process.kill()
+                process.join(timeout=5.0)
+            else:
+                channel._connection.close()
+            send(message)
+
+        channel.send = faulted_send
+        with pytest.raises(ShardBackendError, match="shard 1 worker process died") as info:
+            backend.query_keys(1, _shard_keys(rounds, 1))
+        assert info.value.shard_id == 1
+        assert info.value.worker_id == f"process:{process.pid}"
+        if how == "kill-before-reply":
+            # The next interaction's health check finds the corpse: fail-stop.
+            with pytest.raises(ShardBackendError):
+                backend.query_keys(0, _shard_keys(rounds, 0))
+            assert backend.failed is not None
+    finally:
+        backend.close()
 
 
 @pytest.mark.parametrize("snapshots_before_kill", [0, 1], ids=["first-shard", "second-shard"])

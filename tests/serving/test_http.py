@@ -254,6 +254,44 @@ async def test_malformed_json_is_a_400_with_a_stable_code():
 
 
 @async_test
+async def test_read_arguments_that_are_not_finite_are_answered_or_refused_never_a_500():
+    """Regression: ``Infinity`` in a point was an ``OverflowError`` (HTTP 500);
+    in a box corner or a ray it was a 500 or a cryptic message."""
+    infinity, nan = float("inf"), float("nan")
+    async with serve() as (server, client):
+        await client.create_session("map")
+        payload = _scan_payloads(1)[0]
+        await client.submit_scan("map", payload["points"], payload["origin"], max_range=5.0)
+        await client.flush("map")
+
+        # A point with no voxel is unknown space, on both read lanes.
+        for value in (infinity, -infinity, nan, 1e300):
+            assert (await client.query("map", value, 0.0, 0.2))["status"] == "unknown"
+            batch = await client.query_batch("map", [[0.0, 0.0, 0.2], [0.0, value, 0.2]])
+            assert batch[1] == {
+                "status": "unknown", "probability": None, "shard_id": -1, "cached": False, "cycles": 0
+            }
+
+        # A box or a ray with no extent to sweep is the caller's mistake.
+        refused = [
+            client.query_bbox("map", (infinity, 0.0, 0.0), (1.0, 1.0, 1.0)),
+            client.query_bbox("map", (0.0, 0.0, 0.0), (1.0, nan, 1.0)),
+            client.query_bbox("map", (0.0, 0.0, 0.0), (1e300, 1.0, 1.0)),
+            client.raycast("map", [0.0, 0.0, 0.2], [nan, 0.0, 0.0], 2.0),
+            client.raycast("map", [0.0, 0.0, 0.2], [1.0, 0.0, 0.0], infinity),
+            client.raycast("map", [infinity, 0.0, 0.2], [1.0, 0.0, 0.0], 2.0),
+        ]
+        for call in refused:
+            with pytest.raises(ServerError) as excinfo:
+                await call
+            assert (excinfo.value.status, excinfo.value.code) == (400, "bad_value")
+        with pytest.raises(ServerError) as excinfo:
+            async for _ in client.stream_bbox("map", (0.0, -infinity, 0.0), (1.0, 1.0, 1.0)):
+                raise AssertionError("no frame expected")
+        assert excinfo.value.status == 400
+
+
+@async_test
 async def test_scan_with_an_unmappable_origin_is_a_400_and_spares_the_batch():
     async with serve(SessionConfig(num_shards=2, batch_size=2)) as (server, client):
         await client.create_session("map")

@@ -10,8 +10,10 @@ surfaces.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core import QUERY_STATUSES
 from repro.core.config import DEFAULT_CONFIG
 from repro.serving import (
     MapSession,
@@ -170,6 +172,26 @@ def test_query_barriers_on_inflight_ticket(name):
         # The ticket owner still gets its acknowledgements.
         results = backend.drain(ticket)
         assert sorted(result.shard_id for result in results) == [0, 1]
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_bulk_read_barriers_on_inflight_ticket(name):
+    """``query_keys`` settles like ``query_key``: it sees the whole flush and
+    the generation the flush left behind."""
+    with make_backend(name, CONFIG, num_shards=2) as backend:
+        batches = [_batch_for_shard(backend, shard, n=16) for shard in range(2)]
+        ticket = backend.apply_async(batches)
+        keys = np.array([entry[:3] for entry in batches[0].entries])
+        answer = backend.query_keys(0, keys)
+        assert answer.statuses.tolist() == [QUERY_STATUSES.index("occupied")] * 16
+        assert answer.generation == 1
+        assert backend.in_flight is None
+        assert backend._generations == [1, 1]
+        assert sorted(result.shard_id for result in backend.drain(ticket)) == [0, 1]
+        # A bulk read of the other shard has nothing left to wait for.
+        backend.apply_async([_batch_for_shard(backend, 0, n=4, occupied=False)])
+        backend.query_keys(1, np.array([entry[:3] for entry in batches[1].entries]))
+        assert backend.in_flight is not None
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
