@@ -8,9 +8,12 @@ are visible independent of the paper-facing experiments.
 import math
 
 import numpy as np
+import pytest
 
 from repro.core import OMUAccelerator, OMUConfig
+from repro.datasets.streams import ClientSpec, generate_interleaved_stream
 from repro.octomap import OccupancyOcTree, PointCloud
+from repro.serving import MapSession, ScanRequest, SessionConfig
 
 
 def _ring_cloud(points: int = 360) -> PointCloud:
@@ -55,3 +58,51 @@ def test_voxel_query_throughput(benchmark):
 
     known = benchmark(query_all)
     assert known > 20
+
+
+@pytest.fixture(scope="module")
+def corridor_shard_batch():
+    """What one of two shards receives from a 4-scan corridor flush (~3.4k updates).
+
+    Captured from a real session's dispatch, so it is the stream the service
+    issues (per scan the sorted free keys, then the end points; the scans one
+    after another; one 12-level prefix class).  Two robots drive the same
+    corridor, so about half of the updates repeat a key.
+    """
+    config = SessionConfig(num_shards=2, batch_size=4, accelerator=OMUConfig(resolution_m=0.2))
+    robots = [ClientSpec(f"robot-{index}", "map", num_scans=2, dropout=0.1) for index in range(2)]
+    session = MapSession("map", config)
+    try:
+        dispatched = []
+        apply_async = session.backend.apply_async
+
+        def recording_apply_async(batches):
+            dispatched.append(list(batches))
+            return apply_async(batches)
+
+        session.backend.apply_async = recording_apply_async
+        for event in generate_interleaved_stream(robots, seed=0):
+            session.submit(ScanRequest.from_scan_node("map", event.scan, max_range=event.max_range_m))
+        session.flush_all()
+    finally:
+        session.close()
+    ((batch, _other_shard),) = dispatched
+    entries = np.array(batch.entries, dtype=np.int64)
+    return config.accelerator, entries[:, :3], entries[:, 3].astype(bool)
+
+
+@pytest.mark.parametrize("order", ["front_end", "shuffled"])
+def test_shard_batch_apply_throughput_by_stream_order(benchmark, corridor_shard_batch, order):
+    """The update kernel resumes each descent where the stream left it: what the order is worth."""
+    config, keys, occupied = corridor_shard_batch
+    if order == "shuffled":
+        # Reordering updates of one voxel changes the map (the clamp), not the count.
+        shuffle = np.random.default_rng(16).permutation(len(keys))
+        keys, occupied = keys[shuffle], occupied[shuffle]
+
+    def apply():
+        accelerator = OMUAccelerator(config)
+        accelerator.apply_update_batch(keys, occupied)
+        return accelerator.statistics().voxel_updates
+
+    assert benchmark(apply) == len(keys) > 2500

@@ -22,8 +22,11 @@ from repro.octomap.keys import KeyConverter, OcTreeKey
 
 __all__ = ["AddressGenerator"]
 
-#: ``_SPREAD[b]``: the bits of byte ``b`` moved from position ``i`` to ``3 * i``.
-_SPREAD = tuple(sum(((byte >> bit) & 1) << (3 * bit) for bit in range(8)) for byte in range(256))
+#: ``_SPREAD[b]``: the bits of byte ``b`` moved from position ``i`` to ``3 * i``
+#: -- one table, as Python ints for the scalar ``shard_index`` and as an
+#: ndarray for the gather in ``shard_indices``.
+_SPREAD = [sum(((byte >> bit) & 1) << (3 * bit) for bit in range(8)) for byte in range(256)]
+_SPREAD_TABLE = np.array(_SPREAD, dtype=np.int64)
 
 
 class AddressGenerator:
@@ -123,18 +126,12 @@ class AddressGenerator:
             raise ValueError(
                 f"prefix_levels must be in [1, {self._tree_depth}], got {prefix_levels}"
             )
-        keys = np.asarray(keys, dtype=np.int64)
-        subtree = np.zeros(keys.shape[0], dtype=np.int64)
-        for level in range(prefix_levels):
-            bit = self._tree_depth - 1 - level
-            child = (
-                ((keys[:, 0] >> bit) & 1)
-                | (((keys[:, 1] >> bit) & 1) << 1)
-                | (((keys[:, 2] >> bit) & 1) << 2)
-            )
-            # 8**16 == 2**48 fits comfortably in int64, so no overflow even
-            # at the full 16-level prefix.
-            subtree = subtree * 8 + child
+        shift = self._tree_depth - prefix_levels
+        top = (np.asarray(keys, dtype=np.int64) >> shift) & ((1 << prefix_levels) - 1)
+        # At most 16 bits per component, spread a byte at a time: the subtree
+        # number has at most 48 bits, so int64 holds it.
+        spread = _SPREAD_TABLE[top & 0xFF] | _SPREAD_TABLE[top >> 8] << 24
+        subtree = spread[:, 0] | spread[:, 1] << 1 | spread[:, 2] << 2
         return subtree % num_shards
 
     def paths_for_keys(self, keys: np.ndarray) -> np.ndarray:

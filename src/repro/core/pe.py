@@ -20,6 +20,31 @@ action is charged to the pipeline stage it belongs to, so the accelerator
 reproduces the paper's runtime breakdown (Fig. 10) structurally rather than by
 fiat.  The walks are integer loops over the TreeMem arrays: no entry object is
 built on the update or query path.
+
+That is what the model *charges*.  What the host *walks* is less, because the
+update kernel leans on one invariant of the image between updates: every
+stored inner entry equals ``(tag word its children row implies, max of its
+children's values)``.  Two consequences, both exact:
+
+* The scheduler issues voxels in stream order and the front ends emit them
+  spatially sorted, so consecutive updates share most of their path.  Within
+  one :meth:`ProcessingElement.update_paths` call the kernel keeps the
+  previous update's row per level (a path register) and resumes the descent
+  below the shared prefix, cut back to the lowest level that update pruned.
+  The register is a local of the call, never PE state: whatever happens to
+  the image between calls (restore, tampering, a query) is met by a walk from
+  row 0, guards included.
+* A parent's children row shows an inner child's pointer and value, never its
+  tag word.  So on the way up, an inner node whose value did not change ends
+  the walk once its own tag word is written: every ancestor would recompute
+  exactly what it already stores, and none can prune over an inner child.
+
+A level-synchronous (array-at-a-time) form of the update loop was sized
+against the serving layer's real PE queues and ruled out: ~47% of a queue's
+updates repeat a key already in it (a batch is several scans), so blocks
+prune and re-expand *inside* one batch and the row-allocation order -- hence
+every statistic downstream of the prune stack -- is only reproduced by
+applying the updates one after another.
 """
 
 from __future__ import annotations
@@ -127,6 +152,11 @@ class ProcessingElement:
         level up; only new nodes, row allocations, expansions and prunes add
         to that, so the loop tallies those four and :meth:`_charge` books the
         whole stream from ``TimingParams`` afterwards.
+
+        The loop walks only the levels whose outcome is open: down from where
+        this path leaves the previous one (the module docstring says why that
+        is exact), up until an inner node keeps its value.  The order of the
+        stream decides how much that saves, never what is stored or charged.
         """
         if not len(paths):
             return CycleBreakdown()
@@ -139,25 +169,41 @@ class ProcessingElement:
         roots = self._local_roots
         depth = self.config.tree_depth
         ancestors = range(depth - 2, -1, -1)
+        # shared[i]: how many leading levels update i's path has in common
+        # with update i-1's (the first update of a call shares none).
+        same = paths[1:] == paths[:-1]
+        shared = [0]
+        shared.extend(np.where(same.all(axis=1), depth, same.argmin(axis=1)).tolist())
+        # The path register: rows[level] is the row holding the current
+        # path's node at that level (its bank is path[level]), and the first
+        # ``intact`` of them survived the previous update's prunes.
+        rows: List[int] = []
+        intact = 0
         new_nodes = allocations = expansions = prunes = done = 0
         try:
-            for path, hit in zip(paths.tolist(), occupied):
-                # --- locate (or create) the local root of this branch -------
-                levels = iter(path)
-                bank = next(levels)
-                row = 0
-                if bank not in roots:
-                    banks[bank].store(0, NULL_POINTER, 0, 0)
-                    roots[bank] = bank
-                    new_nodes += 1
+            for path, hit, resume in zip(paths.tolist(), occupied, shared):
+                if resume > intact:
+                    resume = intact
+                if resume:
+                    # --- resume below the prefix the last update walked -----
+                    del rows[resume:]
+                    bank, row = path[resume - 1], rows[-1]
+                else:
+                    # --- locate (or create) the local root of this branch ---
+                    resume = 1
+                    bank, row = path[0], 0
+                    if bank not in roots:
+                        banks[bank].store(0, NULL_POINTER, 0, 0)
+                        roots[bank] = bank
+                        new_nodes += 1
+                    rows = [0]
 
                 # --- walk down the key path, allocating / expanding ---------
-                # rows[level] is the row holding the path's node at that level
-                # (its bank is path[level]); from level ``grown`` down, the
-                # path's nodes were leaves before this update gave them rows.
-                rows = [0]
+                # From level ``grown`` down, the path's nodes were leaves
+                # before this update gave them rows; every level above the
+                # resume point still has the children it had a moment ago.
                 grown = depth
-                for child in levels:
+                for child in path[resume:]:
                     block = pointers[bank][row]
                     if block == NULL_POINTER:
                         block = allocator.allocate_row()
@@ -200,11 +246,13 @@ class ProcessingElement:
                 )
 
                 # --- upward pass: parent update (eq. (3)) and pruning -------
+                intact = depth
                 for level in ancestors:
                     bank, row = path[level], rows[level]
                     block = pointers[bank][row]
                     word, values = self._read_children(block)
                     value = max(values)
+                    tags[bank][row] = word
                     if (
                         len(values) == 8
                         and (word == _ALL_OCCUPIED or word == _ALL_FREE)
@@ -215,17 +263,16 @@ class ProcessingElement:
                         allocator.free_row(block)
                         pointers[bank][row] = NULL_POINTER
                         prunes += 1
-                    elif (
-                        level < grown
-                        and word == tags[bank][row]
-                        and value == probabilities[bank][row]
-                    ):
-                        # This inner node is as its parent last saw it, so no
-                        # ancestor's children row changes either, and none can
-                        # prune over an inner child: their (fixed) accesses
+                        intact = level + 1
+                    elif level < grown and value == probabilities[bank][row]:
+                        # This node was inner before the update and keeps its
+                        # value (its tag word, which may be new, is written
+                        # above).  Its parent's children row shows a child's
+                        # pointer and value, never its tag word, so that row
+                        # reads as it did: no ancestor changes, and none can
+                        # prune over an inner child.  Their (fixed) accesses
                         # are charged unwalked.
                         break
-                    tags[bank][row] = word
                     probabilities[bank][row] = value
                 done += 1
         finally:

@@ -59,21 +59,21 @@ class PruneAddressManager:
             MemoryCapacityError: when no pruned row is available and every
                 fresh row has already been handed out.
         """
-        self.allocations += 1
         if self._stack:
             self.reused_allocations += 1
             row = self._stack.pop()
             self._stacked.remove(row)
-            return row
-        if self._next_fresh_row >= self._num_rows:
-            raise MemoryCapacityError(
-                f"TreeMem exhausted: all {self._num_rows} rows are in use and "
-                "the prune stack is empty (increase bank_kilobytes or reduce "
-                "the mapped volume)"
-            )
-        self.fresh_allocations += 1
-        row = self._next_fresh_row
-        self._next_fresh_row += 1
+        else:
+            if self._next_fresh_row >= self._num_rows:
+                raise MemoryCapacityError(
+                    f"TreeMem exhausted: all {self._num_rows} rows are in use and "
+                    "the prune stack is empty (increase bank_kilobytes or reduce "
+                    "the mapped volume)"
+                )
+            self.fresh_allocations += 1
+            row = self._next_fresh_row
+            self._next_fresh_row += 1
+        self.allocations += 1
         return row
 
     def free_row(self, row: int) -> None:

@@ -87,8 +87,8 @@ class TestPaths:
 
 
 class TestShardIndex:
-    @pytest.mark.parametrize("prefix_levels", [1, 3, 8, 9, 12, 16])
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("prefix_levels", range(1, 17))
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 7, 8])
     def test_bit_spread_equals_the_level_fold_and_the_array_form(self, generator, prefix_levels, num_shards):
         keys = np.random.default_rng(prefix_levels * 8 + num_shards).integers(0, 0x10000, size=(200, 3))
         keys[:4] = [[0, 0, 0], [0xFFFF, 0xFFFF, 0xFFFF], [0xFFFF, 0, 0], [0, 0, 0xFFFF]]

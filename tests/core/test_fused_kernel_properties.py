@@ -6,23 +6,34 @@ loop (and its early exit on the way up) runs in each example.  The kernels
 must build the map sequential software OctoMap builds, leave a consistent
 SRAM image behind, and charge the same cycles whether a batch arrives as
 columns or as request objects.
+
+The update kernel resumes each descent below the prefix it shares with the
+previous update of the same call.  A call of one update never resumes, so
+"one call over N updates" against "N calls of one update" is the differential
+that pins the resume: same SRAM bytes, same allocator, same statistics, in
+whatever order the stream arrives.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from typing import List, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import OMUAccelerator, OMUConfig
+from repro.core.address_gen import AddressGenerator
 from repro.core.pe import ProcessingElement
 from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.treemem import NULL_POINTER, ChildStatus, TreeMemEntry
 from repro.core.verification import compare_trees
 from repro.octomap.keys import OcTreeKey
 from repro.octomap.octree import OccupancyOcTree
+from repro.octomap.pointcloud import PointCloud
 
 Update = Tuple[int, int, int, bool]
 BATCH = 96
@@ -73,35 +84,48 @@ def apply_in_batches(accelerator: OMUAccelerator, stream: List[Update], as_colum
     return timings
 
 
+def check_entry(pe: ProcessingElement, entry: TreeMemEntry, level: int) -> list:
+    """One stored entry against its children row: the implied tag word and maximum."""
+    assert TreeMemEntry.unpack(entry.pack()) == entry
+    if entry.pointer == NULL_POINTER:
+        if level < pe.config.tree_depth:  # a pruned region: uniform tags of its own class
+            assert entry.child_tags == [pe.probability_unit.classify(entry.probability_raw)] * 8
+        return []
+    children = pe.memory.read_row(entry.pointer)
+    for child, tag in zip(children, entry.child_tags):
+        if child is None:
+            assert tag == ChildStatus.UNKNOWN
+        elif child.pointer != NULL_POINTER:
+            assert tag == ChildStatus.INNER
+        else:
+            assert tag == pe.probability_unit.classify(child.probability_raw)
+    assert entry.probability_raw == max(
+        child.probability_raw for child in children if child is not None
+    )
+    return children
+
+
 def check_image(pe: ProcessingElement) -> None:
     """Walk the PE's tree: tags match children, entries round-trip, nothing leaks."""
-    depth = pe.config.tree_depth
-    classify = pe.probability_unit.classify
     reachable = inner = 0
     pending = [(pe.memory.read_entry(0, bank), 1) for bank in pe._local_roots.values()]
     while pending:
         entry, level = pending.pop()
         assert entry is not None
         reachable += 1
-        assert TreeMemEntry.unpack(entry.pack()) == entry
-        if entry.pointer == NULL_POINTER:
-            if level < depth:  # a pruned region: uniform tags of its own class
-                assert entry.child_tags == [classify(entry.probability_raw)] * 8
-            continue
-        inner += 1
-        children = pe.memory.read_row(entry.pointer)
-        for child, tag in zip(children, entry.child_tags):
-            if child is None:
-                assert tag == ChildStatus.UNKNOWN
-            elif child.pointer != NULL_POINTER:
-                assert tag == ChildStatus.INNER
-            else:
-                assert tag == classify(child.probability_raw)
-        present = [child for child in children if child is not None]
-        assert entry.probability_raw == max(child.probability_raw for child in present)
+        present = [child for child in check_entry(pe, entry, level) if child is not None]
+        inner += entry.pointer != NULL_POINTER
         pending.extend((child, level + 1) for child in present)
     assert reachable == pe.nodes_stored() == sum(sum(bank.valid) for bank in pe.memory.banks)
     assert inner == pe.allocator.rows_in_use
+
+
+def check_ancestors(pe: ProcessingElement, path: np.ndarray) -> None:
+    """``check_entry`` on the only entries one update writes: the voxel's ancestors."""
+    entry, level = pe.memory.read_entry(0, int(path[0])), 1
+    while entry.pointer != NULL_POINTER:
+        entry, level = check_entry(pe, entry, level)[int(path[level])], level + 1
+    check_entry(pe, entry, level)
 
 
 def check_stream(depth: int, stream: List[Update]) -> OMUAccelerator:
@@ -170,3 +194,145 @@ def test_updates_to_one_voxel_in_one_batch_apply_in_stream_order():
         pe = accelerator.pes[accelerator.address_generator.pe_for_key(OcTreeKey(5, 9, 3))]
         finals.append(pe.query_voxel(OcTreeKey(5, 9, 3))[1])
     assert finals == [params.raw_clamp_max + params.raw_miss, params.raw_clamp_max]
+
+
+# -- one call over the stream == one call per update ---------------------------
+def machine_state(pe: ProcessingElement) -> dict:
+    """Everything an update can leave behind in a PE, stale SRAM words included."""
+    banks, allocator = pe.memory.banks, pe.allocator
+    return {
+        "image": [
+            (bytes(bank.valid), bank.pointers.tobytes(), bank.tags.tobytes(), bank.probabilities.tobytes())
+            for bank in banks
+        ],
+        "accesses": [(bank.read_accesses, bank.write_accesses) for bank in banks],
+        "rows": (pe.memory.row_reads, pe.memory.row_writes),
+        "allocator": (
+            allocator._next_fresh_row,
+            list(allocator._stack),
+            allocator.allocations,
+            allocator.fresh_allocations,
+            allocator.reused_allocations,
+            allocator.frees,
+            allocator.peak_stack_depth,
+        ),
+        "roots": dict(pe._local_roots),
+        "stats": pe.stats,
+        "counters": pe.counters,
+    }
+
+
+def check_resumed_equals_cold(config, paths: np.ndarray, occupied: List[bool]) -> ProcessingElement:
+    """Both PEs own every first-level branch, so any stream can be fed to them whole.
+
+    The one-update calls never resume but do take the value-only exit on the
+    way up, so that exit gets a reference of its own: a third PE on which,
+    after *every* update, each ancestor of the voxel -- those above the level
+    the upward pass stopped at included -- is recomputed from its children
+    row (``check_entry``).  A pass that stopped too early fails at that
+    update, not only if the stale entry survives to the end of the stream.
+    (A third PE because the check reads through the counted SRAM ports.)
+    """
+    resumed, cold, walked = (ProcessingElement(0, config) for _ in range(3))
+    charged = resumed.update_paths(paths, occupied)
+    for index, hit in enumerate(occupied):
+        cold.update_paths(paths[index : index + 1], [hit])
+        walked.update_paths(paths[index : index + 1], [hit])
+        check_ancestors(walked, paths[index])
+    assert machine_state(resumed) == machine_state(cold)
+    assert charged == cold.stats.breakdown
+    check_image(resumed)
+    return resumed
+
+
+def stream_columns(depth: int, stream: List[Update]):
+    config = small_config(depth)
+    columns = np.array(stream, dtype=np.int64)
+    paths = AddressGenerator(config.resolution_m, depth, config.num_pes).paths_for_keys(columns[:, :3])
+    return config, paths, (columns[:, 3] != 0).tolist()
+
+
+@given(update_streams())
+@settings(max_examples=40, deadline=None)
+def test_one_call_over_a_stream_equals_one_call_per_update_in_any_order(case):
+    """As drawn (bursts: duplicate-heavy), sorted (longest shared prefixes) and shuffled."""
+    depth, stream = case
+    shuffled = list(stream)
+    random.Random(len(stream)).shuffle(shuffled)
+    for ordered in (stream, sorted(stream), shuffled):
+        check_resumed_equals_cold(*stream_columns(depth, ordered))
+
+
+def _cube(side: int, occupied: bool, repeats: int) -> List[Update]:
+    cells = range(side)
+    return [(x, y, z, occupied) for _ in range(repeats) for x in cells for y in cells for z in cells]
+
+
+# (1, 0, 0) flips free -> occupied under a parent whose max stays (0, 0, 0)'s:
+# the upward pass stops there, after writing the new tag word.
+TAG_FLIP = [(0, 0, 0, True)] * 3 + [(1, 0, 0, False), (1, 0, 0, True)]
+
+
+@pytest.mark.parametrize(
+    "stream, prunes, expansions",
+    [
+        # (i) Every round of misses ends with eight equal leaves: (1, 1, 1)
+        # prunes the block at level 1, and the next update -- sharing two
+        # levels, or all three for the closing hit -- must re-expand the
+        # pruned leaf, not walk into the row the prune just freed.
+        (_block(False, 5) + [(1, 1, 1, True)], 5, 5),
+        # ... and with all 64 voxels of a branch, each round's last prune
+        # cascades to the local root (8 + 1 prunes): resume from row 0, and
+        # re-expand two levels.
+        (_cube(4, False, 5) + [(3, 3, 3, True)], 45, 4 * 9 + 2),
+        # (ii) Identical consecutive paths: nothing to descend.
+        ([(5, 6, 3, True)] * 8 + [(5, 6, 3, False)] * 3, 0, 0),
+        # (iii) A new first-level branch in the middle of the stream.
+        ([(0, 0, 0, True), (1, 0, 0, True), (7, 7, 7, False), (1, 0, 0, True)], 0, 0),
+        # (iv) A tag flip under an unchanged maximum (see TAG_FLIP).
+        (TAG_FLIP, 0, 0),
+    ],
+)
+def test_directed_streams_through_the_resumed_kernel(stream, prunes, expansions):
+    check_stream(3, stream)
+    pe = check_resumed_equals_cold(*stream_columns(3, stream))
+    assert (pe.counters.prunes, pe.counters.expansions) == (prunes, expansions)
+
+
+def test_a_tag_flip_under_an_unchanged_maximum_reaches_the_parent_entry():
+    """Case (iv) read off the stored word: the value-only exit wrote the tag first."""
+    pe = check_resumed_equals_cold(*stream_columns(3, TAG_FLIP))
+    block = pe.memory.read_entry(pe.memory.read_entry(0, 0).pointer, 0)
+    assert block.tag(0) == block.tag(1) == ChildStatus.OCCUPIED
+    three_hits = 3 * pe.probability_unit.params.raw_hit
+    assert block.probability_raw == three_hits == pe.memory.read_entry(0, 0).probability_raw
+
+
+def test_a_depth_16_lidar_stream_applied_seven_times_over():
+    """Ray-ordered free voxels then end points; repeats saturate, prune and re-expand."""
+    config = OMUConfig(resolution_m=0.2)
+    accelerator = OMUAccelerator(config)
+    cloud = PointCloud(
+        [
+            (4.0 * math.cos(azimuth), 4.0 * math.sin(azimuth), height)
+            for height in (-0.3, 0.0, 0.3)
+            for azimuth in np.linspace(-math.pi, math.pi, 120, endpoint=False)
+        ]
+    )
+    cast = accelerator.raycaster.cast_scan(cloud, (0.05, 0.05, 0.05))
+    batch = accelerator.scheduler.schedule(cast.free_keys, cast.occupied_keys)
+    queue = max(batch.per_pe.values(), key=len)
+    paths = np.tile(queue.paths, (7, 1))
+    pe = check_resumed_equals_cold(config, paths, queue.occupied.tolist() * 7)
+    assert pe.counters.prunes >= 1 and pe.counters.expansions >= 1
+
+
+def test_the_path_register_does_not_outlive_the_call():
+    """The image is tampered between two calls that walk the same path: the second must notice."""
+    config, paths, occupied = stream_columns(4, [(5, 9, 3, True)] * 2)
+    pe = ProcessingElement(0, config)
+    pe.update_paths(paths, occupied)
+    pe.memory.clear_row(pe.memory.read_entry(0, int(paths[0, 0])).pointer)
+    with pytest.raises(RuntimeError, match="tag/memory mismatch"):
+        pe.update_paths(paths, occupied)
+

@@ -22,6 +22,20 @@ class TestAllocation:
         with pytest.raises(MemoryCapacityError):
             manager.allocate_row()
 
+    def test_a_refused_allocation_is_not_counted(self):
+        """allocations == fresh + reused, also after exhaustion and after free -> reuse -> exhaustion."""
+        manager = PruneAddressManager(num_rows=4, reserved_rows=1)
+        rows = [manager.allocate_row() for _ in range(3)]
+        with pytest.raises(MemoryCapacityError):
+            manager.allocate_row()
+        assert (manager.allocations, manager.fresh_allocations, manager.reused_allocations) == (3, 3, 0)
+        manager.free_row(rows[1])
+        assert manager.allocate_row() == rows[1]
+        with pytest.raises(MemoryCapacityError):
+            manager.allocate_row()
+        assert (manager.allocations, manager.fresh_allocations, manager.reused_allocations) == (4, 3, 1)
+        assert manager.reuse_fraction() == 0.25
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             PruneAddressManager(num_rows=1, reserved_rows=1)

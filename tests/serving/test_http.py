@@ -86,6 +86,33 @@ def _as_request(payload: dict, session_id: str = "map") -> ScanRequest:
     )
 
 
+async def _submit_then_flush(server, client, session_id: str, submit):
+    """``(await submit(), POST /flush reports)``, the reports covering the scans.
+
+    ``flush`` answers with the reports produced *since the call began*, so a
+    background flusher that drains first leaves it nothing to report.  The
+    session's ingestion lock is therefore held (as in ``test_aio``'s
+    slow-session test) until the server-side flush has taken its mark.
+    """
+    service = server.service
+    started = asyncio.Event()
+    flush = service.flush
+
+    async def observed_flush(sid):
+        started.set()  # the waiter resumes only once flush() first suspends
+        return await flush(sid)
+
+    service.flush = observed_flush
+    try:
+        async with service._entries[session_id].lock:
+            submitted = await submit()
+            pending = asyncio.ensure_future(client.flush(session_id))
+            await started.wait()
+        return submitted, await pending
+    finally:
+        del service.flush
+
+
 async def _raw_exchange(host: str, port: int, raw: bytes) -> bytes:
     """Send raw bytes, return the full response (framing error paths)."""
     reader, writer = await asyncio.open_connection(host, port)
@@ -131,14 +158,17 @@ async def test_submit_flush_query_roundtrip_over_the_wire():
     async with serve() as (server, client):
         await client.create_session("map")
         payloads = _scan_payloads(3)
-        receipts = [
-            await client.submit_scan("map", p["points"], p["origin"], max_range=5.0)
-            for p in payloads
-        ]
+
+        async def submit():
+            return [
+                await client.submit_scan("map", p["points"], p["origin"], max_range=5.0)
+                for p in payloads
+            ]
+
+        receipts, reports = await _submit_then_flush(server, client, "map", submit)
         assert [r["request_id"] for r in receipts] == sorted(
             r["request_id"] for r in receipts
         )
-        reports = await client.flush("map")
         assert sum(report["scans"] for report in reports) == 3
 
         # The map over HTTP equals sequential in-process insertion.
@@ -296,18 +326,31 @@ async def test_scan_with_an_unmappable_origin_is_a_400_and_spares_the_batch():
     async with serve(SessionConfig(num_shards=2, batch_size=2)) as (server, client):
         await client.create_session("map")
         good, other = _scan_payloads(2)
-        await client.submit_scan("map", good["points"], good["origin"], max_range=5.0)
-        with pytest.raises(ServerError) as excinfo:
-            await client.submit_scan("map", other["points"], [1e9, 0.0, 0.0])
+
+        async def submit_good_then_unmappable():
+            await client.submit_scan("map", good["points"], good["origin"], max_range=5.0)
+            with pytest.raises(ServerError) as excinfo:
+                await client.submit_scan("map", other["points"], [1e9, 0.0, 0.0])
+            return excinfo
+
+        excinfo, reports = await _submit_then_flush(
+            server, client, "map", submit_good_then_unmappable
+        )
         assert (excinfo.value.status, excinfo.value.code) == (400, "bad_value")
         assert "outside the mappable volume" in str(excinfo.value)
         # The scan it would have been batched with is ingested; the session
         # did not fail-stop.
-        reports = await client.flush("map")
         assert sum(report["scans"] for report in reports) == 1
         assert sum(report["voxel_updates"] for report in reports) > 0
-        await client.submit_scan("map", other["points"], other["origin"], max_range=5.0)
-        assert sum(report["scans"] for report in await client.flush("map")) == 1
+        ingest = (await client.session_stats("map"))["ingest"]
+        assert ingest["scans"] == 1 and ingest["voxel_updates"] > 0
+
+        async def submit_mappable():
+            await client.submit_scan("map", other["points"], other["origin"], max_range=5.0)
+
+        _, reports = await _submit_then_flush(server, client, "map", submit_mappable)
+        assert sum(report["scans"] for report in reports) == 1
+        assert (await client.session_stats("map"))["ingest"]["scans"] == 2
 
 
 @async_test
