@@ -54,50 +54,53 @@ async def run_demo(backend: str) -> None:
     # A small body limit makes the upload path load-bearing: the scan batch
     # below could not arrive as one POST.
     async with HttpMapServer(service, port=0, max_body_bytes=8 * 1024) as server:
-        host, port = server.address
-        client = MapServiceClient(host, port)
-        print(f"serving http://{host}:{port}  (backend={backend})")
-        print("healthz:", await client.healthz())
+        # The client keeps its connections between calls; leaving the block
+        # closes them.
+        async with MapServiceClient(*server.address) as client:
+            print(f"serving http://{client.host}:{client.port}  (backend={backend})")
+            print("healthz:", await client.healthz())
 
-        created = await client.create_session(
-            "warehouse", {"scheduler_policy": "priority"}
-        )
-        print("session:", created)
+            created = await client.create_session(
+                "warehouse", {"scheduler_policy": "priority"}
+            )
+            print("session:", created)
 
-        blob_bytes = len(json.dumps({"scans": scans}).encode())
-        print(
-            f"uploading {len(scans)} scans ({blob_bytes} bytes) in 4 KiB chunks "
-            f"(single-body limit is {8 * 1024} bytes)"
-        )
-        commit = await client.upload_scans("warehouse", scans, chunk_bytes=4 * 1024)
-        print(f"upload committed: {commit['submitted']} scans admitted")
+            blob_bytes = len(json.dumps({"scans": scans}).encode())
+            print(
+                f"uploading {len(scans)} scans ({blob_bytes} bytes) in 4 KiB chunks "
+                f"(single-body limit is {8 * 1024} bytes)"
+            )
+            commit = await client.upload_scans("warehouse", scans, chunk_bytes=4 * 1024)
+            print(f"upload committed: {commit['submitted']} scans admitted")
 
-        reports = await client.flush("warehouse")
-        print(
-            f"flushed {sum(r['scans'] for r in reports)} scans in "
-            f"{len(reports)} batches, "
-            f"{sum(r['voxel_updates'] for r in reports)} voxel updates"
-        )
+            reports = await client.flush("warehouse")
+            print(
+                f"flushed {sum(r['scans'] for r in reports)} scans in "
+                f"{len(reports)} batches, "
+                f"{sum(r['voxel_updates'] for r in reports)} voxel updates"
+            )
 
-        point = await client.query("warehouse", 1.0, 0.0, 0.5)
-        print("point query:", point)
-        box = await client.query_bbox("warehouse", (-2.0, -2.0, 0.0), (2.0, 2.0, 1.0))
-        print("bbox sweep:", box)
-        ray = await client.raycast("warehouse", (0.0, 0.0, 0.5), (1.0, 0.0, 0.0), 12.0)
-        print("raycast:", ray)
+            point = await client.query("warehouse", 1.0, 0.0, 0.5)
+            print("point query:", point)
+            box = await client.query_bbox("warehouse", (-2.0, -2.0, 0.0), (2.0, 2.0, 1.0))
+            print("bbox sweep:", box)
+            ray = await client.raycast("warehouse", (0.0, 0.0, 0.5), (1.0, 0.0, 0.0), 12.0)
+            print("raycast:", ray)
 
-        started = await client.start_export("warehouse")
-        record = await client.wait_job(started["job_id"])
-        print(f"export job {record['job_id']}: {' -> '.join(record['history'])}")
-        artifact = await client.job_result(record["job_id"])
-        tree = deserialize_tree(artifact)
-        live = service.manager.get_session("warehouse").export_octree()
-        diff = compare_trees(tree, live, 1e-9)
-        assert diff.equivalent, diff.summary()
-        print(
-            f"artifact: {len(artifact)} bytes, {tree.num_leaf_nodes()} leaf nodes, "
-            "equivalent to the live map"
-        )
+            started = await client.start_export("warehouse")
+            record = await client.wait_job(started["job_id"])
+            print(f"export job {record['job_id']}: {' -> '.join(record['history'])}")
+            artifact = await client.job_result(record["job_id"])
+            tree = deserialize_tree(artifact)
+            live = service.manager.get_session("warehouse").export_octree()
+            diff = compare_trees(tree, live, 1e-9)
+            assert diff.equivalent, diff.summary()
+            print(
+                f"artifact: {len(artifact)} bytes, {tree.num_leaf_nodes()} leaf nodes, "
+                "equivalent to the live map"
+            )
+            http = (await client.healthz())["http"]
+            print(f"{http['requests']} requests over {http['connections_accepted']} connection(s)")
     await service.close(drain=True)
     print(service.render_stats())
 

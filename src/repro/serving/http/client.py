@@ -1,14 +1,25 @@
 """A small asyncio HTTP/1.1 client for the map-server API.
 
-Stdlib-only counterpart of :mod:`repro.serving.http.server`: one
-``asyncio.open_connection`` per request (``Connection: close``; deliberate
--- correctness tests want independent connections, and the benchmark then
-measures the honest per-request cost of the network hop), plain and
-chunked-transfer (NDJSON) response reading, and
-:class:`MapServiceClient`, which wraps the REST surface including the
-init/chunks/commit upload protocol and job polling.  Tests, the workload
-demo and the HTTP-vs-in-process benchmark all drive the server through
-this module, so the client is exercised as hard as the server.
+Stdlib-only counterpart of :mod:`repro.serving.http.server`, built on one
+primitive: :func:`_exchange` writes one request on an open connection, reads
+the response head and hands back the body (plain or chunked-transfer) with
+the answer to "may this connection carry another request?".
+
+* :func:`http_request` is that primitive plus open/close: one independent
+  connection per request, sent with ``Connection: close`` -- what framing
+  tests and one-off probes want.
+* :class:`MapServiceClient` wraps the REST surface (upload protocol, job
+  polling and the NDJSON bbox stream included) and keeps its connections: a
+  call reuses an idle keep-alive connection or opens one, and puts it back
+  only after a complete exchange (reply not ``Connection: close``, body read
+  to its end).  Concurrent calls each hold their own, so the idle stack never
+  outgrows the caller's peak concurrency and there is nothing to size.
+
+A request is written **at most once**: if a connection fails mid-exchange the
+error (``ConnectionError`` / ``asyncio.IncompleteReadError``) reaches the
+caller and nothing is re-sent -- a scan must never be submitted twice.  A
+server restart *between* two calls stays invisible because an idle
+connection whose peer has closed is skipped before reuse.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+from contextlib import asynccontextmanager
 from dataclasses import dataclass
 from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +60,16 @@ class HttpResponse:
     def json(self) -> Any:
         return json.loads(self.body.decode("utf-8")) if self.body else None
 
+    def raise_for_status(self) -> None:
+        """Raise :class:`ServerError` for a 4xx/5xx answer."""
+        if self.status < 400:
+            return
+        try:
+            decoded = self.json()
+        except (ValueError, UnicodeDecodeError):
+            decoded = {"error": {"message": self.body.decode("latin-1")}}
+        raise ServerError(self.status, decoded)
+
 
 async def _read_head(reader: asyncio.StreamReader) -> Tuple[int, Dict[str, str]]:
     head = await reader.readuntil(b"\r\n\r\n")
@@ -75,23 +97,65 @@ async def _read_chunked(reader: asyncio.StreamReader) -> AsyncIterator[bytes]:
         yield data
 
 
-def _request_bytes(method: str, path: str, host: str, body: bytes, content_type: str) -> bytes:
+def _request_bytes(method: str, target: str, host: str, payload: Any, keep_alive: bool) -> bytes:
+    """Head + body of one request; ``payload`` is JSON-encoded unless it is bytes."""
+    if isinstance(payload, (bytes, bytearray)):
+        body, content_type = bytes(payload), "application/octet-stream"
+    else:
+        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        content_type = "application/json"
     head = (
-        f"{method} {path} HTTP/1.1\r\n"
+        f"{method} {target} HTTP/1.1\r\n"
         f"Host: {host}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
     )
     return head.encode("latin-1") + body
 
 
-def _encode_body(payload: Any) -> Tuple[bytes, str]:
-    if payload is None:
-        return b"", "application/json"
-    if isinstance(payload, (bytes, bytearray)):
-        return bytes(payload), "application/octet-stream"
-    return json.dumps(payload).encode("utf-8"), "application/json"
+class _Exchange:
+    """The response side of one exchange: status, headers, then the body."""
+
+    def __init__(self, reader: asyncio.StreamReader, status: int, headers: Dict[str, str]) -> None:
+        self.status = status
+        self.headers = headers
+        #: set once the body was read to its end and the reply did not say
+        #: ``Connection: close``: only then may the connection be used again.
+        self.reusable = False
+        self._reader = reader
+
+    async def frames(self) -> AsyncIterator[bytes]:
+        """The body: one piece, or one per chunked-transfer frame."""
+        if self.headers.get("transfer-encoding") == "chunked":
+            async for frame in _read_chunked(self._reader):
+                yield frame
+        else:
+            yield await self._reader.readexactly(int(self.headers.get("content-length", "0")))
+        self.reusable = "close" not in self.headers.get("connection", "").lower()
+
+    async def read(self) -> HttpResponse:
+        """Drain the body into one buffered response."""
+        body = b"".join([frame async for frame in self.frames()])
+        return HttpResponse(status=self.status, headers=self.headers, body=body)
+
+
+async def _exchange(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, request: bytes
+) -> _Exchange:
+    """Write one request on an open connection and read the response head."""
+    writer.write(request)
+    await writer.drain()
+    status, headers = await _read_head(reader)
+    return _Exchange(reader, status, headers)
+
+
+async def _close(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionResetError, BrokenPipeError):
+        pass
 
 
 async def http_request(
@@ -103,35 +167,21 @@ async def http_request(
     *,
     raw_body: Optional[bytes] = None,
 ) -> HttpResponse:
-    """One request / one connection; returns the buffered response.
+    """One request on a connection of its own; returns the buffered response.
 
-    ``payload`` is JSON-encoded; ``raw_body`` sends bytes verbatim instead
-    (the upload-chunk ``PUT``).  Chunked responses are drained and
-    concatenated -- use :meth:`MapServiceClient.stream_bbox` to consume
-    frames incrementally.
+    Open, send with ``Connection: close``, close -- independent of every
+    other request (:class:`MapServiceClient` is the one that keeps
+    connections).  ``payload`` is JSON-encoded; ``raw_body`` sends bytes
+    verbatim instead.  Chunked responses are drained and concatenated.
     """
-    body, content_type = (
-        (raw_body, "application/octet-stream")
-        if raw_body is not None
-        else _encode_body(payload)
-    )
+    if raw_body is not None:
+        payload = raw_body
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write(_request_bytes(method, path, f"{host}:{port}", body, content_type))
-        await writer.drain()
-        status, headers = await _read_head(reader)
-        if headers.get("transfer-encoding") == "chunked":
-            chunks = [chunk async for chunk in _read_chunked(reader)]
-            data = b"".join(chunks)
-        else:
-            data = await reader.readexactly(int(headers.get("content-length", "0")))
-        return HttpResponse(status=status, headers=headers, body=data)
+        request = _request_bytes(method, path, f"{host}:{port}", payload, keep_alive=False)
+        return await (await _exchange(reader, writer, request)).read()
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        await _close(writer)
 
 
 class MapServiceClient:
@@ -139,27 +189,71 @@ class MapServiceClient:
 
     Every call raises :class:`ServerError` on a non-2xx answer, so tests
     assert on ``error.status`` / ``error.code`` instead of parsing bodies.
+    ``async with MapServiceClient(host, port) as client`` (or :meth:`close`)
+    releases the kept connections; a client that is never closed, or is used
+    again under a later ``asyncio.run``, stays harmless.
     """
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
+        self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
-    async def _call(
-        self, method: str, path: str, payload: Any = None, *, raw_body: Optional[bytes] = None
-    ) -> Any:
-        response = await http_request(
-            self.host, self.port, method, path, payload, raw_body=raw_body
-        )
-        if response.status >= 400:
-            try:
-                decoded = response.json()
-            except (ValueError, UnicodeDecodeError):
-                decoded = {"error": {"message": response.body.decode("latin-1")}}
-            raise ServerError(response.status, decoded)
+    def _idle_connections(self) -> List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]:
+        """The idle stack of the running event loop."""
+        loop = asyncio.get_running_loop()
+        if self._loop is not loop:
+            # Connections opened on another loop can be neither used nor
+            # closed from this one (theirs is usually finished): forget them,
+            # the transport's finalizer closes the socket.
+            self._idle, self._loop = [], loop
+        return self._idle
+
+    async def _connection(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        """The most recently used idle connection that is still up, else a new one."""
+        idle = self._idle_connections()
+        while idle:
+            reader, writer = idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                return reader, writer
+            await _close(writer)  # the server hung up while it sat idle
+        return await asyncio.open_connection(self.host, self.port)
+
+    @asynccontextmanager
+    async def _request(self, method: str, target: str, payload: Any = None) -> AsyncIterator[_Exchange]:
+        """One exchange on a kept connection, which is kept again only if it completes."""
+        reader, writer = await self._connection()
+        exchange = None
+        try:
+            request = _request_bytes(method, target, f"{self.host}:{self.port}", payload, keep_alive=True)
+            exchange = await _exchange(reader, writer, request)
+            yield exchange
+        finally:
+            if exchange is not None and exchange.reusable:
+                self._idle_connections().append((reader, writer))
+            else:
+                await _close(writer)
+
+    async def _call(self, method: str, path: str, payload: Any = None) -> Any:
+        async with self._request(method, path, payload) as exchange:
+            response = await exchange.read()
+        response.raise_for_status()
         if response.headers.get("content-type", "").startswith("application/json"):
             return response.json()
         return response.body
+
+    async def close(self) -> None:
+        """Close the idle connections (call it with no request in flight)."""
+        idle = self._idle_connections()
+        while idle:
+            await _close(idle.pop()[1])
+
+    async def __aenter__(self) -> "MapServiceClient":
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.close()
 
     # ------------------------------------------------------------------
     # Service
@@ -254,20 +348,12 @@ class MapServiceClient:
             "chunk_voxels": chunk_voxels,
             "include_voxels": include_voxels,
         }
-        body, content_type = _encode_body(payload)
-        path = f"/v1/sessions/{session_id}/query/bbox?stream=true"
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            writer.write(
-                _request_bytes("POST", path, f"{self.host}:{self.port}", body, content_type)
-            )
-            await writer.drain()
-            status, headers = await _read_head(reader)
-            if status >= 400:
-                data = await reader.readexactly(int(headers.get("content-length", "0")))
-                raise ServerError(status, json.loads(data.decode("utf-8")) if data else {})
+        target = f"/v1/sessions/{session_id}/query/bbox?stream=true"
+        async with self._request("POST", target, payload) as exchange:
+            if exchange.status >= 400:
+                (await exchange.read()).raise_for_status()
             buffer = b""
-            async for frame in _read_chunked(reader):
+            async for frame in exchange.frames():
                 buffer += frame
                 while b"\n" in buffer:
                     line, buffer = buffer.split(b"\n", 1)
@@ -275,12 +361,6 @@ class MapServiceClient:
                         yield json.loads(line.decode("utf-8"))
             if buffer.strip():
                 yield json.loads(buffer.decode("utf-8"))
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     async def raycast(
         self,
@@ -341,7 +421,7 @@ class MapServiceClient:
         return await self._call(
             "PUT",
             f"/v1/sessions/{session_id}/uploads/{upload_id}/chunks/{index}",
-            raw_body=data,
+            data,
         )
 
     async def upload_status(self, session_id: str, upload_id: str) -> dict:

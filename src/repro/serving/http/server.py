@@ -132,6 +132,9 @@ class HttpMapServer:
         self.jobs = jobs if jobs is not None else JobManager()
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
+        #: connections accepted since start; next to ``_http_requests`` it
+        #: tells an operator whether clients reuse their connections.
+        self._connections_accepted = 0
         #: monotonically increasing request counter; echoed to clients as
         #: the ``X-Request-Id`` response header by the middleware.
         self._http_requests = 0
@@ -160,15 +163,18 @@ class HttpMapServer:
         Does *not* close the fronted service -- the owner does that (and
         decides whether to drain).  Idempotent.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()  # stop accepting
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
+        if server is not None:
+            # Last: since Python 3.12.1 this waits for every accepted
+            # connection, so an idle keep-alive client would hold it forever.
+            await server.wait_closed()
         await self.jobs.close()
 
     async def __aenter__(self) -> "HttpMapServer":
@@ -189,6 +195,10 @@ class HttpMapServer:
     def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._server is None:
+            writer.close()  # accepted while close() was already tearing down
+            return
+        self._connections_accepted += 1
         task = asyncio.get_running_loop().create_task(
             self._connection_loop(reader, writer), name="http-conn"
         )
@@ -219,7 +229,7 @@ class HttpMapServer:
                     return
                 if request is None:
                     return
-                keep_alive = request.headers.get("connection", "keep-alive") != "close"
+                keep_alive = request.keep_alive
                 handled = await self._dispatch(request, writer, keep_alive)
                 if not handled or not keep_alive:
                     return
@@ -485,6 +495,11 @@ class HttpMapServer:
             "pending_requests": self.service.pending_requests(),
             "jobs": len(self.jobs),
             "pending_upload_bytes": self.uploads.pending_bytes(),
+            "http": {
+                "connections_accepted": self._connections_accepted,
+                "connections_open": len(self._connections),
+                "requests": self._http_requests,
+            },
         }
 
     async def _handle_stats(self, request: HttpRequest) -> Tuple[int, dict]:

@@ -119,6 +119,20 @@ class HttpRequest:
     query: Dict[str, str]
     headers: Dict[str, str]
     body: bytes
+    version: str = "HTTP/1.1"
+
+    @property
+    def keep_alive(self) -> bool:
+        """Whether the connection stays open after the response.
+
+        ``Connection`` is a case-insensitive token list.  HTTP/1.1 persists
+        unless it says ``close``; an HTTP/1.0 client reads until the server
+        closes, so 1.0 persists only when it asks for ``keep-alive``.
+        """
+        tokens = {token.strip() for token in self.headers.get("connection", "").lower().split(",")}
+        if self.version == "HTTP/1.0":
+            return "keep-alive" in tokens
+        return "close" not in tokens
 
     def json(self) -> Any:
         """The body parsed as JSON; raises :class:`HttpError` 400 on junk."""
@@ -160,7 +174,7 @@ async def read_request(
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HttpError(400, "bad_request", f"malformed request line: {lines[0]!r}")
-    method, target = parts[0].upper(), parts[1]
+    method, target, version = parts[0].upper(), parts[1], parts[2]
     split = urlsplit(target)
     path = unquote(split.path)
     query = dict(parse_qsl(split.query))
@@ -197,7 +211,9 @@ async def read_request(
             "use the chunked upload protocol for large scan batches",
         )
     body = await reader.readexactly(length) if length else b""
-    return HttpRequest(method=method, path=path, query=query, headers=headers, body=body)
+    return HttpRequest(
+        method=method, path=path, query=query, headers=headers, body=body, version=version
+    )
 
 
 def _head_bytes(
@@ -239,14 +255,11 @@ async def write_response(
         body = bytes(payload)
     else:
         body = (json.dumps(payload) + "\n").encode("utf-8")
-    writer.write(
-        _head_bytes(
-            status, content_type, len(body), keep_alive, chunked=False,
-            extra_headers=extra_headers,
-        )
+    head = _head_bytes(
+        status, content_type, len(body), keep_alive, chunked=False, extra_headers=extra_headers
     )
-    if body:
-        writer.write(body)
+    # One write: head and body leave in one send and wake the client once.
+    writer.write(head + body)
     await writer.drain()
 
 

@@ -44,7 +44,9 @@ class serve:
     """``async with serve() as (server, client):`` -- a live server + client.
 
     Owns the :class:`AsyncMapService` too: the server never closes the
-    service, so the fixture drains it after the server stops accepting.
+    service, so the fixture drains it after the server stops accepting.  The
+    client's kept connections are closed first: a leaked one fails the suite
+    under ``-W error::ResourceWarning``.
     """
 
     def __init__(self, config: SessionConfig = None, **server_kwargs) -> None:
@@ -55,10 +57,11 @@ class serve:
         self.service = AsyncMapService(default_config=self.config)
         self.server = HttpMapServer(self.service, port=0, **self.server_kwargs)
         await self.server.start()
-        host, port = self.server.address
-        return self.server, MapServiceClient(host, port)
+        self.client = MapServiceClient(*self.server.address)
+        return self.server, self.client
 
     async def __aexit__(self, *exc_info):
+        await self.client.close()
         await self.server.close()
         await self.service.close(drain=True)
 
@@ -111,6 +114,15 @@ async def _submit_then_flush(server, client, session_id: str, submit):
         return submitted, await pending
     finally:
         del service.flush
+
+
+def _other_tasks() -> list:
+    """Every live task but the caller's: what a clean shutdown leaves empty."""
+    return [
+        task
+        for task in asyncio.all_tasks()
+        if task is not asyncio.current_task() and not task.done()
+    ]
 
 
 async def _raw_exchange(host: str, port: int, raw: bytes) -> bytes:
@@ -511,17 +523,17 @@ async def test_concurrent_http_clients_match_sequential_insertion(backend):
         payloads = _scan_payloads(9, seed=23)
 
         async def run_client(worker: int):
-            own = MapServiceClient(*server.address)
             receipts = {}
-            for payload in payloads[worker::3]:
-                receipt = await own.submit_scan(
-                    "map",
-                    payload["points"],
-                    payload["origin"],
-                    max_range=5.0,
-                    client_id=f"client-{worker}",
-                )
-                receipts[receipt["request_id"]] = payload
+            async with MapServiceClient(*server.address) as own:
+                for payload in payloads[worker::3]:
+                    receipt = await own.submit_scan(
+                        "map",
+                        payload["points"],
+                        payload["origin"],
+                        max_range=5.0,
+                        client_id=f"client-{worker}",
+                    )
+                    receipts[receipt["request_id"]] = payload
             return receipts
 
         by_id = {}
@@ -632,12 +644,9 @@ async def test_server_close_leaves_no_orphan_tasks():
     await server.close()
     await service.close(drain=True)
     assert service.manager.get_session("map").stats.scans_ingested == 1, "drained"
-    leftovers = [
-        task
-        for task in asyncio.all_tasks()
-        if task is not asyncio.current_task() and not task.done()
-    ]
-    assert leftovers == [], f"orphan tasks after close: {leftovers}"
-    # The port is actually released.
+    assert _other_tasks() == [], "orphan tasks after close"
+    # The port is actually released (the kept connection is at EOF, so the
+    # client dials again instead of writing into a dead socket).
     with pytest.raises((ConnectionRefusedError, OSError)):
         await client.healthz()
+    await client.close()

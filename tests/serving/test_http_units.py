@@ -3,8 +3,9 @@
 Covers the three modules that need no socket: the background-job registry
 (:mod:`repro.serving.http.jobs`), the chunked-upload state machine
 (:mod:`repro.serving.http.uploads`) and the JSON wire codecs
-(:mod:`repro.serving.http.wire`).  The socket-level integration tests live
-in ``test_http.py``.
+(:mod:`repro.serving.http.wire`), plus the framing decision of which requests
+keep their connection.  The socket-level integration tests live in
+``test_http.py`` and ``test_http_keepalive.py``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ import time
 import pytest
 
 from repro.serving.http.jobs import DONE, FAILED, PENDING, RUNNING, JobManager
+from repro.serving.http.server import HttpMapServer
 from repro.serving.http.uploads import UploadError, UploadManager
 from repro.serving.http.wire import (
     HttpError,
     HttpRequest,
     json_body,
     point3,
+    read_request,
     require_field,
     scan_request_from_payload,
     session_config_from_payload,
@@ -334,6 +337,55 @@ def test_abort_session_discards_only_that_sessions_uploads():
         with pytest.raises(UploadError):
             uploads.get("map-a", record.upload_id)
     assert uploads.get("map-b", kept.upload_id) is kept
+
+
+# ---------------------------------------------------------------------------
+# Framing: which requests keep the connection open
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "version, connection, expected",
+    [
+        ("HTTP/1.1", None, True),
+        ("HTTP/1.1", "keep-alive", True),
+        ("HTTP/1.1", "close", False),
+        ("HTTP/1.1", "Close", False),  # regression: the comparison was case-sensitive
+        ("HTTP/1.1", "keep-alive, Close", False),  # a token list
+        ("HTTP/1.1", "Upgrade", True),
+        ("HTTP/1.0", None, False),  # regression: a 1.0 client waits for the close
+        ("HTTP/1.0", "Keep-Alive", True),
+        ("HTTP/1.0", "close", False),
+    ],
+)
+@async_test
+async def test_keep_alive_follows_the_http_version_and_the_connection_tokens(
+    version, connection, expected
+):
+    head = f"GET /healthz {version}\r\nHost: h\r\n"
+    if connection is not None:
+        head += f"Connection: {connection}\r\n"
+    reader = asyncio.StreamReader()
+    reader.feed_data(head.encode() + b"\r\n")
+    reader.feed_eof()
+    request = await read_request(reader, max_body_bytes=1024)
+    assert request.version == version
+    assert request.keep_alive is expected
+
+
+@async_test
+async def test_a_connection_handed_over_after_close_is_closed_and_gets_no_task():
+    """An accept can complete while ``close()`` runs; nothing would ever cancel its task."""
+    class Writer:
+        closed = False
+
+        def close(self) -> None:
+            self.closed = True
+
+    server = HttpMapServer(service=None)
+    await server.close()
+    writer = Writer()
+    server._handle_connection(asyncio.StreamReader(), writer)
+    assert writer.closed
+    assert server._connections == set() and server._connections_accepted == 0
 
 
 # ---------------------------------------------------------------------------
