@@ -6,6 +6,7 @@ are visible independent of the paper-facing experiments.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro.core import OMUAccelerator, OMUConfig
 from repro.datasets.streams import ClientSpec, generate_interleaved_stream
 from repro.octomap import OccupancyOcTree, PointCloud
-from repro.serving import MapSession, ScanRequest, SessionConfig
+from repro.serving import MapSession, ScanRequest, SessionConfig, ShardUpdateBatch
 
 
 def _ring_cloud(points: int = 360) -> PointCloud:
@@ -87,22 +88,63 @@ def corridor_shard_batch():
     finally:
         session.close()
     ((batch, _other_shard),) = dispatched
-    entries = np.array(batch.entries, dtype=np.int64)
-    return config.accelerator, entries[:, :3], entries[:, 3].astype(bool)
+    return config.accelerator, batch.keys, batch.occupied
 
 
-@pytest.mark.parametrize("order", ["front_end", "shuffled"])
+@pytest.mark.parametrize("order", ["front_end", "shuffled", "flipped"])
 def test_shard_batch_apply_throughput_by_stream_order(benchmark, corridor_shard_batch, order):
-    """The update kernel resumes each descent where the stream left it: what the order is worth."""
+    """What the stream's order is worth to the update kernel, and what its worst case costs.
+
+    The kernel resumes each descent where the stream left it (``shuffled``
+    takes that away) and derives each parent from the child that changed;
+    ``flipped`` applies the batch and then again with every measurement
+    inverted, so children that held their parent's maximum fall and saturated
+    blocks re-expand and re-prune: the case where the upward pass still reads
+    rows.
+    """
     config, keys, occupied = corridor_shard_batch
     if order == "shuffled":
         # Reordering updates of one voxel changes the map (the clamp), not the count.
         shuffle = np.random.default_rng(16).permutation(len(keys))
         keys, occupied = keys[shuffle], occupied[shuffle]
+    streams = [(keys, occupied), (keys, ~occupied)] if order == "flipped" else [(keys, occupied)]
 
     def apply():
         accelerator = OMUAccelerator(config)
-        accelerator.apply_update_batch(keys, occupied)
+        for stream in streams:
+            accelerator.apply_update_batch(*stream)
         return accelerator.statistics().voxel_updates
 
-    assert benchmark(apply) == len(keys) > 2500
+    assert benchmark(apply) == len(streams) * len(keys) > 2500
+
+
+def test_shard_batch_row_reads_per_update(corridor_shard_batch):
+    """The upward pass asks the children row only what the stored entry cannot answer.
+
+    Recomputing every climbed parent from its row cost 1.53 row reads per
+    update on this batch; at most one is the bound this pins.
+    """
+    config, keys, occupied = corridor_shard_batch
+    accelerator = OMUAccelerator(config)
+    reads = []
+    for pe in accelerator.pes:
+        pe._read_children = lambda block, read=pe._read_children: reads.append(block) or read(block)
+    accelerator.apply_update_batch(keys, occupied)
+    assert accelerator.statistics().voxel_updates == len(keys)
+    assert len(reads) <= len(keys)
+
+
+@pytest.mark.parametrize("direction", ["dumps", "loads"])
+def test_shard_batch_wire_cost(benchmark, corridor_shard_batch, direction):
+    """What a pipe or socket backend pays per shard batch: one uint16 and one bool column."""
+    _config, keys, occupied = corridor_shard_batch
+    batch = ShardUpdateBatch.from_key_arrays(0, keys, occupied)
+    wire = pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
+    # 6 B of key and 1 B of flag per update, plus the two array headers.
+    assert len(wire) <= 7 * len(batch) + 512
+    if direction == "dumps":
+        assert benchmark(pickle.dumps, batch, pickle.HIGHEST_PROTOCOL) == wire
+    else:
+        received = benchmark(pickle.loads, wire)
+        assert np.array_equal(received.keys, batch.keys)
+        assert np.array_equal(received.occupied, batch.occupied)

@@ -214,11 +214,11 @@ def kill_recovery_experiment(
                 (-5.0, -5.0, -2.0), (5.0, 5.0, 2.0), size=(updates_per_batch, 3)
             )
             occupied = rng.integers(0, 2, size=len(coords))
-            entries = []
-            for (x, y, z), flag in zip(coords, occupied):
-                key = converter.coord_to_key(x, y, z)
-                entries.append((key.x, key.y, key.z, bool(flag)))
-            batches.append(ShardUpdateBatch(shard_id=shard, entries=tuple(entries)))
+            batches.append(
+                ShardUpdateBatch.from_key_arrays(
+                    shard, converter.coords_to_key_array(coords), occupied != 0
+                )
+            )
         rounds.append(batches)
 
     reference_backend = make_backend("inline", config, num_shards)

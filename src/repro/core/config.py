@@ -94,7 +94,6 @@ class OMUConfig:
 
     # --- behaviour ---
     timing: TimingParams = field(default_factory=TimingParams)
-    strict_capacity: bool = True
 
     def __post_init__(self) -> None:
         if self.num_pes < 1:

@@ -22,9 +22,9 @@ fiat.  The walks are integer loops over the TreeMem arrays: no entry object is
 built on the update or query path.
 
 That is what the model *charges*.  What the host *walks* is less, because the
-update kernel leans on one invariant of the image between updates: every
-stored inner entry equals ``(tag word its children row implies, max of its
-children's values)``.  Two consequences, both exact:
+update kernel leans on one invariant of the image between completed updates:
+every stored inner entry equals ``(tag word its children row implies, max of
+its children's values)``.  Three consequences, all exact:
 
 * The scheduler issues voxels in stream order and the front ends emit them
   spatially sorted, so consecutive updates share most of their path.  Within
@@ -34,10 +34,26 @@ children's values)``.  Two consequences, both exact:
   The register is a local of the call, never PE state: whatever happens to
   the image between calls (restore, tampering, a query) is met by a walk from
   row 0, guards included.
+* An update changes one child of each row it climbs through, so a parent's
+  new entry follows from the one it stores and that child's old value, new
+  value and new tag: the stored word with the child's two bits replaced, and
+  as maximum the child's new value if that reaches the stored one, else the
+  stored one if the child was below it or is new to the node.  The row itself
+  (:meth:`ProcessingElement._read_children`, the one row-read primitive) is
+  asked two things only: who holds the maximum once the child that held it
+  fell, and -- when the word says eight leaves of one class with the changed
+  child at the maximum -- whether all eight are equal, i.e. whether to prune.
 * A parent's children row shows an inner child's pointer and value, never its
   tag word.  So on the way up, an inner node whose value did not change ends
   the walk once its own tag word is written: every ancestor would recompute
   exactly what it already stores, and none can prune over an inner child.
+
+The invariant holds between *completed* updates only.  An update that raises
+during its descent (``MemoryCapacityError``, ``tag/memory mismatch``) has
+stored nodes its parents do not list; the updates of the call before it are
+applied and charged, it is not, and the shortcuts above are no longer exact
+on that image -- the serving layer fail-stops a shard backend on any apply
+error.
 
 A level-synchronous (array-at-a-time) form of the update loop was sized
 against the serving layer's real PE queues and ruled out: ~47% of a queue's
@@ -146,16 +162,17 @@ class ProcessingElement:
 
         Each update is one fused integer loop over the SRAM image: down the
         path (allocating or expanding as needed), the leaf update of eq. (2),
-        then back up recomputing each parent from its children row (eq. (3))
-        and pruning.  Whatever it finds, an update costs one bank read per
-        level down and one row read, ALU pass, prune check and write-back per
-        level up; only new nodes, row allocations, expansions and prunes add
-        to that, so the loop tallies those four and :meth:`_charge` books the
-        whole stream from ``TimingParams`` afterwards.
+        then back up updating each parent from the child that changed
+        (eq. (3)) and pruning.  Whatever it finds, an update costs one bank
+        read per level down and one row read, ALU pass, prune check and
+        write-back per level up; only new nodes, row allocations, expansions
+        and prunes add to that, so the loop tallies those four and
+        :meth:`_charge` books the whole stream from ``TimingParams`` afterwards.
 
         The loop walks only the levels whose outcome is open: down from where
         this path leaves the previous one (the module docstring says why that
-        is exact), up until an inner node keeps its value.  The order of the
+        is exact), up until an inner node keeps its value, reading a children
+        row only where the stored entry cannot answer.  The order of the
         stream decides how much that saves, never what is stored or charged.
         """
         if not len(paths):
@@ -240,31 +257,52 @@ class ProcessingElement:
                     bank, row = child, block
 
                 # --- leaf update (paper eq. (2)): saturating add, clamped ---
-                value = probabilities[bank][row] + (raw_hit if hit else raw_miss)
-                probabilities[bank][row] = (
-                    clamp_min if value < clamp_min else clamp_max if value > clamp_max else value
-                )
+                stored = probabilities[bank][row]
+                value = stored + (raw_hit if hit else raw_miss)
+                value = clamp_min if value < clamp_min else clamp_max if value > clamp_max else value
+                probabilities[bank][row] = value
 
                 # --- upward pass: parent update (eq. (3)) and pruning -------
+                # Each parent follows from its stored entry and the one child
+                # that changed: ``child_old -> child_new``, now tagged ``tag``
+                # (an index into that child's occupied, free, inner tags; the
+                # inner tag, 0b11, is also the mask of the child's two bits).
                 intact = depth
+                tag = 0 if value > threshold else 1
                 for level in ancestors:
+                    child_tags, child_old, child_new = _CHILD_TAGS[bank], stored, value
                     bank, row = path[level], rows[level]
                     block = pointers[bank][row]
-                    word, values = self._read_children(block)
-                    value = max(values)
+                    word, stored = tags[bank][row], probabilities[bank][row]
+                    listed = word & child_tags[2]
+                    values = None
+                    # ``value`` stays the child's: the new maximum, or the
+                    # first child of a node this update created (no tags yet)
+                    # -- unless the child is below the stored maximum.
+                    if child_new < stored and word:
+                        if child_old < stored or not listed:
+                            value = stored  # another child holds it and keeps it
+                        else:
+                            # The child held it and fell: the row says who does now.
+                            values = self._read_children(block)[1]
+                            value = max(values)
+                    word = word ^ listed | child_tags[tag]
                     tags[bank][row] = word
-                    if (
-                        len(values) == 8
-                        and (word == _ALL_OCCUPIED or word == _ALL_FREE)
-                        and min(values) == value
-                    ):
-                        # All eight children are leaves with identical values.
-                        self.memory.clear_row(block)
-                        allocator.free_row(block)
-                        pointers[bank][row] = NULL_POINTER
-                        prunes += 1
-                        intact = level + 1
-                    elif level < grown and value == probabilities[bank][row]:
+                    if child_new == value and (word == _ALL_OCCUPIED or word == _ALL_FREE):
+                        # Eight leaves of one class, the changed one at the
+                        # maximum: the row says whether all are equal.
+                        if values is None:
+                            values = self._read_children(block)[1]
+                        if len(values) == 8 and min(values) == value:
+                            self.memory.clear_row(block)
+                            allocator.free_row(block)
+                            pointers[bank][row] = NULL_POINTER
+                            prunes += 1
+                            intact = level + 1
+                            probabilities[bank][row] = value
+                            tag = 0 if value > threshold else 1
+                            continue
+                    if level < grown and value == stored:
                         # This node was inner before the update and keeps its
                         # value (its tag word, which may be new, is written
                         # above).  Its parent's children row shows a child's
@@ -274,6 +312,7 @@ class ProcessingElement:
                         # are charged unwalked.
                         break
                     probabilities[bank][row] = value
+                    tag = 2
                 done += 1
         finally:
             charged = self._charge(paths[:done], new_nodes, allocations, expansions, prunes)

@@ -207,7 +207,7 @@ class ShardBackend(ABC):
                 f"{self._inflight[0].ticket_id} in flight; drain it before "
                 "dispatching another batch (one-in-flight invariant)"
             )
-        live = [batch for batch in batches if batch.entries]
+        live = [batch for batch in batches if len(batch)]
         ticket = ApplyTicket(
             ticket_id=self._next_ticket_id,
             shard_ids=tuple(batch.shard_id for batch in live),

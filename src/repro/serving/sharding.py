@@ -187,19 +187,27 @@ class MapShardWorker:
     # inline, thread, process and socket execution paths byte-identical.
 
     def apply_message(self, batch: ShardUpdateBatch) -> ShardApplyResult:
-        """Apply one wire-format update batch and acknowledge it."""
+        """Apply one wire-format update batch and acknowledge it.
+
+        The batch's columns go to the accelerator as they arrived.  A batch
+        for another shard, or one whose columns are not ``(N, 3)`` integer
+        keys and N flags, is refused before anything is applied.
+        """
         if batch.shard_id != self.shard_id:
             raise ValueError(
                 f"batch for shard {batch.shard_id} delivered to shard {self.shard_id}"
             )
-        # The packed (x, y, z, occupied) entries go to the accelerator as
-        # columns: no per-update key or request object is rebuilt here.
-        columns = np.array(batch.entries, dtype=np.int64).reshape(-1, 4)
-        timing = self.apply_updates(columns[:, :3], columns[:, 3] != 0)
+        keys, occupied = np.asarray(batch.keys), np.asarray(batch.occupied)
+        key_table = keys.ndim == 2 and keys.shape[1] == 3 and keys.dtype.kind in "iu"
+        if not key_table or occupied.shape != keys.shape[:1]:
+            raise ValueError(
+                f"malformed update batch: keys {keys.dtype}{keys.shape}, occupied {occupied.shape}"
+            )
+        timing = self.apply_updates(keys, occupied)
         return ShardApplyResult(
             shard_id=self.shard_id,
-            updates_applied=len(columns),
-            critical_path_cycles=timing.critical_path_cycles() if len(columns) else 0,
+            updates_applied=len(keys),
+            critical_path_cycles=timing.critical_path_cycles() if len(keys) else 0,
             generation=self.generation,
         )
 

@@ -10,10 +10,10 @@ The ``Shard*`` messages at the bottom are the *internal* wire format between
 a session and its shard execution backend
 (:mod:`repro.serving.backends`).  They are deliberately flat -- ints, floats,
 strings and tuples of them, or one numpy array per column -- so every
-message pickles cheaply across a process boundary; voxel updates travel as
-packed ``(x, y, z, occupied)`` tuples, which the worker hands to its
-accelerator as key columns (no per-update object is rebuilt on either side),
-and bulk reads as key and answer arrays.
+message pickles cheaply across a process boundary.  Voxel updates and bulk
+reads both travel as columns: a ``uint16`` key array plus ``bool`` flags one
+way, key and answer arrays the other, handed to the accelerator as they
+arrive (no per-update object or tuple exists on either side).
 """
 
 from __future__ import annotations
@@ -260,39 +260,44 @@ class RaycastResponse:
 # ---------------------------------------------------------------------------
 # Shard backend wire messages (session <-> shard execution backend)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShardUpdateBatch:
-    """One shard's slice of a flushed ingestion batch.
+    """One shard's slice of a flushed ingestion batch: the write-side ``ShardKeysQuery``.
 
     Attributes:
         shard_id: shard the slice is addressed to.
-        entries: packed updates ``(key_x, key_y, key_z, occupied)`` in
-            dispatch order.  The packed form pickles an order of magnitude
-            cheaper than the :class:`~repro.core.scheduler.VoxelUpdateRequest`
-            objects it encodes, and the worker reads it back as columns
-            (:meth:`~repro.serving.sharding.MapShardWorker.apply_message`).
+        keys: ``(N, 3)`` ``uint16`` voxel key components in dispatch order.
+        occupied: ``(N,)`` ``bool`` measurement of each update.
+
+    The worker hands both columns to its accelerator unchanged
+    (:meth:`~repro.serving.sharding.MapShardWorker.apply_message`, which
+    also refuses a batch whose columns do not have this form).
     """
 
     shard_id: int
-    entries: Tuple[Tuple[int, int, int, bool], ...]
+    keys: np.ndarray
+    occupied: np.ndarray
 
     @classmethod
     def from_key_arrays(cls, shard_id: int, keys, occupied) -> "ShardUpdateBatch":
-        """Pack an ``(N, 3)`` key array plus ``(N,)`` occupied flags for the wire.
+        """Narrow an ``(N, 3)`` key array plus ``(N,)`` occupied flags for the wire.
 
-        ``tolist()`` converts the numpy scalars to plain ints/bools, so no
-        numpy object is pickled onto a pipe or socket.
+        Raises ``ValueError`` for a key component that does not fit 16 bits:
+        the cast would wrap it onto another voxel.
         """
+        keys = np.asarray(keys)
+        if keys.size and (keys.min() < 0 or keys.max() > 0xFFFF):
+            raise ValueError(
+                f"key components must be in [0, 65535], got [{keys.min()}, {keys.max()}]"
+            )
         return cls(
             shard_id=shard_id,
-            entries=tuple(
-                (key[0], key[1], key[2], flag)
-                for key, flag in zip(keys.tolist(), occupied.tolist())
-            ),
+            keys=np.ascontiguousarray(keys, dtype=np.uint16),
+            occupied=np.ascontiguousarray(occupied, dtype=bool),
         )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
 
 @dataclass(frozen=True)

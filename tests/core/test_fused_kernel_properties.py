@@ -12,6 +12,13 @@ previous update of the same call.  A call of one update never resumes, so
 "one call over N updates" against "N calls of one update" is the differential
 that pins the resume: same SRAM bytes, same allocator, same statistics, in
 whatever order the stream arrives.
+
+On the way up the kernel derives each parent from the entry it stores and the
+one child that changed, and reads the children row only to find a new maximum
+or to confirm a prune.  ``check_ancestors`` recomputes every ancestor from its
+row after each update, the golden image file pins the bytes, and the directed
+streams at the bottom take each arm of that rule with a known number of row
+reads.
 """
 
 from __future__ import annotations
@@ -105,8 +112,18 @@ def check_entry(pe: ProcessingElement, entry: TreeMemEntry, level: int) -> list:
     return children
 
 
+def check_invariant(pe: ProcessingElement) -> None:
+    """What the upward pass leans on: every inner entry equals ``_read_children`` of its block."""
+    for valid, pointers, tags, probabilities in zip(pe._valid, pe._pointers, pe._tags, pe._probabilities):
+        for row, live in enumerate(valid):
+            if live and pointers[row] != NULL_POINTER:
+                word, values = pe._read_children(pointers[row])
+                assert (tags[row], probabilities[row]) == (word, max(values)), row
+
+
 def check_image(pe: ProcessingElement) -> None:
     """Walk the PE's tree: tags match children, entries round-trip, nothing leaks."""
+    check_invariant(pe)
     reachable = inner = 0
     pending = [(pe.memory.read_entry(0, bank), 1) for bank in pe._local_roots.values()]
     while pending:
@@ -336,3 +353,73 @@ def test_the_path_register_does_not_outlive_the_call():
     with pytest.raises(RuntimeError, match="tag/memory mismatch"):
         pe.update_paths(paths, occupied)
 
+
+
+# -- the upward pass: one directed stream per arm of the rule --------------------
+def row_reads_of_the_last_update(stream: List[Update]) -> int:
+    """Apply a depth-3 stream (checked against every reference) and count the closing update's row reads."""
+    config, paths, occupied = stream_columns(3, stream)
+    check_stream(3, stream)
+    check_resumed_equals_cold(config, paths, occupied)
+    pe = ProcessingElement(0, config)
+    pe.update_paths(paths[:-1], occupied[:-1])
+    reads = []
+    read_children = pe._read_children
+    pe._read_children = lambda block: reads.append(block) or read_children(block)
+    pe.update_paths(paths[-1:], occupied[-1:])
+    del pe._read_children
+    check_image(pe)
+    return len(reads)
+
+
+# Depth 3: (0, 0, 0) and (1, 0, 0) are leaves of one block, (2, 0, 0) starts the
+# block next to it under the same local root; an update climbs two parents.
+# One hit and three misses leave a voxel at -377, above a single miss (-415).
+@pytest.mark.parametrize(
+    "stream, row_reads",
+    [
+        # The child rises to a new maximum, at both levels.
+        ([(0, 0, 0, True)] * 2, 0),
+        # The child stays under a maximum another child holds: the walk ends there.
+        ([(0, 0, 0, True)] * 3 + [(1, 0, 0, True)] * 2, 0),
+        # The child held the maximum and falls: its row, then the root's, say what is left.
+        ([(0, 0, 0, True)] * 3 + [(1, 0, 0, True), (0, 0, 0, False)], 2),
+        # A new child under an inner node whose maximum is below the zero the
+        # child started from: not listed, so it never held that maximum.
+        ([(0, 0, 0, True)] + [(0, 0, 0, False)] * 3 + [(1, 0, 0, False)], 0),
+        # The first child of a fresh node: the node's own zero is not a maximum.
+        ([(0, 0, 0, False), (2, 0, 0, False)], 0),
+        # A clamped no-op on a pruned block: expanded, confirmed equal, pruned again.
+        (_block(False, 5) + [(1, 1, 1, False)], 1),
+        # Eight occupied leaves, the changed one above the rest: confirmed unequal.
+        (_block(True) + [(0, 0, 0, True)], 1),
+        # The last of eight to saturate held the maximum: one read finds the
+        # new one and confirms the prune; the root's row answers for the root.
+        (_block(False, 4) + _block(False)[:7] + [(1, 1, 1, False)], 2),
+        # A tag flip under an unchanged maximum.
+        (TAG_FLIP, 0),
+    ],
+)
+def test_each_arm_of_the_upward_rule_reads_the_row_only_when_it_must(stream, row_reads):
+    assert row_reads_of_the_last_update(stream) == row_reads
+
+
+def test_a_restored_image_satisfies_the_invariant_the_upward_pass_relies_on():
+    """serialize -> deserialize -> load_octree, then updates on top: as if never restored."""
+    from repro.octomap.serialization import deserialize_tree, serialize_tree
+
+    depth, stream = 4, _cube(4, False, 5) + _block(True, 2) + [(9, 3, 5, True), (3, 3, 3, True)]
+    original = check_stream(depth, stream)
+    assert original.counters().prunes > 0
+    restored = OMUAccelerator(small_config(depth))
+    restored.load_octree(deserialize_tree(serialize_tree(original.export_octree())))
+    for pe in restored.pes:
+        check_image(pe)
+    # Falls, flips and re-prunes on top of the restored entries.
+    more = _cube(4, True, 1) + _block(False, 6) + _cube(4, False, 9)
+    for accelerator in (original, restored):
+        apply_in_batches(accelerator, more, as_columns=True)
+    report = compare_trees(original.export_octree(), restored.export_octree(), 0.0)
+    assert report.equivalent, report.summary()
+    for pe in restored.pes:
+        check_image(pe)

@@ -134,7 +134,7 @@ def read_back(accelerator: OMUAccelerator) -> Dict[str, object]:
     }
 
 
-def batch_scenario(config: OMUConfig, num_shards: int) -> Dict[str, object]:
+def corridor_batch_accelerators(config: OMUConfig, num_shards: int):
     """The corridor stream through ``apply_update_batch``, one batch per scan per shard."""
     router = ShardRouter(config, num_shards, prefix_levels=12)
     accelerators = [OMUAccelerator(config) for _ in range(num_shards)]
@@ -147,6 +147,11 @@ def batch_scenario(config: OMUConfig, num_shards: int) -> Dict[str, object]:
                 for accelerator, stream in zip(accelerators, per_shard)
             ]
         )
+    return accelerators, batches
+
+
+def batch_scenario(config: OMUConfig, num_shards: int) -> Dict[str, object]:
+    accelerators, batches = corridor_batch_accelerators(config, num_shards)
     return {
         "batches": batches,
         "shards": [accelerator_summary(accelerator) for accelerator in accelerators],
@@ -154,7 +159,8 @@ def batch_scenario(config: OMUConfig, num_shards: int) -> Dict[str, object]:
     }
 
 
-def process_scan_scenario(config: OMUConfig) -> Dict[str, object]:
+def corridor_scan_accelerator(config: OMUConfig):
+    """The first two corridor scans through ``process_scan`` (on-chip ray caster included)."""
     accelerator = OMUAccelerator(config)
     scans = [
         timing_summary(
@@ -164,6 +170,11 @@ def process_scan_scenario(config: OMUConfig) -> Dict[str, object]:
         )
         for event in corridor_events()[:2]
     ]
+    return accelerator, scans
+
+
+def process_scan_scenario(config: OMUConfig) -> Dict[str, object]:
+    accelerator, scans = corridor_scan_accelerator(config)
     return {
         "scans": scans,
         "accelerator": accelerator_summary(accelerator),

@@ -1,5 +1,6 @@
 """Unit tests for the processing element (leaf update, parents, prune/expand)."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import OMUConfig
@@ -181,12 +182,21 @@ class TestExportAndCapacity:
         assert pe.memory_utilization() > 0.0
 
     def test_capacity_error_on_tiny_memory(self, converter):
+        """The error leaves ``update_paths`` where it struck: what came before is applied and charged."""
         tiny = OMUConfig(resolution_m=0.2, bank_kilobytes=1)
         pe = ProcessingElement(0, tiny)
+        keys = [key_at(converter, 0.2 * x, 0.2 * y, 1.0) for x in range(200) for y in range(10)]
+        paths = np.array([key.path(tiny.tree_depth) for key in keys], dtype=np.uint8)
         with pytest.raises(MemoryCapacityError):
-            for x in range(200):
-                for y in range(10):
-                    pe.update_voxel(key_at(converter, 0.2 * x, 0.2 * y, 1.0), occupied=True)
+            pe.update_paths(paths, [True] * len(keys))
+        done = pe.stats.voxel_updates
+        assert 0 < done < len(keys)
+        assert pe.counters.leaf_updates == done
+        assert pe.stats.bank_reads == done * tiny.tree_depth
+        assert all(pe.query_voxel(key)[0] == "occupied" for key in keys[:done])
+        # The update that found no row is neither charged nor visible: the
+        # nodes it stored on the way down are listed by no parent.
+        assert pe.query_voxel(keys[done])[0] == "unknown"
 
     def test_tag_memory_consistency_guard(self, pe, converter):
         """Tampering with the memory image behind the tags is detected."""

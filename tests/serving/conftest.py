@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from repro.octomap import PointCloud, Pose6D, ScanNode
-from repro.serving import ScanRequest
+from repro.serving import ScanRequest, ShardUpdateBatch
+
+
+def update_batch(shard_id: int, updates) -> ShardUpdateBatch:
+    """The wire batch of ``[(key_x, key_y, key_z, occupied), ...]`` (``[]``: an empty one)."""
+    columns = np.array(updates, dtype=np.int64).reshape(-1, 4)
+    return ShardUpdateBatch.from_key_arrays(shard_id, columns[:, :3], columns[:, 3] != 0)
 
 
 def ring_scan(origin_x: float, scan_id: int, radius: float = 2.5, beams: int = 90) -> ScanNode:

@@ -8,8 +8,12 @@ process boundary, clean shutdown, and how a dying worker process surfaces.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from conftest import update_batch
 from repro.core.config import DEFAULT_CONFIG
 from repro.serving import (
     BACKEND_NAMES,
@@ -46,10 +50,7 @@ def _updates_for(backend, n=16):
         shard = generator.shard_index(key, backend.num_shards, 12)
         batches[shard].append((key.x, key.y, key.z, True))
         index += 1
-    return [
-        ShardUpdateBatch(shard_id=shard, entries=tuple(entries))
-        for shard, entries in batches.items()
-    ]
+    return [update_batch(shard, entries) for shard, entries in batches.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +85,9 @@ def test_backend_round_trip_apply_query_export(name):
             assert result.generation == 1
             assert backend.generation_of(result.shard_id) == 1
         # A written voxel answers occupied through the same backend.
-        x, y, z, _ = batches[0].entries[0]
-        answer = backend.query_key(ShardQueryRequest(shard_id=0, key=(x, y, z)))
+        answer = backend.query_key(
+            ShardQueryRequest(shard_id=0, key=tuple(batches[0].keys[0].tolist()))
+        )
         assert answer.status == "occupied"
         assert answer.generation == 1
         trees = backend.export_all()
@@ -98,11 +100,17 @@ def test_backend_round_trip_apply_query_export(name):
 def test_empty_batches_do_not_bump_generations(name):
     with make_backend(name, CONFIG, num_shards=2) as backend:
         results = backend.apply_shard_batches(
-            [ShardUpdateBatch(shard_id=0, entries=()), ShardUpdateBatch(shard_id=1, entries=())]
+            [update_batch(0, []), update_batch(1, [])]
         )
         assert results == []
         assert backend.generation_of(0) == 0
         assert backend.generation_of(1) == 0
+        # An empty (0, 3) slice beside a live one is dropped, not sent.
+        empty = update_batch(0, [])
+        assert empty.keys.shape == (0, 3) and empty.occupied.shape == (0,)
+        results = backend.apply_shard_batches([empty, update_batch(1, [(5, 5, 5, True)])])
+        assert [(result.shard_id, result.updates_applied) for result in results] == [(1, 1)]
+        assert (backend.generation_of(0), backend.generation_of(1)) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +129,7 @@ def test_close_is_idempotent_and_use_after_close_raises(name):
 
 
 def _updates_for_closed():
-    return [ShardUpdateBatch(shard_id=0, entries=((1, 1, 1, True),))]
+    return [update_batch(0, [(1, 1, 1, True)])]
 
 
 def test_process_backend_shutdown_leaves_no_orphans():
@@ -165,9 +173,7 @@ def test_dead_worker_process_surfaces_as_backend_error():
         processes[1].join(timeout=5.0)
         with pytest.raises(ShardBackendError, match="shard 1 worker process died") as info:
             # Killed worker: the round-trip must error out, not hang.
-            backend.apply_shard_batches(
-                [ShardUpdateBatch(shard_id=1, entries=((5, 5, 5, True),))]
-            )
+            backend.apply_shard_batches([update_batch(1, [(5, 5, 5, True)])])
         # The error is structured: it names the shard and worker that died.
         assert info.value.shard_id == 1
         assert info.value.worker_id == f"process:{dead_pid}"
@@ -185,19 +191,12 @@ def test_dead_worker_surfaces_even_when_batch_does_not_touch_it():
         _processes(backend)[0].terminate()
         _processes(backend)[0].join(timeout=5.0)
         with pytest.raises(ShardBackendError, match="shard 0 worker process died"):
-            backend.apply_shard_batches(
-                [ShardUpdateBatch(shard_id=1, entries=((5, 5, 5, True),))]
-            )
+            backend.apply_shard_batches([update_batch(1, [(5, 5, 5, True)])])
         with pytest.raises(ShardBackendError, match="shard 0 worker process died"):
             backend.query_key(ShardQueryRequest(shard_id=1, key=(5, 5, 5)))
         # Even a flush whose slices are all empty must report the loss.
         with pytest.raises(ShardBackendError, match="shard 0 worker process died"):
-            backend.apply_shard_batches(
-                [
-                    ShardUpdateBatch(shard_id=0, entries=()),
-                    ShardUpdateBatch(shard_id=1, entries=()),
-                ]
-            )
+            backend.apply_shard_batches([update_batch(0, []), update_batch(1, [])])
     finally:
         backend.close()
 
@@ -228,10 +227,12 @@ def test_apply_error_fail_stops_the_backend(name):
     backend = make_backend(name, CONFIG, num_shards=2)
     processes = list(_processes(backend)) if name == "process" else []
     try:
-        good = ShardUpdateBatch(shard_id=1, entries=((5, 5, 5, True),))
-        # Key component 70000 is outside the 16-bit key space: rebuilding the
-        # updates raises inside the worker that owns shard 0.
-        bad = ShardUpdateBatch(shard_id=0, entries=((70000, 0, 0, True),))
+        good = update_batch(1, [(5, 5, 5, True)])
+        # Two keys but one flag: the worker that owns shard 0 refuses the
+        # batch before it touches its accelerator.
+        bad = ShardUpdateBatch(
+            shard_id=0, keys=np.array([[5, 5, 5], [6, 6, 6]], dtype=np.uint16), occupied=np.array([True])
+        )
         with pytest.raises(ShardBackendError):
             backend.apply_shard_batches([bad, good])
         assert backend.failed is not None
@@ -244,6 +245,27 @@ def test_apply_error_fail_stops_the_backend(name):
     # Close still reaps everything cleanly after a failure.
     if name == "process":
         assert all(not process.is_alive() for process in processes)
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_kernel_error_mid_batch_fail_stops_the_session(name):
+    """A PE that runs out of rows half way through a batch leaves an image
+    the next batch must not be applied to: the session refuses from then on."""
+    from repro.octomap import PointCloud
+    from repro.serving import ScanRequest
+
+    tiny = SessionConfig(num_shards=2, batch_size=1, backend=name).with_resolution(0.1)
+    tiny = replace(tiny, accelerator=replace(tiny.accelerator, bank_kilobytes=1))
+    wall = [(6.0, 0.05 * y, 0.1 * z) for y in range(-80, 81) for z in range(-10, 11)]
+    with MapSession("map", tiny) as session:
+        session.submit(ScanRequest("map", PointCloud(wall), (0.0, 0.0, 0.0)))
+        with pytest.raises(ShardBackendError, match="MemoryCapacityError"):
+            session.flush_all()
+        assert session.backend.failed is not None
+        with pytest.raises(ShardBackendError, match="fail-stop"):
+            session.query(1.0, 0.0, 0.0)
+        with pytest.raises(ShardBackendError, match="fail-stop"):
+            session.export_octree()
 
 
 def test_unknown_verb_is_reported_not_fatal():

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import update_batch
 from repro.serving import GenerationLRUCache, MapSession, SessionConfig
-from repro.serving.types import ScanRequest, ShardUpdateBatch
+from repro.serving.types import ScanRequest
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +154,7 @@ def test_write_invalidates_only_the_written_shards(warm_session, small_scans):
     key0 = converter.coord_to_key(*probes[0])
     backend = warm_session.backend
     generation_before = [backend.generation_of(shard) for shard in shard_ids]
-    backend.apply_shard_batches(
-        [ShardUpdateBatch(shard_id=shard_ids[0], entries=((key0.x, key0.y, key0.z, True),))]
-    )
+    backend.apply_shard_batches([update_batch(shard_ids[0], [(key0.x, key0.y, key0.z, True)])])
     assert backend.generation_of(shard_ids[0]) == generation_before[0] + 1
     assert backend.generation_of(shard_ids[1]) == generation_before[1]
     # The stamps are the workers' own generations, as acknowledged.

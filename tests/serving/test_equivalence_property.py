@@ -19,6 +19,7 @@ import math
 from typing import List, Sequence
 
 import pytest
+from conftest import update_batch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,6 @@ from repro.serving import (
     SessionConfig,
     ShardBackendError,
     ShardQueryRequest,
-    ShardUpdateBatch,
     make_backend,
 )
 
@@ -420,11 +420,8 @@ def _shard_batch_rounds(num_shards: int, num_rounds: int, seed: int):
         for shard in range(num_shards):
             coords = rng.uniform((-4.0, -4.0, -2.0), (4.0, 4.0, 2.0), size=(6, 3))
             occupied = rng.integers(0, 2, size=len(coords))
-            entries = []
-            for (x, y, z), flag in zip(coords, occupied):
-                key = converter.coord_to_key(x, y, z)
-                entries.append((key.x, key.y, key.z, bool(flag)))
-            batches.append(ShardUpdateBatch(shard_id=shard, entries=tuple(entries)))
+            keys = converter.coords_to_key_array(coords)
+            batches.append(update_batch(shard, np.column_stack((keys, occupied))))
         rounds.append(batches)
     return rounds
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import update_batch
 from faultinject import (
     DELAY_REPLY,
     DROP_REPLY,
@@ -28,7 +29,7 @@ from repro.core.address_gen import AddressGenerator
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.verification import compare_trees
 from repro.octomap.merge import merge_trees
-from repro.serving import ShardBackendError, ShardUpdateBatch, make_backend
+from repro.serving import ShardBackendError, make_backend
 
 CONFIG = DEFAULT_CONFIG.with_resolution(0.25)
 NUM_SHARDS = 2
@@ -48,9 +49,7 @@ def _rounds(num_rounds: int = 5, n: int = 10):
             shard = generator.shard_index(key, NUM_SHARDS, 12)
             batches[shard].append((key.x, key.y, key.z, True))
             index += 1
-        rounds.append(
-            [ShardUpdateBatch(shard_id=s, entries=tuple(e)) for s, e in batches.items()]
-        )
+        rounds.append([update_batch(s, e) for s, e in batches.items()])
     return rounds
 
 
@@ -236,8 +235,8 @@ def test_shared_fleet_fault_recovers_both_tenants_of_the_slot(chaos, fault):
 # ---------------------------------------------------------------------------
 def _shard_keys(rounds, shard_id: int) -> np.ndarray:
     """Every key the rounds wrote to one shard, plus one nothing wrote."""
-    written = [entry[:3] for batches in rounds for entry in batches[shard_id].entries]
-    return np.array(written + [(1, 2, 3)], dtype=np.uint16)
+    written = [batches[shard_id].keys for batches in rounds]
+    return np.concatenate(written + [np.array([(1, 2, 3)], dtype=np.uint16)])
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["private", "shared-fleet"])

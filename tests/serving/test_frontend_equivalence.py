@@ -21,6 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 import pytest
+from conftest import update_batch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,10 +60,7 @@ def _expected_flush(router, scans: List[Scan]):
         stream.extend(VoxelUpdateRequest(key, occupied=True) for key in sorted(occupied_keys))
     per_shard = router.partition(stream)
     batches = [
-        ShardUpdateBatch(
-            shard_id,
-            tuple((u.key.x, u.key.y, u.key.z, u.occupied) for u in shard_stream),
-        )
+        update_batch(shard_id, [(u.key.x, u.key.y, u.key.z, u.occupied) for u in shard_stream])
         for shard_id, shard_stream in enumerate(per_shard)
     ]
     visits = counters.ray_steps + occupied_visits
@@ -107,8 +105,12 @@ def _assert_pipeline_matches_oracle(scans: List[Scan], config: SessionConfig) ->
         _expected_flush(session.router, scans[start : start + config.batch_size])
         for start in range(0, len(scans), config.batch_size)
     ]
-    assert dispatched == [batches for batches, _accounting in flushes]
-    assert len(reports) == len(flushes)
+    assert len(dispatched) == len(reports) == len(flushes)
+    for sent, (batches, _accounting) in zip(dispatched, flushes):
+        assert [batch.shard_id for batch in sent] == [batch.shard_id for batch in batches]
+        for got, expected in zip(sent, batches):
+            assert np.array_equal(got.keys, expected.keys)
+            assert np.array_equal(got.occupied, expected.occupied)
     for report, (_batches, accounting) in zip(reports, flushes):
         for name in ACCOUNTING_FIELDS:
             assert getattr(report, name) == accounting[name], name
@@ -199,22 +201,20 @@ class TestFrontendEquivalence:
 
 
 class TestBatchWirePlumbing:
-    def test_from_key_arrays_packs_plain_ints(self):
+    def test_from_key_arrays_ships_uint16_and_bool_columns(self):
         rng = np.random.default_rng(31)
         keys = rng.integers(0, 0x10000, size=(50, 3), dtype=np.int64)
+        keys[0], keys[1] = 0, 0xFFFF  # both ends of the key space survive the narrowing
         occupied = rng.integers(0, 2, size=50).astype(bool)
-        batch = ShardUpdateBatch.from_key_arrays(3, keys, occupied)
-        assert batch == ShardUpdateBatch(
-            3,
-            tuple(
-                (int(x), int(y), int(z), bool(flag))
-                for (x, y, z), flag in zip(keys, occupied)
-            ),
-        )
-        # Entries must be plain Python scalars: no numpy object on the wire.
-        for entry in batch.entries:
-            assert all(type(component) is int for component in entry[:3])
-            assert type(entry[3]) is bool
+        # A strided, reversed view: the wire form is C-contiguous whatever comes in.
+        batch = ShardUpdateBatch.from_key_arrays(3, keys[::2][::-1], occupied[::2][::-1])
+        assert (batch.shard_id, len(batch)) == (3, 25)
+        assert batch.keys.dtype == np.uint16 and batch.keys.shape == (25, 3)
+        assert batch.occupied.dtype == np.bool_ and batch.occupied.shape == (25,)
+        assert batch.keys.flags.c_contiguous and batch.occupied.flags.c_contiguous
+        # int64 -> uint16 -> int64 is the identity on every key component.
+        assert np.array_equal(batch.keys.astype(np.int64), keys[::2][::-1])
+        assert np.array_equal(batch.occupied, occupied[::2][::-1])
 
     def test_converter_derived_once_across_many_flushes(self):
         config = SessionConfig(num_shards=2, batch_size=1)

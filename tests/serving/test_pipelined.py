@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import update_batch
 from repro.core import QUERY_STATUSES
 from repro.core.config import DEFAULT_CONFIG
 from repro.serving import (
@@ -21,7 +22,6 @@ from repro.serving import (
     SessionConfig,
     ShardBackendError,
     ShardQueryRequest,
-    ShardUpdateBatch,
     make_backend,
 )
 
@@ -50,7 +50,7 @@ def _batch_for_shard(backend, shard_id, n=64, occupied=True):
             entries.append((key.x, key.y, key.z, occupied))
         index += 1
     assert len(entries) == n, "could not route enough keys to the shard"
-    return ShardUpdateBatch(shard_id=shard_id, entries=tuple(entries))
+    return update_batch(shard_id, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_generations_adopted_only_at_drain(name):
 def test_all_empty_async_flush_settles_immediately(name):
     with make_backend(name, CONFIG, num_shards=2) as backend:
         ticket = backend.apply_async(
-            [ShardUpdateBatch(shard_id=0, entries=()), ShardUpdateBatch(shard_id=1, entries=())]
+            [update_batch(0, []), update_batch(1, [])]
         )
         assert ticket.shard_ids == ()
         assert backend.in_flight is None
@@ -147,7 +147,7 @@ def test_abandoned_ticket_acks_are_overwritten_not_leaked():
     with make_backend("inline", CONFIG, num_shards=1) as backend:
         last = None
         for _ in range(50):
-            last = backend.apply_async([ShardUpdateBatch(shard_id=0, entries=())])
+            last = backend.apply_async([update_batch(0, [])])
         assert backend._parked == (last.ticket_id, [])
         assert backend.drain(last) == []
 
@@ -162,8 +162,9 @@ def test_query_barriers_on_inflight_ticket(name):
     with make_backend(name, CONFIG, num_shards=2) as backend:
         batches = [_batch_for_shard(backend, shard, n=16) for shard in range(2)]
         ticket = backend.apply_async(batches)
-        x, y, z, _ = batches[0].entries[0]
-        answer = backend.query_key(ShardQueryRequest(shard_id=0, key=(x, y, z)))
+        answer = backend.query_key(
+            ShardQueryRequest(shard_id=0, key=tuple(batches[0].keys[0].tolist()))
+        )
         assert answer.status == "occupied"
         assert answer.generation == 1
         assert backend.in_flight is None
@@ -181,8 +182,7 @@ def test_bulk_read_barriers_on_inflight_ticket(name):
     with make_backend(name, CONFIG, num_shards=2) as backend:
         batches = [_batch_for_shard(backend, shard, n=16) for shard in range(2)]
         ticket = backend.apply_async(batches)
-        keys = np.array([entry[:3] for entry in batches[0].entries])
-        answer = backend.query_keys(0, keys)
+        answer = backend.query_keys(0, batches[0].keys)
         assert answer.statuses.tolist() == [QUERY_STATUSES.index("occupied")] * 16
         assert answer.generation == 1
         assert backend.in_flight is None
@@ -190,7 +190,7 @@ def test_bulk_read_barriers_on_inflight_ticket(name):
         assert sorted(result.shard_id for result in backend.drain(ticket)) == [0, 1]
         # A bulk read of the other shard has nothing left to wait for.
         backend.apply_async([_batch_for_shard(backend, 0, n=4, occupied=False)])
-        backend.query_keys(1, np.array([entry[:3] for entry in batches[1].entries]))
+        backend.query_keys(1, batches[1].keys)
         assert backend.in_flight is not None
 
 

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from conftest import update_batch
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.verification import compare_trees
@@ -53,7 +54,7 @@ def _batch(shard_id: int, n: int = 8, salt: int = 0) -> ShardUpdateBatch:
             -3.0 + 0.3 * (index + n * salt), 0.4 * shard_id + 0.1, 0.2
         )
         entries.append((key.x, key.y, key.z, True))
-    return ShardUpdateBatch(shard_id=shard_id, entries=tuple(entries))
+    return update_batch(shard_id, entries)
 
 
 def _assert_trees_equal(expected, actual) -> None:
@@ -411,7 +412,7 @@ class TestSnapshotRestore:
         converter = worker.accelerator.address_generator.converter
         from repro.octomap import OcTreeKey
 
-        for key_x, key_y, key_z, _occupied in batch.entries:
+        for key_x, key_y, key_z in batch.keys.tolist():
             x, y, z = converter.key_to_coord(OcTreeKey(key_x, key_y, key_z))
             original = worker.query(x, y, z)
             restored = clone.query(x, y, z)
@@ -526,9 +527,7 @@ class TestSocketBackendLifecycle:
         backend = make_backend("socket", CONFIG, 2, snapshot_every_batches=100)
         try:
             backend.apply_shard_batches([_batch(0)])
-            backend.apply_shard_batches(
-                [ShardUpdateBatch(shard_id=0, entries=()), _batch(1)]
-            )
+            backend.apply_shard_batches([update_batch(0, []), _batch(1)])
             replay_log = backend.pool.engine.replay_log
             assert replay_log.tail_length(backend.gids[0]) == 1
             assert replay_log.tail_length(backend.gids[1]) == 1

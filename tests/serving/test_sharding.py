@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from conftest import update_batch
 from repro.core.config import OMUConfig
 from repro.core.scheduler import VoxelUpdateRequest
 from repro.octomap.keys import OcTreeKey
-from repro.serving import ShardRouter
+from repro.serving import ShardRouter, ShardUpdateBatch
 
 
 @pytest.fixture
@@ -80,10 +82,8 @@ def test_shard_index_matches_address_generator(config):
 # ---------------------------------------------------------------------------
 # ShardHost: the one verb handler behind every transport
 # ---------------------------------------------------------------------------
-def _batch(shard_id: int, x: int = 32768) -> "ShardUpdateBatch":
-    from repro.serving import ShardUpdateBatch
-
-    return ShardUpdateBatch(shard_id=shard_id, entries=((x, 32768, 32768, True),))
+def _batch(shard_id: int, x: int = 32768) -> ShardUpdateBatch:
+    return update_batch(shard_id, [(x, 32768, 32768, True)])
 
 
 def test_host_serves_the_verbs_under_a_gid_and_keeps_local_shard_ids(config):
@@ -167,3 +167,61 @@ def test_host_misrouted_message_still_trips_the_workers_own_check(config):
     with pytest.raises(ValueError, match="query for shard 0 delivered to shard 1"):
         host.handle("query", 11, ShardQueryRequest(shard_id=0, key=(1, 1, 1)))
     assert host.handle("export", 10).generation == 0  # nothing was applied
+
+
+# ---------------------------------------------------------------------------
+# The update wire: uint16 key columns in, nothing malformed past the worker
+# ---------------------------------------------------------------------------
+def test_from_key_arrays_refuses_a_component_that_does_not_fit_16_bits():
+    """``astype(uint16)`` would wrap 70000 onto voxel 4464: refuse, never alias."""
+    flags = np.array([True])
+    for component in (70000, 65536, -1):
+        with pytest.raises(ValueError, match=r"key components must be in \[0, 65535\]"):
+            ShardUpdateBatch.from_key_arrays(0, np.array([[32768, component, 32768]]), flags)
+    batch = ShardUpdateBatch.from_key_arrays(0, np.array([[0, 65535, 32768]]), flags)
+    assert batch.keys.dtype == np.uint16 and batch.keys.tolist() == [[0, 65535, 32768]]
+    assert batch.occupied.dtype == np.bool_ and len(batch) == 1
+
+
+@pytest.mark.parametrize(
+    "keys, occupied",
+    [
+        (np.zeros((2, 3), dtype=np.uint16), np.array([True])),  # fewer flags than keys
+        (np.zeros((2, 3), dtype=np.uint16), np.ones((2, 1), dtype=bool)),  # flags not a column
+        (np.zeros((2, 4), dtype=np.uint16), np.ones(2, dtype=bool)),  # not (N, 3)
+        (np.zeros(3, dtype=np.uint16), np.ones(1, dtype=bool)),  # one key, not a table
+        (np.zeros((2, 3), dtype=np.float64), np.ones(2, dtype=bool)),  # not integers
+        (None, None),  # not arrays at all
+    ],
+)
+def test_a_malformed_batch_is_refused_before_it_touches_the_accelerator(config, keys, occupied):
+    from repro.serving import ShardHost
+
+    host = ShardHost()
+    host.handle("attach", 0, (0, config))
+    bad = ShardUpdateBatch(shard_id=0, keys=keys, occupied=occupied)
+    with pytest.raises(ValueError, match="malformed update batch"):
+        host.handle("apply", 0, bad)
+    status, payload = host.reply(("apply", 0, bad))
+    assert status == "error" and "malformed update batch" in payload["message"]
+    worker = host.worker(0)
+    assert (worker.generation, worker.updates_applied) == (0, 0)
+    assert worker.accelerator.statistics().voxel_updates == 0
+    # The worker still serves: the refusal cost it nothing.
+    assert host.handle("apply", 0, _batch(0)).generation == 1
+
+
+def test_any_integer_key_dtype_applies_like_uint16(config):
+    from repro.core.verification import compare_trees
+    from repro.serving import ShardHost
+
+    host = ShardHost()
+    trees = []
+    for gid, dtype in enumerate((np.uint16, np.int64)):
+        host.handle("attach", gid, (0, config))
+        keys = np.array([[32768, 32768, 32768], [32769, 32768, 32768]], dtype=dtype)
+        ack = host.handle("apply", gid, ShardUpdateBatch(0, keys, np.array([True, False])))
+        assert ack.updates_applied == 2
+        trees.append(host.handle("export", gid).tree)
+    report = compare_trees(trees[0], trees[1], 0.0)
+    assert report.equivalent and trees[0].num_leaf_nodes() == 2, report.summary()
