@@ -35,6 +35,8 @@ setup(
     license="MIT",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The native PE kernel's source: repro.core.native compiles it on first import.
+    package_data={"repro.core": ["pe_kernel.c"]},
     python_requires=">=3.9",
     install_requires=[
         "numpy>=1.21",

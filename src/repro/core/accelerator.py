@@ -135,7 +135,7 @@ class OMUAccelerator:
     def _execute_batch(self, batch, raycast_cycles: int) -> ScanTiming:
         """Run one scheduled batch on the PE array and account its cycles."""
         per_pe_breakdowns: Dict[int, CycleBreakdown] = {
-            pe_id: self.pes[pe_id].update_paths(queue.paths, queue.occupied.tolist())
+            pe_id: self.pes[pe_id].update_paths(queue.paths, queue.occupied)
             for pe_id, queue in batch.per_pe.items()
         }
         per_pe_cycles = {
@@ -327,7 +327,7 @@ class OMUAccelerator:
         access statistics restart at zero (they describe the new lifetime,
         not the snapshotted one's).
         """
-        if any(pe._local_roots for pe in self.pes):
+        if any(any(pe._local_roots) for pe in self.pes):
             raise ValueError(
                 "load_octree requires a freshly constructed accelerator "
                 "(this one already holds map state)"
@@ -359,7 +359,7 @@ class OMUAccelerator:
         pe = self.pes[branch % self.config.num_pes]
         entry = self._restore_entry(pe, node, depth=1)
         pe.memory.write_entry(0, branch, entry)
-        pe._local_roots[branch] = branch
+        pe._local_roots[branch] = 1
 
     def _restore_entry(self, pe, node, depth: int) -> "TreeMemEntry":
         """Build (and recursively store) the TreeMem image of one tree node."""

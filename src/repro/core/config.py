@@ -23,6 +23,7 @@ The configuration object is immutable; experiments that sweep a parameter
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from repro.core.fixedpoint import DEFAULT_FORMAT, FixedPointFormat, QuantizedOccupancyParams
@@ -150,8 +151,8 @@ class OMUConfig:
         return cycles * self.clock_period_s
 
     def quantized_params(self) -> QuantizedOccupancyParams:
-        """The occupancy parameters quantised to the TreeMem fixed-point grid."""
-        return QuantizedOccupancyParams(self.occupancy_params, self.fixed_point)
+        """The occupancy parameters quantised to the TreeMem fixed-point grid (one shared object)."""
+        return _quantized(self.occupancy_params, self.fixed_point)
 
     def with_pe_count(self, num_pes: int) -> "OMUConfig":
         """Copy of this configuration with a different PE count (ablations)."""
@@ -168,6 +169,12 @@ class OMUConfig:
     def with_timing(self, timing: TimingParams) -> "OMUConfig":
         """Copy of this configuration with different primitive cycle costs."""
         return replace(self, timing=timing)
+
+
+@functools.lru_cache(maxsize=64)
+def _quantized(params: OccupancyParams, fmt: FixedPointFormat) -> QuantizedOccupancyParams:
+    # Every PE of every accelerator asks for these; both keys are frozen values.
+    return QuantizedOccupancyParams(params, fmt)
 
 
 DEFAULT_CONFIG = OMUConfig()

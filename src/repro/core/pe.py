@@ -21,6 +21,18 @@ reproduces the paper's runtime breakdown (Fig. 10) structurally rather than by
 fiat.  The walks are integer loops over the TreeMem arrays: no entry object is
 built on the update or query path.
 
+Where the loops live.  The update loop is C: ``pe_kernel.c``, built and
+loaded by :mod:`repro.core.native`.  :meth:`ProcessingElement.update_paths`
+hands it the whole stream in one ``ctypes`` call, which releases the
+interpreter lock, so PEs of different shards update on different cores at
+once.  The kernel works in place on the bank arrays and on the prune address
+manager's arrays, whose addresses the PE pins once per buffer (again only
+after the image grew), and returns what it did as counts that
+:meth:`ProcessingElement._charge` books.  The same loop in Python is the
+kernel's differential oracle, ``tests/core/oracle_pe.py``.  The query loop
+(:meth:`ProcessingElement.query_paths`) stays Python: a point read is one
+short walk, which a foreign call would make slower, not faster.
+
 That is what the model *charges*.  What the host *walks* is less, because the
 update kernel leans on one invariant of the image between completed updates:
 every stored inner entry equals ``(tag word its children row implies, max of
@@ -39,21 +51,29 @@ its children's values)``.  Three consequences, all exact:
   value and new tag: the stored word with the child's two bits replaced, and
   as maximum the child's new value if that reaches the stored one, else the
   stored one if the child was below it or is new to the node.  The row itself
-  (:meth:`ProcessingElement._read_children`, the one row-read primitive) is
-  asked two things only: who holds the maximum once the child that held it
-  fell, and -- when the word says eight leaves of one class with the changed
-  child at the maximum -- whether all eight are equal, i.e. whether to prune.
+  (``read_children``, the one row-read primitive) is asked two things only:
+  who holds the maximum once the child that held it fell, and -- when the
+  word says eight leaves of one class with the changed child at the maximum
+  -- whether all eight are equal, i.e. whether to prune.
+  :attr:`ProcessingElement.host_row_reads` counts those reads per call.
 * A parent's children row shows an inner child's pointer and value, never its
   tag word.  So on the way up, an inner node whose value did not change ends
   the walk once its own tag word is written: every ancestor would recompute
   exactly what it already stores, and none can prune over an inner child.
 
-The invariant holds between *completed* updates only.  An update that raises
-during its descent (``MemoryCapacityError``, ``tag/memory mismatch``) has
-stored nodes its parents do not list; the updates of the call before it are
-applied and charged, it is not, and the shortcuts above are no longer exact
-on that image -- the serving layer fail-stops a shard backend on any apply
-error.
+Failure contract.  The kernel stops at the first update it cannot complete
+and returns a code saying why: no row left (``MemoryCapacityError``), a tag
+listing a child its bank does not hold (``tag/memory mismatch``), a parent
+with no children, or a row the prune address manager refuses to take back.
+The updates of the call before it are applied and charged, then
+``update_paths`` raises the exception the Python kernel raised, with its
+message.  The invariant above holds between *completed* updates only: the
+failed update has stored nodes its parents do not list, the shortcuts are no
+longer exact on that image, and the serving layer fail-stops a shard backend
+on any apply error.  One code is not a failure: "grow" means the next update
+could take a fresh row past the end of the image's arrays, which are sized to
+the map (:mod:`repro.core.treemem`); the PE doubles them, pins them again and
+issues the rest of the stream.
 
 A level-synchronous (array-at-a-time) form of the update loop was sized
 against the serving layer's real PE queues and ruled out: ~47% of a queue's
@@ -65,10 +85,12 @@ applying the updates one after another.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import native
 from repro.core.config import OMUConfig
 from repro.core.prune_manager import PruneAddressManager
 from repro.core.probability_unit import ProbabilityUpdateUnit
@@ -87,15 +109,6 @@ __all__ = ["ProcessingElement", "ExportedNode", "QUERY_STATUSES"]
 #: What a voxel look-up can answer; :meth:`ProcessingElement.query_paths`
 #: reports each voxel as an index into this tuple.
 QUERY_STATUSES = ("unknown", "free", "occupied")
-
-# Tag words of a row whose eight children all classify alike, and the
-# (occupied, free, inner) tag of each child shifted to its place in the word.
-_ALL_OCCUPIED = 0x5555 * ChildStatus.OCCUPIED
-_ALL_FREE = 0x5555 * ChildStatus.FREE
-_CHILD_TAGS = tuple(
-    tuple(int(status) << (2 * child) for status in (ChildStatus.OCCUPIED, ChildStatus.FREE, ChildStatus.INNER))
-    for child in range(8)
-)
 
 
 class ExportedNode:
@@ -131,16 +144,21 @@ class ProcessingElement:
         self.counters = OperationCounters()
         self.stats = PETimingStats(pe_id=pe_id)
         self.query_cycles = 0
-        # Which first-level branches have an initialised local root in row 0.
-        self._local_roots: Dict[int, int] = {}
+        #: Children rows the last :meth:`update_paths` call read on the host
+        #: (the model charges one per parent regardless).
+        self.host_row_reads = 0
+        # Per first-level branch: 1 once its local root is initialised in row 0.
+        self._local_roots = array("B", bytes(8))
         # The SRAM image as the kernels index it: field[bank][row].
         banks = self.memory.banks
         self._valid = [bank.valid for bank in banks]
         self._pointers = [bank.pointers for bank in banks]
         self._tags = [bank.tags for bank in banks]
         self._probabilities = [bank.probabilities for bank in banks]
-        self._columns = tuple(zip(self._valid, self._pointers, self._probabilities, _CHILD_TAGS))
         self._threshold = self.probability_unit.params.raw_threshold
+        # What the native kernel works on, made by the first update (_pin).
+        self._image: Optional[native.PEImage] = None
+        self._pinned_entries = 0  # the bank arrays' total length when last pinned
 
     # ------------------------------------------------------------------
     # Voxel update (the main datapath)
@@ -160,181 +178,100 @@ class ProcessingElement:
         global root down to each leaf voxel, ``occupied`` the N measurements.
         Returns the cycles the stream consumed on this PE, by stage.
 
-        Each update is one fused integer loop over the SRAM image: down the
-        path (allocating or expanding as needed), the leaf update of eq. (2),
-        then back up updating each parent from the child that changed
-        (eq. (3)) and pruning.  Whatever it finds, an update costs one bank
-        read per level down and one row read, ALU pass, prune check and
+        Each update is one fused integer loop over the SRAM image, run by the
+        native kernel (the module docstring says where, and how it fails):
+        down the path (allocating or expanding as needed), the leaf update of
+        eq. (2), then back up updating each parent from the child that
+        changed (eq. (3)) and pruning.  Whatever it finds, an update costs one
+        bank read per level down and one row read, ALU pass, prune check and
         write-back per level up; only new nodes, row allocations, expansions
-        and prunes add to that, so the loop tallies those four and
+        and prunes add to that, so the kernel tallies those four and
         :meth:`_charge` books the whole stream from ``TimingParams`` afterwards.
 
         The loop walks only the levels whose outcome is open: down from where
-        this path leaves the previous one (the module docstring says why that
-        is exact), up until an inner node keeps its value, reading a children
-        row only where the stored entry cannot answer.  The order of the
-        stream decides how much that saves, never what is stored or charged.
+        this path leaves the previous one, up until an inner node keeps its
+        value, reading a children row only where the stored entry cannot
+        answer.  The order of the stream decides how much that saves, never
+        what is stored or charged.
         """
+        self.host_row_reads = 0
         if not len(paths):
             return CycleBreakdown()
-        banks = self.memory.banks
-        valid, pointers, tags, probabilities = self._valid, self._pointers, self._tags, self._probabilities
-        params = self.probability_unit.params
-        raw_hit, raw_miss, threshold = params.raw_hit, params.raw_miss, self._threshold
-        clamp_min, clamp_max = params.raw_clamp_min, params.raw_clamp_max
-        allocator = self.allocator
-        roots = self._local_roots
+        # The kernel indexes the image with these: shape, dtype and range are checked here.
         depth = self.config.tree_depth
-        ancestors = range(depth - 2, -1, -1)
-        # shared[i]: how many leading levels update i's path has in common
-        # with update i-1's (the first update of a call shares none).
-        same = paths[1:] == paths[:-1]
-        shared = [0]
-        shared.extend(np.where(same.all(axis=1), depth, same.argmin(axis=1)).tolist())
-        # The path register: rows[level] is the row holding the current
-        # path's node at that level (its bank is path[level]), and the first
-        # ``intact`` of them survived the previous update's prunes.
-        rows: List[int] = []
-        intact = 0
-        new_nodes = allocations = expansions = prunes = done = 0
-        try:
-            for path, hit, resume in zip(paths.tolist(), occupied, shared):
-                if resume > intact:
-                    resume = intact
-                if resume:
-                    # --- resume below the prefix the last update walked -----
-                    del rows[resume:]
-                    bank, row = path[resume - 1], rows[-1]
-                else:
-                    # --- locate (or create) the local root of this branch ---
-                    resume = 1
-                    bank, row = path[0], 0
-                    if bank not in roots:
-                        banks[bank].store(0, NULL_POINTER, 0, 0)
-                        roots[bank] = bank
-                        new_nodes += 1
-                    rows = [0]
-
-                # --- walk down the key path, allocating / expanding ---------
-                # From level ``grown`` down, the path's nodes were leaves
-                # before this update gave them rows; every level above the
-                # resume point still has the children it had a moment ago.
-                grown = depth
-                for child in path[resume:]:
-                    block = pointers[bank][row]
-                    if block == NULL_POINTER:
-                        block = allocator.allocate_row()
-                        allocations += 1
-                        grown = min(grown, len(rows) - 1)
-                        if tags[bank][row]:
-                            # A pruned leaf covering a uniform region: the
-                            # eight children are re-materialised with its value.
-                            value = probabilities[bank][row]
-                            uniform = _ALL_OCCUPIED if value > threshold else _ALL_FREE
-                            for sibling in banks:
-                                sibling.store(block, NULL_POINTER, uniform, value)
-                            self.memory.row_writes += 1
-                            expansions += 1
-                        else:
-                            banks[child].store(block, NULL_POINTER, 0, 0)
-                            new_nodes += 1
-                        # Persist the parent's new pointer immediately; the
-                        # upward pass rewrites the entry anyway but a
-                        # partially-written tree must never be observable by
-                        # queries issued between updates.
-                        pointers[bank][row] = block
-                        banks[bank].write_accesses += 1
-                    elif not (tags[bank][row] >> (child + child)) & 0b11:
-                        banks[child].store(block, NULL_POINTER, 0, 0)
-                        new_nodes += 1
-                    if not valid[child][block]:
-                        # The tag said the child exists but the bank holds
-                        # nothing: tags and memory image are out of sync.
-                        raise RuntimeError(
-                            f"PE {self.pe_id}: tag/memory mismatch at row {block} bank {child}"
-                        )
-                    rows.append(block)
-                    bank, row = child, block
-
-                # --- leaf update (paper eq. (2)): saturating add, clamped ---
-                stored = probabilities[bank][row]
-                value = stored + (raw_hit if hit else raw_miss)
-                value = clamp_min if value < clamp_min else clamp_max if value > clamp_max else value
-                probabilities[bank][row] = value
-
-                # --- upward pass: parent update (eq. (3)) and pruning -------
-                # Each parent follows from its stored entry and the one child
-                # that changed: ``child_old -> child_new``, now tagged ``tag``
-                # (an index into that child's occupied, free, inner tags; the
-                # inner tag, 0b11, is also the mask of the child's two bits).
-                intact = depth
-                tag = 0 if value > threshold else 1
-                for level in ancestors:
-                    child_tags, child_old, child_new = _CHILD_TAGS[bank], stored, value
-                    bank, row = path[level], rows[level]
-                    block = pointers[bank][row]
-                    word, stored = tags[bank][row], probabilities[bank][row]
-                    listed = word & child_tags[2]
-                    values = None
-                    # ``value`` stays the child's: the new maximum, or the
-                    # first child of a node this update created (no tags yet)
-                    # -- unless the child is below the stored maximum.
-                    if child_new < stored and word:
-                        if child_old < stored or not listed:
-                            value = stored  # another child holds it and keeps it
-                        else:
-                            # The child held it and fell: the row says who does now.
-                            values = self._read_children(block)[1]
-                            value = max(values)
-                    word = word ^ listed | child_tags[tag]
-                    tags[bank][row] = word
-                    if child_new == value and (word == _ALL_OCCUPIED or word == _ALL_FREE):
-                        # Eight leaves of one class, the changed one at the
-                        # maximum: the row says whether all are equal.
-                        if values is None:
-                            values = self._read_children(block)[1]
-                        if len(values) == 8 and min(values) == value:
-                            self.memory.clear_row(block)
-                            allocator.free_row(block)
-                            pointers[bank][row] = NULL_POINTER
-                            prunes += 1
-                            intact = level + 1
-                            probabilities[bank][row] = value
-                            tag = 0 if value > threshold else 1
-                            continue
-                    if level < grown and value == stored:
-                        # This node was inner before the update and keeps its
-                        # value (its tag word, which may be new, is written
-                        # above).  Its parent's children row shows a child's
-                        # pointer and value, never its tag word, so that row
-                        # reads as it did: no ancestor changes, and none can
-                        # prune over an inner child.  Their (fixed) accesses
-                        # are charged unwalked.
-                        break
-                    probabilities[bank][row] = value
-                    tag = 2
-                done += 1
-        finally:
-            charged = self._charge(paths[:done], new_nodes, allocations, expansions, prunes)
+        paths = np.asarray(paths)
+        flags = np.ascontiguousarray(occupied, dtype=np.bool_)
+        count = len(flags)
+        if paths.shape != (count, depth) or paths.dtype.kind not in "ui":
+            raise ValueError(f"{count} updates need ({count}, {depth}) integer paths, not {paths.dtype} {paths.shape}")
+        if paths.min() < 0 or paths.max() > 7:
+            raise ValueError("a path holds a child index outside [0, 7]")
+        paths = np.ascontiguousarray(paths, dtype=np.uint8)
+        tally = array("q", bytes(8 * native.TALLY_WORDS))
+        tally_at = tally.buffer_info()[0]
+        paths_at, flags_at = paths.ctypes.data, flags.ctypes.data
+        while True:
+            if sum(map(len, self._valid)) != self._pinned_entries:
+                self._pin()
+            done = tally[native.T_DONE]
+            code = native.update_paths(self._image, paths_at + done * depth, flags_at + done, count - done, tally_at)
+            if code != native.GROW:
+                break
+            self.memory.reserve(2 * self.memory.rows)
+        done = tally[native.T_DONE]
+        self.memory.charge_kernel_writes(
+            tally[native.T_WRITES : native.T_WRITES + 8],
+            tally[native.T_OCCUPIED : native.T_OCCUPIED + 8],
+            tally[native.T_ROW_WRITES],
+        )
+        self.host_row_reads = tally[native.T_ROW_READS]
+        charged = self._charge(
+            paths[:done],
+            tally[native.T_NEW_NODES],
+            tally[native.T_ALLOCATIONS],
+            tally[native.T_EXPANSIONS],
+            tally[native.T_PRUNES],
+        )
+        if code != native.OK:
+            raise self._failure(code, tally[native.T_ERROR_ROW], tally[native.T_ERROR_BANK])
         return charged
 
-    def _read_children(self, block: int) -> Tuple[int, List[int]]:
-        """One banked row read: the tag word the row implies and its valid children's values."""
-        word = 0
-        values = []
-        for child_valid, child_pointers, child_probabilities, (occupied, free, inner) in self._columns:
-            if child_valid[block]:
-                value = child_probabilities[block]
-                values.append(value)
-                if child_pointers[block] != NULL_POINTER:
-                    word |= inner
-                elif value > self._threshold:
-                    word |= occupied
-                else:
-                    word |= free
-        if not values:
-            raise RuntimeError(f"PE {self.pe_id}: parent at row {block} has no children")
-        return word, values
+    def _pin(self) -> None:
+        """Hand the kernel the bank arrays' current addresses (they move when the image grows)."""
+        image = self._image
+        if image is None:
+            allocator, params = self.allocator, self.probability_unit.params
+            image = self._image = native.PEImage(
+                num_rows=allocator.num_rows,
+                reserved_rows=allocator.reserved_rows,
+                stack=allocator.stack.buffer_info()[0],
+                stacked=allocator.stacked.buffer_info()[0],
+                allocator=allocator.state.buffer_info()[0],
+                roots=self._local_roots.buffer_info()[0],
+                depth=self.config.tree_depth,
+                raw_hit=params.raw_hit,
+                raw_miss=params.raw_miss,
+                threshold=params.raw_threshold,
+                clamp_min=params.raw_clamp_min,
+                clamp_max=params.raw_clamp_max,
+            )
+        for bank, arrays in enumerate(zip(self._valid, self._pointers, self._tags, self._probabilities)):
+            image.valid[bank], image.pointers[bank], image.tags[bank], image.probabilities[bank] = (
+                field.buffer_info()[0] for field in arrays
+            )
+        image.capacity = self.memory.rows
+        self._pinned_entries = sum(map(len, self._valid))
+
+    def _failure(self, code: int, row: int, bank: int) -> Exception:
+        """The exception a kernel return code stands for."""
+        if code == native.CAPACITY:
+            return self.allocator.exhausted()
+        if code == native.MISMATCH:
+            return RuntimeError(f"PE {self.pe_id}: tag/memory mismatch at row {row} bank {bank}")
+        if code == native.CHILDLESS:
+            return RuntimeError(f"PE {self.pe_id}: parent at row {row} has no children")
+        # native.FREE_ROW: the kernel left the allocator as it found it, so its own check says why.
+        return self.allocator.free_error(row)
 
     def _charge(
         self, paths: np.ndarray, new_nodes: int, allocations: int, expansions: int, prunes: int
@@ -425,7 +362,7 @@ class ProcessingElement:
                 levels = iter(path)
                 bank = next(levels)
                 row = 0
-                if bank not in roots:
+                if not roots[bank]:
                     absent += 1
                     codes.append(0)
                     raws.append(0)
@@ -476,8 +413,10 @@ class ProcessingElement:
         The exported paths start at the global root, so nodes from different
         PEs can be merged directly into one software octree.
         """
-        for branch, bank in sorted(self._local_roots.items()):
-            entry = self.memory.read_entry(0, bank)
+        for branch, live in enumerate(self._local_roots):
+            if not live:
+                continue
+            entry = self.memory.read_entry(0, branch)
             if entry is None:
                 continue
             yield from self._export_recurs(entry, (branch,))

@@ -1,0 +1,274 @@
+/* The PE update kernel: ProcessingElement.update_paths over the SRAM image.
+ *
+ * One call integrates an ordered stream of voxel measurements into one PE's
+ * TreeMem image, exactly as the pure-Python kernel in
+ * tests/core/oracle_pe.py does: the path-register resume, the leaf update of
+ * eq. (2), the O(1) upward pass with its prune rule, and the one row read
+ * (read_children).  It touches the bank arrays and the prune address
+ * manager's state in place through the addresses in pe_image, which
+ * repro/core/pe.py pins once per buffer, and no Python object: ctypes
+ * releases the interpreter lock for the whole call.
+ *
+ * Everything the Python side books from a call (events, per-bank writes,
+ * live-entry deltas, host row reads) is added to tally[].  A call stops at
+ * the first update it cannot complete and returns why; the updates before it
+ * are applied and tallied (tally[T_DONE] of them), and Python charges them
+ * before it raises.  PE_GROW is not an error: the image is too short for the
+ * next update's fresh rows, Python grows it and calls again with the rest.
+ *
+ * Built by repro/core/native.py; the layout of pe_image and the word indices
+ * below are mirrored there and in repro/core/prune_manager.py.
+ */
+
+#include <stdint.h>
+
+#define NULL_POINTER 0xFFFFFFFFu
+#define ALL_OCCUPIED 0x5555u /* eight children tagged 01 */
+#define ALL_FREE 0xAAAAu     /* eight children tagged 10 */
+#define MAX_DEPTH 16
+
+enum { PE_OK, PE_GROW, PE_CAPACITY, PE_MISMATCH, PE_CHILDLESS, PE_FREE_ROW };
+
+/* PruneAddressManager's state words. */
+enum { A_NEXT_FRESH, A_DEPTH, A_ALLOCATIONS, A_FRESH, A_REUSED, A_FREES, A_PEAK };
+
+/* What a call adds up for the Python side. */
+enum {
+    T_DONE,
+    T_NEW_NODES,
+    T_ALLOCATIONS,
+    T_EXPANSIONS,
+    T_PRUNES,
+    T_ROW_READS,
+    T_ROW_WRITES,
+    T_ERROR_ROW,
+    T_ERROR_BANK,
+    T_WRITES,               /* eight words: write accesses per bank */
+    T_OCCUPIED = T_WRITES + 8, /* eight words: change in live entries per bank */
+};
+
+typedef struct {
+    uint8_t *valid[8];
+    uint32_t *pointers[8];
+    uint16_t *tags[8];
+    int16_t *probabilities[8];
+    int64_t capacity;      /* rows every bank array holds now */
+    int64_t num_rows;      /* rows the allocator may hand out (the nominal size) */
+    int64_t reserved_rows; /* rows at the bottom that are never freed */
+    int32_t *stack;        /* prune stack, num_rows words */
+    uint8_t *stacked;      /* per row: on the stack */
+    int64_t *allocator;    /* A_* words */
+    uint8_t *roots;        /* per first-level branch: local root in row 0 */
+    int64_t depth;
+    int64_t raw_hit, raw_miss, threshold, clamp_min, clamp_max;
+} pe_image;
+
+static void store(pe_image *im, int64_t *tally, int bank, int64_t row, uint32_t pointer, uint16_t tags,
+                  int16_t value) {
+    tally[T_WRITES + bank]++;
+    tally[T_OCCUPIED + bank] += !im->valid[bank][row];
+    im->valid[bank][row] = 1;
+    im->pointers[bank][row] = pointer;
+    im->tags[bank][row] = tags;
+    im->probabilities[bank][row] = value;
+}
+
+static int allocate_row(pe_image *im, int64_t *row) {
+    int64_t *state = im->allocator;
+    if (state[A_DEPTH]) {
+        *row = im->stack[--state[A_DEPTH]];
+        im->stacked[*row] = 0;
+        state[A_REUSED]++;
+    } else {
+        if (state[A_NEXT_FRESH] >= im->num_rows)
+            return PE_CAPACITY;
+        *row = state[A_NEXT_FRESH]++;
+        state[A_FRESH]++;
+    }
+    state[A_ALLOCATIONS]++;
+    return PE_OK;
+}
+
+/* PruneAddressManager.free_row's three checks, in its order. */
+static int free_row(pe_image *im, int64_t row) {
+    int64_t *state = im->allocator;
+    if (row < im->reserved_rows || row >= im->num_rows || im->stacked[row] || row >= state[A_NEXT_FRESH])
+        return PE_FREE_ROW;
+    im->stack[state[A_DEPTH]++] = (int32_t)row;
+    im->stacked[row] = 1;
+    state[A_FREES]++;
+    if (state[A_DEPTH] > state[A_PEAK])
+        state[A_PEAK] = state[A_DEPTH];
+    return PE_OK;
+}
+
+/* One banked row read: how many children the row holds, their least and greatest value. */
+static int read_children(const pe_image *im, int64_t *tally, int64_t block, int *count, int64_t *low,
+                         int64_t *high) {
+    tally[T_ROW_READS]++;
+    *count = 0;
+    for (int bank = 0; bank < 8; bank++) {
+        if (!im->valid[bank][block])
+            continue;
+        int64_t value = im->probabilities[bank][block];
+        if (!*count || value < *low)
+            *low = value;
+        if (!*count || value > *high)
+            *high = value;
+        (*count)++;
+    }
+    return *count;
+}
+
+static int fail(int64_t *tally, int code, int64_t row, int bank) {
+    tally[T_ERROR_ROW] = row;
+    tally[T_ERROR_BANK] = bank;
+    return code;
+}
+
+int pe_update_paths(pe_image *im, const uint8_t *paths, const uint8_t *occupied, int64_t count, int64_t *tally) {
+    const int depth = (int)im->depth;
+    const int64_t threshold = im->threshold;
+    int64_t rows[MAX_DEPTH]; /* the path register: rows[level] holds the path's node at that level */
+    int intact = 0;          /* how many of them survived the previous update's prunes */
+
+    for (int64_t index = 0; index < count; index++) {
+        const uint8_t *path = paths + index * depth;
+        if (im->allocator[A_NEXT_FRESH] + depth - 1 > im->capacity && im->capacity < im->num_rows)
+            return PE_GROW;
+
+        /* --- resume below the prefix the last update walked, or start at the local root --- */
+        int resume = 0;
+        if (index)
+            while (resume < depth && path[resume] == path[resume - depth])
+                resume++;
+        if (resume > intact)
+            resume = intact;
+        int bank;
+        int64_t row;
+        if (resume) {
+            bank = path[resume - 1];
+            row = rows[resume - 1];
+        } else {
+            resume = 1;
+            bank = path[0];
+            row = 0;
+            if (!im->roots[bank]) {
+                store(im, tally, bank, 0, NULL_POINTER, 0, 0);
+                im->roots[bank] = 1;
+                tally[T_NEW_NODES]++;
+            }
+            rows[0] = 0;
+        }
+
+        /* --- walk down the key path, allocating / expanding --- */
+        /* From level `grown` down, the path's nodes were leaves before this update gave them rows. */
+        int grown = depth;
+        for (int level = resume; level < depth; level++) {
+            int child = path[level];
+            int64_t block = im->pointers[bank][row];
+            if (block == NULL_POINTER) {
+                int code = allocate_row(im, &block);
+                if (code)
+                    return fail(tally, code, 0, 0);
+                tally[T_ALLOCATIONS]++;
+                if (grown > level - 1)
+                    grown = level - 1;
+                if (im->tags[bank][row]) {
+                    /* A pruned leaf covering a uniform region: its eight children come back with its value. */
+                    int16_t region = im->probabilities[bank][row];
+                    uint16_t uniform = region > threshold ? ALL_OCCUPIED : ALL_FREE;
+                    for (int sibling = 0; sibling < 8; sibling++)
+                        store(im, tally, sibling, block, NULL_POINTER, uniform, region);
+                    tally[T_ROW_WRITES]++;
+                    tally[T_EXPANSIONS]++;
+                } else {
+                    store(im, tally, child, block, NULL_POINTER, 0, 0);
+                    tally[T_NEW_NODES]++;
+                }
+                /* Persisted at once: a query between two updates must never see a half-written tree. */
+                im->pointers[bank][row] = (uint32_t)block;
+                tally[T_WRITES + bank]++;
+            } else {
+                if (block >= im->capacity) /* a pointer past every row ever handed out */
+                    return fail(tally, PE_MISMATCH, block, child);
+                if (!((im->tags[bank][row] >> (2 * child)) & 3)) {
+                    store(im, tally, child, block, NULL_POINTER, 0, 0);
+                    tally[T_NEW_NODES]++;
+                }
+            }
+            if (!im->valid[child][block]) /* the tag says the child exists, the bank holds nothing */
+                return fail(tally, PE_MISMATCH, block, child);
+            rows[level] = block;
+            bank = child;
+            row = block;
+        }
+
+        /* --- leaf update (paper eq. (2)): saturating add, clamped --- */
+        int64_t stored = im->probabilities[bank][row];
+        int64_t value = stored + (occupied[index] ? im->raw_hit : im->raw_miss);
+        value = value < im->clamp_min ? im->clamp_min : value > im->clamp_max ? im->clamp_max : value;
+        im->probabilities[bank][row] = (int16_t)value;
+
+        /* --- upward pass: parent update (eq. (3)) and pruning --- */
+        /* Each parent follows from its stored entry and the one child that changed, child_old ->
+         * child_new, now tagged `tag` (0 occupied, 1 free, 2 inner: its two bits are tag + 1). */
+        intact = depth;
+        int tag = value > threshold ? 0 : 1;
+        for (int level = depth - 2; level >= 0; level--) {
+            int shift = 2 * bank;
+            int64_t child_old = stored, child_new = value;
+            bank = path[level];
+            row = rows[level];
+            int64_t block = im->pointers[bank][row];
+            uint32_t word = im->tags[bank][row];
+            stored = im->probabilities[bank][row];
+            uint32_t listed = word & (3u << shift);
+            int children = -1;
+            int64_t low = 0, high = 0;
+            /* `value` stays the child's: the new maximum, or the first child of a node this update
+             * created (no tags yet) -- unless the child is below the stored maximum. */
+            if (child_new < stored && word) {
+                if (child_old < stored || !listed) {
+                    value = stored; /* another child holds it and keeps it */
+                } else {
+                    /* The child held it and fell: the row says who does now. */
+                    if (!read_children(im, tally, block, &children, &low, &high))
+                        return fail(tally, PE_CHILDLESS, block, 0);
+                    value = high;
+                }
+            }
+            word = (word ^ listed) | ((uint32_t)(tag + 1) << shift);
+            im->tags[bank][row] = (uint16_t)word;
+            if (child_new == value && (word == ALL_OCCUPIED || word == ALL_FREE)) {
+                /* Eight leaves of one class, the changed one at the maximum: are all eight equal? */
+                if (children < 0 && !read_children(im, tally, block, &children, &low, &high))
+                    return fail(tally, PE_CHILDLESS, block, 0);
+                if (children == 8 && low == value) {
+                    for (int sibling = 0; sibling < 8; sibling++) {
+                        tally[T_WRITES + sibling]++;
+                        tally[T_OCCUPIED + sibling] -= im->valid[sibling][block];
+                        im->valid[sibling][block] = 0;
+                    }
+                    tally[T_ROW_WRITES]++;
+                    if (free_row(im, block))
+                        return fail(tally, PE_FREE_ROW, block, 0);
+                    im->pointers[bank][row] = NULL_POINTER;
+                    tally[T_PRUNES]++;
+                    intact = level + 1;
+                    im->probabilities[bank][row] = (int16_t)value;
+                    tag = value > threshold ? 0 : 1;
+                    continue;
+                }
+            }
+            if (level < grown && value == stored)
+                /* An inner node that keeps its value: its parent's row reads as it did, so no
+                 * ancestor changes and none can prune over an inner child. */
+                break;
+            im->probabilities[bank][row] = (int16_t)value;
+            tag = 2;
+        }
+        tally[T_DONE]++;
+    }
+    return PE_OK;
+}

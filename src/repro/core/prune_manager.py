@@ -11,15 +11,26 @@ the reuse property.
 This model also owns the bump allocator for never-used rows, so a PE obtains
 every children-block address from a single place and the allocation policy
 (reuse-first) is enforced here.
+
+The state lives in typed arrays -- the stack as ``int32`` words, an "on the
+stack" flag per row, and the counters in :attr:`PruneAddressManager.state` --
+because the PE's native update kernel (``pe_kernel.c``) allocates and frees
+rows in the same arrays, in place, with the same checks in the same order as
+:meth:`~PruneAddressManager.allocate_row` and
+:meth:`~PruneAddressManager.free_row` here.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from array import array
+from typing import List, Optional
 
 from repro.core.treemem import MemoryCapacityError
 
 __all__ = ["PruneAddressManager"]
+
+# Words of PruneAddressManager.state (the kernel's A_* indices).
+NEXT_FRESH, DEPTH, ALLOCATIONS, FRESH, REUSED, FREES, PEAK = range(7)
 
 
 class PruneAddressManager:
@@ -39,15 +50,12 @@ class PruneAddressManager:
             )
         self._num_rows = num_rows
         self._reserved_rows = reserved_rows
-        self._next_fresh_row = reserved_rows
-        self._stack: List[int] = []
-        self._stacked: Set[int] = set()  # the stack's rows, for the O(1) double-free check
-        # Statistics used by the memory-utilisation experiments.
-        self.allocations = 0
-        self.fresh_allocations = 0
-        self.reused_allocations = 0
-        self.frees = 0
-        self.peak_stack_depth = 0
+        #: next fresh row, stack depth, then the statistics used by the
+        #: memory-utilisation experiments: allocations (fresh + reused), frees
+        #: and the peak stack depth.
+        self.state = array("q", [reserved_rows, 0, 0, 0, 0, 0, 0])
+        self.stack = array("i", bytes(4 * num_rows))
+        self.stacked = array("B", bytes(num_rows))  # per row, for the O(1) double-free check
 
     # ------------------------------------------------------------------
     # Allocation interface
@@ -59,38 +67,53 @@ class PruneAddressManager:
             MemoryCapacityError: when no pruned row is available and every
                 fresh row has already been handed out.
         """
-        if self._stack:
-            self.reused_allocations += 1
-            row = self._stack.pop()
-            self._stacked.remove(row)
+        state = self.state
+        if state[DEPTH]:
+            state[DEPTH] -= 1
+            row = self.stack[state[DEPTH]]
+            self.stacked[row] = 0
+            state[REUSED] += 1
         else:
-            if self._next_fresh_row >= self._num_rows:
-                raise MemoryCapacityError(
-                    f"TreeMem exhausted: all {self._num_rows} rows are in use and "
-                    "the prune stack is empty (increase bank_kilobytes or reduce "
-                    "the mapped volume)"
-                )
-            self.fresh_allocations += 1
-            row = self._next_fresh_row
-            self._next_fresh_row += 1
-        self.allocations += 1
+            row = state[NEXT_FRESH]
+            if row >= self._num_rows:
+                raise self.exhausted()
+            state[NEXT_FRESH] = row + 1
+            state[FRESH] += 1
+        state[ALLOCATIONS] += 1
         return row
 
     def free_row(self, row: int) -> None:
         """Push a pruned children-block row onto the reuse stack."""
+        error = self.free_error(row)
+        if error is not None:
+            raise error
+        state = self.state
+        self.stack[state[DEPTH]] = row
+        self.stacked[row] = 1
+        state[DEPTH] += 1
+        state[FREES] += 1
+        state[PEAK] = max(state[PEAK], state[DEPTH])
+
+    def exhausted(self) -> MemoryCapacityError:
+        """The error of an allocation that finds neither a pruned nor a fresh row."""
+        return MemoryCapacityError(
+            f"TreeMem exhausted: all {self._num_rows} rows are in use and "
+            "the prune stack is empty (increase bank_kilobytes or reduce "
+            "the mapped volume)"
+        )
+
+    def free_error(self, row: int) -> Optional[ValueError]:
+        """Why ``row`` cannot be freed now, or None if it can."""
         if not self._reserved_rows <= row < self._num_rows:
-            raise ValueError(
+            return ValueError(
                 f"row {row} is not an allocatable address "
                 f"(valid range [{self._reserved_rows}, {self._num_rows - 1}])"
             )
-        if row in self._stacked:
-            raise ValueError(f"row {row} freed twice (double prune)")
-        if row >= self._next_fresh_row:
-            raise ValueError(f"row {row} freed but was never allocated")
-        self.frees += 1
-        self._stack.append(row)
-        self._stacked.add(row)
-        self.peak_stack_depth = max(self.peak_stack_depth, len(self._stack))
+        if self.stacked[row]:
+            return ValueError(f"row {row} freed twice (double prune)")
+        if row >= self.state[NEXT_FRESH]:
+            return ValueError(f"row {row} freed but was never allocated")
+        return None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -101,24 +124,63 @@ class PruneAddressManager:
         return self._num_rows
 
     @property
+    def reserved_rows(self) -> int:
+        """Rows at the bottom of the address space that are never handed out."""
+        return self._reserved_rows
+
+    @property
+    def next_fresh_row(self) -> int:
+        """The lowest row never handed out (everything above it is untouched)."""
+        return self.state[NEXT_FRESH]
+
+    @property
+    def allocations(self) -> int:
+        """Rows handed out, fresh plus reused (a refused allocation is not one)."""
+        return self.state[ALLOCATIONS]
+
+    @property
+    def fresh_allocations(self) -> int:
+        """Rows handed out from the never-used range."""
+        return self.state[FRESH]
+
+    @property
+    def reused_allocations(self) -> int:
+        """Rows handed out from the prune stack."""
+        return self.state[REUSED]
+
+    @property
+    def frees(self) -> int:
+        """Rows pushed onto the prune stack."""
+        return self.state[FREES]
+
+    @property
+    def peak_stack_depth(self) -> int:
+        """The deepest the prune stack has been."""
+        return self.state[PEAK]
+
+    @property
     def stack_depth(self) -> int:
         """Number of freed rows currently waiting for reuse."""
-        return len(self._stack)
+        return self.state[DEPTH]
+
+    def stacked_rows(self) -> List[int]:
+        """The rows waiting for reuse, bottom of the stack first."""
+        return self.stack[: self.state[DEPTH]].tolist()
 
     @property
     def rows_in_use(self) -> int:
         """Rows currently holding live children blocks."""
-        return (self._next_fresh_row - self._reserved_rows) - len(self._stack)
+        return self.rows_touched - self.stack_depth
 
     @property
     def rows_touched(self) -> int:
         """Rows ever handed out (the high-water mark without reuse)."""
-        return self._next_fresh_row - self._reserved_rows
+        return self.next_fresh_row - self._reserved_rows
 
     @property
     def free_rows(self) -> int:
         """Rows still available (fresh plus recycled)."""
-        return (self._num_rows - self._next_fresh_row) + len(self._stack)
+        return (self._num_rows - self.next_fresh_row) + self.stack_depth
 
     def utilization(self) -> float:
         """Fraction of allocatable rows currently in use."""

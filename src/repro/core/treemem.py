@@ -16,13 +16,21 @@ Every 64-bit entry packs three fields (paper Fig. 5):
   fixed-point log-odds value.
 
 The model stores the SRAM image itself: each bank keeps the three fields of
-its entries in fixed-size typed arrays (pointer ``u32``, the eight tags as one
-``u16`` word, probability ``i16``) plus a valid bit per address.  The PE's
-update and query kernels run as integer loops over those arrays;
+its entries in typed arrays (pointer ``u32``, the eight tags as one ``u16``
+word, probability ``i16``) plus a valid byte per address.  The PE's update
+and query kernels run as integer loops over those arrays;
 :class:`TreeMemEntry` is the *decoded view* of one word that the
 ``read``/``write`` API hands to the cold paths (map export, snapshot restore,
 tests), with exact 64-bit pack/unpack so tests can verify the bit layout.
 Every bank access is counted so the timing and energy models can charge it.
+
+The arrays are sized to the map, not to the bank: they start at
+:data:`INITIAL_ROWS` entries and double (up to the bank's ``num_entries``)
+when a write needs a row beyond them.  Rows are handed out bottom-up by the
+prune address manager, so every address past the arrays' end is one never
+written -- valid 0, pointer :data:`NULL_POINTER`, tags 0, value 0 -- and
+reads there answer exactly that.  Capacity, and the utilisation it is the
+base of, stay the nominal ``num_entries``.
 """
 
 from __future__ import annotations
@@ -43,6 +51,17 @@ __all__ = [
 
 NULL_POINTER = 0xFFFFFFFF
 """Pointer value marking "no children block" (a leaf node)."""
+
+INITIAL_ROWS = 64
+"""Addresses a bank's arrays hold before the map first outgrows them."""
+
+# INITIAL_ROWS never-written entries per field (valid, pointer, tags, probability).
+_UNWRITTEN = (
+    array("B", bytes(INITIAL_ROWS)),
+    array("I", [NULL_POINTER]) * INITIAL_ROWS,
+    array("H", bytes(2 * INITIAL_ROWS)),
+    array("h", bytes(2 * INITIAL_ROWS)),
+)
 
 
 class MemoryCapacityError(RuntimeError):
@@ -146,7 +165,8 @@ class TreeMemBank:
     """One single-port SRAM bank of a PE.
 
     The bank's image lives in four parallel arrays indexed by address:
-    :attr:`valid`, :attr:`pointers`, :attr:`tags` and :attr:`probabilities`.
+    :attr:`valid`, :attr:`pointers`, :attr:`tags` and :attr:`probabilities`,
+    holding the first :attr:`rows` addresses (see the module docstring).
     The PE kernels read and update them in place; everything else goes
     through :meth:`read` / :meth:`write`.  Reads and writes are counted
     individually; the energy model charges each access and the timing model
@@ -158,19 +178,43 @@ class TreeMemBank:
             raise ValueError("a bank needs at least one entry")
         self.bank_index = bank_index
         self.num_entries = num_entries
-        self.valid = bytearray(num_entries)
-        self.pointers = array("I", [NULL_POINTER]) * num_entries
-        self.tags = array("H", bytes(2 * num_entries))
-        self.probabilities = array("h", bytes(2 * num_entries))
+        valid, pointers, tags, probabilities = _UNWRITTEN  # copied by slicing: the cheapest new array
+        self.valid = valid[:num_entries]
+        self.pointers = pointers[:num_entries]
+        self.tags = tags[:num_entries]
+        self.probabilities = probabilities[:num_entries]
         self.read_accesses = 0
         self.write_accesses = 0
         self._occupied = 0
+
+    @property
+    def rows(self) -> int:
+        """Addresses the arrays hold now (every one above is unwritten)."""
+        return len(self.valid)
+
+    def reserve(self, rows: int) -> None:
+        """Make the arrays hold at least ``rows`` addresses, doubling, at most ``num_entries``.
+
+        The arrays grow in place, so their buffers may move: whoever holds
+        their addresses (the PE's native kernel) must take them again.
+        """
+        size = self.rows
+        if rows <= size:
+            return
+        target = size
+        while target < rows:
+            target *= 2
+        extra = min(target, self.num_entries) - size
+        self.valid.frombytes(bytes(extra))
+        self.pointers.frombytes(b"\xff" * (4 * extra))
+        self.tags.frombytes(bytes(2 * extra))
+        self.probabilities.frombytes(bytes(2 * extra))
 
     def read(self, address: int) -> Optional[TreeMemEntry]:
         """Read the entry at ``address`` (None if never written)."""
         self._check_address(address)
         self.read_accesses += 1
-        if not self.valid[address]:
+        if address >= self.rows or not self.valid[address]:
             return None
         return TreeMemEntry(
             self.pointers[address],
@@ -181,13 +225,14 @@ class TreeMemBank:
     def write(self, address: int, entry: TreeMemEntry) -> None:
         """Write ``entry`` at ``address``."""
         self._check_address(address)
+        self.reserve(address + 1)
         self.store(address, entry.pointer, entry.tags_word(), entry.probability_raw)
 
     def store(self, address: int, pointer: int, tags: int, probability_raw: int) -> None:
         """One write access given as raw field values (the PE datapath's form).
 
         The address is the caller's to vouch for (it comes from the row
-        allocator or from a stored pointer).
+        allocator or from a stored pointer, below :attr:`rows`).
         """
         self.write_accesses += 1
         self._occupied += not self.valid[address]
@@ -200,8 +245,9 @@ class TreeMemBank:
         """Invalidate the entry at ``address`` (used when a row is freed)."""
         self._check_address(address)
         self.write_accesses += 1
-        self._occupied -= self.valid[address]
-        self.valid[address] = 0
+        if address < self.rows:
+            self._occupied -= self.valid[address]
+            self.valid[address] = 0
 
     def occupied_entries(self) -> int:
         """Number of valid entries currently stored (a live count, not a scan)."""
@@ -231,6 +277,16 @@ class BankedTreeMemory:
         self.banks = [TreeMemBank(index, entries_per_bank) for index in range(num_banks)]
         self.row_reads = 0
         self.row_writes = 0
+
+    @property
+    def rows(self) -> int:
+        """Addresses every bank's arrays hold now."""
+        return min(bank.rows for bank in self.banks)
+
+    def reserve(self, rows: int) -> None:
+        """Grow every bank to hold at least ``rows`` addresses (see :meth:`TreeMemBank.reserve`)."""
+        for bank in self.banks:
+            bank.reserve(rows)
 
     # -- single-entry access -------------------------------------------------
     def read_entry(self, row: int, bank: int) -> Optional[TreeMemEntry]:
@@ -276,6 +332,19 @@ class BankedTreeMemory:
         for bank, nodes in zip(self.banks, path_nodes_per_bank):
             bank.read_accesses += nodes + row_reads
             bank.write_accesses += nodes
+
+    def charge_kernel_writes(self, writes: Sequence[int], occupied: Sequence[int], row_writes: int) -> None:
+        """Book the writes the native update kernel made to the arrays in place.
+
+        ``writes[b]`` accesses went to bank ``b`` and changed its live entries
+        by ``occupied[b]``, ``row_writes`` of them as whole-row writes: what
+        :meth:`TreeMemBank.store`, :meth:`clear_row` and the row write of an
+        expansion would have counted.
+        """
+        self.row_writes += row_writes
+        for bank, count, delta in zip(self.banks, writes, occupied):
+            bank.write_accesses += count
+            bank._occupied += delta
 
     def total_reads(self) -> int:
         """Total single-bank read accesses (row reads count as 8)."""

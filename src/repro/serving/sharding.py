@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import traceback
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,10 +143,23 @@ class MapShardWorker:
     def __init__(self, shard_id: int, config: OMUConfig) -> None:
         self.shard_id = shard_id
         self.config = config
-        self.accelerator = OMUAccelerator(config)
+        self._accelerator: Optional[OMUAccelerator] = None
         self.generation = 0
         self.batches_applied = 0
         self.updates_applied = 0
+
+    @property
+    def accelerator(self) -> OMUAccelerator:
+        """This shard's accelerator, built on first use.
+
+        Attaching a shard -- what creating a session costs -- then builds no
+        PE array, and a shard that is never written or read builds none at
+        all.  The worker is touched by one thread at a time (one apply in
+        flight per session, reads behind it), as its SRAM image requires.
+        """
+        if self._accelerator is None:
+            self._accelerator = OMUAccelerator(self.config)
+        return self._accelerator
 
     def apply_updates(self, requests, occupied=None) -> ScanTiming:
         """Apply an ordered update stream and invalidate this shard's cache.

@@ -19,10 +19,18 @@ or to confirm a prune.  ``check_ancestors`` recomputes every ancestor from its
 row after each update, the golden image file pins the bytes, and the directed
 streams at the bottom take each arm of that rule with a known number of row
 reads.
+
+The kernel is native (``pe_kernel.c``); ``oracle_pe.py`` is the same loop in
+Python.  Every stream here also runs on the oracle, which must leave the same
+SRAM bytes (stale words included), allocator stack, statistics, counters and
+per-bank access counts -- on the way to a failure too, and across the calls
+in which the image outgrows its arrays and the native kernel is issued again
+for the rest of the stream.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import List, Tuple
@@ -36,11 +44,13 @@ from repro.core import OMUAccelerator, OMUConfig
 from repro.core.address_gen import AddressGenerator
 from repro.core.pe import ProcessingElement
 from repro.core.scheduler import VoxelUpdateRequest
-from repro.core.treemem import NULL_POINTER, ChildStatus, TreeMemEntry
+from repro.core.treemem import INITIAL_ROWS, NULL_POINTER, ChildStatus, MemoryCapacityError, TreeMemEntry
 from repro.core.verification import compare_trees
 from repro.octomap.keys import OcTreeKey
 from repro.octomap.octree import OccupancyOcTree
 from repro.octomap.pointcloud import PointCloud
+
+import oracle_pe
 
 Update = Tuple[int, int, int, bool]
 BATCH = 96
@@ -113,11 +123,11 @@ def check_entry(pe: ProcessingElement, entry: TreeMemEntry, level: int) -> list:
 
 
 def check_invariant(pe: ProcessingElement) -> None:
-    """What the upward pass leans on: every inner entry equals ``_read_children`` of its block."""
+    """What the upward pass leans on: every inner entry equals ``read_children`` of its block."""
     for valid, pointers, tags, probabilities in zip(pe._valid, pe._pointers, pe._tags, pe._probabilities):
         for row, live in enumerate(valid):
             if live and pointers[row] != NULL_POINTER:
-                word, values = pe._read_children(pointers[row])
+                word, values = oracle_pe.read_children(pe, pointers[row])
                 assert (tags[row], probabilities[row]) == (word, max(values)), row
 
 
@@ -125,7 +135,7 @@ def check_image(pe: ProcessingElement) -> None:
     """Walk the PE's tree: tags match children, entries round-trip, nothing leaks."""
     check_invariant(pe)
     reachable = inner = 0
-    pending = [(pe.memory.read_entry(0, bank), 1) for bank in pe._local_roots.values()]
+    pending = [(pe.memory.read_entry(0, bank), 1) for bank, live in enumerate(pe._local_roots) if live]
     while pending:
         entry, level = pending.pop()
         assert entry is not None
@@ -147,12 +157,15 @@ def check_ancestors(pe: ProcessingElement, path: np.ndarray) -> None:
 
 def check_stream(depth: int, stream: List[Update]) -> OMUAccelerator:
     config = small_config(depth)
-    by_columns, by_requests = OMUAccelerator(config), OMUAccelerator(config)
-    assert apply_in_batches(by_columns, stream, True) == apply_in_batches(by_requests, stream, False)
-    assert by_columns.statistics() == by_requests.statistics()
-    assert by_columns.counters() == by_requests.counters()
-    for left, right in zip(by_columns.pes, by_requests.pes):
+    by_columns, by_requests, by_oracle = (OMUAccelerator(config) for _ in range(3))
+    oracle_pe.use_oracle(by_oracle)
+    timings = apply_in_batches(by_columns, stream, True)
+    assert timings == apply_in_batches(by_requests, stream, False) == apply_in_batches(by_oracle, stream, True)
+    assert by_columns.statistics() == by_requests.statistics() == by_oracle.statistics()
+    assert by_columns.counters() == by_requests.counters() == by_oracle.counters()
+    for left, right, oracle in zip(by_columns.pes, by_requests.pes, by_oracle.pes):
         assert left.stats == right.stats
+        assert machine_state(left) == machine_state(oracle)
 
     reference = OccupancyOcTree(
         config.resolution_m, tree_depth=depth, params=config.quantized_params().as_float_params()
@@ -215,25 +228,18 @@ def test_updates_to_one_voxel_in_one_batch_apply_in_stream_order():
 
 # -- one call over the stream == one call per update ---------------------------
 def machine_state(pe: ProcessingElement) -> dict:
-    """Everything an update can leave behind in a PE, stale SRAM words included."""
+    """Everything an update can leave behind in a PE, stale SRAM words and stack words included."""
     banks, allocator = pe.memory.banks, pe.allocator
     return {
         "image": [
             (bytes(bank.valid), bank.pointers.tobytes(), bank.tags.tobytes(), bank.probabilities.tobytes())
             for bank in banks
         ],
-        "accesses": [(bank.read_accesses, bank.write_accesses) for bank in banks],
+        "accesses": [(bank.read_accesses, bank.write_accesses, bank.occupied_entries()) for bank in banks],
         "rows": (pe.memory.row_reads, pe.memory.row_writes),
-        "allocator": (
-            allocator._next_fresh_row,
-            list(allocator._stack),
-            allocator.allocations,
-            allocator.fresh_allocations,
-            allocator.reused_allocations,
-            allocator.frees,
-            allocator.peak_stack_depth,
-        ),
-        "roots": dict(pe._local_roots),
+        # next fresh row, stack depth, allocations (all, fresh, reused), frees, peak depth
+        "allocator": (allocator.state.tolist(), allocator.stack.tobytes(), allocator.stacked.tobytes()),
+        "roots": bytes(pe._local_roots),
         "stats": pe.stats,
         "counters": pe.counters,
     }
@@ -249,9 +255,13 @@ def check_resumed_equals_cold(config, paths: np.ndarray, occupied: List[bool]) -
     row (``check_entry``).  A pass that stopped too early fails at that
     update, not only if the stale entry survives to the end of the stream.
     (A third PE because the check reads through the counted SRAM ports.)
+    A fourth takes the whole stream in one call of the Python oracle.
     """
-    resumed, cold, walked = (ProcessingElement(0, config) for _ in range(3))
+    resumed, cold, walked, oracle = (ProcessingElement(0, config) for _ in range(4))
     charged = resumed.update_paths(paths, occupied)
+    assert oracle_pe.update_paths(oracle, paths, occupied) == charged
+    assert machine_state(resumed) == machine_state(oracle)
+    assert resumed.host_row_reads == oracle.host_row_reads
     for index, hit in enumerate(occupied):
         cold.update_paths(paths[index : index + 1], [hit])
         walked.update_paths(paths[index : index + 1], [hit])
@@ -354,6 +364,150 @@ def test_the_path_register_does_not_outlive_the_call():
         pe.update_paths(paths, occupied)
 
 
+# -- the image outgrows its arrays inside a call; a call fails half way ----------
+def scattered(depth: int, count: int, seed: int) -> List[Update]:
+    rng = random.Random(seed)
+    side = 1 << depth
+    return [(*(rng.randrange(side) for _ in range(3)), rng.random() < 0.5) for _ in range(count)]
+
+
+@pytest.mark.parametrize("order", ["drawn", "sorted"])
+def test_one_call_that_outgrows_the_image_several_times(order):
+    """Hundreds of fresh rows in one call: the kernel stops before each doubling and is issued again."""
+    stream = scattered(5, 300, seed=26)
+    if order == "sorted":
+        stream.sort()
+    pe = check_resumed_equals_cold(*stream_columns(5, stream))
+    assert pe.memory.rows >= 8 * INITIAL_ROWS  # three doublings or more, in the one call
+    assert pe.memory.rows <= pe.config.entries_per_bank
+
+
+def check_failure_matches_oracle(config, stream, error, match, prefix=None, tamper=lambda pe: None):
+    """``prefix``, ``tamper``, then ``stream`` in one call that fails, natively and on the oracle.
+
+    Both must raise ``error`` with the same message (matching ``match``),
+    having applied and charged the same updates before it and left the same
+    partial image.  Returns the native PE.
+    """
+    native, oracle = ProcessingElement(0, config), ProcessingElement(0, config)
+    failures = []
+    for pe, update in ((native, native.update_paths), (oracle, functools.partial(oracle_pe.update_paths, oracle))):
+        if prefix is not None:
+            update(*prefix)
+        tamper(pe)
+        with pytest.raises(error, match=match) as raised:
+            update(*stream)
+        failures.append((type(raised.value), str(raised.value)))
+    assert failures[0] == failures[1]
+    assert machine_state(native) == machine_state(oracle)
+    assert native.host_row_reads == oracle.host_row_reads
+    return native
+
+
+def test_capacity_exhaustion_mid_call_matches_the_oracle():
+    config = OMUConfig(resolution_m=0.2, tree_depth=5, bank_kilobytes=1)  # 128 rows
+    stream = scattered(5, 300, seed=3)
+    _, paths, occupied = stream_columns(5, stream)
+    pe = check_failure_matches_oracle(config, (paths, occupied), MemoryCapacityError, "all 128 rows are in use")
+    assert 0 < pe.stats.voxel_updates < len(stream)
+    assert pe.memory.rows == pe.allocator.num_rows == 128  # grown to the cap on the way
+    with pytest.raises(MemoryCapacityError):
+        pe.update_paths(paths, occupied)
+
+
+def test_a_tampered_tag_matches_the_oracle():
+    """The local root is made to list child 7, which its bank does not hold; (4, 4, 4) walks into it."""
+    stream = _block(True, 2) + [(4, 4, 4, False), (1, 1, 1, False)]
+    config, paths, occupied = stream_columns(4, stream)
+
+    def list_child_7(pe):
+        pe._tags[0][0] |= ChildStatus.FREE << 14
+
+    prefix = (paths[:8], occupied[:8])
+    pe = check_failure_matches_oracle(
+        config, (paths[8:], occupied[8:]), RuntimeError, "tag/memory mismatch at row 1 bank 7", prefix, list_child_7
+    )
+    assert pe.stats.voxel_updates == 8 + 8  # the second round of the block, then the mismatch
+    assert pe.counters.leaf_updates == 16
+
+
+def test_a_childless_parent_matches_the_oracle():
+    """A node pointing at its own row: its prune empties the row its parent then reads.
+
+    Row 1 holds the local root's eight children, all free leaves at the
+    clamp, and the one in bank 1 also points back at row 1 as its own
+    children block, listing all eight as free.  A miss at (2, 1, 0) -- path
+    0, 1, 2 -- descends 0 -> row 1 bank 1 -> row 1 bank 2, prunes row 1 under
+    bank 1's node, and the root, now seeing eight free leaves, reads the row
+    it points at: empty.
+    """
+    config, paths, occupied = stream_columns(3, [(7, 7, 7, True), (2, 1, 0, False)])
+    floor = config.quantized_params().raw_clamp_min
+
+    def cyclic_image(pe):
+        row = pe.allocator.allocate_row()
+        free = [ChildStatus.FREE] * 8
+        root = TreeMemEntry(row, free[:1] + [ChildStatus.INNER] + free[2:], floor)
+        pe.memory.write_entry(0, 0, root)
+        pe._local_roots[0] = 1
+        pe.memory.write_row(row, [TreeMemEntry(row if bank == 1 else NULL_POINTER, free, floor) for bank in range(8)])
+
+    pe = check_failure_matches_oracle(config, (paths, occupied), RuntimeError, "parent at row 1 has no children",
+                                      tamper=cyclic_image)
+    # One update completed; the failed one's prune is booked with it, as its events always were.
+    assert pe.stats.voxel_updates == 1 and pe.counters.prunes == 1
+    assert pe.allocator.stacked_rows() == [1]
+
+
+def test_a_row_freed_twice_matches_the_oracle():
+    """The block about to prune is pushed onto the prune stack while still live."""
+    stream = _block(False, 4) + _block(False)[:7] + [(1, 1, 1, False)]
+    config, paths, occupied = stream_columns(3, stream)
+
+    def free_the_live_block(pe):
+        level_1 = pe.memory.read_entry(pe.memory.read_entry(0, 0).pointer, 0)
+        pe.allocator.free_row(level_1.pointer)
+
+    pe = check_failure_matches_oracle(
+        config, (paths[-1:], occupied[-1:]), ValueError, "freed twice", (paths[:-1], occupied[:-1]), free_the_live_block
+    )
+    assert pe.stats.voxel_updates == len(stream) - 1
+
+
+def test_a_pointer_past_the_image_is_a_mismatch_not_a_stray_write():
+    """No row past the arrays' end was ever handed out: the kernel refuses to follow a pointer there.
+
+    The tag is cleared too, so without the check the kernel would store the
+    child there -- past the end of the bank's arrays.
+    """
+    config, paths, occupied = stream_columns(4, [(5, 9, 3, True)])
+    pe = ProcessingElement(0, config)
+    pe.update_paths(paths, occupied)
+    root, child, beyond = int(paths[0, 0]), int(paths[0, 1]), pe.memory.rows + 5
+    pe._pointers[root][0] = beyond
+    pe._tags[root][0] &= ~(0b11 << 2 * child)
+    before = machine_state(pe)
+    with pytest.raises(RuntimeError, match=f"tag/memory mismatch at row {beyond} bank {child}"):
+        pe.update_paths(paths, occupied)
+    assert machine_state(pe) == before
+
+
+@pytest.mark.parametrize(
+    "paths, occupied",
+    [
+        (np.full((2, 4), 8, dtype=np.uint8), [True, False]),  # a child index the banks do not have
+        (np.full((2, 4), -1), [True, False]),
+        (np.zeros((2, 3), dtype=np.uint8), [True, False]),  # the wrong depth
+        (np.zeros((2, 4), dtype=np.uint8), [True]),  # fewer measurements than paths
+        (np.zeros((2, 4)), [True, False]),  # not integers
+    ],
+)
+def test_malformed_paths_are_refused_before_the_kernel_sees_them(paths, occupied):
+    pe = ProcessingElement(0, small_config(4))
+    with pytest.raises(ValueError):
+        pe.update_paths(paths, occupied)
+    assert pe.stats.voxel_updates == 0 and not any(pe._local_roots)
+
 
 # -- the upward pass: one directed stream per arm of the rule --------------------
 def row_reads_of_the_last_update(stream: List[Update]) -> int:
@@ -363,13 +517,9 @@ def row_reads_of_the_last_update(stream: List[Update]) -> int:
     check_resumed_equals_cold(config, paths, occupied)
     pe = ProcessingElement(0, config)
     pe.update_paths(paths[:-1], occupied[:-1])
-    reads = []
-    read_children = pe._read_children
-    pe._read_children = lambda block: reads.append(block) or read_children(block)
     pe.update_paths(paths[-1:], occupied[-1:])
-    del pe._read_children
     check_image(pe)
-    return len(reads)
+    return pe.host_row_reads
 
 
 # Depth 3: (0, 0, 0) and (1, 0, 0) are leaves of one block, (2, 0, 0) starts the

@@ -3,7 +3,9 @@
 ``golden_pe_stats.json`` pins what the kernel *charges*; this file pins what it
 *stores*.  ``golden_pe_image.json`` holds, per PE, the SHA-256 of every bank's
 ``valid`` / ``pointers`` / ``tags`` / ``probabilities`` array (stale words of
-freed rows included) and the prune manager's row stack, for the three golden
+freed rows included; the arrays are sized to the map, so each is hashed padded
+to the bank's nominal size with never-written entries) and the prune
+manager's row stack, for the three golden
 scenarios and for twenty seeded streams on shallow trees, where a thousand
 updates saturate, prune, re-expand and recycle rows at every level.  It was
 generated by the kernel that recomputed each parent from its children row at
@@ -34,15 +36,22 @@ HIT_RATIOS = (0.0, 0.1, 0.5, 0.9, 1.0)
 UPDATES = 1200
 
 
+#: What an address the bank's arrays do not hold yet reads as, per field.
+UNWRITTEN = {"valid": b"\x00", "pointers": b"\xff" * 4, "tags": b"\x00" * 2, "probabilities": b"\x00" * 2}
+
+
 def image_digest(pe: ProcessingElement) -> Dict[str, object]:
+    """Hashes of the whole nominal image: the arrays, padded to ``num_entries`` as never written."""
     digest: Dict[str, object] = {
         field: [
-            hashlib.sha256(bytes(getattr(bank, field))).hexdigest()
+            hashlib.sha256(
+                bytes(getattr(bank, field)) + unwritten * (bank.num_entries - bank.rows)
+            ).hexdigest()
             for bank in pe.memory.banks
         ]
-        for field in ("valid", "pointers", "tags", "probabilities")
+        for field, unwritten in UNWRITTEN.items()
     }
-    digest["allocator_stack"] = list(pe.allocator._stack)
+    digest["allocator_stack"] = pe.allocator.stacked_rows()
     digest["prunes"] = pe.counters.prunes
     digest["expansions"] = pe.counters.expansions
     return digest

