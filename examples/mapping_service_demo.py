@@ -12,7 +12,7 @@ The shard execution backend is selectable: ``--backend process`` runs every
 shard's accelerator in its own worker process (the maps are identical --
 that is the whole point of the backend abstraction).
 
-Run with:  python examples/mapping_service_demo.py [--backend inline|thread|process] [--pipeline]
+Run with:  python examples/mapping_service_demo.py [--backend inline|thread|process]
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ def main(argv=None) -> None:
         choices=BACKEND_NAMES,
         default="inline",
         help="shard execution backend (default inline)",
-    )
-    parser.add_argument(
-        "--pipeline",
-        action="store_true",
-        help="double-buffered ingestion (ray-cast batch N+1 while batch N applies)",
     )
     args = parser.parse_args(argv)
     # 1. Two clients, two sessions: LiDAR corridor + depth-camera campus.
@@ -71,7 +66,6 @@ def main(argv=None) -> None:
             batch_size=2,
             scheduler_policy="priority",
             backend=args.backend,
-            pipelined=args.pipeline,
         )
     )
     for event in stream:

@@ -11,7 +11,7 @@ ingestion pipeline and a cached query engine.
 * :mod:`repro.serving.sharding` -- octree-key-prefix shard routing and the
   :class:`MapShardWorker` accelerator wrapper.
 * :mod:`repro.serving.backends` -- the shard execution contract
-  (:class:`ShardBackend`: tickets, barriers, fail-stop, generation stamps)
+  (:class:`ShardBackend`: tickets, fail-stop, generation stamps)
   and :func:`make_backend`.
 * :mod:`repro.serving.fleet` -- where shards execute: a :class:`BackendPool`
   owns one fixed set of execution slots (inline, threads, worker processes
@@ -29,8 +29,8 @@ ingestion pipeline and a cached query engine.
   shared ray-casting front end, overlapping-ray de-duplication, per-shard
   dispatch.
 * :mod:`repro.serving.cache` -- the generation-stamped LRU query cache with
-  per-shard invalidation, TTL-bounded negative entries for unknown space,
-  and whole box-sweep result caching keyed by the shard generation vector.
+  per-shard invalidation, and whole box-sweep result caching keyed by the
+  shard generation vector.
 * :mod:`repro.serving.query_engine` -- the read side, on two lanes: point
   queries and collision raycasts one voxel at a time through the cache,
   pose batches and bounding-box sweeps as one bulk read per shard.
@@ -93,34 +93,19 @@ private pools and shared fleets alike), and the generation-stamped query
 cache stays correct across process boundaries because every apply
 acknowledgement carries the worker's write generation.
 
-Pipelined ingestion
--------------------
+Ingestion
+---------
 
-``SessionConfig(pipelined=True)`` (or ``repro-serve --pipeline``) turns on
-double-buffered ingestion: while the backend applies batch N, the pipeline
-already ray-casts and routes batch N+1, so the serial front end and the
-shard apply overlap instead of alternating.  Two rules keep this
-leaf-for-leaf faithful to the paper's sequential update semantics:
-
-* **One in flight.**  A backend holds at most one dispatched batch (one
-  :class:`~repro.serving.types.ApplyTicket`) at a time --
-  :meth:`~repro.serving.backends.ShardBackend.apply_async` raises rather
-  than deepen the pipeline.  Per-shard apply order therefore stays exactly
-  the dispatch order, which is what the sequential-equivalence property
-  rests on; generation stamps are adopted atomically only when the ticket is
-  drained, never mid-apply.
-* **Queries barrier.**  Every read path -- point/batch/bbox/raycast queries,
-  cache validation, exports -- first settles in-flight work for the shards
-  it touches (:meth:`~repro.serving.backends.ShardBackend.barrier`), so no
-  reader can observe a half-applied flush, and a cache hit can never be
-  validated against a stamp an already-dispatched flush is invalidating.
-
-On the inline backend the "async" apply runs eagerly, so pipelined
-ingestion degenerates to the serial reference; the process backend is where
-the overlap buys wall-clock throughput (given spare cores).  Crash semantics
-are unchanged: a worker process that dies with a batch in flight surfaces as
-:class:`ShardBackendError` on the next submit/flush/query and fail-stops the
-backend.
+A flush is one serial cycle per session: ray-cast and route the batch, hand
+each shard its slice (:meth:`~repro.serving.backends.ShardBackend.apply_async`),
+wait for every acknowledgement (:meth:`~repro.serving.backends.ShardBackend.drain`),
+then report.  Per-shard apply order is therefore exactly the dispatch
+order, which is what the sequential-equivalence property rests on, and
+generation stamps are adopted only when the acknowledgements are in.  A read
+never runs between the two halves: the backend refuses one with
+:class:`ShardBackendError`.  A worker process that dies mid-apply surfaces
+as :class:`ShardBackendError` on the drain (or the next interaction) and
+fail-stops the backend.
 
 Quickstart::
 

@@ -17,18 +17,14 @@ two:
   :attr:`~repro.serving.stats.SessionStats.queue_rejects` counter.  Nothing
   here touches the session, so admission latency is queue latency.
 
-* **Ingestion is background work.**  ``SessionConfig.flusher_concurrency``
-  flusher tasks per session (default 1) pull admitted requests, coalesce up
-  to ``batch_size`` of them, and drive the session's (optionally pipelined)
-  :class:`~repro.serving.batching.IngestionPipeline` inside
+* **Ingestion is background work.**  One flusher task per session pulls
+  admitted requests, coalesces up to ``batch_size`` of them, and drives the
+  session's :class:`~repro.serving.batching.IngestionPipeline` inside
   ``loop.run_in_executor`` -- the event loop never blocks on ray casting or
   shard applies, and sessions ingest concurrently with each other (the GIL
-  permitting; the process backend's shard applies genuinely overlap).  With
-  K > 1 one session overlaps up to K flush cycles: while cycle N's ingest
-  holds the session lock on the executor, cycle N+1 is already popped and
-  coalesced, so the lock is handed over with zero idle gap.  The bound is
-  per session, so a heavy session can occupy at most K executor threads and
-  cannot starve its neighbours on a shared fleet.
+  permitting; the process backend's shard applies genuinely overlap).  A
+  session occupies at most one executor thread for ingestion, so a heavy
+  session cannot starve its neighbours on a shared fleet.
 
 * **Reads share the executor.**  :meth:`query` / :meth:`query_batch` /
   :meth:`raycast` / :meth:`query_bbox` run the session's query engine on the
@@ -37,15 +33,11 @@ two:
   touched by one executor thread at a time while different sessions still
   proceed in parallel.
 
-Equivalence: with the default single flusher each session preserves submit
-order (one FIFO queue, one consumer), so async multi-client ingestion of a
-request sequence produces a map equivalent to sequential insertion in
-dispatch order -- the same property the synchronous serving layer
-guarantees, verified by ``tests/serving/test_aio.py`` across the execution
-backends.  With ``flusher_concurrency > 1`` batches from the same session
-may interleave (per-batch order still holds), which occupancy mapping
-tolerates: log-odds updates commute, so the final map is insensitive to
-batch ordering.
+Equivalence: each session preserves submit order (one FIFO queue, one
+consumer), so async multi-client ingestion of a request sequence produces a
+map equivalent to sequential insertion in dispatch order -- the same
+property the synchronous serving layer guarantees, verified by
+``tests/serving/test_aio.py`` across the execution backends.
 
 Worker-process caveat: with ``backend="process"`` and the default ``fork``
 start method, create the sessions *before* the first await that touches the
@@ -126,18 +118,15 @@ class AdmissionQueueFull(RuntimeError):
 
 @dataclass
 class _SessionEntry:
-    """Per-session async state: the admission queue and its flusher tasks."""
+    """Per-session async state: the admission queue and its flusher task."""
 
     session: MapSession
     queue: "asyncio.Queue[ScanRequest]"
-    #: ``config.flusher_concurrency`` consumer tasks sharing the queue.
-    flushers: List["asyncio.Task"]
+    #: the one consumer task of the queue (set right after construction).
+    flusher: Optional["asyncio.Task"] = None
     #: serialises executor access to the (non-thread-safe) session between
-    #: the flushers and the query coroutines.
+    #: the flusher and the query coroutines.
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    #: flusher tasks currently inside a flush cycle (pop -> ingest done);
-    #: its high-water mark lands in ``stats.flusher_overlap_high_water``.
-    active_flushes: int = 0
     #: first ingestion failure; the entry is fail-stopped once set.
     failure: Optional[BaseException] = None
     #: deadline-miss shedding: EMA of per-request ingest cost, fed by the
@@ -229,27 +218,16 @@ class AsyncMapService:
                 for entry in list(self._entries.values()):
                     if entry.failure is None:
                         await entry.queue.join()
-                        # Settle a pipelined session's in-flight tail so its
-                        # last batch is applied *and accounted* before the
-                        # backend goes away.
-                        pipeline = entry.session.pipeline
-                        if (
-                            entry.failure is None
-                            and (pipeline.pending() > 0 or pipeline.has_inflight)
-                        ):
+                        # Apply what the synchronous path admitted, so it is
+                        # in the map before the backend goes away.
+                        if entry.failure is None and entry.session.pipeline.pending() > 0:
                             await self._run_locked(entry, entry.session.flush_all)
             for entry in self._entries.values():
-                for flusher in entry.flushers:
-                    flusher.cancel()
-            if self._entries:
-                await asyncio.gather(
-                    *(
-                        flusher
-                        for entry in self._entries.values()
-                        for flusher in entry.flushers
-                    ),
-                    return_exceptions=True,
-                )
+                entry.flusher.cancel()
+            await asyncio.gather(
+                *(entry.flusher for entry in self._entries.values()),
+                return_exceptions=True,
+            )
             # Empty the dead queues: each get wakes any submitter still
             # parked in queue.put(), whose submit then observes the closed
             # flag and raises instead of blocking forever.
@@ -315,18 +293,10 @@ class AsyncMapService:
             if self.queue_limit is not None
             else session.config.admission_queue_limit
         )
-        entry = _SessionEntry(
-            session=session,
-            queue=asyncio.Queue(maxsize=limit),
-            flushers=[],
+        entry = _SessionEntry(session=session, queue=asyncio.Queue(maxsize=limit))
+        entry.flusher = asyncio.get_running_loop().create_task(
+            self._flusher_loop(entry), name=f"aio-flusher-{session_id}"
         )
-        loop = asyncio.get_running_loop()
-        entry.flushers = [
-            loop.create_task(
-                self._flusher_loop(entry), name=f"aio-flusher-{session_id}-{index}"
-            )
-            for index in range(session.config.flusher_concurrency)
-        ]
         self._entries[session_id] = entry
         return entry
 
@@ -404,13 +374,7 @@ class AsyncMapService:
     # Background flusher
     # ------------------------------------------------------------------
     async def _flusher_loop(self, entry: _SessionEntry) -> None:
-        """Drain the admission queue into the session, batch by batch.
-
-        ``flusher_concurrency`` instances of this loop share one queue; the
-        session lock inside :meth:`_run_locked` keeps the actual ingest
-        serial, so extra instances buy pop/coalesce overlap, not parallel
-        session mutation.
-        """
+        """Drain the admission queue into the session, batch by batch."""
         batch_size = entry.session.config.batch_size
         stats = entry.session.stats
         while True:
@@ -418,20 +382,14 @@ class AsyncMapService:
             batch = [request]
             while len(batch) < batch_size and not entry.queue.empty():
                 batch.append(entry.queue.get_nowait())
-            entry.active_flushes += 1
-            stats.flusher_overlap_high_water = max(
-                stats.flusher_overlap_high_water, entry.active_flushes
-            )
             ingest_started = time.perf_counter()
             try:
                 await self._run_locked(entry, self._ingest_batch, entry.session, batch)
             except asyncio.CancelledError:
-                entry.active_flushes -= 1
                 for _ in batch:
                     entry.queue.task_done()
                 raise
             except Exception as error:  # noqa: BLE001 - fail-stop the session
-                entry.active_flushes -= 1
                 entry.failure = error
                 for _ in batch:
                     entry.queue.task_done()
@@ -445,7 +403,6 @@ class AsyncMapService:
                     await entry.queue.get()
                     entry.queue.task_done()
             else:
-                entry.active_flushes -= 1
                 stats.flusher_cycles += 1
                 # Feed the shed policy's per-request cost estimate so the
                 # admission-time feasibility check tracks observed capacity.
@@ -457,19 +414,10 @@ class AsyncMapService:
 
     @staticmethod
     def _ingest_batch(session: MapSession, batch: Sequence[ScanRequest]) -> None:
-        """Executor-side ingestion: admit the batch and drive the pipeline.
-
-        Dispatches until the scheduler is empty but deliberately does *not*
-        drain a pipelined session's in-flight tail: leaving the last batch
-        in flight keeps the double-buffering window open across flusher
-        wake-ups, so the next batch's ray-casting front end still overlaps
-        it.  :meth:`AsyncMapService.flush` (and queries, via the backend's
-        read barrier) settle the tail when someone actually needs it.
-        """
+        """Executor-side ingestion: admit the batch and apply it."""
         for request in batch:
             session.submit(request)
-        while session.pipeline.pending() > 0:
-            session.flush()
+        session.flush_all()
 
     # ------------------------------------------------------------------
     # Write path
@@ -623,8 +571,7 @@ class AsyncMapService:
             await entry.queue.join()
             # Surface a flusher failure that happened during the drain.
             self._entry(session_id)
-            pipeline = entry.session.pipeline
-            if pipeline.pending() > 0 or pipeline.has_inflight:
+            if entry.session.pipeline.pending() > 0:
                 await self._run_locked(entry, entry.session.flush_all)
         except Exception:
             self._record(entry, "flush", OUTCOME_ERROR, timer)
@@ -702,7 +649,8 @@ class AsyncMapService:
         without materialising the whole box).  Consequence: unlike
         :meth:`query_bbox`, a streamed sweep is not a point-in-time snapshot
         -- chunks observe any flushes that landed between them, though each
-        chunk is individually consistent (the backend read barriers hold).
+        chunk is individually consistent (no flush is half applied while a
+        chunk reads).
 
         Validation (inverted box, the ``max_box_voxels`` guardrail) raises
         before the first chunk is yielded.
@@ -739,8 +687,8 @@ class AsyncMapService:
 
         Runs :meth:`MapSession.export_octree` on the executor under the
         session lock; callers that need every *admitted* request in the
-        export should :meth:`flush` first (the export itself only barriers
-        on work already dispatched to the backend).
+        export should :meth:`flush` first (the export sees every batch
+        already applied, not what still waits in the admission queue).
         """
         self._ensure_open()
         entry = self._entry(session_id)
@@ -770,9 +718,8 @@ class AsyncMapService:
                 # Fail-stopped while draining: nothing more can reach the
                 # map; proceed to teardown.
                 pass
-        for flusher in entry.flushers:
-            flusher.cancel()
-        await asyncio.gather(*entry.flushers, return_exceptions=True)
+        entry.flusher.cancel()
+        await asyncio.gather(entry.flusher, return_exceptions=True)
         if entry.failure is None:
             # A submitter still parked on a full queue must surface an error
             # when its put lands in the retired queue, not receive a receipt

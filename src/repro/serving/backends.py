@@ -2,8 +2,8 @@
 
 :class:`ShardBackend` is the only interface the ingestion pipeline, the
 query engine and the stats layers see.  It owns everything that must be
-identical no matter where the shards run -- the ticket protocol, the
-read-side barriers, fail-stop, and the parent-side generation stamps the
+identical no matter where the shards run -- the ticket protocol,
+fail-stop, and the parent-side generation stamps the
 query cache validates against -- and leaves *where the shards run* to one
 implementation: a :class:`~repro.serving.fleet.SessionBackendView`, a lease
 on a :class:`~repro.serving.fleet.BackendPool` whose engine executes
@@ -19,30 +19,22 @@ tested over all of them).
 
 Cache correctness across process boundaries: the generation-stamped query
 cache needs the *parent* to know each shard's write generation.  Shard state
-only ever changes inside an ``apply`` round-trip (blocking, or the
-``apply_async``/``drain`` pair), and every
+only ever changes inside an ``apply`` round-trip, and every
 :class:`~repro.serving.types.ShardApplyResult` carries the worker's
 generation after the apply; the backend adopts that value as the parent-side
 stamp when the round-trip settles.  Queries therefore validate against
 exactly the generation the owning worker reported last, no matter which side
 of a process boundary it lives on.
 
-Pipelined (double-buffered) dispatch: besides the blocking
-:meth:`ShardBackend.apply_shard_batches`, the backend offers a
-non-blocking :meth:`ShardBackend.apply_async` /
-:meth:`ShardBackend.drain` pair.  ``apply_async`` hands each shard its slice
-and immediately returns an :class:`~repro.serving.types.ApplyTicket` while
-the workers apply in the background; ``drain`` redeems the ticket for the
-acknowledgements and only then adopts the workers' write generations into
-the parent-side cache bookkeeping.  At most one ticket is ever in flight
-(the one-in-flight invariant); a second ``apply_async`` before the drain
-raises.  Every read path -- ``query_key``, ``query_keys``,
-``generation_of``, ``export_all`` -- first :meth:`ShardBackend.barrier`\\ s
-on the in-flight ticket when it touches the shards being read, so no reader
-can observe a half-applied generation (and no query can cut in front of a
-pending apply acknowledgement on the same pipe or socket).  The inline
-engine applies eagerly inside ``apply_async``, so pipelined ingestion on it
-degenerates to exactly the serial reference semantics.
+One apply, two halves: :meth:`ShardBackend.apply_shard_batches` is
+:meth:`ShardBackend.apply_async` (hand each shard its slice, return an
+:class:`~repro.serving.types.ApplyTicket`) followed by
+:meth:`ShardBackend.drain` (wait for the acknowledgements, then adopt the
+workers' write generations).  The ingestion pipeline calls the two halves
+back to back under the session lock, so no ticket is outstanding when a read
+runs; a read, an export or ``generation_of`` issued between the halves is a
+caller bug and raises :class:`ShardBackendError` instead of interleaving its
+reply with a pending apply acknowledgement on a pipe or socket.
 
 A failure the engine could not recover from (a worker process that died, a
 socket worker lost with no live worker left to re-home onto, an exception
@@ -125,16 +117,14 @@ class ShardBackendError(RuntimeError):
 class ShardBackend(ABC):
     """Executes shard work for one session; the session's only way to touch shards.
 
-    The write path calls :meth:`apply_shard_batches` once per flushed
-    ingestion batch with one :class:`ShardUpdateBatch` per shard slice -- or,
-    pipelined, the non-blocking :meth:`apply_async` / :meth:`drain` pair with
-    at most one :class:`~repro.serving.types.ApplyTicket` in flight.  The
-    read path calls :meth:`query_key` (one voxel) or :meth:`query_keys` (an
-    array of them); export stitching calls :meth:`export_all`; all three
-    barrier on in-flight tickets for the shards they touch.  The lease
-    implements the ``_``-prefixed hooks; this class owns the parent-side
-    accounting (generations, per-shard update counts, ticket bookkeeping) so
-    every execution kind reports identically.
+    The write path applies one flushed ingestion batch at a time, one
+    :class:`ShardUpdateBatch` per shard slice: :meth:`apply_async` then
+    :meth:`drain`, or both in one call with :meth:`apply_shard_batches`.
+    The read path calls :meth:`query_key` (one voxel) or :meth:`query_keys`
+    (an array of them); export stitching calls :meth:`export_all`.  The lease implements the ``_``-prefixed hooks; this
+    class owns the parent-side accounting (generations, per-shard update
+    counts, the outstanding ticket) so every execution kind reports
+    identically.
     """
 
     #: registry name, e.g. ``"process"``; used by config / CLI / stats.
@@ -153,15 +143,10 @@ class ShardBackend(ABC):
         self._generations = [0] * num_shards
         self._updates_applied = [0] * num_shards
         self._next_ticket_id = 0
-        #: the one ticket allowed in flight, paired with the subclass handle
-        #: returned by :meth:`_apply_begin` (double-buffering depth of one).
-        self._inflight: Optional[Tuple[ApplyTicket, object]] = None
-        #: acknowledgements of the ticket settled by a barrier (or an
-        #: all-empty flush) before its owner drained it: ``(ticket_id,
-        #: results)``.  One slot suffices -- the one-in-flight invariant
-        #: means at most one settled ticket can await its owner; a new
-        #: dispatch overwrites the slot, abandoning acks nobody came for.
-        self._parked: Optional[Tuple[int, List[ShardApplyResult]]] = None
+        #: the ticket between :meth:`apply_async` and :meth:`drain`, paired
+        #: with the subclass handle from :meth:`_apply_begin` (``None`` for a
+        #: flush whose slices were all empty).
+        self._outstanding: Optional[Tuple[ApplyTicket, object]] = None
 
     # ------------------------------------------------------------------
     # Public API (what sessions call)
@@ -171,10 +156,10 @@ class ShardBackend(ABC):
     ) -> List[ShardApplyResult]:
         """Fan one flush's per-shard slices out to the workers and gather.
 
-        The blocking reference path: ``apply_async`` immediately followed by
-        ``drain``.  Empty slices are filtered out before dispatch; results
-        come back in ``batches`` order.  Parent-side accounting (generation
-        stamps, per-shard counters) is updated from the acknowledgements.
+        ``apply_async`` immediately followed by ``drain``.  Empty slices are
+        filtered out before dispatch; results come back in ``batches``
+        order.  Parent-side accounting (generation stamps, per-shard
+        counters) is updated from the acknowledgements.
 
         An apply failure on any shard is fail-stop: some shards may already
         have mutated their map region while others have not, so the backend
@@ -182,30 +167,26 @@ class ShardBackend(ABC):
         :class:`ShardBackendError` instead of silently serving a map that no
         longer matches the sequential reference.
         """
-        ticket = self.apply_async(batches)
-        return self.drain(ticket)
+        return self.drain(self.apply_async(batches))
 
     def apply_async(self, batches: Sequence[ShardUpdateBatch]) -> ApplyTicket:
-        """Dispatch one flush's slices without waiting for the workers.
+        """First half of an apply: hand each shard its slice.
 
-        Returns an :class:`~repro.serving.types.ApplyTicket` the caller later
-        redeems with :meth:`drain`.  Generation stamps and per-shard counters
-        are *not* touched here -- they are adopted atomically at settle time,
-        so a reader can never see a half-applied flush.  At most one ticket
-        may be in flight; dispatching a second one raises instead of silently
-        deepening the pipeline (per-shard apply order must stay the dispatch
-        order for the sequential-equivalence property to hold).
+        Returns the :class:`~repro.serving.types.ApplyTicket` that
+        :meth:`drain` redeems.  Generation stamps and per-shard counters are
+        adopted at the drain, so they never describe a half-applied flush.
+        A second dispatch before the drain raises: per-shard apply order
+        must stay the dispatch order.
         """
         self._ensure_open()
         # Health check before the empty-slice filter: a flush whose slices
         # are all empty must still surface a dead worker rather than report
         # success on a session that has lost a shard.
         self._health_check()
-        if self._inflight is not None:
+        if self._outstanding is not None:
             raise ShardBackendError(
                 f"{self.name} backend already has ticket "
-                f"{self._inflight[0].ticket_id} in flight; drain it before "
-                "dispatching another batch (one-in-flight invariant)"
+                f"{self._outstanding[0].ticket_id} outstanding; drain it first"
             )
         live = [batch for batch in batches if len(batch)]
         ticket = ApplyTicket(
@@ -213,87 +194,39 @@ class ShardBackend(ABC):
             shard_ids=tuple(batch.shard_id for batch in live),
         )
         self._next_ticket_id += 1
-        if not live:
-            # Nothing to apply: settle immediately so drain finds it.
-            self._parked = (ticket.ticket_id, [])
-            return ticket
-        try:
-            handle = self._apply_begin(live)
-        except ShardBackendError as error:
-            self.failed = str(error)
-            raise
-        except Exception as error:
-            self.failed = f"{type(error).__name__}: {error}"
-            raise ShardBackendError(
-                f"shard dispatch failed on the {self.name} backend: {self.failed}"
-            ) from error
-        self._inflight = (ticket, handle)
+        handle = None
+        if live:
+            try:
+                handle = self._apply_begin(live)
+            except ShardBackendError as error:
+                self.failed = str(error)
+                raise
+            except Exception as error:
+                self.failed = f"{type(error).__name__}: {error}"
+                raise ShardBackendError(
+                    f"shard dispatch failed on the {self.name} backend: {self.failed}"
+                ) from error
+        self._outstanding = (ticket, handle)
         return ticket
 
-    def drain(self, ticket: Optional[ApplyTicket] = None) -> List[ShardApplyResult]:
-        """Redeem a ticket for its per-shard acknowledgements (blocking).
+    def drain(self, ticket: ApplyTicket) -> List[ShardApplyResult]:
+        """Second half of an apply: wait for the ticket's acknowledgements.
 
-        With ``ticket=None`` the in-flight ticket (if any) is drained and
-        ``[]`` is returned when nothing is in flight.  A ticket may be
-        drained exactly once, even if a query barrier settled its results in
-        the meantime (the results are held for the owner).  A worker that
-        died with the batch in flight surfaces here as
-        :class:`ShardBackendError` and fail-stops the backend.
+        Adopts the workers' write generations and update counts.  A ticket
+        is drained exactly once; any other raises.  A worker that died with
+        the batch in flight surfaces here as :class:`ShardBackendError` and
+        fail-stops the backend.
         """
         self._ensure_open()
-        if ticket is not None and self._parked is not None and self._parked[0] == ticket.ticket_id:
-            results = self._parked[1]
-            self._parked = None
-            return results
-        if self._inflight is None:
-            if ticket is None:
-                # Acknowledgements parked by a barrier stay reserved for
-                # their ticket's owner (e.g. a pipelined ingestion pipeline
-                # that has not finalized the batch yet); a ticketless drain
-                # must not steal them.  An abandoned slot is overwritten by
-                # the next settle instead of leaking.
-                return []
+        if self._outstanding is None or self._outstanding[0].ticket_id != ticket.ticket_id:
             raise ShardBackendError(
-                f"ticket {ticket.ticket_id} is not in flight on the "
+                f"ticket {ticket.ticket_id} is not outstanding on the "
                 f"{self.name} backend (already drained, or never issued here)"
             )
-        inflight_ticket = self._inflight[0]
-        if ticket is not None and ticket.ticket_id != inflight_ticket.ticket_id:
-            raise ShardBackendError(
-                f"ticket {ticket.ticket_id} is not in flight on the "
-                f"{self.name} backend (ticket {inflight_ticket.ticket_id} is)"
-            )
-        self._settle()
-        results = self._parked[1]
-        self._parked = None
-        return results
-
-    def barrier(self, shard_ids: Optional[Sequence[int]] = None) -> None:
-        """Settle in-flight work touching the given shards (all when None).
-
-        The read-side half of the one-in-flight invariant: every read path
-        calls this before trusting generation stamps (or, across a process
-        boundary, before sharing a pipe with a pending apply), so no query,
-        export or cache validation can observe a half-applied flush.  The
-        settled acknowledgements stay parked for the ticket owner's later
-        :meth:`drain`.  A no-op when nothing relevant is in flight.
-        """
-        self._ensure_open()
-        if self._inflight is None:
-            return
-        ticket = self._inflight[0]
-        if shard_ids is None or set(shard_ids).intersection(ticket.shard_ids):
-            self._settle()
-
-    @property
-    def in_flight(self) -> Optional[ApplyTicket]:
-        """The ticket currently in flight, if any (observability/tests)."""
-        return self._inflight[0] if self._inflight is not None else None
-
-    def _settle(self) -> None:
-        """Collect the in-flight acknowledgements and adopt them atomically."""
-        ticket, handle = self._inflight
-        self._inflight = None
+        handle = self._outstanding[1]
+        self._outstanding = None
+        if handle is None:
+            return []
         try:
             results = self._apply_collect(handle)
         except ShardBackendError as error:
@@ -307,37 +240,26 @@ class ShardBackend(ABC):
         for result in results:
             self._generations[result.shard_id] = result.generation
             self._updates_applied[result.shard_id] += result.updates_applied
-        self._parked = (ticket.ticket_id, results)
+        return results
 
     def query_key(self, request: ShardQueryRequest) -> ShardQueryResult:
-        """Serve one voxel-key lookup from the owning shard worker.
-
-        Barriers first when the owning shard has a batch in flight, so the
-        answer always reflects every previously dispatched flush.
-        """
-        self._ensure_open()
-        self.barrier((request.shard_id,))
+        """Serve one voxel-key lookup from the owning shard worker."""
+        self._ensure_readable()
         return self._query(request)
 
     def query_keys(self, shard_id: int, keys: np.ndarray) -> ShardKeysResult:
         """Serve ``(N, 3)`` voxel keys of one shard in a single worker round trip.
 
-        Barriers exactly like :meth:`query_key`.  The keys travel as given
-        (the query engine sends ``uint16`` columns); a component outside the
-        key space is the worker's ``ValueError``.
+        The keys travel as given (the query engine sends ``uint16``
+        columns); a component outside the key space is the worker's
+        ``ValueError``.
         """
-        self._ensure_open()
-        self.barrier((shard_id,))
+        self._ensure_readable()
         return self._query_keys(ShardKeysQuery(shard_id, keys))
 
     def export_all(self) -> List[OccupancyOcTree]:
-        """Gather every shard's exported subtree (concurrently where possible).
-
-        Barriers on all in-flight work first: an export must stitch a map
-        that includes every dispatched flush.
-        """
-        self._ensure_open()
-        self.barrier()
+        """Gather every shard's exported subtree (concurrently where possible)."""
+        self._ensure_readable()
         exports = self._export()
         return [export.tree for export in sorted(exports, key=lambda e: e.shard_id)]
 
@@ -346,12 +268,10 @@ class ShardBackend(ABC):
 
         Guarded like every other interaction: a cache *hit* never does a
         worker round-trip, so this is the only gate that keeps cached reads
-        from silently outliving a closed or fail-stopped backend.  Barriers
-        on in-flight work touching the shard, so cache validation never
-        accepts an entry that an already-dispatched flush is invalidating.
+        from silently outliving a closed or fail-stopped backend, or from
+        validating against a flush that is dispatched but not yet drained.
         """
-        self._ensure_open()
-        self.barrier((shard_id,))
+        self._ensure_readable()
         return self._generations[shard_id]
 
     def shard_load(self) -> Tuple[int, ...]:
@@ -364,7 +284,7 @@ class ShardBackend(ABC):
         Zero here; the lease adds what the pool's engine counted for this
         session's shards (only the socket engine snapshots, probes and
         recovers).  The ingestion pipeline copies the dict into
-        :class:`~repro.serving.stats.SessionStats` after every finalized
+        :class:`~repro.serving.stats.SessionStats` after every applied
         batch, the same way it adopts ``shard_load``.
         """
         return {
@@ -380,13 +300,12 @@ class ShardBackend(ABC):
     def close(self) -> None:
         """Release workers (processes, threads).  Idempotent.
 
-        Safe to call with a batch in flight: the in-flight ticket is
-        abandoned (its results are never adopted) and every child is still
-        reaped -- a crashing session must not leak worker processes.
+        Safe to call with a ticket outstanding: the ticket is abandoned (its
+        results are never adopted) and every child is still reaped -- a
+        crashing session must not leak worker processes.
         """
         if not self.closed:
-            self._inflight = None
-            self._parked = None
+            self._outstanding = None
             self._close()
             self.closed = True
 
@@ -442,6 +361,14 @@ class ShardBackend(ABC):
         if self.failed is not None:
             raise ShardBackendError(
                 f"{self.name} backend failed earlier and is fail-stopped: {self.failed}"
+            )
+
+    def _ensure_readable(self) -> None:
+        self._ensure_open()
+        if self._outstanding is not None:
+            raise ShardBackendError(
+                f"{self.name} backend has ticket {self._outstanding[0].ticket_id} "
+                "outstanding; drain it before reading"
             )
 
 

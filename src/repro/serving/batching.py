@@ -28,21 +28,11 @@ clamp bound.  Keeping each scan's single update per voxel, in scan order,
 makes batched + sharded ingestion bit-equivalent to sequential insertion of
 the same request sequence (the property the serving tests verify).
 
-Pipelined (double-buffered) mode: with ``pipelined=True`` the pipeline keeps
-one dispatched batch *in flight* on the backend while it ray-casts the next
-one, so the serial front end and the shard apply overlap instead of
-alternating.  Internally every flush is split into three phases -- *prepare*
-(pop + ray-cast + partition), *dispatch*
-(:meth:`~repro.serving.backends.ShardBackend.apply_async`), and *finalize*
-(:meth:`~repro.serving.backends.ShardBackend.drain` + report + accounting).
-Blocking mode runs the three phases back to back; pipelined mode prepares
-batch N+1 *before* finalizing batch N, which is exactly the overlap window.
-Each :meth:`IngestionPipeline.flush` still returns one completed
-:class:`~repro.serving.types.BatchReport` (the previously in-flight batch's),
-so callers that loop ``flush()`` until ``None`` -- including the session
-manager's round-robin -- drain pipelined sessions without changes.  The
-first pipelined flush primes the pipe by dispatching one batch and
-preparing the next, so it may consume up to ``2 * batch_size`` requests.
+Each :meth:`IngestionPipeline.flush` is one serial cycle: *prepare* (pop +
+ray-cast + partition), :meth:`~repro.serving.backends.ShardBackend.apply_async`,
+:meth:`~repro.serving.backends.ShardBackend.drain`, then the report and the
+stats accounting.  Nothing is left on the backend between flushes, so a read
+always sees every batch a flush returned.
 """
 
 from __future__ import annotations
@@ -61,7 +51,6 @@ from repro.serving.schedulers import IngestScheduler
 from repro.serving.sharding import ShardRouter
 from repro.serving.stats import SessionStats
 from repro.serving.types import (
-    ApplyTicket,
     BatchReport,
     IngestReceipt,
     ScanRequest,
@@ -84,21 +73,8 @@ class _PreparedBatch:
     shard_updates: Tuple[int, ...]
     batches: List[ShardUpdateBatch]
     frontend_seconds: float
-    #: True when the front end ran while a previous batch was still in
-    #: flight on the workers -- the overlap the pipelined mode exists for.
-    overlapped: bool
     #: requests already past their deadline when popped for this batch.
     deadline_misses: int
-
-
-@dataclass
-class _InFlightBatch:
-    """A dispatched batch awaiting its drain (at most one exists)."""
-
-    prepared: _PreparedBatch
-    ticket: ApplyTicket
-    batch_id: int
-    dispatch_seconds: float
 
 
 class IngestionPipeline:
@@ -112,7 +88,6 @@ class IngestionPipeline:
         scheduler: IngestScheduler,
         stats: SessionStats,
         batch_size: int = 8,
-        pipelined: bool = False,
         metrics=None,
         tenant: Optional[str] = None,
     ) -> None:
@@ -129,9 +104,8 @@ class IngestionPipeline:
         self.scheduler = scheduler
         self.stats = stats
         self.batch_size = batch_size
-        self.pipelined = pipelined
         #: optional :class:`~repro.serving.metrics.MetricsStore`; every
-        #: finalized batch emits one ``batch_apply`` record into it.
+        #: applied batch emits one ``batch_apply`` record into it.
         self.metrics = metrics
         self.tenant = tenant if tenant is not None else session_id
         # The key converter is derived from the router once per session, not
@@ -141,7 +115,6 @@ class IngestionPipeline:
         stats.frontend_converter_builds += 1
         self.batches_flushed = 0
         self.reports: List[BatchReport] = []
-        self._inflight: Optional[_InFlightBatch] = None
 
     # ------------------------------------------------------------------
     # Admission
@@ -177,79 +150,58 @@ class IngestionPipeline:
         )
 
     def pending(self) -> int:
-        """Requests admitted but not yet dispatched (excludes in-flight)."""
+        """Requests admitted but not yet dispatched."""
         return len(self.scheduler)
-
-    def in_flight_requests(self) -> int:
-        """Requests dispatched to the workers but not yet acknowledged."""
-        return len(self._inflight.prepared.request_ids) if self._inflight else 0
-
-    @property
-    def has_inflight(self) -> bool:
-        """True when a dispatched batch still awaits its drain (pipelined).
-
-        Callers that drive the pipeline incrementally (the asyncio flusher)
-        use this to decide whether a final :meth:`flush_all` is needed to
-        drain the tail before the session can be considered quiescent.
-        """
-        return self._inflight is not None
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def flush(self, max_requests: Optional[int] = None) -> Optional[BatchReport]:
-        """Dispatch one batch (up to ``batch_size`` requests); None if idle.
-
-        Blocking mode returns the report of the batch just dispatched.
-        Pipelined mode returns the report of the *previously* in-flight
-        batch (finalized after the new batch's front end overlapped its
-        apply) and leaves the new batch in flight; once the admission queue
-        is empty, one final ``flush()`` drains the tail.  Either way a
-        ``None`` return means no progress was possible.
-        """
-        budget = self.batch_size if max_requests is None else max_requests
-        if not self.pipelined:
-            if budget < 1 or not self.scheduler:
-                return None
-            return self._finalize(self._dispatch(self._prepare(budget)))
-        if budget < 1 or not self.scheduler:
-            return self._finalize_tail()
-        if self._inflight is None:
-            # Prime the pipe: dispatch the first batch without waiting.
-            self._inflight = self._dispatch(self._prepare(budget))
-            if not self.scheduler:
-                return self._finalize_tail()
-        # Steady state: front-end of batch N+1 runs while batch N applies.
-        prepared = self._prepare(budget)
-        inflight, self._inflight = self._inflight, None
-        report = self._finalize(inflight)
-        self._inflight = self._dispatch(prepared)
+    def flush(self) -> Optional[BatchReport]:
+        """Apply one batch (up to ``batch_size`` requests); None if idle."""
+        if not self.scheduler:
+            return None
+        prepared = self._prepare()
+        dispatch_started = time.perf_counter()
+        ticket = self.backend.apply_async(prepared.batches)
+        wait_started = time.perf_counter()
+        results = self.backend.drain(ticket)
+        drain_wait = time.perf_counter() - wait_started
+        fanout = (wait_started - dispatch_started) + drain_wait
+        report = BatchReport(
+            session_id=self.session_id,
+            batch_id=self.batches_flushed,
+            request_ids=tuple(prepared.request_ids),
+            scans=prepared.scans,
+            rays_cast=prepared.rays,
+            ray_voxels_visited=prepared.visits,
+            voxel_updates=prepared.voxel_updates,
+            duplicates_removed=prepared.visits - prepared.voxel_updates,
+            shard_updates=prepared.shard_updates,
+            modelled_cycles=max((result.critical_path_cycles for result in results), default=0),
+            wall_seconds=prepared.frontend_seconds + fanout,
+            fanout_seconds=fanout,
+            frontend_seconds=prepared.frontend_seconds,
+            drain_wait_seconds=drain_wait,
+            backend=self.backend.name,
+            deadline_misses=prepared.deadline_misses,
+        )
+        self.batches_flushed += 1
+        self.reports.append(report)
+        self._account(report, prepared.points)
         return report
 
     def flush_all(self) -> List[BatchReport]:
-        """Dispatch batches until the admission queue and the pipe are empty."""
+        """Apply batches until the admission queue is empty."""
         reports: List[BatchReport] = []
         while self.scheduler:
-            report = self.flush()
-            if report is None:
-                break
-            reports.append(report)
-        tail = self.flush()  # pipelined mode: drain the final in-flight batch
-        if tail is not None:
-            reports.append(tail)
+            reports.append(self.flush())
         return reports
 
     # ------------------------------------------------------------------
-    # Flush phases
+    # Front end
     # ------------------------------------------------------------------
-    def _prepare(self, budget: int) -> _PreparedBatch:
-        """Pop up to ``budget`` requests and run the ray-casting front end."""
-        # Overlap means apply work was *actually* in flight on the backend
-        # while this front end ran -- ask the backend, not our own dispatch
-        # record: a query barrier between flushes settles the apply early,
-        # and crediting front-end time as overlapped after that would
-        # inflate the overlap ratio the stats exist to report.
-        overlapped = self.backend.in_flight is not None
+    def _prepare(self) -> _PreparedBatch:
+        """Pop up to ``batch_size`` requests and run the ray-casting front end."""
         started = time.perf_counter()
         requests: List[ScanRequest] = []
         request_ids: List[int] = []
@@ -257,7 +209,7 @@ class IngestionPipeline:
         converter = self.converter
         dda_counters = OperationCounters()
         deadline_misses = 0
-        while self.scheduler and len(request_ids) < budget:
+        while self.scheduler and len(request_ids) < self.batch_size:
             request = self.scheduler.pop()
             # Missed-deadline accounting: a finite deadline (time.monotonic
             # clock) that has passed by the time the scheduler hands the
@@ -318,60 +270,8 @@ class IngestionPipeline:
             shard_updates=shard_updates,
             batches=batches,
             frontend_seconds=time.perf_counter() - started,
-            overlapped=overlapped,
             deadline_misses=deadline_misses,
         )
-
-    def _dispatch(self, prepared: _PreparedBatch) -> _InFlightBatch:
-        """Hand a prepared batch to the backend without waiting for acks."""
-        started = time.perf_counter()
-        ticket = self.backend.apply_async(prepared.batches)
-        inflight = _InFlightBatch(
-            prepared=prepared,
-            ticket=ticket,
-            batch_id=self.batches_flushed,
-            dispatch_seconds=time.perf_counter() - started,
-        )
-        self.batches_flushed += 1
-        return inflight
-
-    def _finalize(self, inflight: _InFlightBatch) -> BatchReport:
-        """Drain a dispatched batch, build its report, account the stats."""
-        wait_started = time.perf_counter()
-        results = self.backend.drain(inflight.ticket)
-        drain_wait = time.perf_counter() - wait_started
-        shard_cycles = [result.critical_path_cycles for result in results]
-        prepared = inflight.prepared
-        report = BatchReport(
-            session_id=self.session_id,
-            batch_id=inflight.batch_id,
-            request_ids=tuple(prepared.request_ids),
-            scans=prepared.scans,
-            rays_cast=prepared.rays,
-            ray_voxels_visited=prepared.visits,
-            voxel_updates=prepared.voxel_updates,
-            duplicates_removed=prepared.visits - prepared.voxel_updates,
-            shard_updates=prepared.shard_updates,
-            modelled_cycles=max(shard_cycles, default=0),
-            wall_seconds=prepared.frontend_seconds + inflight.dispatch_seconds + drain_wait,
-            fanout_seconds=inflight.dispatch_seconds + drain_wait,
-            frontend_seconds=prepared.frontend_seconds,
-            drain_wait_seconds=drain_wait,
-            pipelined=self.pipelined,
-            overlapped=prepared.overlapped,
-            backend=self.backend.name,
-            deadline_misses=prepared.deadline_misses,
-        )
-        self.reports.append(report)
-        self._account(report, prepared.points)
-        return report
-
-    def _finalize_tail(self) -> Optional[BatchReport]:
-        """Drain the in-flight batch when the admission queue has emptied."""
-        if self._inflight is None:
-            return None
-        inflight, self._inflight = self._inflight, None
-        return self._finalize(inflight)
 
     # ------------------------------------------------------------------
     # Internals
@@ -390,10 +290,6 @@ class IngestionPipeline:
         self.stats.fanout_wall_seconds += report.fanout_seconds
         self.stats.frontend_wall_seconds += report.frontend_seconds
         self.stats.drain_wait_seconds += report.drain_wait_seconds
-        if report.pipelined:
-            self.stats.pipelined_batches += 1
-            if report.overlapped:
-                self.stats.overlapped_frontend_seconds += report.frontend_seconds
         self.stats.shard_updates = list(self.backend.shard_load())
         # Absolute counters owned by the backend (non-zero on the socket
         # backend only), mirrored into the stats block like shard_updates.
@@ -401,7 +297,7 @@ class IngestionPipeline:
             setattr(self.stats, counter, value)
         if self.metrics is not None and self.metrics.enabled:
             # One record per dispatched batch: the apply/drain leg of the
-            # ingest path, on the store's clock (finalize time minus wall).
+            # ingest path, on the store's clock (drain time minus wall).
             self.metrics.observe(
                 tenant=self.tenant,
                 session_id=self.session_id,

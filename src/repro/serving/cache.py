@@ -10,34 +10,20 @@ only that shard's generation, so it invalidates exactly that shard's cached
 entries -- lazily, with no scan over the cache -- while the other shards'
 entries keep serving hits.
 
-Two refinements for read-heavy multi-tenant serving:
-
-* **Negative TTL entries** (:meth:`GenerationLRUCache.put_negative`).  Most
-  of any map is unknown space, and a planner probing ahead of the robot asks
-  about it constantly.  A strict generation stamp invalidates every unknown
-  answer the moment *anything* lands on the owning shard -- even though a
-  write almost never converts the particular distant voxel that was probed.
-  With ``negative_ttl_s > 0`` an "unknown" answer instead stays servable for
-  a bounded wall-clock window across generation bumps, trading bounded
-  staleness (an occupied voxel may read unknown for at most the TTL) for hit
-  rate.  The default TTL of ``0.0`` disables the relaxation: negative
-  entries then behave exactly like positive ones.
-
-* **Box-sweep result caching** (:class:`BboxResultCache`).  A bbox sweep
-  reads thousands of voxels -- in bulk, past this LRU, so it cannot evict the
-  hot points -- and planners re-issue the same corridor boxes every replan
-  tick.  The bbox cache keys a whole
-  :class:`~repro.serving.types.BoxOccupancySummary` by the query box and
-  validates it against the *full generation vector* of the map, so it is
-  exact: any write to any shard invalidates the summary (lazily, on lookup).
+Box sweeps have a cache of their own (:class:`BboxResultCache`).  A bbox
+sweep reads thousands of voxels -- in bulk, past this LRU, so it cannot evict
+the hot points -- and planners re-issue the same corridor boxes every replan
+tick.  The bbox cache keys a whole
+:class:`~repro.serving.types.BoxOccupancySummary` by the query box and
+validates it against the *full generation vector* of the map, so it is exact:
+any write to any shard invalidates the summary (lazily, on lookup).
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 __all__ = ["BboxResultCache", "CacheStats", "GenerationLRUCache"]
 
@@ -51,13 +37,6 @@ class CacheStats:
     stale_hits: int = 0
     evictions: int = 0
     puts: int = 0
-    # --- negative (unknown-space) entries ---
-    #: lookups answered by a live negative-TTL entry (also counted in hits).
-    negative_hits: int = 0
-    #: negative entries found past their TTL and discarded (counted in misses).
-    negative_expired: int = 0
-    #: negative-TTL entries inserted (also counted in puts).
-    negative_puts: int = 0
     # --- bbox summary cache ---
     bbox_hits: int = 0
     bbox_misses: int = 0
@@ -95,34 +74,15 @@ class GenerationLRUCache:
     Args:
         capacity: maximum number of live entries; the least recently used
             entry is evicted on overflow.
-        negative_ttl_s: wall-clock lifetime of *negative* entries (inserted
-            via :meth:`put_negative`).  While live, a negative entry answers
-            across generation bumps; ``0.0`` (default) disables the
-            relaxation and makes :meth:`put_negative` behave like
-            :meth:`put`.
-        clock: monotonic time source (injectable for deterministic tests).
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        negative_ttl_s: float = 0.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if negative_ttl_s < 0.0:
-            raise ValueError("negative_ttl_s must be non-negative")
         self.capacity = capacity
-        self.negative_ttl_s = negative_ttl_s
-        self.clock = clock
         self.stats = CacheStats()
-        # key -> (shard_id, generation, value, expiry); expiry is None for
-        # positive entries and an absolute clock() deadline for negative
-        # ones.  move_to_end keeps LRU order.
-        self._entries: "OrderedDict[Hashable, Tuple[int, int, object, Optional[float]]]" = (
-            OrderedDict()
-        )
+        # key -> (shard_id, generation, value); move_to_end keeps LRU order.
+        self._entries: "OrderedDict[Hashable, Tuple[int, int, object]]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -138,18 +98,7 @@ class GenerationLRUCache:
         if entry is None:
             self.stats.misses += 1
             return None
-        shard_id, generation, value, expiry = entry
-        if expiry is not None:
-            # Negative entry: valid until its TTL deadline, across writes.
-            if self.clock() >= expiry:
-                del self._entries[key]
-                self.stats.negative_expired += 1
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            self.stats.negative_hits += 1
-            return value
+        shard_id, generation, value = entry
         if generation != current_generation_for_shard(shard_id):
             # The owning shard was written since this entry was cached.
             del self._entries[key]
@@ -162,28 +111,9 @@ class GenerationLRUCache:
 
     def put(self, key: Hashable, shard_id: int, generation: int, value: object) -> None:
         """Insert or refresh an entry stamped with its shard's generation."""
-        self._insert(key, (shard_id, generation, value, None))
-
-    def put_negative(
-        self, key: Hashable, shard_id: int, generation: int, value: object
-    ) -> None:
-        """Insert an unknown-space answer, TTL-bounded when the TTL is set.
-
-        With ``negative_ttl_s == 0`` this is exactly :meth:`put` -- the entry
-        lives and dies by its generation stamp.
-        """
-        if self.negative_ttl_s <= 0.0:
-            self.put(key, shard_id, generation, value)
-            return
-        self._insert(key, (shard_id, generation, value, self.clock() + self.negative_ttl_s))
-        self.stats.negative_puts += 1
-
-    def _insert(
-        self, key: Hashable, entry: Tuple[int, int, object, Optional[float]]
-    ) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
-        self._entries[key] = entry
+        self._entries[key] = (shard_id, generation, value)
         self.stats.puts += 1
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -191,14 +121,10 @@ class GenerationLRUCache:
 
     def live_entries(self, current_generation_for_shard) -> int:
         """Number of entries that would still hit (without touching LRU order)."""
-        now = self.clock()
-        live = 0
-        for shard_id, generation, _, expiry in self._entries.values():
-            if expiry is not None:
-                live += 1 if now < expiry else 0
-            elif generation == current_generation_for_shard(shard_id):
-                live += 1
-        return live
+        return sum(
+            generation == current_generation_for_shard(shard_id)
+            for shard_id, generation, _ in self._entries.values()
+        )
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""

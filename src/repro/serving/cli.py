@@ -108,15 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="socket backend: ping reply deadline in seconds (default 5.0)",
     )
-    parser.add_argument(
-        "--pipeline",
-        action="store_true",
-        help=(
-            "double-buffered ingestion: ray-cast batch N+1 while the backend "
-            "applies batch N (one batch in flight; same maps, better overlap "
-            "on multi-core hosts with the process backend)"
-        ),
-    )
     parser.add_argument("--shards", type=int, default=2, help="shard workers per session (default 2)")
     parser.add_argument(
         "--fleet-workers",
@@ -126,15 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
             "size of the shared backend fleet: sessions lease execution "
             "slots from one pool of this many workers instead of each "
             "owning num-shards workers (0 = classic per-session ownership)"
-        ),
-    )
-    parser.add_argument(
-        "--flusher-concurrency",
-        type=int,
-        default=1,
-        help=(
-            "async mode: background flusher tasks per session; K > 1 "
-            "overlaps up to K flush cycles of one session (default 1)"
         ),
     )
     parser.add_argument(
@@ -266,7 +248,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             num_shards=args.shards,
             shard_prefix_levels=args.prefix_levels,
             backend=args.backend,
-            pipelined=args.pipeline,
             scheduler_policy=args.scheduler,
             batch_size=args.batch_size,
             workers=tuple(
@@ -279,7 +260,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             heartbeat_interval_s=args.heartbeat_interval,
             heartbeat_timeout_s=args.heartbeat_timeout,
             fleet_workers=args.fleet_workers,
-            flusher_concurrency=args.flusher_concurrency,
         ).with_resolution(args.resolution)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -309,11 +289,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     stream = generate_interleaved_stream(clients, seed=args.seed)
-    mode = "pipelined" if args.pipeline else "blocking"
     frontend = "async" if args.use_async else "sync"
     print(
         f"Streaming {len(stream)} scans from {len(clients)} clients "
-        f"({frontend} front end, {args.backend} backend, {mode} ingestion, "
+        f"({frontend} front end, {args.backend} backend, "
         f"{args.scheduler} scheduler, {args.shards} shards, batch {args.batch_size})"
     )
 

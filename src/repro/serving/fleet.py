@@ -91,12 +91,11 @@ _PEER_GONE = (EOFError, OSError)
 class _LocalEngine:
     """Shards hosted in this process; ``thread`` is ``inline`` plus a pool.
 
-    Without the executor every apply runs eagerly in the caller, so
-    pipelined ingestion degenerates to the serial reference semantics.  With
-    it, concurrent flushes from many sessions queue onto the same
-    ``num_slots`` threads.  No per-worker locking is needed -- each gid
-    belongs to exactly one session and that session's one-in-flight
-    invariant means a worker never sees two concurrent applies.
+    Without the executor every apply runs eagerly in the caller.  With it,
+    concurrent flushes from many sessions queue onto the same ``num_slots``
+    threads.  No per-worker locking is needed -- each gid belongs to exactly
+    one session, and a session drains each apply before it dispatches the
+    next, so a worker never sees two concurrent applies.
     """
 
     def __init__(self, num_slots: int, threaded: bool) -> None:
@@ -153,7 +152,7 @@ class _LocalEngine:
 
     def close(self) -> None:
         if self._executor is not None:
-            # wait=True also settles an abandoned in-flight slice: the pool
+            # wait=True also settles an abandoned, undrained slice: the pool
             # threads finish before their workers are released.
             self._executor.shutdown(wait=True)
         self.host.clear()
@@ -843,14 +842,14 @@ class SessionBackendView(ShardBackend):
         return [acks[shard_id] for shard_id in order]
 
     def _query(self, request: ShardQueryRequest) -> ShardQueryResult:
-        # The public query_key already barriered on the owning shard, so its
-        # channel cannot hold a pending apply acknowledgement that this
-        # request/reply round-trip would desynchronise.
+        # The public query_key refuses to run while a ticket is outstanding,
+        # so the channel cannot hold a pending apply acknowledgement that
+        # this request/reply round-trip would desynchronise.
         self._health_check()
         return self.pool.engine.query(self.gids[request.shard_id], request)
 
     def _query_keys(self, request: ShardKeysQuery) -> ShardKeysResult:
-        # Barriered by the public query_keys, like _query.
+        # Guarded by the public query_keys, like _query.
         self._health_check()
         return self.pool.engine.query_keys(self.gids[request.shard_id], request)
 

@@ -1,7 +1,7 @@
 """Background jobs: long-running service operations with polling handles.
 
 Map export and service-wide flushes can take arbitrarily long (they drain
-admission queues and barrier on shard backends), so the HTTP layer must not
+admission queues and wait for every shard), so the HTTP layer must not
 hold a connection open for them.  Instead a handler *starts* a job -- an
 asyncio task wrapped in a :class:`JobRecord` -- and returns its id at once;
 the client polls ``GET /v1/jobs/{id}`` until the record reports ``done`` or

@@ -533,7 +533,6 @@ class HttpMapServer:
             "backend": session.config.backend,
             "num_shards": session.config.num_shards,
             "scheduler_policy": session.config.scheduler_policy,
-            "pipelined": session.config.pipelined,
         }
 
     async def _handle_session_get(self, request: HttpRequest, sid: str) -> Tuple[int, dict]:

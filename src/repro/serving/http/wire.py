@@ -384,7 +384,6 @@ _CONFIG_FIELDS = (
     "num_shards",
     "shard_prefix_levels",
     "backend",
-    "pipelined",
     "mp_start_method",
     "scheduler_policy",
     "batch_size",
@@ -474,7 +473,6 @@ def report_payload(report: BatchReport) -> dict:
         "shard_updates": list(report.shard_updates),
         "modelled_cycles": report.modelled_cycles,
         "wall_seconds": report.wall_seconds,
-        "pipelined": report.pipelined,
         "backend": report.backend,
         "deadline_misses": report.deadline_misses,
     }

@@ -108,11 +108,6 @@ class QueryEngine:
         """Occupancy of a voxel by key (the cacheable primitive)."""
         self.stats.point_queries += 1
         shard_id = self.router.shard_for_key(key)
-        # Pipelined ingestion keeps one dispatched batch in flight; both read
-        # paths below settle it for this shard before answering (the backend
-        # barriers inside generation_of for the cache validation and inside
-        # query_key for the miss round-trip), so neither can observe a
-        # half-applied flush.
         cache_key = key.as_tuple()
         cached = self.cache.get(cache_key, self.generation_of)
         if cached is not None:
@@ -124,16 +119,9 @@ class QueryEngine:
             ShardQueryRequest(shard_id=shard_id, key=cache_key)
         )
         self.stats.modelled_query_cycles += result.cycles
-        if result.status == "unknown":
-            # Unknown space: eligible for TTL-bounded negative caching (a
-            # no-op falling back to the generation stamp when the TTL is 0).
-            self.cache.put_negative(
-                cache_key, shard_id, result.generation, (result.status, result.probability)
-            )
-        else:
-            self.cache.put(
-                cache_key, shard_id, result.generation, (result.status, result.probability)
-            )
+        self.cache.put(
+            cache_key, shard_id, result.generation, (result.status, result.probability)
+        )
         return QueryResponse(
             status=result.status,
             probability=result.probability,
@@ -327,8 +315,6 @@ class QueryEngine:
                 inverted, or has a corner that is not finite.
         """
         box_key = (tuple(float(c) for c in minimum), tuple(float(c) for c in maximum))
-        # generation_of barriers in-flight work per shard, so the vector (and
-        # any summary stamped with it) reflects everything dispatched so far.
         generations = tuple(
             self.generation_of(shard_id) for shard_id in range(self.backend.num_shards)
         )

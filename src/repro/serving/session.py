@@ -51,23 +51,11 @@ class SessionConfig:
             ``"socket"`` (one TCP worker per shard with snapshots and live
             failover).  See :mod:`repro.serving.backends` for when to pick
             each.
-        pipelined: double-buffered ingestion -- the pipeline ray-casts batch
-            N+1 while the backend applies batch N, with at most one batch in
-            flight.  Leaf-for-leaf equivalent to blocking ingestion on every
-            backend (queries barrier on in-flight work); only the wall-clock
-            overlap changes.  On the inline backend it degenerates to the
-            serial reference; it pays off on the process backend once the
-            host has cores to run front end and apply concurrently.
         mp_start_method: ``multiprocessing`` start method for the process
             backend (``None`` picks ``fork`` where available).
         scheduler_policy: ``"fifo"``, ``"priority"`` or ``"deadline"``.
         batch_size: scans coalesced per ingestion batch.
         cache_capacity: entries of the query LRU cache.
-        negative_ttl_s: wall-clock lifetime of cached *unknown* answers.
-            ``0`` (the default) keeps strict generation-stamped semantics;
-            a positive TTL lets unknown-space answers survive shard writes
-            for this many seconds (bounded staleness traded for hit rate on
-            planner probes into unmapped space).
         bbox_cache_capacity: whole box-sweep summaries cached per session,
             validated against the full shard generation vector (always
             exact).  ``0`` disables bbox result caching.
@@ -115,25 +103,15 @@ class SessionConfig:
             slots per backend kind and hand each session a lease
             (:class:`~repro.serving.fleet.SessionBackendView`) instead, so
             any number of sessions share O(fleet_workers) OS resources.
-        flusher_concurrency: asyncio flusher tasks the async front end runs
-            per session (:mod:`repro.serving.aio`).  The default of 1 keeps
-            strictly serial flush cycles; K > 1 lets one session overlap up
-            to K cycles (pop/coalesce of cycle N+1 runs while cycle N's
-            ingest executes), bounded so a heavy session cannot monopolise
-            the shared executor.  With K > 1 batches may interleave, so
-            cross-batch dispatch order is no longer the per-session submit
-            order (per-batch order still is).
     """
 
     num_shards: int = 2
     shard_prefix_levels: int = 12
     backend: str = "inline"
-    pipelined: bool = False
     mp_start_method: Optional[str] = None
     scheduler_policy: str = "fifo"
     batch_size: int = 8
     cache_capacity: int = 4096
-    negative_ttl_s: float = 0.0
     bbox_cache_capacity: int = 64
     accelerator: OMUConfig = field(default_factory=lambda: DEFAULT_CONFIG)
     default_max_range: float = -1.0
@@ -147,15 +125,10 @@ class SessionConfig:
     heartbeat_interval_s: float = 1.0
     heartbeat_timeout_s: float = 5.0
     fleet_workers: int = 0
-    flusher_concurrency: int = 1
 
     def __post_init__(self) -> None:
         if self.fleet_workers < 0:
             raise ValueError("fleet_workers must be non-negative (0 = private pool)")
-        if self.flusher_concurrency < 1:
-            raise ValueError("flusher_concurrency must be at least 1")
-        if self.negative_ttl_s < 0.0:
-            raise ValueError("negative_ttl_s must be non-negative (0 disables)")
         if self.bbox_cache_capacity < 0:
             raise ValueError("bbox_cache_capacity must be non-negative (0 disables)")
         if self.admission_queue_limit < 1:
@@ -190,10 +163,6 @@ class SessionConfig:
     def with_backend(self, backend: str) -> "SessionConfig":
         """Copy served by a different shard execution backend."""
         return replace(self, backend=backend)
-
-    def with_pipelined(self, pipelined: bool = True) -> "SessionConfig":
-        """Copy with double-buffered (pipelined) ingestion toggled."""
-        return replace(self, pipelined=pipelined)
 
     def with_workers(self, workers: Sequence[str]) -> "SessionConfig":
         """Copy served by the socket backend over the given worker endpoints."""
@@ -251,7 +220,6 @@ class MapSession:
             session_id=session_id,
             backend_name=self.config.backend,
             num_shards=self.config.num_shards,
-            pipelined=self.config.pipelined,
         )
         self.router = ShardRouter(
             self.config.accelerator,
@@ -276,13 +244,10 @@ class MapSession:
             make_scheduler(self.config.scheduler_policy),
             self.stats,
             batch_size=self.config.batch_size,
-            pipelined=self.config.pipelined,
             metrics=metrics,
             tenant=self.tenant,
         )
-        self.cache = GenerationLRUCache(
-            self.config.cache_capacity, negative_ttl_s=self.config.negative_ttl_s
-        )
+        self.cache = GenerationLRUCache(self.config.cache_capacity)
         self.query_engine = QueryEngine(
             self.router,
             self.backend,
@@ -338,16 +303,11 @@ class MapSession:
         return self.pipeline.submit(request)
 
     def flush(self) -> Optional[BatchReport]:
-        """Dispatch one batch of admitted requests; None when idle.
-
-        With ``pipelined=True`` the returned report is the previously
-        in-flight batch's (the new batch stays in flight); see
-        :meth:`IngestionPipeline.flush`.
-        """
+        """Apply one batch of admitted requests; None when idle."""
         return self.pipeline.flush()
 
     def flush_all(self) -> List[BatchReport]:
-        """Dispatch until the admission queue (and any in-flight batch) is empty."""
+        """Apply batches until the admission queue is empty."""
         return self.pipeline.flush_all()
 
     def ingest(self, request: ScanRequest) -> BatchReport:

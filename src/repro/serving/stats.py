@@ -31,7 +31,6 @@ class SessionStats:
     session_id: str = ""
     backend_name: str = "inline"
     num_shards: int = 0
-    pipelined: bool = False
     # --- ingestion ---
     scans_ingested: int = 0
     points_ingested: int = 0
@@ -45,10 +44,6 @@ class SessionStats:
     fanout_wall_seconds: float = 0.0
     frontend_wall_seconds: float = 0.0
     drain_wait_seconds: float = 0.0
-    #: front-end wall time spent while a previous batch was in flight on the
-    #: workers (the hidden-by-overlap share of the front end).
-    overlapped_frontend_seconds: float = 0.0
-    pipelined_batches: int = 0
     shard_updates: List[int] = field(default_factory=list)
     #: key-converter derivations by the ingestion front end; exactly 1 per
     #: session (the pipeline hoists the converter out of the batch loop), so
@@ -76,11 +71,8 @@ class SessionStats:
     shed_requests: int = 0
     #: deepest the bounded asyncio admission queue ever got.
     admission_queue_high_water: int = 0
-    #: flush cycles completed by the session's background flusher tasks.
+    #: flush cycles completed by the session's background flusher task.
     flusher_cycles: int = 0
-    #: most flusher tasks ever simultaneously inside a flush cycle for this
-    #: session (bounded by ``SessionConfig.flusher_concurrency``).
-    flusher_overlap_high_water: int = 0
     # --- failover (socket backend; copied from ShardBackend.failover_stats) ---
     #: shard snapshots taken at the snapshot cadence.
     snapshots_taken: int = 0
@@ -144,24 +136,6 @@ class SessionStats:
         return self.frontend_wall_seconds / self.ingest_wall_seconds
 
     @property
-    def overlap_ratio(self) -> float:
-        """Share of front-end wall time hidden behind in-flight applies.
-
-        0.0 for blocking ingestion (nothing ever overlaps); approaches
-        ``(batches - 1) / batches`` for a saturated pipelined stream, where
-        every front end but the first runs while the workers apply the
-        previous batch.
-        """
-        if self.frontend_wall_seconds <= 0.0:
-            return 0.0
-        return self.overlapped_frontend_seconds / self.frontend_wall_seconds
-
-    @property
-    def ingest_mode(self) -> str:
-        """``"pipelined"`` or ``"blocking"`` (the stats-table label)."""
-        return "pipelined" if self.pipelined else "blocking"
-
-    @property
     def shard_utilization(self) -> float:
         """Worker utilization: mean shard load over the busiest shard's load.
 
@@ -202,7 +176,6 @@ class SessionStats:
             "session_id": self.session_id,
             "backend": self.backend_name,
             "num_shards": self.num_shards,
-            "pipelined": self.pipelined,
             "ingest": {
                 "scans": self.scans_ingested,
                 "points": self.points_ingested,
@@ -225,7 +198,6 @@ class SessionStats:
                 "shed_requests": self.shed_requests,
                 "queue_high_water": self.admission_queue_high_water,
                 "flusher_cycles": self.flusher_cycles,
-                "flusher_overlap_high_water": self.flusher_overlap_high_water,
             },
             "failover": {
                 "snapshots_taken": self.snapshots_taken,
@@ -244,8 +216,6 @@ class SessionStats:
                 "cache_hits": self.cache.hits,
                 "cache_misses": self.cache.misses,
                 "cache_hit_rate": self.cache.hit_rate,
-                "negative_hits": self.cache.negative_hits,
-                "negative_expired": self.cache.negative_expired,
                 "bbox_cache_hits": self.cache.bbox_hits,
                 "bbox_cache_misses": self.cache.bbox_misses,
                 "bbox_cache_hit_rate": self.cache.bbox_hit_rate,
@@ -276,7 +246,6 @@ class ServiceStats:
         "Cache misses",
         "Hit rate (%)",
         "Stale drops",
-        "Neg hits",
         "Bbox hits",
     )
     ADMISSION_HEADERS: Tuple[str, ...] = (
@@ -303,12 +272,10 @@ class ServiceStats:
     BACKEND_HEADERS: Tuple[str, ...] = (
         "Session",
         "Backend",
-        "Mode",
         "Shards",
         "Fan-out (s)",
         "Fan-out (% wall)",
         "Front end (% wall)",
-        "Overlap (%)",
         "Utilization (%)",
         "Updates/s (wall)",
     )
@@ -408,7 +375,6 @@ class ServiceStats:
             stats.cache.misses,
             100.0 * stats.cache.hit_rate,
             stats.cache.stale_hits,
-            stats.cache.negative_hits,
             stats.cache.bbox_hits,
         )
 
@@ -444,12 +410,10 @@ class ServiceStats:
         return (
             stats.session_id,
             stats.backend_name,
-            stats.ingest_mode,
             stats.num_shards,
             stats.fanout_wall_seconds,
             100.0 * stats.fanout_fraction,
             100.0 * stats.frontend_fraction,
-            100.0 * stats.overlap_ratio,
             100.0 * stats.shard_utilization,
             stats.wall_updates_per_second,
         )
@@ -542,7 +506,6 @@ class ServiceStats:
             sum(s.cache.misses for s in folded),
             100.0 * self._ratio(hits, lookups),
             sum(s.cache.stale_hits for s in folded),
-            sum(s.cache.negative_hits for s in folded),
             sum(s.cache.bbox_hits for s in folded),
         )
 
@@ -577,16 +540,13 @@ class ServiceStats:
         wall = sum(s.ingest_wall_seconds for s in folded)
         fanout = sum(s.fanout_wall_seconds for s in folded)
         frontend = sum(s.frontend_wall_seconds for s in folded)
-        overlapped = sum(s.overlapped_frontend_seconds for s in folded)
         return (
             f"(+{len(folded)} more)",
-            "-",
             "-",
             sum(s.num_shards for s in folded),
             fanout,
             100.0 * self._ratio(fanout, wall),
             100.0 * self._ratio(frontend, wall),
-            100.0 * self._ratio(overlapped, frontend),
             100.0 * self._ratio(
                 sum(s.shard_utilization for s in folded), len(folded)
             ),

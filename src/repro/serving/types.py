@@ -129,22 +129,14 @@ class BatchReport:
         modelled_cycles: critical-path cycles of the batch (slowest shard;
             the shard workers run in parallel).
         wall_seconds: host-side wall-clock time spent processing the batch
-            (front end + dispatch + drain wait; for a pipelined batch the
-            drain wait is whatever remained of the apply after the next
-            batch's front end ran alongside it).
+            (front end + dispatch + drain wait).
         fanout_seconds: portion of ``wall_seconds`` spent inside the shard
             execution backend (dispatch + drain wait); the rest is the
             shared ray-casting front end.
         frontend_seconds: portion of ``wall_seconds`` spent in the shared
             ray-casting front end (pop + DDA + de-dup + partition).
         drain_wait_seconds: time the parent spent blocked waiting for the
-            shard acknowledgements of *this* batch.  In pipelined mode this
-            shrinks towards zero as the overlap hides the apply.
-        pipelined: True when the batch went through the double-buffered
-            (``apply_async``/``drain``) path.
-        overlapped: True when this batch's front end ran while a previous
-            batch was still in flight on the workers (the overlap window the
-            pipelined mode exists to open).
+            shard acknowledgements of *this* batch.
         backend: name of the shard execution backend that applied the batch.
         deadline_misses: requests in the batch whose ``deadline_s`` had
             already passed (on the ``time.monotonic`` clock) when the
@@ -165,8 +157,6 @@ class BatchReport:
     fanout_seconds: float = 0.0
     frontend_seconds: float = 0.0
     drain_wait_seconds: float = 0.0
-    pipelined: bool = False
-    overlapped: bool = False
     backend: str = "inline"
     deadline_misses: int = 0
 
@@ -302,20 +292,17 @@ class ShardUpdateBatch:
 
 @dataclass(frozen=True)
 class ApplyTicket:
-    """Receipt for one asynchronously dispatched flush (double buffering).
+    """Receipt for one dispatched flush, between its two halves.
 
     :meth:`~repro.serving.backends.ShardBackend.apply_async` returns a ticket
     instead of results; :meth:`~repro.serving.backends.ShardBackend.drain`
     redeems it for the per-shard acknowledgements once the workers finish.
-    The backend keeps *at most one* ticket in flight, which is exactly the
-    double-buffering depth: workers apply batch N while the parent ray-casts
-    batch N+1.
+    A backend has at most one ticket outstanding and serves no read until it
+    is drained.
 
     Attributes:
         ticket_id: backend-assigned monotonically increasing id.
-        shard_ids: shards that received a non-empty slice of the batch;
-            reads of these shards must barrier on the ticket before trusting
-            parent-side generation stamps.
+        shard_ids: shards that received a non-empty slice of the batch.
     """
 
     ticket_id: int

@@ -154,42 +154,6 @@ async def test_multi_client_ingestion_equals_sequential_insertion(backend):
 
 
 @async_test
-async def test_pipelined_async_session_stays_equivalent():
-    """The flusher leaves a pipelined session's batch in flight between
-    wake-ups (keeping the overlap window open); flush settles the tail and
-    the map still equals sequential insertion in dispatch order."""
-    config = SessionConfig(num_shards=2, batch_size=2, pipelined=True)
-    async with AsyncMapService(default_config=config) as service:
-        service.get_or_create_session("map")
-        submitted = []
-
-        async def run_client(chunk):
-            for request in chunk:
-                receipt = await service.submit(request)
-                submitted.append(request.with_request_id(receipt.request_id))
-                await asyncio.sleep(0)
-
-        requests = _requests(8)
-        await asyncio.gather(run_client(requests[:4]), run_client(requests[4:]))
-        await service.flush("map")
-        session = service.manager.get_session("map")
-        assert not session.pipeline.has_inflight, "flush drained the tail"
-        assert session.stats.pipelined_batches > 0
-        _assert_session_matches_dispatch_order(service, "map", submitted)
-
-
-@async_test
-async def test_close_settles_a_pipelined_tail():
-    config = SessionConfig(num_shards=1, batch_size=2, pipelined=True)
-    service = AsyncMapService(default_config=config)
-    service.get_or_create_session("map")
-    for request in _requests(4):
-        await service.submit(request)
-    await service.close()  # drain must apply *and account* the in-flight tail
-    assert service.manager.get_session("map").stats.scans_ingested == 4
-
-
-@async_test
 async def test_concurrent_sessions_stay_isolated():
     config = SessionConfig(num_shards=2, batch_size=2)
     async with AsyncMapService(default_config=config) as service:
@@ -561,37 +525,13 @@ async def test_export_octree_coroutine_matches_session_export():
 
 
 # ---------------------------------------------------------------------------
-# Overlapped flushers (flusher_concurrency > 1)
+# Isolation between sessions
 # ---------------------------------------------------------------------------
 @async_test
-async def test_flusher_concurrency_spawns_k_tasks_and_stays_equivalent():
-    """K flushers share one admission queue; the session lock keeps ingest
-    serial, so the map still equals dispatch-order sequential insertion."""
-    config = SessionConfig(num_shards=2, batch_size=2, flusher_concurrency=3)
-    async with AsyncMapService(default_config=config) as service:
-        service.get_or_create_session("map")
-        assert len(service._entries["map"].flushers) == 3
-        submitted = [
-            request.with_request_id(index)
-            for index, request in enumerate(_requests(10))
-        ]
-        for request in submitted:
-            await service.submit(request)
-        await service.flush("map")
-        stats = service.manager.get_session("map").stats
-        assert stats.scans_ingested == 10
-        assert stats.flusher_cycles >= 1
-        assert 1 <= stats.flusher_overlap_high_water <= 3
-        _assert_session_matches_dispatch_order(service, "map", submitted)
-
-
-@async_test
-async def test_heavy_session_with_many_flushers_cannot_starve_others():
-    """A flooded session running K flushers blocks only itself: its flushers
-    park on its own session lock, never on anything the light session needs."""
-    config = SessionConfig(
-        num_shards=1, batch_size=2, flusher_concurrency=3, admission_queue_limit=16
-    )
+async def test_heavy_session_cannot_starve_others():
+    """A flooded session blocks only itself: its flusher parks on its own
+    session lock, never on anything the light session needs."""
+    config = SessionConfig(num_shards=1, batch_size=2, admission_queue_limit=16)
     async with AsyncMapService(default_config=config) as service:
         service.get_or_create_session("heavy")
         service.get_or_create_session("light")
@@ -607,7 +547,3 @@ async def test_heavy_session_with_many_flushers_cannot_starve_others():
         await service.flush("heavy")
         assert service.manager.get_session("heavy").stats.scans_ingested == 8
 
-
-def test_session_config_validates_flusher_concurrency():
-    with pytest.raises(ValueError):
-        SessionConfig(flusher_concurrency=0)

@@ -2,8 +2,9 @@
 
 The leaf-for-leaf map equivalence across backends is property-tested in
 ``test_equivalence_property.py``; this module covers everything around it:
-the message protocol, parent-side accounting, cache generations across the
-process boundary, clean shutdown, and how a dying worker process surfaces.
+the message protocol, the ``apply_async``/``drain`` ticket, parent-side
+accounting, cache generations across the process boundary, clean shutdown,
+and how a dying worker process surfaces.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import update_batch
+from repro.core import QUERY_STATUSES
 from repro.core.config import DEFAULT_CONFIG
 from repro.serving import (
     BACKEND_NAMES,
@@ -51,6 +53,23 @@ def _updates_for(backend, n=16):
         batches[shard].append((key.x, key.y, key.z, True))
         index += 1
     return [update_batch(shard, entries) for shard, entries in batches.items()]
+
+
+def _batch_for_shard(backend, shard_id, n=64):
+    """A batch of ``n`` distinct occupied voxels that route to ``shard_id``."""
+    from repro.core.address_gen import AddressGenerator
+
+    generator = AddressGenerator(CONFIG.resolution_m, CONFIG.tree_depth, CONFIG.num_pes)
+    converter = generator.converter
+    entries = []
+    index = 0
+    while len(entries) < n and index < 200000:
+        key = converter.coord_to_key(-7.0 + 0.03 * index, 0.4, 0.2)
+        if generator.shard_index(key, backend.num_shards, 12) == shard_id:
+            entries.append((key.x, key.y, key.z, True))
+        index += 1
+    assert len(entries) == n, "could not route enough keys to the shard"
+    return update_batch(shard_id, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +133,84 @@ def test_empty_batches_do_not_bump_generations(name):
 
 
 # ---------------------------------------------------------------------------
+# The two halves of an apply: apply_async -> drain
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_apply_async_drain_matches_blocking_apply(name):
+    with make_backend(name, CONFIG, num_shards=2) as backend:
+        ticket = backend.apply_async([_batch_for_shard(backend, shard, n=8) for shard in range(2)])
+        assert ticket.shard_ids == (0, 1)
+        results = backend.drain(ticket)
+        with make_backend(name, CONFIG, num_shards=2) as reference:
+            blocking = reference.apply_shard_batches(
+                [_batch_for_shard(reference, shard, n=8) for shard in range(2)]
+            )
+        assert [(r.shard_id, r.updates_applied, r.generation) for r in results] == [
+            (r.shard_id, r.updates_applied, r.generation) for r in blocking
+        ] == [(0, 8, 1), (1, 8, 1)]
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_all_empty_flush_drains_to_nothing(name):
+    with make_backend(name, CONFIG, num_shards=2) as backend:
+        ticket = backend.apply_async([update_batch(0, []), update_batch(1, [])])
+        assert ticket.shard_ids == ()
+        assert backend.drain(ticket) == []
+        assert backend.generation_of(0) == 0
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_generations_adopted_only_at_drain(name):
+    """Parent-side stamps move when the ticket is drained, never between the
+    halves (the inline backend applies eagerly, but its bookkeeping waits)."""
+    with make_backend(name, CONFIG, num_shards=2) as backend:
+        ticket = backend.apply_async([_batch_for_shard(backend, shard, n=16) for shard in range(2)])
+        assert backend._generations == [0, 0]
+        backend.drain(ticket)
+        assert backend._generations == [1, 1]
+
+
+def test_drain_of_unknown_ticket_and_second_dispatch_raise():
+    with make_backend("inline", CONFIG, num_shards=2) as backend:
+        ticket = backend.apply_async([_batch_for_shard(backend, 0, n=4)])
+        with pytest.raises(ShardBackendError, match="outstanding"):
+            backend.apply_async([_batch_for_shard(backend, 1, n=4)])
+        backend.drain(ticket)
+        with pytest.raises(ShardBackendError, match="not outstanding"):
+            backend.drain(ticket)  # drained twice
+        # Drained: the next dispatch is legal again.
+        backend.drain(backend.apply_async([_batch_for_shard(backend, 1, n=4)]))
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_reads_refuse_an_outstanding_ticket_and_serve_after_drain(name):
+    """No read runs between the halves of an apply: a reply would otherwise
+    share the pipe with the pending acknowledgements.  Drained, every read
+    answers post-apply."""
+    with make_backend(name, CONFIG, num_shards=2) as backend:
+        batches = [_batch_for_shard(backend, shard, n=16) for shard in range(2)]
+        key = tuple(batches[0].keys[0].tolist())
+        ticket = backend.apply_async(batches)
+        reads = (
+            lambda: backend.query_key(ShardQueryRequest(shard_id=0, key=key)),
+            lambda: backend.query_keys(1, batches[1].keys),
+            backend.export_all,
+            lambda: backend.generation_of(0),
+        )
+        for read in reads:
+            with pytest.raises(ShardBackendError, match="outstanding"):
+                read()
+        assert backend.failed is None  # misuse is refused, not fail-stop
+        assert len(backend.drain(ticket)) == 2
+        assert backend.query_key(ShardQueryRequest(shard_id=0, key=key)).status == "occupied"
+        assert backend.query_keys(1, batches[1].keys).statuses.tolist() == [
+            QUERY_STATUSES.index("occupied")
+        ] * 16
+        assert sum(sum(1 for _ in tree.iter_leafs()) for tree in backend.export_all()) > 0
+        assert backend.generation_of(0) == 1
+
+
+# ---------------------------------------------------------------------------
 # Lifecycle
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("name", ALL_BACKENDS)
@@ -140,6 +237,14 @@ def test_process_backend_shutdown_leaves_no_orphans():
     backend.close()
     assert all(not process.is_alive() for process in processes)
     assert all(process.exitcode == 0 for process in processes)
+
+
+def test_close_with_a_ticket_outstanding_reaps_all_children():
+    backend = make_backend("process", CONFIG, num_shards=3)
+    processes = list(_processes(backend))
+    backend.apply_async([_batch_for_shard(backend, 0, n=256)])
+    backend.close()
+    assert all(not process.is_alive() for process in processes)
 
 
 def test_session_context_manager_closes_backend():
@@ -197,6 +302,52 @@ def test_dead_worker_surfaces_even_when_batch_does_not_touch_it():
         # Even a flush whose slices are all empty must report the loss.
         with pytest.raises(ShardBackendError, match="shard 0 worker process died"):
             backend.apply_shard_batches([update_batch(0, []), update_batch(1, [])])
+    finally:
+        backend.close()
+
+
+def test_worker_death_with_batch_in_flight_surfaces_on_next_operation():
+    backend = make_backend("process", CONFIG, num_shards=2)
+    processes = list(_processes(backend))
+    try:
+        ticket = backend.apply_async([_batch_for_shard(backend, shard, n=256) for shard in range(2)])
+        processes[0].terminate()
+        processes[0].join(timeout=5.0)
+        # The drain either sees the broken pipe, or -- if the worker's ack
+        # raced ahead of the kill -- the very next interaction's health check
+        # reports the death.  Either way the error never goes unnoticed.
+        with pytest.raises(ShardBackendError, match="worker process died"):
+            backend.drain(ticket)
+            backend.query_key(ShardQueryRequest(shard_id=1, key=(5, 5, 5)))
+    finally:
+        backend.close()
+    assert all(not process.is_alive() for process in processes)
+
+
+def test_worker_death_mid_flight_fail_stops_queries_on_every_shard():
+    """Once the drain failed, even shards whose slice *did* apply refuse to
+    answer (fail-stop): the map as a whole no longer matches the sequential
+    reference."""
+    backend = make_backend("process", CONFIG, num_shards=2)
+    try:
+        ticket = backend.apply_async([_batch_for_shard(backend, shard, n=256) for shard in range(2)])
+        _processes(backend)[0].terminate()
+        _processes(backend)[0].join(timeout=5.0)
+        with pytest.raises(ShardBackendError):
+            backend.drain(ticket)
+            backend.query_key(ShardQueryRequest(shard_id=0, key=(1, 1, 1)))
+        # Which message the shards refuse with depends on who saw the death:
+        # a failed drain fail-stops the backend, while an ack that raced
+        # ahead of the kill leaves the health check to report the dead
+        # worker on every later interaction.  Either way, no query returns.
+        expected = "fail-stop" if backend.failed is not None else "worker process died"
+        for shard_id in range(2):
+            with pytest.raises(ShardBackendError, match=expected):
+                backend.query_key(ShardQueryRequest(shard_id=shard_id, key=(1, 1, 1)))
+        if backend.failed is not None:
+            # Fail-stop also gates the no-round-trip read (cache validation).
+            with pytest.raises(ShardBackendError, match="fail-stop"):
+                backend.generation_of(1)
     finally:
         backend.close()
 

@@ -214,79 +214,6 @@ def test_sweeps_and_batches_bypass_the_point_cache(warm_session):
 
 
 # ---------------------------------------------------------------------------
-# Negative-TTL entries (unknown space)
-# ---------------------------------------------------------------------------
-class _FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-
-def test_negative_entries_survive_generation_bumps_until_the_ttl():
-    clock = _FakeClock()
-    cache = GenerationLRUCache(capacity=8, negative_ttl_s=2.0, clock=clock)
-    generations = {0: 0}
-    cache.put_negative("far-voxel", 0, 0, "unknown")
-    assert cache.stats.negative_puts == 1
-
-    generations[0] += 5  # heavy writes on the owning shard
-    clock.now += 1.9  # still inside the TTL window
-    assert cache.get("far-voxel", generations.__getitem__) == "unknown"
-    assert cache.stats.negative_hits == 1
-    assert cache.stats.hits == 1
-
-    clock.now += 0.2  # past the deadline
-    assert cache.get("far-voxel", generations.__getitem__) is None
-    assert cache.stats.negative_expired == 1
-    assert cache.stats.misses == 1
-    assert len(cache) == 0
-
-
-def test_zero_ttl_makes_put_negative_exactly_put():
-    cache = GenerationLRUCache(capacity=8)  # negative_ttl_s defaults to 0.0
-    generations = {0: 0}
-    cache.put_negative("voxel", 0, 0, "unknown")
-    assert cache.stats.negative_puts == 0
-    assert cache.get("voxel", generations.__getitem__) == "unknown"
-    assert cache.stats.negative_hits == 0
-    generations[0] += 1  # a strict generation-stamped entry: one write kills it
-    assert cache.get("voxel", generations.__getitem__) is None
-    assert cache.stats.stale_hits == 1
-
-
-def test_negative_ttl_validation():
-    with pytest.raises(ValueError):
-        GenerationLRUCache(capacity=8, negative_ttl_s=-0.1)
-
-
-def test_live_entries_counts_unexpired_negatives():
-    clock = _FakeClock()
-    cache = GenerationLRUCache(capacity=8, negative_ttl_s=1.0, clock=clock)
-    generations = {0: 0}
-    cache.put("pos", 0, 0, "occ")
-    cache.put_negative("neg", 0, 0, "unknown")
-    assert cache.live_entries(generations.__getitem__) == 2
-    generations[0] += 1  # kills the positive entry, not the live negative
-    assert cache.live_entries(generations.__getitem__) == 1
-    clock.now += 1.5  # TTL elapses: nothing lives
-    assert cache.live_entries(generations.__getitem__) == 0
-
-
-def test_session_config_wires_negative_ttl_into_the_session():
-    clock_session = MapSession(
-        "map", SessionConfig(num_shards=1, negative_ttl_s=3.0)
-    )
-    try:
-        assert clock_session.cache.negative_ttl_s == 3.0
-    finally:
-        clock_session.close()
-    with pytest.raises(ValueError):
-        SessionConfig(negative_ttl_s=-1.0)
-
-
-# ---------------------------------------------------------------------------
 # Unit level: BboxResultCache
 # ---------------------------------------------------------------------------
 def test_bbox_cache_hits_only_on_exact_generation_vector():

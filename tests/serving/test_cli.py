@@ -48,25 +48,6 @@ def test_main_runs_on_pool_backends(backend, capsys):
     assert backend in captured
 
 
-def test_main_runs_pipelined_ingestion(capsys):
-    exit_code = main(
-        [
-            "--sessions", "1",
-            "--scans", "2",
-            "--shards", "2",
-            "--batch-size", "1",
-            "--backend", "inline",
-            "--pipeline",
-            "--queries", "1",
-        ]
-    )
-    captured = capsys.readouterr().out
-    assert exit_code == 0
-    assert "pipelined ingestion" in captured
-    # The stats table labels the session's ingest mode.
-    assert "pipelined" in captured
-
-
 def test_main_runs_and_prints_stats(capsys):
     exit_code = main(
         [

@@ -45,14 +45,12 @@ def _build_session(
     batch_size: int,
     resolution: float,
     backend: str = "inline",
-    pipelined: bool = False,
 ) -> MapSession:
     config = SessionConfig(
         num_shards=num_shards,
         scheduler_policy=scheduler,
         batch_size=batch_size,
         backend=backend,
-        pipelined=pipelined,
     ).with_resolution(resolution)
     return MapSession("map", config)
 
@@ -79,11 +77,8 @@ def _assert_serving_matches_sequential(
     batch_size: int,
     resolution: float,
     backend: str = "inline",
-    pipelined: bool = False,
 ) -> None:
-    session = _build_session(
-        scheduler, num_shards, batch_size, resolution, backend=backend, pipelined=pipelined
-    )
+    session = _build_session(scheduler, num_shards, batch_size, resolution, backend=backend)
     try:
         for request in requests:
             session.submit(request)
@@ -221,28 +216,8 @@ def test_pool_backends_are_leaf_for_leaf_identical_to_inline(
         assert report.max_abs_error == 0.0
 
 
-@given(
-    point_lists=scans_strategy,
-    scheduler=st.sampled_from(["fifo", "priority", "deadline"]),
-    num_shards=st.integers(min_value=1, max_value=5),
-    batch_size=st.integers(min_value=1, max_value=4),
-    priorities=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
-)
-@settings(max_examples=15, deadline=None)
-def test_pipelined_ingestion_equals_sequential_insertion(
-    point_lists, scheduler, num_shards, batch_size, priorities
-):
-    """Pipelined dispatch must not change the map under *any* scheduler: the
-    reference is rebuilt in the dispatch order the reports recorded, exactly
-    like the blocking property above."""
-    requests = _requests_from_point_lists(point_lists, priorities, deadlines=[math.inf])
-    _assert_serving_matches_sequential(
-        requests, scheduler, num_shards, batch_size, resolution=0.25, pipelined=True
-    )
-
-
 # ---------------------------------------------------------------------------
-# Pipelined (double-buffered) ingestion == serial, with queries mid-stream
+# Queries between flushes: every backend answers like the inline reference
 # ---------------------------------------------------------------------------
 _PROBES = (
     (1.0, 0.4, 0.1),
@@ -253,94 +228,11 @@ _PROBES = (
 )
 
 
-def _assert_pipelined_interleaved_queries_match_serial(
-    backend: str,
-    requests: List[ScanRequest],
-    num_shards: int,
-    batch_size: int,
-) -> None:
-    """Drive a pipelined session and the serial inline reference in lockstep.
-
-    After every pipelined flush the reference is advanced to the same
-    *dispatched-batch* prefix (FIFO scheduling and a shared batch size make
-    the batch contents identical), and every probe query must answer
-    identically on both -- the query barrier means a pipelined session always
-    answers as if every dispatched batch had fully applied, never a
-    half-applied one.  The final maps must be leaf-for-leaf identical.
-    """
-    pipelined = _build_session("fifo", num_shards, batch_size, 0.25, backend=backend, pipelined=True)
-    reference = _build_session("fifo", num_shards, batch_size, 0.25, backend="inline")
-    try:
-        for request in requests:
-            pipelined.submit(request)
-            reference.submit(request)
-        while True:
-            report = pipelined.flush()
-            # Same dispatched prefix on the serial reference (the pipelined
-            # session keeps one dispatched batch in flight; its queries must
-            # still reflect it).
-            while reference.pipeline.batches_flushed < pipelined.pipeline.batches_flushed:
-                assert reference.flush() is not None
-            for probe in _PROBES:
-                left = pipelined.query(*probe)
-                right = reference.query(*probe)
-                assert (left.status, left.probability) == (right.status, right.probability), (
-                    f"{backend}: mid-stream query diverged at {probe} after "
-                    f"{pipelined.pipeline.batches_flushed} dispatched batches"
-                )
-            if report is None:
-                break
-        assert pipelined.pending_requests() == 0
-        assert pipelined.pipeline.in_flight_requests() == 0
-        comparison = compare_trees(reference.export_octree(), pipelined.export_octree(), 0.0)
-        assert comparison.equivalent, f"{backend}: {comparison.summary()}"
-        assert comparison.max_abs_error == 0.0
-    finally:
-        pipelined.close()
-        reference.close()
-
-
-@given(
-    point_lists=scans_strategy,
-    num_shards=st.integers(min_value=1, max_value=4),
-    batch_size=st.integers(min_value=1, max_value=3),
-)
-@settings(max_examples=10, deadline=None)
-def test_pipelined_ingestion_with_interleaved_queries_matches_serial(
-    point_lists, num_shards, batch_size
-):
-    """Property: double-buffered ingestion on the reference backend is
-    indistinguishable from blocking serial ingestion, query by query."""
-    requests = _requests_from_point_lists(point_lists, priorities=[0], deadlines=[math.inf])
-    _assert_pipelined_interleaved_queries_match_serial(
-        "inline", requests, num_shards, batch_size
-    )
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("backend", ["thread", "process"])
-@given(
-    point_lists=scans_strategy,
-    num_shards=st.integers(min_value=1, max_value=4),
-    batch_size=st.integers(min_value=1, max_value=3),
-)
-@settings(max_examples=6, deadline=None)
-def test_pipelined_pool_backends_with_interleaved_queries_match_serial(
-    backend, point_lists, num_shards, batch_size
-):
-    """The same property on the pool backends, where the in-flight batch is
-    genuinely concurrent (pool threads / worker processes)."""
-    requests = _requests_from_point_lists(point_lists, priorities=[0], deadlines=[math.inf])
-    _assert_pipelined_interleaved_queries_match_serial(
-        backend, requests, num_shards, batch_size
-    )
-
-
 @pytest.mark.parametrize("backend", ["inline", "thread", "process", "socket"])
-def test_pipelined_interleaved_queries_smoke_all_backends(backend):
-    """One fixed workload through the interleaved-query lockstep harness on
-    every backend -- the tier-1 guard for the acceptance criterion (the
-    hypothesis sweeps above explore the space more broadly)."""
+def test_interleaved_queries_match_inline_on_all_backends(backend):
+    """Flush one batch at a time on a session and on the inline reference;
+    after every flush each probe answers identically on both (the cache
+    included), and the final maps are leaf-for-leaf identical."""
     import numpy as np
 
     rng = np.random.default_rng(2024)
@@ -354,7 +246,28 @@ def test_pipelined_interleaved_queries_smoke_all_backends(backend):
         )
         for index in range(6)
     ]
-    _assert_pipelined_interleaved_queries_match_serial(backend, requests, 3, 2)
+    session = _build_session("fifo", 3, 2, 0.25, backend=backend)
+    reference = _build_session("fifo", 3, 2, 0.25, backend="inline")
+    try:
+        for request in requests:
+            session.submit(request)
+            reference.submit(request)
+        while session.flush() is not None:
+            assert reference.flush() is not None
+            for probe in _PROBES:
+                left = session.query(*probe)
+                right = reference.query(*probe)
+                assert (left.status, left.probability) == (right.status, right.probability), (
+                    f"{backend}: mid-stream query diverged at {probe} after "
+                    f"{session.pipeline.batches_flushed} batches"
+                )
+        assert reference.pending_requests() == 0
+        comparison = compare_trees(reference.export_octree(), session.export_octree(), 0.0)
+        assert comparison.equivalent, f"{backend}: {comparison.summary()}"
+        assert comparison.max_abs_error == 0.0
+    finally:
+        session.close()
+        reference.close()
 
 
 @pytest.mark.parametrize("backend", ["inline", "thread", "process", "socket"])

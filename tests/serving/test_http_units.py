@@ -491,15 +491,19 @@ def test_session_config_resolution_override_and_unknown_keys():
     with pytest.raises(HttpError) as excinfo:
         session_config_from_payload(default, {"num_shards": "many"})
     assert excinfo.value.code == "bad_config"
+    # Ingestion has one mode: the old pipelining switch is an unknown field.
+    with pytest.raises(HttpError) as excinfo:
+        session_config_from_payload(default, {"pipelined": True})
+    assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config")
+    assert "pipelined" in excinfo.value.message
 
 
 @pytest.mark.parametrize(
     "payload",
     [
-        {"pipelined": "false"},  # a truthy string would turn pipelining ON
-        {"pipelined": 0},
         {"batch_size": 2.5},
-        {"batch_size": True},  # bool is not an int here
+        {"batch_size": True},  # bool is never a number here
+        {"num_shards": False},
         {"num_shards": "2"},
         {"quota_points_per_s": "100"},
         {"quota_burst_s": True},
@@ -520,7 +524,6 @@ def test_session_config_accepts_every_matching_json_type():
     config = session_config_from_payload(
         SessionConfig(),
         {
-            "pipelined": True,
             "batch_size": 3,
             "quota_points_per_s": 100,  # any JSON number fits a float field
             "quota_burst_s": 0.5,
@@ -529,7 +532,6 @@ def test_session_config_accepts_every_matching_json_type():
             "resolution_m": 1,
         },
     )
-    assert config.pipelined is True
     assert config.batch_size == 3
     assert config.quota_points_per_s == 100
     assert config.tenant == "fleet-a"

@@ -438,7 +438,6 @@ def test_empty_session_stats_render_without_division_errors():
         block.updates_per_scan,
         block.fanout_fraction,
         block.frontend_fraction,
-        block.overlap_ratio,
         block.shard_utilization,
         block.wall_updates_per_second,
         block.mean_admission_wait_seconds,
