@@ -218,7 +218,9 @@ class ShardBackend(ABC):
         fail-stops the backend.
         """
         self._ensure_open()
-        if self._outstanding is None or self._outstanding[0].ticket_id != ticket.ticket_id:
+        # Identity, not equality: another backend's ticket can carry the same
+        # id and shards, and redeeming it here would adopt this one's acks.
+        if self._outstanding is None or self._outstanding[0] is not ticket:
             raise ShardBackendError(
                 f"ticket {ticket.ticket_id} is not outstanding on the "
                 f"{self.name} backend (already drained, or never issued here)"

@@ -126,7 +126,7 @@ async def test_query_batch_bbox_and_raycast_coroutines_work():
 # ---------------------------------------------------------------------------
 # The acceptance property: async multi-client ingestion == sequential insertion
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+@pytest.mark.parametrize("backend", ["inline", "thread", "process", "socket"])
 @async_test
 async def test_multi_client_ingestion_equals_sequential_insertion(backend):
     """Concurrent client coroutines submitting a fixed request sequence yield
@@ -151,6 +151,23 @@ async def test_multi_client_ingestion_equals_sequential_insertion(backend):
         )
         await service.flush_all()
         _assert_session_matches_dispatch_order(service, "map", submitted)
+
+
+@async_test
+async def test_each_session_runs_exactly_one_flusher_task():
+    async with AsyncMapService(
+        default_config=SessionConfig(num_shards=1, batch_size=2)
+    ) as service:
+        for session_id in ("east", "west"):
+            service.get_or_create_session(session_id)
+        service.get_or_create_session("east")  # an existing session gets no second flusher
+        flushers = sorted(
+            task.get_name()
+            for task in asyncio.all_tasks()
+            if task.get_name().startswith("aio-flusher-")
+        )
+        assert flushers == ["aio-flusher-east", "aio-flusher-west"]
+        assert service._entries["east"].flusher.get_name() == "aio-flusher-east"
 
 
 @async_test

@@ -170,44 +170,114 @@ def test_generations_adopted_only_at_drain(name):
         assert backend._generations == [1, 1]
 
 
-def test_drain_of_unknown_ticket_and_second_dispatch_raise():
-    with make_backend("inline", CONFIG, num_shards=2) as backend:
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_second_dispatch_before_drain_raises(name):
+    with make_backend(name, CONFIG, num_shards=2) as backend:
         ticket = backend.apply_async([_batch_for_shard(backend, 0, n=4)])
         with pytest.raises(ShardBackendError, match="outstanding"):
             backend.apply_async([_batch_for_shard(backend, 1, n=4)])
-        backend.drain(ticket)
-        with pytest.raises(ShardBackendError, match="not outstanding"):
-            backend.drain(ticket)  # drained twice
+        assert backend.failed is None  # misuse is refused, not fail-stop
+        # The refused dispatch sent nothing: the drain redeems the first only.
+        assert [result.shard_id for result in backend.drain(ticket)] == [0]
+        assert backend.shard_load() == (4, 0)
         # Drained: the next dispatch is legal again.
         backend.drain(backend.apply_async([_batch_for_shard(backend, 1, n=4)]))
+        assert backend.shard_load() == (4, 4)
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_reads_refuse_an_outstanding_ticket_and_serve_after_drain(name):
+def test_drain_of_a_ticket_not_outstanding_raises(name):
+    """A ticket is redeemed once, and only by the backend that issued it --
+    even when another backend's ticket carries the same id and shards."""
+    with make_backend(name, CONFIG, num_shards=2) as backend, make_backend(
+        "inline", CONFIG, num_shards=2
+    ) as other:
+        foreign = other.apply_async([_batch_for_shard(other, 0, n=4)])
+        ticket = backend.apply_async([_batch_for_shard(backend, 0, n=4)])
+        assert foreign == ticket
+        with pytest.raises(ShardBackendError, match="not outstanding"):
+            backend.drain(foreign)
+        assert [result.updates_applied for result in backend.drain(ticket)] == [4]
+        with pytest.raises(ShardBackendError, match="not outstanding"):
+            backend.drain(ticket)  # drained twice
+        assert [result.updates_applied for result in other.drain(foreign)] == [4]
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_ticket_names_only_the_shards_it_touches(name):
+    with make_backend(name, CONFIG, num_shards=3) as backend:
+        ticket = backend.apply_async(
+            [update_batch(0, []), _batch_for_shard(backend, 1, n=8), update_batch(2, [])]
+        )
+        assert ticket.shard_ids == (1,)
+        results = backend.drain(ticket)
+        assert [(result.shard_id, result.updates_applied) for result in results] == [(1, 8)]
+        assert [backend.generation_of(shard) for shard in range(3)] == [0, 1, 0]
+        assert backend.shard_load() == (0, 8, 0)
+        # Every dispatch takes the next id, an all-empty one included.
+        empty = backend.apply_async([update_batch(0, [])])
+        assert (empty.ticket_id, empty.shard_ids) == (ticket.ticket_id + 1, ())
+        assert backend.drain(empty) == []
+
+
+def _read(backend, read, batches):
+    """One read of ``read``'s kind over the voxels of ``batches``."""
+    if read == "query":
+        key = tuple(batches[0].keys[0].tolist())
+        return backend.query_key(ShardQueryRequest(shard_id=0, key=key)).status
+    if read == "bulk_read":
+        return backend.query_keys(1, batches[1].keys).statuses.tolist()
+    if read == "export":
+        return sum(sum(1 for _ in tree.iter_leafs()) for tree in backend.export_all()) > 0
+    return backend.generation_of(0)
+
+
+#: what each read answers once both shards' 16-voxel slices are applied.
+_READ_AFTER_DRAIN = {
+    "query": "occupied",
+    "bulk_read": [QUERY_STATUSES.index("occupied")] * 16,
+    "export": True,
+    "generation_of": 1,
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READ_AFTER_DRAIN))
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_reads_refuse_an_outstanding_ticket_and_serve_after_drain(name, read):
     """No read runs between the halves of an apply: a reply would otherwise
-    share the pipe with the pending acknowledgements.  Drained, every read
+    share the pipe with the pending acknowledgements.  Drained, the read
     answers post-apply."""
     with make_backend(name, CONFIG, num_shards=2) as backend:
         batches = [_batch_for_shard(backend, shard, n=16) for shard in range(2)]
-        key = tuple(batches[0].keys[0].tolist())
         ticket = backend.apply_async(batches)
-        reads = (
-            lambda: backend.query_key(ShardQueryRequest(shard_id=0, key=key)),
-            lambda: backend.query_keys(1, batches[1].keys),
-            backend.export_all,
-            lambda: backend.generation_of(0),
-        )
-        for read in reads:
-            with pytest.raises(ShardBackendError, match="outstanding"):
-                read()
+        with pytest.raises(ShardBackendError, match="outstanding"):
+            _read(backend, read, batches)
         assert backend.failed is None  # misuse is refused, not fail-stop
         assert len(backend.drain(ticket)) == 2
-        assert backend.query_key(ShardQueryRequest(shard_id=0, key=key)).status == "occupied"
-        assert backend.query_keys(1, batches[1].keys).statuses.tolist() == [
-            QUERY_STATUSES.index("occupied")
-        ] * 16
-        assert sum(sum(1 for _ in tree.iter_leafs()) for tree in backend.export_all()) > 0
-        assert backend.generation_of(0) == 1
+        assert _read(backend, read, batches) == _READ_AFTER_DRAIN[read]
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_session_flush_is_one_apply_cycle_per_batch(name, small_requests):
+    """Each flush dispatches one ticket and drains it before returning, so
+    batches apply in admission order and nothing is left outstanding."""
+    config = SessionConfig(num_shards=2, backend=name, batch_size=2).with_resolution(0.2)
+    with MapSession("map", config) as session:
+        for request in small_requests:
+            session.submit(request)
+        reports = []
+        while session.pending_requests():
+            reports.append(session.flush())
+            assert session.backend._outstanding is None
+        assert session.flush() is None
+        assert [report.request_ids for report in reports] == [(0, 1), (2,)]
+        assert [report.batch_id for report in reports] == [0, 1]
+        assert session.backend._next_ticket_id == 2
+        for report in reports:
+            assert report.backend == name
+            assert 0.0 <= report.drain_wait_seconds <= report.fanout_seconds <= report.wall_seconds
+        assert session.stats.scans_ingested == 3
+        assert session.query(0.0, 0.0, 0.2).status in ("occupied", "free")
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +309,24 @@ def test_process_backend_shutdown_leaves_no_orphans():
     assert all(process.exitcode == 0 for process in processes)
 
 
-def test_close_with_a_ticket_outstanding_reaps_all_children():
-    backend = make_backend("process", CONFIG, num_shards=3)
-    processes = list(_processes(backend))
+def _children_alive(backend):
+    """Liveness of the child processes behind a process- or socket-kind lease."""
+    channels = backend.pool.engine.channels
+    if backend.name == "socket":
+        handles = list(channels.owned_workers)
+        return lambda: [handle.alive for handle in handles]
+    processes = list(channels.processes)
+    return lambda: [process.is_alive() for process in processes]
+
+
+@pytest.mark.parametrize("name", ["process", "socket"])
+def test_close_with_a_ticket_outstanding_reaps_all_children(name):
+    backend = make_backend(name, CONFIG, num_shards=3)
+    alive = _children_alive(backend)
+    assert alive() and all(alive())
     backend.apply_async([_batch_for_shard(backend, 0, n=256)])
     backend.close()
-    assert all(not process.is_alive() for process in processes)
+    assert not any(alive())
 
 
 def test_session_context_manager_closes_backend():

@@ -29,7 +29,15 @@ def test_parser_rejects_unknown_backend():
         build_parser().parse_args(["--backend", "rpc"])
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("flags", [["--pipeline"], ["--flusher-concurrency", "2"]])
+def test_parser_rejects_removed_ingestion_flags(flags, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(flags)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["thread", "process", "socket"])
 def test_main_runs_on_pool_backends(backend, capsys):
     exit_code = main(
         [

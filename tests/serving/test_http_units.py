@@ -491,11 +491,19 @@ def test_session_config_resolution_override_and_unknown_keys():
     with pytest.raises(HttpError) as excinfo:
         session_config_from_payload(default, {"num_shards": "many"})
     assert excinfo.value.code == "bad_config"
-    # Ingestion has one mode: the old pipelining switch is an unknown field.
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"pipelined": True}, {"flusher_concurrency": 2}, {"negative_ttl_s": 1.0}],
+)
+def test_removed_ingestion_knobs_are_unknown_config_fields(payload):
+    """Ingestion has one mode: the old overlap and negative-cache knobs are
+    unknown fields, not silently ignored ones."""
     with pytest.raises(HttpError) as excinfo:
-        session_config_from_payload(default, {"pipelined": True})
+        session_config_from_payload(SessionConfig(num_shards=1), payload)
     assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config")
-    assert "pipelined" in excinfo.value.message
+    assert next(iter(payload)) in excinfo.value.message
 
 
 @pytest.mark.parametrize(
@@ -511,6 +519,7 @@ def test_session_config_resolution_override_and_unknown_keys():
         {"mp_start_method": 1},
         {"resolution_m": "0.1"},
         {"resolution_m": True},
+        {"cache_capacity": "4096"},
     ],
 )
 def test_session_config_rejects_a_value_of_the_wrong_json_type(payload):
