@@ -1,13 +1,15 @@
-"""The native PE update kernel: build ``pe_kernel.c`` once, load it with ctypes.
+"""The native kernels' build, and the PE update kernel loaded with ctypes.
 
 :meth:`repro.core.pe.ProcessingElement.update_paths` runs its per-voxel loop
-in C (``pe_kernel.c``, next to this file).  Importing this module compiles
-that file if no build of it exists yet -- ``gcc -O2 -shared -fPIC``, about a
-fifth of a second, once per source hash -- into ``_build/`` beside the
-source, and loads the library with :class:`ctypes.CDLL`, whose foreign calls
-release the interpreter lock.  There is no fallback: without a working
-``gcc`` the import fails with an :class:`ImportError` carrying the
-compiler's message.
+in C (``pe_kernel.c``, next to this file), and the ingestion front end
+(:mod:`repro.octomap.raycast_vec`) ray-casts in C (``dda_kernel.c``, next to
+that module).  :func:`build` compiles a kernel source if no build of it
+exists yet -- ``gcc -O2 -shared -fPIC``, about a fifth of a second, once per
+source hash -- into ``_build/`` beside this file; its callers load the
+library with :class:`ctypes.CDLL`, whose foreign calls release the
+interpreter lock.  Importing this module builds ``pe_kernel.c``.  There is no
+fallback: without a working ``gcc`` the import fails with an
+:class:`ImportError` carrying the compiler's message.
 
 The library's file name carries the SHA-256 of the source and the compile
 command, so an edited source is rebuilt and a stale build is never loaded.
@@ -32,7 +34,10 @@ __all__ = ["PEImage", "SOURCE", "BUILD_DIR", "LIBRARY", "build", "update_paths"]
 
 SOURCE = Path(__file__).with_name("pe_kernel.c")
 BUILD_DIR = Path(__file__).with_name("_build")
-COMPILE = ("gcc", "-O2", "-shared", "-fPIC")
+#: No fused multiply-add: the front end's floating point must round as the
+#: scalar Python reference does, on every target.
+COMPILE = ("gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
+LINK = ("-lm",)
 
 # Return codes of pe_update_paths.
 OK, GROW, CAPACITY, MISMATCH, CHILDLESS, FREE_ROW = range(6)
@@ -73,7 +78,7 @@ class PEImage(ctypes.Structure):
 def build(source: Path = SOURCE, build_dir: Path = BUILD_DIR) -> Path:
     """Path of the shared library built from ``source``, compiling it only if absent."""
     code = source.read_bytes()
-    digest = hashlib.sha256(code + " ".join(COMPILE).encode()).hexdigest()
+    digest = hashlib.sha256(code + " ".join(COMPILE + LINK).encode()).hexdigest()
     library = build_dir / f"{source.stem}-{digest}.so"
     if library.exists():
         return library
@@ -83,7 +88,7 @@ def build(source: Path = SOURCE, build_dir: Path = BUILD_DIR) -> Path:
     try:
         try:
             compiled = subprocess.run(
-                [*COMPILE, "-o", partial, str(source)], capture_output=True, text=True, check=False
+                [*COMPILE, "-o", partial, str(source), *LINK], capture_output=True, text=True, check=False
             )
         except OSError as error:
             raise ImportError(f"cannot build {source.name}: {COMPILE[0]} did not run ({error})") from error

@@ -16,9 +16,10 @@ It provides:
   (update, search, prune/expand, iteration, memory accounting).
 * :mod:`repro.octomap.raycast` -- 3D DDA ray traversal (``compute_ray_keys``
   and ``cast_ray``).
-* :mod:`repro.octomap.raycast_vec` -- the batched numpy counterpart: all rays
-  of a scan traversed as arrays, with packed-``uint64`` key de-duplication
-  (``compute_scan_update_arrays``); key-for-key equivalent to the scalar DDA.
+* :mod:`repro.octomap.raycast_vec` -- the service's front end: all rays of a
+  batch of scans traversed and de-duplicated per scan by the native kernel
+  ``dda_kernel.c``, as packed ``uint64`` keys
+  (``compute_batch_update_arrays``); key-for-key equivalent to the scalar DDA.
 * :mod:`repro.octomap.pointcloud` -- point clouds, 6-DoF poses, scan nodes
   and scan graphs.
 * :mod:`repro.octomap.scan_insertion` -- batch insertion of sensor scans with

@@ -1,17 +1,15 @@
-"""Vectorized scan front end: batched Amanatides-Woo traversal over numpy arrays.
+"""The ingestion front end: every scan of a flush ray-cast in one native call.
 
 :mod:`repro.octomap.raycast` steps one ray at a time in pure Python -- one
 ``OcTreeKey`` allocation and a handful of interpreter operations per traversed
-voxel.  Profiling the serving layer showed that this serial front end (ray
-casting plus key generation) starves the shard-apply parallelism behind it.
-This module is the batched replacement: it traverses *all rays as arrays*,
-carrying per-axis t-maxima/t-deltas as ``(N,)`` float arrays, compacting rays
-out of the working set as they terminate, and emitting the visited voxel keys
-as packed ``uint64`` codes that de-duplicate and sort with one ``np.unique``
-per scan.  :func:`compute_batch_update_arrays` goes one step further and runs
-every ray of a whole ingestion batch (several scans) through a single DDA
-loop, with a scan-id lane keeping the de-duplication per scan -- the loop's
-per-iteration Python overhead is paid once per batch instead of once per scan.
+voxel.  This module is the service's front end: :func:`compute_batch_update_arrays`
+hands all beams of all scans of an ingestion batch to ``dda_kernel.c`` (next
+to this file, built by :func:`repro.core.native.build`), which truncates,
+clips and discretises each beam, walks it with the Amanatides-Woo DDA, and
+sorts and de-duplicates each scan's keys.  The keys come back as packed
+``uint64`` codes, scan after scan.  The call is one :mod:`ctypes` foreign
+call, so it releases the interpreter lock: another thread's flush, read or
+HTTP request runs while a flush ray-casts.  There is no Python fallback.
 
 Equivalence contract: for any scan, the emitted free/occupied key sets equal
 what the scalar
@@ -19,11 +17,11 @@ what the scalar
 key for key -- same max-range truncation, same endpoint clipping at the
 addressable-volume boundary (clipped beams mark free space but register no
 occupied endpoint), same per-scan occupied-beats-free de-duplication, and the
-same pre-dedup visit count for the stats layer.  The arithmetic deliberately
-mirrors the scalar path operation for operation (same epsilon, same division
-order, same floor/truncation) so the property suite can pin the two paths
-against each other bit for bit.  The scalar implementation stays as the
-paper's software baseline and as the oracle of the equivalence suites
+same pre-dedup visit count for the stats layer.  The C arithmetic mirrors the
+scalar path operation for operation (same epsilon, same division order, same
+floor/truncation, no fused multiply-add) so the property suite can pin the
+two paths against each other bit for bit.  The scalar implementation stays
+as the paper's software baseline and as the oracle of the equivalence suites
 (``tests/octomap/test_raycast_vec.py``,
 ``tests/serving/test_frontend_equivalence.py``, ``benchmarks/e2e``); the
 serving runtime never calls it.
@@ -31,11 +29,14 @@ serving runtime never calls it.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from pathlib import Path
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.native import build
 from repro.octomap.keys import KeyConverter, OcTreeKey
 
 __all__ = [
@@ -47,16 +48,32 @@ __all__ = [
     "unpack_key_array",
 ]
 
-#: Same epsilon the scalar DDA and the volume clipper use.
-_EPSILON = 1e-12
-
 _KEY_MASK = np.uint64(0xFFFF)
 _SHIFT_X = np.uint64(32)
 _SHIFT_Y = np.uint64(16)
 
+# Return codes of dda_cast_scans, and the words of its per-scan counts row.
+_DDA_OK, _DDA_ORIGIN, _DDA_ENDPOINT, _DDA_MEMORY = range(4)
+_COUNT_WORDS = 3
 
-def _empty_packed() -> np.ndarray:
-    return np.empty(0, dtype=np.uint64)
+_KERNEL = ctypes.CDLL(str(build(Path(__file__).with_name("dda_kernel.c"))))
+_cast_scans = _KERNEL.dda_cast_scans
+_cast_scans.argtypes = [
+    ctypes.c_void_p,  # points: (rays, 3) float64
+    ctypes.c_void_p,  # offsets: (scans + 1,) int64
+    ctypes.c_void_p,  # origins: (scans, 3) float64
+    ctypes.c_void_p,  # max_ranges: (scans,) float64
+    ctypes.c_int64,  # scans
+    ctypes.c_double,  # resolution
+    ctypes.c_int64,  # tree_max_val
+    ctypes.c_void_p,  # counts: (scans, 3) int64 -- free, occupied, steps
+    ctypes.POINTER(ctypes.c_void_p),  # keys: set to the packed keys of every scan
+    ctypes.c_void_p,  # error: (2,) int64 -- scan, beam
+]
+_cast_scans.restype = ctypes.c_int
+_release = _KERNEL.dda_release
+_release.argtypes = [ctypes.c_void_p]
+_release.restype = None
 
 
 def pack_key_array(keys: np.ndarray) -> np.ndarray:
@@ -65,8 +82,9 @@ def pack_key_array(keys: np.ndarray) -> np.ndarray:
     The x component lands in the highest bits, so sorting packed codes orders
     exactly like ``sorted()`` on the equivalent
     :class:`~repro.octomap.keys.OcTreeKey` objects (lexicographic x, y, z) --
-    the property the batching front end relies on to keep its vectorized
-    update stream identical to the scalar one.
+    the property the native kernel's sort relies on to issue each scan's
+    updates in the order the scalar reference sorts them.  The kernel packs
+    keys the same way.
     """
     packed = keys.astype(np.uint64, copy=False)
     return (packed[:, 0] << _SHIFT_X) | (packed[:, 1] << _SHIFT_Y) | packed[:, 2]
@@ -111,123 +129,12 @@ class ScanUpdateArrays:
         return int(self.free_packed.size + self.occupied_packed.size)
 
 
-def _clip_endpoints_to_volume(
-    converter: KeyConverter,
-    origin: np.ndarray,
-    endpoints: np.ndarray,
-    rows: np.ndarray,
-) -> None:
-    """In-place array form of ``clip_segment_to_volume`` for the ``rows`` subset.
-
-    The caller guarantees the (shared) origin is inside the addressable
-    volume; each selected endpoint is pulled back along its beam until every
-    component lies within ``+/- max_coordinate * 0.999``, using exactly the
-    scalar clipper's per-axis scale minimisation.
-    """
-    limit = converter.max_coordinate * 0.999
-    subset = endpoints[rows]
-    delta = subset - origin
-    scale = np.ones(len(rows), dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for axis in range(3):
-            component_delta = delta[:, axis]
-            usable = ~(np.abs(component_delta) < _EPSILON)
-            high = subset[:, axis] > limit
-            low = (~high) & (subset[:, axis] < -limit)
-            candidate = np.where(
-                high,
-                (limit - origin[axis]) / component_delta,
-                (-limit - origin[axis]) / component_delta,
-            )
-            pick = usable & (high | low)
-            scale = np.where(pick, np.minimum(scale, candidate), scale)
-    scale = np.maximum(scale, 0.0)
-    endpoints[rows] = origin + delta * scale[:, None]
-
-
-@dataclass
-class _PreparedScan:
-    """One scan's rays after truncation/clipping, ready for the shared DDA."""
-
-    endpoints: np.ndarray  # (M, 3) float64, all inside the volume
-    truncated: np.ndarray  # (M,) bool -- no occupied endpoint for these
-    end_keys: np.ndarray  # (M, 3) int64
-    origin: np.ndarray  # (3,) float64
-    origin_key: np.ndarray  # (3,) int64
-
-
-def _prepare_scan(
-    converter: KeyConverter,
-    points: np.ndarray,
-    origin: Sequence[float],
-    max_range: float,
-) -> Optional[_PreparedScan]:
-    """Truncate, clip and discretise one scan; None when nothing survives.
-
-    Raises:
-        ValueError: if the origin lies outside the addressable volume while
-            any beam endpoint lies inside it -- the same condition under
-            which the scalar path raises from ``coord_to_key``.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
-        return None
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must have shape (N, 3), got {points.shape}")
-    origin_arr = np.asarray(origin, dtype=np.float64).reshape(3)
-
-    endpoints = points.copy()
-    truncated = np.zeros(len(points), dtype=bool)
-
-    # --- max-range truncation (same arithmetic as the scalar path) --------
-    if max_range > 0.0:
-        delta = points - origin_arr
-        distance = np.sqrt(
-            delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1] + delta[:, 2] * delta[:, 2]
-        )
-        over = distance > max_range
-        if over.any():
-            scale = max_range / distance[over]
-            endpoints[over] = origin_arr + (points[over] - origin_arr) * scale[:, None]
-            truncated |= over
-
-    # --- endpoint clipping at the addressable-volume boundary -------------
-    limit = converter.max_coordinate
-    in_range = ((endpoints >= -limit) & (endpoints < limit)).all(axis=1)
-    keep = np.ones(len(points), dtype=bool)
-    if not in_range.all():
-        if not converter.is_coordinate_in_range(*origin_arr):
-            # clip_segment_to_volume returns None: those beams contribute
-            # nothing at all.
-            keep &= in_range
-        else:
-            rows = np.nonzero(~in_range)[0]
-            _clip_endpoints_to_volume(converter, origin_arr, endpoints, rows)
-            truncated[rows] = True
-
-    endpoints = endpoints[keep]
-    truncated = truncated[keep]
-    if endpoints.shape[0] == 0:
-        return None
-
-    # Discretise the origin exactly like the scalar DDA's first step: an
-    # out-of-range origin with a surviving in-range endpoint raises here.
-    origin_key = converter.coord_to_key(*origin_arr)
-    return _PreparedScan(
-        endpoints=endpoints,
-        truncated=truncated,
-        end_keys=converter.coords_to_key_array(endpoints),
-        origin=origin_arr,
-        origin_key=np.array(origin_key.as_tuple(), dtype=np.int64),
-    )
-
-
 def compute_batch_update_arrays(
     converter: KeyConverter,
     scans: Sequence[Tuple[np.ndarray, Sequence[float], float]],
     counters=None,
 ) -> List[ScanUpdateArrays]:
-    """Ray-cast several scans through ONE batched DDA; the front-end kernel.
+    """Ray-cast several scans in one native call; the front-end kernel.
 
     Args:
         converter: key converter defining resolution and addressable volume.
@@ -240,145 +147,66 @@ def compute_batch_update_arrays(
 
     Returns:
         One :class:`ScanUpdateArrays` per input scan (de-duplication and the
-        occupied-beats-free rule applied per scan, never across scans).
+        occupied-beats-free rule applied per scan, never across scans).  Their
+        arrays are consecutive slices of one buffer, scan after scan, free
+        keys before occupied keys.
 
     Raises:
         ValueError: under exactly the scalar path's conditions (malformed
             points array; origin outside the addressable volume while any of
-            that scan's endpoints lies inside it).
+            that scan's endpoints lies inside it; a beam endpoint with no key,
+            e.g. a non-finite point).
 
-    All rays of all scans march through a single compacting traversal loop:
-    a ``scan_ids`` lane travels with the working set so every emitted voxel
-    key is attributed to its scan, which keeps the per-scan de-duplication
-    exact while the loop's per-iteration Python overhead is paid once per
-    batch instead of once per scan.
+    Truncation, clipping, discretisation, the DDA walk and the per-scan
+    sort and de-duplication all run in ``dda_kernel.c`` with the interpreter
+    lock released; this function only lays the scans out as flat arrays and
+    slices the answer.
     """
-    prepared = [_prepare_scan(converter, *scan) for scan in scans]
-
-    results: List[Optional[ScanUpdateArrays]] = [None] * len(prepared)
-    occupied: List[np.ndarray] = [_empty_packed()] * len(prepared)
-    ray_origins: List[np.ndarray] = []
-    ray_origin_keys: List[np.ndarray] = []
-    ray_endpoints: List[np.ndarray] = []
-    ray_end_keys: List[np.ndarray] = []
-    ray_scan_ids: List[np.ndarray] = []
-    for scan_id, prep in enumerate(prepared):
-        if prep is None:
-            results[scan_id] = ScanUpdateArrays(_empty_packed(), _empty_packed(), 0)
-            continue
-        not_truncated = ~prep.truncated
-        if not_truncated.any():
-            occupied[scan_id] = np.unique(pack_key_array(prep.end_keys[not_truncated]))
-        count = prep.endpoints.shape[0]
-        ray_origins.append(np.broadcast_to(prep.origin, (count, 3)))
-        ray_origin_keys.append(np.broadcast_to(prep.origin_key, (count, 3)))
-        ray_endpoints.append(prep.endpoints)
-        ray_end_keys.append(prep.end_keys)
-        ray_scan_ids.append(np.full(count, scan_id, dtype=np.int64))
-
-    emitted_packed: List[np.ndarray] = []
-    emitted_scan: List[np.ndarray] = []
-    if ray_endpoints:
-        origins = np.concatenate(ray_origins)
-        origin_keys = np.concatenate(ray_origin_keys)
-        endpoints = np.concatenate(ray_endpoints)
-        end_keys = np.concatenate(ray_end_keys)
-        scan_ids = np.concatenate(ray_scan_ids)
-
-        direction = endpoints - origins
-        length = np.sqrt(
-            direction[:, 0] * direction[:, 0]
-            + direction[:, 1] * direction[:, 1]
-            + direction[:, 2] * direction[:, 2]
-        )
-        active = (length >= _EPSILON) & ~(end_keys == origin_keys).all(axis=1)
-        rows = np.nonzero(active)[0]
-        if rows.size:
-            resolution = converter.resolution
-            unit = direction[rows] / length[rows, None]
-            step = np.zeros((rows.size, 3), dtype=np.int64)
-            step[unit > _EPSILON] = 1
-            step[unit < -_EPSILON] = -1
-            moving = step != 0
-            origin_center = (
-                origin_keys[rows] - converter.tree_max_val + 0.5
-            ) * resolution
-            border = origin_center + step * (0.5 * resolution)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_max = np.where(moving, (border - origins[rows]) / unit, np.inf)
-                t_delta = np.where(moving, resolution / np.abs(unit), np.inf)
-            # The scalar loop bound, per ray: terminates pathological rays.
-            remaining = (3.0 * (length[rows] / resolution + 2.0)).astype(np.int64) + 8
-            current = origin_keys[rows].copy()
-            end_k = end_keys[rows]
-            ray_length = length[rows]
-            lane = scan_ids[rows]
-            index = np.arange(current.shape[0])
-
-            while current.shape[0]:
-                # First-minimum tie-break, matching the scalar list.index(min).
-                axis = np.argmin(t_max, axis=1)
-                advance = t_max[index, axis] <= ray_length
-                if not advance.all():
-                    # Rays whose next boundary crossing lies beyond the
-                    # endpoint have enumerated every free voxel of their beam.
-                    current = current[advance]
-                    t_max = t_max[advance]
-                    t_delta = t_delta[advance]
-                    step = step[advance]
-                    end_k = end_k[advance]
-                    ray_length = ray_length[advance]
-                    remaining = remaining[advance]
-                    lane = lane[advance]
-                    axis = axis[advance]
-                    if current.shape[0] == 0:
-                        break
-                    index = np.arange(current.shape[0])
-                current[index, axis] += step[index, axis]
-                t_max[index, axis] += t_delta[index, axis]
-                component = current[index, axis]
-                in_bounds = (component >= 0) & (component <= 0xFFFF)
-                at_end = (current == end_k).all(axis=1)
-                emit = in_bounds & ~at_end
-                if emit.any():
-                    emitted_packed.append(pack_key_array(current[emit]))
-                    emitted_scan.append(lane[emit])
-                remaining -= 1
-                alive = emit & (remaining > 0)
-                if not alive.all():
-                    current = current[alive]
-                    t_max = t_max[alive]
-                    t_delta = t_delta[alive]
-                    step = step[alive]
-                    end_k = end_k[alive]
-                    ray_length = ray_length[alive]
-                    remaining = remaining[alive]
-                    lane = lane[alive]
-                    index = np.arange(current.shape[0])
-
-    if emitted_packed:
-        all_packed = np.concatenate(emitted_packed)
-        all_scan = np.concatenate(emitted_scan)
-        steps_per_scan = np.bincount(all_scan, minlength=len(prepared))
-    else:
-        all_packed = _empty_packed()
-        all_scan = np.empty(0, dtype=np.int64)
-        steps_per_scan = np.zeros(len(prepared), dtype=np.int64)
+    clouds: List[np.ndarray] = []
+    for points, _origin, _max_range in scans:
+        points = np.asarray(points, dtype=np.float64)
+        if points.size and (points.ndim != 2 or points.shape[1] != 3):
+            raise ValueError(f"points must have shape (N, 3), got {points.shape}")
+        clouds.append(points.reshape(-1, 3))
+    count = len(clouds)
+    points = np.ascontiguousarray(np.concatenate(clouds) if clouds else np.empty((0, 3)))
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum([len(cloud) for cloud in clouds], out=offsets[1:])
+    origins = np.array([np.asarray(origin, dtype=np.float64).reshape(3) for _p, origin, _r in scans]).reshape(-1, 3)
+    max_ranges = np.array([float(max_range) for _p, _o, max_range in scans], dtype=np.float64)
+    counts = np.zeros((count, _COUNT_WORDS), dtype=np.int64)
+    error = np.zeros(2, dtype=np.int64)
+    buffer = ctypes.c_void_p()
+    code = _cast_scans(
+        points.ctypes.data, offsets.ctypes.data, origins.ctypes.data, max_ranges.ctypes.data, count,
+        converter.resolution, converter.tree_max_val, counts.ctypes.data, ctypes.byref(buffer), error.ctypes.data,
+    )
+    try:
+        if code == _DDA_MEMORY:
+            raise MemoryError("the front end could not allocate its key lists")
+        if code:
+            scan, ray = error.tolist()
+            where = "scan origin" if code == _DDA_ORIGIN else "beam endpoint"
+            coordinate = tuple((origins[scan] if code == _DDA_ORIGIN else points[ray]).tolist())
+            raise ValueError(
+                f"{where} {coordinate!r} of scan {scan} outside the mappable volume "
+                f"(+/- {converter.max_coordinate} m at resolution {converter.resolution} m)"
+            )
+        keys = np.empty(int(counts[:, :2].sum()), dtype=np.uint64)
+        if keys.size:
+            ctypes.memmove(keys.ctypes.data, buffer, keys.nbytes)
+    finally:
+        _release(buffer)
 
     if counters is not None:
-        counters.ray_steps += int(all_packed.size)
-
-    for scan_id in range(len(prepared)):
-        if results[scan_id] is not None:
-            continue
-        free = np.unique(all_packed[all_scan == scan_id])
-        occ = occupied[scan_id]
-        if free.size and occ.size:
-            # Occupied beats free within the scan, exactly like the scalar
-            # ``free_keys -= occupied_keys``.
-            free = free[~np.isin(free, occ)]
-        results[scan_id] = ScanUpdateArrays(free, occ, int(steps_per_scan[scan_id]))
-    return results  # type: ignore[return-value]
+        counters.ray_steps += int(counts[:, 2].sum())
+    results: List[ScanUpdateArrays] = []
+    position = 0
+    for free, occupied, steps in counts.tolist():
+        middle = position + free
+        results.append(ScanUpdateArrays(keys[position:middle], keys[middle : middle + occupied], steps))
+        position = middle + occupied
+    return results
 
 
 def compute_scan_update_arrays(

@@ -13,10 +13,10 @@ The pipeline sits between request admission and the shard workers:
    session's :class:`~repro.serving.backends.ShardBackend` (serially for the
    inline reference backend, concurrently for the pool backends).
 
-The front end is the batched numpy pipeline of
-:mod:`repro.octomap.raycast_vec`: all rays of *every scan in the flush* step
-through one batched DDA as arrays (a scan-id lane keeps de-duplication per
-scan) and de-duplicate with one ``np.unique`` per scan.  The per-ray scalar
+The front end is :func:`repro.octomap.raycast_vec.compute_batch_update_arrays`:
+all rays of *every scan in the flush* go to the native DDA kernel in one call,
+which walks them, then sorts and de-duplicates each scan's keys, with the
+interpreter lock released.  The per-ray scalar
 kernel (:mod:`repro.octomap.scan_insertion`) is not reachable from here; the
 front-end equivalence suite computes the expected per-shard streams with it
 and compares them with what this pipeline dispatched.
@@ -223,8 +223,8 @@ class IngestionPipeline:
             points += len(request.cloud)
             rays += len(request.cloud)
 
-        # All popped scans ride one batched DDA: the loop overhead of the
-        # traversal is paid once per flush, not once per scan.
+        # All popped scans ride one native call: the foreign-call overhead is
+        # paid once per flush, not once per scan.
         scan_arrays = compute_batch_update_arrays(
             converter,
             [(request.cloud.points, request.origin, request.max_range) for request in requests],

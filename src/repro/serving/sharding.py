@@ -112,7 +112,7 @@ class ShardRouter:
     def partition_key_arrays(
         self, keys: np.ndarray, occupied: np.ndarray
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Array counterpart of :meth:`partition` for the vectorized front end.
+        """Array counterpart of :meth:`partition` for the front end's key arrays.
 
         Args:
             keys: ``(N, 3)`` key components of the ordered update stream.

@@ -1,4 +1,4 @@
-"""The native kernel's build: compiled once per source, shared by every process, loud when broken."""
+"""The native kernels' build: compiled once per source, shared by every process, loud when broken."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.core import native
-from repro.octomap import PointCloud
+from repro.octomap import PointCloud, raycast_vec
 from repro.serving import MapSession, ScanRequest, SessionConfig
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -36,12 +36,21 @@ def test_a_second_import_does_not_run_the_compiler():
             raise AssertionError(f"ran {args}")
         subprocess.run = refuse
         import repro.core.native
+        import repro.octomap.raycast_vec
         print(repro.core.native.LIBRARY)
+        print(repro.octomap.raycast_vec._KERNEL._name)
         """
     )
     stdout, stderr = process.communicate(timeout=60)
     assert process.returncode == 0, stderr
-    assert stdout.strip() == str(native.LIBRARY)
+    assert stdout.split() == [str(native.LIBRARY), raycast_vec._KERNEL._name]
+
+
+def test_both_kernels_are_built_into_one_directory_keyed_by_their_source():
+    front_end = Path(raycast_vec._KERNEL._name)
+    assert front_end.parent == native.LIBRARY.parent == native.BUILD_DIR
+    assert front_end.name.startswith("dda_kernel-") and native.LIBRARY.name.startswith("pe_kernel-")
+    assert front_end == native.build(Path(raycast_vec.__file__).with_name("dda_kernel.c"))
 
 
 def test_two_first_imports_at_once_leave_one_loadable_library(tmp_path):

@@ -1,4 +1,4 @@
-"""Vectorized front-end kernel: equivalence with the scalar DDA, edge cases.
+"""Native front-end kernel: equivalence with the scalar DDA, edge cases.
 
 The contract under test is strict: for any scan, the packed key arrays of
 :mod:`repro.octomap.raycast_vec` must match the scalar reference
@@ -12,12 +12,15 @@ scans; the named tests nail the edge cases one at a time.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.address_gen import AddressGenerator
+from repro.octomap import raycast_vec
 from repro.octomap.counters import OperationCounters
 from repro.octomap.keys import KeyConverter, OcTreeKey
 from repro.octomap.raycast_vec import (
@@ -266,6 +269,63 @@ class TestBatchKernel:
             )
 
 
+class TestNativeKernel:
+    def test_the_call_releases_the_interpreter_lock(self):
+        # A ctypes.CDLL function drops the GIL for the call; a PyDLL one, or
+        # one flagged to use the Python API, would hold it.
+        assert not raycast_vec._cast_scans._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+    def test_keys_spanning_more_than_a_byte_per_axis(self):
+        # 1 cm voxels and beams of metres: per-axis key offsets above 255,
+        # straddling the key-space centre, so every radix pass of the
+        # kernel's sort runs.
+        converter = KeyConverter(0.01)
+        points = np.random.default_rng(23).uniform(-4.0, 4.0, size=(30, 3))
+        _assert_equivalent(converter, points, (0.003, -0.002, 0.001))
+        _assert_equivalent(converter, points, (0.003, -0.002, 0.001), max_range=2.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_point_raises_like_the_oracle(self, converter, bad):
+        points = [[1.0, 0.5, 0.0], [bad, 0.0, 0.0]]
+        with np.errstate(invalid="ignore"):  # the oracle clips inf to inf * 0
+            _assert_equivalent(converter, points, (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="beam endpoint"):
+            _vectorized(converter, points, (0.0, 0.0, 0.0))
+
+    def test_a_non_finite_point_from_an_outside_origin_is_dropped_like_the_oracle(self):
+        small = KeyConverter(0.1, tree_depth=6)
+        bad_origin = (small.max_coordinate * 2.0, 0.0, 0.0)
+        points = [[np.nan, 0.0, 0.0], [small.max_coordinate * 3.0, 0.0, 0.0]]
+        _assert_equivalent(small, points, bad_origin)
+        assert _vectorized(small, points, bad_origin) == (set(), set())
+
+    def test_the_error_names_the_scan(self):
+        small = KeyConverter(0.1, tree_depth=6)
+        bad_origin = (small.max_coordinate * 2.0, 0.0, 0.0)
+        scans = [(np.array([[0.5, 0.0, 0.0]]), (0.0, 0.0, 0.0), -1.0), (np.array([[0.1, 0.1, 0.1]]), bad_origin, -1.0)]
+        with pytest.raises(ValueError, match="scan origin .* of scan 1 outside"):
+            compute_batch_update_arrays(small, scans)
+
+    def test_results_are_consecutive_slices_in_dispatch_order(self, converter):
+        rng = np.random.default_rng(29)
+        scans = [(rng.uniform(-2.0, 2.0, size=(n, 3)), (0.0, 0.1, 0.0), -1.0) for n in (7, 0, 12)]
+        results = compute_batch_update_arrays(converter, scans)
+        flat = np.concatenate([np.concatenate((r.free_packed, r.occupied_packed)) for r in results])
+        base = results[0].free_packed.base
+        assert all(r.free_packed.base is base and r.occupied_packed.base is base for r in results)
+        assert np.array_equal(base, flat)
+
+
+scan_strategy = st.tuples(
+    st.lists(
+        st.tuples(*[st.floats(min_value=-9.0, max_value=9.0)] * 3),
+        min_size=0,
+        max_size=12,
+    ),
+    st.tuples(*[st.floats(min_value=-4.0, max_value=4.0)] * 3),
+    st.sampled_from([-1.0, 1.5, 4.0]),
+)
+
 points_strategy = st.lists(
     st.tuples(
         st.floats(min_value=-6.0, max_value=6.0),
@@ -296,3 +356,38 @@ class TestPropertyEquivalence:
     ):
         converter = KeyConverter(resolution, tree_depth=tree_depth)
         _assert_equivalent(converter, points, origin, max_range)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scans=st.lists(scan_strategy, min_size=1, max_size=4),
+        resolution=st.sampled_from([0.1, 0.25]),
+        tree_depth=st.sampled_from([5, 6, 16]),
+    )
+    def test_one_native_call_matches_the_scalar_oracle_scan_by_scan(self, scans, resolution, tree_depth):
+        # Small trees put origins and beams outside the volume: clipping,
+        # dropped beams and the raise all happen inside one batch.
+        converter = KeyConverter(resolution, tree_depth=tree_depth)
+        scans = [
+            (np.array(points, dtype=np.float64).reshape(-1, 3), origin, max_range)
+            for points, origin, max_range in scans
+        ]
+        expected, oracle_counters, oracle_error = [], OperationCounters(), None
+        try:
+            for points, origin, max_range in scans:
+                expected.append(_scalar(converter, points, origin, max_range, oracle_counters))
+        except ValueError as error:
+            oracle_error = error
+        native_counters = OperationCounters()
+        if oracle_error is not None:
+            with pytest.raises(ValueError):
+                compute_batch_update_arrays(converter, scans, counters=native_counters)
+            return
+        results = compute_batch_update_arrays(converter, scans, counters=native_counters)
+        assert native_counters.ray_steps == oracle_counters.ray_steps
+        for result, (free, occupied) in zip(results, expected):
+            assert np.array_equal(result.free_packed, np.sort(_packed(free)))
+            assert np.array_equal(result.occupied_packed, np.sort(_packed(occupied)))
+
+
+def _packed(keys) -> np.ndarray:
+    return pack_key_array(np.array([key.as_tuple() for key in keys], dtype=np.int64).reshape(-1, 3))
