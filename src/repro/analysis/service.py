@@ -134,27 +134,24 @@ def service_scaling_experiment(
                 batch_size=batch_size,
                 seed=seed,
             )
-            stats = list(manager.service_stats)
+            totals = manager.service_stats.totals()
             frequency = clock_hz
             if frequency is None:
                 first_session = manager.get_session(manager.session_ids()[0])
                 frequency = first_session.config.accelerator.clock_hz
-            ingest_cycles = sum(block.modelled_ingest_cycles for block in stats)
-            updates = manager.service_stats.total_voxel_updates()
-            ingest_seconds = ingest_cycles / frequency
-            visits = sum(block.ray_voxels_visited for block in stats)
-            removed = sum(block.duplicates_removed for block in stats)
+            updates = totals.voxel_updates
+            ingest_seconds = totals.modelled_ingest_cycles / frequency
             rows.append(
                 (
                     policy,
                     num_shards,
                     len(manager.service_stats),
-                    sum(block.scans_ingested for block in stats),
+                    totals.scans_ingested,
                     updates,
-                    100.0 * removed / visits if visits else 0.0,
+                    100.0 * totals.dedup_fraction,
                     1e3 * ingest_seconds,
                     (updates / ingest_seconds) / 1e6 if ingest_seconds > 0 else 0.0,
-                    100.0 * manager.service_stats.overall_hit_rate(),
+                    100.0 * totals.cache.hit_rate,
                 )
             )
     result = ExperimentResult(
@@ -431,8 +428,7 @@ def session_scaling_experiment(
         try:
             wall, threads = asyncio.run(drive())
             peak_threads = max(peak_threads, threads)
-            stats = list(manager.service_stats)
-            total_scans = sum(block.scans_ingested for block in stats)
+            total_scans = manager.service_stats.totals().scans_ingested
             batch_walls = [
                 report.wall_seconds
                 for session_id in session_ids

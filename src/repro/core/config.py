@@ -115,8 +115,8 @@ class OMUConfig:
             raise ValueError("clock_hz must be positive")
         if not 1 <= self.tree_depth <= 16:
             raise ValueError("tree_depth must be in [1, 16]")
-        if self.resolution_m <= 0:
-            raise ValueError("resolution_m must be positive")
+        if not 0 < self.resolution_m < float("inf"):
+            raise ValueError("resolution_m must be positive and finite")
 
     # ------------------------------------------------------------------
     # Derived sizes

@@ -140,13 +140,11 @@ class IngestionPipeline:
         """Admit one scan request into the scheduler."""
         self.validate(request)
         self.scheduler.push(request)
-        depth = len(self.scheduler)
-        self.stats.queue_high_water = max(self.stats.queue_high_water, depth)
         return IngestReceipt(
             request_id=request.request_id,
             session_id=self.session_id,
             num_points=len(request.cloud),
-            queue_depth=depth,
+            queue_depth=len(self.scheduler),
         )
 
     def pending(self) -> int:
@@ -289,13 +287,12 @@ class IngestionPipeline:
         self.stats.ingest_wall_seconds += report.wall_seconds
         self.stats.fanout_wall_seconds += report.fanout_seconds
         self.stats.frontend_wall_seconds += report.frontend_seconds
-        self.stats.drain_wait_seconds += report.drain_wait_seconds
         self.stats.shard_updates = list(self.backend.shard_load())
         # Absolute counters owned by the backend (non-zero on the socket
         # backend only), mirrored into the stats block like shard_updates.
         for counter, value in self.backend.failover_stats().items():
             setattr(self.stats, counter, value)
-        if self.metrics is not None and self.metrics.enabled:
+        if self.metrics is not None:
             # One record per dispatched batch: the apply/drain leg of the
             # ingest path, on the store's clock (drain time minus wall).
             self.metrics.observe(

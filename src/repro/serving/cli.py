@@ -315,7 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
             )
         reports = manager.flush_all()
-        print(f"Dispatched {len(reports)} batches, {manager.service_stats.total_voxel_updates()} voxel updates")
+        print(f"Dispatched {len(reports)} batches, {manager.service_stats.totals().voxel_updates} voxel updates")
 
         for _ in range(max(0, args.queries)):
             for session_id in manager.session_ids():
@@ -328,7 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         print()
         print(manager.render_stats())
-        hit_rate = 100.0 * manager.service_stats.overall_hit_rate()
+        hit_rate = 100.0 * manager.service_stats.totals().cache.hit_rate
         print(f"\nOverall cache hit rate: {hit_rate:.1f}%")
     finally:
         if previous_sigterm is not None:
@@ -378,11 +378,10 @@ async def _async_main(
             await service.flush_all()
             # Count every batch the background flushers dispatched, not just
             # the residual tail the final flush drained.
-            batches = sum(s.batches_dispatched for s in manager.service_stats)
+            totals = manager.service_stats.totals()
             print(
-                f"Dispatched {batches} batches, "
-                f"{manager.service_stats.total_voxel_updates()} voxel updates "
-                f"({sum(s.admission_waits for s in manager.service_stats)} backpressured submits)"
+                f"Dispatched {totals.batches_dispatched} batches, {totals.voxel_updates} voxel updates "
+                f"({totals.admission_waits} backpressured submits)"
             )
 
             if not stop.is_set():
@@ -397,7 +396,7 @@ async def _async_main(
 
             print()
             print(service.render_stats())
-            hit_rate = 100.0 * manager.service_stats.overall_hit_rate()
+            hit_rate = 100.0 * manager.service_stats.totals().cache.hit_rate
             print(f"\nOverall cache hit rate: {hit_rate:.1f}%")
     finally:
         _remove_signal_handlers(hooked)

@@ -59,7 +59,6 @@ from repro.serving.http.wire import (
     require_field,
     scan_request_from_payload,
     session_config_from_payload,
-    session_stats_payload,
     start_chunked_response,
     write_chunk,
     write_response,
@@ -266,7 +265,7 @@ class HttpMapServer:
         request_id = self._http_requests
         headers = {"X-Request-Id": str(request_id)}
         store = self.service.metrics
-        timer = (store.clock(), time.perf_counter()) if store.enabled else None
+        timer = (store.clock(), time.perf_counter())
         operation = "http:unknown"
         status = 500
         try:
@@ -337,8 +336,7 @@ class HttpMapServer:
             )
             return True
         finally:
-            if timer is not None:
-                self._record_http(request, operation, status, timer, request_id)
+            self._record_http(request, operation, status, timer, request_id)
 
     def _record_http(
         self,
@@ -537,7 +535,7 @@ class HttpMapServer:
 
     async def _handle_session_get(self, request: HttpRequest, sid: str) -> Tuple[int, dict]:
         session = self.service.manager.get_session(sid)
-        return 200, session_stats_payload(session.stats)
+        return 200, session.stats.to_dict()
 
     async def _handle_session_delete(self, request: HttpRequest, sid: str) -> Tuple[int, dict]:
         dropped_uploads = self.uploads.abort_session(sid)

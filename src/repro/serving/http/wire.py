@@ -29,7 +29,6 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.octomap.pointcloud import PointCloud
 from repro.serving.session import SessionConfig
-from repro.serving.stats import SessionStats
 from repro.serving.types import (
     BatchReport,
     BboxChunk,
@@ -59,7 +58,6 @@ __all__ = [
     "bbox_payload",
     "bbox_chunk_payload",
     "raycast_payload",
-    "session_stats_payload",
 ]
 
 STATUS_REASONS: Dict[int, str] = {
@@ -518,16 +516,6 @@ def raycast_payload(response: RaycastResponse) -> dict:
         "voxels_traversed": response.voxels_traversed,
         "cache_hits": response.cache_hits,
     }
-
-
-def session_stats_payload(stats: SessionStats) -> dict:
-    """One session's counters as machine-readable JSON (no table rendering).
-
-    Delegates to :meth:`~repro.serving.stats.SessionStats.to_dict` so the
-    wire shape, the rendered tables, and the ``--metrics-json`` dump all
-    read one source of truth.
-    """
-    return stats.to_dict()
 
 
 def _list_payloads(items: Sequence, codec) -> List[dict]:

@@ -213,8 +213,6 @@ class MapSessionManager:
 
     def ingest(self, request: ScanRequest, auto_create: bool = True) -> BatchReport:
         """Submit one request and dispatch its session immediately."""
-        if not self.metrics.enabled:
-            return self._ingest(request, auto_create=auto_create)
         started_s = self.metrics.clock()
         started_pc = time.perf_counter()
         outcome = "ok"

@@ -111,10 +111,6 @@ class MetricsStore:
             key; older windows are evicted as new ones open.
         ring_capacity: newest raw records kept for the access-log view.
         clock: monotonic time source (tests inject a fake).
-        enabled: a disabled store drops records at the door -- the
-            instrumentation-off half of the ``metrics_overhead`` benchmark
-            (hooks also short-circuit their own timing when the store they
-            would feed is disabled).
     """
 
     def __init__(
@@ -124,7 +120,6 @@ class MetricsStore:
         max_windows: int = 6,
         ring_capacity: int = 2048,
         clock: Callable[[], float] = time.monotonic,
-        enabled: bool = True,
     ) -> None:
         if window_s <= 0.0:
             raise ValueError("window_s must be positive")
@@ -135,23 +130,18 @@ class MetricsStore:
         self.window_s = window_s
         self.max_windows = max_windows
         self.clock = clock
-        self.enabled = enabled
         self._ring: Deque[RequestRecord] = deque(maxlen=ring_capacity)
         #: key -> window start (a multiple of window_s) -> rollup, insertion
         #: ordered by window start because records arrive in clock order.
         self._windows: Dict[_Key, Dict[float, OperationRollup]] = {}
         self._totals: Dict[_Key, OperationRollup] = {}
         self._records_seen = 0
-        self._records_dropped = 0
 
     # ------------------------------------------------------------------
     # Write side (the hot path)
     # ------------------------------------------------------------------
     def record(self, record: RequestRecord) -> None:
         """Fold one record into the ring, its window rollup, and the totals."""
-        if not self.enabled:
-            self._records_dropped += 1
-            return
         self._records_seen += 1
         self._ring.append(record)
         key = (record.tenant, record.session_id, record.operation)
@@ -186,9 +176,6 @@ class MetricsStore:
         request_id: int = -1,
     ) -> None:
         """Convenience: build the :class:`RequestRecord` and :meth:`record` it."""
-        if not self.enabled:
-            self._records_dropped += 1
-            return
         self.record(
             RequestRecord(
                 tenant=tenant,
@@ -269,10 +256,8 @@ class MetricsStore:
             "generated_at_s": self.clock(),
             "window_seconds": self.window_s,
             "max_windows": self.max_windows,
-            "enabled": self.enabled,
             "totals": {
                 "requests": self._records_seen,
-                "dropped_records": self._records_dropped,
                 "by_outcome": self.outcome_counts(),
             },
             "sessions": {sid: self._session_payload(sid) for sid in self.session_ids()},

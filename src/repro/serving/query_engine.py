@@ -118,7 +118,6 @@ class QueryEngine:
         result = self.backend.query_key(
             ShardQueryRequest(shard_id=shard_id, key=cache_key)
         )
-        self.stats.modelled_query_cycles += result.cycles
         self.cache.put(
             cache_key, shard_id, result.generation, (result.status, result.probability)
         )
@@ -174,7 +173,6 @@ class QueryEngine:
             for shard_id in np.unique(owners).tolist():
                 mine = slice_rows[owners == shard_id]
                 result = self.backend.query_keys(shard_id, keys[mine].astype(np.uint16))
-                self.stats.modelled_query_cycles += result.cycles
                 codes[mine] = result.statuses
                 raws[mine] = result.raws
         return codes, raws, shard_ids

@@ -13,6 +13,7 @@ pool executing it is private to the session or shared by a whole
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -127,6 +128,16 @@ class SessionConfig:
     fleet_workers: int = 0
 
     def __post_init__(self) -> None:
+        # NaN passes every range check below, so non-finite values go first.
+        for name in (
+            "default_max_range",
+            "quota_points_per_s",
+            "quota_burst_s",
+            "heartbeat_interval_s",
+            "heartbeat_timeout_s",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.fleet_workers < 0:
             raise ValueError("fleet_workers must be non-negative (0 = private pool)")
         if self.bbox_cache_capacity < 0:

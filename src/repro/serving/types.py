@@ -170,9 +170,8 @@ class QueryResponse:
         probability: occupancy probability, or ``None`` when unknown.
         shard_id: shard that owns (or would own) the voxel.
         cached: True when the answer came from the query cache.
-        cycles: modelled service cycles (0 for a cache hit, and for an answer
-            of a batch: a bulk read books its cycles per call, in
-            ``SessionStats.modelled_query_cycles``).
+        cycles: modelled service cycles (0 for a cache hit and for every
+            answer of a batch).
     """
 
     status: str

@@ -19,9 +19,10 @@ TINY_CLIENTS = (
 def test_run_service_workload_returns_populated_manager():
     manager = run_service_workload(TINY_CLIENTS, num_shards=2, query_rounds=2)
     assert manager.session_ids() == ("s1", "s2")
-    assert manager.service_stats.total_voxel_updates() > 0
-    assert manager.service_stats.total_queries() > 0
-    assert manager.service_stats.overall_hit_rate() > 0.0
+    totals = manager.service_stats.totals()
+    assert totals.voxel_updates > 0
+    assert totals.point_queries > 0
+    assert totals.cache.hit_rate > 0.0
 
 
 def test_service_scaling_experiment_table_shape():

@@ -80,6 +80,13 @@ def test_main_rejects_zero_sessions(capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--heartbeat-interval", "--heartbeat-timeout"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_main_rejects_a_non_finite_heartbeat(flag, value, capsys):
+    assert main([flag, value, "--scans", "1", "--sessions", "1"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_main_runs_async_front_end(capsys):
     exit_code = main(
         [

@@ -529,6 +529,21 @@ def test_session_config_rejects_a_value_of_the_wrong_json_type(payload):
     assert next(iter(payload)) in excinfo.value.message
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["quota_points_per_s", "quota_burst_s", "default_max_range", "resolution_m"],
+)
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_session_config_rejects_a_non_finite_number(field, literal):
+    """``json.loads`` parses these literals; a NaN quota would pass every
+    range check and leave the tenant's quota silently unenforced."""
+    payload = json.loads(f'{{"{field}": {literal}}}')
+    with pytest.raises(HttpError) as excinfo:
+        session_config_from_payload(SessionConfig(), payload)
+    assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config")
+    assert field in excinfo.value.message and "finite" in excinfo.value.message
+
+
 def test_session_config_accepts_every_matching_json_type():
     config = session_config_from_payload(
         SessionConfig(),

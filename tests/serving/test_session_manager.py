@@ -129,7 +129,7 @@ def test_stats_render_mentions_every_session(small_scans):
     assert "alpha" in rendered and "beta" in rendered
     assert "Serving: ingestion per session" in rendered
     assert "Serving: queries per session" in rendered
-    assert manager.service_stats.overall_hit_rate() > 0.0
+    assert manager.service_stats.totals().cache.hit_rate > 0.0
 
 
 def test_shard_load_and_batch_reports(small_requests):
