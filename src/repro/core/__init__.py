@@ -15,7 +15,8 @@ cycle-approximate fidelity:
 * :mod:`repro.core.probability_unit` -- the fixed-point occupancy datapath.
 * :mod:`repro.core.pe` -- the processing element: leaf update, parent update,
   prune / expand, with per-stage cycle accounting.
-* :mod:`repro.core.scheduler` -- the first-level-branch voxel scheduler.
+* :mod:`repro.core.scheduler` -- the first-level-branch voxel scheduler's issue
+  accounting (its routing runs in the PE kernel's native batch entry).
 * :mod:`repro.core.raycast_unit` -- the ray-casting front end and voxel queues.
 * :mod:`repro.core.query_unit` -- the voxel query service.
 * :mod:`repro.core.interconnect` -- AXI-Lite register file and DMA model.

@@ -2,7 +2,10 @@
 
 :class:`OMUAccelerator` wires together the front end (host interface, ray
 casting, voxel queues), the voxel scheduler, the PE array and the voxel query
-unit (paper Fig. 7) and exposes the operations the evaluation needs:
+unit (paper Fig. 7) and exposes the operations the evaluation needs.  The
+scheduler's routing and every PE's update loop are one native call per update
+stream (:func:`repro.core.pe.apply_keys`):
+
 
 * :meth:`process_scan` -- integrate one point cloud (ray casting + parallel
   voxel updates) and return the scan's cycle accounting;
@@ -21,10 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+import numpy as np
+
+from repro.core import native
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import DEFAULT_CONFIG, OMUConfig
 from repro.core.interconnect import HostInterface
-from repro.core.pe import ProcessingElement
+from repro.core.pe import ProcessingElement, apply_keys
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
 from repro.core.raycast_unit import RayCastingUnit
 from repro.core.scheduler import VoxelScheduler
@@ -79,7 +85,7 @@ class OMUAccelerator:
         self.pes: List[ProcessingElement] = [
             ProcessingElement(pe_id, config) for pe_id in range(config.num_pes)
         ]
-        self.scheduler = VoxelScheduler(config, self.address_generator)
+        self.scheduler = VoxelScheduler(config)
         self.raycaster = RayCastingUnit(config, self.address_generator)
         self.query_unit = VoxelQueryUnit(config, self.address_generator, self.pes)
         self.host = HostInterface()
@@ -101,8 +107,11 @@ class OMUAccelerator:
         self.host.start()
 
         cast = self.raycaster.cast_scan(cloud, origin, max_range=max_range)
-        batch = self.scheduler.schedule(cast.free_keys, cast.occupied_keys)
-        timing = self._execute_batch(batch, cast.cycles)
+        # Free-space updates are issued before occupied ones, mirroring the
+        # software insertion order (the key sets are de-duplicated upstream).
+        keys = np.array([key.as_tuple() for key in (*cast.free_keys, *cast.occupied_keys)], dtype=np.uint16)
+        occupied = np.arange(len(keys)) >= len(cast.free_keys)
+        timing = self._execute(keys.reshape(-1, 3), occupied, cast.cycles)
 
         self.map_timing.merge(timing)
         self.scans_processed += 1
@@ -123,31 +132,41 @@ class OMUAccelerator:
         :class:`~repro.core.scheduler.VoxelUpdateRequest` or, with
         ``occupied`` given, its columns: ``requests`` is then the ``(N, 3)``
         array of key components and ``occupied`` the ``(N,)`` flags.
+
+        Raises:
+            ValueError: if a key component lies outside the 16-bit key space
+                (what constructing the :class:`OcTreeKey` would reject), or
+                the columns disagree on N; nothing is applied or issued.
         """
         if occupied is None:
-            batch = self.scheduler.schedule_requests(requests)
-        else:
-            batch = self.scheduler.schedule_key_arrays(requests, occupied)
-        timing = self._execute_batch(batch, raycast_cycles=0)
+            occupied = [request.occupied for request in requests]
+            requests = [request.key.as_tuple() for request in requests]
+        keys = np.asarray(requests)
+        if keys.dtype != np.uint16 and keys.size and not (0 <= keys.min() and keys.max() <= 0xFFFF):
+            raise ValueError("key component outside [0, 65535]")
+        keys = np.ascontiguousarray(keys, dtype=np.uint16).reshape(-1, 3)
+        flags = np.ascontiguousarray(occupied, dtype=bool)
+        if flags.shape != keys.shape[:1]:
+            raise ValueError(f"{len(keys)} keys but occupied flags of shape {flags.shape}")
+        timing = self._execute(keys, flags, 0)
         self.map_timing.merge(timing)
         return timing
 
-    def _execute_batch(self, batch, raycast_cycles: int) -> ScanTiming:
-        """Run one scheduled batch on the PE array and account its cycles."""
-        per_pe_breakdowns: Dict[int, CycleBreakdown] = {
-            pe_id: self.pes[pe_id].update_paths(queue.paths, queue.occupied)
-            for pe_id, queue in batch.per_pe.items()
-        }
-        per_pe_cycles = {
-            pe_id: breakdown.total() for pe_id, breakdown in per_pe_breakdowns.items()
-        }
-
+    def _execute(self, keys: np.ndarray, occupied: np.ndarray, raycast_cycles: int) -> ScanTiming:
+        """Issue an ordered update stream to the PE array and account its cycles."""
+        tally = native.tallies(len(self.pes))
+        try:
+            per_pe_breakdowns = apply_keys(self.pes, keys, occupied, tally)
+        finally:
+            # The whole stream was issued, whatever became of it in the PEs.
+            issue_cycles = self.scheduler.issue(tally[native.T_ISSUED :: native.TALLY_WORDS])
+        per_pe_cycles = [breakdown.total() for breakdown in per_pe_breakdowns]
         timing = ScanTiming(
-            scheduler_cycles=batch.issue_cycles,
+            scheduler_cycles=issue_cycles,
             raycast_cycles=raycast_cycles,
-            pe_cycles_max=max(per_pe_cycles.values()) if per_pe_cycles else 0,
-            pe_cycles_total=sum(per_pe_cycles.values()),
-            voxel_updates=batch.total_updates(),
+            pe_cycles_max=max(per_pe_cycles),
+            pe_cycles_total=sum(per_pe_cycles),
+            voxel_updates=len(occupied),
         )
         timing.breakdown = self._accelerator_breakdown(
             per_pe_cycles, per_pe_breakdowns, raycast_cycles
@@ -156,8 +175,8 @@ class OMUAccelerator:
 
     def _accelerator_breakdown(
         self,
-        per_pe_cycles: Dict[int, int],
-        per_pe_breakdowns: Dict[int, CycleBreakdown],
+        per_pe_cycles: List[int],
+        per_pe_breakdowns: List[CycleBreakdown],
         raycast_cycles: int,
     ) -> CycleBreakdown:
         """Accelerator-level breakdown: the critical-path PE's stage mix.
@@ -168,9 +187,7 @@ class OMUAccelerator:
         update pipeline, so only its *excess* over the busiest PE shows up.
         """
         breakdown = CycleBreakdown()
-        if not per_pe_cycles:
-            return breakdown
-        busiest = max(per_pe_cycles, key=lambda pe_id: per_pe_cycles[pe_id])
+        busiest = max(range(len(per_pe_cycles)), key=per_pe_cycles.__getitem__)
         breakdown.merge(per_pe_breakdowns[busiest])
         excess_raycast = max(0, raycast_cycles - per_pe_cycles[busiest])
         if excess_raycast:

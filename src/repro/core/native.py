@@ -1,7 +1,8 @@
 """The native kernels' build, and the PE update kernel loaded with ctypes.
 
-:meth:`repro.core.pe.ProcessingElement.update_paths` runs its per-voxel loop
-in C (``pe_kernel.c``, next to this file), and the ingestion front end
+:meth:`repro.core.accelerator.OMUAccelerator.apply_update_batch` -- key to
+path, PE routing and every PE's per-voxel loop -- is one call into C
+(``pe_kernel.c``, next to this file), and the ingestion front end
 (:mod:`repro.octomap.raycast_vec`) ray-casts in C (``dda_kernel.c``, next to
 that module).  :func:`build` compiles a kernel source if no build of it
 exists yet -- ``gcc -O2 -shared -fPIC``, about a fifth of a second, once per
@@ -18,7 +19,8 @@ importing at the same time for the first time each compile, and one
 complete library is left.
 
 :class:`PEImage` mirrors the C ``pe_image`` struct, and the constants below
-mirror the kernel's return codes and the words of its ``tally`` array.
+mirror the kernel's return codes and the words of one PE's block of its
+``tallies`` array.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ import hashlib
 import os
 import subprocess
 import tempfile
+from array import array
 from pathlib import Path
+from typing import Sequence
 
-__all__ = ["PEImage", "SOURCE", "BUILD_DIR", "LIBRARY", "build", "update_paths"]
+__all__ = ["PEImage", "SOURCE", "BUILD_DIR", "LIBRARY", "build", "apply_batch", "image_table", "tallies"]
 
 SOURCE = Path(__file__).with_name("pe_kernel.c")
 BUILD_DIR = Path(__file__).with_name("_build")
@@ -39,20 +43,23 @@ BUILD_DIR = Path(__file__).with_name("_build")
 COMPILE = ("gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LINK = ("-lm",)
 
-# Return codes of pe_update_paths.
+# Return codes of pe_apply_batch.
 OK, GROW, CAPACITY, MISMATCH, CHILDLESS, FREE_ROW = range(6)
 
-# Words of the tally array a call adds to (see pe_kernel.c).
-T_DONE, T_NEW_NODES, T_ALLOCATIONS, T_EXPANSIONS, T_PRUNES, T_ROW_READS, T_ROW_WRITES, T_ERROR_ROW, T_ERROR_BANK = (
-    range(9)
-)
-T_WRITES = 9
+# Words of one PE's tally block, which a call adds to (see pe_kernel.c).
+T_ISSUED, T_DONE, T_NEW_NODES, T_ALLOCATIONS, T_EXPANSIONS, T_PRUNES, T_ROW_READS, T_ROW_WRITES = range(8)
+T_ERROR_ROW, T_ERROR_BANK = 8, 9
+T_WRITES = 10
 T_OCCUPIED = T_WRITES + 8
-TALLY_WORDS = T_OCCUPIED + 8
+T_PATH_NODES = T_OCCUPIED + 8
+TALLY_WORDS = T_PATH_NODES + 8
 
 
 class PEImage(ctypes.Structure):
-    """The addresses and constants one PE's kernel calls work on (C ``pe_image``)."""
+    """The addresses and constants one PE's kernel calls work on (C ``pe_image``).
+
+    Its first 32 words are the bank arrays' addresses, eight per field.
+    """
 
     _fields_ = [
         ("valid", ctypes.c_void_p * 8),
@@ -73,6 +80,16 @@ class PEImage(ctypes.Structure):
         ("clamp_min", ctypes.c_int64),
         ("clamp_max", ctypes.c_int64),
     ]
+
+
+def image_table(images: Sequence[PEImage]) -> ctypes.Array:
+    """The ``images`` argument of :data:`apply_batch`: the addresses of ``images``, in PE order."""
+    return (ctypes.c_void_p * len(images))(*map(ctypes.addressof, images))
+
+
+def tallies(num_pes: int) -> array:
+    """A zeroed ``tallies`` argument of :data:`apply_batch` for ``num_pes`` PEs."""
+    return array("q", bytes(8 * TALLY_WORDS * num_pes))
 
 
 def build(source: Path = SOURCE, build_dir: Path = BUILD_DIR) -> Path:
@@ -102,12 +119,14 @@ def build(source: Path = SOURCE, build_dir: Path = BUILD_DIR) -> Path:
 
 
 LIBRARY = build()
-update_paths = ctypes.CDLL(str(LIBRARY)).pe_update_paths
-update_paths.argtypes = [
-    ctypes.POINTER(PEImage),
-    ctypes.c_void_p,  # paths: (count, depth) uint8
+apply_batch = ctypes.CDLL(str(LIBRARY)).pe_apply_batch
+apply_batch.argtypes = [
+    ctypes.c_void_p,  # images: num_pes PEImage pointers
+    ctypes.c_int64,  # num_pes
+    ctypes.c_void_p,  # keys: (count, 3) uint16
     ctypes.c_void_p,  # occupied: (count,) bool
     ctypes.c_int64,  # count
-    ctypes.c_void_p,  # tally: TALLY_WORDS int64
+    ctypes.c_void_p,  # order: room for count int64 stream positions
+    ctypes.c_void_p,  # tallies: num_pes blocks of TALLY_WORDS int64
 ]
-update_paths.restype = ctypes.c_int
+apply_batch.restype = ctypes.c_int

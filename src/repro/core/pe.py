@@ -22,13 +22,17 @@ fiat.  The walks are integer loops over the TreeMem arrays: no entry object is
 built on the update or query path.
 
 Where the loops live.  The update loop is C: ``pe_kernel.c``, built and
-loaded by :mod:`repro.core.native`.  :meth:`ProcessingElement.update_paths`
-hands it the whole stream in one ``ctypes`` call, which releases the
-interpreter lock, so PEs of different shards update on different cores at
-once.  The kernel works in place on the bank arrays and on the prune address
-manager's arrays, whose addresses the PE pins once per buffer (again only
-after the image grew), and returns what it did as counts that
-:meth:`ProcessingElement._charge` books.  The same loop in Python is the
+loaded by :mod:`repro.core.native`.  Its one entry is the whole PE array's:
+:func:`apply_keys` hands it an accelerator's update stream as ``(N, 3)``
+``uint16`` keys in one ``ctypes`` call, which releases the interpreter lock,
+so the accelerators of different shards update on different cores at once.
+The kernel derives each key's path and PE (the voxel scheduler of Fig. 7),
+then runs PE 0, 1, ... each over its own updates in stream order.  It works
+in place on each PE's bank arrays and prune address manager arrays, whose
+addresses the PE pins once per buffer (again only after the image grew), and
+returns what it did per PE as counts that :meth:`ProcessingElement._book`
+charges.  :meth:`ProcessingElement.update_paths` goes through the same entry
+with its PE alone.  The same loop in Python, one PE at a time, is the
 kernel's differential oracle, ``tests/core/oracle_pe.py``.  The query loop
 (:meth:`ProcessingElement.query_paths`) stays Python: a point read is one
 short walk, which a foreign call would make slower, not faster.
@@ -40,9 +44,9 @@ its children's values)``.  Three consequences, all exact:
 
 * The scheduler issues voxels in stream order and the front ends emit them
   spatially sorted, so consecutive updates share most of their path.  Within
-  one :meth:`ProcessingElement.update_paths` call the kernel keeps the
-  previous update's row per level (a path register) and resumes the descent
-  below the shared prefix, cut back to the lowest level that update pruned.
+  one call the kernel keeps each PE's previous update's row per level (a path
+  register) and resumes the descent below the shared prefix, cut back to the
+  lowest level that update pruned.
   The register is a local of the call, never PE state: whatever happens to
   the image between calls (restore, tampering, a query) is met by a walk from
   row 0, guards included.
@@ -65,15 +69,16 @@ Failure contract.  The kernel stops at the first update it cannot complete
 and returns a code saying why: no row left (``MemoryCapacityError``), a tag
 listing a child its bank does not hold (``tag/memory mismatch``), a parent
 with no children, or a row the prune address manager refuses to take back.
-The updates of the call before it are applied and charged, then
-``update_paths`` raises the exception the Python kernel raised, with its
-message.  The invariant above holds between *completed* updates only: the
-failed update has stored nodes its parents do not list, the shortcuts are no
-longer exact on that image, and the serving layer fail-stops a shard backend
-on any apply error.  One code is not a failure: "grow" means the next update
-could take a fresh row past the end of the image's arrays, which are sized to
-the map (:mod:`repro.core.treemem`); the PE doubles them, pins them again and
-issues the rest of the stream.
+The PEs before the failing one and that PE's updates before it are applied
+and charged, the PEs after it are untouched, and :func:`apply_keys` raises
+the exception the Python kernel raised, with its message.  The invariant
+above holds between *completed* updates only: the failed update has stored
+nodes its parents do not list, the shortcuts are no longer exact on that
+image, and the serving layer fail-stops a shard backend on any apply error.
+One code is not a failure: "grow" means a PE's next update could take a fresh
+row past the end of its image's arrays, which are sized to the map
+(:mod:`repro.core.treemem`); that PE doubles them and pins them again, and
+the call is issued again, every PE going on after the updates it has done.
 
 A level-synchronous (array-at-a-time) form of the update loop was sized
 against the serving layer's real PE queues and ruled out: ~47% of a queue's
@@ -85,6 +90,7 @@ applying the updates one after another.
 
 from __future__ import annotations
 
+import ctypes
 from array import array
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -144,8 +150,8 @@ class ProcessingElement:
         self.counters = OperationCounters()
         self.stats = PETimingStats(pe_id=pe_id)
         self.query_cycles = 0
-        #: Children rows the last :meth:`update_paths` call read on the host
-        #: (the model charges one per parent regardless).
+        #: Children rows the host read for this PE in the last update call
+        #: that reached it (the model charges one per parent regardless).
         self.host_row_reads = 0
         # Per first-level branch: 1 once its local root is initialised in row 0.
         self._local_roots = array("B", bytes(8))
@@ -159,6 +165,7 @@ class ProcessingElement:
         # What the native kernel works on, made by the first update (_pin).
         self._image: Optional[native.PEImage] = None
         self._pinned_entries = 0  # the bank arrays' total length when last pinned
+        self._bank_arrays = self._valid + self._pointers + self._tags + self._probabilities  # PEImage's order
 
     # ------------------------------------------------------------------
     # Voxel update (the main datapath)
@@ -193,6 +200,9 @@ class ProcessingElement:
         value, reading a children row only where the stored entry cannot
         answer.  The order of the stream decides how much that saves, never
         what is stored or charged.
+
+        The paths go back to the keys they encode, and :func:`apply_keys`
+        runs them with this PE as the only one, so every key is its own.
         """
         self.host_row_reads = 0
         if not len(paths):
@@ -206,42 +216,28 @@ class ProcessingElement:
             raise ValueError(f"{count} updates need ({count}, {depth}) integer paths, not {paths.dtype} {paths.shape}")
         if paths.min() < 0 or paths.max() > 7:
             raise ValueError("a path holds a child index outside [0, 7]")
-        paths = np.ascontiguousarray(paths, dtype=np.uint8)
-        tally = array("q", bytes(8 * native.TALLY_WORDS))
-        tally_at = tally.buffer_info()[0]
-        paths_at, flags_at = paths.ctypes.data, flags.ctypes.data
-        while True:
-            if sum(map(len, self._valid)) != self._pinned_entries:
-                self._pin()
-            done = tally[native.T_DONE]
-            code = native.update_paths(self._image, paths_at + done * depth, flags_at + done, count - done, tally_at)
-            if code != native.GROW:
-                break
-            self.memory.reserve(2 * self.memory.rows)
-        done = tally[native.T_DONE]
-        self.memory.charge_kernel_writes(
-            tally[native.T_WRITES : native.T_WRITES + 8],
-            tally[native.T_OCCUPIED : native.T_OCCUPIED + 8],
-            tally[native.T_ROW_WRITES],
-        )
-        self.host_row_reads = tally[native.T_ROW_READS]
-        charged = self._charge(
-            paths[:done],
-            tally[native.T_NEW_NODES],
-            tally[native.T_ALLOCATIONS],
-            tally[native.T_EXPANSIONS],
-            tally[native.T_PRUNES],
-        )
-        if code != native.OK:
-            raise self._failure(code, tally[native.T_ERROR_ROW], tally[native.T_ERROR_BANK])
-        return charged
+        # Bit a of child index l is bit depth-1-l of key component a.
+        axes = (paths.astype(np.int64)[:, None, :] >> np.arange(3)[:, None]) & 1
+        keys = np.ascontiguousarray(axes @ (1 << np.arange(depth - 1, -1, -1)), dtype=np.uint16)
+        (breakdown,) = apply_keys([self], keys, flags, native.tallies(1))
+        return breakdown
+
+    def pinned_image(self) -> native.PEImage:
+        """What the native kernel works on, with the bank arrays' current addresses.
+
+        A check as cheap as the arrays' total length finds an image that grew
+        since it was last pinned, inside the kernel's calls or outside them
+        (a restore, :meth:`BankedTreeMemory.write_entry` past :attr:`rows`).
+        """
+        if sum(map(len, self._valid)) != self._pinned_entries:
+            self._pin()
+        return self._image
 
     def _pin(self) -> None:
         """Hand the kernel the bank arrays' current addresses (they move when the image grows)."""
-        image = self._image
-        if image is None:
+        if self._image is None:
             allocator, params = self.allocator, self.probability_unit.params
-            image = self._image = native.PEImage(
+            self._image = native.PEImage(
                 num_rows=allocator.num_rows,
                 reserved_rows=allocator.reserved_rows,
                 stack=allocator.stack.buffer_info()[0],
@@ -255,12 +251,27 @@ class ProcessingElement:
                 clamp_min=params.raw_clamp_min,
                 clamp_max=params.raw_clamp_max,
             )
-        for bank, arrays in enumerate(zip(self._valid, self._pointers, self._tags, self._probabilities)):
-            image.valid[bank], image.pointers[bank], image.tags[bank], image.probabilities[bank] = (
-                field.buffer_info()[0] for field in arrays
-            )
-        image.capacity = self.memory.rows
+        # One slice assignment over the image's first 32 words: about a third of the cost of 32 item writes.
+        (ctypes.c_void_p * 32).from_buffer(self._image)[:] = [field.buffer_info()[0] for field in self._bank_arrays]
+        self._image.capacity = self.memory.rows
         self._pinned_entries = sum(map(len, self._valid))
+
+    def _book(self, tally: Sequence[int]) -> CycleBreakdown:
+        """Charge what one PE's tally block says the kernel did."""
+        self.memory.charge_kernel_writes(
+            tally[native.T_WRITES : native.T_WRITES + 8],
+            tally[native.T_OCCUPIED : native.T_OCCUPIED + 8],
+            tally[native.T_ROW_WRITES],
+        )
+        self.host_row_reads = tally[native.T_ROW_READS]
+        return self._charge(
+            tally[native.T_DONE],
+            tally[native.T_PATH_NODES : native.T_PATH_NODES + 8],
+            tally[native.T_NEW_NODES],
+            tally[native.T_ALLOCATIONS],
+            tally[native.T_EXPANSIONS],
+            tally[native.T_PRUNES],
+        )
 
     def _failure(self, code: int, row: int, bank: int) -> Exception:
         """The exception a kernel return code stands for."""
@@ -274,12 +285,20 @@ class ProcessingElement:
         return self.allocator.free_error(row)
 
     def _charge(
-        self, paths: np.ndarray, new_nodes: int, allocations: int, expansions: int, prunes: int
+        self,
+        updates: int,
+        path_nodes: Sequence[int],
+        new_nodes: int,
+        allocations: int,
+        expansions: int,
+        prunes: int,
     ) -> CycleBreakdown:
-        """Book ``len(paths)`` completed updates plus the tallied events, stage by stage."""
+        """Book ``updates`` completed updates plus the tallied events, stage by stage.
+
+        ``path_nodes[b]`` of the nodes on those updates' paths live in bank ``b``.
+        """
         timing = self.config.timing
         depth = self.config.tree_depth
-        updates = len(paths)
         parents = updates * (depth - 1)
         # Every new node is one bank write, every row allocation one more
         # (the parent's pointer); an expansion's eight nodes are a row write.
@@ -305,9 +324,7 @@ class ProcessingElement:
         self.stats.bank_reads += updates * depth
         self.stats.bank_writes += updates * depth + event_writes
         self.stats.row_accesses += parents + expansions + prunes
-        self.memory.charge_update_accesses(
-            np.bincount(paths.ravel(), minlength=8).tolist(), row_reads=parents
-        )
+        self.memory.charge_update_accesses(path_nodes, row_reads=parents)
         counters = self.counters
         counters.leaf_updates += updates
         counters.child_reads += 8 * parents
@@ -450,3 +467,48 @@ class ProcessingElement:
     def busy_cycles(self) -> int:
         """Cycles of useful work performed so far."""
         return self.stats.busy_cycles()
+
+
+def apply_keys(
+    pes: Sequence[ProcessingElement], keys: np.ndarray, flags: np.ndarray, tally: array
+) -> List[CycleBreakdown]:
+    """Apply an ordered update stream to ``pes`` in one native call, and book it.
+
+    ``keys`` is the stream's C-ordered ``(N, 3)`` ``uint16`` key components,
+    ``flags`` its ``(N,)`` ``bool`` measurements and ``tally`` a zeroed
+    :func:`native.tallies` for ``pes``.  Key ``i`` belongs to
+    ``pes[path[0] % len(pes)]``, its first-level branch modulo the PE count.
+    Returns each PE's cycles by stage -- an empty breakdown, and no charge,
+    for a PE the stream gives nothing.  The module docstring says how a PE
+    that runs out of image is grown and how a call fails.
+    """
+    num_pes, count = len(pes), len(flags)
+    # What the kernel indexes with: anything else would read or write past a buffer.
+    if not (1 <= num_pes <= 8 and keys.shape == (count, 3) and keys.dtype == np.uint16 and flags.dtype == np.bool_):
+        raise ValueError(f"{num_pes} PEs, keys {keys.dtype}{keys.shape}, flags {flags.dtype}{flags.shape}")
+    if not (keys.flags.c_contiguous and flags.flags.c_contiguous):
+        raise ValueError("keys and flags must be C-contiguous")
+    table = native.image_table([pe.pinned_image() for pe in pes])
+    order = np.empty(count, dtype=np.int64)
+    addresses = keys.ctypes.data, flags.ctypes.data, count, order.ctypes.data, tally.buffer_info()[0]
+    while True:
+        code = native.apply_batch(table, num_pes, *addresses)
+        if code != native.GROW:
+            break
+        # The PE the call stopped in is the first with updates left.
+        blocks = range(0, num_pes * native.TALLY_WORDS, native.TALLY_WORDS)
+        pe = next(pe for pe, at in zip(pes, blocks) if tally[at + native.T_DONE] < tally[at + native.T_ISSUED])
+        pe.memory.reserve(2 * pe.memory.rows)
+        pe._pin()
+    words = tally.tolist()
+    breakdowns = []
+    for index, pe in enumerate(pes):
+        block = words[index * native.TALLY_WORDS : (index + 1) * native.TALLY_WORDS]
+        if not block[native.T_ISSUED]:
+            pe.host_row_reads = 0
+            breakdowns.append(CycleBreakdown())
+            continue
+        breakdowns.append(pe._book(block))
+        if block[native.T_DONE] < block[native.T_ISSUED]:
+            raise pe._failure(code, block[native.T_ERROR_ROW], block[native.T_ERROR_BANK])
+    return breakdowns

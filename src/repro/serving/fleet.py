@@ -306,6 +306,8 @@ class SlotEngine:
         #: one :class:`RecoveryReport` per rehydrated shard, oldest first.
         self.recoveries: List[RecoveryReport] = []
         self._shards: Dict[int, _HostedShard] = {}
+        #: set by :meth:`close`: a lost peer is then the close, not a failure to recover from.
+        self._closing = False
         self._slot_load = [0] * num_slots
         self._locks = [threading.Lock() for _ in range(num_slots)]
         self._io = ThreadPoolExecutor(max_workers=num_slots, thread_name_prefix="fleet-io")
@@ -365,6 +367,8 @@ class SlotEngine:
         attempt succeeds or re-homing raises because nowhere is left to go.
         """
         while True:
+            if self._closing:
+                raise ShardBackendError("backend pool is closed")
             try:
                 if self._slots[slot] is None:
                     self._rehydrate(slot)
@@ -601,11 +605,15 @@ class SlotEngine:
         return len(self._shards)
 
     def close(self) -> None:
-        for slot, channel in enumerate(self._slots):
-            if channel is None:
-                continue
+        """Close every slot's channel.  An exchange still queued then finds the
+        pool closed: it neither re-homes nor rehydrates, so no channel is
+        opened that this walk would miss."""
+        self._closing = True
+        for slot in range(self.num_slots):
             with self._locks[slot]:
-                channel.close([gid for gid, _ in self._on_slot(slot)])
+                channel, self._slots[slot] = self._slots[slot], None
+                if channel is not None:
+                    channel.close([gid for gid, _ in self._on_slot(slot)])
         self._shards.clear()
         self.channels.close()
         self._io.shutdown(wait=True)

@@ -1,15 +1,18 @@
 """The PE update kernel in Python: the differential oracle of ``pe_kernel.c``.
 
-:func:`update_paths` is the loop :meth:`repro.core.pe.ProcessingElement.update_paths`
-runs natively, written over the same state -- the bank arrays, the prune
-address manager, the local-root flags -- through the Python APIs that own it
+:func:`update_paths` is the loop the native kernel runs for one PE, written
+over the same state -- the bank arrays, the prune address manager, the
+local-root flags -- through the Python APIs that own it
 (:meth:`TreeMemBank.store`, :meth:`BankedTreeMemory.clear_row`,
 :meth:`PruneAddressManager.allocate_row` / ``free_row``), so every count the
 native kernel tallies and hands back is counted here where it happens.  It
 grows the image by the same rule (double before an update whose fresh rows
 could pass the arrays' end), raises what the native call raises, and charges
-through the PE's own ``_charge``.  The suites hold the two to byte-equal
-images, stacks, statistics, counters and access counts, failures included.
+through the PE's own ``_charge``.  :func:`apply_keys` is the native batch
+entry's scheduler in numpy: each key's path (``paths_for_keys``), a stable
+split by PE, then :func:`update_paths` on each PE in order.  The suites hold
+the two to byte-equal images, stacks, statistics, counters and access
+counts, failures included.
 
 Use it on a PE with ``oracle_pe.update_paths(pe, paths, occupied)``, or make
 an accelerator run on it with :func:`use_oracle`.
@@ -17,11 +20,14 @@ an accelerator run on it with :func:`use_oracle`.
 
 from __future__ import annotations
 
-import functools
+from array import array
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import accelerator as accelerator_module
+from repro.core import native
+from repro.core.address_gen import AddressGenerator
 from repro.core.pe import ProcessingElement
 from repro.core.timing import CycleBreakdown
 from repro.core.treemem import NULL_POINTER, ChildStatus
@@ -37,9 +43,30 @@ _CHILD_TAGS = tuple(
 
 
 def use_oracle(accelerator) -> None:
-    """Route every PE of ``accelerator`` through :func:`update_paths`."""
-    for pe in accelerator.pes:
-        pe.update_paths = functools.partial(update_paths, pe)
+    """Make every update stream of ``accelerator`` run on :func:`apply_keys` instead of the native entry."""
+    execute = accelerator._execute
+
+    def on_the_oracle(*args):
+        native_entry, accelerator_module.apply_keys = accelerator_module.apply_keys, apply_keys
+        try:
+            return execute(*args)
+        finally:
+            accelerator_module.apply_keys = native_entry
+
+    accelerator._execute = on_the_oracle
+
+
+def apply_keys(pes: Sequence[ProcessingElement], keys: np.ndarray, flags: np.ndarray, tally: array):
+    """What ``repro.core.pe.apply_keys`` does, a PE at a time."""
+    config = pes[0].config
+    paths = AddressGenerator(config.resolution_m, config.tree_depth, len(pes)).paths_for_keys(keys)
+    owners = paths[:, 0] % len(pes)
+    tally[native.T_ISSUED :: native.TALLY_WORDS] = array("q", np.bincount(owners, minlength=len(pes)).tolist())
+    breakdowns = []
+    for index, pe in enumerate(pes):
+        mine = owners == index
+        breakdowns.append(update_paths(pe, paths[mine], flags[mine].tolist()))
+    return breakdowns
 
 
 def read_children(pe: ProcessingElement, block: int) -> Tuple[int, List[int]]:
@@ -209,5 +236,6 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
             done += 1
     finally:
         pe.host_row_reads = row_reads
-        charged = pe._charge(paths[:done], new_nodes, allocations, expansions, prunes)
+        path_nodes = np.bincount(paths[:done].ravel(), minlength=8).tolist()
+        charged = pe._charge(done, path_nodes, new_nodes, allocations, expansions, prunes)
     return charged

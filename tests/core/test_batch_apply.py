@@ -68,18 +68,15 @@ def test_array_paths_match_the_scalar_address_generator(config):
         assert pe == generator.pe_for_key(OcTreeKey(*key))
 
 
-def test_schedule_requests_preserves_stream_order(config):
+def test_a_request_stream_applies_in_stream_order(config):
+    """Saturate, then miss: the clamped add does not commute, so only stream order gives this value."""
     accelerator = OMUAccelerator(config)
     key = accelerator.address_generator.key_for_point(0.5, 0.5, 0.5)
-    stream = [
-        VoxelUpdateRequest(key, occupied=True),
-        VoxelUpdateRequest(key, occupied=False),
-        VoxelUpdateRequest(key, occupied=True),
-    ]
-    batch = accelerator.scheduler.schedule_requests(stream)
-    pe = accelerator.address_generator.pe_for_key(key)
-    assert [request.occupied for request in batch.per_pe[pe]] == [True, False, True]
-    assert batch.issue_cycles == 3 * config.timing.scheduler_issue_cycles
+    flags = [True] * 8 + [False]
+    timing = accelerator.apply_update_batch([VoxelUpdateRequest(key, occupied) for occupied in flags])
+    params = config.quantized_params()
+    assert accelerator.query_keys(np.array([key.as_tuple()]))[1][0] == params.raw_clamp_max + params.raw_miss
+    assert timing.scheduler_cycles == len(flags) * config.timing.scheduler_issue_cycles
 
 
 def test_shard_prefix_and_index(config):

@@ -74,12 +74,12 @@ def test_two_first_imports_at_once_leave_one_loadable_library(tmp_path):
         built.append(stdout.strip())
     assert built[0] == built[1]
     assert [path.name for path in build_dir.iterdir()] == [Path(built[0]).name]  # no partial file left
-    assert ctypes.CDLL(built[0]).pe_update_paths
+    assert ctypes.CDLL(built[0]).pe_apply_batch
 
 
 def test_a_source_that_does_not_compile_is_an_import_error_with_the_compiler_message(tmp_path):
     broken = tmp_path / "pe_kernel.c"
-    broken.write_text("int pe_update_paths(void) { return undeclared_name; }\n")
+    broken.write_text("int pe_apply_batch(void) { return undeclared_name; }\n")
     with pytest.raises(ImportError, match="undeclared_name"):
         native.build(broken, tmp_path / "_build")
     assert list((tmp_path / "_build").iterdir()) == []

@@ -329,6 +329,63 @@ def test_close_with_a_ticket_outstanding_reaps_all_children(name):
     assert not any(alive())
 
 
+class _VanishingPeers:
+    """A channel kind whose every peer is gone once its channel is closed; counts what it opens."""
+
+    def __init__(self) -> None:
+        self.opened = []
+
+    def open(self, slot):
+        channel = _VanishingChannel()
+        self.opened.append(channel)
+        return channel
+
+    def worker_id(self, slot):
+        return f"peer:{slot}"
+
+    def rehome(self, slot, error):
+        pass  # a standby is always there: only the engine's own state can refuse a re-home
+
+    def close(self):
+        pass
+
+
+class _VanishingChannel:
+    def __init__(self) -> None:
+        self.closed = False
+        self._replies = []
+
+    def send(self, command):
+        if self.closed:
+            raise BrokenPipeError("closed")
+        self._replies.append(("ok", None))
+
+    def recv(self):
+        if self.closed:
+            raise EOFError("closed")
+        return self._replies.pop(0)
+
+    def check(self, counters):
+        pass
+
+    def close(self, hosted):
+        self.closed = True
+
+
+def test_an_exchange_reaching_its_slot_after_close_neither_rehomes_nor_opens_a_channel():
+    """What an apply still queued on the engine's I/O threads meets once ``close()`` ran."""
+    from repro.serving.fleet import SlotEngine
+
+    channels = _VanishingPeers()
+    engine = SlotEngine(channels, num_slots=1, snapshot_every_batches=4)
+    engine.attach(0, 0, CONFIG)
+    engine.close()
+    with pytest.raises(ShardBackendError, match="closed"):
+        engine._slot_task(0, [("ping", 0, None)])
+    assert len(channels.opened) == 1 and channels.opened[0].closed
+    assert engine.recoveries == []
+
+
 def test_session_context_manager_closes_backend():
     config = SessionConfig(num_shards=2, backend="process").with_resolution(0.25)
     with MapSession("map", config) as session:
