@@ -17,10 +17,9 @@ cycle-approximate fidelity:
   prune / expand, with per-stage cycle accounting.
 * :mod:`repro.core.scheduler` -- the first-level-branch voxel scheduler's issue
   accounting (its routing runs in the PE kernel's native batch entry).
-* :mod:`repro.core.raycast_unit` -- the ray-casting front end and voxel queues.
 * :mod:`repro.core.query_unit` -- the voxel query service.
-* :mod:`repro.core.interconnect` -- AXI-Lite register file and DMA model.
-* :mod:`repro.core.accelerator` -- the top level tying everything together.
+* :mod:`repro.core.accelerator` -- the top level tying everything together;
+  its front end is the native ray cast of :mod:`repro.octomap.raycast_vec`.
 * :mod:`repro.core.timing` -- cycle breakdown containers.
 * :mod:`repro.core.verification` -- equivalence checking against the software
   OctoMap golden model.
@@ -34,7 +33,6 @@ from repro.core.pe import QUERY_STATUSES, ProcessingElement
 from repro.core.probability_unit import ProbabilityUpdateUnit
 from repro.core.prune_manager import PruneAddressManager
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
-from repro.core.raycast_unit import RayCastingUnit, VoxelQueue
 from repro.core.scheduler import VoxelScheduler, VoxelUpdateRequest
 from repro.core.timing import CycleBreakdown, ScanTiming
 from repro.core.treemem import (
@@ -72,13 +70,11 @@ __all__ = [
     "QUERY_STATUSES",
     "QuantizedOccupancyParams",
     "QueryResult",
-    "RayCastingUnit",
     "ScanTiming",
     "TimingParams",
     "TreeMemBank",
     "TreeMemEntry",
     "VoxelQueryUnit",
-    "VoxelQueue",
     "VoxelScheduler",
     "VoxelUpdateRequest",
     "build_reference_tree",

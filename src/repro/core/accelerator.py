@@ -1,13 +1,15 @@
 """The OMU accelerator top level.
 
-:class:`OMUAccelerator` wires together the front end (host interface, ray
-casting, voxel queues), the voxel scheduler, the PE array and the voxel query
-unit (paper Fig. 7) and exposes the operations the evaluation needs.  The
-scheduler's routing and every PE's update loop are one native call per update
-stream (:func:`repro.core.pe.apply_keys`):
+:class:`OMUAccelerator` wires together the ray-casting front end (the native
+DDA of :mod:`repro.octomap.raycast_vec`, which the service also uses), the
+voxel scheduler, the PE array and the voxel query unit (paper Fig. 7) and
+exposes the operations the evaluation needs.  The scheduler's routing and
+every PE's update loop are one native call per update stream
+(:func:`repro.core.pe.apply_keys`):
 
 
-* :meth:`process_scan` -- integrate one point cloud (ray casting + parallel
+* :meth:`process_scan` -- integrate one point cloud (the native ray cast of
+  :func:`~repro.octomap.raycast_vec.compute_scan_update_arrays` + parallel
   voxel updates) and return the scan's cycle accounting;
 * :meth:`process_scan_graph` -- integrate a whole dataset and accumulate the
   map-level timing used by Tables III-V;
@@ -29,16 +31,15 @@ import numpy as np
 from repro.core import native
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import DEFAULT_CONFIG, OMUConfig
-from repro.core.interconnect import HostInterface
 from repro.core.pe import ProcessingElement, apply_keys
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
-from repro.core.raycast_unit import RayCastingUnit
 from repro.core.scheduler import VoxelScheduler
 from repro.core.timing import CycleBreakdown, ScanTiming
 from repro.octomap.counters import OperationCounters, OperationKind
 from repro.octomap.logodds import probability as logodds_to_probability
 from repro.octomap.octree import OccupancyOcTree
 from repro.octomap.pointcloud import PointCloud, ScanGraph
+from repro.octomap.raycast_vec import compute_scan_update_arrays, unpack_key_array
 
 __all__ = ["OMUAccelerator", "AcceleratorStatistics"]
 
@@ -86,9 +87,8 @@ class OMUAccelerator:
             ProcessingElement(pe_id, config) for pe_id in range(config.num_pes)
         ]
         self.scheduler = VoxelScheduler(config)
-        self.raycaster = RayCastingUnit(config, self.address_generator)
+        self.raycast_counters = OperationCounters()
         self.query_unit = VoxelQueryUnit(config, self.address_generator, self.pes)
-        self.host = HostInterface()
         self.map_timing = ScanTiming()
         self.scans_processed = 0
 
@@ -101,21 +101,28 @@ class OMUAccelerator:
         origin: Sequence[float],
         max_range: float = -1.0,
     ) -> ScanTiming:
-        """Integrate one sensor scan and return its timing summary."""
-        self.host.configure(self.config.resolution_m, max_range, origin)
-        self.host.stream_points(len(cloud))
-        self.host.start()
+        """Integrate one sensor scan and return its timing summary.
 
-        cast = self.raycaster.cast_scan(cloud, origin, max_range=max_range)
-        # Free-space updates are issued before occupied ones, mirroring the
-        # software insertion order (the key sets are de-duplicated upstream).
-        keys = np.array([key.as_tuple() for key in (*cast.free_keys, *cast.occupied_keys)], dtype=np.uint16)
-        occupied = np.arange(len(keys)) >= len(cast.free_keys)
-        timing = self._execute(keys.reshape(-1, 3), occupied, cast.cycles)
+        The scan is ray-cast in one native call -- the same front end the
+        serving layer uses -- into de-duplicated free and occupied keys (each
+        voxel at most once per scan, occupied beats free), which the scheduler
+        issues free before occupied, each set sorted, as the software
+        insertion path orders them.  Ray casting costs ``ray_step_cycles`` per
+        traversed voxel and runs ahead of the update pipeline, which hides it
+        behind the PEs: only its excess over the busiest PE reaches the
+        critical path (see :meth:`_accelerator_breakdown`).  A scan the ray
+        cast rejects raises before anything is counted or applied.
+        """
+        cast = compute_scan_update_arrays(
+            self.address_generator.converter, cloud.points, origin, max_range,
+            counters=self.raycast_counters,
+        )
+        keys = unpack_key_array(np.concatenate((cast.free_packed, cast.occupied_packed))).astype(np.uint16)
+        occupied = np.arange(len(keys)) >= cast.free_packed.size
+        timing = self._execute(keys, occupied, cast.ray_steps * self.config.timing.ray_step_cycles)
 
         self.map_timing.merge(timing)
         self.scans_processed += 1
-        self.host.finish(timing.critical_path_cycles())
         return timing
 
     def apply_update_batch(self, requests, occupied=None) -> ScanTiming:
@@ -212,14 +219,14 @@ class OMUAccelerator:
     def map_critical_path_cycles(self) -> int:
         """End-to-end cycles for everything processed so far, with pipelining.
 
-        The free / occupied voxel queues decouple the ray-casting front end
-        and the voxel scheduler from the PE array, so a PE left idle by one
-        scan's spatial distribution immediately receives work from the next
-        scan -- there is no barrier at scan boundaries.  The whole-map latency
-        is therefore the serial front-end time plus the *busiest PE's total*
-        busy cycles (overlapped with the total ray-casting time), rather than
-        the sum of per-scan maxima that :attr:`map_timing` would give.  This
-        is the latency the Tables III-V extrapolation uses.
+        The paper's free / occupied voxel queues decouple the ray-casting
+        front end and the voxel scheduler from the PE array, so a PE left idle
+        by one scan's spatial distribution immediately receives work from the
+        next scan -- there is no barrier at scan boundaries.  The whole-map
+        latency is therefore the serial front-end time plus the *busiest PE's
+        total* busy cycles (overlapped with the total ray-casting time),
+        rather than the sum of per-scan maxima that :attr:`map_timing` would
+        give.  This is the latency the Tables III-V extrapolation uses.
         """
         busiest_pe = max((pe.busy_cycles() for pe in self.pes), default=0)
         parallel_section = max(busiest_pe, self.map_timing.raycast_cycles)
@@ -409,9 +416,9 @@ class OMUAccelerator:
         return entry
 
     def counters(self) -> OperationCounters:
-        """Merged functional operation counters of all PEs and the ray caster."""
+        """Merged functional operation counters of all PEs and the ray cast."""
         merged = OperationCounters()
-        merged.merge(self.raycaster.counters)
+        merged.merge(self.raycast_counters)
         for pe in self.pes:
             merged.merge(pe.counters)
         return merged

@@ -2,7 +2,9 @@
 
 :mod:`repro.octomap.raycast` steps one ray at a time in pure Python -- one
 ``OcTreeKey`` allocation and a handful of interpreter operations per traversed
-voxel.  This module is the service's front end: :func:`compute_batch_update_arrays`
+voxel.  This module is the front end of the service and of the accelerator
+model (``OMUAccelerator.process_scan`` makes one
+:func:`compute_scan_update_arrays` call per scan): :func:`compute_batch_update_arrays`
 hands all beams of all scans of an ingestion batch to ``dda_kernel.c`` (next
 to this file, built by :func:`repro.core.native.build`), which truncates,
 clips and discretises each beam, walks it with the Amanatides-Woo DDA, and
@@ -23,8 +25,8 @@ floor/truncation, no fused multiply-add) so the property suite can pin the
 two paths against each other bit for bit.  The scalar implementation stays
 as the paper's software baseline and as the oracle of the equivalence suites
 (``tests/octomap/test_raycast_vec.py``,
-``tests/serving/test_frontend_equivalence.py``, ``benchmarks/e2e``); the
-serving runtime never calls it.
+``tests/serving/test_frontend_equivalence.py``, ``benchmarks/e2e``); neither
+the serving runtime nor the accelerator model calls it.
 """
 
 from __future__ import annotations

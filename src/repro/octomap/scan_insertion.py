@@ -10,9 +10,10 @@ A scan is integrated in two phases, exactly as OctoMap's
    voxel in the same scan, so thin obstacles are not erased by rays that
    terminate on them).
 
-The de-duplication sets are also what the OMU accelerator's free/occupied
-voxel queues carry (Fig. 7), so this module is shared by the software baseline
-and by the accelerator front end.
+This is the scalar, per-ray implementation: the paper's software baseline
+(``OccupancyOcTree.insert_point_cloud``) and the oracle the native front end
+(:mod:`repro.octomap.raycast_vec`, which the service and the accelerator model
+call) is pinned against key for key.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ def clip_segment_to_volume(converter, origin: Sequence[float], end: Sequence[flo
     """Shorten a segment so its endpoint lies inside the addressable volume.
 
     Returns the clipped endpoint, or None when even the origin lies outside
-    (in which case the beam contributes nothing).  Shared by the software
-    insertion path and the accelerator's ray-casting unit so both backends
-    treat out-of-range beams identically.
+    (in which case the beam contributes nothing).  ``dda_kernel.c`` clips
+    with the same arithmetic, so both front ends treat out-of-range beams
+    identically.
     """
     if not converter.is_coordinate_in_range(*origin):
         return None

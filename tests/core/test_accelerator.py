@@ -1,9 +1,13 @@
 """Integration-level tests of the OMU accelerator top level."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import OMUAccelerator, OMUConfig
-from repro.octomap.counters import OperationKind
+from repro.octomap import PointCloud
+from repro.octomap.counters import OperationCounters, OperationKind
+from repro.octomap.scan_insertion import compute_update_keys_for_converter
 
 
 class TestConstruction:
@@ -30,10 +34,49 @@ class TestScanProcessing:
         assert timing.pe_cycles_total >= timing.pe_cycles_max
         assert accelerator.scans_processed == 1
 
-    def test_host_interface_reports_completion(self, accelerator, ring_scan):
-        accelerator.process_scan(ring_scan.world_cloud(), ring_scan.origin())
-        assert accelerator.host.is_done()
-        assert accelerator.host.dma.bytes_transferred > 0
+    @pytest.mark.parametrize(
+        "last, origin",
+        [
+            ((float("nan"), 1.0, 0.0), (0.05, 0.05, 0.05)),
+            ((float("inf"), 1.0, 0.0), (0.05, 0.05, 0.05)),
+            ((0.0, float("-inf"), 0.0), (0.05, 0.05, 0.05)),
+            ((1.0, 1.0, 0.0), (7000.0, 0.0, 0.0)),
+        ],
+        ids=["nan-point", "inf-point", "minus-inf-point", "origin-outside-the-volume"],
+    )
+    def test_a_rejected_scan_leaves_the_accelerator_untouched(self, accelerator, last, origin):
+        """The ray cast refuses a non-finite beam, or an origin outside the
+        volume with a beam ending inside it, before anything is counted or applied."""
+        cloud = PointCloud([(3.0, 0.0, 0.0), (0.0, 3.0, 0.0), last])
+        with pytest.raises(ValueError):
+            accelerator.process_scan(cloud, origin)
+        assert accelerator.counters().ray_steps == 0
+        assert accelerator.map_timing.critical_path_cycles() == 0
+        assert accelerator.map_timing.voxel_updates == 0
+        assert accelerator.scans_processed == 0
+        assert accelerator.scheduler.issued_updates == 0
+
+    @pytest.mark.parametrize(
+        "points",
+        [[(10.0, 0.0, 0.0), (0.0, 12.0, 0.0), (2.0, -1.0, 0.3), (-1.5, 1.5, -0.2)], []],
+        ids=["truncated-and-hit", "empty"],
+    )
+    def test_the_ray_cast_is_priced_per_step(self, default_config, points):
+        """raycast_cycles is ray_step_cycles times the oracle's DDA steps, not the step count."""
+        config = dataclasses.replace(
+            default_config, timing=dataclasses.replace(default_config.timing, ray_step_cycles=3)
+        )
+        accelerator = OMUAccelerator(config)
+        cloud, origin = PointCloud(points), (0.05, 0.05, 0.05)
+        timing = accelerator.process_scan(cloud, origin, max_range=3.0)
+
+        oracle = OperationCounters()
+        free, occupied = compute_update_keys_for_converter(
+            accelerator.address_generator.converter, cloud, origin, max_range=3.0, counters=oracle
+        )
+        assert timing.raycast_cycles == 3 * oracle.ray_steps
+        assert timing.voxel_updates == len(free) + len(occupied)
+        assert (timing.voxel_updates > 0) == bool(points)
 
     def test_process_scan_graph_accumulates(self, accelerator, two_scan_graph):
         total = accelerator.process_scan_graph(two_scan_graph)

@@ -10,6 +10,7 @@ from repro.core.address_gen import AddressGenerator
 from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.verification import compare_trees
 from repro.octomap.keys import OcTreeKey
+from repro.octomap.scan_insertion import compute_update_keys_for_converter
 
 
 @pytest.fixture
@@ -25,9 +26,12 @@ def test_apply_update_batch_matches_process_scan(config, ring_graph):
     reference.process_scan(scan.world_cloud(), scan.origin())
 
     batched = OMUAccelerator(config)
-    cast = OMUAccelerator(config).raycaster.cast_scan(scan.world_cloud(), scan.origin())
-    stream = [VoxelUpdateRequest(key, occupied=False) for key in cast.free_keys]
-    stream += [VoxelUpdateRequest(key, occupied=True) for key in cast.occupied_keys]
+    # The scalar oracle's key sets, so the native front end is not compared with itself.
+    free_keys, occupied_keys = compute_update_keys_for_converter(
+        batched.address_generator.converter, scan.world_cloud(), scan.origin()
+    )
+    stream = [VoxelUpdateRequest(key, occupied=False) for key in sorted(free_keys)]
+    stream += [VoxelUpdateRequest(key, occupied=True) for key in sorted(occupied_keys)]
     timing = batched.apply_update_batch(stream)
 
     assert timing.voxel_updates == len(stream)

@@ -49,6 +49,7 @@ from repro.core.verification import compare_trees
 from repro.octomap.keys import OcTreeKey
 from repro.octomap.octree import OccupancyOcTree
 from repro.octomap.pointcloud import PointCloud
+from repro.octomap.raycast_vec import compute_scan_update_arrays
 
 import oracle_pe
 
@@ -346,9 +347,9 @@ def test_a_depth_16_lidar_stream_applied_seven_times_over():
             for azimuth in np.linspace(-math.pi, math.pi, 120, endpoint=False)
         ]
     )
-    cast = accelerator.raycaster.cast_scan(cloud, (0.05, 0.05, 0.05))
-    keys = np.array([key.as_tuple() for key in (*cast.free_keys, *cast.occupied_keys)])
-    occupied = np.arange(len(keys)) >= len(cast.free_keys)
+    cast = compute_scan_update_arrays(accelerator.address_generator.converter, cloud.points, (0.05, 0.05, 0.05))
+    keys = np.concatenate((cast.free_keys(), cast.occupied_keys()))
+    occupied = np.arange(len(keys)) >= cast.free_packed.size
     paths = accelerator.address_generator.paths_for_keys(keys)
     pes = accelerator.address_generator.pes_for_paths(paths)
     mine = pes == np.bincount(pes).argmax()  # the busiest PE's queue
