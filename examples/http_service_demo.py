@@ -1,4 +1,4 @@
-"""The network API end to end: server, chunked upload, export job.
+"""The network API end to end: server, scan submits, export job.
 
 Starts :class:`repro.serving.http.HttpMapServer` on an ephemeral loopback
 port over one :class:`repro.serving.AsyncMapService`, then drives it purely
@@ -6,8 +6,7 @@ through :class:`repro.serving.http.MapServiceClient` -- exactly what a
 remote caller would do:
 
 1. create a session (with a config override, to show the knob),
-2. push a corridor scan batch through the *resumable chunked upload*
-   protocol (the batch is deliberately larger than one request body),
+2. submit a corridor scan stream one scan per request,
 3. flush, run point / bbox / raycast queries over the wire,
 4. start a map-export *job*, poll it to ``done``, download the serialized
    octree artifact and verify it deserializes to the live map.
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 
 from repro.core.verification import compare_trees
 from repro.datasets import ClientSpec, generate_interleaved_stream
@@ -39,39 +37,29 @@ async def run_demo(backend: str) -> None:
         )
         for index in range(2)
     )
-    scans = [
-        {
-            "points": event.scan.world_cloud().points.tolist(),
-            "origin": list(event.scan.origin()),
-            "max_range": 15.0,
-            "client_id": event.client_id,
-        }
-        for event in generate_interleaved_stream(clients, seed=7)
-    ]
+    stream = generate_interleaved_stream(clients, seed=7)
 
     config = SessionConfig(num_shards=2, batch_size=2, backend=backend)
     service = AsyncMapService(default_config=config)
-    # A small body limit makes the upload path load-bearing: the scan batch
-    # below could not arrive as one POST.
-    async with HttpMapServer(service, port=0, max_body_bytes=8 * 1024) as server:
+    async with HttpMapServer(service, port=0) as server:
         # The client keeps its connections between calls; leaving the block
         # closes them.
         async with MapServiceClient(*server.address) as client:
             print(f"serving http://{client.host}:{client.port}  (backend={backend})")
             print("healthz:", await client.healthz())
 
-            created = await client.create_session(
-                "warehouse", {"scheduler_policy": "priority"}
-            )
+            created = await client.create_session("warehouse", {"batch_size": 3})
             print("session:", created)
 
-            blob_bytes = len(json.dumps({"scans": scans}).encode())
-            print(
-                f"uploading {len(scans)} scans ({blob_bytes} bytes) in 4 KiB chunks "
-                f"(single-body limit is {8 * 1024} bytes)"
-            )
-            commit = await client.upload_scans("warehouse", scans, chunk_bytes=4 * 1024)
-            print(f"upload committed: {commit['submitted']} scans admitted")
+            for event in stream:
+                await client.submit_scan(
+                    "warehouse",
+                    event.scan.world_cloud().points.tolist(),
+                    event.scan.origin(),
+                    max_range=15.0,
+                    client_id=event.client_id,
+                )
+            print(f"submitted {len(stream)} scans, one request each")
 
             reports = await client.flush("warehouse")
             print(

@@ -43,7 +43,6 @@ def main(argv=None) -> None:
             sensor="lidar",
             num_scans=3,
             max_range_m=15.0,
-            priority=1,
         ),
         ClientSpec(
             client_id="rover",
@@ -58,13 +57,12 @@ def main(argv=None) -> None:
     print(f"Interleaved stream: {len(stream)} scans from {len(clients)} clients")
 
     # 2. One service instance; every session shards over 4 workers on the
-    #    chosen execution backend and coalesces scans into batches of 2
-    #    under the priority scheduler.
+    #    chosen execution backend and coalesces scans into batches of 2,
+    #    in arrival order.
     manager = MapSessionManager(
         SessionConfig(
             num_shards=4,
             batch_size=2,
-            scheduler_policy="priority",
             backend=args.backend,
         )
     )
@@ -74,7 +72,6 @@ def main(argv=None) -> None:
                 event.session_id,
                 event.scan,
                 max_range=event.max_range_m,
-                priority=event.priority,
                 client_id=event.client_id,
             )
         )

@@ -19,7 +19,7 @@ package is organised by subsystem:
   plus the service-level load experiments.
 * :mod:`repro.serving` -- the multi-session occupancy-mapping *service*
   layer: named map sessions sharded over pools of accelerator workers,
-  batched ingestion with pluggable scheduling (FIFO / priority / deadline),
+  batched ingestion in arrival order,
   a generation-stamped cached query engine, and per-session service
   statistics.  This is the layer a fleet of robots (or a cloud mapping API)
   would talk to; the ``repro-serve`` console script demos it.

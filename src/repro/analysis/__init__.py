@@ -24,17 +24,9 @@ from repro.analysis.metrics import (
     relative_error,
     speedup,
 )
-from repro.analysis.service import (
-    DEFAULT_SERVICE_CLIENTS,
-    run_service_workload,
-    service_scaling_experiment,
-    write_benchmark_json,
-)
 from repro.analysis.tables import format_quantity, render_bar_chart, render_table
 
 __all__ = [
-    "DEFAULT_SERVICE_CLIENTS",
-    "write_benchmark_json",
     "SCALES",
     "DatasetEvaluation",
     "ExperimentResult",
@@ -52,8 +44,6 @@ __all__ = [
     "relative_error",
     "render_bar_chart",
     "render_table",
-    "run_service_workload",
-    "service_scaling_experiment",
     "speedup",
     "table1_related_work",
     "table2_dataset_details",

@@ -4,8 +4,8 @@ The tracked serving numbers come from ``python3 benchmarks/e2e/run.py``
 (four workloads, per-layer attribution; see ``BENCHMARK.json``).  This driver
 keeps the three sweeps that benchmark leaves out:
 
-* ``service_scaling`` -- scheduler policy x shard count over one multi-client
-  stream, reported in *modelled* hardware cycles (deterministic);
+* ``service_scaling`` -- shard-count sweep over one multi-client stream,
+  reported in *modelled* hardware cycles (deterministic);
 * ``kill_recovery`` -- socket-backend worker kill, recovery latency against
   the snapshot cadence, re-verifying leaf-for-leaf map equality per row;
 * ``session_scaling`` -- open-loop session-count sweep on one shared fleet
@@ -51,9 +51,9 @@ __all__ = [
 
 
 DEFAULT_SERVICE_CLIENTS: Tuple[ClientSpec, ...] = (
-    ClientSpec(client_id="drone-a", session_id="corridor-map", scene="corridor", num_scans=2, priority=2),
-    ClientSpec(client_id="drone-b", session_id="corridor-map", scene="corridor", num_scans=2, priority=1),
-    ClientSpec(client_id="rover", session_id="campus-map", scene="campus", num_scans=2, priority=0),
+    ClientSpec(client_id="drone-a", session_id="corridor-map", scene="corridor", num_scans=2),
+    ClientSpec(client_id="drone-b", session_id="corridor-map", scene="corridor", num_scans=2),
+    ClientSpec(client_id="rover", session_id="campus-map", scene="campus", num_scans=2),
 )
 """A small three-client / two-session workload used by the default sweep."""
 
@@ -68,7 +68,6 @@ _QUERY_PATTERN: Tuple[Tuple[float, float, float], ...] = (
 
 def run_service_workload(
     clients: Sequence[ClientSpec] = DEFAULT_SERVICE_CLIENTS,
-    scheduler_policy: str = "fifo",
     num_shards: int = 2,
     batch_size: int = 4,
     resolution_m: float = 0.2,
@@ -80,11 +79,9 @@ def run_service_workload(
     from repro.serving.session import SessionConfig
     from repro.serving.types import ScanRequest
 
-    config = SessionConfig(
-        num_shards=num_shards,
-        scheduler_policy=scheduler_policy,
-        batch_size=batch_size,
-    ).with_resolution(resolution_m)
+    config = SessionConfig(num_shards=num_shards, batch_size=batch_size).with_resolution(
+        resolution_m
+    )
     manager = MapSessionManager(default_config=config)
     for event in generate_interleaved_stream(clients, seed=seed):
         manager.submit(
@@ -92,7 +89,6 @@ def run_service_workload(
                 event.session_id,
                 event.scan,
                 max_range=event.max_range_m,
-                priority=event.priority,
                 client_id=event.client_id,
             )
         )
@@ -106,15 +102,13 @@ def run_service_workload(
 
 def service_scaling_experiment(
     clients: Sequence[ClientSpec] = DEFAULT_SERVICE_CLIENTS,
-    scheduler_policies: Sequence[str] = ("fifo", "priority", "deadline"),
     shard_counts: Sequence[int] = (1, 2, 4),
     batch_size: int = 4,
     seed: int = 0,
     clock_hz: Optional[float] = None,
 ) -> ExperimentResult:
-    """Sweep scheduler policy x shard count over one multi-client workload."""
+    """Sweep the shard count over one multi-client workload."""
     headers = (
-        "Scheduler",
         "Shards",
         "Sessions",
         "Scans",
@@ -125,38 +119,32 @@ def service_scaling_experiment(
         "Cache hit rate (%)",
     )
     rows: List[Tuple[object, ...]] = []
-    for policy in scheduler_policies:
-        for num_shards in shard_counts:
-            manager = run_service_workload(
-                clients,
-                scheduler_policy=policy,
-                num_shards=num_shards,
-                batch_size=batch_size,
-                seed=seed,
+    for num_shards in shard_counts:
+        manager = run_service_workload(
+            clients, num_shards=num_shards, batch_size=batch_size, seed=seed
+        )
+        totals = manager.service_stats.totals()
+        frequency = clock_hz
+        if frequency is None:
+            first_session = manager.get_session(manager.session_ids()[0])
+            frequency = first_session.config.accelerator.clock_hz
+        updates = totals.voxel_updates
+        ingest_seconds = totals.modelled_ingest_cycles / frequency
+        rows.append(
+            (
+                num_shards,
+                len(manager.service_stats),
+                totals.scans_ingested,
+                updates,
+                100.0 * totals.dedup_fraction,
+                1e3 * ingest_seconds,
+                (updates / ingest_seconds) / 1e6 if ingest_seconds > 0 else 0.0,
+                100.0 * totals.cache.hit_rate,
             )
-            totals = manager.service_stats.totals()
-            frequency = clock_hz
-            if frequency is None:
-                first_session = manager.get_session(manager.session_ids()[0])
-                frequency = first_session.config.accelerator.clock_hz
-            updates = totals.voxel_updates
-            ingest_seconds = totals.modelled_ingest_cycles / frequency
-            rows.append(
-                (
-                    policy,
-                    num_shards,
-                    len(manager.service_stats),
-                    totals.scans_ingested,
-                    updates,
-                    100.0 * totals.dedup_fraction,
-                    1e3 * ingest_seconds,
-                    (updates / ingest_seconds) / 1e6 if ingest_seconds > 0 else 0.0,
-                    100.0 * totals.cache.hit_rate,
-                )
-            )
+        )
     result = ExperimentResult(
         experiment_id="service_scaling",
-        title="Serving layer: scheduler x shard-count sweep (multi-client stream)",
+        title="Serving layer: shard-count sweep (multi-client stream)",
         headers=headers,
         rows=rows,
     )
@@ -510,7 +498,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis.service",
         description=(
             "Serving-layer sweeps outside the end-to-end benchmark "
-            "(python3 benchmarks/e2e/run.py): scheduler x shards in modelled "
+            "(python3 benchmarks/e2e/run.py): shard count in modelled "
             "cycles, socket kill recovery, open-loop session scaling."
         ),
     )

@@ -55,7 +55,6 @@ class ClientSpec:
         num_scans: scans this client sends.
         max_range_m: sensor range.
         dropout: beam dropout fraction (LiDAR only).
-        priority: ingestion priority carried on every request.
     """
 
     client_id: str
@@ -65,7 +64,6 @@ class ClientSpec:
     num_scans: int = 4
     max_range_m: float = 15.0
     dropout: float = 0.0
-    priority: int = 0
 
     def __post_init__(self) -> None:
         if self.num_scans < 1:
@@ -86,7 +84,6 @@ class StreamEvent:
     client_id: str
     session_id: str
     scan: ScanNode
-    priority: int
     max_range_m: float
     arrival_s: float = 0.0
 
@@ -175,7 +172,6 @@ def generate_interleaved_stream(
                 client_id=spec.client_id,
                 session_id=spec.session_id,
                 scan=scan,
-                priority=spec.priority,
                 max_range_m=spec.max_range_m,
             )
         )

@@ -23,11 +23,9 @@ ingestion pipeline and a cached query engine.
   behind TCP endpoints (``repro-serve-worker``), with heartbeat liveness
   probes and re-homing of lost slots onto standby or surviving workers, so
   the pool's engine recovers from snapshots and replay tails.
-* :mod:`repro.serving.schedulers` -- pluggable ingestion ordering (FIFO,
-  priority, earliest-deadline-first).
-* :mod:`repro.serving.batching` -- the ingestion pipeline: admission queue,
-  shared ray-casting front end, overlapping-ray de-duplication, per-shard
-  dispatch.
+* :mod:`repro.serving.batching` -- the ingestion pipeline: FIFO admission
+  queue, shared ray-casting front end, overlapping-ray de-duplication,
+  per-shard dispatch.
 * :mod:`repro.serving.cache` -- the generation-stamped LRU query cache with
   per-shard invalidation, and whole box-sweep result caching keyed by the
   shard generation vector.
@@ -50,8 +48,8 @@ ingestion pipeline and a cached query engine.
   backpressure, background flusher tasks driving ingestion off the event
   loop, and non-blocking query coroutines.
 * :mod:`repro.serving.http` -- the network API: a stdlib-asyncio HTTP/1.1
-  server over :class:`AsyncMapService` (REST routes, resumable chunked
-  uploads, background jobs with polling) plus a small client.
+  server over :class:`AsyncMapService` (REST routes and background jobs
+  with polling) plus a small client.
 * :mod:`repro.serving.cli` -- the ``repro-serve`` demo driver (``--async``
   runs the asyncio front end under a multi-client driver; ``--http`` serves
   the network API until SIGINT/SIGTERM).
@@ -111,7 +109,7 @@ Quickstart::
 
     from repro.serving import MapSessionManager, ScanRequest, SessionConfig
 
-    manager = MapSessionManager(SessionConfig(num_shards=4, scheduler_policy="priority"))
+    manager = MapSessionManager(SessionConfig(num_shards=4, batch_size=4))
     manager.ingest(ScanRequest.from_scan_node("warehouse", scan, max_range=15.0))
     if manager.query("warehouse", 1.0, 0.0, 0.5).occupied:
         ...
@@ -151,14 +149,6 @@ from repro.serving.remote import (
     spawn_local_worker,
     spawn_worker_process,
 )
-from repro.serving.schedulers import (
-    SCHEDULER_POLICIES,
-    DeadlineScheduler,
-    FifoScheduler,
-    IngestScheduler,
-    PriorityScheduler,
-    make_scheduler,
-)
 from repro.serving.session import MapSession, SessionConfig
 from repro.serving.sharding import MapShardWorker, ShardHost, ShardRouter
 from repro.serving.stats import ServiceStats, SessionStats
@@ -191,14 +181,11 @@ __all__ = [
     "BboxResultCache",
     "BoxOccupancySummary",
     "CacheStats",
-    "DeadlineScheduler",
     "DeadlineShed",
     "DeadlineShedPolicy",
-    "FifoScheduler",
     "GenerationLRUCache",
     "HttpMapServer",
     "IngestReceipt",
-    "IngestScheduler",
     "IngestionPipeline",
     "LatencyHistogram",
     "LocalWorkerHandle",
@@ -208,12 +195,10 @@ __all__ = [
     "MapShardWorker",
     "MetricsStore",
     "OperationRollup",
-    "PriorityScheduler",
     "QueryEngine",
     "RequestRecord",
     "QueryResponse",
     "RaycastResponse",
-    "SCHEDULER_POLICIES",
     "ScanRequest",
     "ServiceStats",
     "SessionBackendView",
@@ -237,7 +222,6 @@ __all__ = [
     "TenantQuotaRegistry",
     "WorkerRegistry",
     "make_backend",
-    "make_scheduler",
     "spawn_local_worker",
     "spawn_worker_process",
     "submit_interleaved_stream",

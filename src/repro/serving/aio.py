@@ -756,10 +756,10 @@ async def submit_interleaved_stream(service: AsyncMapService, events) -> int:
 
     The async driver of ``repro-serve --async``: ``events`` is an iterable
     of :class:`~repro.datasets.streams.StreamEvent`-shaped records (anything
-    with ``client_id`` / ``session_id`` / ``scan`` / ``max_range_m`` /
-    ``priority``); each client becomes one coroutine submitting its own
-    events in order and yielding between submits, so clients genuinely
-    interleave with each other and with the flusher tasks.
+    with ``client_id`` / ``session_id`` / ``scan`` / ``max_range_m``); each
+    client becomes one coroutine submitting its own events in order and
+    yielding between submits, so clients genuinely interleave with each
+    other and with the flusher tasks.
     Returns the number of requests submitted; does not flush.
     """
     per_client: Dict[str, List] = {}
@@ -772,7 +772,6 @@ async def submit_interleaved_stream(service: AsyncMapService, events) -> int:
                 event.session_id,
                 event.scan,
                 max_range=event.max_range_m,
-                priority=event.priority,
                 client_id=event.client_id,
             )
             await service.submit(request)

@@ -2,9 +2,9 @@
 
 The pipeline sits between request admission and the shard workers:
 
-1. admitted :class:`~repro.serving.types.ScanRequest`\\ s wait in the
-   pluggable scheduler (FIFO / priority / deadline);
-2. a *flush* pops up to ``batch_size`` requests in scheduler order,
+1. admitted :class:`~repro.serving.types.ScanRequest`\\ s wait in one
+   FIFO queue;
+2. a *flush* pops up to ``batch_size`` requests in arrival order,
    ray-casts each scan once in the shared front end and de-duplicates
    overlapping rays within the scan (occupied beats free, each voxel at most
    one update per scan -- the exact OctoMap ``insertPointCloud`` policy);
@@ -39,15 +39,15 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
 from repro.octomap.counters import OperationCounters
 from repro.octomap.raycast_vec import compute_batch_update_arrays, unpack_key_array
 from repro.serving.backends import ShardBackend
-from repro.serving.schedulers import IngestScheduler
 from repro.serving.sharding import ShardRouter
 from repro.serving.stats import SessionStats
 from repro.serving.types import (
@@ -85,7 +85,6 @@ class IngestionPipeline:
         session_id: str,
         router: ShardRouter,
         backend: ShardBackend,
-        scheduler: IngestScheduler,
         stats: SessionStats,
         batch_size: int = 8,
         metrics=None,
@@ -101,7 +100,8 @@ class IngestionPipeline:
         self.session_id = session_id
         self.router = router
         self.backend = backend
-        self.scheduler = scheduler
+        #: admitted requests, served strictly in arrival order.
+        self.queue: Deque[ScanRequest] = deque()
         self.stats = stats
         self.batch_size = batch_size
         #: optional :class:`~repro.serving.metrics.MetricsStore`; every
@@ -137,26 +137,26 @@ class IngestionPipeline:
             )
 
     def submit(self, request: ScanRequest) -> IngestReceipt:
-        """Admit one scan request into the scheduler."""
+        """Admit one scan request at the back of the queue."""
         self.validate(request)
-        self.scheduler.push(request)
+        self.queue.append(request)
         return IngestReceipt(
             request_id=request.request_id,
             session_id=self.session_id,
             num_points=len(request.cloud),
-            queue_depth=len(self.scheduler),
+            queue_depth=len(self.queue),
         )
 
     def pending(self) -> int:
         """Requests admitted but not yet dispatched."""
-        return len(self.scheduler)
+        return len(self.queue)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def flush(self) -> Optional[BatchReport]:
         """Apply one batch (up to ``batch_size`` requests); None if idle."""
-        if not self.scheduler:
+        if not self.queue:
             return None
         prepared = self._prepare()
         dispatch_started = time.perf_counter()
@@ -191,7 +191,7 @@ class IngestionPipeline:
     def flush_all(self) -> List[BatchReport]:
         """Apply batches until the admission queue is empty."""
         reports: List[BatchReport] = []
-        while self.scheduler:
+        while self.queue:
             reports.append(self.flush())
         return reports
 
@@ -207,12 +207,11 @@ class IngestionPipeline:
         converter = self.converter
         dda_counters = OperationCounters()
         deadline_misses = 0
-        while self.scheduler and len(request_ids) < self.batch_size:
-            request = self.scheduler.pop()
+        while self.queue and len(request_ids) < self.batch_size:
+            request = self.queue.popleft()
             # Missed-deadline accounting: a finite deadline (time.monotonic
-            # clock) that has passed by the time the scheduler hands the
-            # request over counts as a miss, whatever the policy -- the
-            # deadline scheduler minimises this figure, the others expose it.
+            # clock) that has passed by the time the request is popped for a
+            # flush counts as a miss.
             if request.deadline_s != math.inf and request.deadline_s < time.monotonic():
                 deadline_misses += 1
             request_ids.append(request.request_id)
@@ -304,5 +303,5 @@ class IngestionPipeline:
                 duration_s=report.wall_seconds,
                 num_bytes=report.voxel_updates,
                 batch_size=report.scans,
-                queue_depth=len(self.scheduler),
+                queue_depth=len(self.queue),
             )

@@ -2,8 +2,8 @@
 
 Generates a multi-client scan stream, pushes it through a
 :class:`~repro.serving.manager.MapSessionManager` with the chosen execution
-backend / scheduler / shard-count / batch-size, fires a few collision queries
-per session (twice, so the second round shows cache hits), and prints the
+backend / shard-count / batch-size, fires a few collision queries per
+session (twice, so the second round shows cache hits), and prints the
 per-session :class:`~repro.serving.stats.ServiceStats` tables.
 
 ``--async`` swaps the synchronous loop for the asyncio admission front end
@@ -34,7 +34,6 @@ from repro.datasets.streams import ClientSpec, StreamEvent, generate_interleaved
 from repro.serving.aio import AsyncMapService, submit_interleaved_stream
 from repro.serving.backends import BACKEND_NAMES
 from repro.serving.manager import MapSessionManager
-from repro.serving.schedulers import SCHEDULER_POLICIES
 from repro.serving.session import SessionConfig
 from repro.serving.types import ScanRequest
 
@@ -56,12 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--sessions", type=int, default=2, help="number of map sessions (default 2)")
     parser.add_argument("--scans", type=int, default=3, help="scans per client (default 3)")
-    parser.add_argument(
-        "--scheduler",
-        choices=sorted(SCHEDULER_POLICIES),
-        default="fifo",
-        help="ingestion scheduling policy (default fifo)",
-    )
     parser.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
@@ -155,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="use_http",
         action="store_true",
         help=(
-            "serve the network API (REST + chunked uploads + background jobs) "
+            "serve the network API (REST + background jobs) "
             "instead of running the demo workload; runs until SIGINT/SIGTERM, "
             "then drains admitted scans and exits 0"
         ),
@@ -248,7 +241,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             num_shards=args.shards,
             shard_prefix_levels=args.prefix_levels,
             backend=args.backend,
-            scheduler_policy=args.scheduler,
             batch_size=args.batch_size,
             workers=tuple(
                 endpoint.strip()
@@ -277,7 +269,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 scene=scenes[index % len(scenes)],
                 num_scans=args.scans,
                 max_range_m=15.0,
-                priority=index,
             )
             for index in range(args.sessions)
         ]
@@ -293,7 +284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"Streaming {len(stream)} scans from {len(clients)} clients "
         f"({frontend} front end, {args.backend} backend, "
-        f"{args.scheduler} scheduler, {args.shards} shards, batch {args.batch_size})"
+        f"{args.shards} shards, batch {args.batch_size})"
     )
 
     if args.use_async:
@@ -310,7 +301,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     event.session_id,
                     event.scan,
                     max_range=event.max_range_m,
-                    priority=event.priority,
                     client_id=event.client_id,
                 )
             )
@@ -427,8 +417,7 @@ async def _http_main(config: SessionConfig, args: argparse.Namespace) -> int:
         host, port = server.address
         print(
             f"Serving the map API on http://{host}:{port} "
-            f"({args.backend} backend, {args.scheduler} scheduler, "
-            f"{args.shards} shards per session); Ctrl-C to stop"
+            f"({args.backend} backend, {args.shards} shards per session); Ctrl-C to stop"
         )
         sys.stdout.flush()
         await stop.wait()

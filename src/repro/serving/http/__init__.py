@@ -1,8 +1,8 @@
 """The network API front end of the serving layer.
 
-``repro.serving.http`` puts a REST + streaming-upload + background-job
-surface over one :class:`~repro.serving.aio.AsyncMapService`, built entirely
-on stdlib asyncio (no web framework, no new runtime dependency):
+``repro.serving.http`` puts a REST + background-job surface over one
+:class:`~repro.serving.aio.AsyncMapService`, built entirely on stdlib
+asyncio (no web framework, no new runtime dependency):
 
 * :mod:`repro.serving.http.wire` -- HTTP/1.1 framing over asyncio streams
   and the JSON codecs of the serving-layer dataclasses (the network wire
@@ -10,9 +10,6 @@ on stdlib asyncio (no web framework, no new runtime dependency):
 * :mod:`repro.serving.http.jobs` -- background jobs with polling handles:
   long operations (map export, flush-all) run as asyncio tasks behind 202 +
   job-id responses, with a stage history and TTL'd completed records.
-* :mod:`repro.serving.http.uploads` -- the resumable chunked upload
-  protocol (init -> PUT chunks -> commit) that lifts the single-body size
-  limit with bounded buffering and byte quotas.
 * :mod:`repro.serving.http.server` -- :class:`HttpMapServer`, the
   ``asyncio.start_server`` acceptor, route table and error mapping.
 * :mod:`repro.serving.http.client` -- a small asyncio client driving the
@@ -28,7 +25,6 @@ Serve with ``repro-serve --http --port 8080`` or embed::
 from repro.serving.http.client import HttpResponse, MapServiceClient, ServerError, http_request
 from repro.serving.http.jobs import JobManager, JobRecord
 from repro.serving.http.server import API, HttpMapServer
-from repro.serving.http.uploads import UploadError, UploadManager, UploadRecord
 from repro.serving.http.wire import HttpError, HttpRequest
 
 __all__ = [
@@ -41,8 +37,5 @@ __all__ = [
     "JobRecord",
     "MapServiceClient",
     "ServerError",
-    "UploadError",
-    "UploadManager",
-    "UploadRecord",
     "http_request",
 ]

@@ -8,12 +8,12 @@ the answer to "may this connection carry another request?".
 * :func:`http_request` is that primitive plus open/close: one independent
   connection per request, sent with ``Connection: close`` -- what framing
   tests and one-off probes want.
-* :class:`MapServiceClient` wraps the REST surface (upload protocol, job
-  polling and the NDJSON bbox stream included) and keeps its connections: a
-  call reuses an idle keep-alive connection or opens one, and puts it back
-  only after a complete exchange (reply not ``Connection: close``, body read
-  to its end).  Concurrent calls each hold their own, so the idle stack never
-  outgrows the caller's peak concurrency and there is nothing to size.
+* :class:`MapServiceClient` wraps the REST surface (job polling and the
+  NDJSON bbox stream included) and keeps its connections: a call reuses an
+  idle keep-alive connection or opens one, and puts it back only after a
+  complete exchange (reply not ``Connection: close``, body read to its end).
+  Concurrent calls each hold their own, so the idle stack never outgrows the
+  caller's peak concurrency and there is nothing to size.
 
 A request is written **at most once**: if a connection fails mid-exchange the
 error (``ConnectionError`` / ``asyncio.IncompleteReadError``) reaches the
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 from contextlib import asynccontextmanager
 from dataclasses import dataclass
 from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Tuple
@@ -98,16 +97,12 @@ async def _read_chunked(reader: asyncio.StreamReader) -> AsyncIterator[bytes]:
 
 
 def _request_bytes(method: str, target: str, host: str, payload: Any, keep_alive: bool) -> bytes:
-    """Head + body of one request; ``payload`` is JSON-encoded unless it is bytes."""
-    if isinstance(payload, (bytes, bytearray)):
-        body, content_type = bytes(payload), "application/octet-stream"
-    else:
-        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
-        content_type = "application/json"
+    """Head + JSON-encoded body of one request."""
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
     head = (
         f"{method} {target} HTTP/1.1\r\n"
         f"Host: {host}\r\n"
-        f"Content-Type: {content_type}\r\n"
+        "Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
         f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
     )
@@ -164,18 +159,14 @@ async def http_request(
     method: str,
     path: str,
     payload: Any = None,
-    *,
-    raw_body: Optional[bytes] = None,
 ) -> HttpResponse:
     """One request on a connection of its own; returns the buffered response.
 
     Open, send with ``Connection: close``, close -- independent of every
     other request (:class:`MapServiceClient` is the one that keeps
-    connections).  ``payload`` is JSON-encoded; ``raw_body`` sends bytes
-    verbatim instead.  Chunked responses are drained and concatenated.
+    connections).  ``payload`` is JSON-encoded.  Chunked responses are
+    drained and concatenated.
     """
-    if raw_body is not None:
-        payload = raw_body
     reader, writer = await asyncio.open_connection(host, port)
     try:
         request = _request_bytes(method, path, f"{host}:{port}", payload, keep_alive=False)
@@ -292,7 +283,6 @@ class MapServiceClient:
         origin: Sequence[float],
         *,
         max_range: float = -1.0,
-        priority: int = 0,
         deadline_in_s: Optional[float] = None,
         client_id: str = "",
     ) -> dict:
@@ -300,7 +290,6 @@ class MapServiceClient:
             "points": [list(point) for point in points],
             "origin": list(origin),
             "max_range": max_range,
-            "priority": priority,
             "client_id": client_id,
         }
         if deadline_in_s is not None:
@@ -375,67 +364,6 @@ class MapServiceClient:
             "max_range": max_range,
         }
         return await self._call("POST", f"/v1/sessions/{session_id}/raycast", payload)
-
-    # ------------------------------------------------------------------
-    # Chunked uploads
-    # ------------------------------------------------------------------
-    async def upload_scans(
-        self,
-        session_id: str,
-        scans: Sequence[dict],
-        *,
-        chunk_bytes: int = 64 * 1024,
-    ) -> dict:
-        """Drive the whole init -> chunks -> commit protocol for a scan list.
-
-        Splits the JSON document ``{"scans": [...]}`` into ``chunk_bytes``
-        slices, so a batch far larger than the server's single-body limit
-        round-trips through the resumable path.  Returns the commit
-        response (submission receipts included).
-        """
-        blob = json.dumps({"scans": list(scans)}).encode("utf-8")
-        total_chunks = max(1, math.ceil(len(blob) / chunk_bytes))
-        init = await self._call(
-            "POST",
-            f"/v1/sessions/{session_id}/uploads",
-            {"total_chunks": total_chunks, "total_bytes": len(blob)},
-        )
-        upload_id = init["upload_id"]
-        for index in range(total_chunks):
-            chunk = blob[index * chunk_bytes : (index + 1) * chunk_bytes]
-            await self.put_chunk(session_id, upload_id, index, chunk)
-        return await self.commit_upload(session_id, upload_id)
-
-    async def init_upload(
-        self, session_id: str, total_chunks: int, total_bytes: int = 0
-    ) -> dict:
-        return await self._call(
-            "POST",
-            f"/v1/sessions/{session_id}/uploads",
-            {"total_chunks": total_chunks, "total_bytes": total_bytes},
-        )
-
-    async def put_chunk(
-        self, session_id: str, upload_id: str, index: int, data: bytes
-    ) -> dict:
-        return await self._call(
-            "PUT",
-            f"/v1/sessions/{session_id}/uploads/{upload_id}/chunks/{index}",
-            data,
-        )
-
-    async def upload_status(self, session_id: str, upload_id: str) -> dict:
-        return await self._call("GET", f"/v1/sessions/{session_id}/uploads/{upload_id}")
-
-    async def commit_upload(self, session_id: str, upload_id: str) -> dict:
-        return await self._call(
-            "POST", f"/v1/sessions/{session_id}/uploads/{upload_id}/commit"
-        )
-
-    async def abort_upload(self, session_id: str, upload_id: str) -> dict:
-        return await self._call(
-            "DELETE", f"/v1/sessions/{session_id}/uploads/{upload_id}"
-        )
 
     # ------------------------------------------------------------------
     # Jobs

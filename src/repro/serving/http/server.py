@@ -7,12 +7,12 @@ server adds *no* concurrency semantics of its own beyond what
 locking, fail-stop).  The ``API`` tuple below is the machine-readable route
 table; the README mirrors it with curl examples.
 
-Error mapping is centralised in the connection handler: ``HttpError`` and
-``UploadError`` carry their status, ``KeyError`` -> 404 unknown resource,
-``ValueError`` -> 400, ``AdmissionQueueFull`` -> 429 with a Retry-After
-hint, ``TenantQuotaExceeded`` -> 429 ``quota_exceeded``, ``DeadlineShed``
--> 503 ``deadline_shed``, anything else -> 500 with the exception class
-name (no traceback leaks).  A handler crash therefore never kills the
+Error mapping is centralised in the connection handler: ``HttpError``
+carries its status, ``KeyError`` -> 404 unknown resource, ``ValueError`` ->
+400, ``AdmissionQueueFull`` -> 429 with a Retry-After hint,
+``TenantQuotaExceeded`` -> 429 ``quota_exceeded``, ``DeadlineShed`` -> 503
+``deadline_shed``, anything else -> 500 with the exception class name (no
+traceback leaks).  A handler crash therefore never kills the
 connection loop, and a connection crash never kills the acceptor.
 
 Observability middleware: every request is stamped with a monotonically
@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Tuple
 
 from repro.octomap.serialization import serialize_tree
 from repro.serving.aio import AdmissionQueueFull, AsyncMapService
@@ -42,7 +42,6 @@ from repro.serving.metrics import (
     DeadlineShed,
     TenantQuotaExceeded,
 )
-from repro.serving.http.uploads import UploadError, UploadManager
 from repro.serving.http.wire import (
     HttpError,
     HttpRequest,
@@ -83,11 +82,6 @@ API: Tuple[Tuple[str, str, str], ...] = (
     ("POST", "/v1/sessions/{sid}/query/batch", "batch point query"),
     ("POST", "/v1/sessions/{sid}/query/bbox", "bounding-box sweep (stream=true for NDJSON chunks)"),
     ("POST", "/v1/sessions/{sid}/raycast", "collision raycast"),
-    ("POST", "/v1/sessions/{sid}/uploads", "init a chunked scan upload"),
-    ("GET", "/v1/sessions/{sid}/uploads/{uid}", "upload status (missing chunks)"),
-    ("PUT", "/v1/sessions/{sid}/uploads/{uid}/chunks/{n}", "send one chunk body"),
-    ("POST", "/v1/sessions/{sid}/uploads/{uid}/commit", "assemble + submit the scans"),
-    ("DELETE", "/v1/sessions/{sid}/uploads/{uid}", "abort an upload"),
     ("POST", "/v1/sessions/{sid}/export", "start a map-export job (202 + job id)"),
     ("POST", "/v1/flush_all", "start a flush-all job (202 + job id)"),
     ("GET", "/v1/jobs", "list background jobs"),
@@ -97,7 +91,7 @@ API: Tuple[Tuple[str, str, str], ...] = (
 
 
 class HttpMapServer:
-    """Serves the REST + streaming-upload API over one async map service.
+    """Serves the REST + background-job API over one async map service.
 
     Args:
         service: the :class:`AsyncMapService` to front.  The server never
@@ -105,10 +99,8 @@ class HttpMapServer:
             lifecycle, so several front ends can share one service.
         host / port: bind address; port 0 picks a free port (the bound one
             is in :attr:`address` after :meth:`start`).
-        max_body_bytes: general JSON request-body cap; the upload-chunk
-            route is instead capped by ``uploads.max_chunk_bytes``.
-        uploads / jobs: injectable managers (tests pass fakes with stepped
-            clocks); fresh defaults otherwise.
+        max_body_bytes: request-body cap of every route.
+        jobs: injectable job manager; a fresh default otherwise.
     """
 
     def __init__(
@@ -118,7 +110,6 @@ class HttpMapServer:
         port: int = 0,
         *,
         max_body_bytes: int = 256 * 1024,
-        uploads: Optional[UploadManager] = None,
         jobs: Optional[JobManager] = None,
     ) -> None:
         if max_body_bytes < 1:
@@ -127,7 +118,6 @@ class HttpMapServer:
         self.host = host
         self.port = port
         self.max_body_bytes = max_body_bytes
-        self.uploads = uploads if uploads is not None else UploadManager()
         self.jobs = jobs if jobs is not None else JobManager()
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
@@ -204,20 +194,13 @@ class HttpMapServer:
         self._connections.add(task)
         task.add_done_callback(self._connections.discard)
 
-    def _body_cap_for(self, method: str, path: str) -> int:
-        if method == "PUT" and "/chunks/" in path:
-            return self.uploads.max_chunk_bytes
-        return 0
-
     async def _connection_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader, self.max_body_bytes, self._body_cap_for
-                    )
+                    request = await read_request(reader, self.max_body_bytes)
                 except HttpError as error:
                     # Framing errors: answer and drop the connection (the
                     # stream position is unreliable after a bad head and an
@@ -305,8 +288,6 @@ class HttpMapServer:
                 return True
             except HttpError:
                 raise
-            except UploadError as error:
-                raise HttpError(error.status, error.code, error.message, error.detail) from None
             except AdmissionQueueFull as error:
                 raise HttpError(429, "admission_queue_full", str(error)) from None
             except TenantQuotaExceeded as error:
@@ -444,31 +425,6 @@ class HttpMapServer:
                 return self._handle_raycast, (sid,)
             if rest == ["export"] and method == "POST":
                 return self._handle_export, (sid,)
-            if rest and rest[0] == "uploads":
-                return self._route_uploads(method, sid, rest[1:])
-        return None
-
-    def _route_uploads(self, method: str, sid: str, rest: List[str]):
-        if not rest:
-            return (self._handle_upload_init, (sid,)) if method == "POST" else None
-        uid = rest[0]
-        tail = rest[1:]
-        if not tail:
-            if method == "GET":
-                return self._handle_upload_status, (sid, uid)
-            if method == "DELETE":
-                return self._handle_upload_abort, (sid, uid)
-            return None
-        if tail == ["commit"] and method == "POST":
-            return self._handle_upload_commit, (sid, uid)
-        if len(tail) == 2 and tail[0] == "chunks" and method == "PUT":
-            try:
-                index = int(tail[1])
-            except ValueError:
-                raise HttpError(
-                    400, "bad_chunk_index", f"chunk index must be an integer, got {tail[1]!r}"
-                ) from None
-            return self._handle_upload_chunk, (sid, uid, index)
         return None
 
     @staticmethod
@@ -492,7 +448,6 @@ class HttpMapServer:
             "sessions": len(self.service.manager.session_ids()),
             "pending_requests": self.service.pending_requests(),
             "jobs": len(self.jobs),
-            "pending_upload_bytes": self.uploads.pending_bytes(),
             "http": {
                 "connections_accepted": self._connections_accepted,
                 "connections_open": len(self._connections),
@@ -530,7 +485,6 @@ class HttpMapServer:
             "created": not existed,
             "backend": session.config.backend,
             "num_shards": session.config.num_shards,
-            "scheduler_policy": session.config.scheduler_policy,
         }
 
     async def _handle_session_get(self, request: HttpRequest, sid: str) -> Tuple[int, dict]:
@@ -538,9 +492,8 @@ class HttpMapServer:
         return 200, session.stats.to_dict()
 
     async def _handle_session_delete(self, request: HttpRequest, sid: str) -> Tuple[int, dict]:
-        dropped_uploads = self.uploads.abort_session(sid)
         await self.service.close_session(sid, drain=True)
-        return 200, {"session_id": sid, "closed": True, "aborted_uploads": dropped_uploads}
+        return 200, {"session_id": sid, "closed": True}
 
     # ------------------------------------------------------------------
     # Handlers: ingestion
@@ -631,63 +584,6 @@ class HttpMapServer:
             raise HttpError(400, "bad_field", "max_range must be a number") from None
         response = await self.service.raycast(sid, origin, direction, max_range)
         return 200, raycast_payload(response)
-
-    # ------------------------------------------------------------------
-    # Handlers: chunked uploads
-    # ------------------------------------------------------------------
-    async def _handle_upload_init(self, request: HttpRequest, sid: str) -> Tuple[int, dict]:
-        # The session must exist: uploads buffer real memory, so an unknown
-        # session must 404 before any chunk is accepted.
-        self.service.manager.get_session(sid)
-        payload = json_body(request)
-        try:
-            total_chunks = int(require_field(payload, "total_chunks"))
-            total_bytes = int(payload.get("total_bytes", 0))
-        except (TypeError, ValueError):
-            raise HttpError(400, "bad_upload", "total_chunks/total_bytes must be integers") from None
-        record = self.uploads.init(sid, total_chunks, total_bytes)
-        return 201, record.payload()
-
-    async def _handle_upload_status(
-        self, request: HttpRequest, sid: str, uid: str
-    ) -> Tuple[int, dict]:
-        return 200, self.uploads.get(sid, uid).payload()
-
-    async def _handle_upload_chunk(
-        self, request: HttpRequest, sid: str, uid: str, index: int
-    ) -> Tuple[int, dict]:
-        record = self.uploads.put_chunk(sid, uid, index, request.body)
-        return 200, {
-            "upload_id": uid,
-            "chunk": index,
-            "received_chunks": len(record.chunks),
-            "missing_chunks": record.missing_chunks,
-        }
-
-    async def _handle_upload_commit(
-        self, request: HttpRequest, sid: str, uid: str
-    ) -> Tuple[int, dict]:
-        scans = self.uploads.commit(sid, uid)
-        receipts = []
-        for position, scan in enumerate(scans):
-            try:
-                scan_request = scan_request_from_payload(sid, scan)
-            except HttpError as error:
-                raise HttpError(
-                    error.status,
-                    error.code,
-                    f"scan {position} of upload {uid!r}: {error.message}",
-                    error.detail,
-                ) from None
-            receipt = await self.service.submit(scan_request, auto_create=False)
-            receipts.append(receipt_payload(receipt))
-        return 200, {"upload_id": uid, "submitted": len(receipts), "receipts": receipts}
-
-    async def _handle_upload_abort(
-        self, request: HttpRequest, sid: str, uid: str
-    ) -> Tuple[int, dict]:
-        self.uploads.abort(sid, uid)
-        return 200, {"upload_id": uid, "aborted": True}
 
     # ------------------------------------------------------------------
     # Handlers: background jobs

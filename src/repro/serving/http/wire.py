@@ -4,11 +4,10 @@ Two halves, both stdlib-only:
 
 * **Framing** -- a minimal, strict HTTP/1.1 reader/writer over asyncio
   streams: request-head parsing with a size cap, bounded body reads keyed on
-  ``Content-Length`` (chunked *request* bodies are rejected -- the upload
-  protocol in :mod:`repro.serving.http.uploads` exists precisely so clients
-  never need them), plain and chunked-transfer response writers, and
-  :class:`HttpError`, the exception handlers raise to produce a JSON error
-  response with the right status code.
+  ``Content-Length`` (chunked *request* bodies are rejected), plain and
+  chunked-transfer response writers, and :class:`HttpError`, the exception
+  handlers raise to produce a JSON error response with the right status
+  code.
 
 * **Codecs** -- the JSON representations of the serving-layer dataclasses
   (:class:`~repro.serving.types.ScanRequest` in,
@@ -87,8 +86,8 @@ class HttpError(Exception):
         code: short machine-readable error identifier (stable; clients and
             tests match on it, not on the message).
         message: human-readable explanation.
-        detail: optional extra JSON-serialisable context (e.g. the missing
-            chunk indices of a refused upload commit).
+        detail: optional extra JSON-serialisable context (e.g. the route
+            table of a 404, or the retry delay of a quota refusal).
     """
 
     def __init__(
@@ -146,16 +145,12 @@ class HttpRequest:
 async def read_request(
     reader: asyncio.StreamReader,
     max_body_bytes: int,
-    body_cap_for=None,
 ) -> Optional[HttpRequest]:
     """Read one HTTP/1.1 request off a stream; ``None`` on a clean EOF.
 
-    ``max_body_bytes`` caps the body; ``body_cap_for(method, path)``, when
-    given, may return a *larger* per-route cap (the upload-chunk route allows
-    bodies up to the configured chunk size even when the general JSON body
-    limit is smaller).  An over-limit ``Content-Length`` raises
-    :class:`HttpError` 413 before any body byte is read, so oversized
-    uploads are refused cheaply.
+    ``max_body_bytes`` caps the body of every route.  An over-limit
+    ``Content-Length`` raises :class:`HttpError` 413 before any body byte is
+    read, so oversized requests are refused cheaply.
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -188,8 +183,8 @@ async def read_request(
         raise HttpError(
             411,
             "length_required",
-            "chunked request bodies are not supported; use the "
-            "init/chunk/commit upload protocol for large payloads",
+            "chunked request bodies are not supported; send the body "
+            "with a Content-Length header",
         )
     length_header = headers.get("content-length", "0")
     try:
@@ -198,15 +193,12 @@ async def read_request(
         raise HttpError(400, "bad_request", f"bad Content-Length: {length_header!r}") from None
     if length < 0:
         raise HttpError(400, "bad_request", f"bad Content-Length: {length_header!r}")
-    cap = max_body_bytes
-    if body_cap_for is not None:
-        cap = max(cap, body_cap_for(method, path))
-    if length > cap:
+    if length > max_body_bytes:
         raise HttpError(
             413,
             "body_too_large",
-            f"request body of {length} bytes exceeds the {cap}-byte limit; "
-            "use the chunked upload protocol for large scan batches",
+            f"request body of {length} bytes exceeds the {max_body_bytes}-byte "
+            "limit; split large scan batches into several scan requests",
         )
     body = await reader.readexactly(length) if length else b""
     return HttpRequest(
@@ -340,7 +332,6 @@ def scan_request_from_payload(session_id: str, payload: Mapping) -> ScanRequest:
         {"points": [[x, y, z], ...],      # world-frame scan points
          "origin": [x, y, z],             # sensor origin, world frame
          "max_range": 15.0,               # optional, -1 disables truncation
-         "priority": 0,                   # optional
          "deadline_in_s": 0.25,           # optional, relative seconds from
                                           # arrival (converted to the
                                           # service's monotonic clock)
@@ -356,7 +347,6 @@ def scan_request_from_payload(session_id: str, payload: Mapping) -> ScanRequest:
     origin = point3(require_field(payload, "origin"), "origin")
     try:
         max_range = float(payload.get("max_range", -1.0))
-        priority = int(payload.get("priority", 0))
     except (TypeError, ValueError) as error:
         raise HttpError(400, "bad_field", f"bad scan field: {error}") from None
     deadline_s = float("inf")
@@ -372,7 +362,6 @@ def scan_request_from_payload(session_id: str, payload: Mapping) -> ScanRequest:
         cloud=cloud,
         origin=origin,
         max_range=max_range,
-        priority=priority,
         deadline_s=deadline_s,
         client_id=client_id,
     )
@@ -383,7 +372,6 @@ _CONFIG_FIELDS = (
     "shard_prefix_levels",
     "backend",
     "mp_start_method",
-    "scheduler_policy",
     "batch_size",
     "cache_capacity",
     "default_max_range",

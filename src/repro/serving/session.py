@@ -24,7 +24,6 @@ from repro.serving.backends import BACKEND_NAMES, ShardBackend, make_backend
 from repro.serving.batching import IngestionPipeline
 from repro.serving.cache import GenerationLRUCache
 from repro.serving.query_engine import QueryEngine
-from repro.serving.schedulers import make_scheduler
 from repro.serving.sharding import MapShardWorker, ShardRouter
 from repro.serving.stats import SessionStats
 from repro.serving.types import BatchReport, IngestReceipt, ScanRequest
@@ -54,7 +53,6 @@ class SessionConfig:
             each.
         mp_start_method: ``multiprocessing`` start method for the process
             backend (``None`` picks ``fork`` where available).
-        scheduler_policy: ``"fifo"``, ``"priority"`` or ``"deadline"``.
         batch_size: scans coalesced per ingestion batch.
         cache_capacity: entries of the query LRU cache.
         bbox_cache_capacity: whole box-sweep summaries cached per session,
@@ -110,7 +108,6 @@ class SessionConfig:
     shard_prefix_levels: int = 12
     backend: str = "inline"
     mp_start_method: Optional[str] = None
-    scheduler_policy: str = "fifo"
     batch_size: int = 8
     cache_capacity: int = 4096
     bbox_cache_capacity: int = 64
@@ -252,7 +249,6 @@ class MapSession:
             session_id,
             self.router,
             self.backend,
-            make_scheduler(self.config.scheduler_policy),
             self.stats,
             batch_size=self.config.batch_size,
             metrics=metrics,

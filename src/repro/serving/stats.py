@@ -53,7 +53,7 @@ class SessionStats:
     #: key-converter derivations by the front end: 1 per session; more flags a per-flush one.
     frontend_converter_builds: int = 0
     #: requests popped for a flush after their ``deadline_s`` (``time.monotonic``)
-    #: had passed -- the QoS figure the deadline scheduler minimises.
+    #: had passed: queued too long behind earlier arrivals.
     deadline_misses: int = 0
     # --- async admission (filled by repro.serving.aio) ---
     #: requests accepted through the asyncio front end.

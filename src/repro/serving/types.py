@@ -55,22 +55,19 @@ class ScanRequest:
         cloud: scan points already expressed in the world frame.
         origin: sensor origin in the world frame.
         max_range: beam truncation range (``-1`` disables truncation).
-        priority: larger values are served first by the priority scheduler.
-        deadline_s: absolute service deadline on the ``time.monotonic`` clock
-            (earliest-deadline-first scheduling; a request popped for a flush
-            after its deadline is counted as a deadline miss); ``inf`` means
-            "no deadline".
+        deadline_s: absolute service deadline on the ``time.monotonic`` clock;
+            a request popped for a flush after its deadline is counted as a
+            deadline miss, and the async front door may shed it before it is
+            queued.  ``inf`` means "no deadline".
         client_id: opaque client tag carried through to the stats layer.
-        request_id: service-assigned monotonically increasing id; also the
-            FIFO tiebreaker of every scheduler, so equal-priority /
-            equal-deadline requests keep arrival order.
+        request_id: service-assigned monotonically increasing id (arrival
+            order, which is also the order requests are applied in).
     """
 
     session_id: str
     cloud: PointCloud
     origin: Tuple[float, float, float]
     max_range: float = -1.0
-    priority: int = 0
     deadline_s: float = math.inf
     client_id: str = ""
     request_id: int = -1
@@ -81,7 +78,6 @@ class ScanRequest:
         session_id: str,
         scan: ScanNode,
         max_range: float = -1.0,
-        priority: int = 0,
         deadline_s: float = math.inf,
         client_id: str = "",
     ) -> "ScanRequest":
@@ -92,7 +88,6 @@ class ScanRequest:
             cloud=scan.world_cloud(),
             origin=(float(origin[0]), float(origin[1]), float(origin[2])),
             max_range=max_range,
-            priority=priority,
             deadline_s=deadline_s,
             client_id=client_id,
         )
@@ -119,7 +114,7 @@ class BatchReport:
     Attributes:
         session_id: session the batch belonged to.
         batch_id: per-session batch sequence number.
-        request_ids: requests in dispatch order (the scheduler's order).
+        request_ids: requests in dispatch order (arrival order).
         scans: number of scans coalesced into the batch.
         rays_cast: beams ray-cast by the shared front end.
         ray_voxels_visited: voxel visits before de-duplication.
@@ -139,8 +134,8 @@ class BatchReport:
             shard acknowledgements of *this* batch.
         backend: name of the shard execution backend that applied the batch.
         deadline_misses: requests in the batch whose ``deadline_s`` had
-            already passed (on the ``time.monotonic`` clock) when the
-            scheduler popped them for this flush.
+            already passed (on the ``time.monotonic`` clock) when they were
+            popped for this flush.
     """
 
     session_id: str

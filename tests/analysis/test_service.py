@@ -3,15 +3,27 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_service_workload, service_scaling_experiment
-from repro.analysis.service import main, session_scaling_experiment, write_benchmark_json
+import repro
+from repro.analysis.service import (
+    main,
+    run_service_workload,
+    service_scaling_experiment,
+    session_scaling_experiment,
+    write_benchmark_json,
+)
 from repro.datasets.streams import ClientSpec
 
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
 TINY_CLIENTS = (
-    ClientSpec(client_id="a", session_id="s1", scene="corridor", num_scans=1, priority=1),
+    ClientSpec(client_id="a", session_id="s1", scene="corridor", num_scans=1),
     ClientSpec(client_id="b", session_id="s2", scene="campus", num_scans=1),
 )
 
@@ -26,30 +38,21 @@ def test_run_service_workload_returns_populated_manager():
 
 
 def test_service_scaling_experiment_table_shape():
-    result = service_scaling_experiment(
-        TINY_CLIENTS,
-        scheduler_policies=("fifo", "priority"),
-        shard_counts=(1, 2),
-    )
+    result = service_scaling_experiment(TINY_CLIENTS, shard_counts=(1, 2))
     assert result.experiment_id == "service_scaling"
-    assert len(result.rows) == 4
+    assert [row[0] for row in result.rows] == [1, 2]
     assert all(len(row) == len(result.headers) for row in result.rows)
     assert "Serving layer" in result.rendered
-    # Every configuration dispatched the same updates (equivalence!) ...
-    updates = {row[4] for row in result.rows}
-    assert len(updates) == 1
+    # Every shard count dispatched the same updates (equivalence!) ...
+    records = result.records()
+    assert len({record["Updates"] for record in records}) == 1
     # ... and sharding never slows the modelled ingest down.
-    by_policy = {}
-    for row in result.rows:
-        by_policy.setdefault(row[0], {})[row[1]] = row[6]
-    for policy, latencies in by_policy.items():
-        assert latencies[2] <= latencies[1] * 1.001, (policy, latencies)
+    one, two = (record["Modelled ingest (ms)"] for record in records)
+    assert two <= one * 1.001, (one, two)
 
 
 def test_write_benchmark_json_round_trips(tmp_path):
-    result = service_scaling_experiment(
-        TINY_CLIENTS, scheduler_policies=("fifo",), shard_counts=(1,)
-    )
+    result = service_scaling_experiment(TINY_CLIENTS, shard_counts=(1,))
     path = write_benchmark_json([result], tmp_path / "BENCH_serving.json")
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["environment"]["cpu_count"] >= 1
@@ -60,14 +63,11 @@ def test_write_benchmark_json_round_trips(tmp_path):
     # Each row also travels as a self-describing record, fields by name.
     assert entry["records"] == result.records()
     for record in entry["records"]:
-        assert record["Scheduler"] == "fifo"
         assert record["Shards"] == 1
 
 
 def test_write_benchmark_json_carries_extra_experiments(tmp_path):
-    first = service_scaling_experiment(
-        TINY_CLIENTS, scheduler_policies=("fifo",), shard_counts=(1,)
-    )
+    first = service_scaling_experiment(TINY_CLIENTS, shard_counts=(1,))
     second = session_scaling_experiment(
         session_counts=(2,), fleet_workers=2, scans_per_session=1, arrival_rate_per_s=500.0
     )
@@ -86,7 +86,7 @@ def test_service_main_writes_json(tmp_path, capsys):
     assert exit_code == 0
     assert out.exists()
     captured = capsys.readouterr().out
-    assert "scheduler x shard-count sweep" in captured
+    assert "shard-count sweep" in captured
     assert "open-loop session-count sweep" in captured
     assert str(out) in captured
     payload = json.loads(out.read_text(encoding="utf-8"))
@@ -157,3 +157,28 @@ def test_session_scaling_experiment_table_shape():
         assert record["Admit p99 (ms)"] >= record["Admit p50 (ms)"]
         assert record["Ingest p99 (ms)"] >= record["Ingest p50 (ms)"]
     assert "coordinated omission" in result.notes
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_importing_the_analysis_package_leaves_the_service_module_unloaded():
+    """``python -m repro.analysis.service`` runs the module as ``__main__``;
+    if importing the package had loaded it already, runpy would warn."""
+    done = _python(
+        "-c",
+        "import sys, repro.analysis; "
+        "assert 'repro.analysis.service' not in sys.modules, sorted(sys.modules)",
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_service_module_runs_as_a_script_without_a_runtime_warning():
+    done = _python("-W", "error::RuntimeWarning", "-m", "repro.analysis.service", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert "usage: python -m repro.analysis.service" in done.stdout

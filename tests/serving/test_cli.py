@@ -12,16 +12,10 @@ from repro.serving.cli import build_parser, main
 def test_parser_defaults():
     args = build_parser().parse_args([])
     assert args.sessions == 2
-    assert args.scheduler == "fifo"
     assert args.shards == 2
     assert args.backend == "inline"
     assert args.use_async is False
     assert args.queue_limit == 16
-
-
-def test_parser_rejects_unknown_scheduler():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["--scheduler", "lifo"])
 
 
 def test_parser_rejects_unknown_backend():
@@ -29,7 +23,9 @@ def test_parser_rejects_unknown_backend():
         build_parser().parse_args(["--backend", "rpc"])
 
 
-@pytest.mark.parametrize("flags", [["--pipeline"], ["--flusher-concurrency", "2"]])
+@pytest.mark.parametrize(
+    "flags", [["--pipeline"], ["--flusher-concurrency", "2"], ["--scheduler", "fifo"]]
+)
 def test_parser_rejects_removed_ingestion_flags(flags, capsys):
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(flags)
@@ -63,7 +59,6 @@ def test_main_runs_and_prints_stats(capsys):
             "--scans", "1",
             "--shards", "2",
             "--batch-size", "2",
-            "--scheduler", "priority",
             "--queries", "2",
         ]
     )

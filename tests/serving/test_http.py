@@ -3,7 +3,7 @@
 Every test runs a real :class:`HttpMapServer` on an ephemeral loopback port
 and talks to it through :class:`MapServiceClient` (or raw sockets for the
 framing error paths), so the whole stack -- framing, routing, codecs,
-uploads, jobs, and the :class:`AsyncMapService` underneath -- is exercised
+jobs, and the :class:`AsyncMapService` underneath -- is exercised
 exactly as a network caller sees it.
 """
 
@@ -22,7 +22,6 @@ from repro.octomap import PointCloud
 from repro.octomap.serialization import deserialize_tree
 from repro.serving import AsyncMapService, ScanRequest, SessionConfig
 from repro.serving.http import HttpMapServer, MapServiceClient, ServerError, http_request
-from repro.serving.http.uploads import UploadManager
 from test_aio import _reference_tree
 
 pytestmark = pytest.mark.filterwarnings(
@@ -150,9 +149,9 @@ async def test_healthz_and_session_lifecycle():
         assert health["status"] == "ok"
         assert health["sessions"] == 0
 
-        created = await client.create_session("map", {"scheduler_policy": "priority"})
+        created = await client.create_session("map", {"batch_size": 2})
         assert created["created"] is True
-        assert created["scheduler_policy"] == "priority"
+        assert server.service.manager.get_session("map").config.batch_size == 2
         again = await client.create_session("map")
         assert again["created"] is False
         assert await client.list_sessions() == ["map"]
@@ -235,9 +234,7 @@ async def test_streamed_bbox_frames_match_the_aggregate():
 
 @async_test
 async def test_deadline_misses_surface_in_http_stats():
-    async with serve(
-        SessionConfig(num_shards=1, batch_size=4, scheduler_policy="deadline")
-    ) as (server, client):
+    async with serve(SessionConfig(num_shards=1, batch_size=4)) as (server, client):
         await client.create_session("map")
         payload = _scan_payloads(1)[0]
         # A deadline that is live at admission (so the shed gate passes) but
@@ -384,6 +381,60 @@ async def test_unknown_session_job_and_route_are_404s():
             assert any("/v1/sessions" in route for route in excinfo.value.detail["api"])
 
 
+@pytest.mark.parametrize(
+    "method, path",
+    [
+        ("POST", "/v1/sessions/map/uploads"),
+        ("GET", "/v1/sessions/map/uploads/u1"),
+        ("PUT", "/v1/sessions/map/uploads/u1/chunks/0"),
+        ("POST", "/v1/sessions/map/uploads/u1/commit"),
+        ("DELETE", "/v1/sessions/map/uploads/u1"),
+    ],
+)
+@async_test
+async def test_the_chunked_upload_routes_are_unknown_routes(method, path):
+    """Scans arrive one per ``POST .../scans``; no upload route survives, and
+    the 404 body advertises none."""
+    async with serve() as (server, client):
+        await client.create_session("map")
+        with pytest.raises(ServerError) as excinfo:
+            await client._call(method, path, {"total_chunks": 1} if method != "GET" else None)
+        assert (excinfo.value.status, excinfo.value.code) == (404, "unknown_route")
+        assert not any("upload" in route for route in excinfo.value.detail["api"])
+
+
+@async_test
+async def test_a_legacy_priority_field_is_ignored_and_scans_apply_in_arrival_order():
+    """Old clients may still send ``priority``: it neither fails the submit
+    nor reorders the queue, so the map is the arrival-order map."""
+    async with serve() as (server, client):
+        await client.create_session("map", {"batch_size": 2})
+        payloads = _scan_payloads(5, seed=11)
+        for payload, priority in zip(payloads, (0, 9, 5, 9, 1)):
+            payload["priority"] = priority
+
+        async def submit():
+            return [await client._call("POST", "/v1/sessions/map/scans", p) for p in payloads]
+
+        receipts, reports = await _submit_then_flush(server, client, "map", submit)
+        dispatched = [rid for report in reports for rid in report["request_ids"]]
+        assert dispatched == [receipt["request_id"] for receipt in receipts]
+        session = server.service.manager.get_session("map")
+        reference = _reference_tree(session, [_as_request(p) for p in payloads])
+        tolerance = session.config.accelerator.fixed_point.scale / 2.0
+        diff = compare_trees(reference, session.export_octree(), tolerance)
+        assert diff.equivalent, diff.summary()
+
+
+@async_test
+async def test_health_and_session_delete_replies_carry_no_upload_fields():
+    async with serve() as (server, client):
+        await client.create_session("map")
+        health = await client.healthz()
+        assert set(health) == {"status", "sessions", "pending_requests", "jobs", "http"}
+        assert await client.delete_session("map") == {"session_id": "map", "closed": True}
+
+
 @async_test
 async def test_oversized_body_is_refused_with_413_before_reading_it():
     async with serve(max_body_bytes=512) as (server, client):
@@ -393,59 +444,7 @@ async def test_oversized_body_is_refused_with_413_before_reading_it():
         with pytest.raises(ServerError) as excinfo:
             await client.submit_scan("map", big["points"], big["origin"])
         assert (excinfo.value.status, excinfo.value.code) == (413, "body_too_large")
-
-
-@async_test
-async def test_upload_error_paths_over_the_wire():
-    async with serve(uploads=UploadManager(max_chunk_bytes=64)) as (server, client):
-        await client.create_session("map")
-        init = await client.init_upload("map", total_chunks=2)
-        upload_id = init["upload_id"]
-
-        with pytest.raises(ServerError) as excinfo:
-            await client.put_chunk("map", upload_id, 0, b"x" * 65)
-        assert (excinfo.value.status, excinfo.value.code) == (413, "chunk_too_large")
-
-        await client.put_chunk("map", upload_id, 0, b'{"scans": ')
-        with pytest.raises(ServerError) as excinfo:
-            await client.commit_upload("map", upload_id)
-        assert (excinfo.value.status, excinfo.value.code) == (409, "upload_incomplete")
-        assert excinfo.value.detail == {"missing_chunks": [1]}
-
-        status = await client.upload_status("map", upload_id)
-        assert status["missing_chunks"] == [1]
-        with pytest.raises(ServerError) as excinfo:
-            await client.put_chunk("map", "upload-999", 0, b"data")
-        assert excinfo.value.status == 404
-        aborted = await client.abort_upload("map", upload_id)
-        assert aborted["aborted"] is True
-
-
-# ---------------------------------------------------------------------------
-# Chunked upload round trip
-# ---------------------------------------------------------------------------
-@async_test
-async def test_chunked_upload_roundtrips_a_batch_above_the_body_limit():
-    async with serve(max_body_bytes=2048) as (server, client):
-        await client.create_session("map")
-        scans = [{**p, "max_range": 5.0} for p in _scan_payloads(6, seed=11)]
-        blob_bytes = len(json.dumps({"scans": scans}).encode())
-        assert blob_bytes > 2048, "the batch genuinely exceeds one body"
-
-        commit = await client.upload_scans("map", scans, chunk_bytes=1024)
-        assert commit["submitted"] == 6
-        assert len(commit["receipts"]) == 6
-        await client.flush("map")
-
-        # Upload-path ingestion equals sequential in-process insertion.
-        session = server.service.manager.get_session("map")
-        reference = _reference_tree(session, [_as_request(s) for s in scans])
-        tolerance = session.config.accelerator.fixed_point.scale / 2.0
-        diff = compare_trees(reference, session.export_octree(), tolerance)
-        assert diff.equivalent, diff.summary()
-        box = await client.query_bbox("map", (-3.0, -3.0, -3.0), (3.0, 3.0, 3.0))
-        assert box["occupied"] > 0
-        assert (await client.healthz())["pending_upload_bytes"] == 0
+        assert "exceeds the 512-byte limit; split large scan batches" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------

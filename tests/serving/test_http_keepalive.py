@@ -61,12 +61,10 @@ async def test_sequential_calls_of_mixed_verbs_share_one_connection():
         await client.flush("map")
         await client.query("map", 0.5, 0.0, 0.2)
         await client.stats()  # GET
-        upload = await client.init_upload("map", total_chunks=1)
-        await client.put_chunk("map", upload["upload_id"], 0, b'{"scans": []}')  # PUT, raw body
-        await client.abort_upload("map", upload["upload_id"])  # DELETE
         frames = [frame async for frame in client.stream_bbox("map", (-1, -1, 0), (1, 1, 0.4))]
         assert frames, "a chunked response travelled on the kept connection too"
-        sent = 9
+        await client.delete_session("map")  # DELETE
+        sent = 7
 
         async with client._request("GET", "/healthz") as exchange:
             response = await exchange.read()
@@ -134,18 +132,22 @@ async def test_error_replies_keep_the_connection_and_framing_errors_drop_it():
         await client.create_session("map", config)
         payload = _scan_payloads(1)[0]
         await client.submit_scan("map", payload["points"], payload["origin"], max_range=5.0)
-        upload = await client.init_upload("map", total_chunks=2)
-        refused = [
-            (400, client.query_bbox("map", (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
-            (404, client.session_stats("ghost")),
-            (404, client._call("GET", "/v1/nonsense")),
-            (409, client.commit_upload("map", upload["upload_id"])),
-            (429, client.submit_scan("map", payload["points"], payload["origin"], max_range=5.0)),
-        ]
-        for status, call in refused:
-            with pytest.raises(ServerError) as excinfo:
-                await call
-            assert excinfo.value.status == status
+        # The export job's flush waits on the session lock, so while the
+        # test holds it the job cannot finish and its result is a 409.  The
+        # 400 is refused by the wire codec, before any session work.
+        async with server.service._entries["map"].lock:
+            export = await client.start_export("map")
+            refused = [
+                (400, client.query_bbox("map", (1.0, 0.0), (0.0, 0.0, 0.0))),
+                (404, client.session_stats("ghost")),
+                (404, client._call("GET", "/v1/nonsense")),
+                (409, client.job_result(export["job_id"])),
+                (429, client.submit_scan("map", payload["points"], payload["origin"], max_range=5.0)),
+            ]
+            for status, call in refused:
+                with pytest.raises(ServerError) as excinfo:
+                    await call
+                assert excinfo.value.status == status
         assert (await _http_counters(client))["connections_accepted"] == 1
 
         # The server answers a framing error with ``Connection: close`` (the

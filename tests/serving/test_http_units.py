@@ -1,8 +1,7 @@
 """Unit tests for the HTTP subsystem's transport-free pieces.
 
-Covers the three modules that need no socket: the background-job registry
-(:mod:`repro.serving.http.jobs`), the chunked-upload state machine
-(:mod:`repro.serving.http.uploads`) and the JSON wire codecs
+Covers the two modules that need no socket: the background-job registry
+(:mod:`repro.serving.http.jobs`) and the JSON wire codecs
 (:mod:`repro.serving.http.wire`), plus the framing decision of which requests
 keep their connection.  The socket-level integration tests live in
 ``test_http.py`` and ``test_http_keepalive.py``.
@@ -20,7 +19,6 @@ import pytest
 
 from repro.serving.http.jobs import DONE, FAILED, PENDING, RUNNING, JobManager
 from repro.serving.http.server import HttpMapServer
-from repro.serving.http.uploads import UploadError, UploadManager
 from repro.serving.http.wire import (
     HttpError,
     HttpRequest,
@@ -172,174 +170,6 @@ async def test_close_cancels_in_flight_jobs():
 
 
 # ---------------------------------------------------------------------------
-# UploadManager
-# ---------------------------------------------------------------------------
-def _scan_blob(scans) -> bytes:
-    return json.dumps({"scans": scans}).encode("utf-8")
-
-
-def test_upload_init_validates_shape_and_quota():
-    uploads = UploadManager(max_chunks=8, max_upload_bytes=1024)
-    with pytest.raises(UploadError) as excinfo:
-        uploads.init("map", total_chunks=0)
-    assert (excinfo.value.status, excinfo.value.code) == (400, "bad_upload")
-    with pytest.raises(UploadError) as excinfo:
-        uploads.init("map", total_chunks=9)
-    assert excinfo.value.status == 400
-    with pytest.raises(UploadError) as excinfo:
-        uploads.init("map", total_chunks=2, total_bytes=2048)
-    assert (excinfo.value.status, excinfo.value.code) == (413, "upload_too_large")
-    record = uploads.init("map", total_chunks=2, total_bytes=512)
-    assert record.missing_chunks == [0, 1]
-    assert len(uploads) == 1
-
-
-def test_upload_lookup_is_session_scoped():
-    uploads = UploadManager()
-    record = uploads.init("map-a", total_chunks=1)
-    with pytest.raises(UploadError) as excinfo:
-        uploads.get("map-b", record.upload_id)
-    assert (excinfo.value.status, excinfo.value.code) == (404, "unknown_upload")
-    with pytest.raises(UploadError):
-        uploads.get("map-a", "upload-999")
-    assert uploads.get("map-a", record.upload_id) is record
-
-
-def test_oversized_chunk_is_refused_with_413():
-    uploads = UploadManager(max_chunk_bytes=16)
-    record = uploads.init("map", total_chunks=1)
-    with pytest.raises(UploadError) as excinfo:
-        uploads.put_chunk("map", record.upload_id, 0, b"x" * 17)
-    assert (excinfo.value.status, excinfo.value.code) == (413, "chunk_too_large")
-    # The refused chunk was not stored.
-    assert record.missing_chunks == [0]
-
-
-def test_out_of_range_chunk_index_is_a_400():
-    uploads = UploadManager()
-    record = uploads.init("map", total_chunks=2)
-    for index in (-1, 2):
-        with pytest.raises(UploadError) as excinfo:
-            uploads.put_chunk("map", record.upload_id, index, b"data")
-        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_chunk_index")
-
-
-def test_chunk_retry_is_idempotent_but_conflicts_on_different_bytes():
-    uploads = UploadManager()
-    record = uploads.init("map", total_chunks=2)
-    uploads.put_chunk("map", record.upload_id, 0, b"alpha")
-    uploads.put_chunk("map", record.upload_id, 0, b"alpha")  # retry: fine
-    assert record.received_bytes == 5, "retry did not double-count"
-    with pytest.raises(UploadError) as excinfo:
-        uploads.put_chunk("map", record.upload_id, 0, b"OTHER")
-    assert (excinfo.value.status, excinfo.value.code) == (409, "chunk_conflict")
-
-
-def test_commit_with_missing_chunks_names_them():
-    uploads = UploadManager()
-    record = uploads.init("map", total_chunks=3)
-    uploads.put_chunk("map", record.upload_id, 1, b'"mid"')
-    with pytest.raises(UploadError) as excinfo:
-        uploads.commit("map", record.upload_id)
-    assert (excinfo.value.status, excinfo.value.code) == (409, "upload_incomplete")
-    assert excinfo.value.detail == {"missing_chunks": [0, 2]}
-    # The upload is still pending -- the client can resume.
-    assert uploads.get("map", record.upload_id) is record
-
-
-def test_commit_checks_the_declared_total_bytes():
-    uploads = UploadManager()
-    blob = _scan_blob([{"points": [[1.0, 0.0, 0.0]], "origin": [0.0, 0.0, 0.0]}])
-    record = uploads.init("map", total_chunks=1, total_bytes=len(blob) + 1)
-    uploads.put_chunk("map", record.upload_id, 0, blob)
-    with pytest.raises(UploadError) as excinfo:
-        uploads.commit("map", record.upload_id)
-    assert (excinfo.value.status, excinfo.value.code) == (409, "size_mismatch")
-
-
-def test_commit_decodes_and_releases_the_upload():
-    uploads = UploadManager()
-    scans = [
-        {"points": [[1.0, 0.0, 0.0]], "origin": [0.0, 0.0, 0.0]},
-        {"points": [[0.0, 1.0, 0.0]], "origin": [0.0, 0.0, 0.0]},
-    ]
-    blob = _scan_blob(scans)
-    half = len(blob) // 2
-    record = uploads.init("map", total_chunks=2, total_bytes=len(blob))
-    # Out-of-order arrival is fine.
-    uploads.put_chunk("map", record.upload_id, 1, blob[half:])
-    uploads.put_chunk("map", record.upload_id, 0, blob[:half])
-    assert uploads.commit("map", record.upload_id) == scans
-    assert uploads.pending_bytes() == 0
-    with pytest.raises(UploadError):
-        uploads.get("map", record.upload_id)
-
-
-def test_commit_rejects_non_scan_documents():
-    uploads = UploadManager()
-    for blob, note in (
-        (b"\xff\xfe", "not utf-8"),
-        (b"{truncated", "not json"),
-        (b"[1, 2]", "not an object"),
-        (b'{"scans": 3}', "scans not a list"),
-        (b'{"scans": [1]}', "scan not an object"),
-    ):
-        record = uploads.init("map", total_chunks=1)
-        uploads.put_chunk("map", record.upload_id, 0, blob)
-        with pytest.raises(UploadError) as excinfo:
-            uploads.commit("map", record.upload_id)
-        assert excinfo.value.code == "bad_upload_json", note
-
-
-def test_per_upload_and_server_wide_quotas():
-    uploads = UploadManager(max_chunk_bytes=64, max_upload_bytes=100, max_total_bytes=150)
-    first = uploads.init("map", total_chunks=3)
-    uploads.put_chunk("map", first.upload_id, 0, b"x" * 60)
-    with pytest.raises(UploadError) as excinfo:
-        uploads.put_chunk("map", first.upload_id, 1, b"x" * 50)
-    assert (excinfo.value.status, excinfo.value.code) == (413, "upload_too_large")
-    # A second upload pushes the *server-wide* buffer over 150 bytes.
-    second = uploads.init("map", total_chunks=2)
-    uploads.put_chunk("map", second.upload_id, 0, b"y" * 60)
-    with pytest.raises(UploadError) as excinfo:
-        uploads.put_chunk("map", second.upload_id, 1, b"y" * 40)
-    assert (excinfo.value.status, excinfo.value.code) == (429, "upload_quota")
-    # Aborting the first releases its bytes and unblocks the second.
-    uploads.abort("map", first.upload_id)
-    uploads.put_chunk("map", second.upload_id, 1, b"y" * 40)
-
-
-def test_stale_uploads_are_purged_by_ttl():
-    clock = FakeClock()
-    uploads = UploadManager(stale_ttl_s=30.0, clock=clock)
-    record = uploads.init("map", total_chunks=2)
-    uploads.put_chunk("map", record.upload_id, 0, b"data")
-    clock.advance(29.0)
-    assert uploads.get("map", record.upload_id) is record
-    # Any activity refreshes the idle timer.
-    uploads.put_chunk("map", record.upload_id, 0, b"data")
-    clock.advance(29.0)
-    assert uploads.get("map", record.upload_id) is record
-    clock.advance(2.0)
-    with pytest.raises(UploadError) as excinfo:
-        uploads.get("map", record.upload_id)
-    assert excinfo.value.status == 404
-    assert uploads.pending_bytes() == 0
-
-
-def test_abort_session_discards_only_that_sessions_uploads():
-    uploads = UploadManager()
-    doomed_a = uploads.init("map-a", total_chunks=1)
-    doomed_b = uploads.init("map-a", total_chunks=1)
-    kept = uploads.init("map-b", total_chunks=1)
-    assert uploads.abort_session("map-a") == 2
-    for record in (doomed_a, doomed_b):
-        with pytest.raises(UploadError):
-            uploads.get("map-a", record.upload_id)
-    assert uploads.get("map-b", kept.upload_id) is kept
-
-
-# ---------------------------------------------------------------------------
 # Framing: which requests keep the connection open
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
@@ -369,6 +199,46 @@ async def test_keep_alive_follows_the_http_version_and_the_connection_tokens(
     request = await read_request(reader, max_body_bytes=1024)
     assert request.version == version
     assert request.keep_alive is expected
+
+
+@async_test
+async def test_a_chunked_request_body_is_a_411_that_asks_for_a_content_length():
+    reader = asyncio.StreamReader()
+    reader.feed_data(b"POST /v1/sessions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
+    reader.feed_eof()
+    with pytest.raises(HttpError) as excinfo:
+        await read_request(reader, max_body_bytes=1024)
+    assert (excinfo.value.status, excinfo.value.code) == (411, "length_required")
+    assert "Content-Length" in excinfo.value.message
+
+
+@pytest.mark.parametrize(
+    "method, path",
+    [
+        ("POST", "/v1/sessions/map/scans"),
+        ("PUT", "/v1/sessions/map/uploads/u1/chunks/0"),  # once capped by the chunk size
+        ("POST", "/v1/sessions/map/export"),
+    ],
+)
+@async_test
+async def test_max_body_bytes_is_the_one_cap_on_every_route(method, path):
+    cap = 64
+    at_cap = asyncio.StreamReader()
+    at_cap.feed_data(f"{method} {path} HTTP/1.1\r\nContent-Length: {cap}\r\n\r\n".encode())
+    at_cap.feed_data(b"x" * cap)
+    at_cap.feed_eof()
+    request = await read_request(at_cap, max_body_bytes=cap)
+    assert (request.method, request.path, request.body) == (method, path, b"x" * cap)
+
+    # One byte over: refused from the head alone -- no body follows the
+    # head here, so an attempt to read one would fail differently.
+    over = asyncio.StreamReader()
+    over.feed_data(f"{method} {path} HTTP/1.1\r\nContent-Length: {cap + 1}\r\n\r\n".encode())
+    over.feed_eof()
+    with pytest.raises(HttpError) as excinfo:
+        await read_request(over, max_body_bytes=cap)
+    assert (excinfo.value.status, excinfo.value.code) == (413, "body_too_large")
+    assert f"request body of {cap + 1} bytes exceeds the {cap}-byte limit" in excinfo.value.message
 
 
 @async_test
@@ -425,7 +295,6 @@ def test_scan_request_payload_roundtrip_and_deadline_conversion():
             "points": [[1.0, 0.0, 0.2], [0.5, 0.5, 0.2]],
             "origin": [0.0, 0.0, 0.2],
             "max_range": 12.5,
-            "priority": 3,
             "deadline_in_s": 0.25,
             "client_id": "drone-7",
         },
@@ -435,7 +304,6 @@ def test_scan_request_payload_roundtrip_and_deadline_conversion():
     assert len(request.cloud) == 2
     assert request.origin == (0.0, 0.0, 0.2)
     assert request.max_range == 12.5
-    assert request.priority == 3
     assert request.client_id == "drone-7"
     # deadline_in_s is relative; the wire codec anchors it to the service's
     # monotonic clock at decode time.
@@ -448,7 +316,6 @@ def test_scan_request_defaults_leave_the_deadline_unbounded():
     )
     assert math.isinf(request.deadline_s)
     assert request.max_range == -1.0
-    assert request.priority == 0
 
 
 def test_scan_request_shape_violations_are_400s():
@@ -472,11 +339,9 @@ def test_session_config_overrides_apply_on_top_of_the_default():
     default = SessionConfig(num_shards=1, batch_size=8)
     assert session_config_from_payload(default, None) is None
     assert session_config_from_payload(default, {}) is None
-    config = session_config_from_payload(
-        default, {"num_shards": 4, "scheduler_policy": "deadline"}
-    )
+    config = session_config_from_payload(default, {"num_shards": 4, "cache_capacity": 128})
     assert config.num_shards == 4
-    assert config.scheduler_policy == "deadline"
+    assert config.cache_capacity == 128
     assert config.batch_size == 8, "unspecified knobs keep the service default"
 
 
@@ -495,11 +360,16 @@ def test_session_config_resolution_override_and_unknown_keys():
 
 @pytest.mark.parametrize(
     "payload",
-    [{"pipelined": True}, {"flusher_concurrency": 2}, {"negative_ttl_s": 1.0}],
+    [
+        {"pipelined": True},
+        {"flusher_concurrency": 2},
+        {"negative_ttl_s": 1.0},
+        {"scheduler_policy": "fifo"},
+    ],
 )
 def test_removed_ingestion_knobs_are_unknown_config_fields(payload):
-    """Ingestion has one mode: the old overlap and negative-cache knobs are
-    unknown fields, not silently ignored ones."""
+    """Ingestion has one mode and one order: the old overlap, negative-cache
+    and scheduler knobs are unknown fields, not silently ignored ones."""
     with pytest.raises(HttpError) as excinfo:
         session_config_from_payload(SessionConfig(num_shards=1), payload)
     assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config")

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import time
+
 import pytest
 
+from repro.octomap import PointCloud
 from repro.serving import MapSession, MapSessionManager, ScanRequest, SessionConfig
+from repro.serving.stats import ServiceStats
 
 
 def test_sessions_are_isolated(small_scans):
@@ -114,8 +119,8 @@ def test_default_max_range_applied(small_scans):
     config = SessionConfig(num_shards=1, default_max_range=5.0)
     session = MapSession("map", config)
     session.submit(ScanRequest.from_scan_node("map", small_scans[0]))
-    # Pop back off the scheduler to observe the effective request.
-    request = session.pipeline.scheduler.pop()
+    # Pop back off the admission queue to observe the effective request.
+    request = session.pipeline.queue.popleft()
     assert request.max_range == 5.0
 
 
@@ -179,3 +184,52 @@ def test_stats_render_folds_beyond_top_k(small_scans):
 
     exported = manager.service_stats.to_dict()
     assert len(exported["sessions"]) == 7
+
+
+# ---------------------------------------------------------------------------
+# Missed-deadline accounting (counted by the pipeline at pop time)
+# ---------------------------------------------------------------------------
+def test_expired_deadlines_are_counted_as_misses_at_flush():
+    with MapSession("map", SessionConfig(num_shards=1, batch_size=4)) as session:
+        now = time.monotonic()
+        cloud = PointCloud([(1.0, 0.0, 0.2), (1.0, 0.4, 0.2)])
+        # Two requests already past their deadline, one comfortably inside
+        # it, one with no deadline at all.
+        for deadline in (now - 10.0, now - 0.5, now + 60.0, math.inf):
+            session.submit(
+                ScanRequest(
+                    session_id="map",
+                    cloud=cloud,
+                    origin=(0.0, 0.0, 0.2),
+                    deadline_s=deadline,
+                )
+            )
+        reports = session.flush_all()
+        assert sum(report.deadline_misses for report in reports) == 2
+        assert session.stats.deadline_misses == 2
+
+
+def test_deadline_misses_are_zero_for_undeadlined_traffic():
+    with MapSession("map", SessionConfig(num_shards=1, batch_size=2)) as session:
+        cloud = PointCloud([(1.0, 0.0, 0.2)])
+        for _ in range(3):
+            session.submit(ScanRequest(session_id="map", cloud=cloud, origin=(0.0, 0.0, 0.2)))
+        session.flush_all()
+        assert session.stats.deadline_misses == 0
+
+
+def test_deadline_misses_render_in_the_ingest_table():
+    with MapSession("map", SessionConfig(num_shards=1)) as session:
+        session.submit(
+            ScanRequest(
+                session_id="map",
+                cloud=PointCloud([(1.0, 0.0, 0.2)]),
+                origin=(0.0, 0.0, 0.2),
+                deadline_s=time.monotonic() - 1.0,
+            )
+        )
+        session.flush_all()
+        stats = ServiceStats()
+        stats.register(session.stats)
+        assert stats.to_dict()["sessions"][0]["ingest"]["deadline_misses"] == 1
+        assert "Deadline misses" in stats.render()
