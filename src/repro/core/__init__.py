@@ -33,7 +33,7 @@ from repro.core.pe import QUERY_STATUSES, ProcessingElement
 from repro.core.probability_unit import ProbabilityUpdateUnit
 from repro.core.prune_manager import PruneAddressManager
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
-from repro.core.scheduler import VoxelScheduler, VoxelUpdateRequest
+from repro.core.scheduler import VoxelScheduler
 from repro.core.timing import CycleBreakdown, ScanTiming
 from repro.core.treemem import (
     BankedTreeMemory,
@@ -76,7 +76,6 @@ __all__ = [
     "TreeMemEntry",
     "VoxelQueryUnit",
     "VoxelScheduler",
-    "VoxelUpdateRequest",
     "build_reference_tree",
     "compare_trees",
     "verify_against_software",

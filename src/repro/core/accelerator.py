@@ -125,7 +125,7 @@ class OMUAccelerator:
         self.scans_processed += 1
         return timing
 
-    def apply_update_batch(self, requests, occupied=None) -> ScanTiming:
+    def apply_update_batch(self, keys, occupied) -> ScanTiming:
         """Apply an ordered stream of pre-computed voxel updates.
 
         The serving layer ray-casts once in its shared front end and then
@@ -135,20 +135,17 @@ class OMUAccelerator:
         spanning several scans produces exactly the map that sequential
         :meth:`process_scan` calls would.
 
-        The stream is either a sequence of
-        :class:`~repro.core.scheduler.VoxelUpdateRequest` or, with
-        ``occupied`` given, its columns: ``requests`` is then the ``(N, 3)``
-        array of key components and ``occupied`` the ``(N,)`` flags.
+        Args:
+            keys: ``(N, 3)`` key components of the stream, in issue order.
+            occupied: ``(N,)`` flags aligned with ``keys`` (``True`` for a hit,
+                ``False`` for a miss).
 
         Raises:
             ValueError: if a key component lies outside the 16-bit key space
                 (what constructing the :class:`OcTreeKey` would reject), or
                 the columns disagree on N; nothing is applied or issued.
         """
-        if occupied is None:
-            occupied = [request.occupied for request in requests]
-            requests = [request.key.as_tuple() for request in requests]
-        keys = np.asarray(requests)
+        keys = np.asarray(keys)
         if keys.dtype != np.uint16 and keys.size and not (0 <= keys.min() and keys.max() <= 0xFFFF):
             raise ValueError("key component outside [0, 65535]")
         keys = np.ascontiguousarray(keys, dtype=np.uint16).reshape(-1, 3)

@@ -17,21 +17,11 @@ cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.core.config import OMUConfig
-from repro.octomap.keys import OcTreeKey
 
-__all__ = ["VoxelUpdateRequest", "VoxelScheduler"]
-
-
-@dataclass(frozen=True)
-class VoxelUpdateRequest:
-    """One voxel update awaiting execution: the key and its measurement."""
-
-    key: OcTreeKey
-    occupied: bool
+__all__ = ["VoxelScheduler"]
 
 
 class VoxelScheduler:

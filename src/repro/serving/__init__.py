@@ -10,15 +10,14 @@ ingestion pipeline and a cached query engine.
   ``Shard*`` messages the execution backends exchange with shard workers.
 * :mod:`repro.serving.sharding` -- octree-key-prefix shard routing and the
   :class:`MapShardWorker` accelerator wrapper.
-* :mod:`repro.serving.backends` -- the shard execution contract
-  (:class:`ShardBackend`: tickets, fail-stop, generation stamps)
-  and :func:`make_backend`.
+* :mod:`repro.serving.backends` -- the shard execution contract: a
+  :class:`ShardBackend` is one session's lease on a pool (tickets,
+  fail-stop, generation stamps), and :func:`make_backend` hands one out.
 * :mod:`repro.serving.fleet` -- where shards execute: a :class:`BackendPool`
   owns one fixed set of execution slots (inline, threads, worker processes
-  or socket workers) and hands each session a lease
-  (:class:`SessionBackendView`, the one :class:`ShardBackend`
-  implementation) -- the only lease of a private pool, or one of hundreds
-  sharing O(pool size) OS resources.
+  or socket workers) and hands each session a :class:`ShardBackend` lease
+  -- the only lease of a private pool, or one of hundreds sharing O(pool
+  size) OS resources.
 * :mod:`repro.serving.remote` -- the socket channel kind: shard workers
   behind TCP endpoints (``repro-serve-worker``), with heartbeat liveness
   probes and re-homing of lost slots onto standby or surviving workers, so
@@ -67,9 +66,8 @@ kind selected by ``SessionConfig(backend=...)`` (or ``repro-serve --backend
   debugging, single-shard sessions, and latency-sensitive small batches
   where fan-out overhead would dominate.
 * ``"thread"`` -- shard slices are applied concurrently on a thread pool.
-  The pure-Python accelerator model is GIL-bound, so this buys little
-  wall-clock speedup today; pick it to exercise concurrent fan-out without
-  process isolation, or once the update kernels release the GIL.
+  Each slice is one native PE-kernel call that releases the GIL; pick it for
+  concurrent fan-out without process isolation.
 * ``"process"`` -- worker processes, each hosting shards' accelerators;
   flushes fan update batches out to all of them at once and exports gather
   in parallel.  Pick it for throughput: sustained multi-scan ingestion on
@@ -125,7 +123,7 @@ from repro.serving.backends import (
     make_backend,
 )
 from repro.serving.batching import IngestionPipeline
-from repro.serving.fleet import BackendPool, SessionBackendView
+from repro.serving.fleet import BackendPool
 from repro.serving.http import HttpMapServer, MapServiceClient
 from repro.serving.cache import BboxResultCache, CacheStats, GenerationLRUCache
 from repro.serving.manager import MapSessionManager
@@ -201,7 +199,6 @@ __all__ = [
     "RaycastResponse",
     "ScanRequest",
     "ServiceStats",
-    "SessionBackendView",
     "SessionConfig",
     "SessionStats",
     "ShardApplyResult",

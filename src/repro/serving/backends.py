@@ -1,15 +1,14 @@
 """The shard execution contract: what a session may ask of its shards.
 
 :class:`ShardBackend` is the only interface the ingestion pipeline, the
-query engine and the stats layers see.  It owns everything that must be
-identical no matter where the shards run -- the ticket protocol,
-fail-stop, and the parent-side generation stamps the
-query cache validates against -- and leaves *where the shards run* to one
-implementation: a :class:`~repro.serving.fleet.SessionBackendView`, a lease
-on a :class:`~repro.serving.fleet.BackendPool` whose engine executes
-``inline``, on a ``thread`` pool, in worker ``process``\\ es or on
-``socket`` workers.  :func:`make_backend` hands out such a lease -- on a
-shared pool when given one, else on a private pool sized to the session.
+query engine and the stats layers see.  It is one session's lease on a
+:class:`~repro.serving.fleet.BackendPool`, whose engine executes ``inline``,
+on a ``thread`` pool, in worker ``process``\\ es or on ``socket`` workers,
+and it owns everything that must be identical no matter where the shards
+run: the ticket protocol, fail-stop, and the parent-side generation stamps
+the query cache validates against.  :func:`make_backend` hands out such a
+lease -- on a shared pool when given one, else on a private pool sized to
+the session.
 
 Every engine speaks the same pickle-safe ``Shard*`` message vocabulary from
 :mod:`repro.serving.types` and routes it through the same
@@ -45,8 +44,7 @@ always reaps what the lease owns, so no orphan worker outlives the session.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,13 +53,16 @@ from repro.octomap.octree import OccupancyOcTree
 from repro.serving.types import (
     ApplyTicket,
     ShardApplyResult,
-    ShardExportResult,
     ShardKeysQuery,
     ShardKeysResult,
     ShardQueryRequest,
     ShardQueryResult,
     ShardUpdateBatch,
 )
+
+if TYPE_CHECKING:
+    from repro.serving.fleet import BackendPool
+    from repro.serving.sharding import MapShardWorker
 
 __all__ = [
     "BACKEND_NAMES",
@@ -114,27 +115,50 @@ class ShardBackendError(RuntimeError):
         return message
 
 
-class ShardBackend(ABC):
-    """Executes shard work for one session; the session's only way to touch shards.
+class ShardBackend:
+    """One session's lease on a pool: the session's only way to touch shards.
 
     The write path applies one flushed ingestion batch at a time, one
     :class:`ShardUpdateBatch` per shard slice: :meth:`apply_async` then
     :meth:`drain`, or both in one call with :meth:`apply_shard_batches`.
     The read path calls :meth:`query_key` (one voxel) or :meth:`query_keys`
-    (an array of them); export stitching calls :meth:`export_all`.  The lease implements the ``_``-prefixed hooks; this
-    class owns the parent-side accounting (generations, per-shard update
-    counts, the outstanding ticket) so every execution kind reports
-    identically.
+    (an array of them); export stitching calls :meth:`export_all`.  Each
+    call goes to the pool's engine; the lease keeps the parent-side
+    accounting (generations, per-shard update counts, the outstanding
+    ticket), so every execution kind reports identically.
+
+    Every ``Shard*`` message and all of that accounting use session-local
+    shard ids (``0..num_shards-1``); the lease passes the matching pool-wide
+    gid *beside* each message, which is all the engine routes by.
+    ``close()`` releases this session's hosted shards and leaves a shared
+    pool running (the single lease of a private pool closes the pool with
+    it), and a worker failure the engine cannot recover fail-stops only the
+    sessions leasing slots on it.  Leases are built by
+    :meth:`~repro.serving.fleet.BackendPool.lease`.
     """
 
-    #: registry name, e.g. ``"process"``; used by config / CLI / stats.
-    name: str = "abstract"
-
-    def __init__(self, config: OMUConfig, num_shards: int) -> None:
+    def __init__(
+        self,
+        pool: BackendPool,
+        lease_id: int,
+        session_id: str,
+        config: OMUConfig,
+        num_shards: int,
+        gids: Tuple[int, ...],
+        owns_pool: bool,
+    ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
+        #: registry name: the bare kind (``"process"``) for a private pool,
+        #: ``<kind>+fleet`` on a shared one; used by config / CLI / stats.
+        self.name = pool.backend if owns_pool else f"{pool.backend}+fleet"
+        self.pool = pool
+        self.lease_id = lease_id
+        self.session_id = session_id
         self.config = config
         self.num_shards = num_shards
+        self.gids = gids
+        self.owns_pool = owns_pool
         self.closed = False
         #: set to the failure description once a shard apply failed; the
         #: backend then refuses further use (fail-stop) because a partially
@@ -144,13 +168,10 @@ class ShardBackend(ABC):
         self._updates_applied = [0] * num_shards
         self._next_ticket_id = 0
         #: the ticket between :meth:`apply_async` and :meth:`drain`, paired
-        #: with the subclass handle from :meth:`_apply_begin` (``None`` for a
-        #: flush whose slices were all empty).
+        #: with the engine's pending handle (``None`` for a flush whose
+        #: slices were all empty).
         self._outstanding: Optional[Tuple[ApplyTicket, object]] = None
 
-    # ------------------------------------------------------------------
-    # Public API (what sessions call)
-    # ------------------------------------------------------------------
     def apply_shard_batches(
         self, batches: Sequence[ShardUpdateBatch]
     ) -> List[ShardApplyResult]:
@@ -194,10 +215,15 @@ class ShardBackend(ABC):
             shard_ids=tuple(batch.shard_id for batch in live),
         )
         self._next_ticket_id += 1
-        handle = None
+        pending = None
         if live:
+            # A thread or slot engine dispatches and returns without waiting
+            # (futures, pipe sends); the inline engine applies eagerly and
+            # returns the finished acknowledgements.
             try:
-                handle = self._apply_begin(live)
+                pending = self.pool.engine.apply(
+                    [(self.gids[batch.shard_id], batch) for batch in live]
+                )
             except ShardBackendError as error:
                 self.failed = str(error)
                 raise
@@ -206,7 +232,7 @@ class ShardBackend(ABC):
                 raise ShardBackendError(
                     f"shard dispatch failed on the {self.name} backend: {self.failed}"
                 ) from error
-        self._outstanding = (ticket, handle)
+        self._outstanding = (ticket, pending)
         return ticket
 
     def drain(self, ticket: ApplyTicket) -> List[ShardApplyResult]:
@@ -225,12 +251,14 @@ class ShardBackend(ABC):
                 f"ticket {ticket.ticket_id} is not outstanding on the "
                 f"{self.name} backend (already drained, or never issued here)"
             )
-        handle = self._outstanding[1]
+        pending = self._outstanding[1]
         self._outstanding = None
-        if handle is None:
+        if pending is None:
             return []
         try:
-            results = self._apply_collect(handle)
+            # The engine gathers slot by slot; hand the acks back in dispatch order.
+            acks = {ack.shard_id: ack for ack in self.pool.engine.collect(pending)}
+            results = [acks[shard_id] for shard_id in ticket.shard_ids]
         except ShardBackendError as error:
             self.failed = str(error)
             raise
@@ -246,8 +274,11 @@ class ShardBackend(ABC):
 
     def query_key(self, request: ShardQueryRequest) -> ShardQueryResult:
         """Serve one voxel-key lookup from the owning shard worker."""
+        # Refused while a ticket is outstanding, so the channel cannot hold a
+        # pending apply acknowledgement that this round trip would desynchronise.
         self._ensure_readable()
-        return self._query(request)
+        self._health_check()
+        return self.pool.engine.query(self.gids[request.shard_id], request)
 
     def query_keys(self, shard_id: int, keys: np.ndarray) -> ShardKeysResult:
         """Serve ``(N, 3)`` voxel keys of one shard in a single worker round trip.
@@ -257,12 +288,14 @@ class ShardBackend(ABC):
         ``ValueError``.
         """
         self._ensure_readable()
-        return self._query_keys(ShardKeysQuery(shard_id, keys))
+        self._health_check()
+        return self.pool.engine.query_keys(self.gids[shard_id], ShardKeysQuery(shard_id, keys))
 
     def export_all(self) -> List[OccupancyOcTree]:
         """Gather every shard's exported subtree (concurrently where possible)."""
         self._ensure_readable()
-        exports = self._export()
+        self._health_check()
+        exports = self.pool.engine.export(self.gids)
         return [export.tree for export in sorted(exports, key=lambda e: e.shard_id)]
 
     def generation_of(self, shard_id: int) -> int:
@@ -281,26 +314,32 @@ class ShardBackend(ABC):
         return tuple(self._updates_applied)
 
     def failover_stats(self) -> Dict[str, float]:
-        """Liveness/recovery counters of the backend (all zero by default).
+        """Liveness/recovery counters of this lease's own shards.
 
-        Zero here; the lease adds what the pool's engine counted for this
-        session's shards (only the socket engine snapshots, probes and
-        recovers).  The ingestion pipeline copies the dict into
+        Zero unless the pool's engine counted something for them (only the
+        socket engine snapshots, probes and recovers).  The ingestion
+        pipeline copies the dict into
         :class:`~repro.serving.stats.SessionStats` after every applied
         batch, the same way it adopts ``shard_load``.
         """
-        return {
-            "snapshots_taken": 0,
-            "failovers": 0,
-            "replayed_batches": 0,
-            "replayed_updates": 0,
-            "recovery_wall_seconds": 0.0,
-            "heartbeat_probes": 0,
-            "heartbeat_failures": 0,
-        }
+        return {**_NO_FAILOVERS, **self.pool.engine.failover_stats(self.gids)}
+
+    def slot_of(self, shard_id: int) -> int:
+        """Pool slot currently hosting one of this session's shards."""
+        return self.pool.engine.slot_of(self.gids[shard_id])
+
+    @property
+    def workers(self) -> List[MapShardWorker]:
+        """This session's hosted workers, in shard order.
+
+        Only the in-process kinds (``inline`` / ``thread``) have them;
+        elsewhere this raises AttributeError (not :class:`ShardBackendError`),
+        so ``hasattr``/``getattr`` probing keeps its usual semantics.
+        """
+        return self.pool.engine.local_workers(self.gids)
 
     def close(self) -> None:
-        """Release workers (processes, threads).  Idempotent.
+        """Release this lease's shards (and a private pool).  Idempotent.
 
         Safe to call with a ticket outstanding: the ticket is abandoned (its
         results are never adopted) and every child is still reaped -- a
@@ -308,7 +347,9 @@ class ShardBackend(ABC):
         """
         if not self.closed:
             self._outstanding = None
-            self._close()
+            if self.owns_pool:
+                self.pool.close()
+            self.pool._release(self)
             self.closed = True
 
     def __enter__(self) -> "ShardBackend":
@@ -323,39 +364,15 @@ class ShardBackend(ABC):
         except Exception:
             pass
 
-    # ------------------------------------------------------------------
-    # Subclass hooks
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def _apply_begin(self, batches: Sequence[ShardUpdateBatch]) -> object:
-        """Start applying non-empty shard slices; return an opaque handle.
-
-        A backend with real concurrency dispatches here and returns without
-        waiting (futures, pipe sends); the inline reference applies eagerly
-        and returns the finished results as the handle.
-        """
-
-    @abstractmethod
-    def _apply_collect(self, handle: object) -> List[ShardApplyResult]:
-        """Wait for a ``_apply_begin`` handle; return acks in dispatch order."""
-
-    @abstractmethod
-    def _query(self, request: ShardQueryRequest) -> ShardQueryResult:
-        """Serve one lookup on the owning worker."""
-
-    @abstractmethod
-    def _query_keys(self, request: ShardKeysQuery) -> ShardKeysResult:
-        """Serve one bulk lookup on the owning worker."""
-
-    @abstractmethod
-    def _export(self) -> List[ShardExportResult]:
-        """Export every shard's subtree and accounting snapshot."""
-
-    def _close(self) -> None:
-        """Release backend resources (default: nothing to release)."""
-
     def _health_check(self) -> None:
-        """Hook: raise if a worker is known-dead (no-op for in-process workers)."""
+        """Surface (or let the engine recover) a dead worker; fail-stop on a loss."""
+        try:
+            self.pool.engine.check(self.gids)
+        except ShardBackendError as error:
+            # A loss the engine could not recover took this lease's shards
+            # with it for good: fail-stop, whichever interaction found out.
+            self.failed = str(error)
+            raise
 
     def _ensure_open(self) -> None:
         if self.closed:
@@ -372,6 +389,19 @@ class ShardBackend(ABC):
                 f"{self.name} backend has ticket {self._outstanding[0].ticket_id} "
                 "outstanding; drain it before reading"
             )
+
+
+#: What :meth:`ShardBackend.failover_stats` reports for shards that never
+#: needed a recovery.
+_NO_FAILOVERS: Dict[str, float] = {
+    "snapshots_taken": 0,
+    "failovers": 0,
+    "replayed_batches": 0,
+    "replayed_updates": 0,
+    "recovery_wall_seconds": 0.0,
+    "heartbeat_probes": 0,
+    "heartbeat_failures": 0,
+}
 
 
 #: Names accepted by :class:`~repro.serving.session.SessionConfig` / the CLI.
@@ -397,7 +427,7 @@ def make_backend(
     :class:`~repro.serving.fleet.BackendPool`); closing that lease closes
     the pool with it.
     """
-    # Imported here: the fleet module builds on the contract defined above.
+    # Imported here: the fleet module builds its leases from the class above.
     from repro.serving.fleet import BackendPool
 
     if fleet is not None:

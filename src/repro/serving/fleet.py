@@ -4,10 +4,11 @@ The paper's OMU accelerator serves every incoming scan stream from one fixed
 set of processing units; the serving layer does the same.  A
 :class:`BackendPool` owns one fixed set of execution *slots* (threads,
 worker processes, or connections to TCP workers) and every session holds a
-:class:`SessionBackendView` -- a lease -- that multiplexes its shards onto
-those slots.  A session that shares nothing simply holds the only lease of a
-private pool with one slot per shard (that is what
-:func:`~repro.serving.backends.make_backend` builds without a shared pool);
+lease on it -- a :class:`~repro.serving.backends.ShardBackend` -- that
+multiplexes its shards onto those slots.  A session that shares nothing
+simply holds the only lease of a private pool with one slot per shard (that
+is what :func:`~repro.serving.backends.make_backend` builds without a shared
+pool);
 a :class:`~repro.serving.manager.MapSessionManager` running a shared fleet
 hands hundreds of sessions leases on one pool of W slots, O(W) OS resources
 in total.  Both go through the same code, so they give the same guarantees.
@@ -18,9 +19,8 @@ by it (``engine.apply([(gid, batch), ...])``, wire ``(verb, gid, payload)``)
 and the hosting :class:`~repro.serving.sharding.ShardHost` keys its workers
 by it, while the hosted worker and every ``Shard*`` message keep the
 session-local shard id end to end.  Generation bookkeeping stays keyed by
-``(session, shard)``: each lease owns its parent-side stamps (inherited
-from :class:`~repro.serving.backends.ShardBackend`) and hosted workers never
-share map state between sessions.
+``(session, shard)``: each lease owns its parent-side stamps and hosted
+workers never share map state between sessions.
 
 **Engines.**  One engine per transport executes the verbs:
 
@@ -74,7 +74,7 @@ from repro.serving.types import (
     ShardUpdateBatch,
 )
 
-__all__ = ["BackendPool", "SessionBackendView", "SlotEngine", "PipeChannels"]
+__all__ = ["BackendPool", "SlotEngine", "PipeChannels"]
 
 #: One wire command: ``(verb, gid, payload)``.
 _Command = Tuple[str, int, object]
@@ -696,14 +696,14 @@ class BackendPool:
             )
         self._lock = threading.Lock()
         self._next_gid = 0
-        self._leases: Dict[int, "SessionBackendView"] = {}
+        self._leases: Dict[int, ShardBackend] = {}
         self._next_lease_id = 0
 
     # -- leasing --------------------------------------------------------
     def lease(
         self, session_id: str, config: OMUConfig, num_shards: int, *, owns_pool: bool = False
-    ) -> "SessionBackendView":
-        """Attach ``num_shards`` fresh shards for one session; return its view.
+    ) -> ShardBackend:
+        """Attach ``num_shards`` fresh shards for one session; return its lease.
 
         Each call allocates fresh gids, so a session id may be reused (churn)
         while an earlier lease under the same id is still draining -- the
@@ -729,19 +729,17 @@ class BackendPool:
                     except Exception:  # pragma: no cover - engine already down
                         pass
                 raise
-            view = SessionBackendView(
-                self, lease_id, session_id, config, num_shards, gids, owns_pool
-            )
-            self._leases[lease_id] = view
-            return view
+            lease = ShardBackend(self, lease_id, session_id, config, num_shards, gids, owns_pool)
+            self._leases[lease_id] = lease
+            return lease
 
-    def _release(self, view: "SessionBackendView") -> None:
+    def _release(self, lease: ShardBackend) -> None:
         with self._lock:
-            if self._leases.pop(view.lease_id, None) is None:
+            if self._leases.pop(lease.lease_id, None) is None:
                 return
             if self.closed:
                 return  # the engine (and all hosted state) is already gone
-            for gid in view.gids:
+            for gid in lease.gids:
                 try:
                     self.engine.detach(gid)
                 except Exception:  # pragma: no cover - dead slot, nothing to free
@@ -796,100 +794,3 @@ class _ClosedEngine:
             raise ShardBackendError("backend pool is closed")
 
         return _raise
-
-
-class SessionBackendView(ShardBackend):
-    """One session's lease on a :class:`BackendPool`: *the* shard backend.
-
-    The ingestion pipeline, query engine and stats layers see only the
-    :class:`~repro.serving.backends.ShardBackend` contract.  ``close()``
-    releases this session's hosted shards and leaves a shared pool running
-    (the single lease of a private pool closes the pool with it), and a
-    worker failure the engine cannot recover fail-stops only the sessions
-    leasing slots on it.
-
-    The base class's ticket/generation/accounting machinery and every
-    ``Shard*`` message operate purely in session-local shard ids
-    (``0..num_shards-1``); the lease passes the matching gid *beside* each
-    message, which is all the engine routes by.
-    """
-
-    def __init__(
-        self,
-        pool: BackendPool,
-        lease_id: int,
-        session_id: str,
-        config: OMUConfig,
-        num_shards: int,
-        gids: Tuple[int, ...],
-        owns_pool: bool,
-    ) -> None:
-        super().__init__(config, num_shards)
-        #: the bare kind for a private pool, ``<kind>+fleet`` on a shared one.
-        self.name = pool.backend if owns_pool else f"{pool.backend}+fleet"
-        self.pool = pool
-        self.lease_id = lease_id
-        self.session_id = session_id
-        self.gids = gids
-        self.owns_pool = owns_pool
-
-    def slot_of(self, shard_id: int) -> int:
-        """Pool slot currently hosting one of this session's shards."""
-        return self.pool.engine.slot_of(self.gids[shard_id])
-
-    def _apply_begin(self, batches: Sequence[ShardUpdateBatch]) -> object:
-        pending = self.pool.engine.apply(
-            [(self.gids[batch.shard_id], batch) for batch in batches]
-        )
-        return [batch.shard_id for batch in batches], pending
-
-    def _apply_collect(self, handle: object) -> List[ShardApplyResult]:
-        order, pending = handle
-        # The engine gathers slot by slot; hand the acks back in dispatch order.
-        acks = {ack.shard_id: ack for ack in self.pool.engine.collect(pending)}
-        return [acks[shard_id] for shard_id in order]
-
-    def _query(self, request: ShardQueryRequest) -> ShardQueryResult:
-        # The public query_key refuses to run while a ticket is outstanding,
-        # so the channel cannot hold a pending apply acknowledgement that
-        # this request/reply round-trip would desynchronise.
-        self._health_check()
-        return self.pool.engine.query(self.gids[request.shard_id], request)
-
-    def _query_keys(self, request: ShardKeysQuery) -> ShardKeysResult:
-        # Guarded by the public query_keys, like _query.
-        self._health_check()
-        return self.pool.engine.query_keys(self.gids[request.shard_id], request)
-
-    def _export(self) -> List[ShardExportResult]:
-        self._health_check()
-        return self.pool.engine.export(self.gids)
-
-    def _health_check(self) -> None:
-        try:
-            self.pool.engine.check(self.gids)
-        except ShardBackendError as error:
-            # A loss the engine could not recover took this lease's shards
-            # with it for good: fail-stop, whichever interaction found out.
-            self.failed = str(error)
-            raise
-
-    def _close(self) -> None:
-        if self.owns_pool:
-            self.pool.close()
-        self.pool._release(self)
-
-    def failover_stats(self) -> Dict[str, float]:
-        """The recovery counters of this lease's own shards."""
-        return {**super().failover_stats(), **self.pool.engine.failover_stats(self.gids)}
-
-    @property
-    def workers(self) -> List[MapShardWorker]:
-        """This session's hosted workers, in shard order.
-
-        Only the in-process kinds (``inline`` / ``thread``) have them;
-        elsewhere this raises AttributeError (not
-        :class:`~repro.serving.backends.ShardBackendError`), so
-        ``hasattr``/``getattr`` probing keeps its usual semantics.
-        """
-        return self.pool.engine.local_workers(self.gids)

@@ -48,7 +48,9 @@ from repro.serving.http.wire import (
     bbox_chunk_payload,
     bbox_payload,
     end_chunked_response,
+    flag,
     json_body,
+    number,
     point3,
     query_payload,
     raycast_payload,
@@ -429,14 +431,16 @@ class HttpMapServer:
 
     @staticmethod
     def _wants_stream(request: HttpRequest) -> bool:
-        flag = request.query.get("stream", "")
-        if flag:
-            return flag.lower() in ("1", "true", "yes")
+        token = request.query.get("stream", "")
+        if token:
+            return token.lower() in ("1", "true", "yes")
         if request.body:
             try:
-                return bool(json.loads(request.body.decode("utf-8")).get("stream"))
-            except (ValueError, AttributeError):
-                return False
+                payload = json.loads(request.body.decode("utf-8"))
+            except ValueError:
+                return False  # the handler answers the malformed body
+            if isinstance(payload, dict) and "stream" in payload:
+                return flag(payload["stream"], "stream")
         return False
 
     # ------------------------------------------------------------------
@@ -501,7 +505,7 @@ class HttpMapServer:
     async def _handle_scan_submit(self, request: HttpRequest, sid: str) -> Tuple[int, dict]:
         payload = json_body(request)
         scan = scan_request_from_payload(sid, payload)
-        wait = bool(payload.get("wait", True))
+        wait = flag(payload.get("wait", True), "wait")
         receipt = await self.service.submit(scan, wait=wait, auto_create=False)
         return 202, receipt_payload(receipt)
 
@@ -546,11 +550,10 @@ class HttpMapServer:
         payload = json_body(request)
         minimum = point3(require_field(payload, "min"), "min")
         maximum = point3(require_field(payload, "max"), "max")
-        try:
-            chunk_voxels = int(payload.get("chunk_voxels", 1024))
-        except (TypeError, ValueError):
-            raise HttpError(400, "bad_field", "chunk_voxels must be an integer") from None
-        include_voxels = bool(payload.get("include_voxels", True))
+        chunk_voxels = payload.get("chunk_voxels", 1024)
+        if type(chunk_voxels) is not int or chunk_voxels < 1:
+            raise HttpError(400, "bad_field", "field 'chunk_voxels' must be an integer of at least 1")
+        include_voxels = flag(payload.get("include_voxels", True), "include_voxels")
         stream = self.service.stream_bbox(
             sid,
             minimum,
@@ -578,10 +581,7 @@ class HttpMapServer:
         payload = json_body(request)
         origin = point3(require_field(payload, "origin"), "origin")
         direction = point3(require_field(payload, "direction"), "direction")
-        try:
-            max_range = float(require_field(payload, "max_range"))
-        except (TypeError, ValueError):
-            raise HttpError(400, "bad_field", "max_range must be a number") from None
+        max_range = number(require_field(payload, "max_range"), "max_range")
         response = await self.service.raycast(sid, origin, direction, max_range)
         return 200, raycast_payload(response)
 

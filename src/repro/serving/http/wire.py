@@ -48,6 +48,8 @@ __all__ = [
     "end_chunked_response",
     "json_body",
     "require_field",
+    "number",
+    "flag",
     "point3",
     "scan_request_from_payload",
     "session_config_from_payload",
@@ -310,15 +312,43 @@ def require_field(payload: Mapping, field: str) -> Any:
         raise HttpError(400, "missing_field", f"missing required field {field!r}") from None
 
 
+def _as_float(value: Any) -> Optional[float]:
+    """A JSON number as a float; ``None`` for anything else.
+
+    Types are compared exactly: ``bool`` is an ``int`` subclass but not a
+    JSON number, and a string of digits is a string.  An integer literal past
+    the float range is not a number either.
+    """
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            return None
+    return None
+
+
+def number(value: Any, field: str) -> float:
+    """A JSON number as a float (400 on anything else)."""
+    result = _as_float(value)
+    if result is None:
+        raise HttpError(400, "bad_field", f"field {field!r} must be a number")
+    return result
+
+
+def flag(value: Any, field: str) -> bool:
+    """A JSON boolean (400 on anything else: the string ``"false"`` is truthy)."""
+    if type(value) is not bool:
+        raise HttpError(400, "bad_field", f"field {field!r} must be true or false")
+    return value
+
+
 def point3(value: Any, field: str) -> Tuple[float, float, float]:
-    """Coerce a JSON value into an ``(x, y, z)`` float triple (400 on junk)."""
-    try:
-        x, y, z = (float(component) for component in value)
-    except (TypeError, ValueError):
-        raise HttpError(
-            400, "bad_point", f"field {field!r} must be a [x, y, z] number triple"
-        ) from None
-    return (x, y, z)
+    """A JSON array of three numbers as an ``(x, y, z)`` float triple (400 on anything else)."""
+    if type(value) is list and len(value) == 3:
+        x, y, z = (_as_float(component) for component in value)
+        if None not in (x, y, z):
+            return (x, y, z)
+    raise HttpError(400, "bad_point", f"field {field!r} must be a [x, y, z] number triple")
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +375,10 @@ def scan_request_from_payload(session_id: str, payload: Mapping) -> ScanRequest:
     except (TypeError, ValueError) as error:
         raise HttpError(400, "bad_points", f"bad scan points: {error}") from None
     origin = point3(require_field(payload, "origin"), "origin")
-    try:
-        max_range = float(payload.get("max_range", -1.0))
-    except (TypeError, ValueError) as error:
-        raise HttpError(400, "bad_field", f"bad scan field: {error}") from None
+    max_range = number(payload.get("max_range", -1.0), "max_range")
     deadline_s = float("inf")
     if payload.get("deadline_in_s") is not None:
-        try:
-            deadline_in = float(payload["deadline_in_s"])
-        except (TypeError, ValueError):
-            raise HttpError(400, "bad_field", "deadline_in_s must be a number") from None
-        deadline_s = time.monotonic() + deadline_in
+        deadline_s = time.monotonic() + number(payload["deadline_in_s"], "deadline_in_s")
     client_id = str(payload.get("client_id", ""))
     return ScanRequest(
         session_id=session_id,

@@ -99,8 +99,8 @@ class SessionConfig:
             workers.  A positive value makes the owning
             :class:`~repro.serving.manager.MapSessionManager` run one
             :class:`~repro.serving.fleet.BackendPool` of this many execution
-            slots per backend kind and hand each session a lease
-            (:class:`~repro.serving.fleet.SessionBackendView`) instead, so
+            slots per backend kind and hand each session a lease on it
+            (a :class:`~repro.serving.backends.ShardBackend`) instead, so
             any number of sessions share O(fleet_workers) OS resources.
     """
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.core.accelerator import OMUAccelerator
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import OMUConfig
 from repro.core.query_unit import QueryResult
-from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.timing import ScanTiming
 from repro.octomap.keys import KeyConverter, OcTreeKey
 from repro.octomap.octree import OccupancyOcTree
@@ -88,21 +87,6 @@ class ShardRouter:
         """Shard id owning the voxel containing a metric point."""
         return self.shard_for_key(self.converter.coord_to_key(x, y, z))
 
-    def partition(
-        self, requests: Sequence[VoxelUpdateRequest]
-    ) -> List[List[VoxelUpdateRequest]]:
-        """Split an ordered update stream into per-shard streams.
-
-        Stream order is preserved inside each shard, and every update for a
-        given voxel lands on the same shard -- together these guarantee that
-        per-voxel update order matches the global stream, which is what makes
-        sharded ingestion equivalent to sequential insertion.
-        """
-        per_shard: List[List[VoxelUpdateRequest]] = [[] for _ in range(self.num_shards)]
-        for request in requests:
-            per_shard[self.shard_for_key(request.key)].append(request)
-        return per_shard
-
     def shard_indices_for_keys(self, keys: np.ndarray) -> np.ndarray:
         """Shard ids for an ``(N, 3)`` key-component array (vectorized)."""
         return self._address_generator.shard_indices(
@@ -112,7 +96,7 @@ class ShardRouter:
     def partition_key_arrays(
         self, keys: np.ndarray, occupied: np.ndarray
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Array counterpart of :meth:`partition` for the front end's key arrays.
+        """Split an ordered update stream into per-shard streams.
 
         Args:
             keys: ``(N, 3)`` key components of the ordered update stream.
@@ -120,9 +104,10 @@ class ShardRouter:
 
         Returns:
             One ``(keys, occupied)`` pair per shard.  Boolean masking keeps
-            stream order inside each shard, so the slices are element-for-
-            element identical to what :meth:`partition` produces from the
-            same stream.
+            stream order inside each shard, and every update for a given
+            voxel lands on the same shard -- together these guarantee that
+            per-voxel update order matches the global stream, which is what
+            makes sharded ingestion equivalent to sequential insertion.
         """
         shard_ids = self.shard_indices_for_keys(keys)
         per_shard: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -161,18 +146,17 @@ class MapShardWorker:
             self._accelerator = OMUAccelerator(self.config)
         return self._accelerator
 
-    def apply_updates(self, requests, occupied=None) -> ScanTiming:
+    def apply_updates(self, keys: np.ndarray, occupied: np.ndarray) -> ScanTiming:
         """Apply an ordered update stream and invalidate this shard's cache.
 
-        Takes what :meth:`OMUAccelerator.apply_update_batch` takes: a sequence
-        of :class:`VoxelUpdateRequest`, or an ``(N, 3)`` key array plus its
-        ``(N,)`` ``occupied`` flags.
+        ``keys`` is the ``(N, 3)`` key-component array and ``occupied`` its
+        ``(N,)`` flags, as :meth:`OMUAccelerator.apply_update_batch` takes them.
         """
-        timing = self.accelerator.apply_update_batch(requests, occupied)
-        if len(requests):
+        timing = self.accelerator.apply_update_batch(keys, occupied)
+        if len(keys):
             self.generation += 1
             self.batches_applied += 1
-            self.updates_applied += len(requests)
+            self.updates_applied += len(keys)
         return timing
 
     def query(self, x: float, y: float, z: float) -> QueryResult:

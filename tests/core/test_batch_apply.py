@@ -7,10 +7,11 @@ import pytest
 
 from repro.core import OMUAccelerator, OMUConfig
 from repro.core.address_gen import AddressGenerator
-from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.verification import compare_trees
 from repro.octomap.keys import OcTreeKey
 from repro.octomap.scan_insertion import compute_update_keys_for_converter
+
+from update_columns import update_columns
 
 
 @pytest.fixture
@@ -30,11 +31,10 @@ def test_apply_update_batch_matches_process_scan(config, ring_graph):
     free_keys, occupied_keys = compute_update_keys_for_converter(
         batched.address_generator.converter, scan.world_cloud(), scan.origin()
     )
-    stream = [VoxelUpdateRequest(key, occupied=False) for key in sorted(free_keys)]
-    stream += [VoxelUpdateRequest(key, occupied=True) for key in sorted(occupied_keys)]
-    timing = batched.apply_update_batch(stream)
+    keys, occupied = update_columns(free_keys, occupied_keys)
+    timing = batched.apply_update_batch(keys, occupied)
 
-    assert timing.voxel_updates == len(stream)
+    assert timing.voxel_updates == len(keys)
     tolerance = config.fixed_point.scale / 2.0
     report = compare_trees(reference.export_octree(), batched.export_octree(), tolerance)
     assert report.equivalent, report.summary()
@@ -43,12 +43,12 @@ def test_apply_update_batch_matches_process_scan(config, ring_graph):
 def test_apply_update_batch_accumulates_map_timing(config):
     accelerator = OMUAccelerator(config)
     key = accelerator.address_generator.key_for_point(1.0, 1.0, 1.0)
-    timing = accelerator.apply_update_batch([VoxelUpdateRequest(key, occupied=True)])
+    timing = accelerator.apply_update_batch(np.array([key.as_tuple()]), np.array([True]))
     assert timing.voxel_updates == 1
     assert accelerator.map_timing.voxel_updates == 1
     assert accelerator.map_timing.scheduler_cycles == timing.scheduler_cycles
     # Empty batches are harmless no-ops.
-    empty = accelerator.apply_update_batch([])
+    empty = accelerator.apply_update_batch(np.zeros((0, 3), dtype=np.uint16), np.zeros(0, dtype=bool))
     assert empty.voxel_updates == 0
 
 
@@ -72,12 +72,12 @@ def test_array_paths_match_the_scalar_address_generator(config):
         assert pe == generator.pe_for_key(OcTreeKey(*key))
 
 
-def test_a_request_stream_applies_in_stream_order(config):
+def test_a_key_stream_applies_in_stream_order(config):
     """Saturate, then miss: the clamped add does not commute, so only stream order gives this value."""
     accelerator = OMUAccelerator(config)
     key = accelerator.address_generator.key_for_point(0.5, 0.5, 0.5)
     flags = [True] * 8 + [False]
-    timing = accelerator.apply_update_batch([VoxelUpdateRequest(key, occupied) for occupied in flags])
+    timing = accelerator.apply_update_batch(np.array([key.as_tuple()] * len(flags)), np.array(flags))
     params = config.quantized_params()
     assert accelerator.query_keys(np.array([key.as_tuple()]))[1][0] == params.raw_clamp_max + params.raw_miss
     assert timing.scheduler_cycles == len(flags) * config.timing.scheduler_issue_cycles

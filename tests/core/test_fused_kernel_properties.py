@@ -4,8 +4,7 @@ At ``tree_depth`` 3-5 a few hundred updates saturate leaves, prune blocks,
 re-expand them and recycle their rows, so every branch of the fused update
 loop (and its early exit on the way up) runs in each example.  The kernels
 must build the map sequential software OctoMap builds, leave a consistent
-SRAM image behind, and charge the same cycles whether a batch arrives as
-columns or as request objects.
+SRAM image behind.
 
 The update kernel resumes each descent below the prefix it shares with the
 previous update of the same call.  A call of one update never resumes, so
@@ -43,7 +42,6 @@ from hypothesis import strategies as st
 from repro.core import OMUAccelerator, OMUConfig
 from repro.core.address_gen import AddressGenerator
 from repro.core.pe import ProcessingElement
-from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.treemem import INITIAL_ROWS, NULL_POINTER, ChildStatus, MemoryCapacityError, TreeMemEntry
 from repro.core.verification import compare_trees
 from repro.octomap.keys import OcTreeKey
@@ -86,19 +84,11 @@ def update_streams(draw) -> Tuple[int, List[Update]]:
     return depth, stream
 
 
-def apply_in_batches(accelerator: OMUAccelerator, stream: List[Update], as_columns: bool):
+def apply_in_batches(accelerator: OMUAccelerator, stream: List[Update]):
     timings = []
     for start in range(0, len(stream), BATCH):
-        chunk = stream[start : start + BATCH]
-        if as_columns:
-            columns = np.array(chunk, dtype=np.int64)
-            timings.append(accelerator.apply_update_batch(columns[:, :3], columns[:, 3] != 0))
-        else:
-            timings.append(
-                accelerator.apply_update_batch(
-                    [VoxelUpdateRequest(OcTreeKey(x, y, z), occupied) for x, y, z, occupied in chunk]
-                )
-            )
+        columns = np.array(stream[start : start + BATCH], dtype=np.int64)
+        timings.append(accelerator.apply_update_batch(columns[:, :3], columns[:, 3] != 0))
     return timings
 
 
@@ -158,15 +148,13 @@ def check_ancestors(pe: ProcessingElement, path: np.ndarray) -> None:
 
 def check_stream(depth: int, stream: List[Update]) -> OMUAccelerator:
     config = small_config(depth)
-    by_columns, by_requests, by_oracle = (OMUAccelerator(config) for _ in range(3))
+    by_native, by_oracle = OMUAccelerator(config), OMUAccelerator(config)
     oracle_pe.use_oracle(by_oracle)
-    timings = apply_in_batches(by_columns, stream, True)
-    assert timings == apply_in_batches(by_requests, stream, False) == apply_in_batches(by_oracle, stream, True)
-    assert by_columns.statistics() == by_requests.statistics() == by_oracle.statistics()
-    assert by_columns.counters() == by_requests.counters() == by_oracle.counters()
-    for left, right, oracle in zip(by_columns.pes, by_requests.pes, by_oracle.pes):
-        assert left.stats == right.stats
-        assert machine_state(left) == machine_state(oracle)
+    assert apply_in_batches(by_native, stream) == apply_in_batches(by_oracle, stream)
+    assert by_native.statistics() == by_oracle.statistics()
+    assert by_native.counters() == by_oracle.counters()
+    for native_pe, oracle in zip(by_native.pes, by_oracle.pes):
+        assert machine_state(native_pe) == machine_state(oracle)
 
     reference = OccupancyOcTree(
         config.resolution_m, tree_depth=depth, params=config.quantized_params().as_float_params()
@@ -174,12 +162,12 @@ def check_stream(depth: int, stream: List[Update]) -> OMUAccelerator:
     for x, y, z, occupied in stream:
         reference.update_node(OcTreeKey(x, y, z), occupied=occupied)
     reference.prune()
-    report = compare_trees(reference, by_columns.export_octree(), config.fixed_point.scale / 2)
+    report = compare_trees(reference, by_native.export_octree(), config.fixed_point.scale / 2)
     assert report.equivalent, report.summary()
 
-    for pe in by_columns.pes:
+    for pe in by_native.pes:
         check_image(pe)
-    return by_columns
+    return by_native
 
 
 def _block(occupied: bool, repeats: int = 1) -> List[Update]:
@@ -571,7 +559,7 @@ def test_a_restored_image_satisfies_the_invariant_the_upward_pass_relies_on():
     # Falls, flips and re-prunes on top of the restored entries.
     more = _cube(4, True, 1) + _block(False, 6) + _cube(4, False, 9)
     for accelerator in (original, restored):
-        apply_in_batches(accelerator, more, as_columns=True)
+        apply_in_batches(accelerator, more)
     report = compare_trees(original.export_octree(), restored.export_octree(), 0.0)
     assert report.equivalent, report.summary()
     for pe in restored.pes:

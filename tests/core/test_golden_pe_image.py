@@ -9,8 +9,9 @@ manager's row stack, for the three golden
 scenarios and for twenty seeded streams on shallow trees, where a thousand
 updates saturate, prune, re-expand and recycle rows at every level.  It was
 generated by the kernel that recomputed each parent from its children row at
-every level it climbed (``python tests/core/test_golden_pe_image.py`` rewrites
-it); any host-side shortcut in the upward pass must reproduce it exactly.
+every level it climbed (``PYTHONPATH=src:tests python
+tests/core/test_golden_pe_image.py`` rewrites it); any host-side shortcut in
+the upward pass must reproduce it exactly.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Golden simulated statistics: every count the cycle model reports, pinned exactly.
 
 ``golden_pe_stats.json`` was generated by the per-object PE walk this repo
-started with (``python tests/core/test_golden_pe_stats.py`` rewrites it).  Any
+started with (``PYTHONPATH=src:tests python tests/core/test_golden_pe_stats.py``
+rewrites it).  Any
 host-side optimisation of the PE model must leave every figure here
 bit-identical: they are what the paper-facing tables and the energy model
 read.  One scenario uses pairwise-distinct ``TimingParams`` so a charge booked
@@ -14,15 +15,18 @@ import dataclasses
 import functools
 import json
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.core import OMUAccelerator, OMUConfig
 from repro.core.config import TimingParams
-from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.timing import ScanTiming
 from repro.datasets.streams import ClientSpec, generate_interleaved_stream
 from repro.octomap.scan_insertion import compute_update_keys_for_converter
 from repro.serving.sharding import ShardRouter
+
+from update_columns import update_columns
 
 GOLDEN = Path(__file__).with_name("golden_pe_stats.json")
 SEED = 11
@@ -52,17 +56,16 @@ def corridor_events():
     return generate_interleaved_stream(clients, seed=SEED, beams_azimuth=64, beams_elevation=3)
 
 
-def update_stream(accelerator: OMUAccelerator, event) -> List[VoxelUpdateRequest]:
+def update_stream(accelerator: OMUAccelerator, event) -> Tuple[np.ndarray, np.ndarray]:
     """One scan's ordered updates: free voxels then occupied, each in key order."""
-    free_keys, occupied_keys = compute_update_keys_for_converter(
-        accelerator.address_generator.converter,
-        event.scan.world_cloud(),
-        event.scan.origin(),
-        max_range=event.max_range_m,
+    return update_columns(
+        *compute_update_keys_for_converter(
+            accelerator.address_generator.converter,
+            event.scan.world_cloud(),
+            event.scan.origin(),
+            max_range=event.max_range_m,
+        )
     )
-    stream = [VoxelUpdateRequest(key, occupied=False) for key in sorted(free_keys)]
-    stream += [VoxelUpdateRequest(key, occupied=True) for key in sorted(occupied_keys)]
-    return stream
 
 
 def timing_summary(timing: ScanTiming) -> Dict[str, object]:
@@ -140,11 +143,11 @@ def corridor_batch_accelerators(config: OMUConfig, num_shards: int):
     accelerators = [OMUAccelerator(config) for _ in range(num_shards)]
     batches: List[List[Dict[str, object]]] = []
     for event in corridor_events():
-        per_shard = router.partition(update_stream(accelerators[0], event))
+        per_shard = router.partition_key_arrays(*update_stream(accelerators[0], event))
         batches.append(
             [
-                timing_summary(accelerator.apply_update_batch(stream))
-                for accelerator, stream in zip(accelerators, per_shard)
+                timing_summary(accelerator.apply_update_batch(keys, occupied))
+                for accelerator, (keys, occupied) in zip(accelerators, per_shard)
             ]
         )
     return accelerators, batches

@@ -20,13 +20,14 @@ import numpy as np
 import pytest
 
 from repro.core import OMUAccelerator, OMUConfig
-from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.timing import CycleBreakdown
 from repro.core.verification import compare_trees
 from repro.octomap import OccupancyOcTree, PointCloud
 from repro.octomap.counters import OperationCounters, OperationKind
 from repro.octomap.keys import KeyConverter
 from repro.octomap.scan_insertion import compute_update_keys_for_converter
+
+from update_columns import update_columns
 
 SMALL_EDGE = KeyConverter(0.1, tree_depth=6).max_coordinate  # +/- 3.2 m at depth 6
 
@@ -86,9 +87,7 @@ def oracle_stream(accelerator: OMUAccelerator, cloud: PointCloud, origin, max_ra
         free, occupied = compute_update_keys_for_converter(
             accelerator.address_generator.converter, cloud, origin, max_range=max_range, counters=counters
         )
-    stream = [VoxelUpdateRequest(key, occupied=False) for key in sorted(free)]
-    stream += [VoxelUpdateRequest(key, occupied=True) for key in sorted(occupied)]
-    return stream, counters.ray_steps
+    return update_columns(free, occupied), counters.ray_steps
 
 
 def pe_state(pe) -> tuple:
@@ -111,7 +110,7 @@ def test_process_scan_equals_the_oracle_stream_applied(case):
 
     reference = OMUAccelerator(config)
     stream, ray_steps = oracle_stream(reference, cloud, case.origin, case.max_range)
-    expected = reference.apply_update_batch(stream)
+    expected = reference.apply_update_batch(*stream)
 
     assert timing.raycast_cycles == ray_steps * config.timing.ray_step_cycles
     assert scanned.counters().ray_steps == ray_steps

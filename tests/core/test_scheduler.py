@@ -35,7 +35,7 @@ def apply(accelerator, keys, occupied=False):
 
 class TestScheduling:
     def test_an_empty_batch_issues_nothing(self, accelerator):
-        timing = accelerator.apply_update_batch([])
+        timing = apply(accelerator, np.zeros((0, 3), dtype=np.uint16))
         assert timing.voxel_updates == timing.scheduler_cycles == 0
         assert accelerator.scheduler.load_histogram() == (0,) * 8
 

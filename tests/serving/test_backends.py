@@ -20,8 +20,8 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.serving import (
     BACKEND_NAMES,
     MapSession,
-    SessionBackendView,
     SessionConfig,
+    ShardBackend,
     ShardBackendError,
     ShardQueryRequest,
     ShardUpdateBatch,
@@ -81,7 +81,7 @@ def test_backend_registry_names():
         with make_backend(name, CONFIG, 2) as backend:
             # One implementation: the single lease of a private pool, sized
             # to the session and reported under the bare kind.
-            assert isinstance(backend, SessionBackendView)
+            assert isinstance(backend, ShardBackend)
             assert (backend.name, backend.pool.num_slots) == (name, 2)
 
 

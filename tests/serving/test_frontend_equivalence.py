@@ -5,8 +5,9 @@ vectorized DDA against the scalar one per scan; this suite pins the whole
 ingestion path.  The expected per-shard update streams and accounting are
 computed here from the scalar kernel
 (:func:`~repro.octomap.scan_insertion.compute_update_keys_for_converter`)
-and the reference partitioner (:meth:`ShardRouter.partition`), flush by
-flush; the session must hand its backend exactly those batches, report
+and a reference partitioner that routes key by key with
+:meth:`ShardRouter.shard_for_key` (:func:`_partition`), flush by flush; the
+session must hand its backend exactly those batches, report
 exactly those counts, and end up with a map leaf-for-leaf identical to the
 expected streams applied on a fresh inline backend -- on every backend, for
 hypothesis-generated workloads.  It also covers the batch plumbing around
@@ -25,14 +26,16 @@ from conftest import update_batch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.verification import compare_trees
 from repro.octomap import PointCloud
 from repro.octomap.counters import OperationCounters
+from repro.octomap.keys import OcTreeKey
 from repro.octomap.merge import merge_trees
 from repro.octomap.scan_insertion import compute_update_keys_for_converter
 from repro.serving import MapSession, ScanRequest, SessionConfig, make_backend
 from repro.serving.types import ShardUpdateBatch
+
+from update_columns import update_columns
 
 Scan = Tuple[List[Tuple[float, float, float]], Tuple[float, float, float], float]
 
@@ -45,30 +48,40 @@ ACCOUNTING_FIELDS = (
 )
 
 
+def _partition(router, keys: np.ndarray, occupied: np.ndarray) -> List[List[Tuple[int, int, int, bool]]]:
+    """Split an ordered update stream into per-shard ``(x, y, z, occupied)`` streams, key by key.
+
+    Stream order is kept inside each shard, and every update of a voxel lands
+    on the same shard: together that keeps per-voxel update order, which is
+    what makes sharded ingestion equivalent to sequential insertion.
+    """
+    per_shard: List[List[Tuple[int, int, int, bool]]] = [[] for _ in range(router.num_shards)]
+    for (x, y, z), hit in zip(keys.tolist(), occupied.tolist()):
+        per_shard[router.shard_for_key(OcTreeKey(x, y, z))].append((x, y, z, hit))
+    return per_shard
+
+
 def _expected_flush(router, scans: List[Scan]):
     """One flush from the oracle: per-shard batches plus the accounting fields."""
     counters = OperationCounters()
-    stream: List[VoxelUpdateRequest] = []
+    streams = []
     occupied_visits = 0
     for points, origin, max_range in scans:
         free_keys, occupied_keys = compute_update_keys_for_converter(
             router.converter, PointCloud(points), origin, max_range=max_range, counters=counters
         )
         occupied_visits += len(occupied_keys)
-        # The accelerator's issue order: free voxels, then occupied, each sorted.
-        stream.extend(VoxelUpdateRequest(key, occupied=False) for key in sorted(free_keys))
-        stream.extend(VoxelUpdateRequest(key, occupied=True) for key in sorted(occupied_keys))
-    per_shard = router.partition(stream)
-    batches = [
-        update_batch(shard_id, [(u.key.x, u.key.y, u.key.z, u.occupied) for u in shard_stream])
-        for shard_id, shard_stream in enumerate(per_shard)
-    ]
+        streams.append(update_columns(free_keys, occupied_keys))
+    keys = np.concatenate([keys for keys, _occupied in streams])
+    occupied = np.concatenate([occupied for _keys, occupied in streams])
+    per_shard = _partition(router, keys, occupied)
+    batches = [update_batch(shard_id, shard_stream) for shard_id, shard_stream in enumerate(per_shard)]
     visits = counters.ray_steps + occupied_visits
     accounting = {
         "rays_cast": sum(len(points) for points, _origin, _max_range in scans),
         "ray_voxels_visited": visits,
-        "voxel_updates": len(stream),
-        "duplicates_removed": visits - len(stream),
+        "voxel_updates": len(keys),
+        "duplicates_removed": visits - len(keys),
         "shard_updates": tuple(len(shard_stream) for shard_stream in per_shard),
     }
     return batches, accounting

@@ -280,11 +280,28 @@ def test_require_field_and_point3_map_to_400():
     with pytest.raises(HttpError) as excinfo:
         require_field({}, "points")
     assert (excinfo.value.status, excinfo.value.code) == (400, "missing_field")
-    assert point3([1, "2", 3.5], "origin") == (1.0, 2.0, 3.5)
+    assert point3([1, 2, 3.5], "origin") == (1.0, 2.0, 3.5)
     for junk in (None, [1, 2], [1, 2, "x"], "abc"):
         with pytest.raises(HttpError) as excinfo:
             point3(junk, "origin")
         assert excinfo.value.code == "bad_point"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "123",  # a string iterates to three digits
+        [True, False, True],  # bool is an int subclass, not a JSON number
+        [1, "2", 3],
+        [1, 2, 3, 4],
+        {"x": 1, "y": 2, "z": 3},
+        [10**400, 0, 0],  # an integer literal past the float range
+    ],
+)
+def test_point3_takes_only_an_array_of_three_json_numbers(value):
+    with pytest.raises(HttpError) as excinfo:
+        point3(value, "point")
+    assert (excinfo.value.status, excinfo.value.code) == (400, "bad_point")
 
 
 def test_scan_request_payload_roundtrip_and_deadline_conversion():
@@ -333,6 +350,82 @@ def test_scan_request_shape_violations_are_400s():
             scan_request_from_payload("map", payload)
         assert excinfo.value.status == 400, payload
         assert excinfo.value.code == code, payload
+
+
+@pytest.mark.parametrize(
+    "field, value, code",
+    [
+        ("origin", "000", "bad_point"),
+        ("origin", [True, False, True], "bad_point"),
+        ("max_range", "12", "bad_field"),
+        ("max_range", True, "bad_field"),
+        ("deadline_in_s", "0.25", "bad_field"),
+    ],
+)
+def test_a_scan_field_of_the_wrong_json_type_is_a_400(field, value, code):
+    payload = {"points": [[1.0, 0.0, 0.0]], "origin": [0.0, 0.0, 0.0], field: value}
+    with pytest.raises(HttpError) as excinfo:
+        scan_request_from_payload("map", payload)
+    assert (excinfo.value.status, excinfo.value.code) == (400, code)
+
+
+# The handlers check their fields before they touch the service, so a server
+# without one answers a malformed field and fails on anything it would accept.
+BOX = '"min": [0, 0, 0], "max": [1, 1, 1]'
+RAY = '"origin": [0, 0, 0], "direction": [1, 0, 0]'
+SCAN = '"points": [[1, 0, 0]], "origin": [0, 0, 0]'
+
+
+@pytest.mark.parametrize(
+    "handler, body, code",
+    [
+        ("_handle_query", '{"point": "123"}', "bad_point"),
+        ("_handle_query", '{"point": [true, false, true]}', "bad_point"),
+        ("_handle_scan_submit", '{"points": [[1, 0, 0]], "origin": "000"}', "bad_point"),
+        ("_handle_scan_submit", '{%s, "wait": "false"}' % SCAN, "bad_field"),
+        ("_handle_scan_submit", '{%s, "max_range": "12"}' % SCAN, "bad_field"),
+        ("_handle_raycast", '{%s, "max_range": "12"}' % RAY, "bad_field"),
+        ("_handle_raycast", '{%s, "max_range": true}' % RAY, "bad_field"),
+        ("_stream_bbox", '{%s, "chunk_voxels": Infinity}' % BOX, "bad_field"),
+        ("_stream_bbox", '{%s, "chunk_voxels": 1e400}' % BOX, "bad_field"),
+        ("_stream_bbox", '{%s, "chunk_voxels": 2.7}' % BOX, "bad_field"),
+        ("_stream_bbox", '{%s, "chunk_voxels": "12"}' % BOX, "bad_field"),
+        ("_stream_bbox", '{%s, "chunk_voxels": 0}' % BOX, "bad_field"),
+        ("_stream_bbox", '{%s, "include_voxels": "false"}' % BOX, "bad_field"),
+    ],
+)
+@async_test
+async def test_a_malformed_field_is_a_400_before_the_service_is_reached(handler, body, code):
+    server = HttpMapServer(service=None)
+    request = _request(body.encode())
+    args = (None, True, "map") if handler == "_stream_bbox" else ("map",)
+    with pytest.raises(HttpError) as excinfo:
+        await getattr(server, handler)(request, *args)
+    assert (excinfo.value.status, excinfo.value.code) == (400, code)
+
+
+@pytest.mark.parametrize(
+    "query, body, expected",
+    [
+        ({}, b'{"stream": true}', True),
+        ({}, b'{"stream": false}', False),
+        ({}, b"{}", False),
+        ({}, b"not json", False),  # the handler answers the malformed body
+        ({"stream": "yes"}, b"", True),
+        ({"stream": "no"}, b'{"stream": true}', False),  # the query token wins
+        ({"stream": "true"}, b'{"stream": "false"}', True),
+        ({}, b'{"stream": "false"}', HttpError),
+        ({}, b'{"stream": 1}', HttpError),
+    ],
+)
+def test_the_body_stream_flag_is_a_json_boolean(query, body, expected):
+    request = HttpRequest(method="POST", path="/", query=query, headers={}, body=body)
+    if expected is HttpError:
+        with pytest.raises(HttpError) as excinfo:
+            HttpMapServer._wants_stream(request)
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_field")
+    else:
+        assert HttpMapServer._wants_stream(request) is expected
 
 
 def test_session_config_overrides_apply_on_top_of_the_default():

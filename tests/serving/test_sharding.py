@@ -7,7 +7,6 @@ import pytest
 
 from conftest import update_batch
 from repro.core.config import OMUConfig
-from repro.core.scheduler import VoxelUpdateRequest
 from repro.octomap.keys import OcTreeKey
 from repro.serving import ShardRouter, ShardUpdateBatch
 
@@ -42,15 +41,17 @@ def test_point_and_key_routing_agree(config):
 
 def test_partition_preserves_order_and_ownership(config):
     router = ShardRouter(config, num_shards=3, prefix_levels=12)
-    keys = [OcTreeKey(32768 + index, 32768 - index, 32768 + 2 * index) for index in range(50)]
-    stream = [VoxelUpdateRequest(key, occupied=bool(index % 2)) for index, key in enumerate(keys)]
-    per_shard = router.partition(stream)
-    assert sum(len(shard_stream) for shard_stream in per_shard) == len(stream)
-    for shard_id, shard_stream in enumerate(per_shard):
-        assert all(router.shard_for_key(request.key) == shard_id for request in shard_stream)
-        # Relative order within the shard matches the global stream order.
-        positions = [stream.index(request) for request in shard_stream]
-        assert positions == sorted(positions)
+    index = np.arange(50)
+    keys = np.stack((32768 + index, 32768 - index, 32768 + 2 * index), axis=1)
+    occupied = index % 2 == 1
+    owners = np.array([router.shard_for_key(OcTreeKey(*key)) for key in keys.tolist()])
+    assert set(owners.tolist()) == {0, 1, 2}
+    per_shard = router.partition_key_arrays(keys, occupied)
+    assert len(per_shard) == 3
+    for shard_id, (shard_keys, shard_occupied) in enumerate(per_shard):
+        # Exactly the rows the shard owns, in global stream order.
+        assert np.array_equal(shard_keys, keys[owners == shard_id])
+        assert np.array_equal(shard_occupied, occupied[owners == shard_id])
 
 
 def test_too_many_shards_for_prefix_rejected(config):
