@@ -4,7 +4,7 @@ Each driver returns structured data plus a rendered ASCII table or bar chart,
 so the benchmark harness, the examples and EXPERIMENTS.md all quote the same
 numbers.  The heavy lifting -- running the OMU cycle simulator and the
 instrumented software baseline on scaled synthetic versions of the three
-datasets -- is done once per (dataset, scale) pair by
+datasets -- is done once per (dataset, scale, config) by
 :func:`evaluate_dataset` and cached for the rest of the process.
 
 Extrapolation methodology (see DESIGN.md section 2): the scaled run measures
@@ -134,7 +134,7 @@ class ExperimentResult:
         return self.rendered
 
 
-_EVALUATION_CACHE: Dict[Tuple[str, str, int], DatasetEvaluation] = {}
+_EVALUATION_CACHE: Dict[Tuple[str, str, OMUConfig], DatasetEvaluation] = {}
 
 
 def clear_evaluation_cache() -> None:
@@ -156,11 +156,11 @@ def evaluate_dataset(
 ) -> DatasetEvaluation:
     """Run the scaled workload of one dataset on the OMU model and baselines.
 
-    Results are cached per ``(dataset, scale, num_pes)`` for the lifetime of
+    Results are cached per ``(dataset, scale, config)`` for the lifetime of
     the process, because several tables reuse the same evaluation.
     """
     descriptor = dataset_by_name(name)
-    cache_key = (descriptor.name, scale, config.num_pes)
+    cache_key = (descriptor.name, scale, config)
     if cache_key in _EVALUATION_CACHE and not check_equivalence:
         return _EVALUATION_CACHE[cache_key]
 

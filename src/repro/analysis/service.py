@@ -368,6 +368,7 @@ def session_scaling_experiment(
             batch_size=batch_size,
             backend=backend,
             fleet_workers=fleet_workers,
+            admission_queue_limit=queue_limit,
         ).with_resolution(resolution_m)
         manager = MapSessionManager(default_config=config)
         session_ids = [f"tenant-{index:04d}" for index in range(count)]
@@ -392,7 +393,7 @@ def session_scaling_experiment(
         async def drive(manager=manager, session_ids=session_ids,
                         requests=requests, arrivals=arrivals,
                         admit_latencies=admit_latencies) -> Tuple[float, int]:
-            async with AsyncMapService(manager, queue_limit=queue_limit) as service:
+            async with AsyncMapService(manager) as service:
                 for session_id in session_ids:
                     service.get_or_create_session(session_id)
                 start = time.perf_counter()

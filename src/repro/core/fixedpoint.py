@@ -163,11 +163,6 @@ class QuantizedOccupancyParams:
         """The fixed-point format the parameters are quantised to."""
         return self._format
 
-    @property
-    def source_params(self) -> OccupancyParams:
-        """The original floating-point parameters."""
-        return self._float_params
-
     def clamp_raw(self, raw: int) -> int:
         """Clamp a raw log-odds value to the quantised clamping bounds."""
         if raw < self.raw_clamp_min:

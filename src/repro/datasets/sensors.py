@@ -19,7 +19,6 @@ be matched to the dataset statistics without changing the angular coverage.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
@@ -169,8 +168,3 @@ class DepthCamera:
                 relative = np.asarray(hit, dtype=np.float64) - origin
                 points.append(rotation.T @ relative)
         return PointCloud(np.asarray(points) if points else None)
-
-
-def look_at_yaw(from_point: Tuple[float, float], to_point: Tuple[float, float]) -> float:
-    """Yaw angle pointing from one planar position towards another."""
-    return math.atan2(to_point[1] - from_point[1], to_point[0] - from_point[0])

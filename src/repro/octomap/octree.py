@@ -386,12 +386,6 @@ class OccupancyOcTree:
         """Classify a node as occupied using the tree's threshold."""
         return self._params.is_occupied(node.log_odds)
 
-    def occupancy_probability(self, node: OcTreeNode) -> float:
-        """Occupancy probability of a node (inverse of the log-odds)."""
-        from repro.octomap.logodds import probability
-
-        return probability(node.log_odds)
-
     def classify(self, key_or_x, y: Optional[float] = None, z: Optional[float] = None) -> str:
         """Return ``"occupied"``, ``"free"`` or ``"unknown"`` for a voxel."""
         node = self.search(key_or_x, y, z)

@@ -125,12 +125,6 @@ class ScanUpdateArrays:
         """The occupied voxel keys as an ``(N, 3)`` int64 array (sorted)."""
         return unpack_key_array(self.occupied_packed)
 
-    @property
-    def update_count(self) -> int:
-        """Updates the scan dispatches after de-duplication."""
-        return int(self.free_packed.size + self.occupied_packed.size)
-
-
 def compute_batch_update_arrays(
     converter: KeyConverter,
     scans: Sequence[Tuple[np.ndarray, Sequence[float], float]],

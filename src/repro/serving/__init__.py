@@ -145,7 +145,6 @@ from repro.serving.remote import (
     ShardWorkerServer,
     WorkerRegistry,
     spawn_local_worker,
-    spawn_worker_process,
 )
 from repro.serving.session import MapSession, SessionConfig
 from repro.serving.sharding import MapShardWorker, ShardHost, ShardRouter
@@ -220,7 +219,6 @@ __all__ = [
     "WorkerRegistry",
     "make_backend",
     "spawn_local_worker",
-    "spawn_worker_process",
     "submit_interleaved_stream",
     "write_metrics_json",
 ]

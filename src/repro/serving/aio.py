@@ -58,7 +58,6 @@ Usage::
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -149,12 +148,11 @@ class AsyncMapService:
             ingestion before the service starts, or after :meth:`close`.
         default_config: forwarded to the created manager (ignored when
             ``manager`` is given).
-        queue_limit: admission queue depth override; defaults to each
-            session's ``config.admission_queue_limit``.
-        max_workers: executor threads shared by flushers and queries
-            (default: the stdlib heuristic, ``min(32, cpu_count + 4)``).
-            Sessions needing concurrent ingestion beyond this run fine but
-            time-share the pool.
+
+    Each session's admission queue is ``config.admission_queue_limit``
+    deep.  Flushers and queries share one executor of the stdlib's default
+    size (``min(32, cpu_count + 4)`` threads); sessions needing concurrent
+    ingestion beyond that run fine but time-share the pool.
 
     Must be constructed (and used) inside a running event loop; flusher
     tasks are spawned lazily per session.  Always :meth:`close` (or use
@@ -167,28 +165,17 @@ class AsyncMapService:
         manager: Optional[MapSessionManager] = None,
         *,
         default_config: Optional[SessionConfig] = None,
-        queue_limit: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> None:
-        if queue_limit is not None and queue_limit < 1:
-            raise ValueError("queue_limit must be at least 1")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         self.manager = manager if manager is not None else MapSessionManager(default_config)
-        self.queue_limit = queue_limit
         #: one token bucket per tenant, shared by every session billing to
         #: it; consulted (and lazily created) at submit admission.
         self.quotas = TenantQuotaRegistry()
         self._entries: Dict[str, _SessionEntry] = {}
-        # Sized up front (the stdlib default heuristic) rather than from the
-        # session count, which is unknowable at construction time; the pool
-        # only *creates* threads on demand, so process-backend sessions made
+        # Sized up front (the stdlib default) rather than from the session
+        # count, which is unknowable at construction time; the pool only
+        # *creates* threads on demand, so process-backend sessions made
         # before the first executor use still fork thread-free.
-        if max_workers is None:
-            max_workers = min(32, (os.cpu_count() or 1) + 4)
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="aio-serve"
-        )
+        self._executor = ThreadPoolExecutor(thread_name_prefix="aio-serve")
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -288,12 +275,9 @@ class AsyncMapService:
             session = self.manager.get_or_create_session(session_id, config)
         else:
             session = self.manager.get_session(session_id)
-        limit = (
-            self.queue_limit
-            if self.queue_limit is not None
-            else session.config.admission_queue_limit
+        entry = _SessionEntry(
+            session=session, queue=asyncio.Queue(maxsize=session.config.admission_queue_limit)
         )
-        entry = _SessionEntry(session=session, queue=asyncio.Queue(maxsize=limit))
         entry.flusher = asyncio.get_running_loop().create_task(
             self._flusher_loop(entry), name=f"aio-flusher-{session_id}"
         )

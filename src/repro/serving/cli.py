@@ -8,13 +8,17 @@ per-session :class:`~repro.serving.stats.ServiceStats` tables.
 
 ``--async`` swaps the synchronous loop for the asyncio admission front end
 (:class:`~repro.serving.aio.AsyncMapService`): every client becomes its own
-coroutine submitting into bounded per-session admission queues while
+coroutine submitting into bounded per-session admission queues
+(``--queue-limit`` deep: the sessions' ``admission_queue_limit``) while
 background flusher tasks ingest concurrently, and the stats gain the
 admission-wait table.
 
 ``--http`` turns the demo into a long-running server: the network API of
 :mod:`repro.serving.http` on ``--host``/``--port``, no generated workload,
-serving until SIGINT/SIGTERM.  Both the async demo and the HTTP server shut
+serving until SIGINT/SIGTERM.  The flags set the default session config;
+a client may override the shard count, batch size, queue depth, tenant and
+quota of its own sessions, but the execution backend (``--backend``) stays
+the operator's choice.  Both the async demo and the HTTP server shut
 down gracefully on those signals -- admitted scans are drained into their
 maps (``AsyncMapService.close(drain=True)``) before the process exits 0.
 
@@ -28,6 +32,7 @@ import argparse
 import asyncio
 import signal
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro.datasets.streams import ClientSpec, StreamEvent, generate_interleaved_stream
@@ -112,12 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
             "owning num-shards workers (0 = classic per-session ownership)"
         ),
     )
-    parser.add_argument(
-        "--prefix-levels",
-        type=int,
-        default=12,
-        help="octree-key prefix depth for shard routing (default 12: 16^3-voxel blocks)",
-    )
     parser.add_argument("--batch-size", type=int, default=4, help="scans per ingestion batch (default 4)")
     parser.add_argument("--resolution", type=float, default=0.2, help="map resolution in metres (default 0.2)")
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed of the scan stream (default 0)")
@@ -141,7 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-limit",
         type=int,
         default=16,
-        help="async mode: admission queue depth per session (default 16)",
+        help=(
+            "async mode: admission queue depth per session, the sessions' "
+            "admission_queue_limit (default 16)"
+        ),
     )
     parser.add_argument(
         "--http",
@@ -239,7 +241,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = SessionConfig(
             num_shards=args.shards,
-            shard_prefix_levels=args.prefix_levels,
             backend=args.backend,
             batch_size=args.batch_size,
             workers=tuple(
@@ -253,6 +254,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             heartbeat_timeout_s=args.heartbeat_timeout,
             fleet_workers=args.fleet_workers,
         ).with_resolution(args.resolution)
+        if args.use_async:
+            config = replace(config, admission_queue_limit=args.queue_limit)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -273,7 +276,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for index in range(args.sessions)
         ]
         manager = MapSessionManager(default_config=config)
-        # Session construction validates the shard/prefix combination.
+        # Session construction checks the shard count against the tree depth.
         for index in range(args.sessions):
             manager.get_or_create_session(f"session-{index}")
     except ValueError as error:
@@ -351,7 +354,7 @@ async def _async_main(
     stop = asyncio.Event()
     hooked = _install_signal_handlers(stop)
     try:
-        async with AsyncMapService(manager, queue_limit=args.queue_limit) as service:
+        async with AsyncMapService(manager) as service:
             for session_id in manager.session_ids():
                 service.get_or_create_session(session_id)
             driver = asyncio.ensure_future(submit_interleaved_stream(service, stream))

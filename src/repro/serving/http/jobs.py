@@ -20,7 +20,7 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["JobRecord", "JobManager", "PENDING", "RUNNING", "DONE", "FAILED"]
 
@@ -227,8 +227,3 @@ class JobManager:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._tasks.clear()
-
-
-def job_payload(record: Any) -> dict:
-    """Codec shim mirroring the :mod:`repro.serving.http.wire` naming."""
-    return record.payload()

@@ -390,14 +390,11 @@ def scan_request_from_payload(session_id: str, payload: Mapping) -> ScanRequest:
     )
 
 
+#: The session fields a client may set.  The execution backend (``backend``,
+#: ``mp_start_method``) is the operator's choice, made once for the server.
 _CONFIG_FIELDS = (
     "num_shards",
-    "shard_prefix_levels",
-    "backend",
-    "mp_start_method",
     "batch_size",
-    "cache_capacity",
-    "default_max_range",
     "admission_queue_limit",
     "tenant",
     "quota_points_per_s",
@@ -410,13 +407,10 @@ def _require_json_type(name: str, value, default) -> None:
 
     ``replace`` would take anything: the string ``"false"`` is truthy and a
     fractional ``batch_size`` survives until something indexes with it.  A
-    float field takes any JSON number; ``bool`` is never a number here; a
-    field defaulting to ``None`` (``mp_start_method``) takes a string or null.
+    float field takes any JSON number; ``bool`` is never a number here.
     """
-    if default is None:
-        accepted: Tuple[type, ...] = (str, type(None))
-    elif isinstance(default, float):
-        accepted = (int, float)
+    if isinstance(default, float):
+        accepted: Tuple[type, ...] = (int, float)
     else:
         accepted = (type(default),)
     if type(value) not in accepted:
@@ -433,9 +427,10 @@ def session_config_from_payload(
 
     ``None``/empty payload means "adopt the service default" (returns
     ``None`` so ``get_or_create_session`` skips the conflict check).  The
-    overridable knobs are the scalar :class:`SessionConfig` fields plus
-    ``resolution_m``; unknown keys and invalid values raise
-    :class:`HttpError` 400.
+    overridable fields are ``num_shards``, ``batch_size``,
+    ``admission_queue_limit``, the tenant and its quota, plus
+    ``resolution_m``; the execution backend stays the server's.  Unknown
+    keys and invalid values raise :class:`HttpError` 400 ``bad_config``.
     """
     if not payload:
         return None

@@ -48,7 +48,11 @@ from repro.serving.types import (
     ShardQueryRequest,
 )
 
-__all__ = ["QueryEngine", "BULK_SLICE_KEYS"]
+__all__ = ["QueryEngine", "BULK_SLICE_KEYS", "MAX_BOX_VOXELS"]
+
+#: Largest box sweep the engine accepts, in voxels: a guardrail against
+#: accidental whole-map sweeps.
+MAX_BOX_VOXELS = 200_000
 
 #: Most keys one bulk read carries.  Larger batches and sweeps go out slice
 #: by slice, so neither side of the wire ever holds the paths of a whole
@@ -65,8 +69,6 @@ class QueryEngine:
         backend: ShardBackend,
         cache: GenerationLRUCache,
         stats: SessionStats,
-        max_box_voxels: int = 200_000,
-        bbox_cache_capacity: int = 64,
     ) -> None:
         if backend.num_shards != router.num_shards:
             raise ValueError(
@@ -77,11 +79,11 @@ class QueryEngine:
         self.backend = backend
         self.cache = cache
         self.stats = stats
-        self.max_box_voxels = max_box_voxels
+        self.max_box_voxels = MAX_BOX_VOXELS
         #: whole-sweep summaries validated by the full generation vector;
         #: shares the point cache's counter block so one stats surface shows
         #: both hit rates.
-        self.bbox_cache = BboxResultCache(bbox_cache_capacity, stats=cache.stats)
+        self.bbox_cache = BboxResultCache(stats=cache.stats)
         self._probabilities: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -226,7 +228,7 @@ class QueryEngine:
         if total > self.max_box_voxels:
             raise ValueError(
                 f"box covers {total} voxels, above the {self.max_box_voxels} guardrail; "
-                "split the sweep or raise max_box_voxels"
+                "split the sweep"
             )
         return ranges, total
 

@@ -7,7 +7,7 @@ single-process affair into a small distributed system:
   over TCP, with a failure taxonomy (clean close vs. torn connection) the
   failover logic keys off.
 * :mod:`~repro.serving.remote.worker` -- the shard worker server and the
-  ``repro-serve-worker`` CLI entry point, plus local-spawn helpers so tests
+  ``repro-serve-worker`` CLI entry point, plus a local-spawn helper so tests
   and demos need no manual orchestration.
 * :mod:`~repro.serving.remote.registry` -- shard -> endpoint assignment,
   liveness tracking, standby promotion and co-hosting on survivor workers.
@@ -38,7 +38,6 @@ from repro.serving.remote.worker import (
     ShardWorkerServer,
     main,
     spawn_local_worker,
-    spawn_worker_process,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "ShardWorkerServer",
     "main",
     "spawn_local_worker",
-    "spawn_worker_process",
 ]

@@ -81,10 +81,6 @@ class WorkerRegistry:
         """Snapshot of the shard -> endpoint map (observability/tests)."""
         return dict(self._assignment)
 
-    def is_dead(self, endpoint: WorkerEndpoint) -> bool:
-        """True once the endpoint was declared dead."""
-        return endpoint in self._dead
-
     def standbys(self) -> List[WorkerEndpoint]:
         """Live endpoints currently hosting no shard (re-homing targets)."""
         hosting = set(self._assignment.values())

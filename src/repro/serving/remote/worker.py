@@ -15,9 +15,9 @@ exceptions are reported, not fatal (same policy as the process channel's
 worker loop); only transport loss or an explicit ``stop`` ends a connection.
 
 The module doubles as the ``repro-serve-worker`` console entry point, and
-:func:`spawn_local_worker` / :func:`spawn_worker_process` give tests and
-demos zero-orchestration workers (in-process threads, or a real child
-process for cross-process realism).
+:func:`spawn_local_worker` gives tests and demos zero-orchestration workers:
+in-process daemon threads on an ephemeral port.  A worker in its own
+process is ``repro-serve-worker --port 0``, which prints its endpoint.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import signal
 import socket
-import subprocess
 import sys
 import threading
 from typing import List, Optional
@@ -37,7 +36,6 @@ __all__ = [
     "ShardWorkerServer",
     "LocalWorkerHandle",
     "spawn_local_worker",
-    "spawn_worker_process",
     "main",
 ]
 
@@ -157,67 +155,29 @@ class ShardWorkerServer:
 
 
 class LocalWorkerHandle:
-    """Grip on a worker spawned by this process: endpoint plus kill switch."""
+    """Grip on a worker started by this process: endpoint plus kill switch."""
 
-    def __init__(
-        self,
-        server: Optional[ShardWorkerServer] = None,
-        process: Optional[subprocess.Popen] = None,
-        endpoint: str = "",
-    ) -> None:
+    def __init__(self, server: ShardWorkerServer) -> None:
         self.server = server
-        self.process = process
-        self.endpoint = endpoint or (server.worker_id if server else "")
+        self.endpoint = server.worker_id
 
     @property
     def alive(self) -> bool:
         """True while the worker can still serve its endpoint."""
-        if self.server is not None:
-            return self.server.alive
-        return self.process is not None and self.process.poll() is None
+        return self.server.alive
 
     def kill(self) -> None:
         """Abrupt death (fault injection): no drain, state lost."""
-        if self.server is not None:
-            self.server.kill()
-        elif self.process is not None:
-            self.process.kill()
-            self.process.wait(timeout=10.0)
+        self.server.kill()
 
     def stop(self) -> None:
         """Graceful shutdown.  Idempotent."""
-        if self.server is not None:
-            self.server.shutdown()
-        elif self.process is not None:
-            if self.process.poll() is None:
-                self.process.terminate()
-            self.process.wait(timeout=10.0)
+        self.server.shutdown()
 
 
 def spawn_local_worker() -> LocalWorkerHandle:
     """Start one in-process worker (daemon threads) on an ephemeral port."""
-    return LocalWorkerHandle(server=ShardWorkerServer().start())
-
-
-def spawn_worker_process(host: str = "127.0.0.1") -> LocalWorkerHandle:
-    """Start one ``repro-serve-worker`` child process on an ephemeral port.
-
-    Blocks until the child announces its endpoint on stdout, so the caller
-    can connect immediately.  Used where process isolation matters (CLI
-    smoke, cross-process tests); the in-process spawn is faster everywhere
-    else.
-    """
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.serving.remote", "--host", host, "--port", "0"],
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    line = process.stdout.readline().strip()
-    marker = "listening on "
-    if marker not in line:
-        process.kill()
-        raise RuntimeError(f"worker process failed to start (said {line!r})")
-    return LocalWorkerHandle(process=process, endpoint=line.split(marker, 1)[1])
+    return LocalWorkerHandle(ShardWorkerServer().start())
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -35,16 +35,16 @@ __all__ = ["SessionConfig", "MapSession"]
 class SessionConfig:
     """Parameters of one map session.
 
+    Not settings: the shard routing prefix (derived from the tree depth),
+    the query cache sizes (4096 points, 64 box sweeps) and the beam
+    truncation (a request's own ``max_range``; none when it sets none).
+
     Attributes:
-        num_shards: map shard workers in the session's pool.
-        shard_prefix_levels: octree-key prefix depth used for routing; must
-            satisfy ``num_shards <= 8**shard_prefix_levels``.  The default of
-            12 shards at *block* granularity (16x16x16-voxel subtrees, 3.2 m
-            cubes at 0.2 m resolution).  Shallow prefixes (1-2 levels) are
-            degenerate for maps built near the origin: the top key bits of
-            every axis are anti-correlated there (positive coordinates start
-            ``10...``, negative ``01...``), so octant-level sharding cannot
-            split any one octant's work and buys almost no parallelism.
+        num_shards: map shard workers in the session's pool.  Keys are
+            routed by their 16x16x16-voxel block (the prefix depth follows
+            from ``accelerator.tree_depth``, see
+            :class:`~repro.serving.sharding.ShardRouter`), so a shallow tree
+            caps how many shards it can feed.
         backend: shard execution backend -- ``"inline"`` (serial reference),
             ``"thread"`` (concurrent fan-out, GIL-bound), ``"process"``
             (one worker process per shard, true CPU parallelism) or
@@ -54,14 +54,8 @@ class SessionConfig:
         mp_start_method: ``multiprocessing`` start method for the process
             backend (``None`` picks ``fork`` where available).
         batch_size: scans coalesced per ingestion batch.
-        cache_capacity: entries of the query LRU cache.
-        bbox_cache_capacity: whole box-sweep summaries cached per session,
-            validated against the full shard generation vector (always
-            exact).  ``0`` disables bbox result caching.
         accelerator: configuration of every shard's accelerator (resolution,
             PE count, fixed point, ...).
-        default_max_range: beam truncation applied when a request does not
-            set its own.
         admission_queue_limit: depth of the bounded per-session admission
             queue of the asyncio front end (:mod:`repro.serving.aio`).  A
             submit against a full queue either waits (backpressure) or is
@@ -105,14 +99,10 @@ class SessionConfig:
     """
 
     num_shards: int = 2
-    shard_prefix_levels: int = 12
     backend: str = "inline"
     mp_start_method: Optional[str] = None
     batch_size: int = 8
-    cache_capacity: int = 4096
-    bbox_cache_capacity: int = 64
     accelerator: OMUConfig = field(default_factory=lambda: DEFAULT_CONFIG)
-    default_max_range: float = -1.0
     admission_queue_limit: int = 64
     tenant: str = ""
     quota_points_per_s: float = 0.0
@@ -127,7 +117,6 @@ class SessionConfig:
     def __post_init__(self) -> None:
         # NaN passes every range check below, so non-finite values go first.
         for name in (
-            "default_max_range",
             "quota_points_per_s",
             "quota_burst_s",
             "heartbeat_interval_s",
@@ -137,8 +126,6 @@ class SessionConfig:
                 raise ValueError(f"{name} must be finite")
         if self.fleet_workers < 0:
             raise ValueError("fleet_workers must be non-negative (0 = private pool)")
-        if self.bbox_cache_capacity < 0:
-            raise ValueError("bbox_cache_capacity must be non-negative (0 disables)")
         if self.admission_queue_limit < 1:
             raise ValueError("admission_queue_limit must be at least 1")
         if self.quota_points_per_s < 0.0:
@@ -149,8 +136,6 @@ class SessionConfig:
             raise ValueError("num_shards must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be at least 1")
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown backend {self.backend!r}; choose from {', '.join(BACKEND_NAMES)}"
@@ -167,18 +152,6 @@ class SessionConfig:
     def with_resolution(self, resolution_m: float) -> "SessionConfig":
         """Copy with a different map resolution on every shard."""
         return replace(self, accelerator=self.accelerator.with_resolution(resolution_m))
-
-    def with_backend(self, backend: str) -> "SessionConfig":
-        """Copy served by a different shard execution backend."""
-        return replace(self, backend=backend)
-
-    def with_workers(self, workers: Sequence[str]) -> "SessionConfig":
-        """Copy served by the socket backend over the given worker endpoints."""
-        return replace(self, backend="socket", workers=tuple(workers))
-
-    def with_fleet(self, fleet_workers: int) -> "SessionConfig":
-        """Copy leasing execution from a shared fleet of this many slots."""
-        return replace(self, fleet_workers=fleet_workers)
 
     def pool_options(self) -> Dict[str, object]:
         """The fields that shape a :class:`~repro.serving.fleet.BackendPool`
@@ -229,11 +202,7 @@ class MapSession:
             backend_name=self.config.backend,
             num_shards=self.config.num_shards,
         )
-        self.router = ShardRouter(
-            self.config.accelerator,
-            self.config.num_shards,
-            prefix_levels=self.config.shard_prefix_levels,
-        )
+        self.router = ShardRouter(self.config.accelerator, self.config.num_shards)
         # A lease either way: on the shared pool handed in (close() releases
         # this session's hosted shards and leaves the pool serving everyone
         # else), or on a private pool shaped by this config.
@@ -254,14 +223,8 @@ class MapSession:
             metrics=metrics,
             tenant=self.tenant,
         )
-        self.cache = GenerationLRUCache(self.config.cache_capacity)
-        self.query_engine = QueryEngine(
-            self.router,
-            self.backend,
-            self.cache,
-            self.stats,
-            bbox_cache_capacity=self.config.bbox_cache_capacity,
-        )
+        self.cache = GenerationLRUCache()
+        self.query_engine = QueryEngine(self.router, self.backend, self.cache, self.stats)
         self.stats.cache = self.cache.stats
 
     # ------------------------------------------------------------------
@@ -305,8 +268,6 @@ class MapSession:
                 f"request for session {request.session_id!r} submitted to "
                 f"session {self.session_id!r}"
             )
-        if request.max_range < 0.0 and self.config.default_max_range > 0.0:
-            request = replace(request, max_range=self.config.default_max_range)
         return self.pipeline.submit(request)
 
     def flush(self) -> Optional[BatchReport]:

@@ -13,13 +13,20 @@ accelerator, lifted one level up: PEs parallelise within a chip, shards
 parallelise across chips (or across processes, once the serving layer grows a
 distributed backend).
 
-Prefix depth picks the granularity.  ``prefix_levels=1`` shards by octant;
-deeper prefixes shard by progressively smaller blocks (the session default of
-12 gives 16x16x16-voxel blocks).  Because a shard can only prune a subtree
-whose eight children it fully owns, and modulo routing never hands all eight
-children of an above-prefix node to one shard (for ``num_shards >= 2``),
-every exported leaf -- pruned or not -- stays inside its shard's own key
-region, which is what makes the export stitch conflict-free.
+The prefix depth is not a setting: it follows from the tree depth, so that
+every subtree is a 16x16x16-voxel block (``tree_depth - 4`` levels, 12 at the
+paper's depth 16; 3.2 m cubes at 0.2 m resolution).  Shallow prefixes (1-2
+levels) are degenerate for maps built near the origin: the top key bits of
+every axis are anti-correlated there (positive coordinates start ``10...``,
+negative ``01...``), so octant-level sharding cannot split any one octant's
+work and buys almost no parallelism.  A tree of depth 5 or less routes by
+octant, the shallowest prefix there is.
+
+Because a shard can only prune a subtree whose eight children it fully owns,
+and modulo routing never hands all eight children of an above-prefix node to
+one shard (for ``num_shards >= 2``), every exported leaf -- pruned or not --
+stays inside its shard's own key region, which is what makes the export
+stitch conflict-free.
 """
 
 from __future__ import annotations
@@ -50,23 +57,29 @@ from repro.serving.types import (
 
 __all__ = ["ShardRouter", "MapShardWorker", "ShardHost"]
 
+#: Tree levels below the routing prefix: every routed subtree is a
+#: ``2**BLOCK_LEVELS``-voxel cube on each axis (16x16x16 voxels).
+BLOCK_LEVELS = 4
+
 
 class ShardRouter:
-    """Maps voxel keys (and metric points) to shard ids."""
+    """Maps voxel keys (and metric points) to shard ids.
 
-    def __init__(self, config: OMUConfig, num_shards: int, prefix_levels: int = 1) -> None:
+    Routes by the first ``prefix_levels = max(1, tree_depth - BLOCK_LEVELS)``
+    child indices of each key, i.e. by 16x16x16-voxel block.
+    """
+
+    def __init__(self, config: OMUConfig, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if not 1 <= prefix_levels <= config.tree_depth:
-            raise ValueError(
-                f"prefix_levels must be in [1, {config.tree_depth}], got {prefix_levels}"
-            )
+        prefix_levels = max(1, config.tree_depth - BLOCK_LEVELS)
         # With P prefix levels there are 8**P distinct subtrees; more shards
         # than subtrees would leave workers permanently idle.
         if num_shards > 8 ** prefix_levels:
             raise ValueError(
                 f"{num_shards} shards but only 8**{prefix_levels} = "
-                f"{8 ** prefix_levels} key-prefix subtrees; raise prefix_levels"
+                f"{8 ** prefix_levels} key-prefix subtrees at tree depth "
+                f"{config.tree_depth}"
             )
         self.num_shards = num_shards
         self.prefix_levels = prefix_levels

@@ -190,11 +190,6 @@ class BoxOccupancySummary:
     unknown: int
     voxels_scanned: int
 
-    @property
-    def any_occupied(self) -> bool:
-        """True when at least one voxel inside the box is occupied."""
-        return self.occupied > 0
-
 
 @dataclass(frozen=True)
 class BboxChunk:

@@ -7,6 +7,8 @@ dominated by prune/expand while the accelerator's is not; and the power / area
 models land on the paper's headline numbers.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -22,6 +24,7 @@ from repro.analysis.experiments import (
     table4_throughput,
     table5_energy,
 )
+from repro.core.config import DEFAULT_CONFIG
 from repro.octomap.counters import OperationKind
 
 SCALE = "smoke"
@@ -40,6 +43,18 @@ class TestEvaluateDataset:
     def test_evaluation_is_cached(self, corridor_evaluation):
         again = evaluate_dataset("FR-079 corridor", scale=SCALE)
         assert again is corridor_evaluation
+
+    def test_cache_tells_configs_apart(self, corridor_evaluation):
+        """Regression: the cache was keyed on the PE count only, so any other
+        config got the default config's evaluation back."""
+        timing = DEFAULT_CONFIG.timing
+        slow_reads = DEFAULT_CONFIG.with_timing(
+            replace(timing, bank_read_cycles=4 * timing.bank_read_cycles)
+        )
+        slower = evaluate_dataset("FR-079 corridor", scale=SCALE, config=slow_reads)
+        assert slower is not corridor_evaluation
+        assert slower.omu_latency_s > corridor_evaluation.omu_latency_s
+        assert evaluate_dataset("FR-079 corridor", scale=SCALE, config=slow_reads) is slower
 
     def test_scaled_run_produced_updates(self, corridor_evaluation):
         assert corridor_evaluation.scaled_voxel_updates > 500

@@ -139,7 +139,7 @@ def read_back(accelerator: OMUAccelerator) -> Dict[str, object]:
 
 def corridor_batch_accelerators(config: OMUConfig, num_shards: int):
     """The corridor stream through ``apply_update_batch``, one batch per scan per shard."""
-    router = ShardRouter(config, num_shards, prefix_levels=12)
+    router = ShardRouter(config, num_shards)
     accelerators = [OMUAccelerator(config) for _ in range(num_shards)]
     batches: List[List[Dict[str, object]]] = []
     for event in corridor_events():

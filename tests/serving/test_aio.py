@@ -407,15 +407,14 @@ async def test_conflicting_session_config_is_rejected():
 
 
 @async_test
-async def test_queue_limit_override_and_validation():
-    with pytest.raises(ValueError, match="queue_limit"):
-        AsyncMapService(queue_limit=0)
+async def test_each_admission_queue_is_its_session_admission_queue_limit_deep():
     async with AsyncMapService(
-        default_config=SessionConfig(num_shards=1, admission_queue_limit=64),
-        queue_limit=3,
+        default_config=SessionConfig(num_shards=1, admission_queue_limit=3)
     ) as service:
         service.get_or_create_session("map")
+        service.get_or_create_session("wide", SessionConfig(num_shards=1, admission_queue_limit=5))
         assert service._entries["map"].queue.maxsize == 3
+        assert service._entries["wide"].queue.maxsize == 5
 
 
 def test_session_config_validates_admission_queue_limit():

@@ -38,7 +38,7 @@ BACKENDS = [
 def loaded_session(backend: str) -> MapSession:
     """Three ring scans, the last one centred 0.9 m from the volume's +x face."""
     config = SessionConfig(
-        num_shards=3, shard_prefix_levels=5, batch_size=2, backend=backend, accelerator=SMALL_VOLUME
+        num_shards=3, batch_size=2, backend=backend, accelerator=SMALL_VOLUME
     )
     session = MapSession("map", config)
     try:

@@ -24,7 +24,13 @@ def test_parser_rejects_unknown_backend():
 
 
 @pytest.mark.parametrize(
-    "flags", [["--pipeline"], ["--flusher-concurrency", "2"], ["--scheduler", "fifo"]]
+    "flags",
+    [
+        ["--pipeline"],
+        ["--flusher-concurrency", "2"],
+        ["--scheduler", "fifo"],
+        ["--prefix-levels", "12"],
+    ],
 )
 def test_parser_rejects_removed_ingestion_flags(flags, capsys):
     with pytest.raises(SystemExit) as excinfo:

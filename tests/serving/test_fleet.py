@@ -253,7 +253,7 @@ def test_fleet_lease_is_leaf_for_leaf_identical_to_owned_backend(
     ]
     private_config = SessionConfig(num_shards=num_shards, batch_size=batch_size).with_resolution(0.25)
     private = _ingest_and_export(private_config, requests)
-    fleet_config = private_config.with_backend(fleet_backend).with_fleet(fleet_workers)
+    fleet_config = replace(private_config, backend=fleet_backend, fleet_workers=fleet_workers)
     with BackendPool(fleet_backend, fleet_workers=fleet_workers) as pool:
         leased = _ingest_and_export(fleet_config, requests, backend_pool=pool)
     report = compare_trees(private, leased, 0.0)
@@ -269,7 +269,7 @@ def test_fleet_lease_matches_owned_backend_across_worker_boundaries(fleet_backen
     requests = _requests(3)
     private_config = SessionConfig(num_shards=3, batch_size=2).with_resolution(0.25)
     owned = _ingest_and_export(private_config, requests)
-    fleet_config = private_config.with_backend(fleet_backend).with_fleet(2)
+    fleet_config = replace(private_config, backend=fleet_backend, fleet_workers=2)
     with BackendPool(fleet_backend, fleet_workers=2) as pool:
         first = _ingest_and_export(fleet_config, requests, backend_pool=pool)
         second = _ingest_and_export(fleet_config, requests, backend_pool=pool)
@@ -314,11 +314,13 @@ def test_manager_never_joins_sessions_with_differently_shaped_fleets():
     endpoints = [handle.endpoint for handle in handles]
     manager = MapSessionManager()
     try:
-        base = SessionConfig(num_shards=2, fleet_workers=2).with_workers(endpoints[:2])
+        base = SessionConfig(
+            num_shards=2, backend="socket", workers=tuple(endpoints[:2]), fleet_workers=2
+        )
         manager.create_session("a", base)
         manager.create_session("b", base)  # same shape: same fleet
         assert len(manager.fleets) == 1
-        manager.create_session("c", base.with_workers(endpoints[2:]))
+        manager.create_session("c", replace(base, workers=tuple(endpoints[2:])))
         manager.create_session("d", replace(base, snapshot_every_batches=2))
         manager.create_session("e", replace(base, heartbeat_timeout_s=1.0, standby_workers=0))
         assert len(manager.fleets) == 4

@@ -202,8 +202,9 @@ class TestFrontendEquivalence:
         # Beams leaving the addressable volume must carve free space but no
         # endpoint, exactly as the scalar kernel does (the PR-5 no-hit fix).
         # A shallow tree keeps the volume (and the clipped beam) small: at
-        # depth 8 / 0.2 m the addressable cube is +/- 25.6 m.
-        base = SessionConfig(num_shards=2, batch_size=2, shard_prefix_levels=8)
+        # depth 8 / 0.2 m the addressable cube is +/- 25.6 m, and the router
+        # derives its 4-level prefix from that depth.
+        base = SessionConfig(num_shards=2, batch_size=2)
         config = replace(base, accelerator=replace(base.accelerator, tree_depth=8))
         far = config.accelerator.resolution_m * (1 << (config.accelerator.tree_depth - 1))
         scans = [

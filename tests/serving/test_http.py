@@ -292,6 +292,22 @@ async def test_malformed_json_is_a_400_with_a_stable_code():
         assert json.loads(payload)["error"]["code"] == "bad_json"
 
 
+@pytest.mark.parametrize(
+    "config", [{"backend": "process", "num_shards": 8}, {"mp_start_method": "fork"}]
+)
+@async_test
+async def test_a_client_cannot_choose_the_execution_backend(config):
+    """Regression: ``"backend": "process"`` made an inline server fork one
+    worker per shard, on the event-loop thread."""
+    async with serve() as (server, client):
+        before = len(multiprocessing.active_children())
+        with pytest.raises(ServerError) as excinfo:
+            await client.create_session("map", config)
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config")
+        assert len(multiprocessing.active_children()) == before
+        assert await client.list_sessions() == []
+
+
 @async_test
 async def test_read_arguments_that_are_not_finite_are_answered_or_refused_never_a_500():
     """Regression: ``Infinity`` in a point was an ``OverflowError`` (HTTP 500);

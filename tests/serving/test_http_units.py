@@ -432,9 +432,9 @@ def test_session_config_overrides_apply_on_top_of_the_default():
     default = SessionConfig(num_shards=1, batch_size=8)
     assert session_config_from_payload(default, None) is None
     assert session_config_from_payload(default, {}) is None
-    config = session_config_from_payload(default, {"num_shards": 4, "cache_capacity": 128})
+    config = session_config_from_payload(default, {"num_shards": 4, "admission_queue_limit": 8})
     assert config.num_shards == 4
-    assert config.cache_capacity == 128
+    assert config.admission_queue_limit == 8
     assert config.batch_size == 8, "unspecified knobs keep the service default"
 
 
@@ -472,6 +472,42 @@ def test_removed_ingestion_knobs_are_unknown_config_fields(payload):
 @pytest.mark.parametrize(
     "payload",
     [
+        {"shard_prefix_levels": 8},
+        {"cache_capacity": 128},
+        {"bbox_cache_capacity": 0},
+        {"default_max_range": 5.0},
+    ],
+)
+def test_removed_session_settings_are_unknown_config_fields(payload):
+    """The shard prefix follows from the tree depth, the cache sizes and the
+    beam truncation are fixed: naming one is an unknown field."""
+    with pytest.raises(HttpError) as excinfo:
+        session_config_from_payload(SessionConfig(num_shards=1), payload)
+    assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config")
+    assert f"[{next(iter(payload))!r}]" in excinfo.value.message
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"backend": "process"},
+        {"backend": "inline"},
+        {"mp_start_method": "spawn"},
+        {"mp_start_method": None},
+    ],
+)
+def test_the_execution_backend_is_not_a_client_setting(payload):
+    """A client must not pick the backend: ``"process"`` would fork workers
+    on the event-loop thread of an inline server."""
+    with pytest.raises(HttpError) as excinfo:
+        session_config_from_payload(SessionConfig(num_shards=1), payload)
+    assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config")
+    assert f"[{next(iter(payload))!r}]" in excinfo.value.message
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
         {"batch_size": 2.5},
         {"batch_size": True},  # bool is never a number here
         {"num_shards": False},
@@ -479,10 +515,9 @@ def test_removed_ingestion_knobs_are_unknown_config_fields(payload):
         {"quota_points_per_s": "100"},
         {"quota_burst_s": True},
         {"tenant": 7},
-        {"mp_start_method": 1},
         {"resolution_m": "0.1"},
         {"resolution_m": True},
-        {"cache_capacity": "4096"},
+        {"admission_queue_limit": "64"},
     ],
 )
 def test_session_config_rejects_a_value_of_the_wrong_json_type(payload):
@@ -494,7 +529,7 @@ def test_session_config_rejects_a_value_of_the_wrong_json_type(payload):
 
 @pytest.mark.parametrize(
     "field",
-    ["quota_points_per_s", "quota_burst_s", "default_max_range", "resolution_m"],
+    ["quota_points_per_s", "quota_burst_s", "resolution_m"],
 )
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_session_config_rejects_a_non_finite_number(field, literal):
@@ -515,7 +550,6 @@ def test_session_config_accepts_every_matching_json_type():
             "quota_points_per_s": 100,  # any JSON number fits a float field
             "quota_burst_s": 0.5,
             "tenant": "fleet-a",
-            "mp_start_method": None,
             "resolution_m": 1,
         },
     )
@@ -523,5 +557,3 @@ def test_session_config_accepts_every_matching_json_type():
     assert config.quota_points_per_s == 100
     assert config.tenant == "fleet-a"
     assert config.accelerator.resolution_m == pytest.approx(1.0)
-    spawn = session_config_from_payload(SessionConfig(), {"mp_start_method": "spawn"})
-    assert spawn.mp_start_method == "spawn"

@@ -336,9 +336,9 @@ async def test_deadline_shed_is_counted_in_stats_and_metrics(small_requests):
 @async_test
 async def test_metrics_agree_with_service_stats_after_a_mixed_workload(small_requests):
     manager = MapSessionManager(
-        default_config=SessionConfig(num_shards=2, batch_size=2)
+        default_config=SessionConfig(num_shards=2, batch_size=2, admission_queue_limit=8)
     )
-    async with AsyncMapService(manager, queue_limit=8) as service:
+    async with AsyncMapService(manager) as service:
         for request in small_requests:
             await service.submit(request)
         await service.flush("map")
@@ -397,7 +397,6 @@ def test_session_config_validates_qos_fields():
         SessionConfig(quota_burst_s=0.0)
     # NaN passes every range comparison, so it is refused on its own.
     for name in (
-        "default_max_range",
         "quota_points_per_s",
         "quota_burst_s",
         "heartbeat_interval_s",

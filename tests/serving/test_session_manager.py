@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -69,7 +70,7 @@ def test_get_or_create_rejects_conflicting_config():
     with pytest.raises(ValueError, match="different"):
         manager.get_or_create_session("tenant", SessionConfig(num_shards=4, batch_size=4))
     with pytest.raises(ValueError, match="different"):
-        manager.get_or_create_session("tenant", config.with_backend("thread"))
+        manager.get_or_create_session("tenant", replace(config, backend="thread"))
 
 
 def test_ingest_broken_dispatch_surfaces_as_runtime_error(small_scans, monkeypatch):
@@ -115,13 +116,12 @@ def test_scan_with_an_unmappable_origin_is_refused_at_submit(small_requests, bad
     assert session.pipeline.pending() == 0
 
 
-def test_default_max_range_applied(small_scans):
-    config = SessionConfig(num_shards=1, default_max_range=5.0)
-    session = MapSession("map", config)
+def test_a_request_without_max_range_stays_untruncated(small_scans):
+    session = MapSession("map", SessionConfig(num_shards=1))
     session.submit(ScanRequest.from_scan_node("map", small_scans[0]))
     # Pop back off the admission queue to observe the effective request.
     request = session.pipeline.queue.popleft()
-    assert request.max_range == 5.0
+    assert request.max_range == -1.0
 
 
 def test_stats_render_mentions_every_session(small_scans):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import update_batch
+from repro.core.address_gen import AddressGenerator
 from repro.core.config import OMUConfig
 from repro.octomap.keys import OcTreeKey
-from repro.serving import ShardRouter, ShardUpdateBatch
+from repro.serving import MapSession, SessionConfig, ShardRouter, ShardUpdateBatch
 
 
 @pytest.fixture
@@ -17,7 +20,7 @@ def config() -> OMUConfig:
 
 
 def test_router_is_total_and_deterministic(config):
-    router = ShardRouter(config, num_shards=3, prefix_levels=12)
+    router = ShardRouter(config, num_shards=3)
     keys = [OcTreeKey(32768 + dx, 32768 + dy, 32760) for dx in range(-8, 8) for dy in range(-8, 8)]
     first = [router.shard_for_key(key) for key in keys]
     second = [router.shard_for_key(key) for key in keys]
@@ -33,14 +36,14 @@ def test_single_shard_owns_everything(config):
 
 
 def test_point_and_key_routing_agree(config):
-    router = ShardRouter(config, num_shards=4, prefix_levels=12)
+    router = ShardRouter(config, num_shards=4)
     for point in ((1.0, 2.0, 0.2), (-3.4, 0.8, -1.0), (0.05, -0.05, 0.0)):
         key = router.converter.coord_to_key(*point)
         assert router.shard_for_point(*point) == router.shard_for_key(key)
 
 
 def test_partition_preserves_order_and_ownership(config):
-    router = ShardRouter(config, num_shards=3, prefix_levels=12)
+    router = ShardRouter(config, num_shards=3)
     index = np.arange(50)
     keys = np.stack((32768 + index, 32768 - index, 32768 + 2 * index), axis=1)
     occupied = index % 2 == 1
@@ -54,30 +57,50 @@ def test_partition_preserves_order_and_ownership(config):
         assert np.array_equal(shard_occupied, occupied[owners == shard_id])
 
 
-def test_too_many_shards_for_prefix_rejected(config):
-    with pytest.raises(ValueError, match="key-prefix subtrees"):
-        ShardRouter(config, num_shards=9, prefix_levels=1)
-    ShardRouter(config, num_shards=9, prefix_levels=2)  # 64 subtrees: fine
+@pytest.mark.parametrize(
+    "tree_depth, prefix_levels", [(16, 12), (8, 4), (6, 2), (5, 1), (3, 1), (1, 1)]
+)
+def test_prefix_depth_follows_the_tree_depth(tree_depth, prefix_levels):
+    """16x16x16-voxel blocks wherever the tree is deep enough, octants below."""
+    config = OMUConfig(resolution_m=0.2, tree_depth=tree_depth)
+    router = ShardRouter(config, num_shards=5)
+    assert router.prefix_levels == prefix_levels
+    generator = AddressGenerator(config.resolution_m, tree_depth, config.num_pes)
+    keys = np.random.default_rng(tree_depth).integers(0, 1 << tree_depth, size=(64, 3))
+    assert np.array_equal(
+        router.shard_indices_for_keys(keys),
+        generator.shard_indices(keys, router.num_shards, prefix_levels),
+    )
+
+
+def test_too_many_shards_for_the_tree_depth_rejected():
+    shallow = OMUConfig(resolution_m=0.2, tree_depth=5)  # one prefix level: 8 octants
+    with pytest.raises(ValueError, match="key-prefix subtrees at tree depth 5"):
+        ShardRouter(shallow, num_shards=9)
+    ShardRouter(shallow, num_shards=8)
+    ShardRouter(OMUConfig(resolution_m=0.2, tree_depth=6), num_shards=9)  # 64 subtrees: fine
+
+
+def test_a_session_on_a_shallow_tree_needs_no_routing_setting():
+    """Regression: a depth-8 tree failed with the depth-16 prefix (12 levels)
+    unless the caller also set the prefix by hand."""
+    base = SessionConfig(num_shards=2)
+    shallow = replace(base, accelerator=replace(base.accelerator, tree_depth=8))
+    with MapSession("m", shallow) as session:
+        assert session.router.prefix_levels == 4
 
 
 def test_invalid_parameters_rejected(config):
     with pytest.raises(ValueError):
         ShardRouter(config, num_shards=0)
-    with pytest.raises(ValueError):
-        ShardRouter(config, num_shards=1, prefix_levels=0)
-    # Deeper than the tree must fail at construction, not at first routed key.
-    with pytest.raises(ValueError, match="prefix_levels"):
-        ShardRouter(config, num_shards=1, prefix_levels=config.tree_depth + 1)
 
 
 def test_shard_index_matches_address_generator(config):
-    from repro.core.address_gen import AddressGenerator
-
-    router = ShardRouter(config, num_shards=5, prefix_levels=3)
+    router = ShardRouter(config, num_shards=5)
     generator = AddressGenerator(config.resolution_m, config.tree_depth, config.num_pes)
     for point in ((0.4, 0.4, 0.4), (-5.0, 3.0, 1.0), (7.7, -7.7, 0.1)):
         key = router.converter.coord_to_key(*point)
-        assert router.shard_for_key(key) == generator.shard_index(key, 5, 3)
+        assert router.shard_for_key(key) == generator.shard_index(key, 5, 12)
 
 
 # ---------------------------------------------------------------------------
