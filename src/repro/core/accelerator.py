@@ -13,8 +13,8 @@ every PE's update loop are one native call per update stream
   voxel updates) and return the scan's cycle accounting;
 * :meth:`process_scan_graph` -- integrate a whole dataset and accumulate the
   map-level timing used by Tables III-V;
-* :meth:`query` / :meth:`query_keys` -- the voxel query service, one point
-  or an array of voxel keys at a time;
+* :meth:`query` / :meth:`query_key` / :meth:`query_keys` -- the voxel query
+  service, one point, one voxel key or an array of voxel keys at a time;
 * :meth:`export_octree` -- read the distributed map back into a software
   :class:`~repro.octomap.octree.OccupancyOcTree` (verification / host use);
 * :meth:`statistics` -- memory, utilisation and access counts feeding the
@@ -36,6 +36,7 @@ from repro.core.query_unit import QueryResult, VoxelQueryUnit
 from repro.core.scheduler import VoxelScheduler
 from repro.core.timing import CycleBreakdown, ScanTiming
 from repro.octomap.counters import OperationCounters, OperationKind
+from repro.octomap.keys import OcTreeKey
 from repro.octomap.logodds import probability as logodds_to_probability
 from repro.octomap.octree import OccupancyOcTree
 from repro.octomap.pointcloud import PointCloud, ScanGraph
@@ -250,9 +251,13 @@ class OMUAccelerator:
         """Occupancy query for the voxel containing ``(x, y, z)``."""
         return self.query_unit.query(x, y, z)
 
-    def query_keys(self, keys):
+    def query_key(self, key: OcTreeKey) -> QueryResult:
+        """Occupancy query for one voxel key."""
+        return self.query_unit.query_key(key)
+
+    def query_keys(self, keys, stop_at_occupied: bool = False):
         """Occupancy of ``(N, 3)`` voxel keys in one pass; see :meth:`VoxelQueryUnit.query_keys`."""
-        return self.query_unit.query_keys(keys)
+        return self.query_unit.query_keys(keys, stop_at_occupied)
 
     def classify(self, x: float, y: float, z: float) -> str:
         """Shorthand returning just the occupancy status string."""
@@ -314,9 +319,7 @@ class OMUAccelerator:
         # update_inner_occupancy() after all leaves (fine and coarse) are
         # written; a per-leaf pass would make pruned-map exports quadratic.
 
-    def _path_to_key(self, path) -> "OcTreeKey":
-        from repro.octomap.keys import OcTreeKey
-
+    def _path_to_key(self, path) -> OcTreeKey:
         depth = self.config.tree_depth
         kx = ky = kz = 0
         for level, child_index in enumerate(path):

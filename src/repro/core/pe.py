@@ -349,14 +349,19 @@ class ProcessingElement:
         (code,), (raw,), _ = self.query_paths((key.path(self.config.tree_depth),))
         return (QUERY_STATUSES[code], raw if code else None)
 
-    def query_paths(self, paths: Sequence[Sequence[int]]) -> Tuple[List[int], List[int], int]:
+    def query_paths(
+        self, paths: Sequence[Sequence[int]], stop_at_occupied: bool = False
+    ) -> Tuple[List[int], List[int], int]:
         """Look up a stream of voxels this PE owns: the read-side :meth:`update_paths`.
 
         ``paths`` holds one row of ``tree_depth`` child indices (plain ints:
         an array's ``tolist()``) per voxel, from the global root down to the
         leaf.  Returns ``(codes, raws, cycles)``: per voxel its index into
         :data:`QUERY_STATUSES` and its fixed-point log-odds (0 where
-        unknown), and the cycles the whole stream took on this PE.
+        unknown), and the cycles the whole stream took on this PE.  With
+        ``stop_at_occupied`` the stream ends after its first occupied voxel
+        (a collision ray's walk): the lists then hold the answered prefix,
+        and only that prefix is counted.
 
         One fused integer loop over the SRAM image.  A look-up reads one
         entry per level until it reaches a leaf (a pruned region answers for
@@ -403,8 +408,13 @@ class ProcessingElement:
                     bank, row = child, block
                 if known:
                     value = probabilities[bank][row]
-                    codes.append(2 if value > threshold else 1)
                     raws.append(value)
+                    if value > threshold:
+                        codes.append(2)
+                        if stop_at_occupied:
+                            break
+                    else:
+                        codes.append(1)
                 else:
                     codes.append(0)
                     raws.append(0)

@@ -280,16 +280,31 @@ class ShardBackend:
         self._health_check()
         return self.pool.engine.query(self.gids[request.shard_id], request)
 
-    def query_keys(self, shard_id: int, keys: np.ndarray) -> ShardKeysResult:
+    def query_keys(
+        self, shard_id: int, keys: np.ndarray, stop_at_occupied: bool = False
+    ) -> ShardKeysResult:
         """Serve ``(N, 3)`` voxel keys of one shard in a single worker round trip.
 
         The keys travel as given (the query engine sends ``uint16``
         columns); a component outside the key space is the worker's
-        ``ValueError``.
+        ``ValueError``.  With ``stop_at_occupied`` the worker answers in key
+        order up to and including the first occupied key (a collision ray's
+        run).  A reply that is not that -- another shard's, other dtypes, or
+        other rows -- raises :class:`ShardBackendError` naming the shard.
         """
         self._ensure_readable()
         self._health_check()
-        return self.pool.engine.query_keys(self.gids[shard_id], ShardKeysQuery(shard_id, keys))
+        result = self.pool.engine.query_keys(
+            self.gids[shard_id], ShardKeysQuery(shard_id, keys, stop_at_occupied)
+        )
+        problem = _keys_reply_problem(result, shard_id, len(keys), stop_at_occupied)
+        if problem:
+            raise ShardBackendError(
+                f"shard {shard_id} sent a malformed query_keys reply on the "
+                f"{self.name} backend: {problem}",
+                shard_id=shard_id,
+            )
+        return result
 
     def export_all(self) -> List[OccupancyOcTree]:
         """Gather every shard's exported subtree (concurrently where possible)."""
@@ -406,6 +421,39 @@ _NO_FAILOVERS: Dict[str, float] = {
 
 #: Names accepted by :class:`~repro.serving.session.SessionConfig` / the CLI.
 BACKEND_NAMES: Tuple[str, ...] = ("inline", "process", "socket", "thread")
+
+
+def _keys_reply_problem(
+    result: ShardKeysResult, shard_id: int, rows: int, stop_at_occupied: bool
+) -> str:
+    """What is wrong with a bulk read's reply, or ``""`` when it is the
+    answer :meth:`ShardBackend.query_keys` promises."""
+    if not isinstance(result, ShardKeysResult):
+        return f"a {type(result).__name__}, not a ShardKeysResult"
+    if result.shard_id != shard_id:
+        return f"answered as shard {result.shard_id}"
+    statuses, raws = result.statuses, result.raws
+    if not (isinstance(statuses, np.ndarray) and isinstance(raws, np.ndarray)):
+        return f"statuses {type(statuses).__name__}, raws {type(raws).__name__}"
+    if not (
+        statuses.dtype == np.uint8
+        and raws.dtype == np.int16
+        and statuses.ndim == 1
+        and raws.shape == statuses.shape
+    ):
+        return f"statuses {statuses.dtype}{statuses.shape}, raws {raws.dtype}{raws.shape}"
+    answered = len(statuses)
+    if answered and int(statuses.max()) > 2:
+        return f"status code {int(statuses.max())}"
+    if not stop_at_occupied:
+        return "" if answered == rows else f"{answered} rows for {rows} keys"
+    # The answered prefix: every row, or the rows up to the first occupied one.
+    occupied = np.flatnonzero(statuses == 2).tolist()
+    if occupied:
+        prefix = answered <= rows and occupied == [answered - 1]
+    else:
+        prefix = answered == rows
+    return "" if prefix else f"{answered} rows for {rows} keys, occupied at rows {occupied}"
 
 
 def make_backend(

@@ -87,6 +87,15 @@ class GenerationLRUCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        """Whether an entry is held for ``key``, live or stale.
+
+        Counts nothing and leaves the LRU order alone: a collision ray asks
+        this to decide which of its voxels to read from the shards in one
+        run, and then looks up the held ones with :meth:`get`.
+        """
+        return key in self._entries
+
     def get(self, key: Hashable, current_generation_for_shard) -> Optional[object]:
         """Look up a key; ``current_generation_for_shard`` maps shard id -> gen.
 

@@ -3,22 +3,28 @@
 The engine is the read side of a map session.  Every query is resolved at
 voxel-key granularity, on one of two lanes:
 
-* **The scalar lane** serves point queries and collision raycasts, one voxel
-  at a time: the key picks the owning shard, the shard's write generation
-  (tracked by the execution backend, which stays correct even when the
-  worker lives in another process) validates the cache entry, and only on a
-  miss does the query reach the shard worker's accelerator through the
-  backend.  A raycast walks its voxels in order and stops at the first
-  occupied one, so each step is a point lookup sharing the cache and its
-  invalidation rules.
+* **The cached lane** serves point queries and collision raycasts through
+  the point LRU.  A point query looks its voxel up by the ``(x, y, z)`` key
+  components alone; the cache entry is stamped with the owning shard's
+  write generation (tracked by the execution backend, which stays correct
+  even when the worker lives in another process), and a hit returns the
+  cached response without building an :class:`OcTreeKey` or a shard id.
+  Only a miss reaches the shard worker's accelerator, in one
+  :meth:`~repro.serving.backends.ShardBackend.query_key` round trip.
+  A raycast walks its voxels in ray order and splits them into *runs*:
+  consecutive voxels the cache does not hold and one shard owns.  Each run
+  is one :meth:`~repro.serving.backends.ShardBackend.query_keys` round trip
+  with ``stop_at_occupied``, answered in order up to the first occupied
+  voxel, and its answers fill the cache in order.  The cache, its counters,
+  ``point_queries`` and every accelerator read counter end exactly where
+  one point query per voxel would leave them; a ray of ~48 voxels costs a
+  few round trips instead of one per uncached voxel.
 * **The bulk lane** serves pose batches and box sweeps: the keys of a whole
   batch (or of a bounded slice of a sweep) are built as one array, split by
-  owning shard, and answered by one
-  :meth:`~repro.serving.backends.ShardBackend.query_keys` round trip per
-  touched shard.  It neither reads nor fills the point cache -- a sweep
-  would only flush the planner's hot points out of it -- while repeated
-  sweeps of an unchanged map are still answered whole by the box-summary
-  cache.
+  owning shard, and answered by one ``query_keys`` round trip per touched
+  shard.  It neither reads nor fills the point cache -- a sweep would only
+  flush the planner's hot points out of it -- while repeated sweeps of an
+  unchanged map are still answered whole by the box-summary cache.
 
 Both lanes turn a raw log-odds into a probability with the same scalar
 functions, so a voxel answers float-identically on either.
@@ -27,7 +33,7 @@ functions, so a voxel answers float-identically on either.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,30 +104,39 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def query(self, x: float, y: float, z: float) -> QueryResponse:
         """Occupancy of the voxel containing a metric point."""
+        component = self.router.converter.coord_to_key_component
         try:
-            key = self.router.converter.coord_to_key(x, y, z)
+            cache_key = (component(x), component(y), component(z))
         except ValueError:
             # Outside the addressable volume: unknown by definition.
             self.stats.point_queries += 1
             return QueryResponse(status="unknown", probability=None, shard_id=-1)
-        return self.query_key(key)
+        return self._query_voxel(cache_key)
 
     def query_key(self, key: OcTreeKey) -> QueryResponse:
         """Occupancy of a voxel by key (the cacheable primitive)."""
+        return self._query_voxel(key.as_tuple())
+
+    def _query_voxel(self, cache_key: Tuple[int, int, int]) -> QueryResponse:
+        """One voxel through the point cache.
+
+        A hit is answered by the cached response itself, so it builds
+        neither the :class:`OcTreeKey` nor the owning shard id; a miss
+        builds both and reads the voxel from its shard.
+        """
         self.stats.point_queries += 1
-        shard_id = self.router.shard_for_key(key)
-        cache_key = key.as_tuple()
         cached = self.cache.get(cache_key, self.generation_of)
         if cached is not None:
-            status, probability = cached
-            return QueryResponse(
-                status=status, probability=probability, shard_id=shard_id, cached=True, cycles=0
-            )
-        result = self.backend.query_key(
-            ShardQueryRequest(shard_id=shard_id, key=cache_key)
-        )
+            return cached
+        shard_id = self.router.shard_for_key(OcTreeKey(*cache_key))
+        result = self.backend.query_key(ShardQueryRequest(shard_id=shard_id, key=cache_key))
         self.cache.put(
-            cache_key, shard_id, result.generation, (result.status, result.probability)
+            cache_key,
+            shard_id,
+            result.generation,
+            QueryResponse(
+                status=result.status, probability=result.probability, shard_id=shard_id, cached=True
+            ),
         )
         return QueryResponse(
             status=result.status,
@@ -347,8 +362,9 @@ class QueryEngine:
     ) -> RaycastResponse:
         """Walk a ray until it strikes an occupied voxel (collision check).
 
-        Scalar lane: the voxels are inspected in ray order through the point
-        cache, and the walk stops at the first occupied one.
+        The voxels are inspected in ray order through the point cache, read
+        from the shards in runs, and the walk stops at the first occupied
+        one (see :meth:`_first_occupied`).
 
         Raises:
             ValueError: when ``max_range`` is not positive, ``direction`` is
@@ -393,35 +409,107 @@ class QueryEngine:
         )
 
         hits_before = self.cache.stats.hits
-        traversed = 0
-        # The DDA yields the voxels strictly between origin and endpoint; the
-        # endpoint voxel is appended so a ray can collide with its last cell.
+        # The DDA yields the voxels strictly between origin and endpoint, each
+        # once; the endpoint voxel is appended so a ray can collide with its
+        # last cell.
         keys: List[OcTreeKey] = compute_ray_keys(converter, origin, end)
         end_key = converter.coord_to_key(*end)
         if not keys or keys[-1] != end_key:
             keys.append(end_key)
-        for key in keys:
-            traversed += 1
-            response = self.query_key(key)
-            if response.occupied:
-                centre = converter.key_to_coord(key)
-                distance = math.sqrt(
-                    sum((centre[axis] - origin[axis]) ** 2 for axis in range(3))
-                )
-                return RaycastResponse(
-                    hit=True,
-                    hit_point=centre,
-                    distance=distance,
-                    voxels_traversed=traversed,
-                    cache_hits=self.cache.stats.hits - hits_before,
-                )
+        hit = self._first_occupied(keys)
+        if hit is not None:
+            centre = converter.key_to_coord(keys[hit])
+            distance = math.sqrt(sum((centre[axis] - origin[axis]) ** 2 for axis in range(3)))
+            return RaycastResponse(
+                hit=True,
+                hit_point=centre,
+                distance=distance,
+                voxels_traversed=hit + 1,
+                cache_hits=self.cache.stats.hits - hits_before,
+            )
         return RaycastResponse(
             hit=False,
             hit_point=None,
             distance=traversed_range,
-            voxels_traversed=traversed,
+            voxels_traversed=len(keys),
             cache_hits=self.cache.stats.hits - hits_before,
         )
+
+    def _first_occupied(self, keys: Sequence[OcTreeKey]) -> Optional[int]:
+        """Index of the first occupied voxel of a ray, or ``None``.
+
+        The voxels are walked in ray order and split into runs: consecutive
+        voxels the point cache does not hold and one shard owns.  A run is
+        read in one round trip that stops at its first occupied voxel, and
+        its answers fill the cache in order.  A held voxel is looked up
+        only once the run before it has been put, since those puts may
+        evict it.  The cache contents, their order, the cache counters,
+        ``point_queries`` and every accelerator read counter therefore end
+        where one point query per voxel, stopping at the first occupied
+        one, leaves them.
+        """
+        cache = self.cache
+        cache_keys = [key.as_tuple() for key in keys]
+        shard_ids = self.router.shard_indices_for_keys(np.array(cache_keys)).tolist()
+        run: List[Tuple[int, int, int]] = []
+        run_start = run_shard = 0
+        booked = False  # the run's first voxel already went through cache.get
+        for index, (cache_key, shard_id) in enumerate(zip(cache_keys, shard_ids)):
+            held = cache_key in cache
+            if run and (held or shard_id != run_shard):
+                stop = self._read_run(run_shard, run, booked)
+                if stop is not None:
+                    return run_start + stop
+                run = []
+            if held:
+                self.stats.point_queries += 1
+                cached = cache.get(cache_key, self.generation_of)
+                if cached is not None:
+                    if cached.occupied:
+                        return index
+                    continue
+                # Stale, or evicted by the run just put: the miss is
+                # counted, and the voxel starts the next run.
+            if not run:
+                run_start, run_shard, booked = index, shard_id, held
+            run.append(cache_key)
+        if run:
+            stop = self._read_run(run_shard, run, booked)
+            if stop is not None:
+                return run_start + stop
+        return None
+
+    def _read_run(
+        self, shard_id: int, run: List[Tuple[int, int, int]], booked: bool
+    ) -> Optional[int]:
+        """Read one run of a ray from its shard and put the answers in order.
+
+        Books one point query and one cache miss per answered voxel but the
+        first when ``booked`` (that one was counted by ``cache.get``), and
+        returns the index of the occupied voxel the read stopped at, if any.
+        """
+        result = self.backend.query_keys(
+            shard_id, np.array(run, dtype=np.uint16), stop_at_occupied=True
+        )
+        codes = result.statuses.tolist()
+        unbooked = len(codes) - booked
+        self.stats.point_queries += unbooked
+        self.cache.stats.misses += unbooked
+        probability = self._probability_of_raw
+        put, generation = self.cache.put, result.generation
+        for cache_key, code, raw in zip(run, codes, result.raws.tolist()):
+            put(
+                cache_key,
+                shard_id,
+                generation,
+                QueryResponse(
+                    status=QUERY_STATUSES[code],
+                    probability=probability(raw) if code else None,
+                    shard_id=shard_id,
+                    cached=True,
+                ),
+            )
+        return len(codes) - 1 if codes[-1] == 2 else None
 
     # ------------------------------------------------------------------
     # Shorthands

@@ -177,8 +177,8 @@ class MapShardWorker:
         return self.accelerator.query(x, y, z)
 
     def query_key(self, key: OcTreeKey) -> QueryResult:
-        """Occupancy query by voxel key (centre-of-voxel metric lookup)."""
-        return self.accelerator.query(*self.accelerator.address_generator.converter.key_to_coord(key))
+        """Occupancy query by voxel key."""
+        return self.accelerator.query_key(key)
 
     def export_octree(self) -> OccupancyOcTree:
         """This shard's region of the map as a software octree."""
@@ -237,12 +237,15 @@ class MapShardWorker:
         )
 
     def query_keys_message(self, request: ShardKeysQuery) -> ShardKeysResult:
-        """Answer one wire-format bulk lookup."""
+        """Answer one wire-format bulk lookup: every row, or a ray run's
+        answered prefix when the request stops at the first occupied key."""
         if request.shard_id != self.shard_id:
             raise ValueError(
                 f"query for shard {request.shard_id} delivered to shard {self.shard_id}"
             )
-        statuses, raws, cycles = self.accelerator.query_keys(request.keys)
+        statuses, raws, cycles = self.accelerator.query_keys(
+            request.keys, request.stop_at_occupied
+        )
         return ShardKeysResult(
             shard_id=self.shard_id,
             statuses=statuses,

@@ -342,26 +342,39 @@ class ShardQueryResult:
 class ShardKeysQuery:
     """A bulk occupancy lookup addressed to a shard: the read-side ``ShardUpdateBatch``.
 
+    The bulk lane (batches, box sweeps) sends every row to be answered; a
+    collision ray sends one run of its voxels with ``stop_at_occupied`` set,
+    and the worker reads them in order, stopping after the first occupied
+    one.
+
     Attributes:
         shard_id: shard that owns every key.
         keys: ``(N, 3)`` voxel key components (``uint16`` from the query
             engine; any integer dtype is read the same).
+        stop_at_occupied: answer only up to and including the first
+            occupied key.
     """
 
     shard_id: int
     keys: np.ndarray
+    stop_at_occupied: bool = False
 
 
 @dataclass(frozen=True, eq=False)
 class ShardKeysResult:
     """A shard worker's answer to one :class:`ShardKeysQuery`, row for row.
 
+    The rows are the answered prefix of the query's keys: all N of them,
+    or -- for a ``stop_at_occupied`` query -- the rows up to and including
+    the first occupied one.  Every simulated count the worker moved is that
+    of point queries of exactly these rows.
+
     Attributes:
         shard_id: shard that answered.
-        statuses: ``(N,)`` ``uint8`` indices into
+        statuses: ``(M,)`` ``uint8`` indices into
             :data:`~repro.core.pe.QUERY_STATUSES`.
-        raws: ``(N,)`` ``int16`` fixed-point log-odds (0 where unknown).
-        cycles: modelled service cycles of the N lookups together.
+        raws: ``(M,)`` ``int16`` fixed-point log-odds (0 where unknown).
+        cycles: modelled service cycles of the M lookups together.
         generation: the shard's write generation when it answered.
     """
 

@@ -7,7 +7,8 @@ one ``query`` at a time.  Answers must agree key for key (and with the
 exported software map), and every simulated count a query touches --
 ``counters.queries``, per-bank ``read_accesses``, ``stats.bank_reads``,
 ``query_cycles`` and the query unit's ``queries_served`` / ``total_cycles``
--- must end up equal.
+-- must end up equal.  A stopping read (a collision ray's run) must equal
+the point queries up to and including its first occupied key.
 """
 
 from __future__ import annotations
@@ -61,12 +62,21 @@ def assert_bulk_equals_scalar(
     scalar: VoxelQueryUnit,
     scalar_pes: Sequence[ProcessingElement],
     keys: List[Key],
+    stop_at_occupied: bool = False,
 ) -> None:
+    """With ``stop_at_occupied`` the scalar side stops after its first
+    occupied answer, as a collision ray does."""
     config = bulk.config
     converter = bulk.address_generator.converter
-    codes, raws, cycles = bulk.query_keys(np.array(keys, dtype=np.uint16).reshape(-1, 3))
+    codes, raws, cycles = bulk.query_keys(
+        np.array(keys, dtype=np.uint16).reshape(-1, 3), stop_at_occupied
+    )
     assert codes.dtype == np.uint8 and raws.dtype == np.int16
-    results = [scalar.query(*converter.key_to_coord(OcTreeKey(*key))) for key in keys]
+    results = []
+    for key in keys:
+        results.append(scalar.query(*converter.key_to_coord(OcTreeKey(*key))))
+        if stop_at_occupied and results[-1].status == "occupied":
+            break
 
     assert [QUERY_STATUSES[code] for code in codes.tolist()] == [r.status for r in results]
     assert [
@@ -88,16 +98,18 @@ def loaded_maps_and_keys(draw):
     return depth, stream, keys
 
 
-@given(loaded_maps_and_keys())
-@settings(max_examples=40, deadline=None)
-def test_query_keys_equals_sequential_point_queries(case):
+@given(loaded_maps_and_keys(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_query_keys_equals_sequential_point_queries(case, stop_at_occupied):
     depth, stream, keys = case
     config = small_config(depth)
     columns = np.array(stream, dtype=np.int64)
     bulk, scalar = OMUAccelerator(config), OMUAccelerator(config)
     for accelerator in (bulk, scalar):
         accelerator.apply_update_batch(columns[:, :3], columns[:, 3] != 0)
-    assert_bulk_equals_scalar(bulk.query_unit, bulk.pes, scalar.query_unit, scalar.pes, keys)
+    assert_bulk_equals_scalar(
+        bulk.query_unit, bulk.pes, scalar.query_unit, scalar.pes, keys, stop_at_occupied
+    )
     # Reading changed nothing a later write would see, and the answers are
     # the exported map's (pruned regions answer for the voxels inside them).
     assert bulk.statistics() == scalar.statistics()
@@ -109,9 +121,9 @@ def test_query_keys_equals_sequential_point_queries(case):
     ]
 
 
-@given(loaded_maps_and_keys())
-@settings(max_examples=15, deadline=None)
-def test_query_keys_on_more_than_eight_pes(case):
+@given(loaded_maps_and_keys(), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_query_keys_on_more_than_eight_pes(case, stop_at_occupied):
     """Twelve PEs split on the second level too; built by hand, as the
     accelerator itself caps the PE array at eight."""
     depth, stream, keys = case
@@ -128,7 +140,7 @@ def test_query_keys_on_more_than_eight_pes(case):
             pes[pe_id].update_paths(paths[mine], (columns[mine, 3] != 0).tolist())
         units.append((VoxelQueryUnit(config, generator, pes), pes))
     (bulk, bulk_pes), (scalar, scalar_pes) = units
-    assert_bulk_equals_scalar(bulk, bulk_pes, scalar, scalar_pes, keys)
+    assert_bulk_equals_scalar(bulk, bulk_pes, scalar, scalar_pes, keys, stop_at_occupied)
 
 
 def test_query_voxel_is_the_kernel_with_one_path():
@@ -159,3 +171,25 @@ def test_a_dangling_tag_books_what_was_walked_before_it_raises():
     assert pe.counters.queries == 1
     assert pe.stats.bank_reads - reads_before == 3
     assert pe.query_cycles == 3 * config.timing.bank_read_cycles
+
+
+extreme_component = st.one_of(st.integers(0, 0xFFFF), st.sampled_from([0, 1, 0x7FFF, 0x8000, 0xFFFE, 0xFFFF]))
+
+
+@given(
+    st.lists(st.tuples(extreme_component, extreme_component, extreme_component), min_size=1, max_size=12),
+    st.lists(st.booleans(), min_size=12, max_size=12),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_point_read_by_key_equals_the_read_by_its_centre(keys, written):
+    """``query_key`` is ``query`` without the key -> centre -> key round
+    trip: same ``QueryResult``, same counts, at the corners of the key space too."""
+    config = small_config(16)
+    stored = np.array([key for key, write in zip(keys, written) if write], dtype=np.int64).reshape(-1, 3)
+    by_key, by_centre = OMUAccelerator(config), OMUAccelerator(config)
+    for accelerator in (by_key, by_centre):
+        accelerator.apply_update_batch(stored, np.ones(len(stored), dtype=bool))
+    converter = by_key.address_generator.converter
+    for key in (OcTreeKey(*components) for components in keys):
+        assert by_key.query_key(key) == by_centre.query(*converter.key_to_coord(key))
+    assert query_counts(by_key.query_unit, by_key.pes) == query_counts(by_centre.query_unit, by_centre.pes)

@@ -24,12 +24,17 @@ from faultinject import (
     Fault,
     random_fault_plan,
 )
+from oracle_raycast import oracle_raycast
 
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.verification import compare_trees
 from repro.octomap.merge import merge_trees
 from repro.serving import ShardBackendError, make_backend
+from repro.serving.cache import GenerationLRUCache
+from repro.serving.query_engine import QueryEngine
+from repro.serving.sharding import ShardRouter
+from repro.serving.stats import SessionStats
 
 CONFIG = DEFAULT_CONFIG.with_resolution(0.25)
 NUM_SHARDS = 2
@@ -276,6 +281,53 @@ def test_a_faulted_bulk_read_recovers_and_answers_like_the_reference(chaos, faul
             assert lease.failed is None, "recovery, not fail-stop"
             assert lease.failover_stats()["failovers"] == 1
         assert len(chaos.fired) == 1
+    finally:
+        close()
+
+
+def _engine(backend) -> QueryEngine:
+    return QueryEngine(ShardRouter(CONFIG, NUM_SHARDS), backend, GenerationLRUCache(), SessionStats())
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["private", "shared-fleet"])
+def test_a_worker_severed_on_a_rays_second_run_recovers_and_answers_like_the_oracle(chaos, shared):
+    """A collision ray reads its uncached voxels in runs, one ``query_keys``
+    round trip each.  The second run's reply is torn: the slot is re-homed,
+    the run re-sent, and the ray still answers -- and leaves the cache --
+    exactly as one point query per voxel on a fault-free map does."""
+    rounds = _rounds(num_rounds=3)
+    # From 32 unknown voxels in two 4 m blocks onto the first written voxel.
+    ray = ((-13.9, 0.3, 0.2), (1.0, 0.0, 0.0), 12.0)
+    reference = make_backend("inline", CONFIG, NUM_SHARDS)
+    try:
+        for batches in rounds:
+            reference.apply_shard_batches(batches)
+        oracle = _engine(reference)
+        expected = oracle_raycast(oracle, *ray)
+    finally:
+        reference.close()
+    assert expected.hit and expected.voxels_traversed > 16
+
+    leases, close = _leases(chaos, shared, snapshot_every_batches=2)
+    try:
+        for batches in rounds:
+            for lease in leases:
+                lease.apply_shard_batches(batches)
+        for lease in leases:
+            engine = _engine(lease)
+            failovers = lease.failover_stats()["failovers"]
+            # The first run's reply passes untouched, the second's is torn.
+            chaos.arm(
+                Fault(DELAY_REPLY, phase="recv", verb="query_keys"),
+                Fault(SEVER_CONNECTION, phase="recv", verb="query_keys"),
+            )
+            assert engine.raycast(*ray) == expected
+            assert list(engine.cache._entries.items()) == list(oracle.cache._entries.items())
+            assert engine.cache.stats == oracle.cache.stats
+            assert engine.stats.point_queries == oracle.stats.point_queries
+            assert [fault.action for _verb, _slot, fault in chaos.fired[-2:]] == [DELAY_REPLY, SEVER_CONNECTION]
+            assert lease.failed is None, "recovery, not fail-stop"
+            assert lease.failover_stats()["failovers"] == failovers + 1
     finally:
         close()
 

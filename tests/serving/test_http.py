@@ -347,6 +347,36 @@ async def test_read_arguments_that_are_not_finite_are_answered_or_refused_never_
 
 
 @async_test
+async def test_a_malformed_bulk_reply_is_a_500_naming_the_shard_not_a_400():
+    """Regression: a ``query_keys`` reply one row short reached the client as
+    numpy's shape-mismatch ``ValueError``, i.e. 400 ``bad_value``."""
+    async with serve() as (server, client):
+        await client.create_session("map")
+        payload = _scan_payloads(1)[0]
+        await client.submit_scan("map", payload["points"], payload["origin"], max_range=5.0)
+        await client.flush("map")
+        engine = server.service._entries["map"].session.backend.pool.engine
+        query_keys = engine.query_keys
+
+        def one_row_short(gid, request):
+            result = query_keys(gid, request)
+            return type(result)(
+                result.shard_id, result.statuses[:-1], result.raws[:-1], result.cycles, result.generation
+            )
+
+        engine.query_keys = one_row_short
+        for call in (
+            client.query_batch("map", [[0.0, 0.0, 0.2], [0.4, 0.0, 0.2]]),
+            client.raycast("map", [0.0, 0.0, 0.2], [1.0, 0.0, 0.0], 4.0),
+        ):
+            with pytest.raises(ServerError) as excinfo:
+                await call
+            assert (excinfo.value.status, excinfo.value.code) == (500, "internal_error")
+            assert "malformed query_keys reply" in str(excinfo.value)
+            assert "shard" in str(excinfo.value)
+
+
+@async_test
 async def test_scan_with_an_unmappable_origin_is_a_400_and_spares_the_batch():
     async with serve(SessionConfig(num_shards=2, batch_size=2)) as (server, client):
         await client.create_session("map")
