@@ -128,7 +128,7 @@ def test_shard_batch_row_reads_per_update(corridor_shard_batch):
     accelerator = OMUAccelerator(config)
     accelerator.apply_update_batch(keys, occupied)
     assert accelerator.statistics().voxel_updates == len(keys)
-    # One update_paths call per PE: each PE's count is that call's.
+    # One native call for the batch: each PE's count is that call's.
     assert sum(pe.host_row_reads for pe in accelerator.pes) <= len(keys)
 
 

@@ -1,50 +1,58 @@
-"""Bench: the Fig. 5 packed data structure (64-bit entry pack/unpack throughput).
+"""Bench: the Fig. 5 TreeMem entry (pointer / child tags / probability).
 
-Fig. 5 of the paper defines the 64-bit TreeMem entry (32-bit children pointer,
-16 bits of 2-bit child status tags, 16-bit fixed-point log-odds).  This
-benchmark measures the Python model's pack/unpack throughput and regenerates
-the figure's two-voxel, depth-3 worked example as a table showing where each
-node lands (bank, row) and what its packed word looks like.
+Fig. 5 of the paper defines the TreeMem entry: a 32-bit children pointer,
+16 bits of 2-bit child status tags and a 16-bit fixed-point log-odds value.
+The model keeps those three fields in typed arrays per bank; this benchmark
+measures how fast a bank decodes them into the :class:`TreeMemEntry` view
+that map export and verification read, and regenerates the figure's
+two-voxel, depth-3 worked example as a table showing where each node lands.
 """
 
+import numpy as np
+
 from repro.analysis.tables import render_table
+from repro.core.accelerator import OMUAccelerator
 from repro.core.config import OMUConfig
-from repro.core.pe import ProcessingElement
-from repro.core.treemem import ChildStatus, TreeMemEntry
+from repro.core.treemem import TreeMemBank
 from repro.octomap.keys import KeyConverter
 
+ENTRIES = 2000
 
-def _pack_unpack_many(count: int = 2000) -> int:
+
+def _filled_bank() -> TreeMemBank:
+    bank = TreeMemBank(0, ENTRIES)
+    bank.reserve(ENTRIES)
+    for index in range(ENTRIES):
+        bank.valid[index] = 1
+        bank.pointers[index] = index
+        bank.tags[index] = 0b01 << (2 * (index % 8))
+        bank.probabilities[index] = (index % 4096) - 2048
+    return bank
+
+
+def _decode_all(bank: TreeMemBank) -> int:
     checksum = 0
-    for index in range(count):
-        entry = TreeMemEntry(
-            pointer=index & 0xFFFFFFFF,
-            probability_raw=(index % 4096) - 2048,
-        )
-        entry.set_tag(index % 8, ChildStatus.OCCUPIED)
-        word = entry.pack()
-        checksum ^= word
-        TreeMemEntry.unpack(word)
+    for address in range(ENTRIES):
+        checksum ^= bank.read(address).pointer
     return checksum
 
 
-def test_fig5_entry_pack_unpack(benchmark, save_result):
-    benchmark(_pack_unpack_many)
+def test_fig5_entry_decode(benchmark, save_result):
+    benchmark(_decode_all, _filled_bank())
 
-    # Regenerate the worked example: two voxels inserted into a depth-3 tree.
+    # Regenerate the worked example: two voxels inserted into a depth-3 tree,
+    # one PE per first-level branch.
     config = OMUConfig(resolution_m=0.2, tree_depth=3)
     converter = KeyConverter(0.2, 3)
-    pe_store = {pe_id: ProcessingElement(pe_id, config) for pe_id in range(8)}
+    accelerator = OMUAccelerator(config)
     voxels = [(0.3, 0.1, 0.1), (-0.3, 0.5, 0.1)]
+    keys = np.array([converter.coord_to_key(x, y, z).as_tuple() for x, y, z in voxels])
+    accelerator.apply_update_batch(keys, np.ones(len(keys), dtype=bool))
     rows = []
-    for x, y, z in voxels:
-        key = converter.coord_to_key(x, y, z)
-        branch = key.child_index(0, 3)
-        pe_store[branch].update_voxel(key, occupied=True)
-    for pe_id, pe in sorted(pe_store.items()):
+    for pe in accelerator.pes:
         for node in pe.export_nodes():
             entry_kind = "leaf" if node.is_leaf else "inner"
-            rows.append((pe_id, "/".join(map(str, node.path)), entry_kind, node.probability_raw))
+            rows.append((pe.pe_id, "/".join(map(str, node.path)), entry_kind, node.probability_raw))
     rendered = render_table(
         "Fig. 5 worked example: two voxel updates in a depth-3 tree",
         ("PE (branch)", "path from root", "node kind", "probability (raw Q5.10)"),

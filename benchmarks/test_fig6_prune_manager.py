@@ -2,20 +2,24 @@
 
 Measures the allocate/free throughput of the stack-based manager and
 regenerates a small table showing that reuse keeps the fresh-row high-water
-mark flat while the map is repeatedly pruned and re-expanded.
+mark flat while the map is repeatedly pruned and re-expanded.  The PE kernel
+allocates and frees rows in C; the churn here runs the same discipline
+through the Python oracle's ``allocate_row`` / ``free_row``
+(``tests/core/oracle_pe.py``), on the manager's own state.
 """
 
 from repro.analysis.tables import render_table
 from repro.core.prune_manager import PruneAddressManager
+from tests.core.oracle_pe import allocate_row, free_row
 
 
 def _churn(manager: PruneAddressManager, iterations: int = 2000) -> None:
     live = []
     for index in range(iterations):
         if index % 3 != 2:
-            live.append(manager.allocate_row())
+            live.append(allocate_row(manager))
         elif live:
-            manager.free_row(live.pop())
+            free_row(manager, live.pop())
 
 
 def test_fig6_prune_address_manager(benchmark, save_result):

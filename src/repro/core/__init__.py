@@ -7,12 +7,12 @@ cycle-approximate fidelity:
   8 x 32 kB banks per PE, 1 GHz, 12 nm) and primitive cycle costs.
 * :mod:`repro.core.fixedpoint` -- the 16-bit fixed-point log-odds format of
   the TreeMem entry.
-* :mod:`repro.core.treemem` -- the packed 64-bit entry (pointer / child tags /
-  probability) and the eight-bank SRAM model.
+* :mod:`repro.core.treemem` -- the eight-bank SRAM model: the entries'
+  pointer / child-tag / probability fields as typed arrays, and their
+  decoded view.
 * :mod:`repro.core.address_gen` -- key-to-path / key-to-PE address generation.
 * :mod:`repro.core.prune_manager` -- the pruned-pointer stack that recycles
   freed children-block rows.
-* :mod:`repro.core.probability_unit` -- the fixed-point occupancy datapath.
 * :mod:`repro.core.pe` -- the processing element: leaf update, parent update,
   prune / expand, with per-stage cycle accounting.
 * :mod:`repro.core.scheduler` -- the first-level-branch voxel scheduler's issue
@@ -30,7 +30,6 @@ from repro.core.address_gen import AddressGenerator
 from repro.core.config import DEFAULT_CONFIG, OMUConfig, TimingParams
 from repro.core.fixedpoint import DEFAULT_FORMAT, FixedPointFormat, QuantizedOccupancyParams
 from repro.core.pe import QUERY_STATUSES, ProcessingElement
-from repro.core.probability_unit import ProbabilityUpdateUnit
 from repro.core.prune_manager import PruneAddressManager
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
 from repro.core.scheduler import VoxelScheduler
@@ -64,7 +63,6 @@ __all__ = [
     "NULL_POINTER",
     "OMUAccelerator",
     "OMUConfig",
-    "ProbabilityUpdateUnit",
     "ProcessingElement",
     "PruneAddressManager",
     "QUERY_STATUSES",

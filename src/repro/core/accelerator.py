@@ -18,13 +18,15 @@ every PE's update loop are one native call per update stream
 * :meth:`export_octree` -- read the distributed map back into a software
   :class:`~repro.octomap.octree.OccupancyOcTree` (verification / host use);
 * :meth:`statistics` -- memory, utilisation and access counts feeding the
-  energy model.
+  energy model;
+* :meth:`image` / :meth:`restore` -- the whole state as arrays (a shard
+  snapshot), and a fresh accelerator made into the one it was taken from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -334,87 +336,6 @@ class OMUAccelerator:
             kz += half
         return OcTreeKey(kx, ky, kz)
 
-    def load_octree(self, tree: OccupancyOcTree) -> None:
-        """Rebuild the PE memories from a software octree (snapshot restore).
-
-        The inverse of :meth:`export_octree`: every node of ``tree`` becomes
-        a TreeMem entry on the PE owning its first-level branch, with the
-        exact fixed-point raw value the export quantised it from (16-bit raws
-        round-trip float32 losslessly, so serialize -> deserialize -> restore
-        is bit-exact).  The PE array prunes eagerly under the same
-        all-eight-equal-leaves rule the software tree uses, so the pruned
-        tree maps 1:1 onto the PE node representation; a leaf above the
-        finest depth is restored as a pruned homogeneous entry (NULL pointer,
-        all eight tags carrying its classification).
-
-        Restoration targets a *fresh* accelerator only -- cycle counters and
-        access statistics restart at zero (they describe the new lifetime,
-        not the snapshotted one's).
-        """
-        if any(any(pe._local_roots) for pe in self.pes):
-            raise ValueError(
-                "load_octree requires a freshly constructed accelerator "
-                "(this one already holds map state)"
-            )
-        if tree.resolution != self.config.resolution_m:
-            raise ValueError(
-                f"snapshot resolution {tree.resolution} does not match the "
-                f"accelerator's {self.config.resolution_m}"
-            )
-        if tree.tree_depth != self.config.tree_depth:
-            raise ValueError(
-                f"snapshot tree depth {tree.tree_depth} does not match the "
-                f"accelerator's {self.config.tree_depth}"
-            )
-        root = tree.root
-        if root is None:
-            return
-        if not root.has_children():
-            # The whole map pruned to a single root leaf: re-materialise the
-            # eight first-level branches as homogeneous pruned leaves.
-            for branch in range(8):
-                self._load_branch(branch, root)
-            return
-        for branch, child in root.children():
-            self._load_branch(branch, child)
-
-    def _load_branch(self, branch: int, node) -> None:
-        """Restore one first-level branch subtree onto its owning PE."""
-        pe = self.pes[branch % self.config.num_pes]
-        entry = self._restore_entry(pe, node, depth=1)
-        pe.memory.write_entry(0, branch, entry)
-        pe._local_roots[branch] = 1
-
-    def _restore_entry(self, pe, node, depth: int) -> "TreeMemEntry":
-        """Build (and recursively store) the TreeMem image of one tree node."""
-        from repro.core.treemem import NULL_POINTER, ChildStatus, TreeMemEntry
-
-        fmt = self.config.fixed_point
-        raw = fmt.to_raw(node.log_odds)
-        entry = TreeMemEntry(probability_raw=raw)
-        if not node.has_children():
-            if depth < self.config.tree_depth:
-                # Pruned homogeneous region: same representation the PE's
-                # own pruning pass leaves behind (NULL pointer, all eight
-                # tags set to the node's classification).
-                status = pe.probability_unit.classify(raw)
-                entry.child_tags = [status] * 8
-            return entry
-        row = pe.allocator.allocate_row()
-        entry.pointer = row
-        children = [None] * 8
-        for index, child in node.children():
-            child_entry = self._restore_entry(pe, child, depth + 1)
-            children[index] = child_entry
-            if child_entry.pointer != NULL_POINTER:
-                entry.set_tag(index, ChildStatus.INNER)
-            else:
-                entry.set_tag(
-                    index, pe.probability_unit.classify(child_entry.probability_raw)
-                )
-        pe.memory.write_row(row, children)
-        return entry
-
     def counters(self) -> OperationCounters:
         """Merged functional operation counters of all PEs and the ray cast."""
         merged = OperationCounters()
@@ -442,6 +363,59 @@ class OMUAccelerator:
         stats.prune_reuse_fraction = total_reused / total_allocations if total_allocations else 0.0
         return stats
 
+    # ------------------------------------------------------------------
+    # State image (shard snapshots)
+    # ------------------------------------------------------------------
+    def image(self) -> Dict[str, object]:
+        """The accelerator's whole state as numpy arrays and ints: what :meth:`restore` takes back.
+
+        Per PE, its SRAM rows, local roots and prune address manager
+        (:meth:`ProcessingElement.image`); every counter :meth:`statistics`
+        and :meth:`counters` read, as one ``int64`` array in
+        :func:`_counter_slots` order; and the three sizes the arrays are
+        shaped by.  Nothing is walked or rebuilt, so the copy has the row
+        layout, the prune stack and the lifetime counts of the original.
+        """
+        config = self.config
+        return {
+            "num_pes": config.num_pes,
+            "tree_depth": config.tree_depth,
+            "entries_per_bank": config.entries_per_bank,
+            "counters": np.array([_read(holder, key) for holder, key in _counter_slots(self)], dtype=np.int64),
+            "pes": [pe.image() for pe in self.pes],
+        }
+
+    def restore(self, image) -> None:
+        """Make this freshly built accelerator the one ``image`` was taken from.
+
+        An image may have crossed a socket, so all of it is checked before any
+        array is written (:meth:`ProcessingElement.check_image` per PE): a
+        malformed one raises ``ValueError`` and leaves this accelerator as it
+        was.  Then each PE's arrays are copied in place and the counters set.
+        """
+        if any(any(pe._local_roots) for pe in self.pes):
+            raise ValueError("restore needs a freshly built accelerator (this one holds map state)")
+        if not isinstance(image, dict) or set(image) != _IMAGE_KEYS:
+            raise ValueError(f"not an accelerator image: expected the fields {sorted(_IMAGE_KEYS)}")
+        config, slots = self.config, _counter_slots(self)
+        sizes = (image["num_pes"], image["tree_depth"], image["entries_per_bank"])
+        if sizes != (config.num_pes, config.tree_depth, config.entries_per_bank):
+            raise ValueError(
+                f"an image of {sizes[0]} PEs at depth {sizes[1]} with {sizes[2]} entries per bank; this "
+                f"accelerator has {config.num_pes} at depth {config.tree_depth} with {config.entries_per_bank}"
+            )
+        counters, pes = image["counters"], image["pes"]
+        if not (isinstance(counters, np.ndarray) and counters.dtype == np.int64 and counters.shape == (len(slots),)):
+            raise ValueError(f"the image's counters must be int64({len(slots)},)")
+        if not isinstance(pes, list) or len(pes) != len(self.pes):
+            raise ValueError(f"the image must hold a list of {len(self.pes)} PE images")
+        for pe, part in zip(self.pes, pes):
+            pe.check_image(part)
+        for pe, part in zip(self.pes, pes):
+            pe.restore(part)
+        for (holder, key), value in zip(slots, counters.tolist()):
+            _write(holder, key, value)
+
     def elapsed_seconds(self) -> float:
         """Wall-clock time of the modelled run at the configured frequency."""
         return self.config.cycles_to_seconds(self.map_critical_path_cycles())
@@ -449,3 +423,58 @@ class OMUAccelerator:
     def occupancy_probability_of(self, raw: int) -> float:
         """Convert a raw fixed-point log-odds value to a probability."""
         return logodds_to_probability(self.config.fixed_point.to_value(raw))
+
+
+_IMAGE_KEYS = frozenset({"num_pes", "tree_depth", "entries_per_bank", "counters", "pes"})
+_OPERATION_COUNTS = (
+    "ray_steps", "leaf_updates", "parent_updates", "child_reads", "prune_checks",
+    "prunes", "expansions", "node_allocations", "node_deletions", "queries",
+)
+_SCAN_TIMING_COUNTS = ("scheduler_cycles", "raycast_cycles", "pe_cycles_max", "pe_cycles_total", "voxel_updates")
+_PE_TIMING_COUNTS = ("voxel_updates", "bank_reads", "bank_writes", "row_accesses", "stalls")
+#: What a dict counter reads as while its key is absent: a PE's ``pe_updates`` before its first update.
+_ABSENT = -1
+
+
+def _counter_slots(accelerator: OMUAccelerator) -> List[Tuple[object, object]]:
+    """Every counter of ``accelerator`` that :meth:`~OMUAccelerator.statistics`
+    and :meth:`~OMUAccelerator.counters` read, in the image's fixed order.
+
+    Each is a ``(holder, key)`` pair: a dict or list holder is indexed by the
+    key, any other holder has the key as an attribute.  The allocator's
+    counts travel in its state words, and the live entries are the valid
+    bytes, so neither is here.
+    """
+
+    def operations(counters: OperationCounters) -> List[Tuple[object, object]]:
+        return [(counters, name) for name in _OPERATION_COUNTS] + [(counters.extra, "pe_updates")]
+
+    def stages(breakdown: CycleBreakdown) -> List[Tuple[object, object]]:
+        return [(breakdown.cycles, stage) for stage in OperationKind.ordered()]
+
+    timing, scheduler, queries = accelerator.map_timing, accelerator.scheduler, accelerator.query_unit
+    slots = [(timing, name) for name in _SCAN_TIMING_COUNTS] + stages(timing.breakdown)
+    slots += [(accelerator, "scans_processed"), *operations(accelerator.raycast_counters)]
+    slots += [(scheduler, "issued_updates"), *((scheduler.per_pe_issued, pe) for pe in range(len(accelerator.pes)))]
+    slots += [(queries, "queries_served"), (queries, "total_cycles")]
+    for pe in accelerator.pes:
+        slots += [(pe.stats, name) for name in _PE_TIMING_COUNTS] + stages(pe.stats.breakdown)
+        slots += [*operations(pe.counters), (pe, "query_cycles"), (pe.memory, "row_reads"), (pe.memory, "row_writes")]
+        slots += [(bank, name) for bank in pe.memory.banks for name in ("read_accesses", "write_accesses")]
+    return slots
+
+
+def _read(holder, key) -> int:
+    if isinstance(holder, dict):
+        return holder.get(key, _ABSENT)
+    return holder[key] if isinstance(holder, list) else getattr(holder, key)
+
+
+def _write(holder, key, value: int) -> None:
+    if isinstance(holder, dict):
+        if value != _ABSENT:
+            holder[key] = value
+    elif isinstance(holder, list):
+        holder[key] = value
+    else:
+        setattr(holder, key, value)

@@ -7,8 +7,8 @@ the global octree (Section IV-A).  Internally it combines:
   node entries, eight children per row (Section IV-B, Fig. 5);
 * a :class:`~repro.core.prune_manager.PruneAddressManager` recycling the rows
   freed by pruning (Section IV-C, Fig. 6);
-* a :class:`~repro.core.probability_unit.ProbabilityUpdateUnit` implementing
-  the fixed-point occupancy arithmetic.
+* the fixed-point occupancy arithmetic of eqs. (2)-(3), as the quantised
+  parameters of :meth:`~repro.core.config.OMUConfig.quantized_params`.
 
 The PE's local root(s) -- the depth-1 nodes of the global tree -- live in row
 0, bank = branch index, so up to eight branches can share one PE (used by the
@@ -31,9 +31,12 @@ then runs PE 0, 1, ... each over its own updates in stream order.  It works
 in place on each PE's bank arrays and prune address manager arrays, whose
 addresses the PE pins once per buffer (again only after the image grew), and
 returns what it did per PE as counts that :meth:`ProcessingElement._book`
-charges.  :meth:`ProcessingElement.update_paths` goes through the same entry
-with its PE alone.  The same loop in Python, one PE at a time, is the
-kernel's differential oracle, ``tests/core/oracle_pe.py``.  The query loop
+charges.  The same loop in Python, one PE at a time, is the kernel's
+differential oracle, ``tests/core/oracle_pe.py``.  Those arrays are the PE's
+whole state: :meth:`ProcessingElement.image` copies them out for a shard
+snapshot and :meth:`ProcessingElement.restore` copies them back, after
+:meth:`ProcessingElement.check_image` found nothing the kernel could trip
+over.  The query loop
 (:meth:`ProcessingElement.query_paths`) stays Python: a point read is one
 short walk, which a foreign call would make slower, not faster.
 
@@ -92,14 +95,13 @@ from __future__ import annotations
 
 import ctypes
 from array import array
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import native
 from repro.core.config import OMUConfig
-from repro.core.prune_manager import PruneAddressManager
-from repro.core.probability_unit import ProbabilityUpdateUnit
+from repro.core.prune_manager import DEPTH, NEXT_FRESH, PruneAddressManager
 from repro.core.treemem import (
     BankedTreeMemory,
     ChildStatus,
@@ -115,6 +117,11 @@ __all__ = ["ProcessingElement", "ExportedNode", "QUERY_STATUSES"]
 #: What a voxel look-up can answer; :meth:`ProcessingElement.query_paths`
 #: reports each voxel as an index into this tuple.
 QUERY_STATUSES = ("unknown", "free", "occupied")
+
+#: The bank arrays' four fields -- the PE holds each as ``_<name>[bank]`` --
+#: and the numpy type of their words.
+BANK_FIELDS = (("valid", np.uint8), ("pointers", np.uint32), ("tags", np.uint16), ("probabilities", np.int16))
+_IMAGE_KEYS = frozenset(name for name, _ in BANK_FIELDS) | {"rows", "roots", "allocator", "stack"}
 
 
 class ExportedNode:
@@ -146,7 +153,7 @@ class ProcessingElement:
         self.config = config
         self.memory = BankedTreeMemory(config.banks_per_pe, config.entries_per_bank)
         self.allocator = PruneAddressManager(config.entries_per_bank, reserved_rows=1)
-        self.probability_unit = ProbabilityUpdateUnit(config.quantized_params())
+        self.params = config.quantized_params()
         self.counters = OperationCounters()
         self.stats = PETimingStats(pe_id=pe_id)
         self.query_cycles = 0
@@ -161,73 +168,21 @@ class ProcessingElement:
         self._pointers = [bank.pointers for bank in banks]
         self._tags = [bank.tags for bank in banks]
         self._probabilities = [bank.probabilities for bank in banks]
-        self._threshold = self.probability_unit.params.raw_threshold
+        self._threshold = self.params.raw_threshold
         # What the native kernel works on, made by the first update (_pin).
         self._image: Optional[native.PEImage] = None
         self._pinned_entries = 0  # the bank arrays' total length when last pinned
         self._bank_arrays = self._valid + self._pointers + self._tags + self._probabilities  # PEImage's order
 
     # ------------------------------------------------------------------
-    # Voxel update (the main datapath)
+    # Voxel update (the main datapath): the native kernel, see apply_keys
     # ------------------------------------------------------------------
-    def update_voxel(self, key: OcTreeKey, occupied: bool) -> int:
-        """Integrate one measurement for one voxel owned by this PE.
-
-        Returns the number of cycles the update consumed on this PE.
-        """
-        path = np.array([key.path(self.config.tree_depth)], dtype=np.uint8)
-        return self.update_paths(path, (occupied,)).total()
-
-    def update_paths(self, paths: np.ndarray, occupied: Sequence[bool]) -> CycleBreakdown:
-        """Integrate an ordered stream of measurements for voxels this PE owns.
-
-        ``paths`` is an ``(N, tree_depth)`` array of child indices from the
-        global root down to each leaf voxel, ``occupied`` the N measurements.
-        Returns the cycles the stream consumed on this PE, by stage.
-
-        Each update is one fused integer loop over the SRAM image, run by the
-        native kernel (the module docstring says where, and how it fails):
-        down the path (allocating or expanding as needed), the leaf update of
-        eq. (2), then back up updating each parent from the child that
-        changed (eq. (3)) and pruning.  Whatever it finds, an update costs one
-        bank read per level down and one row read, ALU pass, prune check and
-        write-back per level up; only new nodes, row allocations, expansions
-        and prunes add to that, so the kernel tallies those four and
-        :meth:`_charge` books the whole stream from ``TimingParams`` afterwards.
-
-        The loop walks only the levels whose outcome is open: down from where
-        this path leaves the previous one, up until an inner node keeps its
-        value, reading a children row only where the stored entry cannot
-        answer.  The order of the stream decides how much that saves, never
-        what is stored or charged.
-
-        The paths go back to the keys they encode, and :func:`apply_keys`
-        runs them with this PE as the only one, so every key is its own.
-        """
-        self.host_row_reads = 0
-        if not len(paths):
-            return CycleBreakdown()
-        # The kernel indexes the image with these: shape, dtype and range are checked here.
-        depth = self.config.tree_depth
-        paths = np.asarray(paths)
-        flags = np.ascontiguousarray(occupied, dtype=np.bool_)
-        count = len(flags)
-        if paths.shape != (count, depth) or paths.dtype.kind not in "ui":
-            raise ValueError(f"{count} updates need ({count}, {depth}) integer paths, not {paths.dtype} {paths.shape}")
-        if paths.min() < 0 or paths.max() > 7:
-            raise ValueError("a path holds a child index outside [0, 7]")
-        # Bit a of child index l is bit depth-1-l of key component a.
-        axes = (paths.astype(np.int64)[:, None, :] >> np.arange(3)[:, None]) & 1
-        keys = np.ascontiguousarray(axes @ (1 << np.arange(depth - 1, -1, -1)), dtype=np.uint16)
-        (breakdown,) = apply_keys([self], keys, flags, native.tallies(1))
-        return breakdown
-
     def pinned_image(self) -> native.PEImage:
         """What the native kernel works on, with the bank arrays' current addresses.
 
         A check as cheap as the arrays' total length finds an image that grew
         since it was last pinned, inside the kernel's calls or outside them
-        (a restore, :meth:`BankedTreeMemory.write_entry` past :attr:`rows`).
+        (a :meth:`~repro.core.treemem.BankedTreeMemory.reserve`).
         """
         if sum(map(len, self._valid)) != self._pinned_entries:
             self._pin()
@@ -236,7 +191,7 @@ class ProcessingElement:
     def _pin(self) -> None:
         """Hand the kernel the bank arrays' current addresses (they move when the image grows)."""
         if self._image is None:
-            allocator, params = self.allocator, self.probability_unit.params
+            allocator, params = self.allocator, self.params
             self._image = native.PEImage(
                 num_rows=allocator.num_rows,
                 reserved_rows=allocator.reserved_rows,
@@ -352,7 +307,7 @@ class ProcessingElement:
     def query_paths(
         self, paths: Sequence[Sequence[int]], stop_at_occupied: bool = False
     ) -> Tuple[List[int], List[int], int]:
-        """Look up a stream of voxels this PE owns: the read-side :meth:`update_paths`.
+        """Look up a stream of voxels this PE owns: the read side of :func:`apply_keys`.
 
         ``paths`` holds one row of ``tree_depth`` child indices (plain ints:
         an array's ``tolist()``) per voxel, from the global root down to the
@@ -464,6 +419,105 @@ class ProcessingElement:
             yield from self._export_recurs(child, path + (child_index,))
 
     # ------------------------------------------------------------------
+    # State image (shard snapshots; see OMUAccelerator.image)
+    # ------------------------------------------------------------------
+    def image(self) -> Dict[str, object]:
+        """This PE's state as numpy arrays and ints, what :meth:`restore` takes back.
+
+        ``valid``, ``pointers``, ``tags`` and ``probabilities`` are ``(8, R)``
+        arrays, bank by bank, of rows ``[0, R)`` with ``R`` the prune address
+        manager's next fresh row: stale words of freed rows included, and
+        nothing above, which was never written.  ``rows`` is how many
+        addresses the bank arrays hold, ``roots`` the local-root flags,
+        ``allocator`` the manager's state words and ``stack`` its live
+        stack, bottom first.
+        """
+        allocator = self.allocator
+        written = allocator.next_fresh_row
+        image: Dict[str, object] = {
+            name: np.array([np.frombuffer(field, dtype, written) for field in getattr(self, "_" + name)])
+            for name, dtype in BANK_FIELDS
+        }
+        image.update(
+            rows=self.memory.rows,
+            roots=np.array(self._local_roots, dtype=np.uint8),
+            allocator=np.array(allocator.state, dtype=np.int64),
+            stack=np.frombuffer(allocator.stack, np.int32, allocator.stack_depth).copy(),
+        )
+        return image
+
+    def check_image(self, image) -> None:
+        """Raise ``ValueError`` unless this PE's kernels can run on ``image``.
+
+        A snapshot may come off a socket, so this looks at everything a kernel
+        indexes with before :meth:`restore` writes anything: each field's
+        type and shape; the next fresh row within the manager's range and the
+        arrays' ``rows`` between it and the bank size; valid bytes and root
+        flags 0 or 1, a flag set exactly where a branch this PE owns has its
+        local root; every pointer null or a row handed out; the stack as deep
+        as the manager says, each row on it handed out and there once; and
+        every tag of a valid inner entry that is not unknown naming a valid
+        child.
+        """
+        where = f"PE {self.pe_id} image"
+        if not isinstance(image, dict) or set(image) != _IMAGE_KEYS:
+            raise ValueError(f"{where}: expected the fields {sorted(_IMAGE_KEYS)}")
+        allocator = self.allocator
+        reserved = allocator.reserved_rows
+        state = _field(image, "allocator", np.int64, (len(allocator.state),), where)
+        written, depth = int(state[NEXT_FRESH]), int(state[DEPTH])
+        if not reserved <= written <= allocator.num_rows:
+            raise ValueError(f"{where}: next fresh row {written} outside [{reserved}, {allocator.num_rows}]")
+        rows = image["rows"]
+        if type(rows) is not int or not written <= rows <= allocator.num_rows:
+            raise ValueError(f"{where}: {rows!r} rows for a next fresh row of {written} in {allocator.num_rows}")
+        valid, pointers, tags, _ = (_field(image, name, dtype, (8, written), where) for name, dtype in BANK_FIELDS)
+        roots = _field(image, "roots", np.uint8, (8,), where)
+        stack = _field(image, "stack", np.int32, (depth,), where)
+        if valid.max() > 1 or roots.max() > 1:
+            raise ValueError(f"{where}: a valid byte or a root flag other than 0 or 1")
+        owned = np.arange(8) % self.config.num_pes == self.pe_id
+        if np.any(roots != valid[:, 0]) or np.any(roots.astype(bool) & ~owned):
+            raise ValueError(f"{where}: root flags {roots.tolist()} do not match the local roots stored")
+        inner = pointers != NULL_POINTER
+        if np.any(inner & ((pointers < reserved) | (pointers >= written))):
+            raise ValueError(f"{where}: a pointer outside the rows handed out, [{reserved}, {written})")
+        if stack.size and (stack.min() < reserved or stack.max() >= written or np.unique(stack).size < depth):
+            raise ValueError(f"{where}: the prune stack holds a row twice or one never handed out")
+        # Every tag of a valid inner entry that is not unknown must name a valid child in its block.
+        banks, entries = np.nonzero(inner & (valid == 1))
+        listed = (tags[banks, entries, None] >> (2 * np.arange(8))) & 0b11
+        held = valid[:, pointers[banks, entries]].T
+        dangling = np.argwhere((listed != 0) & (held == 0))
+        if dangling.size:
+            entry, child = dangling[0]
+            raise ValueError(
+                f"{where}: the entry at row {entries[entry]} bank {banks[entry]} lists child {child}, "
+                "which its block does not hold"
+            )
+
+    def restore(self, image) -> None:
+        """Copy a :meth:`check_image`-checked ``image`` into this fresh PE's arrays, in place.
+
+        The arrays stay the objects ``_valid`` ... and the kernel pin name;
+        they only grow to the image's ``rows``, and are pinned again.
+        """
+        allocator = self.allocator
+        written = int(image["allocator"][NEXT_FRESH])
+        self.memory.reserve(image["rows"])
+        for name, dtype in BANK_FIELDS:
+            for field, words in zip(getattr(self, "_" + name), image[name]):
+                np.frombuffer(field, dtype)[:written] = words
+        for bank, valid in zip(self.memory.banks, image["valid"]):
+            bank._occupied = int(np.count_nonzero(valid))
+        np.frombuffer(self._local_roots, np.uint8)[:] = image["roots"]
+        np.frombuffer(allocator.state, np.int64)[:] = image["allocator"]
+        stack = image["stack"]
+        np.frombuffer(allocator.stack, np.int32)[: len(stack)] = stack
+        np.frombuffer(allocator.stacked, np.uint8)[stack] = 1
+        self._pin()
+
+    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     def nodes_stored(self) -> int:
@@ -477,6 +531,15 @@ class ProcessingElement:
     def busy_cycles(self) -> int:
         """Cycles of useful work performed so far."""
         return self.stats.busy_cycles()
+
+
+def _field(image: Dict[str, object], name: str, dtype, shape: Tuple[int, ...], where: str) -> np.ndarray:
+    """``image[name]``, if it is a numpy array of ``dtype`` and ``shape``; else a ``ValueError``."""
+    value = image[name]
+    if not isinstance(value, np.ndarray) or value.dtype != dtype or value.shape != shape:
+        found = f"{value.dtype}{value.shape}" if isinstance(value, np.ndarray) else type(value).__name__
+        raise ValueError(f"{where}: {name} must be {np.dtype(dtype)}{shape}, not {found}")
+    return value
 
 
 def apply_keys(

@@ -98,7 +98,7 @@ static int allocate_row(pe_image *im, int64_t *row) {
     return PE_OK;
 }
 
-/* PruneAddressManager.free_row's three checks, in its order. */
+/* PruneAddressManager.free_error's three checks, in its order. */
 static int free_row(pe_image *im, int64_t row) {
     int64_t *state = im->allocator;
     if (row < im->reserved_rows || row >= im->num_rows || im->stacked[row] || row >= state[A_NEXT_FRESH])

@@ -15,9 +15,11 @@ every children-block address from a single place and the allocation policy
 The state lives in typed arrays -- the stack as ``int32`` words, an "on the
 stack" flag per row, and the counters in :attr:`PruneAddressManager.state` --
 because the PE's native update kernel (``pe_kernel.c``) allocates and frees
-rows in the same arrays, in place, with the same checks in the same order as
-:meth:`~PruneAddressManager.allocate_row` and
-:meth:`~PruneAddressManager.free_row` here.
+rows in those arrays, in place; a shard snapshot copies the state words and
+the live part of the stack, and a restore rebuilds the flags from the stack.
+This class holds the state, reads it out, and words the kernel's refusals
+(:meth:`~PruneAddressManager.exhausted`, :meth:`~PruneAddressManager.free_error`,
+in the kernel's order of checks).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ NEXT_FRESH, DEPTH, ALLOCATIONS, FRESH, REUSED, FREES, PEAK = range(7)
 
 
 class PruneAddressManager:
-    """Allocates and recycles TreeMem row addresses for one PE.
+    """The TreeMem row-allocation state of one PE, which its kernel allocates and recycles rows in.
 
     Args:
         num_rows: number of rows in the PE's TreeMem (entries per bank).
@@ -56,43 +58,6 @@ class PruneAddressManager:
         self.state = array("q", [reserved_rows, 0, 0, 0, 0, 0, 0])
         self.stack = array("i", bytes(4 * num_rows))
         self.stacked = array("B", bytes(num_rows))  # per row, for the O(1) double-free check
-
-    # ------------------------------------------------------------------
-    # Allocation interface
-    # ------------------------------------------------------------------
-    def allocate_row(self) -> int:
-        """Return a free row address, reusing pruned rows first.
-
-        Raises:
-            MemoryCapacityError: when no pruned row is available and every
-                fresh row has already been handed out.
-        """
-        state = self.state
-        if state[DEPTH]:
-            state[DEPTH] -= 1
-            row = self.stack[state[DEPTH]]
-            self.stacked[row] = 0
-            state[REUSED] += 1
-        else:
-            row = state[NEXT_FRESH]
-            if row >= self._num_rows:
-                raise self.exhausted()
-            state[NEXT_FRESH] = row + 1
-            state[FRESH] += 1
-        state[ALLOCATIONS] += 1
-        return row
-
-    def free_row(self, row: int) -> None:
-        """Push a pruned children-block row onto the reuse stack."""
-        error = self.free_error(row)
-        if error is not None:
-            raise error
-        state = self.state
-        self.stack[state[DEPTH]] = row
-        self.stacked[row] = 1
-        state[DEPTH] += 1
-        state[FREES] += 1
-        state[PEAK] = max(state[PEAK], state[DEPTH])
 
     def exhausted(self) -> MemoryCapacityError:
         """The error of an allocation that finds neither a pruned nor a fresh row."""

@@ -17,19 +17,21 @@ Every 64-bit entry packs three fields (paper Fig. 5):
 
 The model stores the SRAM image itself: each bank keeps the three fields of
 its entries in typed arrays (pointer ``u32``, the eight tags as one ``u16``
-word, probability ``i16``) plus a valid byte per address.  The PE's update
-and query kernels run as integer loops over those arrays;
-:class:`TreeMemEntry` is the *decoded view* of one word that the
-``read``/``write`` API hands to the cold paths (map export, snapshot restore,
-tests), with exact 64-bit pack/unpack so tests can verify the bit layout.
+word, probability ``i16``) plus a valid byte per address.  Those arrays are
+the only form of the map: the PE's native update kernel writes them in place,
+and a shard snapshot copies them out and back
+(:meth:`repro.core.accelerator.OMUAccelerator.image` / ``restore``).
+:class:`TreeMemEntry` is the *decoded view* of one address that
+:meth:`TreeMemBank.read` hands to map export, verification and tests.
 Every bank access is counted so the timing and energy models can charge it.
 
 The arrays are sized to the map, not to the bank: they start at
 :data:`INITIAL_ROWS` entries and double (up to the bank's ``num_entries``)
 when a write needs a row beyond them.  Rows are handed out bottom-up by the
-prune address manager, so every address past the arrays' end is one never
-written -- valid 0, pointer :data:`NULL_POINTER`, tags 0, value 0 -- and
-reads there answer exactly that.  Capacity, and the utilisation it is the
+prune address manager, so every address from its next fresh row up -- every
+one past the arrays' end among them -- is one never written (valid 0, pointer
+:data:`NULL_POINTER`, tags 0, value 0), and reads there answer exactly that.
+A snapshot therefore carries the rows below the next fresh row only.  Capacity, and the utilisation it is the
 base of, stay the nominal ``num_entries``.
 """
 
@@ -110,55 +112,16 @@ class TreeMemEntry:
         """Status tag of child ``child_index`` (0..7)."""
         return self.child_tags[self._checked(child_index)]
 
-    def set_tag(self, child_index: int, status: ChildStatus) -> None:
-        """Set the status tag of child ``child_index``."""
-        self.child_tags[self._checked(child_index)] = ChildStatus(status)
-
-    def known_children(self) -> Sequence[int]:
-        """Indices of children whose tag is not UNKNOWN."""
-        return [index for index, tag in enumerate(self.child_tags) if tag != ChildStatus.UNKNOWN]
-
-    def copy(self) -> "TreeMemEntry":
-        """Return an independent copy of this entry."""
-        return TreeMemEntry(self.pointer, list(self.child_tags), self.probability_raw)
-
     @staticmethod
     def _checked(child_index: int) -> int:
         if not 0 <= child_index <= 7:
             raise IndexError(f"child index {child_index} outside [0, 7]")
         return child_index
 
-    # ------------------------------------------------------------------
-    # 64-bit packing (paper Fig. 5 bit layout)
-    # ------------------------------------------------------------------
-    def tags_word(self) -> int:
-        """The eight tags as the entry's 16-bit field (child 0 in the low bits)."""
-        word = 0
-        for index, tag in enumerate(self.child_tags):
-            word |= (int(tag) & 0b11) << (2 * index)
-        return word
-
     @staticmethod
     def tags_from_word(word: int) -> List[ChildStatus]:
         """Decode a 16-bit tag field back into eight :class:`ChildStatus` values."""
         return [ChildStatus((word >> (2 * index)) & 0b11) for index in range(8)]
-
-    def pack(self, fixed_point_bits: int = 16) -> int:
-        """Pack the entry into its 64-bit word."""
-        probability_word = self.probability_raw & ((1 << fixed_point_bits) - 1)
-        return (self.pointer << 32) | (self.tags_word() << 16) | probability_word
-
-    @classmethod
-    def unpack(cls, word: int, fixed_point_bits: int = 16) -> "TreeMemEntry":
-        """Decode a 64-bit word back into an entry."""
-        if not 0 <= word < (1 << 64):
-            raise ValueError(f"word {word} does not fit in 64 bits")
-        pointer = (word >> 32) & 0xFFFFFFFF
-        tags = cls.tags_from_word((word >> 16) & 0xFFFF)
-        probability_word = word & ((1 << fixed_point_bits) - 1)
-        sign_bit = 1 << (fixed_point_bits - 1)
-        probability_raw = probability_word - (1 << fixed_point_bits) if probability_word & sign_bit else probability_word
-        return cls(pointer, tags, probability_raw)
 
 
 class TreeMemBank:
@@ -167,10 +130,10 @@ class TreeMemBank:
     The bank's image lives in four parallel arrays indexed by address:
     :attr:`valid`, :attr:`pointers`, :attr:`tags` and :attr:`probabilities`,
     holding the first :attr:`rows` addresses (see the module docstring).
-    The PE kernels read and update them in place; everything else goes
-    through :meth:`read` / :meth:`write`.  Reads and writes are counted
-    individually; the energy model charges each access and the timing model
-    enforces one access per bank per cycle.
+    The PE's update kernel writes them in place and a restore copies them
+    back; everything else reads through :meth:`read`.  Reads and writes are
+    counted individually; the energy model charges each access and the
+    timing model enforces one access per bank per cycle.
     """
 
     def __init__(self, bank_index: int, num_entries: int) -> None:
@@ -222,33 +185,6 @@ class TreeMemBank:
             self.probabilities[address],
         )
 
-    def write(self, address: int, entry: TreeMemEntry) -> None:
-        """Write ``entry`` at ``address``."""
-        self._check_address(address)
-        self.reserve(address + 1)
-        self.store(address, entry.pointer, entry.tags_word(), entry.probability_raw)
-
-    def store(self, address: int, pointer: int, tags: int, probability_raw: int) -> None:
-        """One write access given as raw field values (the PE datapath's form).
-
-        The address is the caller's to vouch for (it comes from the row
-        allocator or from a stored pointer, below :attr:`rows`).
-        """
-        self.write_accesses += 1
-        self._occupied += not self.valid[address]
-        self.valid[address] = 1
-        self.pointers[address] = pointer
-        self.tags[address] = tags
-        self.probabilities[address] = probability_raw
-
-    def clear(self, address: int) -> None:
-        """Invalidate the entry at ``address`` (used when a row is freed)."""
-        self._check_address(address)
-        self.write_accesses += 1
-        if address < self.rows:
-            self._occupied -= self.valid[address]
-            self.valid[address] = 0
-
     def occupied_entries(self) -> int:
         """Number of valid entries currently stored (a live count, not a scan)."""
         return self._occupied
@@ -264,9 +200,10 @@ class TreeMemBank:
 class BankedTreeMemory:
     """The eight-bank TreeMem of one PE.
 
-    Provides single-entry accesses (descending the tree touches one bank per
-    level) and full-row accesses (parent update / pruning check reads all
-    eight children at once).
+    Descending the tree touches one bank per level; a parent update or a
+    pruning check reads all eight children of a row at once.  The kernel
+    does both on the bank arrays and books them here; :meth:`read_entry` is
+    the decoded single-entry read of export and verification.
     """
 
     def __init__(self, num_banks: int, entries_per_bank: int) -> None:
@@ -293,33 +230,6 @@ class BankedTreeMemory:
         """Read one child entry (one bank access)."""
         return self.banks[self._checked_bank(bank)].read(row)
 
-    def write_entry(self, row: int, bank: int, entry: TreeMemEntry) -> None:
-        """Write one child entry (one bank access)."""
-        self.banks[self._checked_bank(bank)].write(row, entry)
-
-    # -- full-row access -----------------------------------------------------
-    def read_row(self, row: int) -> List[Optional[TreeMemEntry]]:
-        """Read the eight children of a block in one (parallel) access."""
-        self.row_reads += 1
-        return [bank.read(row) for bank in self.banks]
-
-    def write_row(self, row: int, entries: Sequence[Optional[TreeMemEntry]]) -> None:
-        """Write the eight children of a block in one (parallel) access."""
-        if len(entries) != self.num_banks:
-            raise ValueError(f"a row write needs {self.num_banks} entries")
-        self.row_writes += 1
-        for bank, entry in zip(self.banks, entries):
-            if entry is None:
-                bank.clear(row)
-            else:
-                bank.write(row, entry)
-
-    def clear_row(self, row: int) -> None:
-        """Invalidate a whole row (when its block is pruned and freed)."""
-        self.row_writes += 1
-        for bank in self.banks:
-            bank.clear(row)
-
     # -- statistics ------------------------------------------------------------
     def charge_update_accesses(self, path_nodes_per_bank: Sequence[int], row_reads: int) -> None:
         """Book the array accesses the PE's fused update kernel performed.
@@ -336,10 +246,10 @@ class BankedTreeMemory:
     def charge_kernel_writes(self, writes: Sequence[int], occupied: Sequence[int], row_writes: int) -> None:
         """Book the writes the native update kernel made to the arrays in place.
 
-        ``writes[b]`` accesses went to bank ``b`` and changed its live entries
-        by ``occupied[b]``, ``row_writes`` of them as whole-row writes: what
-        :meth:`TreeMemBank.store`, :meth:`clear_row` and the row write of an
-        expansion would have counted.
+        ``writes[b]`` accesses went to bank ``b`` (one per entry stored or
+        cleared) and changed its live entries by ``occupied[b]``;
+        ``row_writes`` of them were whole-row writes (a prune clearing a
+        row, an expansion filling one).
         """
         self.row_writes += row_writes
         for bank, count, delta in zip(self.banks, writes, occupied):

@@ -13,15 +13,13 @@ two workers generating the same stream spec -- or the same worker re-running
 it -- observe identical traffic, per client and in the same global order.
 
 For *open-loop* load testing (arrivals scheduled on a wall clock rather than
-paced by service completions) every :class:`StreamEvent` additionally
-carries an ``arrival_s`` offset: :func:`poisson_arrival_times` and
-:func:`bursty_arrival_times` generate the classic arrival processes, and
-:func:`assign_arrival_times` stamps a stream with them.
+paced by service completions), :func:`poisson_arrival_times` draws the
+arrival offsets of a Poisson process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -34,8 +32,6 @@ from repro.octomap.pointcloud import ScanNode
 __all__ = [
     "ClientSpec",
     "StreamEvent",
-    "assign_arrival_times",
-    "bursty_arrival_times",
     "generate_client_scans",
     "generate_interleaved_stream",
     "poisson_arrival_times",
@@ -74,18 +70,13 @@ class ClientSpec:
 
 @dataclass(frozen=True)
 class StreamEvent:
-    """One arrival in the merged multi-client stream.
-
-    ``arrival_s`` is the open-loop arrival offset in seconds from stream
-    start (0.0 when the stream carries no timing, i.e. closed-loop replay).
-    """
+    """One arrival in the merged multi-client stream."""
 
     arrival_index: int
     client_id: str
     session_id: str
     scan: ScanNode
     max_range_m: float
-    arrival_s: float = 0.0
 
 
 def generate_client_scans(
@@ -213,58 +204,3 @@ def poisson_arrival_times(
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate_per_s, size=num_events)
     return np.cumsum(gaps)
-
-
-def bursty_arrival_times(
-    num_events: int,
-    rate_per_s: float,
-    seed: int = 0,
-    burst_size: int = 8,
-    within_burst_gap_s: float = 0.001,
-) -> np.ndarray:
-    """Arrival offsets of a bursty process: Poisson bursts of back-to-back events.
-
-    Bursts arrive as a Poisson process whose rate preserves the long-run
-    mean of ``rate_per_s`` events/s; within a burst, events land
-    ``within_burst_gap_s`` apart.  Models robot fleets uploading buffered
-    scans after connectivity gaps -- the worst case for admission queues.
-    """
-    if num_events < 0:
-        raise ValueError("num_events must be non-negative")
-    if rate_per_s <= 0.0:
-        raise ValueError("rate_per_s must be positive")
-    if burst_size < 1:
-        raise ValueError("burst_size must be at least 1")
-    num_bursts = (num_events + burst_size - 1) // burst_size
-    burst_starts = poisson_arrival_times(
-        num_bursts, rate_per_s / burst_size, seed=seed
-    )
-    offsets = np.empty(num_events)
-    for burst, start in enumerate(burst_starts):
-        lo = burst * burst_size
-        hi = min(lo + burst_size, num_events)
-        offsets[lo:hi] = start + within_burst_gap_s * np.arange(hi - lo)
-    return np.sort(offsets)
-
-
-def assign_arrival_times(
-    events: Sequence[StreamEvent], arrival_times: Sequence[float]
-) -> List[StreamEvent]:
-    """Stamp a stream with open-loop arrival offsets, preserving order.
-
-    ``arrival_times`` must be sorted and one per event; each event keeps its
-    position in the stream and gains the matching ``arrival_s``.
-    """
-    if len(events) != len(arrival_times):
-        raise ValueError(
-            f"{len(events)} events but {len(arrival_times)} arrival times"
-        )
-    stamped: List[StreamEvent] = []
-    previous = -float("inf")
-    for event, arrival in zip(events, arrival_times):
-        arrival = float(arrival)
-        if arrival < previous:
-            raise ValueError("arrival_times must be sorted (open-loop schedule)")
-        previous = arrival
-        stamped.append(replace(event, arrival_s=arrival))
-    return stamped

@@ -391,9 +391,10 @@ def scan_request_from_payload(session_id: str, payload: Mapping) -> ScanRequest:
 
 
 #: The session fields a client may set.  The execution backend (``backend``,
-#: ``mp_start_method``) is the operator's choice, made once for the server.
+#: ``mp_start_method``) and the shard count, which sizes a private pool's
+#: threads or processes, are the operator's choice, made once for the server
+#: (``repro-serve --backend`` / ``--shards``).
 _CONFIG_FIELDS = (
-    "num_shards",
     "batch_size",
     "admission_queue_limit",
     "tenant",
@@ -427,9 +428,9 @@ def session_config_from_payload(
 
     ``None``/empty payload means "adopt the service default" (returns
     ``None`` so ``get_or_create_session`` skips the conflict check).  The
-    overridable fields are ``num_shards``, ``batch_size``,
-    ``admission_queue_limit``, the tenant and its quota, plus
-    ``resolution_m``; the execution backend stays the server's.  Unknown
+    overridable fields are ``batch_size``, ``admission_queue_limit``, the
+    tenant and its quota, plus ``resolution_m``; the execution backend and
+    the shard count stay the server's.  Unknown
     keys and invalid values raise :class:`HttpError` 400 ``bad_config``.
     """
     if not payload:

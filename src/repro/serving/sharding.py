@@ -266,31 +266,28 @@ class MapShardWorker:
     # Snapshot / restore (live failover and durable checkpoints)
     # ------------------------------------------------------------------
     def snapshot_message(self) -> ShardSnapshot:
-        """Point-in-time image of this shard: serialized subtree + counters."""
-        from repro.octomap.serialization import serialize_tree
-
+        """Point-in-time image of this shard: its accelerator's state arrays + counters."""
         return ShardSnapshot(
             shard_id=self.shard_id,
             generation=self.generation,
             batches_applied=self.batches_applied,
             updates_applied=self.updates_applied,
-            payload=serialize_tree(self.export_octree()),
+            payload=self.accelerator.image(),
         )
 
     @classmethod
     def from_snapshot(cls, snapshot: ShardSnapshot, config: OMUConfig) -> "MapShardWorker":
         """Rehydrate a shard worker from a snapshot (on any host).
 
-        The new worker's accelerator is rebuilt leaf-for-leaf from the
-        snapshot payload and the externally visible counters (generation
-        first among them) resume from the snapshotted values, so replaying
-        the un-snapshotted flush tail lands the shard exactly where the
-        dead worker's acknowledged state was.
+        The new worker's accelerator is the snapshotted one, array for array
+        and count for count (:meth:`OMUAccelerator.restore`, which refuses a
+        malformed image with a ``ValueError``), and the externally visible
+        counters (generation first among them) resume from the snapshotted
+        values, so replaying the un-snapshotted flush tail lands the shard
+        exactly where the dead worker's acknowledged state was.
         """
-        from repro.octomap.serialization import deserialize_tree
-
         worker = cls(snapshot.shard_id, config)
-        worker.accelerator.load_octree(deserialize_tree(snapshot.payload))
+        worker.accelerator.restore(snapshot.payload)
         worker.generation = snapshot.generation
         worker.batches_applied = snapshot.batches_applied
         worker.updates_applied = snapshot.updates_applied

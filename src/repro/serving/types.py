@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -398,26 +398,29 @@ class ShardExportResult:
 class ShardSnapshot:
     """A durable point-in-time image of one shard's map state.
 
-    The payload is the shard's exported subtree in the
-    :mod:`repro.octomap.serialization` byte format, so a snapshot taken by
-    one worker can rehydrate the shard on any other worker (live failover)
-    or survive on disk between runs.  The accounting fields restore the
-    shard's externally visible counters -- in particular ``generation``,
-    which the query cache's invalidation stamps build on: a restored shard
-    replays its un-snapshotted flushes on top of this image, each non-empty
-    replayed batch bumps the generation by one, and the shard ends up at
-    exactly the generation the parent last adopted.
+    The payload is the shard accelerator's state itself
+    (:meth:`~repro.core.accelerator.OMUAccelerator.image`): each PE's SRAM
+    rows, local roots and prune address manager, and every modelled counter,
+    as numpy arrays and ints -- no object of this package inside.  A snapshot
+    taken by one worker rehydrates the shard on any other (live failover) as
+    the very accelerator it was, row layout and lifetime statistics included;
+    the receiving worker checks every array before it writes one.  The
+    accounting fields restore the shard's externally visible counters -- in
+    particular ``generation``, which the query cache's invalidation stamps
+    build on: a restored shard replays its un-snapshotted flushes on top of
+    this image, each non-empty replayed batch bumps the generation by one,
+    and the shard ends up at exactly the generation the parent last adopted.
 
     Attributes:
         shard_id: shard the image belongs to.
         generation: the shard's write generation when the image was taken.
         batches_applied: batches applied up to the image.
         updates_applied: voxel updates applied up to the image.
-        payload: serialized subtree bytes (``serialize_tree`` format).
+        payload: the accelerator image (``OMUAccelerator.image()``).
     """
 
     shard_id: int
     generation: int
     batches_applied: int
     updates_applied: int
-    payload: bytes
+    payload: Dict[str, object]

@@ -2,20 +2,23 @@
 
 :func:`update_paths` is the loop the native kernel runs for one PE, written
 over the same state -- the bank arrays, the prune address manager, the
-local-root flags -- through the Python APIs that own it
-(:meth:`TreeMemBank.store`, :meth:`BankedTreeMemory.clear_row`,
-:meth:`PruneAddressManager.allocate_row` / ``free_row``), so every count the
-native kernel tallies and hands back is counted here where it happens.  It
-grows the image by the same rule (double before an update whose fresh rows
-could pass the arrays' end), raises what the native call raises, and charges
-through the PE's own ``_charge``.  :func:`apply_keys` is the native batch
-entry's scheduler in numpy: each key's path (``paths_for_keys``), a stable
-split by PE, then :func:`update_paths` on each PE in order.  The suites hold
-the two to byte-equal images, stacks, statistics, counters and access
-counts, failures included.
+local-root flags -- through the small write model below (:func:`store`,
+:func:`clear_row`, :func:`allocate_row`, :func:`free_row`: the kernel's own
+``store``, prune clear, ``allocate_row`` and ``free_row``, with the same
+checks in the same order), so every count the native kernel tallies and
+hands back is counted here where it happens.  It grows the image by the same
+rule (double before an update whose fresh rows could pass the arrays' end),
+raises what the native call raises, and charges through the PE's own
+``_charge``.  :func:`apply_keys` is the native batch entry's scheduler in
+numpy: each key's path (``paths_for_keys``), a stable split by PE, then
+:func:`update_paths` on each PE in order.  The suites hold the two to
+byte-equal images, stacks, statistics, counters and access counts, failures
+included.
 
 Use it on a PE with ``oracle_pe.update_paths(pe, paths, occupied)``, or make
-an accelerator run on it with :func:`use_oracle`.
+an accelerator run on it with :func:`use_oracle`.  :func:`kernel_update_paths`
+and :func:`kernel_update_voxel` run the *native* kernel on one PE alone, the
+form the PE-level tests drive it in.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ from repro.core import accelerator as accelerator_module
 from repro.core import native
 from repro.core.address_gen import AddressGenerator
 from repro.core.pe import ProcessingElement
+from repro.core.pe import apply_keys as native_apply_keys
+from repro.core.prune_manager import ALLOCATIONS, DEPTH, FREES, FRESH, NEXT_FRESH, PEAK, REUSED, PruneAddressManager
 from repro.core.timing import CycleBreakdown
-from repro.core.treemem import NULL_POINTER, ChildStatus
+from repro.core.treemem import NULL_POINTER, BankedTreeMemory, ChildStatus, TreeMemBank
+from repro.octomap.keys import OcTreeKey
 
 # Tag words of a row whose eight children all classify alike, and the
 # (occupied, free, inner) tag of each child shifted to its place in the word.
@@ -42,6 +48,80 @@ _CHILD_TAGS = tuple(
 )
 
 
+# -- the write model of the oracle (the kernel's is C) ---------------------------
+def store(bank: TreeMemBank, address: int, pointer: int, tags: int, probability_raw: int) -> None:
+    """One write access given as raw field values, at an address below the bank's ``rows``."""
+    bank.write_accesses += 1
+    bank._occupied += not bank.valid[address]
+    bank.valid[address] = 1
+    bank.pointers[address] = pointer
+    bank.tags[address] = tags
+    bank.probabilities[address] = probability_raw
+
+
+def clear_row(memory: BankedTreeMemory, row: int) -> None:
+    """Invalidate a whole row in one row write (a prune freeing its block)."""
+    memory.row_writes += 1
+    for bank in memory.banks:
+        bank.write_accesses += 1
+        if row < bank.rows:
+            bank._occupied -= bank.valid[row]
+            bank.valid[row] = 0
+
+
+def allocate_row(allocator: PruneAddressManager) -> int:
+    """A free row, reusing pruned rows first; ``MemoryCapacityError`` when none is left."""
+    state = allocator.state
+    if state[DEPTH]:
+        state[DEPTH] -= 1
+        row = allocator.stack[state[DEPTH]]
+        allocator.stacked[row] = 0
+        state[REUSED] += 1
+    else:
+        row = state[NEXT_FRESH]
+        if row >= allocator.num_rows:
+            raise allocator.exhausted()
+        state[NEXT_FRESH] = row + 1
+        state[FRESH] += 1
+    state[ALLOCATIONS] += 1
+    return row
+
+
+def free_row(allocator: PruneAddressManager, row: int) -> None:
+    """Push a pruned children-block row onto the reuse stack (``free_error`` says why not)."""
+    error = allocator.free_error(row)
+    if error is not None:
+        raise error
+    state = allocator.state
+    allocator.stack[state[DEPTH]] = row
+    allocator.stacked[row] = 1
+    state[DEPTH] += 1
+    state[FREES] += 1
+    state[PEAK] = max(state[PEAK], state[DEPTH])
+
+
+# -- the native kernel on one PE ----------------------------------------------------
+def kernel_update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool]) -> CycleBreakdown:
+    """``repro.core.pe.apply_keys`` with ``pe`` as the only PE, fed ``(N, tree_depth)`` paths.
+
+    The paths go back to the keys they encode, and with one PE every key is its own.
+    """
+    depth = pe.config.tree_depth
+    paths = np.asarray(paths, dtype=np.int64).reshape(-1, depth)
+    # Bit a of child index l is bit depth-1-l of key component a.
+    axes = (paths[:, None, :] >> np.arange(3)[:, None]) & 1
+    keys = np.ascontiguousarray(axes @ (1 << np.arange(depth - 1, -1, -1)), dtype=np.uint16)
+    flags = np.ascontiguousarray(occupied, dtype=np.bool_)
+    (breakdown,) = native_apply_keys([pe], keys, flags, native.tallies(1))
+    return breakdown
+
+
+def kernel_update_voxel(pe: ProcessingElement, key: OcTreeKey, occupied: bool) -> int:
+    """One update of ``key`` by the native kernel; returns the cycles it cost the PE."""
+    return kernel_update_paths(pe, [key.path(pe.config.tree_depth)], [occupied]).total()
+
+
+# -- the oracle ------------------------------------------------------------------------
 def use_oracle(accelerator) -> None:
     """Make every update stream of ``accelerator`` run on :func:`apply_keys` instead of the native entry."""
     execute = accelerator._execute
@@ -73,7 +153,7 @@ def read_children(pe: ProcessingElement, block: int) -> Tuple[int, List[int]]:
     """One banked row read: the tag word the row implies and its valid children's values."""
     word = 0
     values = []
-    threshold = pe.probability_unit.params.raw_threshold
+    threshold = pe.params.raw_threshold
     for bank, (occupied, free, inner) in zip(pe.memory.banks, _CHILD_TAGS):
         if bank.valid[block]:
             value = bank.probabilities[block]
@@ -96,7 +176,7 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
         return CycleBreakdown()
     banks = pe.memory.banks
     valid, pointers, tags, probabilities = pe._valid, pe._pointers, pe._tags, pe._probabilities
-    params = pe.probability_unit.params
+    params = pe.params
     raw_hit, raw_miss, threshold = params.raw_hit, params.raw_miss, params.raw_threshold
     clamp_min, clamp_max = params.raw_clamp_min, params.raw_clamp_max
     allocator = pe.allocator
@@ -130,7 +210,7 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
                 resume = 1
                 bank, row = path[0], 0
                 if not roots[bank]:
-                    banks[bank].store(0, NULL_POINTER, 0, 0)
+                    store(banks[bank], 0, NULL_POINTER, 0, 0)
                     roots[bank] = 1
                     new_nodes += 1
                 rows = [0]
@@ -143,7 +223,7 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
             for child in path[resume:]:
                 block = pointers[bank][row]
                 if block == NULL_POINTER:
-                    block = allocator.allocate_row()
+                    block = allocate_row(allocator)
                     allocations += 1
                     grown = min(grown, len(rows) - 1)
                     if tags[bank][row]:
@@ -152,11 +232,11 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
                         value = probabilities[bank][row]
                         uniform = _ALL_OCCUPIED if value > threshold else _ALL_FREE
                         for sibling in banks:
-                            sibling.store(block, NULL_POINTER, uniform, value)
+                            store(sibling, block, NULL_POINTER, uniform, value)
                         pe.memory.row_writes += 1
                         expansions += 1
                     else:
-                        banks[child].store(block, NULL_POINTER, 0, 0)
+                        store(banks[child], block, NULL_POINTER, 0, 0)
                         new_nodes += 1
                     # Persist the parent's new pointer immediately; the
                     # upward pass rewrites the entry anyway but a
@@ -165,7 +245,7 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
                     pointers[bank][row] = block
                     banks[bank].write_accesses += 1
                 elif not (tags[bank][row] >> (child + child)) & 0b11:
-                    banks[child].store(block, NULL_POINTER, 0, 0)
+                    store(banks[child], block, NULL_POINTER, 0, 0)
                     new_nodes += 1
                 if not valid[child][block]:
                     # The tag said the child exists but the bank holds
@@ -214,8 +294,8 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
                         row_reads += 1
                         values = read_children(pe, block)[1]
                     if len(values) == 8 and min(values) == value:
-                        pe.memory.clear_row(block)
-                        allocator.free_row(block)
+                        clear_row(pe.memory, block)
+                        free_row(allocator, block)
                         pointers[bank][row] = NULL_POINTER
                         prunes += 1
                         intact = level + 1

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core import OMUAccelerator, OMUConfig, native
 from repro.core.pe import apply_keys
-from repro.core.treemem import INITIAL_ROWS, MemoryCapacityError, TreeMemEntry
+from repro.core.treemem import INITIAL_ROWS, NULL_POINTER, MemoryCapacityError
 from repro.serving.sharding import MapShardWorker
 from repro.serving.types import ShardUpdateBatch
 from test_fused_kernel_properties import machine_state
@@ -181,26 +181,28 @@ def test_columns_of_different_lengths_are_refused():
 
 
 def test_a_bank_grown_between_batches_is_pinned_again():
-    """``write_entry`` past the arrays' end moves one bank's buffers between two native calls."""
+    """One bank grown to its last row, and written there, moves its buffers between two native calls."""
     pair = native_and_oracle(config_for(6, 3))
     apply_both(pair, [scattered(200, (0, 0, 0), 64, seed=7)])
     for accelerator in pair:
         memory = accelerator.pes[1].memory
-        memory.write_entry(memory.entries_per_bank - 1, 5, TreeMemEntry(probability_raw=7))
-        assert memory.banks[5].rows == memory.entries_per_bank > memory.rows
+        bank = memory.banks[5]
+        bank.reserve(memory.entries_per_bank)
+        oracle_pe.store(bank, memory.entries_per_bank - 1, NULL_POINTER, 0, 7)
+        assert bank.rows == memory.entries_per_bank > memory.rows
     apply_both(pair, [scattered(400, (0, 0, 0), 64, seed=8)])
 
 
 def test_a_restore_after_the_images_were_pinned_is_pinned_again():
-    """An empty batch pins every PE; ``load_octree`` then grows the arrays the pins point into."""
+    """An empty batch pins every PE; ``restore`` then grows the arrays the pins point into."""
     config = config_for(6, 8)
     source = OMUAccelerator(config)
     source.apply_update_batch(*_columns(scattered(2000, (0, 0, 0), 64, seed=9)))
-    snapshot = source.export_octree()
+    snapshot = source.image()
     native, oracle = native_and_oracle(config)
     for accelerator in (native, oracle):
         accelerator.apply_update_batch(np.zeros((0, 3), dtype=np.uint16), np.zeros(0, dtype=bool))
-        accelerator.load_octree(snapshot)
+        accelerator.restore(snapshot)
     assert max(pe.memory.rows for pe in native.pes) > INITIAL_ROWS
     apply_both((native, oracle), [scattered(500, (0, 0, 0), 64, seed=10)])
 

@@ -92,21 +92,25 @@ def apply_in_batches(accelerator: OMUAccelerator, stream: List[Update]):
     return timings
 
 
+def classify(pe: ProcessingElement, raw: int) -> ChildStatus:
+    """The tag of a leaf holding ``raw``."""
+    return ChildStatus.OCCUPIED if pe.params.is_occupied_raw(raw) else ChildStatus.FREE
+
+
 def check_entry(pe: ProcessingElement, entry: TreeMemEntry, level: int) -> list:
     """One stored entry against its children row: the implied tag word and maximum."""
-    assert TreeMemEntry.unpack(entry.pack()) == entry
     if entry.pointer == NULL_POINTER:
         if level < pe.config.tree_depth:  # a pruned region: uniform tags of its own class
-            assert entry.child_tags == [pe.probability_unit.classify(entry.probability_raw)] * 8
+            assert entry.child_tags == [classify(pe, entry.probability_raw)] * 8
         return []
-    children = pe.memory.read_row(entry.pointer)
+    children = [pe.memory.read_entry(entry.pointer, bank) for bank in range(8)]
     for child, tag in zip(children, entry.child_tags):
         if child is None:
             assert tag == ChildStatus.UNKNOWN
         elif child.pointer != NULL_POINTER:
             assert tag == ChildStatus.INNER
         else:
-            assert tag == pe.probability_unit.classify(child.probability_raw)
+            assert tag == classify(pe, child.probability_raw)
     assert entry.probability_raw == max(
         child.probability_raw for child in children if child is not None
     )
@@ -247,13 +251,13 @@ def check_resumed_equals_cold(config, paths: np.ndarray, occupied: List[bool]) -
     A fourth takes the whole stream in one call of the Python oracle.
     """
     resumed, cold, walked, oracle = (ProcessingElement(0, config) for _ in range(4))
-    charged = resumed.update_paths(paths, occupied)
+    charged = oracle_pe.kernel_update_paths(resumed, paths, occupied)
     assert oracle_pe.update_paths(oracle, paths, occupied) == charged
     assert machine_state(resumed) == machine_state(oracle)
     assert resumed.host_row_reads == oracle.host_row_reads
     for index, hit in enumerate(occupied):
-        cold.update_paths(paths[index : index + 1], [hit])
-        walked.update_paths(paths[index : index + 1], [hit])
+        oracle_pe.kernel_update_paths(cold, paths[index : index + 1], [hit])
+        oracle_pe.kernel_update_paths(walked, paths[index : index + 1], [hit])
         check_ancestors(walked, paths[index])
     assert machine_state(resumed) == machine_state(cold)
     assert charged == cold.stats.breakdown
@@ -320,7 +324,7 @@ def test_a_tag_flip_under_an_unchanged_maximum_reaches_the_parent_entry():
     pe = check_resumed_equals_cold(*stream_columns(3, TAG_FLIP))
     block = pe.memory.read_entry(pe.memory.read_entry(0, 0).pointer, 0)
     assert block.tag(0) == block.tag(1) == ChildStatus.OCCUPIED
-    three_hits = 3 * pe.probability_unit.params.raw_hit
+    three_hits = 3 * pe.params.raw_hit
     assert block.probability_raw == three_hits == pe.memory.read_entry(0, 0).probability_raw
 
 
@@ -349,10 +353,10 @@ def test_the_path_register_does_not_outlive_the_call():
     """The image is tampered between two calls that walk the same path: the second must notice."""
     config, paths, occupied = stream_columns(4, [(5, 9, 3, True)] * 2)
     pe = ProcessingElement(0, config)
-    pe.update_paths(paths, occupied)
-    pe.memory.clear_row(pe.memory.read_entry(0, int(paths[0, 0])).pointer)
+    oracle_pe.kernel_update_paths(pe, paths, occupied)
+    oracle_pe.clear_row(pe.memory, pe.memory.read_entry(0, int(paths[0, 0])).pointer)
     with pytest.raises(RuntimeError, match="tag/memory mismatch"):
-        pe.update_paths(paths, occupied)
+        oracle_pe.kernel_update_paths(pe, paths, occupied)
 
 
 # -- the image outgrows its arrays inside a call; a call fails half way ----------
@@ -382,7 +386,10 @@ def check_failure_matches_oracle(config, stream, error, match, prefix=None, tamp
     """
     native, oracle = ProcessingElement(0, config), ProcessingElement(0, config)
     failures = []
-    for pe, update in ((native, native.update_paths), (oracle, functools.partial(oracle_pe.update_paths, oracle))):
+    for pe, update in (
+        (native, functools.partial(oracle_pe.kernel_update_paths, native)),
+        (oracle, functools.partial(oracle_pe.update_paths, oracle)),
+    ):
         if prefix is not None:
             update(*prefix)
         tamper(pe)
@@ -403,7 +410,7 @@ def test_capacity_exhaustion_mid_call_matches_the_oracle():
     assert 0 < pe.stats.voxel_updates < len(stream)
     assert pe.memory.rows == pe.allocator.num_rows == 128  # grown to the cap on the way
     with pytest.raises(MemoryCapacityError):
-        pe.update_paths(paths, occupied)
+        oracle_pe.kernel_update_paths(pe, paths, occupied)
 
 
 def test_a_tampered_tag_matches_the_oracle():
@@ -436,12 +443,12 @@ def test_a_childless_parent_matches_the_oracle():
     floor = config.quantized_params().raw_clamp_min
 
     def cyclic_image(pe):
-        row = pe.allocator.allocate_row()
-        free = [ChildStatus.FREE] * 8
-        root = TreeMemEntry(row, free[:1] + [ChildStatus.INNER] + free[2:], floor)
-        pe.memory.write_entry(0, 0, root)
+        row = oracle_pe.allocate_row(pe.allocator)
+        free = 0x5555 * ChildStatus.FREE
+        oracle_pe.store(pe.memory.banks[0], 0, row, free ^ (ChildStatus.FREE ^ ChildStatus.INNER) << 2, floor)
         pe._local_roots[0] = 1
-        pe.memory.write_row(row, [TreeMemEntry(row if bank == 1 else NULL_POINTER, free, floor) for bank in range(8)])
+        for bank in range(8):
+            oracle_pe.store(pe.memory.banks[bank], row, row if bank == 1 else NULL_POINTER, free, floor)
 
     pe = check_failure_matches_oracle(config, (paths, occupied), RuntimeError, "parent at row 1 has no children",
                                       tamper=cyclic_image)
@@ -457,7 +464,7 @@ def test_a_row_freed_twice_matches_the_oracle():
 
     def free_the_live_block(pe):
         level_1 = pe.memory.read_entry(pe.memory.read_entry(0, 0).pointer, 0)
-        pe.allocator.free_row(level_1.pointer)
+        oracle_pe.free_row(pe.allocator, level_1.pointer)
 
     pe = check_failure_matches_oracle(
         config, (paths[-1:], occupied[-1:]), ValueError, "freed twice", (paths[:-1], occupied[:-1]), free_the_live_block
@@ -473,31 +480,14 @@ def test_a_pointer_past_the_image_is_a_mismatch_not_a_stray_write():
     """
     config, paths, occupied = stream_columns(4, [(5, 9, 3, True)])
     pe = ProcessingElement(0, config)
-    pe.update_paths(paths, occupied)
+    oracle_pe.kernel_update_paths(pe, paths, occupied)
     root, child, beyond = int(paths[0, 0]), int(paths[0, 1]), pe.memory.rows + 5
     pe._pointers[root][0] = beyond
     pe._tags[root][0] &= ~(0b11 << 2 * child)
     before = machine_state(pe)
     with pytest.raises(RuntimeError, match=f"tag/memory mismatch at row {beyond} bank {child}"):
-        pe.update_paths(paths, occupied)
+        oracle_pe.kernel_update_paths(pe, paths, occupied)
     assert machine_state(pe) == before
-
-
-@pytest.mark.parametrize(
-    "paths, occupied",
-    [
-        (np.full((2, 4), 8, dtype=np.uint8), [True, False]),  # a child index the banks do not have
-        (np.full((2, 4), -1), [True, False]),
-        (np.zeros((2, 3), dtype=np.uint8), [True, False]),  # the wrong depth
-        (np.zeros((2, 4), dtype=np.uint8), [True]),  # fewer measurements than paths
-        (np.zeros((2, 4)), [True, False]),  # not integers
-    ],
-)
-def test_malformed_paths_are_refused_before_the_kernel_sees_them(paths, occupied):
-    pe = ProcessingElement(0, small_config(4))
-    with pytest.raises(ValueError):
-        pe.update_paths(paths, occupied)
-    assert pe.stats.voxel_updates == 0 and not any(pe._local_roots)
 
 
 # -- the upward pass: one directed stream per arm of the rule --------------------
@@ -507,8 +497,8 @@ def row_reads_of_the_last_update(stream: List[Update]) -> int:
     check_stream(3, stream)
     check_resumed_equals_cold(config, paths, occupied)
     pe = ProcessingElement(0, config)
-    pe.update_paths(paths[:-1], occupied[:-1])
-    pe.update_paths(paths[-1:], occupied[-1:])
+    oracle_pe.kernel_update_paths(pe, paths[:-1], occupied[:-1])
+    oracle_pe.kernel_update_paths(pe, paths[-1:], occupied[-1:])
     check_image(pe)
     return pe.host_row_reads
 
@@ -545,22 +535,25 @@ def test_each_arm_of_the_upward_rule_reads_the_row_only_when_it_must(stream, row
     assert row_reads_of_the_last_update(stream) == row_reads
 
 
-def test_a_restored_image_satisfies_the_invariant_the_upward_pass_relies_on():
-    """serialize -> deserialize -> load_octree, then updates on top: as if never restored."""
-    from repro.octomap.serialization import deserialize_tree, serialize_tree
+def restorable_state(pe: ProcessingElement) -> dict:
+    """:func:`machine_state` less the stack words above its depth, which no kernel reads before writing."""
+    state = machine_state(pe)
+    state["allocator"] = (pe.allocator.state.tolist(), pe.allocator.stacked_rows(), pe.allocator.stacked.tobytes())
+    return state
 
+
+def test_a_restored_image_is_the_accelerator_it_was_taken_from():
+    """image -> restore on a fresh accelerator, then updates on top of both: as if never restored."""
     depth, stream = 4, _cube(4, False, 5) + _block(True, 2) + [(9, 3, 5, True), (3, 3, 3, True)]
     original = check_stream(depth, stream)
-    assert original.counters().prunes > 0
+    assert original.counters().prunes > 0 and any(pe.allocator.stack_depth for pe in original.pes)
     restored = OMUAccelerator(small_config(depth))
-    restored.load_octree(deserialize_tree(serialize_tree(original.export_octree())))
-    for pe in restored.pes:
-        check_image(pe)
+    restored.restore(original.image())
+    assert [restorable_state(pe) for pe in restored.pes] == [restorable_state(pe) for pe in original.pes]
     # Falls, flips and re-prunes on top of the restored entries.
     more = _cube(4, True, 1) + _block(False, 6) + _cube(4, False, 9)
-    for accelerator in (original, restored):
-        apply_in_batches(accelerator, more)
-    report = compare_trees(original.export_octree(), restored.export_octree(), 0.0)
-    assert report.equivalent, report.summary()
+    assert apply_in_batches(original, more) == apply_in_batches(restored, more)
+    assert (restored.statistics(), restored.counters()) == (original.statistics(), original.counters())
+    assert [restorable_state(pe) for pe in restored.pes] == [restorable_state(pe) for pe in original.pes]
     for pe in restored.pes:
         check_image(pe)

@@ -32,6 +32,8 @@ from test_golden_pe_stats import (
     corridor_scan_accelerator,
 )
 
+import oracle_pe
+
 GOLDEN = Path(__file__).with_name("golden_pe_image.json")
 HIT_RATIOS = (0.0, 0.1, 0.5, 0.9, 1.0)
 UPDATES = 1200
@@ -76,7 +78,7 @@ def shallow_stream(depth: int, hit_ratio: float, ordered: bool, seed: int) -> Di
         stream = [update for quarter in quarters for update in sorted(quarter)]
     config, paths, occupied = stream_columns(depth, stream)
     pe = ProcessingElement(0, config)
-    pe.update_paths(paths, occupied)
+    oracle_pe.kernel_update_paths(pe, paths, occupied)
     return image_digest(pe)
 
 

@@ -34,7 +34,7 @@ def key_at(converter: KeyConverter, x: float, y: float, z: float) -> OcTreeKey:
 class TestVoxelUpdate:
     def test_first_update_builds_the_path(self, pe, converter):
         key = key_at(converter, 1.0, 1.0, 1.0)
-        cycles = pe.update_voxel(key, occupied=True)
+        cycles = oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         assert cycles > 0
         assert pe.counters.leaf_updates == 1
         # A full path needs one node per level: local root + 15 below it.
@@ -42,20 +42,20 @@ class TestVoxelUpdate:
 
     def test_update_then_query_occupied(self, pe, converter):
         key = key_at(converter, 1.0, 1.0, 1.0)
-        pe.update_voxel(key, occupied=True)
+        oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         status, raw = pe.query_voxel(key)
         assert status == "occupied"
-        assert raw == pe.probability_unit.params.raw_hit
+        assert raw == pe.params.raw_hit
 
     def test_update_then_query_free(self, pe, converter):
         key = key_at(converter, 0.5, 0.5, 0.5)
-        pe.update_voxel(key, occupied=False)
+        oracle_pe.kernel_update_voxel(pe, key, occupied=False)
         status, raw = pe.query_voxel(key)
         assert status == "free"
-        assert raw == pe.probability_unit.params.raw_miss
+        assert raw == pe.params.raw_miss
 
     def test_unobserved_voxel_is_unknown(self, pe, converter):
-        pe.update_voxel(key_at(converter, 1.0, 1.0, 1.0), occupied=True)
+        oracle_pe.kernel_update_voxel(pe, key_at(converter, 1.0, 1.0, 1.0), occupied=True)
         status, raw = pe.query_voxel(key_at(converter, 5.0, 5.0, 5.0))
         assert status == "unknown"
         assert raw is None
@@ -67,33 +67,33 @@ class TestVoxelUpdate:
     def test_repeated_updates_accumulate(self, pe, converter):
         key = key_at(converter, 1.0, 1.0, 1.0)
         for _ in range(3):
-            pe.update_voxel(key, occupied=True)
+            oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         _, raw = pe.query_voxel(key)
-        assert raw == 3 * pe.probability_unit.params.raw_hit
+        assert raw == 3 * pe.params.raw_hit
 
     def test_updates_saturate_at_clamp(self, pe, converter):
         key = key_at(converter, 1.0, 1.0, 1.0)
         for _ in range(40):
-            pe.update_voxel(key, occupied=True)
+            oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         _, raw = pe.query_voxel(key)
-        assert raw == pe.probability_unit.params.raw_clamp_max
+        assert raw == pe.params.raw_clamp_max
 
     def test_cycles_are_charged_to_stages(self, pe, converter):
-        pe.update_voxel(key_at(converter, 1.0, 1.0, 1.0), occupied=True)
+        oracle_pe.kernel_update_voxel(pe, key_at(converter, 1.0, 1.0, 1.0), occupied=True)
         cycles = pe.stats.breakdown.cycles
         assert cycles[OperationKind.UPDATE_LEAF] > 0
         assert cycles[OperationKind.UPDATE_PARENTS] > 0
 
     def test_second_voxel_reuses_shared_path(self, pe, converter):
-        pe.update_voxel(key_at(converter, 1.0, 1.0, 1.0), occupied=True)
+        oracle_pe.kernel_update_voxel(pe, key_at(converter, 1.0, 1.0, 1.0), occupied=True)
         allocations_first = pe.counters.node_allocations
         # A neighbouring voxel shares almost the whole path.
-        pe.update_voxel(key_at(converter, 1.2, 1.0, 1.0), occupied=True)
+        oracle_pe.kernel_update_voxel(pe, key_at(converter, 1.2, 1.0, 1.0), occupied=True)
         assert pe.counters.node_allocations < 2 * allocations_first
 
     def test_stats_track_voxel_updates(self, pe, converter):
-        pe.update_voxel(key_at(converter, 1.0, 1.0, 1.0), occupied=True)
-        pe.update_voxel(key_at(converter, 2.0, 2.0, 2.0), occupied=False)
+        oracle_pe.kernel_update_voxel(pe, key_at(converter, 1.0, 1.0, 1.0), occupied=True)
+        oracle_pe.kernel_update_voxel(pe, key_at(converter, 2.0, 2.0, 2.0), occupied=False)
         assert pe.stats.voxel_updates == 2
         assert pe.stats.cycles_per_update() > 0
 
@@ -113,7 +113,7 @@ class TestPruneAndExpand:
     def _saturate_block(self, pe, converter, occupied=True, repeats=20):
         for key in self._sibling_keys(converter):
             for _ in range(repeats):
-                pe.update_voxel(key, occupied=occupied)
+                oracle_pe.kernel_update_voxel(pe, key, occupied=occupied)
 
     def test_identical_saturated_children_are_pruned(self, pe, converter):
         self._saturate_block(pe, converter)
@@ -128,22 +128,22 @@ class TestPruneAndExpand:
         for key in self._sibling_keys(converter):
             status, raw = pe.query_voxel(key)
             assert status == "occupied"
-            assert raw == pe.probability_unit.params.raw_clamp_max
+            assert raw == pe.params.raw_clamp_max
 
     def test_update_into_pruned_region_expands(self, pe, converter):
         self._saturate_block(pe, converter)
         expansions_before = pe.counters.expansions
-        pe.update_voxel(self._sibling_keys(converter)[0], occupied=False)
+        oracle_pe.kernel_update_voxel(pe, self._sibling_keys(converter)[0], occupied=False)
         assert pe.counters.expansions > expansions_before
 
     def test_expansion_preserves_sibling_values(self, pe, converter):
         self._saturate_block(pe, converter)
         keys = self._sibling_keys(converter)
-        pe.update_voxel(keys[0], occupied=False)
+        oracle_pe.kernel_update_voxel(pe, keys[0], occupied=False)
         # The other seven siblings must still report the saturated value.
         for key in keys[1:]:
             _, raw = pe.query_voxel(key)
-            assert raw == pe.probability_unit.params.raw_clamp_max
+            assert raw == pe.params.raw_clamp_max
 
     def test_prune_charges_the_prune_stage(self, pe, converter):
         self._saturate_block(pe, converter)
@@ -154,14 +154,14 @@ class TestPruneAndExpand:
         assert pe.counters.prunes >= 1
         status, raw = pe.query_voxel(self._sibling_keys(converter)[0])
         assert status == "free"
-        assert raw == pe.probability_unit.params.raw_clamp_min
+        assert raw == pe.params.raw_clamp_min
 
 
 class TestExportAndCapacity:
     def test_export_contains_every_leaf(self, pe, converter):
         keys = [key_at(converter, x, 1.0, 1.0) for x in (0.5, 1.5, 2.5)]
         for key in keys:
-            pe.update_voxel(key, occupied=True)
+            oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         exported = list(pe.export_nodes())
         leaves = [node for node in exported if node.is_leaf]
         assert len(leaves) == 3
@@ -169,7 +169,7 @@ class TestExportAndCapacity:
 
     def test_exported_paths_match_key_paths(self, pe, converter):
         key = key_at(converter, 1.0, 1.0, 1.0)
-        pe.update_voxel(key, occupied=True)
+        oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         leaves = [node for node in pe.export_nodes() if node.is_leaf]
         assert leaves[0].path == key.path(pe.config.tree_depth)
 
@@ -180,7 +180,7 @@ class TestExportAndCapacity:
 
     def test_memory_utilization_grows_with_updates(self, pe, converter):
         assert pe.memory_utilization() == 0.0
-        pe.update_voxel(key_at(converter, 1.0, 1.0, 1.0), occupied=True)
+        oracle_pe.kernel_update_voxel(pe, key_at(converter, 1.0, 1.0, 1.0), occupied=True)
         assert pe.memory_utilization() > 0.0
 
     def test_capacity_error_on_tiny_memory(self, converter):
@@ -190,7 +190,7 @@ class TestExportAndCapacity:
         keys = [key_at(converter, 0.2 * x, 0.2 * y, 1.0) for x in range(200) for y in range(10)]
         paths = np.array([key.path(tiny.tree_depth) for key in keys], dtype=np.uint8)
         with pytest.raises(MemoryCapacityError):
-            pe.update_paths(paths, [True] * len(keys))
+            oracle_pe.kernel_update_paths(pe, paths, [True] * len(keys))
         done = pe.stats.voxel_updates
         assert 0 < done < len(keys)
         assert pe.counters.leaf_updates == done
@@ -203,21 +203,21 @@ class TestExportAndCapacity:
     def test_tag_memory_consistency_guard(self, pe, converter):
         """Tampering with the memory image behind the tags is detected."""
         key = key_at(converter, 1.0, 1.0, 1.0)
-        pe.update_voxel(key, occupied=True)
+        oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         root_bank = key.child_index(0, pe.config.tree_depth)
         root = pe.memory.read_entry(0, root_bank)
-        pe.memory.clear_row(root.pointer)
+        oracle_pe.clear_row(pe.memory, root.pointer)
         with pytest.raises(RuntimeError, match="tag/memory mismatch"):
-            pe.update_voxel(key, occupied=True)
+            oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         with pytest.raises(RuntimeError, match="dangling tag"):
             pe.query_voxel(key)
 
     def test_childless_parent_guard(self, pe, converter):
         """A parent whose children row holds nothing cannot be recomputed."""
         key = key_at(converter, 1.0, 1.0, 1.0)
-        pe.update_voxel(key, occupied=True)
+        oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         root = pe.memory.read_entry(0, key.child_index(0, pe.config.tree_depth))
-        pe.memory.clear_row(root.pointer)
+        oracle_pe.clear_row(pe.memory, root.pointer)
         with pytest.raises(RuntimeError, match=f"row {root.pointer} has no children"):
             oracle_pe.read_children(pe, root.pointer)
 
@@ -226,7 +226,7 @@ class TestExportAndCapacity:
         blocks = TestPruneAndExpand()
         for occupied in (True, False, True):  # saturate, flip (expand + re-prune), flip back
             blocks._saturate_block(pe, converter, occupied=occupied, repeats=40)
-        pe.update_voxel(key_at(converter, 3.0, -2.0, 0.4), occupied=False)
+        oracle_pe.kernel_update_voxel(pe, key_at(converter, 3.0, -2.0, 0.4), occupied=False)
         assert pe.counters.prunes >= 3 and pe.counters.expansions >= 2
         assert pe.allocator.reused_allocations >= 1
         assert pe.nodes_stored() == sum(sum(bank.valid) for bank in pe.memory.banks)

@@ -30,6 +30,8 @@ from repro.octomap.logodds import probability as logodds_to_probability
 from test_fused_kernel_properties import update_streams
 from test_golden_pe_stats import DISTINCT_TIMING
 
+import oracle_pe
+
 Key = Tuple[int, int, int]
 
 
@@ -137,7 +139,7 @@ def test_query_keys_on_more_than_eight_pes(case, stop_at_occupied):
         owners = generator.pes_for_paths(paths)
         for pe_id in np.unique(owners).tolist():
             mine = owners == pe_id
-            pes[pe_id].update_paths(paths[mine], (columns[mine, 3] != 0).tolist())
+            oracle_pe.kernel_update_paths(pes[pe_id], paths[mine], (columns[mine, 3] != 0).tolist())
         units.append((VoxelQueryUnit(config, generator, pes), pes))
     (bulk, bulk_pes), (scalar, scalar_pes) = units
     assert_bulk_equals_scalar(bulk, bulk_pes, scalar, scalar_pes, keys, stop_at_occupied)

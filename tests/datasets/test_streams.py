@@ -201,56 +201,11 @@ def test_poisson_arrivals_are_sorted_reproducible_and_rate_accurate():
     assert not np.array_equal(times, poisson_arrival_times(5000, 100.0, seed=4))
 
 
-def test_bursty_arrivals_preserve_mean_rate_and_cluster():
-    import numpy as np
-
-    from repro.datasets.streams import bursty_arrival_times, poisson_arrival_times
-
-    times = bursty_arrival_times(4000, rate_per_s=100.0, seed=5, burst_size=8)
-    assert len(times) == 4000
-    assert np.all(np.diff(times) >= 0.0)
-    # Same long-run rate as the Poisson process ...
-    assert times[-1] == pytest.approx(4000 / 100.0, rel=0.3)
-    # ... but far burstier: most gaps are the 1 ms within-burst spacing.
-    gaps = np.diff(times)
-    smooth_gaps = np.diff(poisson_arrival_times(4000, 100.0, seed=5))
-    assert np.median(gaps) < np.median(smooth_gaps) / 2.0
-
-
 def test_arrival_process_validation():
-    from repro.datasets.streams import bursty_arrival_times, poisson_arrival_times
+    from repro.datasets.streams import poisson_arrival_times
 
     with pytest.raises(ValueError):
         poisson_arrival_times(-1, 10.0)
     with pytest.raises(ValueError):
         poisson_arrival_times(5, 0.0)
-    with pytest.raises(ValueError):
-        bursty_arrival_times(5, 10.0, burst_size=0)
     assert len(poisson_arrival_times(0, 10.0)) == 0
-
-
-def test_assign_arrival_times_stamps_without_reordering():
-    from repro.datasets.streams import assign_arrival_times, poisson_arrival_times
-
-    clients = [
-        ClientSpec(client_id="a", session_id="s", num_scans=2),
-        ClientSpec(client_id="b", session_id="s", num_scans=2),
-    ]
-    events = generate_interleaved_stream(clients, seed=0)
-    times = poisson_arrival_times(len(events), 50.0, seed=0)
-    stamped = assign_arrival_times(events, times)
-    assert [e.arrival_index for e in stamped] == [e.arrival_index for e in events]
-    assert [e.arrival_s for e in stamped] == [pytest.approx(t) for t in times]
-    # Originals are untouched (closed-loop replay default stays 0.0).
-    assert all(e.arrival_s == 0.0 for e in events)
-
-
-def test_assign_arrival_times_rejects_bad_schedules():
-    from repro.datasets.streams import assign_arrival_times
-
-    clients = [ClientSpec(client_id="a", session_id="s", num_scans=2)]
-    events = generate_interleaved_stream(clients, seed=0)
-    with pytest.raises(ValueError):
-        assign_arrival_times(events, [0.1])  # length mismatch
-    with pytest.raises(ValueError):
-        assign_arrival_times(events, [0.2, 0.1])  # unsorted

@@ -11,6 +11,8 @@ slot: one guarantee, both ways of holding a lease.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import update_batch
@@ -29,8 +31,9 @@ from oracle_raycast import oracle_raycast
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.verification import compare_trees
+from repro.octomap import PointCloud
 from repro.octomap.merge import merge_trees
-from repro.serving import ShardBackendError, make_backend
+from repro.serving import MapSession, ScanRequest, SessionConfig, ShardBackendError, make_backend
 from repro.serving.cache import GenerationLRUCache
 from repro.serving.query_engine import QueryEngine
 from repro.serving.sharding import ShardRouter
@@ -392,6 +395,69 @@ def test_kill_during_snapshot_keeps_every_batch_acknowledged_in_the_exchange(
         assert [lease.generation_of(s) for s in range(NUM_SHARDS)] == [len(rounds)] * NUM_SHARDS
         assert lease.failover_stats()["failovers"] == NUM_SHARDS, "one per shard on the slot"
     finally:
+        pool.close()
+
+
+# ---------------------------------------------------------------------------
+# A failover keeps every modelled count, not just the map
+# ---------------------------------------------------------------------------
+def _socket_workers(backend) -> list:
+    """Each shard's worker as the socket worker serving it hosts it (they are in-process threads)."""
+    channels = backend.pool.engine.channels
+    servers = {handle.endpoint: handle.server for handle in channels.owned_workers}
+    return [
+        servers[channels.worker_id(backend.slot_of(shard))].shards.worker(backend.gids[shard])
+        for shard in range(backend.num_shards)
+    ]
+
+
+def _scans(count: int, seed: int = 11):
+    rng = np.random.default_rng(seed)
+    return [
+        ScanRequest(
+            session_id="map",
+            cloud=PointCloud(rng.uniform((-3.0, -3.0, -0.5), (3.0, 3.0, 1.0), size=(40, 3))),
+            origin=(0.1 * index, 0.0, 0.2),
+            max_range=6.0,
+        )
+        for index in range(count)
+    ]
+
+
+@pytest.mark.parametrize("kill_after", [2, 3, 5])
+def test_a_failover_after_a_snapshot_keeps_every_modelled_count(chaos, kill_after):
+    """Killed at a flush boundary after at least one cadence snapshot, a socket
+    session ends equal to an inline shadow fed the same scans: leaf for leaf,
+    in ``modelled_ingest_cycles`` and in every shard's ``statistics()`` and
+    ``counters()`` -- the restored shard is the one it replaced."""
+    config = SessionConfig(num_shards=NUM_SHARDS, batch_size=1, backend="socket").with_resolution(0.25)
+    pool = chaos.make_pool(NUM_SHARDS, snapshot_every_batches=2)
+    session = MapSession("map", config, backend_pool=pool)
+    shadow = MapSession("map", replace(config, backend="inline"))
+    try:
+        for request in _scans(7):
+            session.submit(request)
+            shadow.submit(request)
+        for flush in range(7):
+            if flush == kill_after:
+                assert session.backend.failover_stats()["snapshots_taken"] >= 1
+                chaos.arm(Fault(KILL_WORKER, phase="send", verb="apply", shard_id=1))
+            assert session.flush() is not None and shadow.flush() is not None
+        assert len(chaos.fired) == 1 and session.backend.failover_stats()["failovers"] >= 1
+        assert [report.restored_generation > 0 for report in pool.engine.recoveries] == [True] * len(
+            pool.engine.recoveries
+        )
+
+        report = compare_trees(shadow.export_octree(), session.export_octree(), 0.0)
+        assert report.equivalent, report.summary()
+        assert session.stats.modelled_ingest_cycles == shadow.stats.modelled_ingest_cycles
+        for restored, reference in zip(_socket_workers(session.backend), shadow.backend.workers):
+            assert restored.accelerator.statistics() == reference.accelerator.statistics()
+            assert restored.accelerator.counters() == reference.accelerator.counters()
+            assert restored.generation == reference.generation
+    finally:
+        session.close()
+        shadow.close()
         pool.close()
 
 

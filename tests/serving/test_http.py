@@ -13,6 +13,7 @@ import asyncio
 import functools
 import json
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -306,6 +307,23 @@ async def test_a_client_cannot_choose_the_execution_backend(config):
         assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config")
         assert len(multiprocessing.active_children()) == before
         assert await client.list_sessions() == []
+
+
+@async_test
+async def test_a_client_cannot_size_the_worker_pool():
+    """Regression: ``num_shards`` in a create sized the session's private pool,
+    so a client chose how many workers the server started.  One more than the
+    server's default is refused, and nothing is started for it."""
+    default = SessionConfig(num_shards=2, batch_size=4, backend="thread")
+    async with serve(default) as (server, client):
+        workers = {thread.name for thread in threading.enumerate() if thread.name.startswith("fleet")}
+        with pytest.raises(ServerError) as excinfo:
+            await client.create_session("map", {"num_shards": default.num_shards + 1})
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config")
+        assert "num_shards" in str(excinfo.value)
+        assert await client.list_sessions() == []
+        assert server.service.manager.session_ids() == ()
+        assert {thread.name for thread in threading.enumerate() if thread.name.startswith("fleet")} == workers
 
 
 @async_test

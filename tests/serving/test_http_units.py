@@ -432,10 +432,18 @@ def test_session_config_overrides_apply_on_top_of_the_default():
     default = SessionConfig(num_shards=1, batch_size=8)
     assert session_config_from_payload(default, None) is None
     assert session_config_from_payload(default, {}) is None
-    config = session_config_from_payload(default, {"num_shards": 4, "admission_queue_limit": 8})
-    assert config.num_shards == 4
+    config = session_config_from_payload(default, {"admission_queue_limit": 8})
     assert config.admission_queue_limit == 8
     assert config.batch_size == 8, "unspecified knobs keep the service default"
+
+
+def test_the_shard_count_is_not_a_client_setting():
+    """``num_shards`` sizes a private pool's threads or processes: the operator's
+    ``repro-serve --shards``, so a client naming it gets the unknown-field 400."""
+    with pytest.raises(HttpError) as excinfo:
+        session_config_from_payload(SessionConfig(num_shards=1), {"num_shards": 4, "admission_queue_limit": 8})
+    assert (excinfo.value.status, excinfo.value.code) == (400, "bad_config")
+    assert "['num_shards']" in excinfo.value.message
 
 
 def test_session_config_resolution_override_and_unknown_keys():

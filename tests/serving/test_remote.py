@@ -36,7 +36,6 @@ from repro.serving.remote import (
     spawn_local_worker,
 )
 from repro.serving.sharding import MapShardWorker
-from repro.serving.types import ShardSnapshot
 
 CONFIG = DEFAULT_CONFIG.with_resolution(0.25)
 
@@ -418,48 +417,6 @@ class TestSnapshotRestore:
             restored = clone.query(x, y, z)
             assert restored.status == original.status
             assert restored.probability == pytest.approx(original.probability)
-
-    def _snapshot(self) -> ShardSnapshot:
-        worker = MapShardWorker(0, CONFIG)
-        worker.apply_message(_batch(0))
-        return worker.snapshot_message()
-
-    def test_truncated_snapshot_payload_rejected(self):
-        snapshot = self._snapshot()
-        for keep in (0, 10, len(snapshot.payload) // 2, len(snapshot.payload) - 1):
-            torn = ShardSnapshot(
-                shard_id=snapshot.shard_id,
-                generation=snapshot.generation,
-                batches_applied=snapshot.batches_applied,
-                updates_applied=snapshot.updates_applied,
-                payload=snapshot.payload[:keep],
-            )
-            with pytest.raises(ValueError):
-                MapShardWorker.from_snapshot(torn, CONFIG)
-
-    def test_corrupted_snapshot_magic_rejected(self):
-        snapshot = self._snapshot()
-        corrupted = ShardSnapshot(
-            shard_id=snapshot.shard_id,
-            generation=snapshot.generation,
-            batches_applied=snapshot.batches_applied,
-            updates_applied=snapshot.updates_applied,
-            payload=b"XX" + snapshot.payload[2:],
-        )
-        with pytest.raises(ValueError, match="magic"):
-            MapShardWorker.from_snapshot(corrupted, CONFIG)
-
-    def test_snapshot_with_trailing_garbage_rejected(self):
-        snapshot = self._snapshot()
-        bloated = ShardSnapshot(
-            shard_id=snapshot.shard_id,
-            generation=snapshot.generation,
-            batches_applied=snapshot.batches_applied,
-            updates_applied=snapshot.updates_applied,
-            payload=snapshot.payload + b"\x00" * 5,
-        )
-        with pytest.raises(ValueError, match="trailing bytes"):
-            MapShardWorker.from_snapshot(bloated, CONFIG)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from repro.core.accelerator import OMUAccelerator
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.fixedpoint import DEFAULT_FORMAT, QuantizedOccupancyParams
-from repro.core.pe import ProcessingElement
-from repro.core.prune_manager import PruneAddressManager
-from repro.core.treemem import ChildStatus, TreeMemEntry
 from repro.octomap.keys import KeyConverter, OcTreeKey
 from repro.octomap.logodds import DEFAULT_PARAMS, log_odds, probability
 from repro.octomap.octree import OccupancyOcTree
@@ -132,48 +132,6 @@ def test_quantised_updates_stay_within_clamps_or_initial_range(start, hits):
 
 
 # ---------------------------------------------------------------------------
-# TreeMem entry packing
-# ---------------------------------------------------------------------------
-tags_strategy = st.lists(st.sampled_from(list(ChildStatus)), min_size=8, max_size=8)
-
-
-@given(
-    st.integers(min_value=0, max_value=0xFFFFFFFF),
-    tags_strategy,
-    st.integers(min_value=-(1 << 15), max_value=(1 << 15) - 1),
-)
-def test_treemem_entry_pack_unpack_roundtrip(pointer, tags, raw):
-    entry = TreeMemEntry(pointer=pointer, child_tags=list(tags), probability_raw=raw)
-    word = entry.pack()
-    assert 0 <= word < (1 << 64)
-    restored = TreeMemEntry.unpack(word)
-    assert restored.pointer == pointer
-    assert restored.child_tags == list(tags)
-    assert restored.probability_raw == raw
-
-
-# ---------------------------------------------------------------------------
-# Prune address manager
-# ---------------------------------------------------------------------------
-@given(st.lists(st.booleans(), min_size=1, max_size=200))
-@settings(max_examples=50)
-def test_prune_manager_never_hands_out_a_live_row(operations):
-    """Allocate (True) / free-the-oldest (False): live rows stay unique."""
-    manager = PruneAddressManager(num_rows=64)
-    live = []
-    for allocate in operations:
-        if allocate:
-            if manager.free_rows == 0:
-                continue
-            row = manager.allocate_row()
-            assert row not in live
-            live.append(row)
-        elif live:
-            manager.free_row(live.pop(0))
-    assert manager.rows_in_use == len(live)
-
-
-# ---------------------------------------------------------------------------
 # Octree / accelerator functional invariants
 # ---------------------------------------------------------------------------
 voxel_updates = st.lists(
@@ -213,13 +171,14 @@ def test_pe_and_software_tree_agree_on_random_update_sequences(updates):
     config = DEFAULT_CONFIG.with_resolution(0.25)
     quantized = config.quantized_params()
     software = OccupancyOcTree(0.25, params=quantized.as_float_params())
-    pes = {pe_id: ProcessingElement(pe_id, config) for pe_id in range(8)}
+    accelerator = OMUAccelerator(config)  # eight PEs: one per first-level branch
+    pes = dict(enumerate(accelerator.pes))
     converter = KeyConverter(0.25, config.tree_depth)
 
     for x, y, z, occupied in updates:
         key = converter.coord_to_key(x, y, z)
         software.update_node(key, occupied=occupied)
-        pes[key.child_index(0, config.tree_depth)].update_voxel(key, occupied)
+        accelerator.apply_update_batch(np.array([key.as_tuple()]), np.array([occupied]))
 
     fmt = config.fixed_point
     for x, y, z, _ in updates:
