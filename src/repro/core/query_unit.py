@@ -79,10 +79,6 @@ class VoxelQueryUnit:
         self.total_cycles += cycles
         return QueryResult(status=status, probability=probability, pe_id=pe_id, cycles=cycles)
 
-    def query_batch(self, points: Sequence[Sequence[float]]) -> Tuple[QueryResult, ...]:
-        """Serve a batch of queries (e.g. the sampled poses of a planned path)."""
-        return tuple(self.query(*point) for point in points)
-
     def query_keys(
         self, keys: np.ndarray, stop_at_occupied: bool = False
     ) -> Tuple[np.ndarray, np.ndarray, int]:

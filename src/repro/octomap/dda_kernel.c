@@ -15,6 +15,9 @@
  * copies it out and passes it to dda_release.  A scan the scalar path would
  * raise on stops the call with a code and the scan (and beam) that caused it.
  *
+ * The query engine's collision rays use the same clip, discretisation and
+ * walk through dda_cast_ray: one ray per call, its voxels in ray order.
+ *
  * Built by repro/core/native.py and called from repro/octomap/raycast_vec.py,
  * which mirrors the return codes.
  */
@@ -34,12 +37,15 @@ enum { C_FREE, C_OCCUPIED, C_STEPS, COUNT_WORDS };
 typedef struct {
     uint64_t *keys;
     int64_t size, capacity;
+    int fixed; /* keys is the caller's buffer: never reallocated */
 } key_list;
 
 /* Room for `more` keys past list->size; the first call allocates even for none. */
 static int reserve(key_list *list, int64_t more) {
     if (list->keys && list->size + more <= list->capacity)
         return DDA_OK;
+    if (list->fixed)
+        return DDA_MEMORY;
     int64_t capacity = list->capacity ? list->capacity : 1024;
     while (capacity < list->size + more)
         capacity *= 2;
@@ -74,7 +80,11 @@ static int to_key(const double point[3], double resolution, int64_t tree_max_val
     return 1;
 }
 
-/* clip_segment_to_volume for an origin inside the volume. */
+/* clip_segment_to_volume for an origin inside the volume.  An axis whose
+ * extent is below EPSILON runs parallel to the faces it would cross: it bounds
+ * no scale, and where its end lies past the clip limit the end keeps the
+ * origin's coordinate, so an origin within EPSILON of a face is not carried
+ * through it. */
 static void clip(const double origin[3], double end[3], double limit) {
     limit *= 0.999;
     double scale = 1.0;
@@ -94,8 +104,13 @@ static void clip(const double origin[3], double end[3], double limit) {
     }
     if (scale < 0.0)
         scale = 0.0;
-    for (int axis = 0; axis < 3; axis++)
-        end[axis] = origin[axis] + (end[axis] - origin[axis]) * scale;
+    for (int axis = 0; axis < 3; axis++) {
+        double delta = end[axis] - origin[axis];
+        if (fabs(delta) < EPSILON && (end[axis] > limit || end[axis] < -limit))
+            end[axis] = origin[axis];
+        else
+            end[axis] = origin[axis] + delta * scale;
+    }
 }
 
 /* compute_ray_keys: append the keys strictly between the two voxels to `visits`. */
@@ -309,3 +324,36 @@ int dda_cast_scans(const double *points, const int64_t *offsets, const double *o
 }
 
 void dda_release(uint64_t *keys) { free(keys); }
+
+/* One collision ray of the query engine.  segment holds its origin, then its
+ * end; an end outside the volume is clipped in place, as a beam's is.  Writes
+ * to codes the voxels the ray inspects, in ray order: the walk's keys strictly
+ * between the two ends' voxels, then the end's voxel unless the walk's last
+ * key is it (compute_ray_keys plus the query engine's end-key rule).  Returns
+ * their number; 0 when the origin lies outside the volume (the ray inspects
+ * nothing); -DDA_ORIGIN or -DDA_ENDPOINT when that end has no key; and
+ * -DDA_MEMORY when they would not fit in capacity codes. */
+int64_t dda_cast_ray(double *segment, double resolution, int64_t tree_max_val, uint64_t *codes, int64_t capacity) {
+    const double limit = (double)tree_max_val * resolution;
+    const double *origin = segment;
+    double *end = segment + 3;
+    if (!inside(origin, limit))
+        return 0;
+    if (!inside(end, limit))
+        clip(origin, end, limit);
+    int64_t origin_key[3], end_key[3];
+    if (!to_key(origin, resolution, tree_max_val, origin_key))
+        return -DDA_ORIGIN;
+    if (!to_key(end, resolution, tree_max_val, end_key))
+        return -DDA_ENDPOINT;
+    if (capacity < 1)
+        return -DDA_MEMORY;
+    /* The walk writes into codes and leaves the last word for the end's voxel. */
+    key_list visits = {codes, 0, capacity - 1, 1};
+    if (walk(origin, end, origin_key, end_key, resolution, tree_max_val, &visits))
+        return -DDA_MEMORY;
+    const uint64_t end_code = pack(end_key);
+    if (!visits.size || codes[visits.size - 1] != end_code)
+        codes[visits.size++] = end_code;
+    return visits.size;
+}

@@ -1,4 +1,4 @@
-"""The ingestion front end: every scan of a flush ray-cast in one native call.
+"""The native ray casts: every scan of a flush in one call, one collision ray per call.
 
 :mod:`repro.octomap.raycast` steps one ray at a time in pure Python -- one
 ``OcTreeKey`` allocation and a handful of interpreter operations per traversed
@@ -13,25 +13,36 @@ sorts and de-duplicates each scan's keys.  The keys come back as packed
 call, so it releases the interpreter lock: another thread's flush, read or
 HTTP request runs while a flush ray-casts.  There is no Python fallback.
 
+The query engine's collision rays take the same kernel through
+:func:`compute_ray_codes`: one call per ray clips its end at the volume and
+returns the voxels it inspects, in ray order, as packed codes -- the walk's
+voxels, then the end's.
+
 Equivalence contract: for any scan, the emitted free/occupied key sets equal
 what the scalar
 :func:`repro.octomap.scan_insertion.compute_update_keys_for_converter` emits,
 key for key -- same max-range truncation, same endpoint clipping at the
 addressable-volume boundary (clipped beams mark free space but register no
 occupied endpoint), same per-scan occupied-beats-free de-duplication, and the
-same pre-dedup visit count for the stats layer.  The C arithmetic mirrors the
-scalar path operation for operation (same epsilon, same division order, same
-floor/truncation, no fused multiply-add) so the property suite can pin the
-two paths against each other bit for bit.  The scalar implementation stays
-as the paper's software baseline and as the oracle of the equivalence suites
-(``tests/octomap/test_raycast_vec.py``,
-``tests/serving/test_frontend_equivalence.py``, ``benchmarks/e2e``); neither
-the serving runtime nor the accelerator model calls it.
+same pre-dedup visit count for the stats layer.  For any ray,
+:func:`compute_ray_codes` returns
+:func:`repro.octomap.scan_insertion.clip_segment_to_volume`'s end and
+:func:`repro.octomap.raycast.compute_ray_keys`'s keys with the end's key
+appended, code for code.  The C arithmetic mirrors the scalar path operation
+for operation (same epsilon, same division order, same floor/truncation, no
+fused multiply-add) so the property suites can pin the two paths against
+each other bit for bit.  The scalar implementation stays as the paper's
+software baseline and as the oracle of the equivalence suites
+(``tests/octomap/test_raycast_vec.py``, ``tests/octomap/test_ray_codes.py``,
+``tests/serving/test_frontend_equivalence.py``,
+``tests/serving/oracle_raycast.py``, ``benchmarks/e2e``); neither the
+serving runtime nor the accelerator model calls it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence, Set, Tuple
@@ -44,6 +55,7 @@ from repro.octomap.keys import KeyConverter, OcTreeKey
 __all__ = [
     "ScanUpdateArrays",
     "compute_batch_update_arrays",
+    "compute_ray_codes",
     "compute_scan_update_arrays",
     "compute_update_keys_vectorized",
     "pack_key_array",
@@ -76,6 +88,15 @@ _cast_scans.restype = ctypes.c_int
 _release = _KERNEL.dda_release
 _release.argtypes = [ctypes.c_void_p]
 _release.restype = None
+_cast_ray = _KERNEL.dda_cast_ray
+_cast_ray.argtypes = [
+    ctypes.c_void_p,  # segment: (6,) float64 -- origin, then end (clipped in place)
+    ctypes.c_double,  # resolution
+    ctypes.c_int64,  # tree_max_val
+    ctypes.c_void_p,  # codes: (capacity,) uint64
+    ctypes.c_int64,  # capacity
+]
+_cast_ray.restype = ctypes.c_int64
 
 
 def pack_key_array(keys: np.ndarray) -> np.ndarray:
@@ -203,6 +224,42 @@ def compute_batch_update_arrays(
         results.append(ScanUpdateArrays(keys[position:middle], keys[middle : middle + occupied], steps))
         position = middle + occupied
     return results
+
+
+def compute_ray_codes(
+    converter: KeyConverter, origin: Sequence[float], end: Sequence[float]
+) -> Tuple[np.ndarray, Tuple[float, float, float]]:
+    """The voxels a collision ray from ``origin`` to ``end`` inspects, in one native call.
+
+    Returns ``(codes, end)``.  ``codes`` holds the packed keys (as
+    :func:`pack_key_array` packs them) of the voxels strictly between the
+    two ends' voxels in ray order, then the end's voxel: what
+    :func:`~repro.octomap.raycast.compute_ray_keys` walks, plus the end key.
+    ``end`` is the end the walk used -- clipped at the addressable volume as
+    :func:`~repro.octomap.scan_insertion.clip_segment_to_volume` clips it
+    where it lay outside.  An origin outside the volume inspects nothing:
+    ``codes`` is empty and ``end`` is returned as given.
+
+    Raises:
+        ValueError: where the scalar walk raises, with its message (an end
+            with no key, e.g. a non-finite one).
+    """
+    segment = np.array((*origin, *end), dtype=np.float64)
+    resolution = converter.resolution
+    # dda_kernel.c's step bound for the segment, plus the end's voxel and
+    # slack for rounding; a clipped segment is no longer than the given one
+    # or than the volume's diagonal.
+    length = min(2.0 * math.sqrt(3.0) * converter.max_coordinate, math.dist(origin, end))
+    capacity = int(3.0 * (length / resolution + 2.0)) + 12
+    codes = np.empty(capacity, dtype=np.uint64)
+    count = _cast_ray(segment.ctypes.data, resolution, converter.tree_max_val, codes.ctypes.data, capacity)
+    if count < 0:
+        if count == -_DDA_MEMORY:
+            raise MemoryError(f"a ray's voxels did not fit in {capacity} codes")
+        point = segment[:3] if count == -_DDA_ORIGIN else segment[3:]
+        converter.coord_to_key(*point.tolist())  # raises the scalar walk's error
+        raise ValueError(f"ray point {tuple(point.tolist())!r} has no key")
+    return codes[:count], tuple(segment[3:].tolist())
 
 
 def compute_scan_update_arrays(

@@ -147,8 +147,12 @@ def clip_segment_to_volume(converter, origin: Sequence[float], end: Sequence[flo
     """Shorten a segment so its endpoint lies inside the addressable volume.
 
     Returns the clipped endpoint, or None when even the origin lies outside
-    (in which case the beam contributes nothing).  ``dda_kernel.c`` clips
-    with the same arithmetic, so both front ends treat out-of-range beams
+    (in which case the beam contributes nothing).  An axis whose extent is
+    below 1e-12 runs parallel to the faces it would cross: it bounds no
+    scale, and where its end lies past the clip limit the endpoint keeps the
+    origin's coordinate, so an origin within 1e-12 of a face is not carried
+    through it.  ``dda_kernel.c`` clips with the same arithmetic, so both
+    front ends and both collision-ray walks treat out-of-range segments
     identically.
     """
     if not converter.is_coordinate_in_range(*origin):
@@ -164,4 +168,11 @@ def clip_segment_to_volume(converter, origin: Sequence[float], end: Sequence[flo
         elif end[axis] < -limit:
             scale = min(scale, (-limit - origin[axis]) / delta)
     scale = max(scale, 0.0)
-    return tuple(origin[axis] + (end[axis] - origin[axis]) * scale for axis in range(3))
+    clipped = []
+    for axis in range(3):
+        delta = end[axis] - origin[axis]
+        if abs(delta) < 1e-12 and (end[axis] > limit or end[axis] < -limit):
+            clipped.append(origin[axis])
+        else:
+            clipped.append(origin[axis] + delta * scale)
+    return tuple(clipped)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional, Sequence, Tuple
 
 __all__ = ["BboxResultCache", "CacheStats", "GenerationLRUCache"]
 
@@ -120,13 +120,33 @@ class GenerationLRUCache:
 
     def put(self, key: Hashable, shard_id: int, generation: int, value: object) -> None:
         """Insert or refresh an entry stamped with its shard's generation."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = (shard_id, generation, value)
-        self.stats.puts += 1
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        self.put_run((key,), shard_id, generation, (value,))
+
+    def put_run(
+        self, keys: Sequence[Hashable], shard_id: int, generation: int, values: Sequence[object]
+    ) -> None:
+        """Insert or refresh one entry per key, all stamped with one shard's generation.
+
+        The answered run of a collision ray goes in through one call.  Each
+        key is inserted (or refreshed and moved to the most recent end) and
+        the least recently used entries are evicted down to ``capacity``
+        before the next key, so the entries, their LRU order and the
+        ``puts`` and ``evictions`` counters end exactly where one :meth:`put`
+        per key, in order, leaves them.
+        """
+        if len(keys) != len(values):
+            raise ValueError(f"{len(keys)} keys but {len(values)} values")
+        entries, capacity = self._entries, self.capacity
+        evictions = 0
+        for key, value in zip(keys, values):
+            if key in entries:
+                entries.move_to_end(key)
+            entries[key] = (shard_id, generation, value)
+            while len(entries) > capacity:
+                entries.popitem(last=False)
+                evictions += 1
+        self.stats.puts += len(keys)
+        self.stats.evictions += evictions
 
     def live_entries(self, current_generation_for_shard) -> int:
         """Number of entries that would still hit (without touching LRU order)."""

@@ -4,21 +4,28 @@ The engine is the read side of a map session.  Every query is resolved at
 voxel-key granularity, on one of two lanes:
 
 * **The cached lane** serves point queries and collision raycasts through
-  the point LRU.  A point query looks its voxel up by the ``(x, y, z)`` key
-  components alone; the cache entry is stamped with the owning shard's
-  write generation (tracked by the execution backend, which stays correct
-  even when the worker lives in another process), and a hit returns the
-  cached response without building an :class:`OcTreeKey` or a shard id.
-  Only a miss reaches the shard worker's accelerator, in one
+  the point LRU, keyed by the voxel's packed code (``x << 32 | y << 16 |
+  z``, as :func:`~repro.octomap.raycast_vec.pack_key_array` packs it).  A
+  point query computes the code from the key components alone; the cache
+  entry is stamped with the owning shard's write generation (tracked by the
+  execution backend, which stays correct even when the worker lives in
+  another process), and a hit returns the cached response without building
+  an :class:`OcTreeKey` or a shard id.  Only a miss reaches the shard
+  worker's accelerator, in one
   :meth:`~repro.serving.backends.ShardBackend.query_key` round trip.
-  A raycast walks its voxels in ray order and splits them into *runs*:
+  A raycast is arrays from request to answer: one native call
+  (:func:`~repro.octomap.raycast_vec.compute_ray_codes`) clips the ray and
+  returns its voxels in ray order as packed codes, one vectorised call
+  gives their owning shards, and the walk splits them into *runs*:
   consecutive voxels the cache does not hold and one shard owns.  Each run
   is one :meth:`~repro.serving.backends.ShardBackend.query_keys` round trip
-  with ``stop_at_occupied``, answered in order up to the first occupied
-  voxel, and its answers fill the cache in order.  The cache, its counters,
-  ``point_queries`` and every accelerator read counter end exactly where
-  one point query per voxel would leave them; a ray of ~48 voxels costs a
-  few round trips instead of one per uncached voxel.
+  with ``stop_at_occupied`` on a slice of the ray's ``(N, 3)`` ``uint16``
+  key array, answered in order up to the first occupied voxel, and its
+  answers fill the cache through one
+  :meth:`~repro.serving.cache.GenerationLRUCache.put_run`.  The cache, its
+  counters, ``point_queries`` and every accelerator read counter end
+  exactly where one point query per voxel would leave them; a ray of ~48
+  voxels costs a few round trips instead of one per uncached voxel.
 * **The bulk lane** serves pose batches and box sweeps: the keys of a whole
   batch (or of a bounded slice of a sweep) are built as one array, split by
   owning shard, and answered by one ``query_keys`` round trip per touched
@@ -40,8 +47,7 @@ import numpy as np
 from repro.core.pe import QUERY_STATUSES
 from repro.octomap.keys import OcTreeKey
 from repro.octomap.logodds import probability as logodds_to_probability
-from repro.octomap.raycast import compute_ray_keys
-from repro.octomap.scan_insertion import clip_segment_to_volume
+from repro.octomap.raycast_vec import compute_ray_codes
 from repro.serving.backends import ShardBackend
 from repro.serving.cache import BboxResultCache, GenerationLRUCache
 from repro.serving.sharding import ShardRouter
@@ -64,6 +70,9 @@ MAX_BOX_VOXELS = 200_000
 #: by slice, so neither side of the wire ever holds the paths of a whole
 #: guardrail-sized box.
 BULK_SLICE_KEYS = 4096
+
+#: Shifts that take a packed code's x, y and z components to its low 16 bits.
+_COMPONENT_SHIFTS = np.array([32, 16, 0], dtype=np.uint64)
 
 
 class QueryEngine:
@@ -91,6 +100,8 @@ class QueryEngine:
         #: both hit rates.
         self.bbox_cache = BboxResultCache(stats=cache.stats)
         self._probabilities: Dict[int, float] = {}
+        #: the shared cached responses of ray runs, by (shard, status code, raw)
+        self._run_answers: Dict[Tuple[int, int, int], QueryResponse] = {}
 
     # ------------------------------------------------------------------
     # Generations (cache validity)
@@ -106,32 +117,33 @@ class QueryEngine:
         """Occupancy of the voxel containing a metric point."""
         component = self.router.converter.coord_to_key_component
         try:
-            cache_key = (component(x), component(y), component(z))
+            code = component(x) << 32 | component(y) << 16 | component(z)
         except ValueError:
             # Outside the addressable volume: unknown by definition.
             self.stats.point_queries += 1
             return QueryResponse(status="unknown", probability=None, shard_id=-1)
-        return self._query_voxel(cache_key)
+        return self._query_voxel(code)
 
     def query_key(self, key: OcTreeKey) -> QueryResponse:
         """Occupancy of a voxel by key (the cacheable primitive)."""
-        return self._query_voxel(key.as_tuple())
+        return self._query_voxel(key.x << 32 | key.y << 16 | key.z)
 
-    def _query_voxel(self, cache_key: Tuple[int, int, int]) -> QueryResponse:
-        """One voxel through the point cache.
+    def _query_voxel(self, code: int) -> QueryResponse:
+        """One voxel through the point cache, which holds it by its packed code.
 
         A hit is answered by the cached response itself, so it builds
         neither the :class:`OcTreeKey` nor the owning shard id; a miss
         builds both and reads the voxel from its shard.
         """
         self.stats.point_queries += 1
-        cached = self.cache.get(cache_key, self.generation_of)
+        cached = self.cache.get(code, self.generation_of)
         if cached is not None:
             return cached
-        shard_id = self.router.shard_for_key(OcTreeKey(*cache_key))
-        result = self.backend.query_key(ShardQueryRequest(shard_id=shard_id, key=cache_key))
+        key = (code >> 32, code >> 16 & 0xFFFF, code & 0xFFFF)
+        shard_id = self.router.shard_for_key(OcTreeKey(*key))
+        result = self.backend.query_key(ShardQueryRequest(shard_id=shard_id, key=key))
         self.cache.put(
-            cache_key,
+            code,
             shard_id,
             result.generation,
             QueryResponse(
@@ -383,23 +395,20 @@ class QueryEngine:
             raise ValueError("direction must be a non-zero vector")
         self.stats.raycast_queries += 1
         converter = self.router.converter
-        if not converter.is_coordinate_in_range(*origin):
+        end = tuple(
+            origin[axis] + direction[axis] / norm * max_range for axis in range(3)
+        )
+        # One native call clips the end at the addressable volume and walks
+        # the ray: the voxels strictly between origin and end, each once, then
+        # the end's voxel, so a ray can collide with its last cell.
+        codes, end = compute_ray_codes(converter, origin, end)
+        if not len(codes):
             # The ray starts outside the addressable volume: everything it
             # could traverse there is unknown space, so report no collision
             # (mirrors the point-query path answering "unknown" out of range).
             return RaycastResponse(
                 hit=False, hit_point=None, distance=0.0, voxels_traversed=0, cache_hits=0
             )
-        end = tuple(
-            origin[axis] + direction[axis] / norm * max_range for axis in range(3)
-        )
-        if not converter.is_coordinate_in_range(*end):
-            clipped = clip_segment_to_volume(converter, origin, end)
-            if clipped is None:
-                return RaycastResponse(
-                    hit=False, hit_point=None, distance=0.0, voxels_traversed=0, cache_hits=0
-                )
-            end = clipped
         # The distance a no-hit ray actually traversed: max_range for a ray
         # that fit inside the addressable volume, the clipped segment length
         # otherwise.  Reporting max_range for a clipped ray would claim free
@@ -409,16 +418,12 @@ class QueryEngine:
         )
 
         hits_before = self.cache.stats.hits
-        # The DDA yields the voxels strictly between origin and endpoint, each
-        # once; the endpoint voxel is appended so a ray can collide with its
-        # last cell.
-        keys: List[OcTreeKey] = compute_ray_keys(converter, origin, end)
-        end_key = converter.coord_to_key(*end)
-        if not keys or keys[-1] != end_key:
-            keys.append(end_key)
-        hit = self._first_occupied(keys)
+        # Each component of a code, shifted to the low bits; the cast to
+        # uint16 keeps those 16 bits.
+        keys = (codes[:, None] >> _COMPONENT_SHIFTS).astype(np.uint16)
+        hit = self._first_occupied(codes.tolist(), keys)
         if hit is not None:
-            centre = converter.key_to_coord(keys[hit])
+            centre = converter.key_to_coord(OcTreeKey(*keys[hit].tolist()))
             distance = math.sqrt(sum((centre[axis] - origin[axis]) ** 2 for axis in range(3)))
             return RaycastResponse(
                 hit=True,
@@ -431,85 +436,99 @@ class QueryEngine:
             hit=False,
             hit_point=None,
             distance=traversed_range,
-            voxels_traversed=len(keys),
+            voxels_traversed=len(codes),
             cache_hits=self.cache.stats.hits - hits_before,
         )
 
-    def _first_occupied(self, keys: Sequence[OcTreeKey]) -> Optional[int]:
+    def _first_occupied(self, codes: List[int], keys: np.ndarray) -> Optional[int]:
         """Index of the first occupied voxel of a ray, or ``None``.
 
-        The voxels are walked in ray order and split into runs: consecutive
-        voxels the point cache does not hold and one shard owns.  A run is
-        read in one round trip that stops at its first occupied voxel, and
-        its answers fill the cache in order.  A held voxel is looked up
-        only once the run before it has been put, since those puts may
-        evict it.  The cache contents, their order, the cache counters,
-        ``point_queries`` and every accelerator read counter therefore end
-        where one point query per voxel, stopping at the first occupied
-        one, leaves them.
+        ``codes`` are the ray's voxels in ray order as packed codes (the
+        point cache's keys) and ``keys`` the same voxels as an ``(N, 3)``
+        ``uint16`` array.  The voxels are walked in ray order and split into
+        runs: consecutive voxels the point cache does not hold and one shard
+        owns.  A run is read in one round trip that stops at its first
+        occupied voxel, and its answers fill the cache in order.  A held
+        voxel is looked up only once the run before it has been put, since
+        those puts may evict it.  The cache contents, their order, the cache
+        counters, ``point_queries`` and every accelerator read counter
+        therefore end where one point query per voxel, stopping at the first
+        occupied one, leaves them.
         """
         cache = self.cache
-        cache_keys = [key.as_tuple() for key in keys]
-        shard_ids = self.router.shard_indices_for_keys(np.array(cache_keys)).tolist()
-        run: List[Tuple[int, int, int]] = []
-        run_start = run_shard = 0
+        shard_ids = self.router.shard_indices_for_keys(keys).tolist()
+        run_start: Optional[int] = None
+        run_shard = 0
         booked = False  # the run's first voxel already went through cache.get
-        for index, (cache_key, shard_id) in enumerate(zip(cache_keys, shard_ids)):
-            held = cache_key in cache
-            if run and (held or shard_id != run_shard):
-                stop = self._read_run(run_shard, run, booked)
+        for index, (code, shard_id) in enumerate(zip(codes, shard_ids)):
+            held = code in cache
+            if run_start is not None and (held or shard_id != run_shard):
+                stop = self._read_run(run_shard, codes, keys, run_start, index, booked)
                 if stop is not None:
-                    return run_start + stop
-                run = []
+                    return stop
+                run_start = None
             if held:
                 self.stats.point_queries += 1
-                cached = cache.get(cache_key, self.generation_of)
+                cached = cache.get(code, self.generation_of)
                 if cached is not None:
                     if cached.occupied:
                         return index
                     continue
                 # Stale, or evicted by the run just put: the miss is
                 # counted, and the voxel starts the next run.
-            if not run:
+            if run_start is None:
                 run_start, run_shard, booked = index, shard_id, held
-            run.append(cache_key)
-        if run:
-            stop = self._read_run(run_shard, run, booked)
-            if stop is not None:
-                return run_start + stop
+        if run_start is not None:
+            return self._read_run(run_shard, codes, keys, run_start, len(codes), booked)
         return None
 
     def _read_run(
-        self, shard_id: int, run: List[Tuple[int, int, int]], booked: bool
+        self,
+        shard_id: int,
+        codes: List[int],
+        keys: np.ndarray,
+        start: int,
+        stop: int,
+        booked: bool,
     ) -> Optional[int]:
-        """Read one run of a ray from its shard and put the answers in order.
+        """Read voxels ``start .. stop - 1`` of a ray from their shard and put the answers.
 
         Books one point query and one cache miss per answered voxel but the
         first when ``booked`` (that one was counted by ``cache.get``), and
-        returns the index of the occupied voxel the read stopped at, if any.
+        returns the ray index of the occupied voxel the read stopped at, if
+        any.
         """
-        result = self.backend.query_keys(
-            shard_id, np.array(run, dtype=np.uint16), stop_at_occupied=True
-        )
-        codes = result.statuses.tolist()
-        unbooked = len(codes) - booked
+        result = self.backend.query_keys(shard_id, keys[start:stop], stop_at_occupied=True)
+        statuses = result.statuses.tolist()
+        answered = len(statuses)
+        unbooked = answered - booked
         self.stats.point_queries += unbooked
         self.cache.stats.misses += unbooked
-        probability = self._probability_of_raw
-        put, generation = self.cache.put, result.generation
-        for cache_key, code, raw in zip(run, codes, result.raws.tolist()):
-            put(
-                cache_key,
-                shard_id,
-                generation,
-                QueryResponse(
-                    status=QUERY_STATUSES[code],
-                    probability=probability(raw) if code else None,
-                    shard_id=shard_id,
-                    cached=True,
-                ),
+        answer = self._run_answer
+        self.cache.put_run(
+            codes[start : start + answered],
+            shard_id,
+            result.generation,
+            [answer(shard_id, status, raw) for status, raw in zip(statuses, result.raws.tolist())],
+        )
+        return start + answered - 1 if statuses[-1] == 2 else None
+
+    def _run_answer(self, shard_id: int, status: int, raw: int) -> QueryResponse:
+        """The cached response of a voxel a run answered, shared by every voxel alike.
+
+        Memoised by ``(shard_id, status, raw)``: a response is frozen, a map
+        holds a few dozen distinct raws, and the table cannot outgrow three
+        statuses of 65,536 raws per shard.
+        """
+        response = self._run_answers.get((shard_id, status, raw))
+        if response is None:
+            response = self._run_answers[shard_id, status, raw] = QueryResponse(
+                status=QUERY_STATUSES[status],
+                probability=self._probability_of_raw(raw) if status else None,
+                shard_id=shard_id,
+                cached=True,
             )
-        return len(codes) - 1 if codes[-1] == 2 else None
+        return response
 
     # ------------------------------------------------------------------
     # Shorthands

@@ -30,12 +30,6 @@ class TestQuery:
         # issue + at most one read per tree level + threshold compare
         assert 0 < result.cycles <= 2 + loaded_accelerator.config.tree_depth + 1
 
-    def test_query_batch(self, loaded_accelerator):
-        results = loaded_accelerator.query_unit.query_batch(
-            [(3.0, 0.1, 0.4), (1.0, 0.0, 0.4), (50.0, 50.0, 50.0)]
-        )
-        assert [result.status for result in results] == ["occupied", "free", "unknown"]
-
     def test_statistics_accumulate(self, loaded_accelerator):
         unit = loaded_accelerator.query_unit
         served_before = unit.queries_served

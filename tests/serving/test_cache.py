@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import update_batch
 from repro.serving import GenerationLRUCache, MapSession, SessionConfig
@@ -112,6 +114,39 @@ def test_clear_drops_entries_but_preserves_counters():
     assert cache.stats.puts == 1
     assert cache.get("a", generation) is None
     assert cache.stats.misses == 1
+
+
+#: A history of runs: each one shard's keys, in order, with the cache's
+#: contents before it left by earlier runs.  Keys come from a small pool, so
+#: a run refreshes held keys, repeats a key, and re-inserts one it evicted.
+run_history = st.lists(
+    st.tuples(st.lists(st.integers(0, 11), max_size=9), st.integers(0, 2), st.integers(0, 3)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(capacity=st.integers(1, 6), history=run_history, shrink_to=st.one_of(st.none(), st.integers(1, 3)))
+@settings(max_examples=300, deadline=None)
+def test_put_run_leaves_what_one_put_per_key_leaves(capacity, history, shrink_to):
+    runs, puts = GenerationLRUCache(capacity), GenerationLRUCache(capacity)
+    for step, (keys, shard_id, generation) in enumerate(history):
+        if shrink_to is not None and step == len(history) // 2:
+            # A capacity lowered under held entries: the next insert evicts several.
+            runs.capacity = puts.capacity = shrink_to
+        values = [f"{key}@{step}" for key in keys]
+        runs.put_run(keys, shard_id, generation, values)
+        for key, value in zip(keys, values):
+            puts.put(key, shard_id, generation, value)
+        assert list(runs._entries.items()) == list(puts._entries.items())
+        assert runs.stats == puts.stats
+
+
+def test_put_run_refuses_keys_and_values_of_different_lengths():
+    cache = GenerationLRUCache(capacity=4)
+    with pytest.raises(ValueError, match="2 keys but 1 values"):
+        cache.put_run(["a", "b"], 0, 0, ["a"])
+    assert len(cache) == 0 and cache.stats.puts == 0
 
 
 # ---------------------------------------------------------------------------

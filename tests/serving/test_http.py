@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import math
 import multiprocessing
 import threading
 
@@ -362,6 +363,24 @@ async def test_read_arguments_that_are_not_finite_are_answered_or_refused_never_
             async for _ in client.stream_bbox("map", (0.0, -infinity, 0.0), (1.0, 1.0, 1.0)):
                 raise AssertionError("no frame expected")
         assert excinfo.value.status == 400
+
+
+@async_test
+async def test_a_ray_from_a_hair_inside_a_face_of_the_volume_is_answered():
+    """Regression: a ray whose origin lies within 1e-12 m of a face, with a
+    direction component of order 1e-13 towards it, was clipped to an end
+    just outside the volume and refused with a 400 ``bad_value``."""
+    async with serve() as (server, client):
+        await client.create_session("map")
+        converter = server.service._entries["map"].session.router.converter
+        face = converter.max_coordinate
+        for origin, direction in (
+            ([0.0, 0.0, math.nextafter(face, 0.0)], [1.0, 0.0, 1e-13]),
+            ([-face, 0.1, 0.2], [-1e-13, 1.0, 0.0]),
+        ):
+            ray = await client.raycast("map", origin, direction, 5.0)
+            assert ray["hit"] is False
+            assert ray["voxels_traversed"] == 25 and ray["distance"] == pytest.approx(5.0)
 
 
 @async_test

@@ -112,20 +112,6 @@ class CycleTally:
         backend.query_key, backend.query_keys = point, bulk
 
 
-def outcome(call, *args):
-    """What a call answers, or the error it raises.
-
-    Both walks share the ray's validation and clipping, so they must also
-    fail alike: a ray from within 0.1% of a face of the volume, with a
-    component of order 1e-13 towards it, is clipped to an end just outside
-    the volume and raises ``ValueError`` on either.
-    """
-    try:
-        return call(*args)
-    except ValueError as error:
-        return ("ValueError", str(error))
-
-
 def state(session: MapSession, tally: CycleTally) -> Dict:
     workers = shard_workers(session)
     return {
@@ -150,16 +136,29 @@ CROSSING_RAYS = [
     ((5.0, 0.3, 0.2), (1.0, 0.0, 0.0), 4.0),
     ((-9.5, 0.1, 0.2), (1.0, 0.0, 0.0), 10.0),
 ]
+#: Rays from a hair inside a face, with a component of order 1e-13 towards
+#: it: the clip once carried their ends through the face, and both walks
+#: raised ``ValueError`` for a valid ray.
+NEAR_FACE_RAYS = [
+    ((LIMIT_M - 1e-14, 0.1, 0.2), (1e-13, 1.0, 0.0), 4.0),
+    ((-LIMIT_M + 1e-14, 0.1, 0.2), (-1e-13, 1.0, 0.0), 4.0),
+    ((LIMIT_M - 1e-14, -0.3, 0.2), (1e-13, 0.6, 0.8), 14.0),
+]
 inside = st.floats(min_value=-6.3, max_value=6.3)
-coordinate = st.one_of(inside, st.sampled_from([LIMIT_M, -LIMIT_M, LIMIT_M - 0.05, 7.0, -9.5]))
+coordinate = st.one_of(
+    inside, st.sampled_from([LIMIT_M, -LIMIT_M, LIMIT_M - 0.05, 7.0, -9.5, LIMIT_M - 1e-14, 1e-14 - LIMIT_M])
+)
+tiny = st.sampled_from([1e-13, -1e-13, 3e-14])
 direction = st.tuples(
-    st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0), st.floats(-0.3, 0.3)
+    st.one_of(st.floats(min_value=-1.0, max_value=1.0), tiny),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(-0.3, 0.3),
 ).filter(lambda d: math.sqrt(sum(c * c for c in d)) > 1e-3)
 ray = st.tuples(
     st.just("ray"),
     st.one_of(
         st.sampled_from(CROSSING_RAYS),
-        st.sampled_from(CROSSING_RAYS),
+        st.sampled_from(CROSSING_RAYS + NEAR_FACE_RAYS),
         st.tuples(
             st.tuples(coordinate, st.floats(-3.0, 3.0), st.floats(-0.6, 0.8)),
             direction,
@@ -202,8 +201,7 @@ def test_ray_runs_leave_what_the_per_voxel_walk_leaves(backend):
             elif operation[0] == "point":
                 assert runs.query(*operation[1]) == oracle.query(*operation[1])
             else:
-                answer = outcome(runs.raycast, *operation[1])
-                assert answer == outcome(oracle_raycast, oracle.query_engine, *operation[1])
+                assert runs.raycast(*operation[1]) == oracle_raycast(oracle.query_engine, *operation[1])
             assert state(runs, tallies[0]) == state(oracle, tallies[1])
 
     try:
@@ -246,6 +244,15 @@ def test_a_ray_reads_a_few_runs_instead_of_every_voxel(pair):
     # The same ray again is answered from the cache alone.
     assert runs.raycast(origin, direction, 4.0).cache_hits == answer.voxels_traversed
     assert calls["runs"] < answer.voxels_traversed / 4
+
+
+@pytest.mark.parametrize("ray", NEAR_FACE_RAYS)
+def test_a_ray_from_a_hair_inside_a_face_is_answered_by_both_walks(pair, ray):
+    runs, oracle = pair
+    answer = runs.raycast(*ray)
+    assert answer == oracle_raycast(oracle.query_engine, *ray)
+    assert answer.voxels_traversed >= 1 and 0.0 <= answer.distance <= ray[2]
+    assert list(runs.cache._entries.items()) == list(oracle.cache._entries.items())
 
 
 def test_a_put_that_evicts_a_later_voxel_of_the_ray_is_seen_by_its_lookup(pair):
