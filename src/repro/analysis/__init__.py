@@ -4,7 +4,6 @@ from repro.analysis.experiments import (
     SCALES,
     DatasetEvaluation,
     ExperimentResult,
-    clear_evaluation_cache,
     evaluate_dataset,
     figure3_cpu_breakdown,
     figure8_area,
@@ -18,10 +17,8 @@ from repro.analysis.experiments import (
     table5_energy,
 )
 from repro.analysis.metrics import (
-    breakdown_as_percentages,
     energy_benefit,
     normalise_breakdown,
-    relative_error,
     speedup,
 )
 from repro.analysis.tables import format_quantity, render_bar_chart, render_table
@@ -30,8 +27,6 @@ __all__ = [
     "SCALES",
     "DatasetEvaluation",
     "ExperimentResult",
-    "breakdown_as_percentages",
-    "clear_evaluation_cache",
     "energy_benefit",
     "evaluate_dataset",
     "figure3_cpu_breakdown",
@@ -41,7 +36,6 @@ __all__ = [
     "format_quantity",
     "normalise_breakdown",
     "power_budget",
-    "relative_error",
     "render_bar_chart",
     "render_table",
     "speedup",

@@ -38,7 +38,6 @@ __all__ = [
     "DatasetEvaluation",
     "ExperimentResult",
     "evaluate_dataset",
-    "clear_evaluation_cache",
     "table1_related_work",
     "table2_dataset_details",
     "table3_latency",
@@ -130,16 +129,8 @@ class ExperimentResult:
         fields by name instead of by column position."""
         return [dict(zip(self.headers, row)) for row in self.rows]
 
-    def __str__(self) -> str:  # pragma: no cover - convenience only
-        return self.rendered
-
 
 _EVALUATION_CACHE: Dict[Tuple[str, str, OMUConfig], DatasetEvaluation] = {}
-
-
-def clear_evaluation_cache() -> None:
-    """Drop all cached dataset evaluations (used by tests)."""
-    _EVALUATION_CACHE.clear()
 
 
 def _spec_for(descriptor: DatasetDescriptor, scale: str) -> GenerationSpec:
@@ -229,10 +220,6 @@ def _evaluate_graph(
         memory_utilization=statistics.memory_utilization,
         prune_reuse_fraction=statistics.prune_reuse_fraction,
     )
-
-
-def _evaluate_all(scale: str, config: OMUConfig) -> List[DatasetEvaluation]:
-    return [evaluate_dataset(descriptor.name, scale=scale, config=config) for descriptor in ALL_DATASETS]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ __all__ = [
     "speedup",
     "energy_benefit",
     "normalise_breakdown",
-    "breakdown_as_percentages",
-    "relative_error",
 ]
 
 
@@ -48,19 +46,3 @@ def normalise_breakdown(breakdown: Mapping[OperationKind, float]) -> Mapping[Ope
     if total == 0:
         return {stage: 0.0 for stage in OperationKind.ordered()}
     return {stage: breakdown.get(stage, 0.0) / total for stage in OperationKind.ordered()}
-
-
-def breakdown_as_percentages(breakdown: Mapping[OperationKind, float]) -> Mapping[OperationKind, float]:
-    """Normalised breakdown expressed in percent (what Figs. 3 and 10 plot)."""
-    return {stage: 100.0 * value for stage, value in normalise_breakdown(breakdown).items()}
-
-
-def relative_error(measured: float, reference: float) -> float:
-    """Relative deviation of a measured value from the paper's reference.
-
-    Raises:
-        ValueError: if the reference is zero.
-    """
-    if reference == 0:
-        raise ValueError("reference value must be non-zero")
-    return (measured - reference) / reference

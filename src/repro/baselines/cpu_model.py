@@ -81,10 +81,6 @@ class CpuCostModel:
         """Whole-dataset map-building latency."""
         return dataset.voxel_updates_total * self.ns_per_voxel_update * 1e-9
 
-    def throughput_fps(self, dataset: DatasetDescriptor) -> float:
-        """Equivalent-frame throughput (the paper's FPS metric)."""
-        return dataset.fps_from_latency(self.latency_seconds(dataset))
-
     def energy_joules(self, dataset: DatasetDescriptor) -> Optional[float]:
         """Energy of the run, or None when the platform has no mapping power."""
         if self.platform.mapping_power_w is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.octomap.counters import OperationCounters, OperationKind
 from repro.octomap.octree import OccupancyOcTree
@@ -41,16 +41,6 @@ class SoftwareRunResult:
     stage_seconds: Dict[OperationKind, float] = field(default_factory=dict)
     voxel_updates: int = 0
     total_points: int = 0
-
-    def stage_fractions(self) -> Mapping[OperationKind, float]:
-        """Wall-clock share of each stage (the local analogue of Fig. 3)."""
-        total = sum(self.stage_seconds.values())
-        if total == 0:
-            return {stage: 0.0 for stage in OperationKind.ordered()}
-        return {
-            stage: self.stage_seconds.get(stage, 0.0) / total
-            for stage in OperationKind.ordered()
-        }
 
 
 def run_software_octomap(

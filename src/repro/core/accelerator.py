@@ -39,7 +39,6 @@ from repro.core.scheduler import VoxelScheduler
 from repro.core.timing import CycleBreakdown, ScanTiming
 from repro.octomap.counters import OperationCounters, OperationKind
 from repro.octomap.keys import OcTreeKey
-from repro.octomap.logodds import probability as logodds_to_probability
 from repro.octomap.octree import OccupancyOcTree
 from repro.octomap.pointcloud import PointCloud, ScanGraph
 from repro.octomap.raycast_vec import compute_scan_update_arrays, unpack_key_array
@@ -415,14 +414,6 @@ class OMUAccelerator:
             pe.restore(part)
         for (holder, key), value in zip(slots, counters.tolist()):
             _write(holder, key, value)
-
-    def elapsed_seconds(self) -> float:
-        """Wall-clock time of the modelled run at the configured frequency."""
-        return self.config.cycles_to_seconds(self.map_critical_path_cycles())
-
-    def occupancy_probability_of(self, raw: int) -> float:
-        """Convert a raw fixed-point log-odds value to a probability."""
-        return logodds_to_probability(self.config.fixed_point.to_value(raw))
 
 
 _IMAGE_KEYS = frozenset({"num_pes", "tree_depth", "entries_per_bank", "counters", "pes"})

@@ -14,8 +14,6 @@ the PE-routing view of the same bits:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
 from repro.octomap.keys import KeyConverter, OcTreeKey
@@ -44,11 +42,6 @@ class AddressGenerator:
         """The coordinate <-> key converter used by the accelerator."""
         return self._converter
 
-    @property
-    def tree_depth(self) -> int:
-        """Tree depth of the mapped octree."""
-        return self._tree_depth
-
     def key_for_point(self, x: float, y: float, z: float) -> OcTreeKey:
         """Discretise a metric point into its voxel key."""
         return self._converter.coord_to_key(x, y, z)
@@ -70,22 +63,6 @@ class AddressGenerator:
             return branch % self._num_pes
         second = key.child_index(1, self._tree_depth)
         return (branch * 8 + second) % self._num_pes
-
-    def shard_prefix(self, key: OcTreeKey, prefix_levels: int = 1) -> Tuple[int, ...]:
-        """Octree-key prefix used for spatial sharding.
-
-        The first ``prefix_levels`` child indices of the root-to-leaf path
-        identify the subtree a voxel lives in; the serving layer's shard
-        router hashes this prefix to pick the map worker that owns the voxel.
-        One level distinguishes the 8 first-level branches (the same
-        partitioning the PE array uses), two levels distinguish 64 subtrees,
-        and so on.
-        """
-        if not 1 <= prefix_levels <= self._tree_depth:
-            raise ValueError(
-                f"prefix_levels must be in [1, {self._tree_depth}], got {prefix_levels}"
-            )
-        return key.path(self._tree_depth, max_level=prefix_levels)
 
     def shard_index(self, key: OcTreeKey, num_shards: int, prefix_levels: int = 1) -> int:
         """Shard (0..num_shards-1) owning a voxel, from its key prefix.
@@ -135,7 +112,7 @@ class AddressGenerator:
         return subtree % num_shards
 
     def paths_for_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Array counterpart of :meth:`full_path` for ``(N, 3)`` key components.
+        """Array counterpart of :meth:`OcTreeKey.path` for ``(N, 3)`` key components.
 
         Returns an ``(N, tree_depth)`` ``uint8`` array: row ``i`` is the child
         index chosen at every level from the root down to voxel ``i``.
@@ -156,19 +133,3 @@ class AddressGenerator:
         if self._num_pes <= 8:
             return paths[:, 0] % self._num_pes
         return (paths[:, 0].astype(np.int64) * 8 + paths[:, 1]) % self._num_pes
-
-    def child_path(self, key: OcTreeKey) -> Tuple[int, ...]:
-        """Child indices from below the root down to the leaf.
-
-        Index 0 of the returned tuple selects the child of the PE's local
-        root (a depth-1 node); the last index selects the leaf voxel.
-        """
-        return key.path(self._tree_depth)[1:]
-
-    def full_path(self, key: OcTreeKey) -> Tuple[int, ...]:
-        """Child indices from the root down to the leaf (including level 0)."""
-        return key.path(self._tree_depth)
-
-    def keys_for_points(self, points: Sequence[Sequence[float]]) -> Tuple[OcTreeKey, ...]:
-        """Vectorised convenience wrapper over :meth:`key_for_point`."""
-        return tuple(self.key_for_point(*point) for point in points)

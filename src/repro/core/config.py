@@ -141,34 +141,13 @@ class OMUConfig:
         """Maximum number of tree nodes the accelerator can store."""
         return self.num_pes * self.banks_per_pe * self.entries_per_bank
 
-    @property
-    def clock_period_s(self) -> float:
-        """Clock period in seconds."""
-        return 1.0 / self.clock_hz
-
-    def cycles_to_seconds(self, cycles: int) -> float:
-        """Convert a cycle count to seconds at the configured frequency."""
-        return cycles * self.clock_period_s
-
     def quantized_params(self) -> QuantizedOccupancyParams:
         """The occupancy parameters quantised to the TreeMem fixed-point grid (one shared object)."""
         return _quantized(self.occupancy_params, self.fixed_point)
 
-    def with_pe_count(self, num_pes: int) -> "OMUConfig":
-        """Copy of this configuration with a different PE count (ablations)."""
-        return replace(self, num_pes=num_pes)
-
     def with_resolution(self, resolution_m: float) -> "OMUConfig":
         """Copy of this configuration with a different map resolution."""
         return replace(self, resolution_m=resolution_m)
-
-    def with_bank_kilobytes(self, bank_kilobytes: int) -> "OMUConfig":
-        """Copy of this configuration with larger or smaller SRAM banks."""
-        return replace(self, bank_kilobytes=bank_kilobytes)
-
-    def with_timing(self, timing: TimingParams) -> "OMUConfig":
-        """Copy of this configuration with different primitive cycle costs."""
-        return replace(self, timing=timing)
 
 
 @functools.lru_cache(maxsize=64)

@@ -8,7 +8,7 @@ the hit / miss increments, so once those increments are themselves quantised
 to the fixed-point grid the whole map lives exactly on that grid.
 
 :class:`FixedPointFormat` describes a signed two's-complement Qm.f format and
-provides conversion and saturation helpers; :class:`QuantizedOccupancyParams`
+provides the conversion helpers; :class:`QuantizedOccupancyParams`
 wraps the occupancy parameters of the software model with all values snapped
 to the grid so that the accelerator and a software tree configured with the
 quantised parameters produce bit-identical maps (this is what the
@@ -61,16 +61,6 @@ class FixedPointFormat:
         """Largest representable raw (integer) value."""
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
-    def min_value(self) -> float:
-        """Smallest representable real value."""
-        return self.min_raw * self.scale
-
-    @property
-    def max_value(self) -> float:
-        """Largest representable real value."""
-        return self.max_raw * self.scale
-
     def to_raw(self, value: float) -> int:
         """Quantise a real value to the nearest representable raw integer.
 
@@ -88,40 +78,6 @@ class FixedPointFormat:
         """Convert a raw integer back to its real value."""
         self._check_raw(raw)
         return raw * self.scale
-
-    def quantize(self, value: float) -> float:
-        """Round-trip a real value through the fixed-point grid."""
-        return self.to_value(self.to_raw(value))
-
-    def saturating_add(self, raw_a: int, raw_b: int) -> int:
-        """Add two raw values with saturation (the probability-update adder)."""
-        self._check_raw(raw_a)
-        self._check_raw(raw_b)
-        total = raw_a + raw_b
-        if total < self.min_raw:
-            return self.min_raw
-        if total > self.max_raw:
-            return self.max_raw
-        return total
-
-    def to_unsigned_word(self, raw: int) -> int:
-        """Encode a raw value as an unsigned ``total_bits``-wide word.
-
-        This is the bit pattern stored in the TreeMem entry's probability
-        field.
-        """
-        self._check_raw(raw)
-        return raw & ((1 << self.total_bits) - 1)
-
-    def from_unsigned_word(self, word: int) -> int:
-        """Decode an unsigned word back into a signed raw value."""
-        mask = (1 << self.total_bits) - 1
-        if not 0 <= word <= mask:
-            raise ValueError(f"word {word} does not fit in {self.total_bits} bits")
-        sign_bit = 1 << (self.total_bits - 1)
-        if word & sign_bit:
-            return word - (1 << self.total_bits)
-        return word
 
     def _check_raw(self, raw: int) -> None:
         if not self.min_raw <= raw <= self.max_raw:
@@ -150,35 +106,12 @@ class QuantizedOccupancyParams:
         params: OccupancyParams,
         fmt: FixedPointFormat = DEFAULT_FORMAT,
     ) -> None:
-        self._float_params = params
         self._format = fmt
         self.raw_hit = fmt.to_raw(params.log_odds_hit)
         self.raw_miss = fmt.to_raw(params.log_odds_miss)
         self.raw_clamp_min = fmt.to_raw(params.clamp_min)
         self.raw_clamp_max = fmt.to_raw(params.clamp_max)
         self.raw_threshold = fmt.to_raw(params.occupancy_threshold_log_odds)
-
-    @property
-    def format(self) -> FixedPointFormat:
-        """The fixed-point format the parameters are quantised to."""
-        return self._format
-
-    def clamp_raw(self, raw: int) -> int:
-        """Clamp a raw log-odds value to the quantised clamping bounds."""
-        if raw < self.raw_clamp_min:
-            return self.raw_clamp_min
-        if raw > self.raw_clamp_max:
-            return self.raw_clamp_max
-        return raw
-
-    def update_raw(self, raw: int, hit: bool) -> int:
-        """One clamped Bayesian update entirely in raw fixed point."""
-        delta = self.raw_hit if hit else self.raw_miss
-        return self.clamp_raw(self._format.saturating_add(raw, delta))
-
-    def is_occupied_raw(self, raw: int) -> bool:
-        """Occupancy classification on the raw value."""
-        return raw > self.raw_threshold
 
     def as_float_params(self) -> OccupancyParams:
         """Equivalent floating-point parameters on the fixed-point grid.
@@ -203,16 +136,3 @@ class QuantizedOccupancyParams:
             clamp_max_probability=to_probability(self.raw_clamp_max),
             occupancy_threshold=to_probability(self.raw_threshold),
         )
-
-    def quantization_error(self) -> float:
-        """Largest absolute error introduced by quantising the parameters."""
-        fmt = self._format
-        params = self._float_params
-        pairs = (
-            (params.log_odds_hit, self.raw_hit),
-            (params.log_odds_miss, self.raw_miss),
-            (params.clamp_min, self.raw_clamp_min),
-            (params.clamp_max, self.raw_clamp_max),
-            (params.occupancy_threshold_log_odds, self.raw_threshold),
-        )
-        return max(abs(value - fmt.to_value(raw)) for value, raw in pairs)

@@ -520,14 +520,6 @@ class ProcessingElement:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def nodes_stored(self) -> int:
-        """Number of valid node entries currently held in TreeMem."""
-        return self.memory.occupied_entries()
-
-    def memory_utilization(self) -> float:
-        """Fraction of this PE's SRAM holding live entries."""
-        return self.memory.utilization()
-
     def busy_cycles(self) -> int:
         """Cycles of useful work performed so far."""
         return self.stats.busy_cycles()

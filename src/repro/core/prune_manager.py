@@ -25,7 +25,7 @@ in the kernel's order of checks).
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.treemem import MemoryCapacityError
 
@@ -104,19 +104,9 @@ class PruneAddressManager:
         return self.state[ALLOCATIONS]
 
     @property
-    def fresh_allocations(self) -> int:
-        """Rows handed out from the never-used range."""
-        return self.state[FRESH]
-
-    @property
     def reused_allocations(self) -> int:
         """Rows handed out from the prune stack."""
         return self.state[REUSED]
-
-    @property
-    def frees(self) -> int:
-        """Rows pushed onto the prune stack."""
-        return self.state[FREES]
 
     @property
     def peak_stack_depth(self) -> int:
@@ -128,10 +118,6 @@ class PruneAddressManager:
         """Number of freed rows currently waiting for reuse."""
         return self.state[DEPTH]
 
-    def stacked_rows(self) -> List[int]:
-        """The rows waiting for reuse, bottom of the stack first."""
-        return self.stack[: self.state[DEPTH]].tolist()
-
     @property
     def rows_in_use(self) -> int:
         """Rows currently holding live children blocks."""
@@ -141,16 +127,6 @@ class PruneAddressManager:
     def rows_touched(self) -> int:
         """Rows ever handed out (the high-water mark without reuse)."""
         return self.next_fresh_row - self._reserved_rows
-
-    @property
-    def free_rows(self) -> int:
-        """Rows still available (fresh plus recycled)."""
-        return (self._num_rows - self.next_fresh_row) + self.stack_depth
-
-    def utilization(self) -> float:
-        """Fraction of allocatable rows currently in use."""
-        allocatable = self._num_rows - self._reserved_rows
-        return self.rows_in_use / allocatable if allocatable else 0.0
 
     def reuse_fraction(self) -> float:
         """Fraction of allocations served from the prune stack."""

@@ -17,7 +17,7 @@ cycles.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.core.config import OMUConfig
 
@@ -39,7 +39,3 @@ class VoxelScheduler:
         issued = sum(per_pe)
         self.issued_updates += issued
         return issued * self.config.timing.scheduler_issue_cycles
-
-    def load_histogram(self) -> Tuple[int, ...]:
-        """Updates issued to each PE since construction (load-balance view)."""
-        return tuple(self.per_pe_issued)

@@ -14,7 +14,7 @@ Section IV-A shows up in the numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 from repro.octomap.counters import OperationKind
 
@@ -58,18 +58,6 @@ class CycleBreakdown:
             return {stage: 0.0 for stage in self.cycles}
         return {stage: cycles / total for stage, cycles in self.cycles.items()}
 
-    def copy(self) -> "CycleBreakdown":
-        """Independent copy of this breakdown."""
-        duplicate = CycleBreakdown()
-        duplicate.cycles = dict(self.cycles)
-        return duplicate
-
-    @staticmethod
-    def maximum(breakdowns: Iterable["CycleBreakdown"]) -> int:
-        """Latency of parallel units: the largest total among ``breakdowns``."""
-        totals = [breakdown.total() for breakdown in breakdowns]
-        return max(totals) if totals else 0
-
 
 @dataclass
 class PETimingStats:
@@ -86,12 +74,6 @@ class PETimingStats:
     def busy_cycles(self) -> int:
         """Cycles this PE spent doing useful work."""
         return self.breakdown.total()
-
-    def cycles_per_update(self) -> float:
-        """Average PE cycles per voxel update (key efficiency metric)."""
-        if self.voxel_updates == 0:
-            return 0.0
-        return self.busy_cycles() / self.voxel_updates
 
 
 @dataclass
@@ -127,12 +109,6 @@ class ScanTiming:
         """
         parallel_section = max(self.pe_cycles_max, self.raycast_cycles)
         return self.scheduler_cycles + parallel_section
-
-    def parallel_speedup(self) -> float:
-        """Work / critical-path ratio achieved by the PE array."""
-        if self.pe_cycles_max == 0:
-            return 1.0
-        return self.pe_cycles_total / self.pe_cycles_max
 
     def merge(self, other: "ScanTiming") -> None:
         """Accumulate another scan's timing into this one (whole-map totals)."""

@@ -104,10 +104,6 @@ class TreeMemEntry:
     # ------------------------------------------------------------------
     # Field helpers
     # ------------------------------------------------------------------
-    def is_leaf(self) -> bool:
-        """True if the node has no children block."""
-        return self.pointer == NULL_POINTER
-
     def tag(self, child_index: int) -> ChildStatus:
         """Status tag of child ``child_index`` (0..7)."""
         return self.child_tags[self._checked(child_index)]
@@ -267,11 +263,6 @@ class BankedTreeMemory:
     def occupied_entries(self) -> int:
         """Number of valid entries across all banks."""
         return sum(bank.occupied_entries() for bank in self.banks)
-
-    def utilization(self) -> float:
-        """Fraction of the PE's SRAM currently holding valid entries."""
-        capacity = self.num_banks * self.entries_per_bank
-        return self.occupied_entries() / capacity if capacity else 0.0
 
     def _checked_bank(self, bank: int) -> int:
         if not 0 <= bank < self.num_banks:

@@ -22,7 +22,6 @@ from repro.datasets.generator import (
     generate_scan_graph,
     trajectory_for_scene,
 )
-from repro.datasets.scan_graph_io import read_scan_graph, write_scan_graph
 from repro.datasets.scenes import (
     AxisAlignedBox,
     GroundPlane,
@@ -66,8 +65,6 @@ __all__ = [
     "generate_interleaved_stream",
     "generate_named_graph",
     "generate_scan_graph",
-    "read_scan_graph",
     "scene_by_name",
     "trajectory_for_scene",
-    "write_scan_graph",
 ]

@@ -124,22 +124,11 @@ class DatasetDescriptor:
         """
         return self.voxel_updates_total / EQUIVALENT_FRAME_UPDATES
 
-    @property
-    def voxel_updates_per_point(self) -> float:
-        """Average number of voxel updates each sensor point triggers."""
-        return self.voxel_updates_total / self.point_cloud_total
-
     def fps_from_latency(self, latency_s: float) -> float:
         """Convert a whole-dataset latency into the paper's FPS metric."""
         if latency_s <= 0:
             raise ValueError("latency must be positive")
         return self.equivalent_frames / latency_s
-
-    def latency_from_fps(self, fps: float) -> float:
-        """Inverse of :meth:`fps_from_latency`."""
-        if fps <= 0:
-            raise ValueError("fps must be positive")
-        return self.equivalent_frames / fps
 
 
 FR079_CORRIDOR = DatasetDescriptor(

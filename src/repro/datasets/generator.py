@@ -18,7 +18,7 @@ so examples can reuse them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.datasets.catalog import DatasetDescriptor, dataset_by_name
@@ -51,15 +51,6 @@ class GenerationSpec:
     def __post_init__(self) -> None:
         if self.num_scans < 1:
             raise ValueError("num_scans must be at least 1")
-
-    def with_seed(self, seed: int) -> "GenerationSpec":
-        """Copy of this spec drawing its randomness from a different seed.
-
-        Multi-worker stream generation hands each worker the same spec plus
-        its own seed, so per-worker traffic is reproducible without sharing
-        RNG state.
-        """
-        return replace(self, seed=seed)
 
 
 def trajectory_for_scene(scene_name: str, num_scans: int) -> List[Pose6D]:
@@ -107,9 +98,8 @@ def generate_scan_graph(
 ) -> ScanGraph:
     """Generate a scaled synthetic scan graph for one dataset descriptor.
 
-    All randomness derives from ``spec.seed``; a worker pool fans the same
-    spec out with per-worker seeds via :meth:`GenerationSpec.with_seed` and
-    can regenerate any worker's graph exactly.
+    All randomness derives from ``spec.seed``, so the same spec regenerates
+    the same graph exactly.
     """
     scene = scene if scene is not None else scene_by_name(descriptor.scene)
     lidar = SpinningLidar(

@@ -80,10 +80,6 @@ class AxisAlignedBox(Primitive):
             return None
         return t_near if t_near > _EPSILON else t_far
 
-    def contains(self, point: Sequence[float]) -> bool:
-        """True if the point lies inside (or on the surface of) the box."""
-        return all(self.minimum[axis] - _EPSILON <= point[axis] <= self.maximum[axis] + _EPSILON for axis in range(3))
-
 
 class GroundPlane(Primitive):
     """A horizontal plane ``z = height`` hit only from above."""
@@ -160,10 +156,6 @@ class Scene:
             origin[1] + direction[1] * best,
             origin[2] + direction[2] * best,
         )
-
-    def add(self, primitive: Primitive) -> None:
-        """Add one more primitive to the scene."""
-        self.primitives.append(primitive)
 
 
 def corridor_scene(

@@ -64,11 +64,6 @@ class SpinningLidar:
         self.dropout = dropout
         self._rng = np.random.default_rng(seed)
 
-    @property
-    def beams_per_scan(self) -> int:
-        """Number of beams fired per revolution (before dropout and misses)."""
-        return self.num_azimuth * self.num_elevation
-
     def directions(self) -> np.ndarray:
         """Unit beam directions in the sensor frame, shape (beams, 3)."""
         azimuths = np.linspace(-math.pi, math.pi, self.num_azimuth, endpoint=False)
@@ -137,11 +132,6 @@ class DepthCamera:
         self.horizontal_fov_deg = horizontal_fov_deg
         self.max_range_m = max_range_m
         self.stride = stride
-
-    @property
-    def pixels_per_frame(self) -> int:
-        """Total pixels in a frame (320x240 = the paper's FPS reference frame)."""
-        return self.width * self.height
 
     def scan(self, scene: Scene, pose: Pose6D) -> PointCloud:
         """Render one depth frame and return the sensor-frame point cloud.

@@ -19,7 +19,6 @@ or bank sizes), which is what the area/scaling bench exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.core.config import DEFAULT_CONFIG, OMUConfig
 
@@ -55,21 +54,6 @@ class AreaReport:
         """Total accelerator area."""
         return self.sram_mm2 + self.pe_logic_mm2 + self.frontend_mm2
 
-    @property
-    def sram_fraction(self) -> float:
-        """Share of the area occupied by SRAM macros."""
-        return self.sram_mm2 / self.total_mm2 if self.total_mm2 else 0.0
-
-    def as_dict(self) -> Mapping[str, float]:
-        """Flat dictionary view (for table rendering)."""
-        return {
-            "sram_mm2": self.sram_mm2,
-            "pe_logic_mm2": self.pe_logic_mm2,
-            "frontend_mm2": self.frontend_mm2,
-            "total_mm2": self.total_mm2,
-            "sram_fraction": self.sram_fraction,
-        }
-
 
 class AreaModel:
     """Computes the accelerator area for a configuration."""
@@ -94,14 +78,3 @@ class AreaModel:
     def layout_mm(self) -> tuple[float, float]:
         """Die outline reported in the paper's layout figure (width, height)."""
         return (self.parameters.layout_width_mm, self.parameters.layout_height_mm)
-
-    def fits_layout(self, utilization: float = 0.85) -> bool:
-        """True if the modelled area fits the paper's outline at ``utilization``.
-
-        Physical designs never fill the outline completely; the default 85 %
-        placement utilisation is typical of SRAM-dominated macros.
-        """
-        if not 0.0 < utilization <= 1.0:
-            raise ValueError("utilization must be in (0, 1]")
-        width, height = self.layout_mm()
-        return self.report().total_mm2 <= width * height / utilization

@@ -21,7 +21,6 @@ workload's actual memory behaviour rather than being a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.core.accelerator import AcceleratorStatistics
 from repro.core.config import DEFAULT_CONFIG, OMUConfig
@@ -84,17 +83,6 @@ class PowerReport:
     def sram_fraction(self) -> float:
         """Share of the total power consumed by SRAM (paper: 91 %)."""
         return self.sram_w / self.total_w if self.total_w else 0.0
-
-    def as_dict(self) -> Mapping[str, float]:
-        """Flat dictionary view (for table rendering)."""
-        return {
-            "sram_dynamic_w": self.sram_dynamic_w,
-            "sram_leakage_w": self.sram_leakage_w,
-            "logic_dynamic_w": self.logic_dynamic_w,
-            "logic_leakage_w": self.logic_leakage_w,
-            "total_w": self.total_w,
-            "sram_fraction": self.sram_fraction,
-        }
 
 
 class PowerModel:
@@ -165,9 +153,3 @@ class PowerModel:
         if latency_s < 0:
             raise ValueError("latency must be non-negative")
         return power.total_w * latency_s
-
-    def energy_from_statistics(self, statistics: AcceleratorStatistics) -> float:
-        """Energy of a simulated run using its own measured activity."""
-        power = self.power_from_statistics(statistics)
-        latency = self.config.cycles_to_seconds(statistics.total_cycles)
-        return self.energy_joules(power, latency)

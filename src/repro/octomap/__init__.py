@@ -13,9 +13,8 @@ It provides:
 * :mod:`repro.octomap.node` -- octree nodes with the max-of-children parent
   policy and pruning predicate.
 * :mod:`repro.octomap.octree` -- the :class:`OccupancyOcTree` map container
-  (update, search, prune/expand, iteration, memory accounting).
-* :mod:`repro.octomap.raycast` -- 3D DDA ray traversal (``compute_ray_keys``
-  and ``cast_ray``).
+  (update, search, prune/expand, iteration).
+* :mod:`repro.octomap.raycast` -- 3D DDA ray traversal (``compute_ray_keys``).
 * :mod:`repro.octomap.raycast_vec` -- the service's front end: all rays of a
   batch of scans traversed and de-duplicated per scan by the native kernel
   ``dda_kernel.c``, as packed ``uint64`` keys
@@ -38,17 +37,15 @@ from repro.octomap.merge import graft_leaf, merge_tree, merge_trees
 from repro.octomap.node import OcTreeNode
 from repro.octomap.octree import OccupancyOcTree
 from repro.octomap.pointcloud import PointCloud, Pose6D, ScanGraph, ScanNode
-from repro.octomap.raycast import cast_ray, compute_ray_keys
+from repro.octomap.raycast import compute_ray_keys
 from repro.octomap.raycast_vec import (
     ScanUpdateArrays,
     compute_batch_update_arrays,
     compute_scan_update_arrays,
-    compute_update_keys_vectorized,
     pack_key_array,
     unpack_key_array,
 )
 from repro.octomap.scan_insertion import compute_update_keys, insert_point_cloud
-from repro.octomap.serialization import read_tree, write_tree
 
 __all__ = [
     "KeyConverter",
@@ -63,12 +60,10 @@ __all__ = [
     "ScanGraph",
     "ScanNode",
     "ScanUpdateArrays",
-    "cast_ray",
     "compute_batch_update_arrays",
     "compute_ray_keys",
     "compute_scan_update_arrays",
     "compute_update_keys",
-    "compute_update_keys_vectorized",
     "graft_leaf",
     "pack_key_array",
     "unpack_key_array",
@@ -77,6 +72,4 @@ __all__ = [
     "merge_tree",
     "merge_trees",
     "probability",
-    "read_tree",
-    "write_tree",
 ]

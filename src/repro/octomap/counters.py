@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Mapping
+from typing import Dict
 
 __all__ = ["OperationKind", "OperationCounters"]
 
@@ -71,20 +71,6 @@ class OperationCounters:
     queries: int = 0
     extra: Dict[str, int] = field(default_factory=dict)
 
-    def reset(self) -> None:
-        """Zero every counter (including the ``extra`` map)."""
-        self.ray_steps = 0
-        self.leaf_updates = 0
-        self.parent_updates = 0
-        self.child_reads = 0
-        self.prune_checks = 0
-        self.prunes = 0
-        self.expansions = 0
-        self.node_allocations = 0
-        self.node_deletions = 0
-        self.queries = 0
-        self.extra.clear()
-
     def merge(self, other: "OperationCounters") -> None:
         """Accumulate the counts of ``other`` into this object."""
         self.ray_steps += other.ray_steps
@@ -116,40 +102,3 @@ class OperationCounters:
         )
         duplicate.extra = dict(self.extra)
         return duplicate
-
-    @property
-    def voxel_updates(self) -> int:
-        """Total voxel (leaf) updates -- the paper's "Voxel Update" metric."""
-        return self.leaf_updates
-
-    def counts_by_stage(self) -> Mapping[OperationKind, int]:
-        """Group raw counts into the paper's four breakdown stages.
-
-        The prune/expand stage is dominated by the child reads needed to
-        evaluate the pruning predicate, so those reads are attributed to it
-        (this matches the paper's observation that the stage's cost comes from
-        irregular children-node memory access).
-        """
-        return {
-            OperationKind.RAY_CASTING: self.ray_steps,
-            OperationKind.UPDATE_LEAF: self.leaf_updates,
-            OperationKind.UPDATE_PARENTS: self.parent_updates,
-            OperationKind.PRUNE_EXPAND: self.prune_checks + self.prunes + self.expansions,
-        }
-
-    def as_dict(self) -> Dict[str, int]:
-        """Flatten all counters into a plain dictionary (for reporting)."""
-        result = {
-            "ray_steps": self.ray_steps,
-            "leaf_updates": self.leaf_updates,
-            "parent_updates": self.parent_updates,
-            "child_reads": self.child_reads,
-            "prune_checks": self.prune_checks,
-            "prunes": self.prunes,
-            "expansions": self.expansions,
-            "node_allocations": self.node_allocations,
-            "node_deletions": self.node_deletions,
-            "queries": self.queries,
-        }
-        result.update(self.extra)
-        return result

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -84,40 +84,6 @@ class OcTreeKey:
             ]
         )
 
-    def at_depth(self, depth: int, tree_depth: int) -> "OcTreeKey":
-        """Return the key of the ancestor voxel at coarser ``depth``.
-
-        ``depth == tree_depth`` returns the key unchanged; ``depth == 0``
-        returns the root key (all components masked to the top bit pattern of
-        the centre voxel).  Mirrors OctoMap's ``adjustKeyAtDepth``.
-        """
-        if not 0 <= depth <= tree_depth:
-            raise ValueError(f"depth {depth} outside [0, {tree_depth}]")
-        if depth == tree_depth:
-            return self
-        diff = tree_depth - depth
-        mask = (~((1 << diff) - 1)) & 0xFFFF
-        half = 1 << (diff - 1)
-        return OcTreeKey(
-            (self.x & mask) + half,
-            (self.y & mask) + half,
-            (self.z & mask) + half,
-        )
-
-    def neighbours(self) -> Iterator["OcTreeKey"]:
-        """Yield the 6-connected neighbour keys that stay inside the key space."""
-        for dx, dy, dz in (
-            (1, 0, 0),
-            (-1, 0, 0),
-            (0, 1, 0),
-            (0, -1, 0),
-            (0, 0, 1),
-            (0, 0, -1),
-        ):
-            nx, ny, nz = self.x + dx, self.y + dy, self.z + dz
-            if 0 <= nx <= 0xFFFF and 0 <= ny <= 0xFFFF and 0 <= nz <= 0xFFFF:
-                yield OcTreeKey(nx, ny, nz)
-
 
 class KeyConverter:
     """Converts between metric coordinates and :class:`OcTreeKey` addresses.
@@ -178,8 +144,7 @@ class KeyConverter:
         """Convert one key component back to the voxel-centre coordinate.
 
         Args:
-            component: key component (already adjusted to ``depth`` if coarser
-                than the full depth).
+            component: key component of any leaf inside the voxel.
             depth: tree depth of the voxel; defaults to the leaf depth.
         """
         if depth is None or depth == self._tree_depth:
@@ -237,11 +202,6 @@ class KeyConverter:
                 f"(+/- {self.max_coordinate} m at resolution {self._resolution} m)"
             )
         return components
-
-    def key_array_to_coords(self, keys: np.ndarray) -> np.ndarray:
-        """Convert ``(N, 3)`` leaf key components back to voxel-centre coords."""
-        keys = np.asarray(keys)
-        return (keys.astype(np.float64) - self._tree_max_val + 0.5) * self._resolution
 
     def key_to_coord(self, key: OcTreeKey, depth: int | None = None) -> Tuple[float, float, float]:
         """Return the metric centre of the voxel addressed by ``key``."""

@@ -125,15 +125,6 @@ class OccupancyParams:
         """Classify a log-odds value as occupied (above the threshold)."""
         return log_odds_value > self.occupancy_threshold_log_odds
 
-    def is_at_clamping_limit(self, log_odds_value: float) -> bool:
-        """Return True if the value sits at either clamping bound.
-
-        Nodes at a clamping bound are *stable*: further updates in the same
-        direction no longer change them, which is what makes whole subtrees
-        identical and therefore prunable.
-        """
-        return log_odds_value <= self.clamp_min or log_odds_value >= self.clamp_max
-
 
 DEFAULT_PARAMS = OccupancyParams()
 """Module-level default parameter set (OctoMap library defaults)."""

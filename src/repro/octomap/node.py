@@ -79,15 +79,6 @@ class OcTreeNode:
         self._children[index] = node
         return node
 
-    def delete_child(self, index: int) -> None:
-        """Remove child ``index`` (no-op if it does not exist)."""
-        self._check_index(index)
-        if self._children is None:
-            return
-        self._children[index] = None
-        if all(child is None for child in self._children):
-            self._children = None
-
     def delete_children(self) -> int:
         """Remove all children, returning how many nodes were deleted."""
         if self._children is None:
@@ -103,12 +94,6 @@ class OcTreeNode:
         for index, child in enumerate(self._children):
             if child is not None:
                 yield index, child
-
-    def num_children(self) -> int:
-        """Number of existing children (0..8)."""
-        if self._children is None:
-            return 0
-        return sum(1 for child in self._children if child is not None)
 
     # ------------------------------------------------------------------
     # Occupancy aggregation (paper eq. (3)) and pruning predicate
@@ -177,7 +162,3 @@ class OcTreeNode:
     def _check_index(index: int) -> None:
         if not 0 <= index <= 7:
             raise IndexError(f"child index {index} outside [0, 7]")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "inner" if self.has_children() else "leaf"
-        return f"OcTreeNode(log_odds={self.log_odds:.4f}, {kind})"

@@ -49,12 +49,6 @@ class LeafVoxel:
         self.size = size
         self.center = center
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LeafVoxel(center={self.center}, size={self.size:.3f}, "
-            f"log_odds={self.log_odds:.3f}, depth={self.depth})"
-        )
-
 
 class OccupancyOcTree:
     """A probabilistic 3D occupancy map stored as an octree.
@@ -115,18 +109,6 @@ class OccupancyOcTree:
     def size(self) -> int:
         """Total number of nodes currently allocated in the tree."""
         return self._num_nodes
-
-    def __len__(self) -> int:
-        return self._num_nodes
-
-    def is_empty(self) -> bool:
-        """True if no measurement has been integrated yet."""
-        return self._root is None
-
-    def clear(self) -> None:
-        """Remove every node, returning the tree to its empty state."""
-        self._root = None
-        self._num_nodes = 0
 
     # ------------------------------------------------------------------
     # Key helpers (thin delegation, kept on the tree for API convenience)
@@ -296,8 +278,8 @@ class OccupancyOcTree:
         """Prune the whole tree bottom-up; returns the number of pruned subtrees.
 
         The paper reports that pruning reduces OctoMap memory by up to 44 %
-        with no accuracy loss; :meth:`memory_usage` before/after shows the
-        same effect on this implementation.
+        with no accuracy loss; :meth:`size` before/after shows the same
+        effect on this implementation.
         """
         if self._root is None:
             return 0
@@ -318,30 +300,6 @@ class OccupancyOcTree:
             self._counters.node_deletions += deleted
             pruned += 1
         return pruned
-
-    def expand(self) -> int:
-        """Fully expand every pruned node down to leaf depth.
-
-        Mainly used to measure the memory saving of pruning (the inverse of
-        :meth:`prune`); returns the number of nodes created.
-        """
-        if self._root is None:
-            return 0
-        return self._expand_recurs(self._root, 0)
-
-    def _expand_recurs(self, node: OcTreeNode, depth: int) -> int:
-        if depth == self.tree_depth:
-            return 0
-        created = 0
-        if not node.has_children():
-            node.expand()
-            created += 8
-            self._num_nodes += 8
-            self._counters.expansions += 1
-            self._counters.node_allocations += 8
-        for _, child in node.children():
-            created += self._expand_recurs(child, depth + 1)
-        return created
 
     # ------------------------------------------------------------------
     # Search and queries
@@ -449,55 +407,6 @@ class OccupancyOcTree:
         """Number of leaves (pruned regions count once)."""
         return sum(1 for _ in self.iter_leafs())
 
-    # ------------------------------------------------------------------
-    # Memory accounting and metric extent
-    # ------------------------------------------------------------------
-    def memory_usage(self, per_node_bytes: int = 16) -> int:
-        """Approximate heap usage of the tree in bytes.
-
-        ``per_node_bytes`` defaults to the C++ OctoMap node footprint (a float
-        value plus a children pointer on a 64-bit machine); the Python object
-        overhead is irrelevant for reproducing the paper's memory argument,
-        which is about node counts.
-        """
-        return self._num_nodes * per_node_bytes
-
-    def memory_usage_unpruned(self, per_node_bytes: int = 16) -> int:
-        """Heap usage the tree would need if every leaf were fully expanded.
-
-        Comparing against :meth:`memory_usage` reproduces the "pruning saves
-        up to 44 % memory" claim from the paper's Section III-A.
-        """
-        expanded_leaf_equivalents = 0
-        for leaf in self.iter_leafs():
-            depth_gap = self.tree_depth - leaf.depth
-            # A pruned leaf at depth d stands for 8**gap fine leaves plus the
-            # inner nodes linking them.
-            leaves = 8 ** depth_gap
-            inner = sum(8 ** level for level in range(1, depth_gap))
-            expanded_leaf_equivalents += leaves + inner
-        inner_nodes = self._num_nodes - sum(1 for _ in self.iter_leafs())
-        return (inner_nodes + expanded_leaf_equivalents) * per_node_bytes
-
-    def metric_bounds(self) -> Tuple[Tuple[float, float, float], Tuple[float, float, float]]:
-        """Axis-aligned metric bounds of all known (observed) leaves.
-
-        Raises:
-            ValueError: if the tree is empty.
-        """
-        minimum = [float("inf")] * 3
-        maximum = [float("-inf")] * 3
-        found = False
-        for leaf in self.iter_leafs():
-            found = True
-            half = leaf.size / 2.0
-            for axis in range(3):
-                minimum[axis] = min(minimum[axis], leaf.center[axis] - half)
-                maximum[axis] = max(maximum[axis], leaf.center[axis] + half)
-        if not found:
-            raise ValueError("metric_bounds called on an empty tree")
-        return (tuple(minimum), tuple(maximum))  # type: ignore[return-value]
-
     def occupancy_grid(self) -> Dict[Tuple[int, int, int], float]:
         """Flatten the map into a ``{key tuple: log-odds}`` dictionary.
 
@@ -529,12 +438,6 @@ class OccupancyOcTree:
         from repro.octomap.scan_insertion import insert_point_cloud
 
         insert_point_cloud(self, cloud, origin, max_range=max_range, lazy_prune=lazy_prune)
-
-    def cast_ray(self, origin, direction, max_range: float = -1.0):
-        """Cast a query ray; see :func:`repro.octomap.raycast.cast_ray`."""
-        from repro.octomap.raycast import cast_ray
-
-        return cast_ray(self, origin, direction, max_range=max_range)
 
     # ------------------------------------------------------------------
     # Internal helpers

@@ -43,23 +43,6 @@ class PointCloud:
         for row in self._points:
             yield (float(row[0]), float(row[1]), float(row[2]))
 
-    def __getitem__(self, index: int) -> Tuple[float, float, float]:
-        row = self._points[index]
-        return (float(row[0]), float(row[1]), float(row[2]))
-
-    def append(self, x: float, y: float, z: float) -> None:
-        """Append a single point (O(N); prefer :meth:`extend` for batches)."""
-        self._points = np.vstack([self._points, np.asarray([[x, y, z]], dtype=np.float64)])
-
-    def extend(self, points: Iterable[Sequence[float]]) -> None:
-        """Append many points at once."""
-        array = np.asarray(list(points), dtype=np.float64)
-        if array.size == 0:
-            return
-        if array.ndim != 2 or array.shape[1] != 3:
-            raise ValueError(f"points must have shape (N, 3), got {array.shape}")
-        self._points = np.vstack([self._points, array])
-
     def transformed(self, pose: "Pose6D") -> "PointCloud":
         """Return a new cloud with every point moved into the pose's frame."""
         if len(self) == 0:
@@ -67,22 +50,6 @@ class PointCloud:
         rotated = self._points @ pose.rotation_matrix().T
         translated = rotated + np.asarray(pose.translation, dtype=np.float64)
         return PointCloud(translated)
-
-    def subsampled(self, max_points: int, seed: int = 0) -> "PointCloud":
-        """Return a uniform random subsample with at most ``max_points`` points."""
-        if max_points <= 0:
-            raise ValueError("max_points must be positive")
-        if len(self) <= max_points:
-            return PointCloud(self._points)
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(self), size=max_points, replace=False)
-        return PointCloud(self._points[np.sort(chosen)])
-
-    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounds ``(min_xyz, max_xyz)`` of the cloud."""
-        if len(self) == 0:
-            raise ValueError("bounds of an empty point cloud are undefined")
-        return self._points.min(axis=0), self._points.max(axis=0)
 
 
 class Pose6D:
@@ -118,33 +85,6 @@ class Pose6D:
         rotation_y = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
         rotation_x = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
         return rotation_z @ rotation_y @ rotation_x
-
-    def transform_point(self, point: Sequence[float]) -> Tuple[float, float, float]:
-        """Apply the pose to a single point."""
-        rotated = self.rotation_matrix() @ np.asarray(point, dtype=np.float64)
-        moved = rotated + np.asarray(self.translation, dtype=np.float64)
-        return (float(moved[0]), float(moved[1]), float(moved[2]))
-
-    def compose(self, other: "Pose6D") -> "Pose6D":
-        """Compose this pose with ``other`` (``self`` applied after ``other``).
-
-        Only the yaw component composes exactly in Euler form for arbitrary
-        rotations; the datasets in this repo use planar (yaw-only) motion, for
-        which this composition is exact.
-        """
-        new_translation = self.transform_point(other.translation)
-        return Pose6D(
-            new_translation,
-            roll=self.roll + other.roll,
-            pitch=self.pitch + other.pitch,
-            yaw=self.yaw + other.yaw,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Pose6D(translation={self.translation}, roll={self.roll:.3f}, "
-            f"pitch={self.pitch:.3f}, yaw={self.yaw:.3f})"
-        )
 
 
 class ScanNode:
@@ -185,9 +125,6 @@ class ScanGraph:
 
     def __iter__(self) -> Iterator[ScanNode]:
         return iter(self._scans)
-
-    def __getitem__(self, index: int) -> ScanNode:
-        return self._scans[index]
 
     def total_points(self) -> int:
         """Total number of 3D points across all scans."""

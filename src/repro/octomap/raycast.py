@@ -7,22 +7,19 @@ The traversal uses the Amanatides & Woo digital differential analyser (DDA),
 the same algorithm OctoMap's ``computeRayKeys`` implements, stepping from
 voxel boundary to voxel boundary without ever skipping a cell.
 
-Two entry points are provided:
-
-* :func:`compute_ray_keys` -- enumerate the voxel keys crossed by a segment
-  (used during map *building*).
-* :func:`cast_ray` -- walk a ray through an existing map until an occupied
-  voxel is hit (used during map *querying*, e.g. for collision checks).
+:func:`compute_ray_keys` enumerates the voxel keys crossed by a segment (used
+during map *building*); collision rays through a served map are walked by
+:func:`repro.octomap.raycast_vec.compute_ray_codes`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.octomap.keys import KeyConverter, OcTreeKey
 
-__all__ = ["compute_ray_keys", "cast_ray", "RayCastResult"]
+__all__ = ["compute_ray_keys"]
 
 _EPSILON = 1e-12
 
@@ -101,108 +98,3 @@ def compute_ray_keys(
             counters.ray_steps += 1
     return keys
 
-
-class RayCastResult:
-    """Outcome of :func:`cast_ray`.
-
-    Attributes:
-        hit: True if an occupied voxel was found before ``max_range``.
-        end_key: key of the voxel where the walk stopped (occupied voxel on a
-            hit, last traversed voxel otherwise), or None if the walk never
-            left the origin voxel.
-        end_point: metric centre of ``end_key``.
-        distance: metric distance from the origin to ``end_point``.
-        traversed: number of voxels stepped through.
-    """
-
-    __slots__ = ("hit", "end_key", "end_point", "distance", "traversed")
-
-    def __init__(
-        self,
-        hit: bool,
-        end_key: Optional[OcTreeKey],
-        end_point: Optional[Tuple[float, float, float]],
-        distance: float,
-        traversed: int,
-    ) -> None:
-        self.hit = hit
-        self.end_key = end_key
-        self.end_point = end_point
-        self.distance = distance
-        self.traversed = traversed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RayCastResult(hit={self.hit}, end_point={self.end_point}, "
-            f"distance={self.distance:.3f}, traversed={self.traversed})"
-        )
-
-
-def cast_ray(
-    tree,
-    origin: Sequence[float],
-    direction: Sequence[float],
-    max_range: float = -1.0,
-    ignore_unknown: bool = True,
-) -> RayCastResult:
-    """Walk a ray through an existing map until it hits an occupied voxel.
-
-    Args:
-        tree: an :class:`repro.octomap.octree.OccupancyOcTree`.
-        origin: ray origin in metres.
-        direction: ray direction (need not be normalised).
-        max_range: maximum metric range to walk; ``-1`` walks until the edge
-            of the addressable volume.
-        ignore_unknown: if False, the walk also stops at the first unknown
-            (never observed) voxel and reports it as a non-hit termination.
-
-    Returns:
-        A :class:`RayCastResult` describing where and why the walk stopped.
-    """
-    length = math.sqrt(sum(component * component for component in direction))
-    if length < _EPSILON:
-        raise ValueError("direction must be a non-zero vector")
-    unit = [component / length for component in direction]
-
-    converter = tree.key_converter
-    resolution = converter.resolution
-    if max_range <= 0.0:
-        max_range = 2.0 * converter.max_coordinate
-
-    steps = int(max_range / resolution) + 2
-    current = list(origin)
-    previous_key: Optional[OcTreeKey] = None
-    traversed = 0
-    for _ in range(steps):
-        for axis in range(3):
-            current[axis] += unit[axis] * resolution
-        if not converter.is_coordinate_in_range(*current):
-            break
-        key = converter.coord_to_key(*current)
-        if previous_key is not None and key == previous_key:
-            continue
-        previous_key = key
-        traversed += 1
-        node = tree.search(key)
-        if node is None:
-            if not ignore_unknown:
-                center = converter.key_to_coord(key)
-                distance = _distance(origin, center)
-                return RayCastResult(False, key, center, distance, traversed)
-            continue
-        if tree.is_node_occupied(node):
-            center = converter.key_to_coord(key)
-            distance = _distance(origin, center)
-            return RayCastResult(True, key, center, distance, traversed)
-        distance_walked = _distance(origin, current)
-        if distance_walked > max_range:
-            break
-
-    if previous_key is None:
-        return RayCastResult(False, None, None, 0.0, 0)
-    center = converter.key_to_coord(previous_key)
-    return RayCastResult(False, previous_key, center, _distance(origin, center), traversed)
-
-
-def _distance(a: Sequence[float], b: Sequence[float]) -> float:
-    return math.sqrt(sum((a[axis] - b[axis]) ** 2 for axis in range(3)))

@@ -45,19 +45,18 @@ import ctypes
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.native import build
-from repro.octomap.keys import KeyConverter, OcTreeKey
+from repro.octomap.keys import KeyConverter
 
 __all__ = [
     "ScanUpdateArrays",
     "compute_batch_update_arrays",
     "compute_ray_codes",
     "compute_scan_update_arrays",
-    "compute_update_keys_vectorized",
     "pack_key_array",
     "unpack_key_array",
 ]
@@ -137,14 +136,6 @@ class ScanUpdateArrays:
     free_packed: np.ndarray
     occupied_packed: np.ndarray
     ray_steps: int
-
-    def free_keys(self) -> np.ndarray:
-        """The free voxel keys as an ``(N, 3)`` int64 array (sorted)."""
-        return unpack_key_array(self.free_packed)
-
-    def occupied_keys(self) -> np.ndarray:
-        """The occupied voxel keys as an ``(N, 3)`` int64 array (sorted)."""
-        return unpack_key_array(self.occupied_packed)
 
 def compute_batch_update_arrays(
     converter: KeyConverter,
@@ -278,25 +269,3 @@ def compute_scan_update_arrays(
         converter, [(points, origin, max_range)], counters=counters
     )[0]
 
-
-def compute_update_keys_vectorized(
-    converter: KeyConverter,
-    cloud,
-    origin: Sequence[float],
-    max_range: float = -1.0,
-    counters=None,
-) -> Tuple[Set[OcTreeKey], Set[OcTreeKey]]:
-    """Set-returning wrapper matching ``compute_update_keys_for_converter``.
-
-    Accepts a :class:`~repro.octomap.pointcloud.PointCloud` or a raw
-    ``(N, 3)`` array and returns ``(free_keys, occupied_keys)`` as
-    :class:`OcTreeKey` sets -- the signature the scalar reference exposes, so
-    the two front ends can be compared (and swapped) call for call.
-    """
-    points = getattr(cloud, "points", cloud)
-    result = compute_scan_update_arrays(
-        converter, points, origin, max_range=max_range, counters=counters
-    )
-    free = {OcTreeKey(x, y, z) for x, y, z in result.free_keys().tolist()}
-    occupied = {OcTreeKey(x, y, z) for x, y, z in result.occupied_keys().tolist()}
-    return free, occupied

@@ -5,22 +5,21 @@ header (resolution, tree depth, node count) followed by a pre-order recursive
 encoding of the tree where every node contributes its float log-odds value and
 one byte whose bits flag which of its eight children exist.
 
-The format is self-contained and endian-fixed (little endian), so trees can be
-written by one process and reloaded by another -- the benchmark harness uses
-this to cache pre-built maps between runs.
+The format is self-contained and endian-fixed (little endian), so a tree can be
+written by one process and reloaded by another -- the HTTP export job ships a
+session's map this way.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-from pathlib import Path
-from typing import BinaryIO, Union
+from typing import BinaryIO
 
 from repro.octomap.node import OcTreeNode
 from repro.octomap.octree import OccupancyOcTree
 
-__all__ = ["write_tree", "read_tree", "serialize_tree", "deserialize_tree"]
+__all__ = ["serialize_tree", "deserialize_tree"]
 
 _MAGIC = b"# repro-octree v1\n"
 _NODE_STRUCT = struct.Struct("<fB")  # log-odds float32, children bitmask
@@ -36,18 +35,6 @@ def serialize_tree(tree: OccupancyOcTree) -> bytes:
 def deserialize_tree(data: bytes) -> OccupancyOcTree:
     """Reconstruct a tree from bytes produced by :func:`serialize_tree`."""
     return _read_stream(io.BytesIO(data))
-
-
-def write_tree(tree: OccupancyOcTree, path: Union[str, Path]) -> int:
-    """Write a tree to ``path``; returns the number of bytes written."""
-    data = serialize_tree(tree)
-    Path(path).write_bytes(data)
-    return len(data)
-
-
-def read_tree(path: Union[str, Path]) -> OccupancyOcTree:
-    """Load a tree previously written with :func:`write_tree`."""
-    return deserialize_tree(Path(path).read_bytes())
 
 
 def _write_stream(tree: OccupancyOcTree, stream: BinaryIO) -> None:

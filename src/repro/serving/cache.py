@@ -148,17 +148,6 @@ class GenerationLRUCache:
         self.stats.puts += len(keys)
         self.stats.evictions += evictions
 
-    def live_entries(self, current_generation_for_shard) -> int:
-        """Number of entries that would still hit (without touching LRU order)."""
-        return sum(
-            generation == current_generation_for_shard(shard_id)
-            for shard_id, generation, _ in self._entries.values()
-        )
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        self._entries.clear()
-
 
 class BboxResultCache:
     """LRU cache of whole box-sweep summaries, validated by generation vector.
@@ -214,7 +203,3 @@ class BboxResultCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.bbox_evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        self._entries.clear()

@@ -757,11 +757,6 @@ class BackendPool:
         """Shard workers currently hosted across the whole pool."""
         return self.engine.attached_shards
 
-    @property
-    def num_slots(self) -> int:
-        """The fixed slot count W (never changes over the pool's life)."""
-        return self.fleet_workers
-
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         """Shut the pool down.  Idempotent.

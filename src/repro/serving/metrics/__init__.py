@@ -14,7 +14,7 @@ eating the backend?".  This package is that answer, in four pieces:
   fixed log-bucket histogram answering p50/p95/p99 without raw-sample
   sorting on the hot path.
 * :mod:`~repro.serving.metrics.store` -- :class:`MetricsStore`, the bounded
-  in-memory sink: a ring of recent records plus windowed rollups keyed by
+  in-memory sink: windowed rollups keyed by
   ``(tenant, session, operation, window)`` and never-evicted cumulative
   totals, all queryable as plain dicts / JSON (``GET /v1/metrics``,
   ``repro-serve --metrics-json``).

@@ -86,17 +86,6 @@ class LatencyHistogram:
         if seconds > self.max_s:
             self.max_s = seconds
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (same bucket grid) into this one."""
-        if list(other.bounds) != list(self.bounds):
-            raise ValueError("cannot merge histograms with different bucket bounds")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.total += other.total
-        self.sum_s += other.sum_s
-        self.min_s = min(self.min_s, other.min_s)
-        self.max_s = max(self.max_s, other.max_s)
-
     @property
     def mean_s(self) -> float:
         """Mean observed duration (0.0 when empty)."""

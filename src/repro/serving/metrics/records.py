@@ -13,7 +13,7 @@ percentiles) happens inside the store.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = [
@@ -75,7 +75,3 @@ class RequestRecord:
     batch_size: int = 1
     queue_depth: int = 0
     request_id: int = -1
-
-    def to_dict(self) -> dict:
-        """Plain-dict view (the JSON export shape)."""
-        return asdict(self)

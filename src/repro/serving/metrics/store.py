@@ -1,18 +1,16 @@
-"""Bounded in-memory metrics store: ring of records + windowed rollups.
+"""Bounded in-memory metrics store: windowed rollups plus cumulative totals.
 
 The store is the queryable half of the metrics pipeline.  Instrumentation
 hooks push :class:`~repro.serving.metrics.records.RequestRecord`\\ s in;
 operators (the ``/v1/metrics`` routes, ``repro-serve --metrics-json``, the
-benchmark drivers) read three things out, all as plain dicts:
+benchmark drivers) read two things out, both as plain dicts:
 
-* **recent records** -- a bounded ring (``collections.deque(maxlen=...)``)
-  of the newest raw records, the access-log view;
 * **windowed rollups** -- per ``(tenant, session, operation)`` and per
-  fixed-length time window: request count, outcome counts (ok / rejected /
-  shed / error), bytes, and a fixed-bucket latency histogram answering
-  p50/p95/p99 without storing raw samples.  Old windows are evicted once
-  more than ``max_windows`` exist per key, so memory stays bounded no matter
-  how long the service runs;
+  :data:`WINDOW_S`-second time window: request count, outcome counts (ok /
+  rejected / shed / error), bytes, and a fixed-bucket latency histogram
+  answering p50/p95/p99 without storing raw samples.  Old windows are
+  evicted once more than :data:`MAX_WINDOWS` exist per key, so memory stays
+  bounded no matter how long the service runs;
 * **cumulative totals** -- the same rollup shape, never evicted, so totals
   stay consistent with the :class:`~repro.serving.stats.ServiceStats`
   counters for the life of the process.
@@ -21,21 +19,25 @@ Everything is synchronous and lock-free on purpose: records are produced
 either on the event-loop thread or under the per-session executor lock, and
 a metrics read racing a write can at worst observe one record more or less
 -- acceptable for an observability surface, and the price of keeping the
-hot path to "append to a deque, bump a few ints".
+hot path to "bump a few ints".
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.serving.metrics.histogram import LatencyHistogram
 from repro.serving.metrics.records import OUTCOMES, RequestRecord
 
 __all__ = ["MetricsStore", "OperationRollup", "write_metrics_json"]
+
+#: Length of one rollup window in seconds.
+WINDOW_S = 10.0
+#: Windows kept per ``(tenant, session, operation)`` key; older ones are evicted.
+MAX_WINDOWS = 6
 
 
 class OperationRollup:
@@ -106,32 +108,12 @@ class MetricsStore:
     """Request-record sink with bounded memory and windowed rollups.
 
     Args:
-        window_s: length of one rollup window in seconds.
-        max_windows: windows retained per ``(tenant, session, operation)``
-            key; older windows are evicted as new ones open.
-        ring_capacity: newest raw records kept for the access-log view.
         clock: monotonic time source (tests inject a fake).
     """
 
-    def __init__(
-        self,
-        *,
-        window_s: float = 10.0,
-        max_windows: int = 6,
-        ring_capacity: int = 2048,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if window_s <= 0.0:
-            raise ValueError("window_s must be positive")
-        if max_windows < 1:
-            raise ValueError("max_windows must be at least 1")
-        if ring_capacity < 1:
-            raise ValueError("ring_capacity must be at least 1")
-        self.window_s = window_s
-        self.max_windows = max_windows
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
         self.clock = clock
-        self._ring: Deque[RequestRecord] = deque(maxlen=ring_capacity)
-        #: key -> window start (a multiple of window_s) -> rollup, insertion
+        #: key -> window start (a multiple of WINDOW_S) -> rollup, insertion
         #: ordered by window start because records arrive in clock order.
         self._windows: Dict[_Key, Dict[float, OperationRollup]] = {}
         self._totals: Dict[_Key, OperationRollup] = {}
@@ -141,22 +123,21 @@ class MetricsStore:
     # Write side (the hot path)
     # ------------------------------------------------------------------
     def record(self, record: RequestRecord) -> None:
-        """Fold one record into the ring, its window rollup, and the totals."""
+        """Fold one record into its window rollup and the totals."""
         self._records_seen += 1
-        self._ring.append(record)
         key = (record.tenant, record.session_id, record.operation)
         totals = self._totals.get(key)
         if totals is None:
             totals = self._totals[key] = OperationRollup(*key)
         totals.add(record)
-        window_start = (record.started_s // self.window_s) * self.window_s
+        window_start = (record.started_s // WINDOW_S) * WINDOW_S
         windows = self._windows.get(key)
         if windows is None:
             windows = self._windows[key] = {}
         rollup = windows.get(window_start)
         if rollup is None:
             rollup = windows[window_start] = OperationRollup(*key)
-            while len(windows) > self.max_windows:
+            while len(windows) > MAX_WINDOWS:
                 # Records arrive in clock order, so the first key is oldest.
                 del windows[next(iter(windows))]
         rollup.add(record)
@@ -194,13 +175,6 @@ class MetricsStore:
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
-    def recent(self, limit: Optional[int] = None) -> List[RequestRecord]:
-        """The newest raw records, oldest first (access-log view)."""
-        records = list(self._ring)
-        if limit is not None and limit >= 0:
-            records = records[-limit:]
-        return records
-
     def session_ids(self) -> Tuple[str, ...]:
         """Sessions that produced at least one record, sorted."""
         return tuple(sorted({key[1] for key in self._totals if key[1]}))
@@ -254,8 +228,8 @@ class MetricsStore:
         service_rollups = self.totals("")
         return {
             "generated_at_s": self.clock(),
-            "window_seconds": self.window_s,
-            "max_windows": self.max_windows,
+            "window_seconds": WINDOW_S,
+            "max_windows": MAX_WINDOWS,
             "totals": {
                 "requests": self._records_seen,
                 "by_outcome": self.outcome_counts(),

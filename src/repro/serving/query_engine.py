@@ -124,10 +124,6 @@ class QueryEngine:
             return QueryResponse(status="unknown", probability=None, shard_id=-1)
         return self._query_voxel(code)
 
-    def query_key(self, key: OcTreeKey) -> QueryResponse:
-        """Occupancy of a voxel by key (the cacheable primitive)."""
-        return self._query_voxel(key.x << 32 | key.y << 16 | key.z)
-
     def _query_voxel(self, code: int) -> QueryResponse:
         """One voxel through the point cache, which holds it by its packed code.
 
@@ -529,14 +525,3 @@ class QueryEngine:
                 cached=True,
             )
         return response
-
-    # ------------------------------------------------------------------
-    # Shorthands
-    # ------------------------------------------------------------------
-    def classify(self, x: float, y: float, z: float) -> str:
-        """Just the occupancy status string of a point."""
-        return self.query(x, y, z).status
-
-    def is_colliding(self, x: float, y: float, z: float) -> bool:
-        """True when the voxel containing the point is occupied."""
-        return self.query(x, y, z).occupied

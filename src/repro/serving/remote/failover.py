@@ -54,10 +54,6 @@ class ReplayLog:
         """Batches currently in a shard's tail (snapshot-cadence trigger)."""
         return len(self._tails.get(gid, ()))
 
-    def tail_updates(self, gid: int) -> int:
-        """Voxel updates currently in a shard's tail."""
-        return sum(len(batch) for batch in self._tails.get(gid, ()))
-
 
 @dataclass(frozen=True)
 class RecoveryReport:

@@ -68,18 +68,9 @@ class WorkerRegistry:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    @property
-    def endpoints(self) -> List[WorkerEndpoint]:
-        """Every registered endpoint, in registration order."""
-        return list(self._endpoints)
-
     def endpoint_for(self, shard_id: int) -> WorkerEndpoint:
         """The endpoint currently serving a shard."""
         return self._assignment[shard_id]
-
-    def assignment(self) -> Dict[int, WorkerEndpoint]:
-        """Snapshot of the shard -> endpoint map (observability/tests)."""
-        return dict(self._assignment)
 
     def standbys(self) -> List[WorkerEndpoint]:
         """Live endpoints currently hosting no shard (re-homing targets)."""
@@ -124,10 +115,3 @@ class WorkerRegistry:
             target = min(candidates, key=lambda endpoint: load[endpoint])
         self._assignment[shard_id] = target
         return target
-
-    def add(self, endpoint: WorkerEndpoint) -> None:
-        """Register a late-spawned endpoint (becomes a standby)."""
-        endpoint = WorkerEndpoint.parse(endpoint)
-        if endpoint in self._endpoints:
-            raise ValueError(f"endpoint {endpoint} is already registered")
-        self._endpoints.append(endpoint)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import Optional, Tuple
+from typing import Optional
 
 __all__ = ["Transport", "TransportClosed", "TransportError", "MAX_FRAME_BYTES"]
 
@@ -72,15 +72,6 @@ class Transport:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return cls(sock, timeout_s=timeout_s)
 
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` ran (or the socket was torn down)."""
-        return self._closed
-
-    def peername(self) -> Tuple[str, int]:
-        """The remote ``(host, port)`` of the connection."""
-        return self._sock.getpeername()
-
     def settimeout(self, timeout_s: Optional[float]) -> None:
         """Blocking-I/O deadline for subsequent sends and receives."""
         self._sock.settimeout(timeout_s)
@@ -108,11 +99,6 @@ class Transport:
                 "limit (corrupted stream?)"
             )
         return pickle.loads(self._recv_exact(length, at_boundary=False))
-
-    def request(self, verb: str, gid: Optional[int] = None, payload: object = None) -> object:
-        """One blocking command round-trip: send ``(verb, gid, payload)``, recv."""
-        self.send((verb, gid, payload))
-        return self.recv()
 
     def _recv_exact(self, count: int, at_boundary: bool) -> bytes:
         chunks = bytearray()

@@ -278,12 +278,6 @@ class MapSession:
         """Apply batches until the admission queue is empty."""
         return self.pipeline.flush_all()
 
-    def ingest(self, request: ScanRequest) -> BatchReport:
-        """Submit one request and dispatch immediately (synchronous path)."""
-        self.submit(request)
-        reports = self.flush_all()
-        return reports[-1]
-
     def pending_requests(self) -> int:
         """Admitted requests not yet integrated into the map."""
         return self.pipeline.pending()
@@ -325,7 +319,3 @@ class MapSession:
             tree_depth=accelerator.tree_depth,
             params=accelerator.quantized_params().as_float_params(),
         )
-
-    def shard_load(self) -> Tuple[int, ...]:
-        """Updates applied per shard (load-balance view)."""
-        return self.backend.shard_load()

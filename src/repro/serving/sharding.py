@@ -96,10 +96,6 @@ class ShardRouter:
         """Shard id owning a voxel key."""
         return self._address_generator.shard_index(key, self.num_shards, self.prefix_levels)
 
-    def shard_for_point(self, x: float, y: float, z: float) -> int:
-        """Shard id owning the voxel containing a metric point."""
-        return self.shard_for_key(self.converter.coord_to_key(x, y, z))
-
     def shard_indices_for_keys(self, keys: np.ndarray) -> np.ndarray:
         """Shard ids for an ``(N, 3)`` key-component array (vectorized)."""
         return self._address_generator.shard_indices(
@@ -172,10 +168,6 @@ class MapShardWorker:
             self.updates_applied += len(keys)
         return timing
 
-    def query(self, x: float, y: float, z: float) -> QueryResult:
-        """Occupancy query served by this shard's accelerator."""
-        return self.accelerator.query(x, y, z)
-
     def query_key(self, key: OcTreeKey) -> QueryResult:
         """Occupancy query by voxel key."""
         return self.accelerator.query_key(key)
@@ -183,10 +175,6 @@ class MapShardWorker:
     def export_octree(self) -> OccupancyOcTree:
         """This shard's region of the map as a software octree."""
         return self.accelerator.export_octree()
-
-    def busy_cycles(self) -> int:
-        """Total modelled busy cycles of this shard's accelerator."""
-        return self.accelerator.map_critical_path_cycles()
 
     # ------------------------------------------------------------------
     # Message-level API (shared by every execution backend)

@@ -277,10 +277,6 @@ class ServiceStats:
     def __len__(self) -> int:
         return len(self._sessions)
 
-    def session(self, session_id: str) -> SessionStats:
-        """Counter block of one session."""
-        return self._sessions[session_id]
-
     def totals(self) -> SessionStats:
         """Every session's counters pooled into one block (see :func:`pool`)."""
         return pool(list(self))

@@ -48,8 +48,8 @@ class TestEvaluateDataset:
         """Regression: the cache was keyed on the PE count only, so any other
         config got the default config's evaluation back."""
         timing = DEFAULT_CONFIG.timing
-        slow_reads = DEFAULT_CONFIG.with_timing(
-            replace(timing, bank_read_cycles=4 * timing.bank_read_cycles)
+        slow_reads = replace(
+            DEFAULT_CONFIG, timing=replace(timing, bank_read_cycles=4 * timing.bank_read_cycles)
         )
         slower = evaluate_dataset("FR-079 corridor", scale=SCALE, config=slow_reads)
         assert slower is not corridor_evaluation

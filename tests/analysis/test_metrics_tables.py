@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import (
-    breakdown_as_percentages,
-    energy_benefit,
-    normalise_breakdown,
-    relative_error,
-    speedup,
-)
+from repro.analysis.metrics import energy_benefit, normalise_breakdown, speedup
 from repro.analysis.tables import format_quantity, render_bar_chart, render_table
 from repro.octomap.counters import OperationKind
 
@@ -37,17 +31,6 @@ class TestMetrics:
 
     def test_normalise_all_zero_breakdown(self):
         assert all(value == 0.0 for value in normalise_breakdown({}).values())
-
-    def test_breakdown_as_percentages(self):
-        breakdown = {OperationKind.UPDATE_LEAF: 1.0, OperationKind.PRUNE_EXPAND: 3.0}
-        percentages = breakdown_as_percentages(breakdown)
-        assert percentages[OperationKind.PRUNE_EXPAND] == pytest.approx(75.0)
-
-    def test_relative_error(self):
-        assert relative_error(11.0, 10.0) == pytest.approx(0.1)
-        assert relative_error(9.0, 10.0) == pytest.approx(-0.1)
-        with pytest.raises(ValueError):
-            relative_error(1.0, 0.0)
 
 
 class TestFormatting:

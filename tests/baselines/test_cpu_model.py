@@ -43,11 +43,11 @@ class TestCostModelCalibration:
 
     def test_i9_throughput_is_about_5_fps(self):
         for descriptor in ALL_DATASETS:
-            assert I9_COST_MODEL.throughput_fps(descriptor) == pytest.approx(5.0, abs=0.5)
+            assert descriptor.fps_from_latency(I9_COST_MODEL.latency_seconds(descriptor)) == pytest.approx(5.0, abs=0.5)
 
     def test_a57_throughput_is_about_1_fps(self):
         for descriptor in ALL_DATASETS:
-            assert A57_COST_MODEL.throughput_fps(descriptor) == pytest.approx(1.0, abs=0.2)
+            assert descriptor.fps_from_latency(A57_COST_MODEL.latency_seconds(descriptor)) == pytest.approx(1.0, abs=0.2)
 
     def test_a57_energy_within_12_percent_of_paper(self):
         for descriptor in ALL_DATASETS:

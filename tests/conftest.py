@@ -65,7 +65,7 @@ def two_scan_graph() -> ScanGraph:
 def small_tree(ring_graph: ScanGraph) -> OccupancyOcTree:
     """A software octree with one ring scan integrated at 0.2 m resolution."""
     tree = OccupancyOcTree(0.2)
-    scan = ring_graph[0]
+    scan = next(iter(ring_graph))
     tree.insert_point_cloud(scan.world_cloud(), scan.origin())
     return tree
 

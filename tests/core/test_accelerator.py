@@ -15,7 +15,7 @@ class TestConstruction:
         accelerator = OMUAccelerator(default_config)
         assert len(accelerator.pes) == 8
         assert accelerator.scans_processed == 0
-        assert accelerator.elapsed_seconds() == 0.0
+        assert accelerator.map_critical_path_cycles() == 0
 
     def test_more_than_eight_pes_rejected(self):
         with pytest.raises(ValueError):
@@ -107,7 +107,6 @@ class TestScanProcessing:
         assert accelerator.map_critical_path_cycles() > 0
         assert accelerator.map_cycles_per_update() > 0
         assert 1.0 <= accelerator.map_parallel_speedup() <= accelerator.config.num_pes
-        assert accelerator.elapsed_seconds() > 0
 
     def test_pipelined_latency_not_above_barrier_latency(self, accelerator, two_scan_graph):
         accelerator.process_scan_graph(two_scan_graph)
@@ -151,10 +150,6 @@ class TestQueriesAndExport:
         assert stats.nodes_stored > 0
         assert 0.0 < stats.memory_utilization < 1.0
         assert len(stats.per_pe_cycles) == 8
-
-    def test_occupancy_probability_of_raw(self, loaded_accelerator):
-        params = loaded_accelerator.config.quantized_params()
-        assert loaded_accelerator.occupancy_probability_of(params.raw_hit) == pytest.approx(0.7, abs=0.01)
 
 
 class TestPEScalingBehaviour:

@@ -65,21 +65,6 @@ class TestRouting:
 
 
 class TestPaths:
-    def test_child_path_skips_the_root_level(self, generator):
-        key = generator.key_for_point(1.0, 2.0, 3.0)
-        assert generator.child_path(key) == key.path(16)[1:]
-        assert len(generator.child_path(key)) == 15
-
-    def test_full_path_has_tree_depth_entries(self, generator):
-        key = generator.key_for_point(1.0, 2.0, 3.0)
-        assert len(generator.full_path(key)) == 16
-
-    def test_keys_for_points_batches(self, generator):
-        points = [(0.1, 0.1, 0.1), (1.0, 1.0, 1.0)]
-        keys = generator.keys_for_points(points)
-        assert len(keys) == 2
-        assert keys[0] == generator.key_for_point(0.1, 0.1, 0.1)
-
     def test_converter_round_trip(self, generator):
         key = generator.key_for_point(3.1, -2.7, 0.4)
         centre = generator.converter.key_to_coord(key)
@@ -96,7 +81,7 @@ class TestShardIndex:
         for x, y, z in keys.tolist():
             key = OcTreeKey(x, y, z)
             folded = 0
-            for child_index in generator.shard_prefix(key, prefix_levels):
+            for child_index in key.path(16, max_level=prefix_levels):
                 folded = folded * 8 + child_index
             shard = generator.shard_index(key, num_shards, prefix_levels)
             assert shard == folded % num_shards

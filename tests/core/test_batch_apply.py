@@ -23,7 +23,7 @@ def test_apply_update_batch_matches_process_scan(config, ring_graph):
     """Feeding the ray-cast key stream through apply_update_batch must build
     the same map as process_scan on the same cloud."""
     reference = OMUAccelerator(config)
-    scan = ring_graph[0]
+    scan = next(iter(ring_graph))
     reference.process_scan(scan.world_cloud(), scan.origin())
 
     batched = OMUAccelerator(config)
@@ -68,7 +68,7 @@ def test_array_paths_match_the_scalar_address_generator(config):
     paths = generator.paths_for_keys(keys)
     assert paths.dtype == np.uint8 and paths.shape == (4, config.tree_depth)
     for row, pe, key in zip(paths.tolist(), generator.pes_for_paths(paths).tolist(), keys.tolist()):
-        assert tuple(row) == generator.full_path(OcTreeKey(*key))
+        assert tuple(row) == OcTreeKey(*key).path(config.tree_depth)
         assert pe == generator.pe_for_key(OcTreeKey(*key))
 
 
@@ -86,8 +86,7 @@ def test_a_key_stream_applies_in_stream_order(config):
 def test_shard_prefix_and_index(config):
     generator = AddressGenerator(config.resolution_m, config.tree_depth, config.num_pes)
     key = generator.key_for_point(1.0, -2.0, 0.4)
-    prefix = generator.shard_prefix(key, 3)
-    assert prefix == key.path(config.tree_depth)[:3]
+    prefix = key.path(config.tree_depth)[:3]
     assert generator.shard_index(key, 1) == 0
     folded = 0
     for child_index in prefix:
@@ -111,8 +110,8 @@ def test_shard_parameter_validation(config):
     generator = AddressGenerator(config.resolution_m, config.tree_depth, config.num_pes)
     key = OcTreeKey(0, 0, 0)
     with pytest.raises(ValueError, match="prefix_levels"):
-        generator.shard_prefix(key, 0)
+        generator.shard_index(key, 2, 0)
     with pytest.raises(ValueError, match="prefix_levels"):
-        generator.shard_prefix(key, 17)
+        generator.shard_index(key, 2, 17)
     with pytest.raises(ValueError, match="num_shards"):
         generator.shard_index(key, 0)

@@ -47,7 +47,7 @@ def config_for(depth: int, num_pes: int, bank_kilobytes: int = 8) -> OMUConfig:
 def accelerator_state(accelerator: OMUAccelerator) -> dict:
     return {
         "pes": [(machine_state(pe), pe.host_row_reads) for pe in accelerator.pes],
-        "load": accelerator.scheduler.load_histogram(),
+        "load": tuple(accelerator.scheduler.per_pe_issued),
         "issued": accelerator.scheduler.issued_updates,
         "map_timing": accelerator.map_timing,
         "statistics": accelerator.statistics(),

@@ -1,7 +1,9 @@
 """Unit tests for the fixed-point log-odds format and quantised parameters."""
 
+import numpy as np
 import pytest
 
+from repro.core import OMUAccelerator, OMUConfig
 from repro.core.fixedpoint import DEFAULT_FORMAT, FixedPointFormat, QuantizedOccupancyParams
 from repro.octomap.logodds import DEFAULT_PARAMS
 
@@ -13,8 +15,8 @@ class TestFixedPointFormat:
         assert DEFAULT_FORMAT.scale == pytest.approx(2.0 ** -10)
 
     def test_range_covers_clamped_log_odds(self):
-        assert DEFAULT_FORMAT.min_value < DEFAULT_PARAMS.clamp_min
-        assert DEFAULT_FORMAT.max_value > DEFAULT_PARAMS.clamp_max
+        assert DEFAULT_FORMAT.to_raw(DEFAULT_PARAMS.clamp_min) > DEFAULT_FORMAT.min_raw
+        assert DEFAULT_FORMAT.to_raw(DEFAULT_PARAMS.clamp_max) < DEFAULT_FORMAT.max_raw
 
     def test_invalid_formats_rejected(self):
         with pytest.raises(ValueError):
@@ -33,33 +35,6 @@ class TestFixedPointFormat:
         assert fmt.to_raw(1e9) == fmt.max_raw
         assert fmt.to_raw(-1e9) == fmt.min_raw
 
-    def test_quantize_is_idempotent(self):
-        fmt = DEFAULT_FORMAT
-        once = fmt.quantize(0.123456)
-        assert fmt.quantize(once) == pytest.approx(once)
-
-    def test_saturating_add(self):
-        fmt = FixedPointFormat(total_bits=8, fraction_bits=4)
-        assert fmt.saturating_add(100, 100) == fmt.max_raw
-        assert fmt.saturating_add(-100, -100) == fmt.min_raw
-        assert fmt.saturating_add(3, 4) == 7
-
-    def test_saturating_add_validates_inputs(self):
-        fmt = FixedPointFormat(total_bits=8, fraction_bits=4)
-        with pytest.raises(ValueError):
-            fmt.saturating_add(1000, 0)
-
-    def test_unsigned_word_roundtrip(self):
-        fmt = DEFAULT_FORMAT
-        for raw in (0, 1, -1, fmt.max_raw, fmt.min_raw, 437, -2048):
-            word = fmt.to_unsigned_word(raw)
-            assert 0 <= word < (1 << fmt.total_bits)
-            assert fmt.from_unsigned_word(word) == raw
-
-    def test_from_unsigned_word_rejects_oversized(self):
-        with pytest.raises(ValueError):
-            DEFAULT_FORMAT.from_unsigned_word(1 << 16)
-
     def test_to_value_rejects_out_of_range_raw(self):
         with pytest.raises(ValueError):
             DEFAULT_FORMAT.to_value(1 << 20)
@@ -70,49 +45,22 @@ class TestQuantizedOccupancyParams:
     def quantized(self) -> QuantizedOccupancyParams:
         return QuantizedOccupancyParams(DEFAULT_PARAMS, DEFAULT_FORMAT)
 
-    def test_quantization_error_below_one_lsb(self, quantized):
-        assert quantized.quantization_error() <= DEFAULT_FORMAT.scale
-
-    def test_update_raw_hit_adds_hit_increment(self, quantized):
-        assert quantized.update_raw(0, hit=True) == quantized.raw_hit
-
-    def test_update_raw_miss_adds_miss_increment(self, quantized):
-        assert quantized.update_raw(0, hit=False) == quantized.raw_miss
-
-    def test_update_raw_clamps_at_bounds(self, quantized):
-        value = 0
-        for _ in range(100):
-            value = quantized.update_raw(value, hit=True)
-        assert value == quantized.raw_clamp_max
-        for _ in range(100):
-            value = quantized.update_raw(value, hit=False)
-        assert value == quantized.raw_clamp_min
-
-    def test_is_occupied_raw_threshold(self, quantized):
-        assert quantized.is_occupied_raw(quantized.raw_hit)
-        assert not quantized.is_occupied_raw(0)
-        assert not quantized.is_occupied_raw(quantized.raw_miss)
-
     def test_as_float_params_matches_grid(self, quantized):
         params = quantized.as_float_params()
-        fmt = quantized.format
+        fmt = DEFAULT_FORMAT
         assert params.log_odds_hit == pytest.approx(fmt.to_value(quantized.raw_hit), abs=1e-9)
         assert params.log_odds_miss == pytest.approx(fmt.to_value(quantized.raw_miss), abs=1e-9)
         assert params.clamp_max == pytest.approx(fmt.to_value(quantized.raw_clamp_max), abs=1e-9)
 
-    def test_float_and_raw_updates_agree(self, quantized):
-        """The software tree with quantised params matches the raw datapath."""
-        params = quantized.as_float_params()
-        fmt = quantized.format
-        raw = 0
+    def test_float_updates_agree_with_the_accelerator_datapath(self):
+        """The software tree with quantised params matches the fixed-point PE
+        update, through both clamps."""
+        config = OMUConfig(resolution_m=0.2)
+        params = config.quantized_params().as_float_params()
+        accelerator = OMUAccelerator(config)
+        key = np.array([[32768, 32768, 32768]])
         value = 0.0
-        sequence = [True, True, False, True, False, False, False, True] * 5
-        for hit in sequence:
-            raw = quantized.update_raw(raw, hit)
+        for hit in [True, True, False, True, False, False, False, True] * 5 + [True] * 20 + [False] * 40:
+            accelerator.apply_update_batch(key, np.array([hit]))
             value = params.update(value, hit)
-            assert fmt.to_raw(value) == raw
-
-    def test_coarser_format_increases_error(self):
-        coarse = QuantizedOccupancyParams(DEFAULT_PARAMS, FixedPointFormat(total_bits=8, fraction_bits=3))
-        fine = QuantizedOccupancyParams(DEFAULT_PARAMS, FixedPointFormat(total_bits=16, fraction_bits=10))
-        assert coarse.quantization_error() > fine.quantization_error()
+            assert config.fixed_point.to_raw(value) == accelerator.query_keys(key)[1][0]

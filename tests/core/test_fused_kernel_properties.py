@@ -47,7 +47,7 @@ from repro.core.verification import compare_trees
 from repro.octomap.keys import OcTreeKey
 from repro.octomap.octree import OccupancyOcTree
 from repro.octomap.pointcloud import PointCloud
-from repro.octomap.raycast_vec import compute_scan_update_arrays
+from repro.octomap.raycast_vec import compute_scan_update_arrays, unpack_key_array
 
 import oracle_pe
 
@@ -94,7 +94,7 @@ def apply_in_batches(accelerator: OMUAccelerator, stream: List[Update]):
 
 def classify(pe: ProcessingElement, raw: int) -> ChildStatus:
     """The tag of a leaf holding ``raw``."""
-    return ChildStatus.OCCUPIED if pe.params.is_occupied_raw(raw) else ChildStatus.FREE
+    return ChildStatus.OCCUPIED if raw > pe.params.raw_threshold else ChildStatus.FREE
 
 
 def check_entry(pe: ProcessingElement, entry: TreeMemEntry, level: int) -> list:
@@ -138,7 +138,7 @@ def check_image(pe: ProcessingElement) -> None:
         present = [child for child in check_entry(pe, entry, level) if child is not None]
         inner += entry.pointer != NULL_POINTER
         pending.extend((child, level + 1) for child in present)
-    assert reachable == pe.nodes_stored() == sum(sum(bank.valid) for bank in pe.memory.banks)
+    assert reachable == pe.memory.occupied_entries() == sum(sum(bank.valid) for bank in pe.memory.banks)
     assert inner == pe.allocator.rows_in_use
 
 
@@ -340,7 +340,7 @@ def test_a_depth_16_lidar_stream_applied_seven_times_over():
         ]
     )
     cast = compute_scan_update_arrays(accelerator.address_generator.converter, cloud.points, (0.05, 0.05, 0.05))
-    keys = np.concatenate((cast.free_keys(), cast.occupied_keys()))
+    keys = unpack_key_array(np.concatenate((cast.free_packed, cast.occupied_packed)))
     occupied = np.arange(len(keys)) >= cast.free_packed.size
     paths = accelerator.address_generator.paths_for_keys(keys)
     pes = accelerator.address_generator.pes_for_paths(paths)
@@ -454,7 +454,7 @@ def test_a_childless_parent_matches_the_oracle():
                                       tamper=cyclic_image)
     # One update completed; the failed one's prune is booked with it, as its events always were.
     assert pe.stats.voxel_updates == 1 and pe.counters.prunes == 1
-    assert pe.allocator.stacked_rows() == [1]
+    assert pe.allocator.stack[: pe.allocator.stack_depth].tolist() == [1]
 
 
 def test_a_row_freed_twice_matches_the_oracle():
@@ -538,7 +538,7 @@ def test_each_arm_of_the_upward_rule_reads_the_row_only_when_it_must(stream, row
 def restorable_state(pe: ProcessingElement) -> dict:
     """:func:`machine_state` less the stack words above its depth, which no kernel reads before writing."""
     state = machine_state(pe)
-    state["allocator"] = (pe.allocator.state.tolist(), pe.allocator.stacked_rows(), pe.allocator.stacked.tobytes())
+    state["allocator"] = (pe.allocator.state.tolist(), pe.allocator.stack[: pe.allocator.stack_depth].tolist(), pe.allocator.stacked.tobytes())
     return state
 
 

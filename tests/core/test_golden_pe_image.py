@@ -16,6 +16,7 @@ the upward pass must reproduce it exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -54,7 +55,7 @@ def image_digest(pe: ProcessingElement) -> Dict[str, object]:
         ]
         for field, unwritten in UNWRITTEN.items()
     }
-    digest["allocator_stack"] = pe.allocator.stacked_rows()
+    digest["allocator_stack"] = pe.allocator.stack[: pe.allocator.stack_depth].tolist()
     digest["prunes"] = pe.counters.prunes
     digest["expansions"] = pe.counters.expansions
     return digest
@@ -87,7 +88,7 @@ def collect() -> Dict[str, object]:
     scenarios = {
         "one_shard": corridor_batch_accelerators(config, 1)[0],
         "two_shards_distinct_timing": corridor_batch_accelerators(
-            config.with_timing(DISTINCT_TIMING), 2
+            dataclasses.replace(config, timing=DISTINCT_TIMING), 2
         )[0],
         "process_scan": [corridor_scan_accelerator(config)[0]],
     }

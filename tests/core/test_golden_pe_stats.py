@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core import OMUAccelerator, OMUConfig
 from repro.core.config import TimingParams
+from repro.core.prune_manager import FREES, FRESH
 from repro.core.timing import ScanTiming
 from repro.datasets.streams import ClientSpec, generate_interleaved_stream
 from repro.octomap.scan_insertion import compute_update_keys_for_converter
@@ -99,15 +100,15 @@ def accelerator_summary(accelerator: OMUAccelerator) -> Dict[str, object]:
                 "bank_writes": pe.stats.bank_writes,
                 "row_accesses": pe.stats.row_accesses,
                 "allocations": pe.allocator.allocations,
-                "fresh_allocations": pe.allocator.fresh_allocations,
+                "fresh_allocations": pe.allocator.state[FRESH],
                 "reused_allocations": pe.allocator.reused_allocations,
-                "frees": pe.allocator.frees,
+                "frees": pe.allocator.state[FREES],
                 "peak_stack_depth": pe.allocator.peak_stack_depth,
                 "row_reads": pe.memory.row_reads,
                 "row_writes": pe.memory.row_writes,
                 "total_reads": pe.memory.total_reads(),
                 "total_writes": pe.memory.total_writes(),
-                "nodes_stored": pe.nodes_stored(),
+                "nodes_stored": pe.memory.occupied_entries(),
             }
             for pe in accelerator.pes
         ],
@@ -189,7 +190,7 @@ def collect() -> Dict[str, object]:
     config = OMUConfig(resolution_m=0.2)
     return {
         "one_shard": batch_scenario(config, 1),
-        "two_shards_distinct_timing": batch_scenario(config.with_timing(DISTINCT_TIMING), 2),
+        "two_shards_distinct_timing": batch_scenario(dataclasses.replace(config, timing=DISTINCT_TIMING), 2),
         "process_scan": process_scan_scenario(config),
     }
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import OMUConfig
 from repro.core.pe import ProcessingElement
+from repro.core.prune_manager import FREES
 from repro.core.treemem import MemoryCapacityError
 from repro.octomap.keys import KeyConverter, OcTreeKey
 from repro.octomap.counters import OperationKind
@@ -95,7 +96,7 @@ class TestVoxelUpdate:
         oracle_pe.kernel_update_voxel(pe, key_at(converter, 1.0, 1.0, 1.0), occupied=True)
         oracle_pe.kernel_update_voxel(pe, key_at(converter, 2.0, 2.0, 2.0), occupied=False)
         assert pe.stats.voxel_updates == 2
-        assert pe.stats.cycles_per_update() > 0
+        assert pe.stats.busy_cycles() > 0
 
 
 class TestPruneAndExpand:
@@ -121,7 +122,7 @@ class TestPruneAndExpand:
 
     def test_prune_returns_rows_to_the_allocator(self, pe, converter):
         self._saturate_block(pe, converter)
-        assert pe.allocator.frees >= 1
+        assert pe.allocator.state[FREES] >= 1
 
     def test_pruned_region_still_answers_queries(self, pe, converter):
         self._saturate_block(pe, converter)
@@ -178,11 +179,6 @@ class TestExportAndCapacity:
         homogeneous = [node for node in pe.export_nodes() if node.homogeneous]
         assert homogeneous, "the pruned block must export as one homogeneous leaf"
 
-    def test_memory_utilization_grows_with_updates(self, pe, converter):
-        assert pe.memory_utilization() == 0.0
-        oracle_pe.kernel_update_voxel(pe, key_at(converter, 1.0, 1.0, 1.0), occupied=True)
-        assert pe.memory_utilization() > 0.0
-
     def test_capacity_error_on_tiny_memory(self, converter):
         """The error leaves ``update_paths`` where it struck: what came before is applied and charged."""
         tiny = OMUConfig(resolution_m=0.2, bank_kilobytes=1)
@@ -229,4 +225,4 @@ class TestExportAndCapacity:
         oracle_pe.kernel_update_voxel(pe, key_at(converter, 3.0, -2.0, 0.4), occupied=False)
         assert pe.counters.prunes >= 3 and pe.counters.expansions >= 2
         assert pe.allocator.reused_allocations >= 1
-        assert pe.nodes_stored() == sum(sum(bank.valid) for bank in pe.memory.banks)
+        assert pe.memory.occupied_entries() == sum(sum(bank.valid) for bank in pe.memory.banks)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.prune_manager import PruneAddressManager
+from repro.core.prune_manager import FREES, FRESH, PruneAddressManager
 from repro.core.treemem import MemoryCapacityError
 
 from oracle_pe import allocate_row, free_row
@@ -37,12 +37,12 @@ class TestAllocation:
         rows = [allocate_row(manager) for _ in range(3)]
         with pytest.raises(MemoryCapacityError):
             allocate_row(manager)
-        assert (manager.allocations, manager.fresh_allocations, manager.reused_allocations) == (3, 3, 0)
+        assert (manager.allocations, manager.state[FRESH], manager.reused_allocations) == (3, 3, 0)
         free_row(manager, rows[1])
         assert allocate_row(manager) == rows[1]
         with pytest.raises(MemoryCapacityError):
             allocate_row(manager)
-        assert (manager.allocations, manager.fresh_allocations, manager.reused_allocations) == (4, 3, 1)
+        assert (manager.allocations, manager.state[FRESH], manager.reused_allocations) == (4, 3, 1)
         assert manager.reuse_fraction() == 0.25
 
     def test_constructor_validation(self):
@@ -102,7 +102,7 @@ class TestReuse:
         free_row(manager, second)
         with pytest.raises(ValueError, match=f"row {first} freed twice"):
             free_row(manager, first)
-        assert (manager.frees, manager.reused_allocations, manager.peak_stack_depth) == (3, 1, 2)
+        assert (manager.state[FREES], manager.reused_allocations, manager.peak_stack_depth) == (3, 1, 2)
 
     def test_free_out_of_range_rejected(self):
         manager = PruneAddressManager(num_rows=8)
@@ -120,12 +120,6 @@ class TestStatistics:
         assert manager.rows_in_use == 3
         assert manager.stack_depth == 2
 
-    def test_utilization(self):
-        manager = PruneAddressManager(num_rows=11, reserved_rows=1)
-        for _ in range(5):
-            allocate_row(manager)
-        assert manager.utilization() == pytest.approx(0.5)
-
     def test_rows_touched_is_a_high_water_mark(self):
         manager = PruneAddressManager(num_rows=16)
         rows = [allocate_row(manager) for _ in range(4)]
@@ -142,12 +136,6 @@ class TestStatistics:
             free_row(manager, row)
         assert manager.peak_stack_depth == 6
 
-    def test_free_rows_counts_fresh_and_recycled(self):
-        manager = PruneAddressManager(num_rows=10, reserved_rows=1)
-        rows = [allocate_row(manager) for _ in range(4)]
-        free_row(manager, rows[0])
-        assert manager.free_rows == (9 - 4) + 1
-
     def test_reuse_fraction_zero_without_allocations(self):
         assert PruneAddressManager(num_rows=4).reuse_fraction() == 0.0
 
@@ -160,7 +148,7 @@ def test_prune_manager_never_hands_out_a_live_row(operations):
     live = []
     for allocate in operations:
         if allocate:
-            if manager.free_rows == 0:
+            if len(live) == manager.num_rows - manager.reserved_rows:
                 continue
             row = allocate_row(manager)
             assert row not in live

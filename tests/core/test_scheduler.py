@@ -37,11 +37,11 @@ class TestScheduling:
     def test_an_empty_batch_issues_nothing(self, accelerator):
         timing = apply(accelerator, np.zeros((0, 3), dtype=np.uint16))
         assert timing.voxel_updates == timing.scheduler_cycles == 0
-        assert accelerator.scheduler.load_histogram() == (0,) * 8
+        assert tuple(accelerator.scheduler.per_pe_issued) == (0,) * 8
 
     def test_keys_are_routed_by_octant(self, accelerator):
         apply(accelerator, octant_keys(accelerator))
-        assert accelerator.scheduler.load_histogram() == (1,) * 8
+        assert tuple(accelerator.scheduler.per_pe_issued) == (1,) * 8
         assert [pe.stats.voxel_updates for pe in accelerator.pes] == [1] * 8
         for pe, branch in zip(accelerator.pes, range(8)):
             assert pe._local_roots[branch] and sum(pe._local_roots) == 1
@@ -66,18 +66,18 @@ class TestScheduling:
         apply(accelerator, keys)
         apply(accelerator, keys, occupied=True)
         assert accelerator.scheduler.issued_updates == 2 * len(keys)
-        assert sum(accelerator.scheduler.load_histogram()) == 2 * len(keys)
+        assert sum(accelerator.scheduler.per_pe_issued) == 2 * len(keys)
 
     def test_a_skewed_batch_loads_one_pe(self, accelerator):
         keys = octant_keys(accelerator)
         apply(accelerator, np.repeat(keys[5:6], 10, axis=0))
-        assert accelerator.scheduler.load_histogram() == (0,) * 5 + (10,) + (0,) * 2
+        assert tuple(accelerator.scheduler.per_pe_issued) == (0,) * 5 + (10,) + (0,) * 2
 
     def test_reduced_pe_count_routes_modulo(self):
         accelerator = OMUAccelerator(OMUConfig(resolution_m=0.2, num_pes=2))
         keys = octant_keys(accelerator)
         timing = apply(accelerator, keys[:7])
-        assert accelerator.scheduler.load_histogram() == (4, 3)
+        assert accelerator.scheduler.per_pe_issued == [4, 3]
         assert timing.voxel_updates == 7
         assert [list(pe._local_roots) for pe in accelerator.pes] == [
             [1, 0, 1, 0, 1, 0, 1, 0],
@@ -89,5 +89,5 @@ def test_the_scheduler_books_what_it_is_told_was_issued(config):
     scheduler = VoxelScheduler(config)
     assert scheduler.issue([3, 0, 1, 0, 0, 0, 0, 2]) == 6 * config.timing.scheduler_issue_cycles
     assert scheduler.issue([1] * 8) == 8 * config.timing.scheduler_issue_cycles
-    assert scheduler.load_histogram() == (4, 1, 2, 1, 1, 1, 1, 3)
+    assert scheduler.per_pe_issued == [4, 1, 2, 1, 1, 1, 1, 3]
     assert scheduler.issued_updates == 14

@@ -71,7 +71,7 @@ def shard_state(worker: MapShardWorker) -> dict:
         "allocators": [pe.allocator.state.tolist() for pe in accelerator.pes],
         "rows": [pe.memory.rows for pe in accelerator.pes],
         "map_timing": accelerator.map_timing,
-        "issued": accelerator.scheduler.load_histogram(),
+        "issued": tuple(accelerator.scheduler.per_pe_issued),
         "accounting": (worker.generation, worker.batches_applied, worker.updates_applied),
     }
 
@@ -80,8 +80,10 @@ def message(keys: np.ndarray, occupied: np.ndarray) -> ShardUpdateBatch:
     return ShardUpdateBatch.from_key_arrays(0, keys.astype(np.uint16), occupied)
 
 
-def _ok(reply):
-    status, payload = reply
+def _ok(transport, verb, gid, payload):
+    """One command round trip on a worker connection: the reply's payload, which must be ``ok``."""
+    transport.send((verb, gid, payload))
+    status, payload = transport.recv()
     assert status == "ok", payload
     return payload
 
@@ -101,13 +103,13 @@ def test_a_restored_shard_equals_the_one_that_never_stopped(case):
     server = ShardWorkerServer().start()
     transport = Transport.connect(server.host, server.port, timeout_s=10.0)
     try:
-        assert _ok(transport.request("restore", 5, (snapshot, config))) == 5
+        assert _ok(transport, "restore", 5, (snapshot, config)) == 5
         remote = server.shards.worker(5)
         assert shard_state(remote) == shard_state(original)
         for batch in suffix:
             acknowledged = original.apply_message(message(*batch))
             assert inline.apply_message(message(*batch)) == acknowledged
-            assert _ok(transport.request("apply", 5, message(*batch))) == acknowledged
+            assert _ok(transport, "apply", 5, message(*batch)) == acknowledged
         expected = shard_state(original)
         assert shard_state(inline) == expected
         assert shard_state(remote) == expected

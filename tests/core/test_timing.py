@@ -41,33 +41,14 @@ class TestCycleBreakdown:
         assert a.cycles[OperationKind.UPDATE_LEAF] == 15
         assert a.cycles[OperationKind.RAY_CASTING] == 2
 
-    def test_copy_is_independent(self):
-        a = CycleBreakdown()
-        a.charge(OperationKind.UPDATE_LEAF, 1)
-        b = a.copy()
-        b.charge(OperationKind.UPDATE_LEAF, 1)
-        assert a.cycles[OperationKind.UPDATE_LEAF] == 1
-
-    def test_maximum_over_breakdowns(self):
-        breakdowns = []
-        for cycles in (5, 9, 3):
-            breakdown = CycleBreakdown()
-            breakdown.charge(OperationKind.UPDATE_LEAF, cycles)
-            breakdowns.append(breakdown)
-        assert CycleBreakdown.maximum(breakdowns) == 9
-        assert CycleBreakdown.maximum([]) == 0
-
 
 class TestPETimingStats:
-    def test_cycles_per_update(self):
+    def test_busy_cycles_are_the_breakdown_total(self):
         stats = PETimingStats(pe_id=0)
         stats.breakdown.charge(OperationKind.UPDATE_LEAF, 100)
-        stats.voxel_updates = 4
-        assert stats.busy_cycles() == 100
-        assert stats.cycles_per_update() == pytest.approx(25.0)
-
-    def test_cycles_per_update_without_updates(self):
-        assert PETimingStats(pe_id=1).cycles_per_update() == 0.0
+        stats.breakdown.charge(OperationKind.PRUNE_EXPAND, 20)
+        assert stats.busy_cycles() == 120
+        assert PETimingStats(pe_id=1).busy_cycles() == 0
 
 
 class TestScanTiming:
@@ -78,13 +59,6 @@ class TestScanTiming:
     def test_critical_path_exposes_slow_ray_casting(self):
         timing = ScanTiming(scheduler_cycles=10, raycast_cycles=500, pe_cycles_max=200, pe_cycles_total=800)
         assert timing.critical_path_cycles() == 510
-
-    def test_parallel_speedup(self):
-        timing = ScanTiming(pe_cycles_max=100, pe_cycles_total=700)
-        assert timing.parallel_speedup() == pytest.approx(7.0)
-
-    def test_parallel_speedup_of_idle_timing(self):
-        assert ScanTiming().parallel_speedup() == 1.0
 
     def test_cycles_per_update(self):
         timing = ScanTiming(scheduler_cycles=10, pe_cycles_max=90, pe_cycles_total=400, voxel_updates=10)

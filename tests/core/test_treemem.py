@@ -21,7 +21,6 @@ import oracle_pe
 class TestTreeMemEntry:
     def test_default_entry_is_an_unknown_leaf(self):
         entry = TreeMemEntry()
-        assert entry.is_leaf()
         assert entry.pointer == NULL_POINTER
         assert all(tag == ChildStatus.UNKNOWN for tag in entry.child_tags)
         assert entry.probability_raw == 0
@@ -132,14 +131,6 @@ class TestBankedTreeMemory:
         assert entry.tag(2) == ChildStatus.INNER and entry.tag(5) == ChildStatus.FREE
         entry.child_tags[0] = ChildStatus.OCCUPIED
         assert memory.read_entry(3, 4).tag(0) == ChildStatus.UNKNOWN
-
-    def test_utilization(self):
-        memory = BankedTreeMemory(8, 4)
-        assert memory.utilization() == 0.0
-        for bank in memory.banks:
-            oracle_pe.store(bank, 0, NULL_POINTER, 0, 0)
-        assert memory.utilization() == pytest.approx(8 / 32)
-        assert memory.occupied_entries() == 8
 
     def test_occupied_entries_is_a_live_count(self):
         """Overwrites and row clears keep the count equal to a scan."""

@@ -72,15 +72,9 @@ class TestDerivedMetrics:
             fps = descriptor.fps_from_latency(descriptor.paper.omu_latency_s)
             assert fps == pytest.approx(descriptor.paper.omu_fps, rel=0.08)
 
-    def test_fps_latency_roundtrip(self):
-        d = FR079_CORRIDOR
-        assert d.latency_from_fps(d.fps_from_latency(10.0)) == pytest.approx(10.0)
-
     def test_fps_requires_positive_latency(self):
         with pytest.raises(ValueError):
             FR079_CORRIDOR.fps_from_latency(0.0)
-        with pytest.raises(ValueError):
-            FR079_CORRIDOR.latency_from_fps(0.0)
 
     def test_equivalent_frames_definition(self):
         d = FR079_CORRIDOR
@@ -88,7 +82,7 @@ class TestDerivedMetrics:
 
     def test_voxel_updates_per_point_in_plausible_range(self):
         for descriptor in ALL_DATASETS:
-            assert 10.0 < descriptor.voxel_updates_per_point < 60.0
+            assert 10.0 < descriptor.voxel_updates_total / descriptor.point_cloud_total < 60.0
 
     def test_paper_energy_is_power_times_latency(self):
         """Table V is consistent with the A57's measured 2.6-2.9 W."""

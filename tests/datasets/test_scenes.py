@@ -39,11 +39,6 @@ class TestAxisAlignedBox:
         t = box.intersect((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
         assert t == pytest.approx(1.0)
 
-    def test_contains(self):
-        box = AxisAlignedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        assert box.contains((0.5, 0.5, 0.5))
-        assert not box.contains((2.0, 0.5, 0.5))
-
 
 class TestGroundPlane:
     def test_downward_ray_hits(self):
@@ -99,12 +94,6 @@ class TestScene:
     def test_out_of_range_hit_is_discarded(self):
         scene = Scene("test", [AxisAlignedBox((5.0, -1.0, -1.0), (6.0, 1.0, 1.0))], 10.0)
         assert scene.cast((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), max_range=3.0) is None
-
-    def test_add_primitive(self):
-        scene = Scene("test", [], 10.0)
-        assert scene.cast((0, 0, 0), (1, 0, 0), 10.0) is None
-        scene.add(AxisAlignedBox((1.0, -1.0, -1.0), (2.0, 1.0, 1.0)))
-        assert scene.cast((0, 0, 0), (1, 0, 0), 10.0) is not None
 
 
 class TestSceneBuilders:

@@ -29,7 +29,6 @@ class TestSpinningLidar:
         assert directions.shape == (36 * 4, 3)
         norms = np.linalg.norm(directions, axis=1)
         assert np.allclose(norms, 1.0)
-        assert lidar.beams_per_scan == 144
 
     def test_single_elevation_is_horizontal(self):
         lidar = SpinningLidar(num_azimuth=8, num_elevation=1)
@@ -84,7 +83,8 @@ class TestDepthCamera:
             DepthCamera(stride=0)
 
     def test_pixels_per_frame_matches_paper_reference_frame(self):
-        assert DepthCamera().pixels_per_frame == 320 * 240
+        camera = DepthCamera()
+        assert camera.width * camera.height == 320 * 240
 
     def test_frame_contains_wall_returns(self, box_scene):
         camera = DepthCamera(width=64, height=48, stride=8, max_range_m=10.0)

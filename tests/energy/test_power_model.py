@@ -27,8 +27,6 @@ class TestPowerCalibration:
         report = model.nominal_power()
         assert report.total_w == pytest.approx(report.sram_w + report.logic_w)
         assert report.sram_w == pytest.approx(report.sram_dynamic_w + report.sram_leakage_w)
-        as_dict = report.as_dict()
-        assert as_dict["total_w"] == pytest.approx(report.total_w)
 
     def test_idle_power_is_leakage_only(self, model):
         report = model.power_from_activity(0.0, 0.0, 0.0)
@@ -80,15 +78,6 @@ class TestEnergy:
         """250.8 mW x 1.31 s ~ 0.32 J (Table V, FR-079 corridor)."""
         energy = model.energy_joules(model.nominal_power(), 1.31)
         assert energy == pytest.approx(0.32, rel=0.07)
-
-    def test_energy_from_statistics(self, model):
-        stats = AcceleratorStatistics()
-        stats.total_cycles = 2_000_000
-        stats.sram_reads = 14_000_000
-        stats.sram_writes = 10_000_000
-        stats.per_pe_cycles = {pe: 1_800_000 for pe in range(8)}
-        energy = model.energy_from_statistics(stats)
-        assert energy > 0.0
 
 
 class TestTechnologyParameters:

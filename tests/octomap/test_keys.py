@@ -55,27 +55,6 @@ class TestOcTreeKey:
             kz |= ((index >> 2) & 1) << bit
         assert (kx, ky, kz) == key.as_tuple()
 
-    def test_at_depth_full_depth_is_identity(self):
-        key = OcTreeKey(123, 456, 789)
-        assert key.at_depth(16, 16) == key
-
-    def test_at_depth_coarser_centres_the_region(self):
-        key = OcTreeKey(0x8003, 0x8002, 0x8001)
-        coarse = key.at_depth(14, 16)
-        # Coarsening by 2 levels masks the low 2 bits and adds half the span.
-        assert coarse == OcTreeKey(0x8002, 0x8002, 0x8002)
-
-    def test_at_depth_bounds(self):
-        key = OcTreeKey(0, 0, 0)
-        with pytest.raises(ValueError):
-            key.at_depth(17, 16)
-
-    def test_neighbours_count_inside_volume(self):
-        assert len(list(OcTreeKey(100, 100, 100).neighbours())) == 6
-
-    def test_neighbours_clipped_at_the_boundary(self):
-        assert len(list(OcTreeKey(0, 0, 0).neighbours())) == 3
-
 
 class TestKeyConverter:
     def test_invalid_resolution(self):
@@ -139,8 +118,7 @@ class TestKeyConverter:
     def test_key_component_to_coord_at_coarse_depth(self):
         converter = KeyConverter(0.2, tree_depth=16)
         key = converter.coord_to_key(1.0, 1.0, 1.0)
-        coarse_key = key.at_depth(14, 16)
-        coord = converter.key_to_coord(coarse_key, depth=14)
+        coord = converter.key_to_coord(key, depth=14)
         # A depth-14 voxel is 0.8 m wide; its centre must be within 0.4 m.
         for axis in range(3):
             assert abs(coord[axis] - 1.0) <= 0.4 + 1e-9

@@ -80,12 +80,6 @@ class TestOccupancyParams:
         assert not params.is_occupied(0.0)
         assert not params.is_occupied(-0.5)
 
-    def test_is_at_clamping_limit(self):
-        params = DEFAULT_PARAMS
-        assert params.is_at_clamping_limit(params.clamp_max)
-        assert params.is_at_clamping_limit(params.clamp_min)
-        assert not params.is_at_clamping_limit(0.0)
-
     def test_custom_params_validation_hit_must_exceed_half(self):
         with pytest.raises(ValueError):
             OccupancyParams(prob_hit=0.4)

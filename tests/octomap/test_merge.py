@@ -85,8 +85,7 @@ def test_graft_replaces_finer_structure():
     key = OcTreeKey(32770, 32770, 32770)
     target.update_node(key, occupied=True)
     # Graft a coarse free region over the occupied leaf.
-    coarse_key = key.at_depth(13, 16)
-    graft_leaf(target, coarse_key, 13, -1.5)
+    graft_leaf(target, key, 13, -1.5)
     target.update_inner_occupancy()
     node = target.search(key)
     assert node is not None
@@ -108,9 +107,9 @@ def test_merge_into_empty_and_from_empty():
     source.update_node(0.5, 0.5, 0.5, occupied=True)
     target = _tree()
     merge_tree(target, _tree())  # empty source: no-op
-    assert target.is_empty()
+    assert target.root is None
     merge_tree(target, source)
-    assert not target.is_empty()
+    assert target.root is not None
 
 
 def test_graft_leaf_validates_depth():

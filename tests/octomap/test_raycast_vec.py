@@ -26,7 +26,6 @@ from repro.octomap.keys import KeyConverter, OcTreeKey
 from repro.octomap.raycast_vec import (
     compute_batch_update_arrays,
     compute_scan_update_arrays,
-    compute_update_keys_vectorized,
     pack_key_array,
     unpack_key_array,
 )
@@ -46,9 +45,13 @@ def _scalar(converter, points, origin, max_range=-1.0, counters=None):
 
 
 def _vectorized(converter, points, origin, max_range=-1.0, counters=None):
-    return compute_update_keys_vectorized(
+    cast = compute_scan_update_arrays(
         converter, np.asarray(points, dtype=np.float64), origin,
         max_range=max_range, counters=counters,
+    )
+    return tuple(
+        {OcTreeKey(*key) for key in unpack_key_array(packed).tolist()}
+        for packed in (cast.free_packed, cast.occupied_packed)
     )
 
 
@@ -106,13 +109,6 @@ class TestCoordsToKeyArray:
         coords = np.array([[0.0, 0.0, 0.0], [0.0, small.max_coordinate + 1.0, 0.0]])
         with pytest.raises(ValueError):
             small.coords_to_key_array(coords)
-
-    def test_key_array_to_coords_is_voxel_center(self, converter):
-        keys = np.array([[32768, 32768, 32768], [32769, 32767, 32768]], dtype=np.int64)
-        coords = converter.key_array_to_coords(keys)
-        for row, key in zip(coords.tolist(), keys.tolist()):
-            expected = [converter.key_component_to_coord(component) for component in key]
-            assert row == pytest.approx(expected)
 
 
 class TestShardIndicesArray:

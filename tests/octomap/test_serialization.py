@@ -3,19 +3,14 @@
 import pytest
 
 from repro.octomap.octree import OccupancyOcTree
-from repro.octomap.serialization import (
-    deserialize_tree,
-    read_tree,
-    serialize_tree,
-    write_tree,
-)
+from repro.octomap.serialization import deserialize_tree, serialize_tree
 
 
 class TestRoundTrip:
     def test_empty_tree_roundtrip(self):
         tree = OccupancyOcTree(0.25)
         clone = deserialize_tree(serialize_tree(tree))
-        assert clone.is_empty()
+        assert clone.root is None
         assert clone.resolution == pytest.approx(0.25)
 
     def test_single_voxel_roundtrip(self):
@@ -44,13 +39,6 @@ class TestRoundTrip:
         clone = deserialize_tree(serialize_tree(tree))
         assert clone.resolution == pytest.approx(0.05)
         assert clone.tree_depth == 12
-
-    def test_file_roundtrip(self, small_tree, tmp_path):
-        path = tmp_path / "map.bt"
-        written = write_tree(small_tree, path)
-        assert path.stat().st_size == written
-        clone = read_tree(path)
-        assert clone.size() == small_tree.size()
 
 
 class TestErrorHandling:

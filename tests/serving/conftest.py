@@ -18,6 +18,12 @@ def update_batch(shard_id: int, updates) -> ShardUpdateBatch:
     return ShardUpdateBatch.from_key_arrays(shard_id, columns[:, :3], columns[:, 3] != 0)
 
 
+def worker_request(transport, verb: str, gid=None, payload=None):
+    """One command round trip on a raw worker connection: send ``(verb, gid, payload)``, receive the reply."""
+    transport.send((verb, gid, payload))
+    return transport.recv()
+
+
 def ring_scan(origin_x: float, scan_id: int, radius: float = 2.5, beams: int = 90) -> ScanNode:
     """One small ring scan observed from ``(origin_x, 0, 0.2)``."""
     points = [

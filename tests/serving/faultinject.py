@@ -156,13 +156,6 @@ class ChaosTransport:
         raise TransportError("chaos: reply dropped")
 
     # -- transparent delegation -----------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self.inner.closed
-
-    def peername(self) -> Tuple[str, int]:
-        return self.inner.peername()
-
     def settimeout(self, timeout_s: Optional[float]) -> None:
         self.inner.settimeout(timeout_s)
 

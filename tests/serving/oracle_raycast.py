@@ -3,7 +3,7 @@
 :meth:`repro.serving.query_engine.QueryEngine.raycast` reads a ray's
 uncached voxels in same-shard runs.  This is the walk it must be
 indistinguishable from: every voxel in ray order through
-:meth:`QueryEngine.query_key` (one cache lookup, and on a miss one
+:meth:`QueryEngine.query` at its centre (one cache lookup, and on a miss one
 ``ShardBackend.query_key`` round trip and one put), stopping at the first
 occupied voxel.  Run on a session that saw the same history, it must leave
 the same ``RaycastResponse``, the same cache entries in the same order, the
@@ -62,8 +62,8 @@ def oracle_raycast(
         keys.append(end_key)
     for key in keys:
         traversed += 1
-        if engine.query_key(key).occupied:
-            centre = converter.key_to_coord(key)
+        centre = converter.key_to_coord(key)
+        if engine.query(*centre).occupied:
             distance = math.sqrt(sum((centre[axis] - origin[axis]) ** 2 for axis in range(3)))
             return RaycastResponse(
                 hit=True,

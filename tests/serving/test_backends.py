@@ -82,7 +82,7 @@ def test_backend_registry_names():
             # One implementation: the single lease of a private pool, sized
             # to the session and reported under the bare kind.
             assert isinstance(backend, ShardBackend)
-            assert (backend.name, backend.pool.num_slots) == (name, 2)
+            assert (backend.name, backend.pool.fleet_workers) == (name, 2)
 
 
 def test_unknown_backend_rejected():
@@ -579,14 +579,16 @@ def test_cache_invalidation_with_process_backend(small_scans):
 
     config = SessionConfig(num_shards=2, backend="process", batch_size=2).with_resolution(0.2)
     with MapSession("map", config) as session:
-        session.ingest(ScanRequest.from_scan_node("map", small_scans[0]).with_request_id(0))
+        session.submit(ScanRequest.from_scan_node("map", small_scans[0]).with_request_id(0))
+        session.flush_all()
         probe = (2.5, 0.0, 0.2)
         first = session.query(*probe)
         second = session.query(*probe)
         assert not first.cached and second.cached
         # A new scan bumps the written shards' generations in the parent's
         # bookkeeping, so the stale entry is dropped, not served.
-        session.ingest(ScanRequest.from_scan_node("map", small_scans[1]).with_request_id(1))
+        session.submit(ScanRequest.from_scan_node("map", small_scans[1]).with_request_id(1))
+        session.flush_all()
         third = session.query(*probe)
         assert not third.cached
         assert session.stats.cache.stale_hits >= 1

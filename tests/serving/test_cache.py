@@ -30,11 +30,9 @@ def test_generation_bump_invalidates_only_that_shard():
     generations = {0: 0, 1: 0}
     cache.put(("shard0-key",), 0, 0, "v0")
     cache.put(("shard1-key",), 1, 0, "v1")
-    assert cache.live_entries(generations.__getitem__) == 2
 
     generations[0] += 1  # a write lands on shard 0
 
-    assert cache.live_entries(generations.__getitem__) == 1
     assert cache.get(("shard0-key",), generations.__getitem__) is None  # stale, evicted
     assert cache.get(("shard1-key",), generations.__getitem__) == "v1"  # untouched
     assert cache.stats.stale_hits == 1
@@ -75,45 +73,6 @@ def test_eviction_counter_accounts_every_overflow():
     cache.put("key-4", 0, 0, 99)
     assert cache.stats.evictions == 3
     assert cache.get("key-4", generation) == 99
-
-
-def test_live_entries_tracks_per_shard_staleness_without_touching_lru():
-    cache = GenerationLRUCache(capacity=4)
-    generations = {0: 0, 1: 0}
-    cache.put("a", 0, 0, "a")
-    cache.put("b", 1, 0, "b")
-    cache.put("c", 0, 0, "c")
-    assert cache.live_entries(generations.__getitem__) == 3
-
-    generations[0] += 1  # shard 0's two entries go stale
-    assert cache.live_entries(generations.__getitem__) == 1
-    # live_entries neither evicted the stale entries nor counted lookups.
-    assert len(cache) == 3
-    assert cache.stats.lookups == 0
-
-    # A put for the new generation revives "a"; refreshing "b" leaves the
-    # stale "c" entry as the LRU victim once capacity overflows.
-    cache.put("a", 0, 1, "a2")
-    assert cache.get("b", generations.__getitem__) == "b"
-    cache.put("d", 1, 0, "d")
-    cache.put("e", 1, 0, "e")
-    assert cache.stats.evictions == 1
-    assert cache.live_entries(generations.__getitem__) == 4
-
-
-def test_clear_drops_entries_but_preserves_counters():
-    cache = GenerationLRUCache(capacity=4)
-    def generation(shard_id):
-        return 0
-
-    cache.put("a", 0, 0, 1)
-    assert cache.get("a", generation) == 1
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.stats.hits == 1
-    assert cache.stats.puts == 1
-    assert cache.get("a", generation) is None
-    assert cache.stats.misses == 1
 
 
 #: A history of runs: each one shard's keys, in order, with the cache's
@@ -178,7 +137,7 @@ def test_write_invalidates_only_the_written_shards(warm_session, small_scans):
     converter = warm_session.router.converter
     # Two probe points on different shards.
     probes = [(1.2, 0.3, 0.2), (-1.4, -0.7, 0.0)]
-    shard_ids = [warm_session.router.shard_for_point(*p) for p in probes]
+    shard_ids = [warm_session.router.shard_for_key(converter.coord_to_key(*p)) for p in probes]
     assert shard_ids[0] != shard_ids[1], "pick probes on distinct shards"
     for probe in probes:
         warm_session.query(*probe)  # fill
@@ -209,9 +168,8 @@ def test_write_invalidates_only_the_written_shards(warm_session, small_scans):
 
 def test_ingest_through_pipeline_bumps_generations(warm_session, small_scans):
     generations_before = [worker.generation for worker in warm_session.workers]
-    warm_session.ingest(
-        ScanRequest.from_scan_node("map", small_scans[0]).with_request_id(99)
-    )
+    warm_session.submit(ScanRequest.from_scan_node("map", small_scans[0]).with_request_id(99))
+    warm_session.flush_all()
     generations_after = [worker.generation for worker in warm_session.workers]
     # The ring scan spans the whole map, so every shard received updates.
     assert all(after > before for before, after in zip(generations_before, generations_after))
@@ -297,9 +255,8 @@ def test_bbox_cache_invalidates_after_ingest(warm_session, small_scans):
     first = warm_session.query_bbox(*box)
     warm_session.query_bbox(*box)
     assert warm_session.stats.cache.bbox_hits == 1
-    warm_session.ingest(
-        ScanRequest.from_scan_node("map", small_scans[0]).with_request_id(77)
-    )
+    warm_session.submit(ScanRequest.from_scan_node("map", small_scans[0]).with_request_id(77))
+    warm_session.flush_all()
     fresh = warm_session.query_bbox(*box)  # re-swept, not served stale
     assert warm_session.stats.cache.bbox_hits == 1
     assert warm_session.stats.cache.bbox_misses >= 2

@@ -112,7 +112,7 @@ def test_gids_stay_hidden_from_the_session_interface():
             assert len(view.export_all()) == 3
             for shard_id in range(3):
                 assert view.generation_of(shard_id) == 0
-                assert 0 <= view.slot_of(shard_id) < pool.num_slots
+                assert 0 <= view.slot_of(shard_id) < pool.fleet_workers
             # The gids only name where the workers are hosted: the workers
             # themselves (and every message they exchange) keep local ids.
             other = pool.lease("beta", _OMU_CONFIG, num_shards=2)
@@ -139,7 +139,7 @@ def test_thread_fleet_serves_many_sessions_with_bounded_threads():
         assert len(manager) == 120
         assert len(manager.fleets) == 1
         fleet = manager.fleets[0]
-        assert fleet.num_slots == 4
+        assert fleet.fleet_workers == 4
         assert fleet.active_leases == 120
         assert fleet.attached_shards == 240
         # A few tenants actually ingest, so the pool threads are exercised.
@@ -189,9 +189,9 @@ def test_session_churn_leaks_no_threads_or_descriptors():
                 manager.ingest(replace(request, session_id=session_id))
             manager.close_session(session_id).close()  # detach, then release the lease
         fleet = manager.fleets[0]
-        assert fleet.num_slots == 2
+        assert fleet.fleet_workers == 2
         assert (fleet.active_leases, fleet.attached_shards) == (0, 0)
-        assert threading.active_count() <= threads_before + fleet.num_slots
+        assert threading.active_count() <= threads_before + fleet.fleet_workers
     finally:
         manager.shutdown()
     assert threading.active_count() <= threads_before
@@ -295,9 +295,9 @@ def test_manager_builds_one_fleet_per_backend_and_size():
         # set of W threads for it.
         manager.create_session("e", replace(fleet_3, snapshot_every_batches=2, standby_workers=0))
         assert len(manager.fleets) == 2
-        sizes = sorted(pool.num_slots for pool in manager.fleets)
+        sizes = sorted(pool.fleet_workers for pool in manager.fleets)
         assert sizes == [2, 3]
-        shared = next(pool for pool in manager.fleets if pool.num_slots == 2)
+        shared = next(pool for pool in manager.fleets if pool.fleet_workers == 2)
         assert shared.active_leases == 2
     finally:
         manager.shutdown()
@@ -328,9 +328,11 @@ def test_manager_never_joins_sessions_with_differently_shaped_fleets():
         # Each fleet runs on the workers its own config named, with the
         # cadence its own config set.
         by_session = {sid: manager.get_session(sid).backend.pool for sid in "acd"}
+        registries = {sid: pool.engine.channels.registry for sid, pool in by_session.items()}
         homes = {
-            sid: {str(e) for e in pool.engine.channels.registry.endpoints}
-            for sid, pool in by_session.items()
+            sid: {str(e) for e in registry.standbys()}
+            | {str(registry.endpoint_for(slot)) for slot in range(registry.num_shards)}
+            for sid, registry in registries.items()
         }
         assert homes["a"] == set(endpoints[:2]) and homes["c"] == set(endpoints[2:])
         assert by_session["a"].engine.snapshot_every_batches == 8
@@ -349,7 +351,7 @@ def test_private_pool_is_sized_to_the_session_and_dies_with_its_lease():
     pool = session.backend.pool
     processes = list(pool.engine.channels.processes)
     try:
-        assert (pool.num_slots, pool.active_leases, session.backend.owns_pool) == (3, 1, True)
+        assert (pool.fleet_workers, pool.active_leases, session.backend.owns_pool) == (3, 1, True)
         assert [session.backend.slot_of(shard) for shard in range(3)] == [0, 1, 2]
         assert session.backend.name == session.stats.backend_name == "process"
     finally:

@@ -31,6 +31,7 @@ from repro.serving.metrics import (
     default_bounds,
     write_metrics_json,
 )
+from repro.serving.metrics import store as metrics_store
 
 
 def async_test(coro):
@@ -112,20 +113,6 @@ def test_histogram_empty_and_single_sample():
     assert hist.min_s == 0.0
 
 
-def test_histogram_merge_matches_pooled_observations():
-    rng = np.random.default_rng(11)
-    left, right, pooled = LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
-    for index, sample in enumerate(10.0 ** rng.uniform(-4.0, 0.0, size=100)):
-        (left if index % 2 else right).observe(float(sample))
-        pooled.observe(float(sample))
-    left.merge(right)
-    assert left.counts == pooled.counts
-    assert left.total == pooled.total
-    assert left.percentile(95.0) == pooled.percentile(95.0)
-    with pytest.raises(ValueError):
-        left.merge(LatencyHistogram(bounds=[0.1, 1.0]))
-
-
 def test_histogram_rejects_bad_bounds():
     with pytest.raises(ValueError):
         LatencyHistogram(bounds=[1.0, 0.5])
@@ -138,7 +125,7 @@ def test_histogram_rejects_bad_bounds():
 
 
 # ---------------------------------------------------------------------------
-# MetricsStore: ring bounds, window eviction, snapshots
+# MetricsStore: window eviction, snapshots
 # ---------------------------------------------------------------------------
 
 def _observe(store: MetricsStore, started_s: float, outcome: str = "ok", **kwargs):
@@ -149,9 +136,10 @@ def _observe(store: MetricsStore, started_s: float, outcome: str = "ok", **kwarg
     store.observe(outcome=outcome, started_s=started_s, **defaults)
 
 
-def test_rollups_evict_old_windows_but_keep_totals():
+def test_rollups_evict_old_windows_but_keep_totals(monkeypatch):
+    monkeypatch.setattr(metrics_store, "MAX_WINDOWS", 2)
     clock = FakeClock()
-    store = MetricsStore(window_s=10.0, max_windows=2, clock=clock)
+    store = MetricsStore(clock=clock)
     for started in (5.0, 15.0, 25.0, 35.0):
         clock.now = started
         _observe(store, started)
@@ -163,16 +151,6 @@ def test_rollups_evict_old_windows_but_keep_totals():
     snapshot = store.snapshot()
     assert snapshot["totals"]["requests"] == 4
     assert len(snapshot["sessions"]["map"]["windows"]) == 2
-
-
-def test_recent_ring_is_bounded_and_keeps_newest():
-    store = MetricsStore(ring_capacity=4, clock=FakeClock())
-    for index in range(10):
-        _observe(store, float(index), request_id=index)
-    records = store.recent()
-    assert [r.request_id for r in records] == [6, 7, 8, 9]
-    assert [r.request_id for r in store.recent(limit=2)] == [8, 9]
-    assert store.total_requests() == 10
 
 
 def test_session_snapshot_and_outcome_accounting():
@@ -296,7 +274,7 @@ async def test_quota_rejects_are_counted_in_stats_and_metrics(small_requests):
         await service.submit(small_requests[1])
         await service.flush_all()
         manager = service.manager
-    stats = manager.service_stats.session("map")
+    stats = manager.get_session("map").stats
     assert stats.quota_rejects == 1
     assert stats.async_submits == 2
     (submit,) = [r for r in manager.metrics.totals("map") if r.operation == "submit"]
@@ -324,7 +302,7 @@ async def test_deadline_shed_is_counted_in_stats_and_metrics(small_requests):
         await service.submit(small_requests[1])  # no deadline: admitted
         await service.flush_all()
         manager = service.manager
-    stats = manager.service_stats.session("map")
+    stats = manager.get_session("map").stats
     assert stats.shed_requests == 1
     assert stats.async_submits == 1
     (submit,) = [r for r in manager.metrics.totals("map") if r.operation == "submit"]
@@ -345,7 +323,7 @@ async def test_metrics_agree_with_service_stats_after_a_mixed_workload(small_req
         for _ in range(3):
             await service.query("map", 1.0, 0.0, 0.5)
     store = manager.metrics
-    stats = manager.service_stats.session("map")
+    stats = manager.get_session("map").stats
     rollups = {r.operation: r for r in store.totals("map")}
     assert rollups["submit"].outcomes["ok"] == stats.async_submits
     assert rollups["submit"].count == len(small_requests)
@@ -415,10 +393,9 @@ def test_empty_session_stats_render_without_division_errors():
     """A session registered but never driven has every denominator at zero;
     render() and to_dict() must report zeros, not raise."""
     service = ServiceStats()
-    service.register(SessionStats(session_id="fresh", num_shards=2))
+    block = service.register(SessionStats(session_id="fresh", num_shards=2))
     rendered = service.render()
     assert "fresh" in rendered
-    block = service.session("fresh")
     for ratio in (
         block.dedup_fraction,
         block.fanout_fraction,

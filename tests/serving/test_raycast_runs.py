@@ -191,7 +191,7 @@ def test_ray_runs_leave_what_the_per_voxel_walk_leaves(backend):
     @settings(max_examples=80 if backend == "inline" else 25, deadline=None)
     def check(operations, capacity):
         for session in (runs, oracle):
-            session.cache.clear()
+            session.cache._entries.clear()  # a fresh map for each example; counters carry over
             session.cache.capacity = capacity
         for operation in operations:
             if operation[0] == "write":

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from conftest import update_batch
+from conftest import update_batch, worker_request
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.verification import compare_trees
@@ -169,19 +169,19 @@ def _ok(reply):
 class TestShardWorkerServer:
     def test_hello_reports_identity_and_hosted_shards(self):
         with _server_connection() as (server, transport):
-            hello = _ok(transport.request("hello"))
+            hello = _ok(worker_request(transport, "hello"))
             assert hello == {"worker_id": server.worker_id, "shards": []}
-            _ok(transport.request("attach", 2, (2, CONFIG)))
-            assert _ok(transport.request("hello"))["shards"] == [2]
+            _ok(worker_request(transport, "attach", 2, (2, CONFIG)))
+            assert _ok(worker_request(transport, "hello"))["shards"] == [2]
 
     def test_attach_apply_query_export_roundtrip(self):
         with _server_connection() as (_server, transport):
-            _ok(transport.request("attach", 0, (0, CONFIG)))
+            _ok(worker_request(transport, "attach", 0, (0, CONFIG)))
             batch = _batch(0)
-            ack = _ok(transport.request("apply", 0, batch))
+            ack = _ok(worker_request(transport, "apply", 0, batch))
             assert ack.generation == 1
             assert ack.updates_applied == len(batch)
-            exported = _ok(transport.request("export", 0))
+            exported = _ok(worker_request(transport, "export", 0))
             assert exported.generation == 1
             assert exported.tree.size() > 0
 
@@ -193,45 +193,45 @@ class TestShardWorkerServer:
         with _server_connection() as (_server, transport):
             # Hosted under gid 7: the gid names the worker, the worker keeps
             # the snapshot's own shard id.
-            assert _ok(transport.request("restore", 7, (snapshot, CONFIG))) == 7
-            exported = _ok(transport.request("export", 7))
+            assert _ok(worker_request(transport, "restore", 7, (snapshot, CONFIG))) == 7
+            exported = _ok(worker_request(transport, "export", 7))
             assert exported.shard_id == 1
             assert exported.generation == local.generation
             _assert_trees_equal(local.export_octree(), exported.tree)
 
     def test_detached_shard_is_gone(self):
         with _server_connection() as (_server, transport):
-            _ok(transport.request("attach", 0, (0, CONFIG)))
-            _ok(transport.request("detach", 0))
-            status, payload = transport.request("apply", 0, _batch(0))
+            _ok(worker_request(transport, "attach", 0, (0, CONFIG)))
+            _ok(worker_request(transport, "detach", 0))
+            status, payload = worker_request(transport, "apply", 0, _batch(0))
             assert status == "error"
             assert "not hosted" in payload["message"]
 
     def test_unknown_verb_reports_error_with_traceback(self):
         with _server_connection() as (_server, transport):
-            status, payload = transport.request("bogus")
+            status, payload = worker_request(transport, "bogus")
             assert status == "error"
             assert "unknown shard command" in payload["message"]
             assert "ValueError" in payload["traceback"]
 
     def test_worker_exception_is_reported_not_fatal(self):
         with _server_connection() as (_server, transport):
-            status, _ = transport.request("apply", 0, _batch(0))  # never attached
+            status, _ = worker_request(transport, "apply", 0, _batch(0))  # never attached
             assert status == "error"
             # The connection must survive a worker-side error.
-            assert _ok(transport.request("ping")) == "pong"
+            assert _ok(worker_request(transport, "ping")) == "pong"
 
     def test_one_endpoint_can_cohost_several_shards(self):
         """After a failover, a survivor hosts a re-homed shard next to its
         own; the server side must keep the two cleanly separated."""
         with _server_connection() as (_server, transport):
-            _ok(transport.request("attach", 0, (0, CONFIG)))
-            _ok(transport.request("attach", 1, (1, CONFIG)))
-            _ok(transport.request("apply", 0, _batch(0)))
-            ack = _ok(transport.request("apply", 1, _batch(1, salt=3)))
+            _ok(worker_request(transport, "attach", 0, (0, CONFIG)))
+            _ok(worker_request(transport, "attach", 1, (1, CONFIG)))
+            _ok(worker_request(transport, "apply", 0, _batch(0)))
+            ack = _ok(worker_request(transport, "apply", 1, _batch(1, salt=3)))
             assert ack.shard_id == 1
-            tree_0 = _ok(transport.request("export", 0)).tree
-            tree_1 = _ok(transport.request("export", 1)).tree
+            tree_0 = _ok(worker_request(transport, "export", 0)).tree
+            tree_1 = _ok(worker_request(transport, "export", 1)).tree
             assert tree_0.size() != 0 and tree_1.size() != 0
             report = compare_trees(tree_0, tree_1, 0.0)
             assert not report.equivalent  # genuinely distinct shard state
@@ -240,7 +240,7 @@ class TestShardWorkerServer:
         server = ShardWorkerServer().start()
         transport = Transport.connect(server.host, server.port, timeout_s=10.0)
         try:
-            assert _ok(transport.request("stop")) is None
+            assert _ok(worker_request(transport, "stop")) is None
         finally:
             transport.close()
         # The ack is sent *before* the server tears itself down; give the
@@ -255,7 +255,7 @@ class TestShardWorkerServer:
     def test_kill_drops_port_and_state(self):
         server = ShardWorkerServer().start()
         transport = Transport.connect(server.host, server.port, timeout_s=10.0)
-        _ok(transport.request("attach", 0, (0, CONFIG)))
+        _ok(worker_request(transport, "attach", 0, (0, CONFIG)))
         server.kill()
         transport.close()
         assert not server.alive
@@ -290,7 +290,7 @@ class TestWorkerEndpoint:
 class TestWorkerRegistry:
     def test_first_endpoints_are_primaries_rest_standbys(self):
         registry = WorkerRegistry(_endpoints(1, 2, 3, 4), num_shards=2)
-        assert registry.assignment() == {0: _endpoints(1)[0], 1: _endpoints(2)[0]}
+        assert [registry.endpoint_for(shard) for shard in (0, 1)] == _endpoints(1, 2)
         assert registry.standbys() == _endpoints(3, 4)
 
     def test_rejects_fewer_endpoints_than_shards(self):
@@ -334,14 +334,6 @@ class TestWorkerRegistry:
         registry.mark_dead(registry.endpoint_for(0))
         assert registry.reassign(0) == _endpoints(3)[0]
 
-    def test_add_registers_a_late_standby(self):
-        registry = WorkerRegistry(_endpoints(1), num_shards=1)
-        registry.add("127.0.0.1:5")
-        assert _endpoints(5)[0] in registry.standbys()
-        with pytest.raises(ValueError, match="already registered"):
-            registry.add("127.0.0.1:5")
-
-
 # ---------------------------------------------------------------------------
 # Replay log
 # ---------------------------------------------------------------------------
@@ -356,8 +348,7 @@ class TestReplayLog:
         assert log.tail(4) == (first, second)
         assert log.tail(9) == (other,)
         assert log.tail_length(4) == 2
-        assert log.tail_updates(4) == len(first) + len(second)
-        assert (log.tail(5), log.tail_length(5), log.tail_updates(5)) == ((), 0, 0)
+        assert (log.tail(5), log.tail_length(5)) == ((), 0)
 
     def test_truncate_clears_only_one_shard(self):
         log = ReplayLog()
@@ -408,13 +399,11 @@ class TestSnapshotRestore:
         batch = _batch(0, n=12)
         worker.apply_message(batch)
         clone = MapShardWorker.from_snapshot(worker.snapshot_message(), CONFIG)
-        converter = worker.accelerator.address_generator.converter
         from repro.octomap import OcTreeKey
 
-        for key_x, key_y, key_z in batch.keys.tolist():
-            x, y, z = converter.key_to_coord(OcTreeKey(key_x, key_y, key_z))
-            original = worker.query(x, y, z)
-            restored = clone.query(x, y, z)
+        for components in batch.keys.tolist():
+            original = worker.query_key(OcTreeKey(*components))
+            restored = clone.query_key(OcTreeKey(*components))
             assert restored.status == original.status
             assert restored.probability == pytest.approx(original.probability)
 
@@ -452,7 +441,7 @@ class TestSocketBackendLifecycle:
                     handle.server.host, handle.server.port, timeout_s=10.0
                 )
                 try:
-                    assert _ok(probe.request("hello"))["shards"] == []
+                    assert _ok(worker_request(probe, "hello"))["shards"] == []
                 finally:
                     probe.close()
         finally:

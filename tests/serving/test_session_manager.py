@@ -21,8 +21,8 @@ def test_sessions_are_isolated(small_scans):
 
     assert manager.query("left", 1.2, 0.3, 0.2).status in ("occupied", "free")
     assert manager.query("right", 1.2, 0.3, 0.2).status == "unknown"
-    assert manager.service_stats.session("left").voxel_updates > 0
-    assert manager.service_stats.session("right").voxel_updates == 0
+    assert manager.get_session("left").stats.voxel_updates > 0
+    assert manager.get_session("right").stats.voxel_updates == 0
 
 
 def test_request_ids_are_globally_unique_and_monotonic(small_scans):
@@ -144,7 +144,7 @@ def test_shard_load_and_batch_reports(small_requests):
     reports = session.flush_all()
     assert len(reports) == 2  # 3 requests, batch size 2 -> 2 batches
     assert sum(report.scans for report in reports) == len(small_requests)
-    assert sum(session.shard_load()) == sum(report.voxel_updates for report in reports)
+    assert sum(session.backend.shard_load()) == sum(report.voxel_updates for report in reports)
     for report in reports:
         assert report.duplicates_removed >= 0
         assert report.modelled_cycles > 0

@@ -31,15 +31,8 @@ def test_router_is_total_and_deterministic(config):
 
 def test_single_shard_owns_everything(config):
     router = ShardRouter(config, num_shards=1)
-    assert router.shard_for_point(3.0, -2.0, 0.4) == 0
+    assert router.shard_for_key(router.converter.coord_to_key(3.0, -2.0, 0.4)) == 0
     assert router.shard_for_key(OcTreeKey(0, 0, 0)) == 0
-
-
-def test_point_and_key_routing_agree(config):
-    router = ShardRouter(config, num_shards=4)
-    for point in ((1.0, 2.0, 0.2), (-3.4, 0.8, -1.0), (0.05, -0.05, 0.0)):
-        key = router.converter.coord_to_key(*point)
-        assert router.shard_for_point(*point) == router.shard_for_key(key)
 
 
 def test_partition_preserves_order_and_ownership(config):

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import worker_request
 from repro.core import OMUConfig
 from repro.core.prune_manager import DEPTH, NEXT_FRESH
 from repro.core.treemem import NULL_POINTER
@@ -189,9 +190,9 @@ def test_a_mutated_image_is_refused_by_a_socket_workers_restore(mutate, data):
     server = ShardWorkerServer().start()
     transport = Transport.connect(server.host, server.port, timeout_s=10.0)
     try:
-        status, reply = transport.request("restore", 3, (snapshot, CONFIG))
+        status, reply = worker_request(transport, "restore", 3, (snapshot, CONFIG))
         assert status == "error" and reply["message"].startswith("ValueError"), reply
-        status, hello = transport.request("hello")
+        status, hello = worker_request(transport, "hello")
         assert status == "ok" and hello["shards"] == []
     finally:
         transport.close()

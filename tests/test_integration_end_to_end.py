@@ -14,9 +14,8 @@ from repro.core import OMUAccelerator, OMUConfig
 from repro.core.verification import verify_against_software
 from repro.datasets.catalog import dataset_by_name
 from repro.datasets.generator import GenerationSpec, generate_scan_graph
-from repro.datasets.scan_graph_io import read_scan_graph, write_scan_graph
 from repro.energy.power_model import PowerModel
-from repro.octomap.serialization import read_tree, write_tree
+from repro.octomap.serialization import deserialize_tree, serialize_tree
 
 
 @pytest.fixture(scope="module")
@@ -36,23 +35,13 @@ class TestFullPipeline:
         report = verify_against_software(accelerator, graph, max_range=spec.max_range_m)
         assert report.equivalent, report.summary()
 
-    def test_accelerator_map_round_trips_through_serialization(self, corridor_graph, tmp_path):
+    def test_accelerator_map_round_trips_through_serialization(self, corridor_graph):
         descriptor, spec, graph = corridor_graph
         accelerator = OMUAccelerator(OMUConfig(resolution_m=descriptor.resolution_m))
         accelerator.process_scan_graph(graph, max_range=spec.max_range_m)
         tree = accelerator.export_octree()
-        path = tmp_path / "map.bt"
-        write_tree(tree, path)
-        restored = read_tree(path)
+        restored = deserialize_tree(serialize_tree(tree))
         assert restored.size() == tree.size()
-
-    def test_scan_graph_round_trips_through_the_text_format(self, corridor_graph, tmp_path):
-        _, _, graph = corridor_graph
-        path = tmp_path / "corridor.graph"
-        write_scan_graph(graph, path)
-        restored = read_scan_graph(path)
-        assert restored.total_points() == graph.total_points()
-        assert len(restored) == len(graph)
 
     def test_accelerator_energy_is_far_below_the_a57(self, corridor_graph):
         descriptor, spec, graph = corridor_graph

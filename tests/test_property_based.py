@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.core.accelerator import OMUAccelerator
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.fixedpoint import DEFAULT_FORMAT, QuantizedOccupancyParams
+from repro.core.fixedpoint import DEFAULT_FORMAT
 from repro.octomap.keys import KeyConverter, OcTreeKey
 from repro.octomap.logodds import DEFAULT_PARAMS, log_odds, probability
 from repro.octomap.octree import OccupancyOcTree
@@ -21,7 +21,6 @@ from repro.octomap.raycast import compute_ray_keys
 coordinates = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 key_components = st.integers(min_value=0, max_value=0xFFFF)
 probabilities = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
-raw_values = st.integers(min_value=DEFAULT_FORMAT.min_raw, max_value=DEFAULT_FORMAT.max_raw)
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +77,6 @@ def test_key_path_reconstructs_the_key(kx, ky, kz):
     assert (rx, ry, rz) == key.as_tuple()
 
 
-@given(key_components, key_components, key_components, st.integers(min_value=0, max_value=16))
-def test_at_depth_is_idempotent(kx, ky, kz, depth):
-    key = OcTreeKey(kx, ky, kz)
-    coarse = key.at_depth(depth, 16)
-    assert coarse.at_depth(depth, 16) == coarse
-
-
 # ---------------------------------------------------------------------------
 # Ray casting
 # ---------------------------------------------------------------------------
@@ -106,29 +98,7 @@ def test_ray_traversal_is_six_connected(ox, oy, oz, ex, ey, ez):
 @given(st.floats(min_value=-30.0, max_value=30.0, allow_nan=False))
 def test_fixed_point_quantisation_error_is_half_lsb(value):
     fmt = DEFAULT_FORMAT
-    assert abs(fmt.quantize(value) - value) <= fmt.scale / 2.0 + 1e-12
-
-
-@given(raw_values)
-def test_fixed_point_word_roundtrip(raw):
-    fmt = DEFAULT_FORMAT
-    assert fmt.from_unsigned_word(fmt.to_unsigned_word(raw)) == raw
-
-
-@given(raw_values, raw_values)
-def test_saturating_add_never_overflows(a, b):
-    fmt = DEFAULT_FORMAT
-    result = fmt.saturating_add(a, b)
-    assert fmt.min_raw <= result <= fmt.max_raw
-
-
-@given(raw_values, st.lists(st.booleans(), min_size=1, max_size=32))
-def test_quantised_updates_stay_within_clamps_or_initial_range(start, hits):
-    params = QuantizedOccupancyParams(DEFAULT_PARAMS, DEFAULT_FORMAT)
-    value = params.clamp_raw(start)
-    for hit in hits:
-        value = params.update_raw(value, hit)
-        assert params.raw_clamp_min <= value <= params.raw_clamp_max
+    assert abs(fmt.to_value(fmt.to_raw(value)) - value) <= fmt.scale / 2.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
