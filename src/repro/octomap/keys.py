@@ -220,4 +220,4 @@ class KeyConverter:
     def is_coordinate_in_range(self, x: float, y: float, z: float) -> bool:
         """True if the point lies inside the addressable volume."""
         limit = self.max_coordinate
-        return all(-limit <= value < limit for value in (x, y, z))
+        return -limit <= x < limit and -limit <= y < limit and -limit <= z < limit

@@ -19,7 +19,7 @@ arrive (no per-update object or tuple exists on either side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -94,7 +94,9 @@ class ScanRequest:
 
     def with_request_id(self, request_id: int) -> "ScanRequest":
         """Copy of this request carrying the service-assigned id."""
-        return replace(self, request_id=request_id)
+        return ScanRequest(
+            self.session_id, self.cloud, self.origin, self.max_range, self.deadline_s, self.client_id, request_id
+        )
 
 
 @dataclass(frozen=True)

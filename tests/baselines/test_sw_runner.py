@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.sw_runner import run_software_octomap
+from repro.baselines.sw_runner import _update_stage_weights, run_software_octomap
 from repro.octomap.counters import OperationKind
 from repro.octomap.octree import OccupancyOcTree
 
@@ -26,6 +26,14 @@ class TestRunSoftwareOctomap:
         assert set(result.stage_seconds) == set(OperationKind.ordered())
         assert all(seconds >= 0.0 for seconds in result.stage_seconds.values())
         assert sum(result.stage_seconds.values()) > 0.0
+
+    def test_stage_fractions_sum_to_one(self, two_scan_graph):
+        """The update loop's time is split across its three stages: none lost, none counted twice."""
+        result = run_software_octomap(two_scan_graph, resolution_m=0.2)
+        weights = _update_stage_weights(result.counters)
+        assert set(weights) == {OperationKind.UPDATE_LEAF, OperationKind.UPDATE_PARENTS, OperationKind.PRUNE_EXPAND}
+        assert all(weight >= 0.0 for weight in weights.values())
+        assert sum(weights.values()) == pytest.approx(1.0)
 
     def test_max_range_reduces_updates(self, two_scan_graph):
         full = run_software_octomap(two_scan_graph, resolution_m=0.2)

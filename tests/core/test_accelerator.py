@@ -2,11 +2,13 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core import OMUAccelerator, OMUConfig
 from repro.octomap import PointCloud
 from repro.octomap.counters import OperationCounters, OperationKind
+from repro.octomap.keys import OcTreeKey
 from repro.octomap.scan_insertion import compute_update_keys_for_converter
 
 
@@ -130,6 +132,13 @@ class TestQueriesAndExport:
         result = loaded_accelerator.query(3.0, 0.1, 0.4)
         assert result.status == "occupied"
         assert 0.5 < result.probability <= 1.0
+
+    def test_occupancy_probability_of_raw(self, default_config):
+        """A voxel hit once reads back the sensor model's hit probability."""
+        accelerator = OMUAccelerator(default_config)
+        key = OcTreeKey(32768, 32768, 32768)
+        accelerator.apply_update_batch(np.array([key.as_tuple()]), np.array([True]))
+        assert accelerator.query_key(key).probability == pytest.approx(0.7, abs=0.01)
 
     def test_export_octree_roundtrip(self, loaded_accelerator):
         tree = loaded_accelerator.export_octree()

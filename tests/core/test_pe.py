@@ -159,6 +159,11 @@ class TestPruneAndExpand:
 
 
 class TestExportAndCapacity:
+    def test_memory_utilization_grows_with_updates(self, pe, converter):
+        assert pe.memory.occupied_entries() == 0
+        oracle_pe.kernel_update_voxel(pe, key_at(converter, 1.0, 1.0, 1.0), occupied=True)
+        assert pe.memory.occupied_entries() > 0
+
     def test_export_contains_every_leaf(self, pe, converter):
         keys = [key_at(converter, x, 1.0, 1.0) for x in (0.5, 1.5, 2.5)]
         for key in keys:

@@ -136,6 +136,28 @@ class TestStatistics:
             free_row(manager, row)
         assert manager.peak_stack_depth == 6
 
+    def test_utilization(self):
+        manager = PruneAddressManager(num_rows=11, reserved_rows=1)
+        for _ in range(5):
+            allocate_row(manager)
+        assert manager.rows_in_use == 5
+        for _ in range(5):
+            allocate_row(manager)
+        assert manager.rows_in_use == manager.num_rows - manager.reserved_rows
+        with pytest.raises(MemoryCapacityError):
+            allocate_row(manager)
+
+    def test_free_rows_counts_fresh_and_recycled(self):
+        manager = PruneAddressManager(num_rows=10, reserved_rows=1)
+        rows = [allocate_row(manager) for _ in range(4)]
+        free_row(manager, rows[0])
+        free_rows = (manager.num_rows - manager.next_fresh_row) + manager.stack_depth
+        assert free_rows == (9 - 4) + 1
+        for _ in range(free_rows):
+            allocate_row(manager)
+        with pytest.raises(MemoryCapacityError):
+            allocate_row(manager)
+
     def test_reuse_fraction_zero_without_allocations(self):
         assert PruneAddressManager(num_rows=4).reuse_fraction() == 0.0
 

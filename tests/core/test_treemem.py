@@ -102,6 +102,15 @@ class TestBankedTreeMemory:
         with pytest.raises(ValueError):
             BankedTreeMemory(4, 16)
 
+    def test_utilization(self):
+        memory = BankedTreeMemory(8, 4)
+        assert memory.occupied_entries() == 0
+        for bank in memory.banks:
+            oracle_pe.store(bank, 0, NULL_POINTER, 0, 0)
+        assert memory.occupied_entries() == 8
+        oracle_pe.clear_row(memory, 0)
+        assert memory.occupied_entries() == 0
+
     def test_single_entry_access(self):
         memory = BankedTreeMemory(8, 16)
         oracle_pe.store(memory.banks[5], 2, NULL_POINTER, 0, 7)

@@ -103,6 +103,10 @@ class TestKeyConverter:
         converter = KeyConverter(0.1)
         assert converter.is_coordinate_in_range(0.0, 0.0, 0.0)
         assert not converter.is_coordinate_in_range(1e6, 0.0, 0.0)
+        limit = converter.max_coordinate
+        assert converter.is_coordinate_in_range(-limit, -limit, -limit)
+        for outside in ((limit, 0.0, 0.0), (0.0, limit, 0.0), (0.0, 0.0, limit), (0.0, float("nan"), 0.0)):
+            assert not converter.is_coordinate_in_range(*outside), outside
 
     def test_node_size_doubles_per_level(self):
         converter = KeyConverter(0.1, tree_depth=16)

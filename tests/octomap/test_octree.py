@@ -102,7 +102,7 @@ class TestUpdateAndSearch:
 
 
 class TestPruningBehaviour:
-    def _fill_block(self, tree: OccupancyOcTree, base=(1.0, 1.0, 1.0), occupied=True, repeats=20):
+    def _fill_block(self, tree: OccupancyOcTree, base=(1.0, 1.0, 1.0), occupied=True, repeats=20, lazy_eval=False):
         """Saturate the eight sibling voxels of one parent block."""
         base_key = tree.coord_to_key(*base)
         # Align to an even key so the eight siblings share one parent.
@@ -112,7 +112,7 @@ class TestPruningBehaviour:
                 for dz in range(2):
                     key = OcTreeKey(kx + dx, ky + dy, kz + dz)
                     for _ in range(repeats):
-                        tree.update_node(key, occupied=occupied)
+                        tree.update_node(key, occupied=occupied, lazy_eval=lazy_eval)
         return OcTreeKey(kx, ky, kz)
 
     def test_saturated_block_is_pruned_automatically(self, tree):
@@ -124,6 +124,15 @@ class TestPruningBehaviour:
         node = tree.search(base_key)
         assert node is not None
         assert tree.is_node_occupied(node)
+
+    def test_pruning_reduces_node_count(self, tree):
+        eager = OccupancyOcTree(tree.resolution)
+        self._fill_block(eager)
+        self._fill_block(tree, lazy_eval=True)
+        assert tree.size() > eager.size()
+        tree.update_inner_occupancy()
+        assert tree.prune() >= 1
+        assert tree.size() == eager.size()
 
     def test_update_inside_pruned_region_expands(self, tree):
         base_key = self._fill_block(tree)

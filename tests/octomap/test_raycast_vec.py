@@ -104,6 +104,15 @@ class TestCoordsToKeyArray:
         for row, (x, y, z) in zip(keys.tolist(), coords.tolist()):
             assert tuple(row) == converter.coord_to_key(x, y, z).as_tuple()
 
+    def test_key_array_to_coords_is_voxel_center(self, converter):
+        rng = np.random.default_rng(12)
+        coords = rng.uniform(-3.0, 3.0, size=(50, 3))
+        for row, point in zip(converter.coords_to_key_array(coords).tolist(), coords.tolist()):
+            key = OcTreeKey(*row)
+            centre = converter.key_to_coord(key)
+            assert max(abs(c - p) for c, p in zip(centre, point)) <= converter.resolution / 2.0 + 1e-9
+            assert converter.coord_to_key(*centre) == key
+
     def test_out_of_range_coordinate_raises(self):
         small = KeyConverter(0.1, tree_depth=4)
         coords = np.array([[0.0, 0.0, 0.0], [0.0, small.max_coordinate + 1.0, 0.0]])

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.octomap.raycast import compute_ray_keys
 from repro.serving import MapSession, SessionConfig
 
 
@@ -80,6 +81,21 @@ def test_raycast_hit_is_occupied_in_the_software_map(warm_session):
     service = warm_session.raycast((0.0, 0.0, 0.2), (1.0, 0.0, 0.0), 6.0)
     assert service.hit
     assert tree.classify(*service.hit_point) == "occupied"
+
+
+def test_raycast_agrees_with_software_cast(warm_session):
+    """The service stops where a walk of the exported software map meets its first occupied voxel."""
+    tree = warm_session.export_octree()
+    converter = tree.key_converter
+    origin, max_range = (0.0, 0.0, 0.2), 6.0
+    for direction in ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.6, 0.8, 0.0), (0.0, 0.0, 1.0)):
+        service = warm_session.raycast(origin, direction, max_range)
+        end = tuple(origin[axis] + direction[axis] * max_range for axis in range(3))
+        keys = compute_ray_keys(converter, origin, end) + [converter.coord_to_key(*end)]
+        first = next((key for key in keys if tree.classify(key) == "occupied"), None)
+        assert service.hit == (first is not None)
+        if first is not None:
+            assert service.hit_point == pytest.approx(converter.key_to_coord(first))
 
 
 def test_raycast_clipped_miss_reports_traversed_distance(warm_session):

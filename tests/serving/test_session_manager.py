@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -37,6 +37,17 @@ def test_request_ids_are_globally_unique_and_monotonic(small_scans):
     assert manager.pending_requests() == 4
     manager.flush_all()
     assert manager.pending_requests() == 0
+
+
+def test_stamping_copies_every_other_field(small_scans):
+    request = replace(
+        ScanRequest.from_scan_node("a", small_scans[0]), max_range=4.5, deadline_s=123.0, client_id="robot-7"
+    )
+    stamped = MapSessionManager(SessionConfig(num_shards=1)).stamp_request(request)
+    assert stamped.request_id == 0 and request.request_id == -1
+    for field in fields(ScanRequest):
+        if field.name != "request_id":
+            assert getattr(stamped, field.name) is getattr(request, field.name), field.name
 
 
 def test_session_lifecycle():

@@ -101,6 +101,18 @@ def test_fixed_point_quantisation_error_is_half_lsb(value):
     assert abs(fmt.to_value(fmt.to_raw(value)) - value) <= fmt.scale / 2.0 + 1e-12
 
 
+@given(st.lists(st.booleans(), min_size=1, max_size=32))
+@settings(max_examples=30, deadline=None)
+def test_quantised_updates_stay_within_clamps_or_initial_range(hits):
+    """The PE datapath's raw log-odds never leaves the quantised clamps, whatever the sequence."""
+    quantized = DEFAULT_CONFIG.quantized_params()
+    accelerator = OMUAccelerator(DEFAULT_CONFIG)
+    key = np.array([[32768, 32768, 32768]])
+    for hit in hits:
+        accelerator.apply_update_batch(key, np.array([hit]))
+        assert quantized.raw_clamp_min <= accelerator.query_keys(key)[1][0] <= quantized.raw_clamp_max
+
+
 # ---------------------------------------------------------------------------
 # Octree / accelerator functional invariants
 # ---------------------------------------------------------------------------
