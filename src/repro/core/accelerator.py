@@ -76,11 +76,6 @@ class OMUAccelerator:
     """Functional + cycle-approximate model of the OMU accelerator."""
 
     def __init__(self, config: OMUConfig = DEFAULT_CONFIG) -> None:
-        if config.num_pes > 8:
-            raise ValueError(
-                "the first-level-branch partitioning supports at most 8 PEs; "
-                f"got num_pes={config.num_pes}"
-            )
         self.config = config
         self.address_generator = AddressGenerator(
             config.resolution_m, config.tree_depth, config.num_pes

@@ -10,6 +10,9 @@ the PE-routing view of the same bits:
 * level 0 (the root's child choice) selects the **PE** that owns the voxel --
   this is the first-level tree-branch partitioning of Section IV-A;
 * levels 1 .. depth-1 select the banks/rows walked inside that PE.
+
+For whole key arrays the PE kernels (``pe_kernel.c``) derive the same bits
+in C, update and read alike.
 """
 
 from __future__ import annotations
@@ -55,14 +58,10 @@ class AddressGenerator:
 
         With the paper's 8 PEs this is exactly the first-level branch.  For
         the PE-count ablation, fewer PEs each own several branches
-        (``branch % num_pes``); more than 8 PEs additionally split on the
-        second-level branch so the mapping stays balanced.
+        (``branch % num_pes``); :class:`~repro.core.config.OMUConfig` allows
+        1 to 8 PEs.
         """
-        branch = self.branch_id(key)
-        if self._num_pes <= 8:
-            return branch % self._num_pes
-        second = key.child_index(1, self._tree_depth)
-        return (branch * 8 + second) % self._num_pes
+        return self.branch_id(key) % self._num_pes
 
     def shard_index(self, key: OcTreeKey, num_shards: int, prefix_levels: int = 1) -> int:
         """Shard (0..num_shards-1) owning a voxel, from its key prefix.
@@ -110,26 +109,3 @@ class AddressGenerator:
         spread = _SPREAD_TABLE[top & 0xFF] | _SPREAD_TABLE[top >> 8] << 24
         subtree = spread[:, 0] | spread[:, 1] << 1 | spread[:, 2] << 2
         return subtree % num_shards
-
-    def paths_for_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Array counterpart of :meth:`OcTreeKey.path` for ``(N, 3)`` key components.
-
-        Returns an ``(N, tree_depth)`` ``uint8`` array: row ``i`` is the child
-        index chosen at every level from the root down to voxel ``i``.
-
-        Raises:
-            ValueError: if a component lies outside the 16-bit key space
-                (what constructing the :class:`OcTreeKey` would reject).
-        """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
-        if keys.size and not (0 <= keys.min() and keys.max() <= 0xFFFF):
-            raise ValueError("key component outside [0, 65535]")
-        bits = np.arange(self._tree_depth - 1, -1, -1)
-        axes = (keys[:, :, None] >> bits) & 1
-        return (axes[:, 0] | (axes[:, 1] << 1) | (axes[:, 2] << 2)).astype(np.uint8)
-
-    def pes_for_paths(self, paths: np.ndarray) -> np.ndarray:
-        """Array counterpart of :meth:`pe_for_key` over :meth:`paths_for_keys` rows."""
-        if self._num_pes <= 8:
-            return paths[:, 0] % self._num_pes
-        return (paths[:, 0].astype(np.int64) * 8 + paths[:, 1]) % self._num_pes

@@ -97,8 +97,10 @@ class OMUConfig:
     timing: TimingParams = field(default_factory=TimingParams)
 
     def __post_init__(self) -> None:
-        if self.num_pes < 1:
-            raise ValueError("num_pes must be at least 1")
+        if not 1 <= self.num_pes <= 8:
+            # The first-level-branch partitioning gives each PE one or more of
+            # the root's eight branches, so there is work for at most 8.
+            raise ValueError(f"num_pes must be in [1, 8], got {self.num_pes}")
         if self.banks_per_pe != 8:
             # The data structure stores the 8 children of one node across the
             # banks of one row; other bank counts need a different layout.

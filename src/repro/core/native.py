@@ -1,8 +1,12 @@
-"""The native kernels' build, and the PE update kernel loaded with ctypes.
+"""The native kernels' build, and the PE kernels loaded with ctypes.
 
 :meth:`repro.core.accelerator.OMUAccelerator.apply_update_batch` -- key to
 path, PE routing and every PE's per-voxel loop -- is one call into C
-(``pe_kernel.c``, next to this file), and the ingestion front end
+(``pe_kernel.c``, next to this file), and so is every voxel read:
+:meth:`~repro.core.query_unit.VoxelQueryUnit.query_keys` is one
+:data:`query_batch` call over the PE array, and a point read
+(:meth:`~repro.core.query_unit.VoxelQueryUnit.query_key`) one
+:data:`query_key` call on its PE.  The ingestion front end
 (:mod:`repro.octomap.raycast_vec`) ray-casts in C (``dda_kernel.c``, next to
 that module).  :func:`build` compiles a kernel source if no build of it
 exists yet -- ``gcc -O2 -shared -fPIC``, about a fifth of a second, once per
@@ -20,7 +24,7 @@ complete library is left.
 
 :class:`PEImage` mirrors the C ``pe_image`` struct, and the constants below
 mirror the kernel's return codes and the words of one PE's block of its
-``tallies`` array.
+``tallies`` arrays: ``T_*`` for an update call, ``Q_*`` for a read.
 """
 
 from __future__ import annotations
@@ -34,7 +38,19 @@ from array import array
 from pathlib import Path
 from typing import Sequence
 
-__all__ = ["PEImage", "SOURCE", "BUILD_DIR", "LIBRARY", "build", "apply_batch", "image_table", "tallies"]
+__all__ = [
+    "PEImage",
+    "SOURCE",
+    "BUILD_DIR",
+    "LIBRARY",
+    "build",
+    "apply_batch",
+    "query_batch",
+    "query_key",
+    "image_table",
+    "tallies",
+    "query_tallies",
+]
 
 SOURCE = Path(__file__).with_name("pe_kernel.c")
 BUILD_DIR = Path(__file__).with_name("_build")
@@ -53,6 +69,11 @@ T_WRITES = 10
 T_OCCUPIED = T_WRITES + 8
 T_PATH_NODES = T_OCCUPIED + 8
 TALLY_WORDS = T_PATH_NODES + 8
+
+# Words of one PE's block of a read call's tallies: keys walked, keys under an
+# absent local root, keys answered free or occupied, and eight of bank reads.
+Q_STARTED, Q_ABSENT, Q_KNOWN, Q_READS = range(4)
+QUERY_TALLY_WORDS = Q_READS + 8
 
 
 class PEImage(ctypes.Structure):
@@ -92,6 +113,11 @@ def tallies(num_pes: int) -> array:
     return array("q", bytes(8 * TALLY_WORDS * num_pes))
 
 
+def query_tallies(num_pes: int) -> array:
+    """A zeroed ``tallies`` argument of :data:`query_batch` (or :data:`query_key`, one PE)."""
+    return array("q", bytes(8 * QUERY_TALLY_WORDS * num_pes))
+
+
 def build(source: Path = SOURCE, build_dir: Path = BUILD_DIR) -> Path:
     """Path of the shared library built from ``source``, compiling it only if absent."""
     code = source.read_bytes()
@@ -119,7 +145,8 @@ def build(source: Path = SOURCE, build_dir: Path = BUILD_DIR) -> Path:
 
 
 LIBRARY = build()
-apply_batch = ctypes.CDLL(str(LIBRARY)).pe_apply_batch
+_kernels = ctypes.CDLL(str(LIBRARY))
+apply_batch = _kernels.pe_apply_batch
 apply_batch.argtypes = [
     ctypes.c_void_p,  # images: num_pes PEImage pointers
     ctypes.c_int64,  # num_pes
@@ -130,3 +157,32 @@ apply_batch.argtypes = [
     ctypes.c_void_p,  # tallies: num_pes blocks of TALLY_WORDS int64
 ]
 apply_batch.restype = ctypes.c_int
+
+#: Returns -1, or the index of the PE whose image stopped the call (a tag
+#: naming a child the image does not hold).
+query_batch = _kernels.pe_query_batch
+query_batch.argtypes = [
+    ctypes.c_void_p,  # images: num_pes PEImage pointers
+    ctypes.c_int64,  # num_pes
+    ctypes.c_void_p,  # keys: (count, 3) uint16
+    ctypes.c_int64,  # count
+    ctypes.c_int,  # stop_at_occupied
+    ctypes.c_void_p,  # codes: (count,) uint8
+    ctypes.c_void_p,  # raws: (count,) int16
+    ctypes.POINTER(ctypes.c_int64),  # answered
+    ctypes.c_void_p,  # tallies: num_pes blocks of QUERY_TALLY_WORDS int64
+]
+query_batch.restype = ctypes.c_int
+
+#: Returns the key's index into ``QUERY_STATUSES``, or -1 where the image
+#: stopped the walk.
+query_key = _kernels.pe_query_key
+query_key.argtypes = [
+    ctypes.POINTER(PEImage),  # image
+    ctypes.c_int64,  # x
+    ctypes.c_int64,  # y
+    ctypes.c_int64,  # z
+    ctypes.POINTER(ctypes.c_int16),  # raw
+    ctypes.c_void_p,  # tally: QUERY_TALLY_WORDS int64
+]
+query_key.restype = ctypes.c_int

@@ -36,9 +36,17 @@ differential oracle, ``tests/core/oracle_pe.py``.  Those arrays are the PE's
 whole state: :meth:`ProcessingElement.image` copies them out for a shard
 snapshot and :meth:`ProcessingElement.restore` copies them back, after
 :meth:`ProcessingElement.check_image` found nothing the kernel could trip
-over.  The query loop
-(:meth:`ProcessingElement.query_paths`) stays Python: a point read is one
-short walk, which a foreign call would make slower, not faster.
+over.
+
+Reads run in the same file: ``pe_query_batch`` walks a batch of keys over
+the PE array's images in one call, and ``pe_query_key`` one key on its PE,
+both through one ``query_walk`` (see :mod:`repro.core.query_unit`).  They
+only read the image, and hand back per PE the keys walked, absent and known
+and the reads of each bank, which :meth:`ProcessingElement.book_query`
+charges.  A point read takes the foreign call too: with the key's
+components as scalar arguments it costs ~1 us, against ~9 us for the Python
+walk of a 16-level path.  The Python loop is their oracle,
+``oracle_pe.query_paths``.
 
 That is what the model *charges*.  What the host *walks* is less, because the
 update kernel leans on one invariant of the image between completed updates:
@@ -110,12 +118,11 @@ from repro.core.treemem import (
 )
 from repro.core.timing import CycleBreakdown, PETimingStats
 from repro.octomap.counters import OperationCounters, OperationKind
-from repro.octomap.keys import OcTreeKey
 
 __all__ = ["ProcessingElement", "ExportedNode", "QUERY_STATUSES"]
 
-#: What a voxel look-up can answer; :meth:`ProcessingElement.query_paths`
-#: reports each voxel as an index into this tuple.
+#: What a voxel look-up can answer; the read kernel reports each voxel as an
+#: index into this tuple.
 QUERY_STATUSES = ("unknown", "free", "occupied")
 
 #: The bank arrays' four fields -- the PE holds each as ``_<name>[bank]`` --
@@ -168,7 +175,6 @@ class ProcessingElement:
         self._pointers = [bank.pointers for bank in banks]
         self._tags = [bank.tags for bank in banks]
         self._probabilities = [bank.probabilities for bank in banks]
-        self._threshold = self.params.raw_threshold
         # What the native kernel works on, made by the first update (_pin).
         self._image: Optional[native.PEImage] = None
         self._pinned_entries = 0  # the bank arrays' total length when last pinned
@@ -293,98 +299,31 @@ class ProcessingElement:
         return breakdown
 
     # ------------------------------------------------------------------
-    # Voxel query (service used by collision detection etc.)
+    # Voxel query (service used by collision detection etc.): the native
+    # read kernel, see repro.core.query_unit
     # ------------------------------------------------------------------
-    def query_voxel(self, key: OcTreeKey) -> Tuple[str, Optional[int]]:
-        """Return ``(status, probability_raw)`` for a voxel owned by this PE.
+    def book_query(self, tally: Sequence[int]) -> int:
+        """Charge what one PE's read tally block says the kernel did; returns its cycles.
 
-        ``status`` is ``"occupied"``, ``"free"`` or ``"unknown"``;
-        ``probability_raw`` is None for unknown voxels.
+        A look-up reads one entry per level until it reaches a leaf or a
+        child the tags call unknown, then pays one ALU pass to classify what
+        it found; a voxel under a first-level branch this PE never stored
+        costs the one read that finds that out.
         """
-        (code,), (raw,), _ = self.query_paths((key.path(self.config.tree_depth),))
-        return (QUERY_STATUSES[code], raw if code else None)
+        timing = self.config.timing
+        bank_reads = tally[native.Q_READS : native.Q_READS + 8]
+        reads = sum(bank_reads)
+        cycles = (tally[native.Q_ABSENT] + reads) * timing.bank_read_cycles + tally[native.Q_KNOWN] * timing.alu_cycles
+        for bank, count in zip(self.memory.banks, bank_reads):
+            bank.read_accesses += count
+        self.stats.bank_reads += reads
+        self.counters.queries += tally[native.Q_STARTED]
+        self.query_cycles += cycles
+        return cycles
 
-    def query_paths(
-        self, paths: Sequence[Sequence[int]], stop_at_occupied: bool = False
-    ) -> Tuple[List[int], List[int], int]:
-        """Look up a stream of voxels this PE owns: the read side of :func:`apply_keys`.
-
-        ``paths`` holds one row of ``tree_depth`` child indices (plain ints:
-        an array's ``tolist()``) per voxel, from the global root down to the
-        leaf.  Returns ``(codes, raws, cycles)``: per voxel its index into
-        :data:`QUERY_STATUSES` and its fixed-point log-odds (0 where
-        unknown), and the cycles the whole stream took on this PE.  With
-        ``stop_at_occupied`` the stream ends after its first occupied voxel
-        (a collision ray's walk): the lists then hold the answered prefix,
-        and only that prefix is counted.
-
-        One fused integer loop over the SRAM image.  A look-up reads one
-        entry per level until it reaches a leaf (a pruned region answers for
-        every voxel inside it) or a child the tags call unknown, then pays
-        one ALU pass to classify what it found; a voxel under a first-level
-        branch this PE never stored costs the one read that finds that out.
-        The loop tallies reads per bank and answers given, and books them
-        once at the end -- also when a corrupt image stops it half way.
-        """
-        valid, pointers, tags, probabilities = self._valid, self._pointers, self._tags, self._probabilities
-        roots = self._local_roots
-        threshold = self._threshold
-        bank_reads = [0] * 8
-        codes: List[int] = []
-        raws: List[int] = []
-        started = absent = 0
-        try:
-            for path in paths:
-                started += 1
-                levels = iter(path)
-                bank = next(levels)
-                row = 0
-                if not roots[bank]:
-                    absent += 1
-                    codes.append(0)
-                    raws.append(0)
-                    continue
-                bank_reads[bank] += 1
-                known = True
-                for child in levels:
-                    block = pointers[bank][row]
-                    word = tags[bank][row]
-                    if block == NULL_POINTER:
-                        # Leaf above the finest depth: homogeneous region
-                        # (pruned) or an unobserved fresh node.
-                        known = word != 0
-                        break
-                    if not (word >> (child + child)) & 0b11:
-                        known = False
-                        break
-                    bank_reads[child] += 1
-                    if not valid[child][block]:
-                        raise RuntimeError(f"PE {self.pe_id}: dangling tag during query")
-                    bank, row = child, block
-                if known:
-                    value = probabilities[bank][row]
-                    raws.append(value)
-                    if value > threshold:
-                        codes.append(2)
-                        if stop_at_occupied:
-                            break
-                    else:
-                        codes.append(1)
-                else:
-                    codes.append(0)
-                    raws.append(0)
-        finally:
-            timing = self.config.timing
-            reads = sum(bank_reads)
-            cycles = (absent + reads) * timing.bank_read_cycles + (
-                len(codes) - codes.count(0)
-            ) * timing.alu_cycles
-            for bank, count in zip(self.memory.banks, bank_reads):
-                bank.read_accesses += count
-            self.stats.bank_reads += reads
-            self.counters.queries += started
-            self.query_cycles += cycles
-        return codes, raws, cycles
+    def query_failure(self) -> RuntimeError:
+        """What a read the kernel stopped in this PE's image raises."""
+        return RuntimeError(f"PE {self.pe_id}: dangling tag during query")
 
     # ------------------------------------------------------------------
     # Map read-back (verification / host transfer)

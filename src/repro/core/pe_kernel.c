@@ -1,4 +1,4 @@
-/* The PE update kernel: OMUAccelerator.apply_update_batch over the PE array.
+/* The PE kernels: OMUAccelerator.apply_update_batch and its voxel reads over the PE array.
  *
  * One call of pe_apply_batch is the voxel scheduler and every PE of one
  * accelerator: it derives each key's root-to-leaf path and its PE (the
@@ -20,6 +20,12 @@
  * raises.  PE_GROW is not an error: that PE's image is too short for its next
  * update's fresh rows; Python grows it and calls again, and every PE resumes
  * after its T_DONE updates.
+ *
+ * pe_query_batch is the read mirror of pe_apply_batch (the Voxel Query unit,
+ * Fig. 4/7): the same routing, then one query_walk per key over the same
+ * images, which it only reads, tallying QUERY_TALLY_WORDS words per PE.
+ * pe_query_key is the same walk for one key on one PE.  The Python loop they
+ * replace is their oracle, tests/core/oracle_pe.py's query_paths.
  *
  * Built by repro/core/native.py; the layout of pe_image and the word indices
  * below are mirrored there and in repro/core/prune_manager.py.
@@ -53,6 +59,15 @@ enum {
     T_OCCUPIED = T_WRITES + 8,   /* eight words: change in live entries per bank */
     T_PATH_NODES = T_OCCUPIED + 8, /* eight words: nodes of the done updates' paths per bank */
     TALLY_WORDS = T_PATH_NODES + 8,
+};
+
+/* What a read call adds up for the Python side, per PE. */
+enum {
+    Q_STARTED, /* keys walked, the one a corrupt image stopped included */
+    Q_ABSENT,  /* keys under a first-level branch this PE never stored: one read each */
+    Q_KNOWN,   /* keys answered free or occupied: one ALU pass each */
+    Q_READS,   /* eight words: entry reads per bank */
+    QUERY_TALLY_WORDS = Q_READS + 8,
 };
 
 typedef struct {
@@ -337,4 +352,88 @@ int pe_apply_batch(pe_image *const *images, int64_t num_pes, const uint16_t *key
         }
     }
     return PE_OK;
+}
+
+/* One voxel look-up: read one entry per level until a leaf (a pruned region answers for every voxel
+ * inside it) or a child the tags call unknown.  Returns the answer's index into QUERY_STATUSES (0
+ * unknown, 1 free, 2 occupied) with its fixed-point log-odds in *raw (0 where unknown), or -1 where a
+ * tag lists a child the image does not hold: not valid, or at a pointer past every row it has. */
+static int query_walk(const pe_image *im, const uint16_t *key, int16_t *raw, int64_t *tally) {
+    const int depth = (int)im->depth;
+    int bank = child_at(key, depth - 1);
+    int64_t row = 0;
+    tally[Q_STARTED]++;
+    *raw = 0;
+    if (!im->roots[bank]) {
+        tally[Q_ABSENT]++;
+        return 0;
+    }
+    tally[Q_READS + bank]++;
+    for (int bit = depth - 2; bit >= 0; bit--) {
+        int child = child_at(key, bit);
+        uint32_t block = im->pointers[bank][row];
+        uint32_t word = im->tags[bank][row];
+        if (block == NULL_POINTER) {
+            if (!word) /* an unobserved fresh node */
+                return 0;
+            break; /* a leaf above the finest depth: a pruned, homogeneous region */
+        }
+        if (!((word >> (2 * child)) & 3))
+            return 0;
+        tally[Q_READS + child]++;
+        if (block >= im->capacity || !im->valid[child][block])
+            return -1;
+        bank = child;
+        row = block;
+    }
+    int16_t value = im->probabilities[bank][row];
+    tally[Q_KNOWN]++;
+    *raw = value;
+    return value > im->threshold ? 2 : 1;
+}
+
+/* The read entry: num_pes images, count keys (three uint16 components each), room for count codes
+ * and raws, and num_pes blocks of QUERY_TALLY_WORDS words.  Without stop_at_occupied it runs PE 0,
+ * 1, ... in turn, each over its own keys in stream order, and answers every key in place; with it,
+ * it walks the keys in stream order (a collision ray's run) and stops after the first occupied one,
+ * leaving the answered prefix.  *answered counts the keys answered.  Returns -1, or the PE whose
+ * image stopped the call: its keys before the stopping one, and the keys of the PEs walked before
+ * it, are answered and tallied, the stopping key is tallied as far as it was read, and no other. */
+int pe_query_batch(pe_image *const *images, int64_t num_pes, const uint16_t *keys, int64_t count,
+                   int stop_at_occupied, uint8_t *codes, int16_t *raws, int64_t *answered, int64_t *tallies) {
+    const int depth = (int)images[0]->depth;
+    *answered = 0;
+    if (stop_at_occupied) {
+        for (int64_t index = 0; index < count; index++) {
+            const uint16_t *key = keys + 3 * index;
+            int64_t pe = child_at(key, depth - 1) % num_pes;
+            int code = query_walk(images[pe], key, raws + index, tallies + pe * QUERY_TALLY_WORDS);
+            if (code < 0)
+                return (int)pe;
+            codes[index] = (uint8_t)code;
+            (*answered)++;
+            if (code == 2)
+                break;
+        }
+        return -1;
+    }
+    for (int64_t pe = 0; pe < num_pes; pe++) {
+        for (int64_t index = 0; index < count; index++) {
+            const uint16_t *key = keys + 3 * index;
+            if (child_at(key, depth - 1) % num_pes != pe)
+                continue;
+            int code = query_walk(images[pe], key, raws + index, tallies + pe * QUERY_TALLY_WORDS);
+            if (code < 0)
+                return (int)pe;
+            codes[index] = (uint8_t)code;
+            (*answered)++;
+        }
+    }
+    return -1;
+}
+
+/* One key on its PE's image, passed as scalars: query_walk's answer, its raw in *raw, its tally. */
+int pe_query_key(const pe_image *im, int64_t x, int64_t y, int64_t z, int16_t *raw, int64_t *tally) {
+    const uint16_t key[3] = {(uint16_t)x, (uint16_t)y, (uint16_t)z};
+    return query_walk(im, key, raw, tally);
 }

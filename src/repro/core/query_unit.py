@@ -6,18 +6,29 @@ Fig. 7).  A query carries a metric coordinate (or a voxel key); the unit
 derives the key, issues the look-up to the PE owning the voxel, receives the
 fixed-point probability and classifies it against the occupancy thresholds
 into occupied / free / unknown.
+
+Every read walks the SRAM image in C, in the PE kernel's ``query_walk``
+(``pe_kernel.c``): :meth:`VoxelQueryUnit.query_keys` is one
+``pe_query_batch`` call over the whole PE array -- key to path, PE routing
+and every walk -- and a point read one ``pe_query_key`` call on its PE with
+the key's components as scalars.  Each PE the call reached then books what
+its tally block says it read (:meth:`~repro.core.pe.ProcessingElement.book_query`),
+so every simulated count is what one Python walk per key would leave.  That
+walk is the kernel's oracle, ``tests/core/oracle_pe.py``.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import native
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import OMUConfig
-from repro.core.pe import ProcessingElement
+from repro.core.pe import QUERY_STATUSES, ProcessingElement
 from repro.octomap.keys import OcTreeKey
 from repro.octomap.logodds import probability as logodds_to_probability
 
@@ -64,80 +75,77 @@ class VoxelQueryUnit:
         """Query the occupancy of one voxel by key."""
         pe_id = self.address_generator.pe_for_key(key)
         pe = self._pes[pe_id]
-
-        cycles_before = pe.query_cycles
-        status, raw = pe.query_voxel(key)
-        pe_cycles = pe.query_cycles - cycles_before
+        tally = native.query_tallies(1)
+        raw = ctypes.c_int16()
+        code = native.query_key(pe.pinned_image(), key.x, key.y, key.z, raw, tally.buffer_info()[0])
+        pe_cycles = pe.book_query(tally)
+        if code < 0:
+            raise pe.query_failure()
         cycles = self.config.timing.query_issue_cycles + pe_cycles
 
         probability = None
-        if raw is not None:
-            value = self.config.fixed_point.to_value(raw)
-            probability = logodds_to_probability(value)
+        if code:
+            probability = logodds_to_probability(self.config.fixed_point.to_value(raw.value))
 
         self.queries_served += 1
         self.total_cycles += cycles
-        return QueryResult(status=status, probability=probability, pe_id=pe_id, cycles=cycles)
+        return QueryResult(status=QUERY_STATUSES[code], probability=probability, pe_id=pe_id, cycles=cycles)
 
     def query_keys(
         self, keys: np.ndarray, stop_at_occupied: bool = False
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Serve ``(N, 3)`` voxel keys in one pass: the array form of N :meth:`query` calls.
 
-        The keys become paths and PE ids once, and every PE that owns any of
-        them walks its share in a single
-        :meth:`~repro.core.pe.ProcessingElement.query_paths` call.  Returns
-        ``(codes, raws, cycles)``: per key its ``uint8`` index into
-        :data:`~repro.core.pe.QUERY_STATUSES` and its ``int16`` fixed-point
-        log-odds (0 where unknown), and the cycles of all N look-ups, issue
-        included.  Every simulated count ends up where N sequential point
-        queries of the same voxels would leave it.
+        One native call routes every key to its PE and walks it there, PE 0,
+        1, ... in turn.  Returns ``(codes, raws, cycles)``: per key its
+        ``uint8`` index into :data:`~repro.core.pe.QUERY_STATUSES` and its
+        ``int16`` fixed-point log-odds (0 where unknown), and the cycles of
+        all N look-ups, issue included.  Every simulated count ends up where
+        N sequential point queries of the same voxels would leave it.
 
         ``stop_at_occupied`` reads the keys as a collision ray does: in key
-        order, one PE stretch after another, ending after the first occupied
-        voxel.  The arrays then hold that answered prefix, and the counts are
-        those of point queries of the prefix alone.
+        order, ending after the first occupied voxel.  The arrays then hold
+        that answered prefix, and the counts are those of point queries of
+        the prefix alone.
+
+        Raises:
+            ValueError: if a key component lies outside the 16-bit key space.
+            RuntimeError: naming the PE, if a tag lists a child its image
+                does not hold; what was read up to there is booked.
         """
-        paths = self.address_generator.paths_for_keys(keys)
-        pe_ids = self.address_generator.pes_for_paths(paths)
-        if stop_at_occupied:
-            codes, raws, cycles = self._query_until_occupied(paths, pe_ids)
-        else:
-            codes = np.zeros(len(paths), dtype=np.uint8)
-            raws = np.zeros(len(paths), dtype=np.int16)
-            cycles = len(paths) * self.config.timing.query_issue_cycles
-            for pe_id in np.unique(pe_ids).tolist():
-                mine = pe_ids == pe_id
-                codes[mine], raws[mine], pe_cycles = self._pes[pe_id].query_paths(paths[mine].tolist())
-                cycles += pe_cycles
-        self.queries_served += len(codes)
+        keys = np.asarray(keys)
+        if keys.dtype != np.uint16 and keys.size and not (0 <= keys.min() and keys.max() <= 0xFFFF):
+            raise ValueError("key component outside [0, 65535]")
+        keys = np.ascontiguousarray(keys, dtype=np.uint16).reshape(-1, 3)
+        count = len(keys)
+        codes = np.zeros(count, dtype=np.uint8)
+        raws = np.zeros(count, dtype=np.int16)
+        answered = ctypes.c_int64()
+        tally = native.query_tallies(len(self._pes))
+        failed = native.query_batch(
+            native.image_table([pe.pinned_image() for pe in self._pes]),
+            len(self._pes),
+            keys.ctypes.data,
+            count,
+            stop_at_occupied,
+            codes.ctypes.data,
+            raws.ctypes.data,
+            answered,
+            tally.buffer_info()[0],
+        )
+        words = tally.tolist()
+        pe_cycles = 0
+        for at, pe in zip(range(0, len(words), native.QUERY_TALLY_WORDS), self._pes):
+            if words[at + native.Q_STARTED]:
+                pe_cycles += pe.book_query(words[at : at + native.QUERY_TALLY_WORDS])
+        if failed >= 0:
+            raise self._pes[failed].query_failure()
+        if answered.value < count:
+            codes, raws = codes[: answered.value], raws[: answered.value]
+        cycles = answered.value * self.config.timing.query_issue_cycles + pe_cycles
+        self.queries_served += answered.value
         self.total_cycles += cycles
         return codes, raws, cycles
-
-    def _query_until_occupied(
-        self, paths: np.ndarray, pe_ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """The stopping read of :meth:`query_keys`: consecutive same-PE
-        stretches in order, until one of them answers occupied."""
-        # A ray changes PE only where it crosses a coordinate plane through
-        # the origin, so a run holds one or two stretches, rarely more.
-        starts = np.flatnonzero(np.diff(pe_ids)) + 1
-        bounds = [0, *starts.tolist(), len(paths)] if len(paths) else [0]
-        all_codes: List[int] = []
-        all_raws: List[int] = []
-        pe_cycles = 0
-        rows = paths.tolist()
-        for start, stop in zip(bounds, bounds[1:]):
-            codes, raws, cycles = self._pes[int(pe_ids[start])].query_paths(
-                rows[start:stop], stop_at_occupied=True
-            )
-            all_codes += codes
-            all_raws += raws
-            pe_cycles += cycles
-            if codes[-1] == 2:
-                break
-        cycles = len(all_codes) * self.config.timing.query_issue_cycles + pe_cycles
-        return np.array(all_codes, dtype=np.uint8), np.array(all_raws, dtype=np.int16), cycles
 
     def average_cycles_per_query(self) -> float:
         """Mean query service latency in cycles."""

@@ -80,37 +80,38 @@ static int to_key(const double point[3], double resolution, int64_t tree_max_val
     return 1;
 }
 
-/* clip_segment_to_volume for an origin inside the volume.  An axis whose
- * extent is below EPSILON runs parallel to the faces it would cross: it bounds
- * no scale, and where its end lies past the clip limit the end keeps the
- * origin's coordinate, so an origin within EPSILON of a face is not carried
- * through it. */
+/* clip_segment_to_volume for an origin inside the volume.  The end is clipped
+ * to 0.999 of the half extent.  An axis bounds no scale where its extent is
+ * below EPSILON (it runs parallel to the faces it would cross) or where its
+ * origin already lies at or past that limit on the side its end lies; where
+ * the end lies past the limit, such an axis keeps the origin's coordinate.
+ * So an origin between the limit and a face is neither carried through the
+ * face nor clipped to itself. */
 static void clip(const double origin[3], double end[3], double limit) {
     limit *= 0.999;
     double scale = 1.0;
+    int pinned[3];
     for (int axis = 0; axis < 3; axis++) {
         double delta = end[axis] - origin[axis];
-        if (fabs(delta) < EPSILON)
-            continue;
-        double candidate;
+        double bound;
         if (end[axis] > limit)
-            candidate = (limit - origin[axis]) / delta;
+            bound = limit;
         else if (end[axis] < -limit)
-            candidate = (-limit - origin[axis]) / delta;
-        else
+            bound = -limit;
+        else {
+            pinned[axis] = 0;
             continue;
-        if (candidate < scale)
-            scale = candidate;
+        }
+        pinned[axis] = fabs(delta) < EPSILON || (bound > 0 ? origin[axis] >= limit : origin[axis] <= -limit);
+        if (!pinned[axis]) {
+            double candidate = (bound - origin[axis]) / delta;
+            if (candidate < scale)
+                scale = candidate;
+        }
     }
-    if (scale < 0.0)
-        scale = 0.0;
-    for (int axis = 0; axis < 3; axis++) {
-        double delta = end[axis] - origin[axis];
-        if (fabs(delta) < EPSILON && (end[axis] > limit || end[axis] < -limit))
-            end[axis] = origin[axis];
-        else
-            end[axis] = origin[axis] + delta * scale;
-    }
+    /* Every scale an axis bounds is positive: its origin lies short of the limit its end passes. */
+    for (int axis = 0; axis < 3; axis++)
+        end[axis] = pinned[axis] ? origin[axis] : origin[axis] + (end[axis] - origin[axis]) * scale;
 }
 
 /* compute_ray_keys: append the keys strictly between the two voxels to `visits`. */

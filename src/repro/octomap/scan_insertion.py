@@ -147,32 +147,36 @@ def clip_segment_to_volume(converter, origin: Sequence[float], end: Sequence[flo
     """Shorten a segment so its endpoint lies inside the addressable volume.
 
     Returns the clipped endpoint, or None when even the origin lies outside
-    (in which case the beam contributes nothing).  An axis whose extent is
-    below 1e-12 runs parallel to the faces it would cross: it bounds no
-    scale, and where its end lies past the clip limit the endpoint keeps the
-    origin's coordinate, so an origin within 1e-12 of a face is not carried
-    through it.  ``dda_kernel.c`` clips with the same arithmetic, so both
-    front ends and both collision-ray walks treat out-of-range segments
+    (in which case the beam contributes nothing).  The end is clipped to 0.999
+    of the volume's half extent.  An axis bounds no scale where the segment
+    runs parallel to the faces it would cross (an extent below 1e-12) or where
+    its origin already lies at or past that limit on the side its end lies:
+    where the end lies past the limit, such an axis keeps the origin's
+    coordinate, and every other axis clips as usual.  So an origin between the
+    limit and a face is neither carried through the face nor clipped to
+    itself.  ``dda_kernel.c`` clips with the same arithmetic, so both front
+    ends and both collision-ray walks treat out-of-range segments
     identically.
     """
     if not converter.is_coordinate_in_range(*origin):
         return None
     limit = converter.max_coordinate * 0.999
     scale = 1.0
+    pinned = []
     for axis in range(3):
         delta = end[axis] - origin[axis]
-        if abs(delta) < 1e-12:
-            continue
         if end[axis] > limit:
-            scale = min(scale, (limit - origin[axis]) / delta)
+            bound = limit
         elif end[axis] < -limit:
-            scale = min(scale, (-limit - origin[axis]) / delta)
-    scale = max(scale, 0.0)
-    clipped = []
-    for axis in range(3):
-        delta = end[axis] - origin[axis]
-        if abs(delta) < 1e-12 and (end[axis] > limit or end[axis] < -limit):
-            clipped.append(origin[axis])
+            bound = -limit
         else:
-            clipped.append(origin[axis] + delta * scale)
-    return tuple(clipped)
+            pinned.append(False)
+            continue
+        # The origin at or past the limit on the end's side (or no extent towards it).
+        pinned.append(abs(delta) < 1e-12 or (origin[axis] >= limit if bound > 0 else origin[axis] <= -limit))
+        if not pinned[axis]:
+            scale = min(scale, (bound - origin[axis]) / delta)
+    # Every scale an axis bounds is positive: its origin lies short of the limit its end passes.
+    return tuple(
+        origin[axis] if pinned[axis] else origin[axis] + (end[axis] - origin[axis]) * scale for axis in range(3)
+    )

@@ -1,4 +1,4 @@
-"""The PE update kernel in Python: the differential oracle of ``pe_kernel.c``.
+"""The PE kernels in Python: the differential oracles of ``pe_kernel.c``.
 
 :func:`update_paths` is the loop the native kernel runs for one PE, written
 over the same state -- the bank arrays, the prune address manager, the
@@ -10,33 +10,41 @@ hands back is counted here where it happens.  It grows the image by the same
 rule (double before an update whose fresh rows could pass the arrays' end),
 raises what the native call raises, and charges through the PE's own
 ``_charge``.  :func:`apply_keys` is the native batch entry's scheduler in
-numpy: each key's path (``paths_for_keys``), a stable split by PE, then
+numpy: each key's path (:func:`paths_for_keys`), a stable split by PE, then
 :func:`update_paths` on each PE in order.  The suites hold the two to
 byte-equal images, stacks, statistics, counters and access counts, failures
 included.
 
+The read side likewise: :func:`query_paths` is the walk of the native
+``query_walk`` over one PE's paths, counting and booking every read itself;
+:func:`query_keys` / :func:`query_key` are what
+``VoxelQueryUnit.query_keys`` / ``query_key`` do around it (per-PE split,
+or stream-order stretches until the first occupied key).
+
 Use it on a PE with ``oracle_pe.update_paths(pe, paths, occupied)``, or make
-an accelerator run on it with :func:`use_oracle`.  :func:`kernel_update_paths`
-and :func:`kernel_update_voxel` run the *native* kernel on one PE alone, the
-form the PE-level tests drive it in.
+an accelerator run on it with :func:`use_oracle`.  :func:`kernel_update_paths`,
+:func:`kernel_update_voxel` and :func:`kernel_query_voxel` run the *native*
+kernels on one PE alone, the form the PE-level tests drive them in.
 """
 
 from __future__ import annotations
 
+import ctypes
 from array import array
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import accelerator as accelerator_module
 from repro.core import native
-from repro.core.address_gen import AddressGenerator
-from repro.core.pe import ProcessingElement
+from repro.core.pe import QUERY_STATUSES, ProcessingElement
 from repro.core.pe import apply_keys as native_apply_keys
+from repro.core.query_unit import QueryResult, VoxelQueryUnit
 from repro.core.prune_manager import ALLOCATIONS, DEPTH, FREES, FRESH, NEXT_FRESH, PEAK, REUSED, PruneAddressManager
 from repro.core.timing import CycleBreakdown
 from repro.core.treemem import NULL_POINTER, BankedTreeMemory, ChildStatus, TreeMemBank
 from repro.octomap.keys import OcTreeKey
+from repro.octomap.logodds import probability as logodds_to_probability
 
 # Tag words of a row whose eight children all classify alike, and the
 # (occupied, free, inner) tag of each child shifted to its place in the word.
@@ -121,6 +129,17 @@ def kernel_update_voxel(pe: ProcessingElement, key: OcTreeKey, occupied: bool) -
     return kernel_update_paths(pe, [key.path(pe.config.tree_depth)], [occupied]).total()
 
 
+def kernel_query_voxel(pe: ProcessingElement, key: OcTreeKey) -> Tuple[str, Optional[int]]:
+    """One read of ``key`` by the native kernel on ``pe``, booked: ``(status, raw)``, raw None where unknown."""
+    tally = native.query_tallies(1)
+    raw = ctypes.c_int16()
+    code = native.query_key(pe.pinned_image(), key.x, key.y, key.z, raw, tally.buffer_info()[0])
+    pe.book_query(tally)
+    if code < 0:
+        raise pe.query_failure()
+    return QUERY_STATUSES[code], raw.value if code else None
+
+
 # -- the oracle ------------------------------------------------------------------------
 def use_oracle(accelerator) -> None:
     """Make every update stream of ``accelerator`` run on :func:`apply_keys` instead of the native entry."""
@@ -138,8 +157,7 @@ def use_oracle(accelerator) -> None:
 
 def apply_keys(pes: Sequence[ProcessingElement], keys: np.ndarray, flags: np.ndarray, tally: array):
     """What ``repro.core.pe.apply_keys`` does, a PE at a time."""
-    config = pes[0].config
-    paths = AddressGenerator(config.resolution_m, config.tree_depth, len(pes)).paths_for_keys(keys)
+    paths = paths_for_keys(keys, pes[0].config.tree_depth)
     owners = paths[:, 0] % len(pes)
     tally[native.T_ISSUED :: native.TALLY_WORDS] = array("q", np.bincount(owners, minlength=len(pes)).tolist())
     breakdowns = []
@@ -147,6 +165,15 @@ def apply_keys(pes: Sequence[ProcessingElement], keys: np.ndarray, flags: np.nda
         mine = owners == index
         breakdowns.append(update_paths(pe, paths[mine], flags[mine].tolist()))
     return breakdowns
+
+
+def paths_for_keys(keys: np.ndarray, depth: int) -> np.ndarray:
+    """``(N, depth)`` ``uint8`` child indices, root first, of ``(N, 3)`` keys: ``OcTreeKey.path`` row by row."""
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    if keys.size and not (0 <= keys.min() and keys.max() <= 0xFFFF):
+        raise ValueError("key component outside [0, 65535]")
+    axes = (keys[:, :, None] >> np.arange(depth - 1, -1, -1)) & 1
+    return (axes[:, 0] | (axes[:, 1] << 1) | (axes[:, 2] << 2)).astype(np.uint8)
 
 
 def read_children(pe: ProcessingElement, block: int) -> Tuple[int, List[int]]:
@@ -319,3 +346,138 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
         path_nodes = np.bincount(paths[:done].ravel(), minlength=8).tolist()
         charged = pe._charge(done, path_nodes, new_nodes, allocations, expansions, prunes)
     return charged
+
+
+# -- the read oracle -------------------------------------------------------------------
+def query_paths(
+    pe: ProcessingElement, paths: Sequence[Sequence[int]], stop_at_occupied: bool = False
+) -> Tuple[List[int], List[int], int]:
+    """The native ``query_walk`` over a stream of ``pe``'s paths, one Python statement at a time.
+
+    ``paths`` holds one row of ``tree_depth`` child indices (plain ints) per
+    voxel.  Returns ``(codes, raws, cycles)``: per voxel its index into
+    ``QUERY_STATUSES`` and its fixed-point log-odds (0 where unknown), and
+    the cycles the whole stream took on this PE.  With ``stop_at_occupied``
+    the stream ends after its first occupied voxel.  The loop tallies reads
+    per bank and answers given, and books them once at the end -- also when
+    a corrupt image stops it half way.
+    """
+    valid, pointers, tags, probabilities = pe._valid, pe._pointers, pe._tags, pe._probabilities
+    roots = pe._local_roots
+    threshold = pe.params.raw_threshold
+    capacity = pe.memory.rows
+    bank_reads = [0] * 8
+    codes: List[int] = []
+    raws: List[int] = []
+    started = absent = 0
+    try:
+        for path in paths:
+            started += 1
+            levels = iter(path)
+            bank = next(levels)
+            row = 0
+            if not roots[bank]:
+                absent += 1
+                codes.append(0)
+                raws.append(0)
+                continue
+            bank_reads[bank] += 1
+            known = True
+            for child in levels:
+                block = pointers[bank][row]
+                word = tags[bank][row]
+                if block == NULL_POINTER:
+                    # Leaf above the finest depth: homogeneous region
+                    # (pruned) or an unobserved fresh node.
+                    known = word != 0
+                    break
+                if not (word >> (child + child)) & 0b11:
+                    known = False
+                    break
+                bank_reads[child] += 1
+                if block >= capacity or not valid[child][block]:
+                    raise RuntimeError(f"PE {pe.pe_id}: dangling tag during query")
+                bank, row = child, block
+            if known:
+                value = probabilities[bank][row]
+                raws.append(value)
+                if value > threshold:
+                    codes.append(2)
+                    if stop_at_occupied:
+                        break
+                else:
+                    codes.append(1)
+            else:
+                codes.append(0)
+                raws.append(0)
+    finally:
+        timing = pe.config.timing
+        reads = sum(bank_reads)
+        cycles = (absent + reads) * timing.bank_read_cycles + (len(codes) - codes.count(0)) * timing.alu_cycles
+        for bank, count in zip(pe.memory.banks, bank_reads):
+            bank.read_accesses += count
+        pe.stats.bank_reads += reads
+        pe.counters.queries += started
+        pe.query_cycles += cycles
+    return codes, raws, cycles
+
+
+def query_voxel(pe: ProcessingElement, key: OcTreeKey) -> Tuple[str, Optional[int]]:
+    """:func:`query_paths` of one key: ``(status, raw)``, raw None where unknown."""
+    (code,), (raw,), _ = query_paths(pe, (key.path(pe.config.tree_depth),))
+    return QUERY_STATUSES[code], raw if code else None
+
+
+def query_key(unit: VoxelQueryUnit, key: OcTreeKey) -> QueryResult:
+    """What ``unit.query_key(key)`` does, on :func:`query_voxel`."""
+    pe_id = unit.address_generator.pe_for_key(key)
+    pe = unit._pes[pe_id]
+    cycles_before = pe.query_cycles
+    status, raw = query_voxel(pe, key)
+    cycles = unit.config.timing.query_issue_cycles + pe.query_cycles - cycles_before
+    probability = None if raw is None else logodds_to_probability(unit.config.fixed_point.to_value(raw))
+    unit.queries_served += 1
+    unit.total_cycles += cycles
+    return QueryResult(status=status, probability=probability, pe_id=pe_id, cycles=cycles)
+
+
+def query_keys(
+    unit: VoxelQueryUnit, keys: np.ndarray, stop_at_occupied: bool = False
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """What ``unit.query_keys(keys, stop_at_occupied)`` does, on :func:`query_paths`.
+
+    Without a stop every PE walks its share (a stable split) in PE order;
+    with one the keys go in consecutive same-PE stretches, in order, until a
+    stretch answers occupied.
+    """
+    pes = unit._pes
+    paths = paths_for_keys(keys, unit.config.tree_depth)
+    pe_ids = paths[:, 0] % len(pes)
+    issue = unit.config.timing.query_issue_cycles
+    if stop_at_occupied:
+        starts = np.flatnonzero(np.diff(pe_ids)) + 1
+        bounds = [0, *starts.tolist(), len(paths)] if len(paths) else [0]
+        all_codes: List[int] = []
+        all_raws: List[int] = []
+        pe_cycles = 0
+        rows = paths.tolist()
+        for start, stop in zip(bounds, bounds[1:]):
+            codes, raws, cycles = query_paths(pes[int(pe_ids[start])], rows[start:stop], stop_at_occupied=True)
+            all_codes += codes
+            all_raws += raws
+            pe_cycles += cycles
+            if codes[-1] == 2:
+                break
+        codes, raws = np.array(all_codes, dtype=np.uint8), np.array(all_raws, dtype=np.int16)
+        cycles = len(codes) * issue + pe_cycles
+    else:
+        codes = np.zeros(len(paths), dtype=np.uint8)
+        raws = np.zeros(len(paths), dtype=np.int16)
+        cycles = len(paths) * issue
+        for pe_id in np.unique(pe_ids).tolist():
+            mine = pe_ids == pe_id
+            codes[mine], raws[mine], pe_cycles = query_paths(pes[pe_id], paths[mine].tolist())
+            cycles += pe_cycles
+    unit.queries_served += len(codes)
+    unit.total_cycles += cycles
+    return codes, raws, cycles

@@ -20,8 +20,9 @@ class TestConstruction:
         assert accelerator.map_critical_path_cycles() == 0
 
     def test_more_than_eight_pes_rejected(self):
-        with pytest.raises(ValueError):
-            OMUAccelerator(OMUConfig(num_pes=9))
+        """The configuration is the one PE-count check: a ninth PE would own no branch."""
+        with pytest.raises(ValueError, match=r"num_pes must be in \[1, 8\], got 9"):
+            OMUConfig(num_pes=9)
 
     def test_reduced_pe_count(self):
         accelerator = OMUAccelerator(OMUConfig(num_pes=2, resolution_m=0.2))

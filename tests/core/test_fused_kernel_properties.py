@@ -40,7 +40,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import OMUAccelerator, OMUConfig
-from repro.core.address_gen import AddressGenerator
 from repro.core.pe import ProcessingElement
 from repro.core.treemem import INITIAL_ROWS, NULL_POINTER, ChildStatus, MemoryCapacityError, TreeMemEntry
 from repro.core.verification import compare_trees
@@ -214,8 +213,7 @@ def test_updates_to_one_voxel_in_one_batch_apply_in_stream_order():
     for flags in (hits_then_miss, hits_then_miss[::-1]):
         accelerator = OMUAccelerator(config)
         accelerator.apply_update_batch(np.repeat(key, len(flags), axis=0), np.array(flags))
-        pe = accelerator.pes[accelerator.address_generator.pe_for_key(OcTreeKey(5, 9, 3))]
-        finals.append(pe.query_voxel(OcTreeKey(5, 9, 3))[1])
+        finals.append(int(accelerator.query_keys(key)[1][0]))
     assert finals == [params.raw_clamp_max + params.raw_miss, params.raw_clamp_max]
 
 
@@ -268,7 +266,7 @@ def check_resumed_equals_cold(config, paths: np.ndarray, occupied: List[bool]) -
 def stream_columns(depth: int, stream: List[Update]):
     config = small_config(depth)
     columns = np.array(stream, dtype=np.int64)
-    paths = AddressGenerator(config.resolution_m, depth, config.num_pes).paths_for_keys(columns[:, :3])
+    paths = oracle_pe.paths_for_keys(columns[:, :3], depth)
     return config, paths, (columns[:, 3] != 0).tolist()
 
 
@@ -342,8 +340,8 @@ def test_a_depth_16_lidar_stream_applied_seven_times_over():
     cast = compute_scan_update_arrays(accelerator.address_generator.converter, cloud.points, (0.05, 0.05, 0.05))
     keys = unpack_key_array(np.concatenate((cast.free_packed, cast.occupied_packed)))
     occupied = np.arange(len(keys)) >= cast.free_packed.size
-    paths = accelerator.address_generator.paths_for_keys(keys)
-    pes = accelerator.address_generator.pes_for_paths(paths)
+    paths = oracle_pe.paths_for_keys(keys, config.tree_depth)
+    pes = paths[:, 0] % config.num_pes
     mine = pes == np.bincount(pes).argmax()  # the busiest PE's queue
     pe = check_resumed_equals_cold(config, np.tile(paths[mine], (7, 1)), occupied[mine].tolist() * 7)
     assert pe.counters.prunes >= 1 and pe.counters.expansions >= 1

@@ -44,39 +44,39 @@ class TestVoxelUpdate:
     def test_update_then_query_occupied(self, pe, converter):
         key = key_at(converter, 1.0, 1.0, 1.0)
         oracle_pe.kernel_update_voxel(pe, key, occupied=True)
-        status, raw = pe.query_voxel(key)
+        status, raw = oracle_pe.kernel_query_voxel(pe, key)
         assert status == "occupied"
         assert raw == pe.params.raw_hit
 
     def test_update_then_query_free(self, pe, converter):
         key = key_at(converter, 0.5, 0.5, 0.5)
         oracle_pe.kernel_update_voxel(pe, key, occupied=False)
-        status, raw = pe.query_voxel(key)
+        status, raw = oracle_pe.kernel_query_voxel(pe, key)
         assert status == "free"
         assert raw == pe.params.raw_miss
 
     def test_unobserved_voxel_is_unknown(self, pe, converter):
         oracle_pe.kernel_update_voxel(pe, key_at(converter, 1.0, 1.0, 1.0), occupied=True)
-        status, raw = pe.query_voxel(key_at(converter, 5.0, 5.0, 5.0))
+        status, raw = oracle_pe.kernel_query_voxel(pe, key_at(converter, 5.0, 5.0, 5.0))
         assert status == "unknown"
         assert raw is None
 
     def test_query_on_empty_pe_is_unknown(self, pe, converter):
-        status, raw = pe.query_voxel(key_at(converter, 1.0, 1.0, 1.0))
+        status, raw = oracle_pe.kernel_query_voxel(pe, key_at(converter, 1.0, 1.0, 1.0))
         assert status == "unknown"
 
     def test_repeated_updates_accumulate(self, pe, converter):
         key = key_at(converter, 1.0, 1.0, 1.0)
         for _ in range(3):
             oracle_pe.kernel_update_voxel(pe, key, occupied=True)
-        _, raw = pe.query_voxel(key)
+        _, raw = oracle_pe.kernel_query_voxel(pe, key)
         assert raw == 3 * pe.params.raw_hit
 
     def test_updates_saturate_at_clamp(self, pe, converter):
         key = key_at(converter, 1.0, 1.0, 1.0)
         for _ in range(40):
             oracle_pe.kernel_update_voxel(pe, key, occupied=True)
-        _, raw = pe.query_voxel(key)
+        _, raw = oracle_pe.kernel_query_voxel(pe, key)
         assert raw == pe.params.raw_clamp_max
 
     def test_cycles_are_charged_to_stages(self, pe, converter):
@@ -127,7 +127,7 @@ class TestPruneAndExpand:
     def test_pruned_region_still_answers_queries(self, pe, converter):
         self._saturate_block(pe, converter)
         for key in self._sibling_keys(converter):
-            status, raw = pe.query_voxel(key)
+            status, raw = oracle_pe.kernel_query_voxel(pe, key)
             assert status == "occupied"
             assert raw == pe.params.raw_clamp_max
 
@@ -143,7 +143,7 @@ class TestPruneAndExpand:
         oracle_pe.kernel_update_voxel(pe, keys[0], occupied=False)
         # The other seven siblings must still report the saturated value.
         for key in keys[1:]:
-            _, raw = pe.query_voxel(key)
+            _, raw = oracle_pe.kernel_query_voxel(pe, key)
             assert raw == pe.params.raw_clamp_max
 
     def test_prune_charges_the_prune_stage(self, pe, converter):
@@ -153,7 +153,7 @@ class TestPruneAndExpand:
     def test_free_block_prunes_too(self, pe, converter):
         self._saturate_block(pe, converter, occupied=False)
         assert pe.counters.prunes >= 1
-        status, raw = pe.query_voxel(self._sibling_keys(converter)[0])
+        status, raw = oracle_pe.kernel_query_voxel(pe, self._sibling_keys(converter)[0])
         assert status == "free"
         assert raw == pe.params.raw_clamp_min
 
@@ -196,10 +196,10 @@ class TestExportAndCapacity:
         assert 0 < done < len(keys)
         assert pe.counters.leaf_updates == done
         assert pe.stats.bank_reads == done * tiny.tree_depth
-        assert all(pe.query_voxel(key)[0] == "occupied" for key in keys[:done])
+        assert all(oracle_pe.kernel_query_voxel(pe, key)[0] == "occupied" for key in keys[:done])
         # The update that found no row is neither charged nor visible: the
         # nodes it stored on the way down are listed by no parent.
-        assert pe.query_voxel(keys[done])[0] == "unknown"
+        assert oracle_pe.kernel_query_voxel(pe, keys[done])[0] == "unknown"
 
     def test_tag_memory_consistency_guard(self, pe, converter):
         """Tampering with the memory image behind the tags is detected."""
@@ -211,7 +211,7 @@ class TestExportAndCapacity:
         with pytest.raises(RuntimeError, match="tag/memory mismatch"):
             oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         with pytest.raises(RuntimeError, match="dangling tag"):
-            pe.query_voxel(key)
+            oracle_pe.kernel_query_voxel(pe, key)
 
     def test_childless_parent_guard(self, pe, converter):
         """A parent whose children row holds nothing cannot be recomputed."""

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import QUERY_STATUSES, OMUAccelerator, OMUConfig
-from repro.core.address_gen import AddressGenerator
 from repro.core.config import TimingParams
 from repro.core.pe import ProcessingElement
 from repro.core.query_unit import VoxelQueryUnit
@@ -29,8 +28,6 @@ from repro.octomap.keys import OcTreeKey
 from repro.octomap.logodds import probability as logodds_to_probability
 from test_fused_kernel_properties import update_streams
 from test_golden_pe_stats import DISTINCT_TIMING
-
-import oracle_pe
 
 Key = Tuple[int, int, int]
 
@@ -123,39 +120,21 @@ def test_query_keys_equals_sequential_point_queries(case, stop_at_occupied):
     ]
 
 
-@given(loaded_maps_and_keys(), st.booleans())
-@settings(max_examples=25, deadline=None)
-def test_query_keys_on_more_than_eight_pes(case, stop_at_occupied):
-    """Twelve PEs split on the second level too; built by hand, as the
-    accelerator itself caps the PE array at eight."""
-    depth, stream, keys = case
-    config = small_config(depth)
-    columns = np.array(stream, dtype=np.int64)
-    units = []
-    for _ in range(2):
-        generator = AddressGenerator(config.resolution_m, depth, num_pes=12)
-        pes = [ProcessingElement(pe_id, config) for pe_id in range(12)]
-        paths = generator.paths_for_keys(columns[:, :3])
-        owners = generator.pes_for_paths(paths)
-        for pe_id in np.unique(owners).tolist():
-            mine = owners == pe_id
-            oracle_pe.kernel_update_paths(pes[pe_id], paths[mine], (columns[mine, 3] != 0).tolist())
-        units.append((VoxelQueryUnit(config, generator, pes), pes))
-    (bulk, bulk_pes), (scalar, scalar_pes) = units
-    assert_bulk_equals_scalar(bulk, bulk_pes, scalar, scalar_pes, keys, stop_at_occupied)
-
-
 def test_query_voxel_is_the_kernel_with_one_path():
+    """A point read (``pe_query_key``) answers and counts as a one-key ``pe_query_batch``."""
     config = small_config(4)
-    accelerator = OMUAccelerator(config)
-    accelerator.apply_update_batch(np.array([[5, 9, 3]] * 3), np.array([True] * 3))
-    key = OcTreeKey(5, 9, 3)
-    pe = accelerator.pes[accelerator.address_generator.pe_for_key(key)]
-    status, raw = pe.query_voxel(key)
-    codes, raws, cycles = pe.query_paths([key.path(4)])
-    assert (status, raw) == (QUERY_STATUSES[codes[0]], raws[0]) == ("occupied", raw)
-    assert pe.query_cycles == 2 * cycles
-    assert pe.query_voxel(OcTreeKey(15, 15, 15)) == ("unknown", None)
+    by_key, by_batch = OMUAccelerator(config), OMUAccelerator(config)
+    for accelerator in by_key, by_batch:
+        accelerator.apply_update_batch(np.array([[5, 9, 3]] * 3), np.array([True] * 3))
+    statuses = []
+    for key in (OcTreeKey(5, 9, 3), OcTreeKey(5, 9, 2), OcTreeKey(15, 15, 15)):
+        result = by_key.query_key(key)
+        (code,), (raw,), cycles = by_batch.query_keys(np.array([key.as_tuple()]))
+        probability = logodds_to_probability(config.fixed_point.to_value(raw)) if code else None
+        assert (result.status, result.probability, result.cycles) == (QUERY_STATUSES[code], probability, cycles)
+        statuses.append(result.status)
+    assert statuses == ["occupied", "unknown", "unknown"]
+    assert query_counts(by_key.query_unit, by_key.pes) == query_counts(by_batch.query_unit, by_batch.pes)
 
 
 def test_a_dangling_tag_books_what_was_walked_before_it_raises():
@@ -168,11 +147,12 @@ def test_a_dangling_tag_books_what_was_walked_before_it_raises():
     leaf_row = pe._pointers[path[1]][pe._pointers[path[0]][0]]
     pe._valid[path[2]][leaf_row] = 0  # corrupt the image under the tags
     reads_before = pe.stats.bank_reads
-    with pytest.raises(RuntimeError, match="dangling tag"):
-        pe.query_paths([path, path])
+    with pytest.raises(RuntimeError, match=f"PE {pe.pe_id}: dangling tag"):
+        accelerator.query_keys(np.array([key.as_tuple()] * 2))
     assert pe.counters.queries == 1
     assert pe.stats.bank_reads - reads_before == 3
     assert pe.query_cycles == 3 * config.timing.bank_read_cycles
+    assert accelerator.query_unit.queries_served == 0
 
 
 extreme_component = st.one_of(st.integers(0, 0xFFFF), st.sampled_from([0, 1, 0x7FFF, 0x8000, 0xFFFE, 0xFFFF]))

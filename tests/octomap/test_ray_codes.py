@@ -8,7 +8,8 @@ given one where it lies inside the volume), and the codes are
 end's key appended, key for key and in order -- or both raise the same
 ``ValueError``.  An origin outside the volume inspects nothing.  The
 hypothesis property draws clipped ends, origins a hair inside a face with
-components of order 1e-13 towards it, axis-aligned and diagonal rays from
+components of order 1e-13 towards it, origins in the outer margin between
+the clip limit (0.999 of the face) and the face, axis-aligned and diagonal rays from
 the half-voxel lattice (crossings that tie between axes), rays that stay in
 their origin's voxel, and rays along the faces where a key component is 0
 or 65535.
@@ -78,8 +79,11 @@ def rays(draw):
     face = converter.max_coordinate
     # Rays in the 16-level volume stay short: the scalar oracle walks them in Python.
     reach = min(3.0 * face, 40.0)
+    # The clip limit is 0.999 of the face; origins between the two (the outer margin) included.
+    limit = face * 0.999
     near_face = st.sampled_from(
         [face - 1e-14, -face, 1e-14 - face, math.nextafter(face, 0.0), face - resolution / 2, face, -face - 0.3]
+        + [limit, -limit, math.nextafter(limit, 0.0), face * 0.9995, -face * 0.9995]
     )
     # Origins on the half-voxel lattice with lattice directions make the
     # walk's boundary crossings tie between axes.
@@ -91,7 +95,7 @@ def rays(draw):
     component = st.one_of(
         st.floats(-1.0, 1.0),
         st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5]),
-        st.sampled_from([1e-13, -1e-13, 3e-14, -1e-12]),
+        st.sampled_from([1e-13, -1e-13, 3e-14, -1e-12, 1e-12, 1e-9, -1e-6]),
     )
     direction = draw(st.tuples(component, component, component))
     length = draw(st.one_of(st.floats(0.0, reach), st.floats(0.0, resolution / 2)))
@@ -145,6 +149,29 @@ def test_a_ray_from_a_hair_inside_a_face_ends_inside_the_volume(origin, directio
     codes, native_end = compute_ray_codes(converter, origin, end)
     assert native_end == clipped and len(codes) > 1
     assert codes.tolist() == scalar_ray(converter, origin, end)[0]
+
+
+@pytest.mark.parametrize(
+    "origin, direction, axis",
+    [
+        # A hair inside the +x face of a +-6.4 m volume, 1e-13 towards it over 14 m: 1.4e-12 m.
+        ((6.4 - 1e-14, -0.3, 0.2), (1e-13, 0.6, 0.8), 0),
+        ((6.4 * 0.9995, 0.1, 0.2), (0.05, 1.0, 0.0), 0),
+        ((0.1, -6.4 * 0.999, 0.2), (1.0, -1e-12, 0.0), 1),
+        ((0.1, 0.2, -6.4 * 0.9999), (0.0, 1.0, -0.5), 2),
+    ],
+)
+def test_a_ray_from_the_outer_margin_of_a_face_travels_along_it(origin, direction, axis):
+    """The defect the clip had: an origin between the clip limit and a face, with a component of
+    1e-12 or more towards the face, clipped to scale 0 and the ray inspected its origin voxel alone.
+    That axis keeps the origin's coordinate; the others clip as usual."""
+    converter = KeyConverter(0.2, 6)
+    end = tuple(o + d * 14.0 for o, d in zip(origin, direction))
+    clipped = clip_segment_to_volume(converter, origin, end)
+    assert clipped[axis] == origin[axis] and converter.is_coordinate_in_range(*clipped)
+    assert math.dist(origin, clipped) > 1.0
+    codes = assert_walks_agree(converter, origin, end)
+    assert len(codes) > 5
 
 
 def test_an_origin_outside_the_volume_inspects_nothing():

@@ -384,6 +384,23 @@ async def test_a_ray_from_a_hair_inside_a_face_of_the_volume_is_answered():
 
 
 @async_test
+async def test_a_ray_from_the_outer_margin_of_a_face_travels_along_it():
+    """Regression: a ray whose origin lies between the clip limit (0.999 of
+    the face) and the face, with a component of 1e-12 or more towards it,
+    was answered with its origin voxel alone and a distance of 0."""
+    async with serve() as (server, client):
+        await client.create_session("map")
+        face = server.service._entries["map"].session.router.converter.max_coordinate
+        for origin, direction in (
+            ([math.nextafter(face, 0.0), 0.1, 0.2], [1e-10, 1.0, 0.0]),
+            ([0.1, -face * 0.9995, 0.2], [0.0, -0.05, 1.0]),
+        ):
+            ray = await client.raycast("map", origin, direction, 5.0)
+            assert ray["hit"] is False
+            assert ray["voxels_traversed"] == 25 and ray["distance"] == pytest.approx(5.0)
+
+
+@async_test
 async def test_a_malformed_bulk_reply_is_a_500_naming_the_shard_not_a_400():
     """Regression: a ``query_keys`` reply one row short reached the client as
     numpy's shape-mismatch ``ValueError``, i.e. 400 ``bad_value``."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from repro.core.accelerator import OMUAccelerator
+from repro.core.pe import QUERY_STATUSES
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.fixedpoint import DEFAULT_FORMAT
 from repro.octomap.keys import KeyConverter, OcTreeKey
@@ -154,7 +155,6 @@ def test_pe_and_software_tree_agree_on_random_update_sequences(updates):
     quantized = config.quantized_params()
     software = OccupancyOcTree(0.25, params=quantized.as_float_params())
     accelerator = OMUAccelerator(config)  # eight PEs: one per first-level branch
-    pes = dict(enumerate(accelerator.pes))
     converter = KeyConverter(0.25, config.tree_depth)
 
     for x, y, z, occupied in updates:
@@ -166,7 +166,8 @@ def test_pe_and_software_tree_agree_on_random_update_sequences(updates):
     for x, y, z, _ in updates:
         key = converter.coord_to_key(x, y, z)
         node = software.search(key)
-        status, raw = pes[key.child_index(0, config.tree_depth)].query_voxel(key)
+        (code,), (raw,), _ = accelerator.query_keys(np.array([key.as_tuple()]))
+        status = QUERY_STATUSES[code]
         assert node is not None
         assert fmt.to_raw(node.log_odds) == raw
         expected = "occupied" if software.is_node_occupied(node) else "free"
