@@ -21,6 +21,8 @@ cycle-approximate fidelity:
 * :mod:`repro.core.accelerator` -- the top level tying everything together;
   its front end is the native ray cast of :mod:`repro.octomap.raycast_vec`.
 * :mod:`repro.core.timing` -- cycle breakdown containers.
+* :mod:`repro.core.counts` -- the accelerator's one counter array: layout,
+  cost table, and the sums every reported count is a view of.
 * :mod:`repro.core.verification` -- equivalence checking against the software
   OctoMap golden model.
 """

@@ -21,18 +21,22 @@ every PE's update loop are one native call per update stream
   energy model;
 * :meth:`image` / :meth:`restore` -- the whole state as arrays (a shard
   snapshot), and a fresh accelerator made into the one it was taken from.
+
+Every count lives in one ``int64`` array per accelerator (:mod:`repro.core.counts`):
+the kernels' raw tallies add up there, and every object's counts are views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core import native
-from repro.core.address_gen import AddressGenerator
+from repro.core import counts, native
+from repro.core.address_gen import AddressGenerator, key_columns
 from repro.core.config import DEFAULT_CONFIG, OMUConfig
+from repro.core.counts import ACCELERATOR_WORDS, MAP_STAGES, MAP_WORDS, OCCUPIED, PE_WORDS, RAY_STEPS, SCANS
 from repro.core.pe import ProcessingElement, apply_keys
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
 from repro.core.scheduler import VoxelScheduler
@@ -80,14 +84,29 @@ class OMUAccelerator:
         self.address_generator = AddressGenerator(
             config.resolution_m, config.tree_depth, config.num_pes
         )
+        num_pes = config.num_pes
+        # The only counter state (see repro.core.counts), and each PE's words of it.
+        self._words = np.zeros(ACCELERATOR_WORDS + num_pes * PE_WORDS, dtype=np.int64)
+        self._pe_words = self._words[ACCELERATOR_WORDS:].reshape(num_pes, PE_WORDS)
+        self._costs = counts.costs(config.timing, config.tree_depth)
         self.pes: List[ProcessingElement] = [
-            ProcessingElement(pe_id, config) for pe_id in range(config.num_pes)
+            ProcessingElement(pe_id, config, self._pe_words[pe_id]) for pe_id in range(num_pes)
         ]
-        self.scheduler = VoxelScheduler(config)
-        self.raycast_counters = OperationCounters()
-        self.query_unit = VoxelQueryUnit(config, self.address_generator, self.pes)
-        self.map_timing = ScanTiming()
-        self.scans_processed = 0
+        self._table = native.image_table([pe.pinned_image() for pe in self.pes])
+        # The update calls' scratch, zeroed before each.
+        self._tally = native.tallies(num_pes)
+        self.scheduler = VoxelScheduler(self._pe_words[:, counts.ISSUED])
+        self.query_unit = VoxelQueryUnit(config, self.address_generator, self.pes, self._words, self._table)
+
+    @property
+    def map_timing(self) -> ScanTiming:
+        """The timing of everything integrated so far, scan after scan (the sum of every call's)."""
+        return _scan_timing(self._words[:MAP_WORDS].tolist())
+
+    @property
+    def scans_processed(self) -> int:
+        """Scans integrated through :meth:`process_scan`."""
+        return int(self._words[SCANS])
 
     # ------------------------------------------------------------------
     # Map building
@@ -107,19 +126,15 @@ class OMUAccelerator:
         insertion path orders them.  Ray casting costs ``ray_step_cycles`` per
         traversed voxel and runs ahead of the update pipeline, which hides it
         behind the PEs: only its excess over the busiest PE reaches the
-        critical path (see :meth:`_accelerator_breakdown`).  A scan the ray
+        critical path (see :meth:`_execute`).  A scan the ray
         cast rejects raises before anything is counted or applied.
         """
-        cast = compute_scan_update_arrays(
-            self.address_generator.converter, cloud.points, origin, max_range,
-            counters=self.raycast_counters,
-        )
+        cast = compute_scan_update_arrays(self.address_generator.converter, cloud.points, origin, max_range)
+        self._words[RAY_STEPS] += cast.ray_steps
         keys = unpack_key_array(np.concatenate((cast.free_packed, cast.occupied_packed))).astype(np.uint16)
         occupied = np.arange(len(keys)) >= cast.free_packed.size
         timing = self._execute(keys, occupied, cast.ray_steps * self.config.timing.ray_step_cycles)
-
-        self.map_timing.merge(timing)
-        self.scans_processed += 1
+        self._words[SCANS] += 1
         return timing
 
     def apply_update_batch(self, keys, occupied) -> ScanTiming:
@@ -142,58 +157,40 @@ class OMUAccelerator:
                 (what constructing the :class:`OcTreeKey` would reject), or
                 the columns disagree on N; nothing is applied or issued.
         """
-        keys = np.asarray(keys)
-        if keys.dtype != np.uint16 and keys.size and not (0 <= keys.min() and keys.max() <= 0xFFFF):
-            raise ValueError("key component outside [0, 65535]")
-        keys = np.ascontiguousarray(keys, dtype=np.uint16).reshape(-1, 3)
+        keys = key_columns(keys)
         flags = np.ascontiguousarray(occupied, dtype=bool)
         if flags.shape != keys.shape[:1]:
             raise ValueError(f"{len(keys)} keys but occupied flags of shape {flags.shape}")
-        timing = self._execute(keys, flags, 0)
-        self.map_timing.merge(timing)
-        return timing
+        return self._execute(keys, flags, 0)
 
     def _execute(self, keys: np.ndarray, occupied: np.ndarray, raycast_cycles: int) -> ScanTiming:
-        """Issue an ordered update stream to the PE array and account its cycles."""
-        tally = native.tallies(len(self.pes))
-        try:
-            per_pe_breakdowns = apply_keys(self.pes, keys, occupied, tally)
-        finally:
-            # The whole stream was issued, whatever became of it in the PEs.
-            issue_cycles = self.scheduler.issue(tally[native.T_ISSUED :: native.TALLY_WORDS])
-        per_pe_cycles = [breakdown.total() for breakdown in per_pe_breakdowns]
-        timing = ScanTiming(
-            scheduler_cycles=issue_cycles,
-            raycast_cycles=raycast_cycles,
-            pe_cycles_max=max(per_pe_cycles),
-            pe_cycles_total=sum(per_pe_cycles),
-            voxel_updates=len(occupied),
-        )
-        timing.breakdown = self._accelerator_breakdown(
-            per_pe_cycles, per_pe_breakdowns, raycast_cycles
-        )
-        return timing
+        """Issue an ordered update stream to the PE array, add up its tally (also when it fails) and time it.
 
-    def _accelerator_breakdown(
-        self,
-        per_pe_cycles: List[int],
-        per_pe_breakdowns: List[CycleBreakdown],
-        raycast_cycles: int,
-    ) -> CycleBreakdown:
-        """Accelerator-level breakdown: the critical-path PE's stage mix.
-
-        The paper's Fig. 10 plots the share of each stage in the accelerator's
-        runtime; since the PEs run in parallel, the relevant mix is that of
-        the busiest PE (the critical path).  Ray casting is hidden behind the
-        update pipeline, so only its *excess* over the busiest PE shows up.
+        The PEs run in parallel, so the call's parallel section and stage mix
+        (the paper's Fig. 10) are its busiest PE's; ray casting is hidden
+        behind the update pipeline, so only its *excess* over that PE shows.
         """
-        breakdown = CycleBreakdown()
-        busiest = max(range(len(per_pe_cycles)), key=per_pe_cycles.__getitem__)
-        breakdown.merge(per_pe_breakdowns[busiest])
-        excess_raycast = max(0, raycast_cycles - per_pe_cycles[busiest])
-        if excess_raycast:
-            breakdown.charge(OperationKind.RAY_CASTING, excess_raycast)
-        return breakdown
+        tally = self._tally
+        tally.fill(0)
+        try:
+            apply_keys(self.pes, self._table, keys, occupied, tally)
+        finally:
+            stages = counts.fold_updates(self._pe_words, tally, self._costs)
+        per_pe_cycles = stages.sum(axis=1)
+        busiest = int(per_pe_cycles.argmax())
+        breakdown = stages[busiest].tolist()  # in OperationKind.ordered() order: ray casting first
+        breakdown[0] = max(0, raycast_cycles - int(per_pe_cycles[busiest]))
+        count = len(occupied)
+        call = [
+            count * self.config.timing.scheduler_issue_cycles,
+            raycast_cycles,
+            int(per_pe_cycles[busiest]),
+            int(per_pe_cycles.sum()),
+            count,
+            *breakdown,
+        ]
+        self._words[:MAP_WORDS] += call
+        return _scan_timing(call)
 
     def process_scan_graph(
         self,
@@ -201,11 +198,10 @@ class OMUAccelerator:
         max_range: float = -1.0,
     ) -> ScanTiming:
         """Integrate every scan of a dataset; returns the accumulated timing."""
-        total = ScanTiming()
+        before = self._words[:MAP_WORDS].copy()
         for scan in graph:
-            timing = self.process_scan(scan.world_cloud(), scan.origin(), max_range=max_range)
-            total.merge(timing)
-        return total
+            self.process_scan(scan.world_cloud(), scan.origin(), max_range=max_range)
+        return _scan_timing((self._words[:MAP_WORDS] - before).tolist())
 
     # ------------------------------------------------------------------
     # Whole-map (pipelined) latency accounting
@@ -222,9 +218,8 @@ class OMUAccelerator:
         rather than the sum of per-scan maxima that :attr:`map_timing` would
         give.  This is the latency the Tables III-V extrapolation uses.
         """
-        busiest_pe = max((pe.busy_cycles() for pe in self.pes), default=0)
-        parallel_section = max(busiest_pe, self.map_timing.raycast_cycles)
-        return self.map_timing.scheduler_cycles + parallel_section
+        timing = self.map_timing
+        return timing.scheduler_cycles + max(int(self._busy_cycles().max()), timing.raycast_cycles)
 
     def map_cycles_per_update(self) -> float:
         """Effective whole-map cycles per voxel update (pipelined accounting)."""
@@ -234,11 +229,12 @@ class OMUAccelerator:
 
     def map_parallel_speedup(self) -> float:
         """Work / critical-path ratio achieved by the PE array over the map."""
-        total_work = sum(pe.busy_cycles() for pe in self.pes)
-        busiest = max((pe.busy_cycles() for pe in self.pes), default=0)
-        if busiest == 0:
-            return 1.0
-        return total_work / busiest
+        cycles = self._busy_cycles()
+        return int(cycles.sum()) / int(cycles.max()) if cycles.any() else 1.0
+
+    def _busy_cycles(self) -> np.ndarray:
+        """Each PE's cycles of update work so far (reads are the query unit's)."""
+        return (self._pe_words @ self._costs[:, :4]).sum(axis=1)
 
     # ------------------------------------------------------------------
     # Queries
@@ -332,10 +328,8 @@ class OMUAccelerator:
 
     def counters(self) -> OperationCounters:
         """Merged functional operation counters of all PEs and the ray cast."""
-        merged = OperationCounters()
-        merged.merge(self.raycast_counters)
-        for pe in self.pes:
-            merged.merge(pe.counters)
+        merged = counts.operation_counters(self._pe_words.sum(axis=0))
+        merged.ray_steps = int(self._words[RAY_STEPS])
         return merged
 
     def statistics(self) -> AcceleratorStatistics:
@@ -343,15 +337,13 @@ class OMUAccelerator:
         stats = AcceleratorStatistics()
         stats.total_cycles = self.map_critical_path_cycles()
         stats.voxel_updates = self.map_timing.voxel_updates
-        total_allocations = 0
-        total_reused = 0
-        for pe in self.pes:
-            stats.sram_reads += pe.memory.total_reads()
-            stats.sram_writes += pe.memory.total_writes()
-            stats.nodes_stored += pe.memory.occupied_entries()
-            stats.per_pe_cycles[pe.pe_id] = pe.busy_cycles()
-            total_allocations += pe.allocator.allocations
-            total_reused += pe.allocator.reused_allocations
+        words = self._pe_words
+        stats.sram_reads = int(counts.bank_reads(words).sum())
+        stats.sram_writes = int(counts.bank_writes(words).sum())
+        stats.nodes_stored = int(words[:, OCCUPIED : OCCUPIED + 8].sum())
+        stats.per_pe_cycles = dict(enumerate(self._busy_cycles().tolist()))
+        total_allocations = sum(pe.allocator.allocations for pe in self.pes)
+        total_reused = sum(pe.allocator.reused_allocations for pe in self.pes)
         capacity = self.config.node_capacity
         stats.memory_utilization = stats.nodes_stored / capacity if capacity else 0.0
         stats.prune_reuse_fraction = total_reused / total_allocations if total_allocations else 0.0
@@ -364,18 +356,18 @@ class OMUAccelerator:
         """The accelerator's whole state as numpy arrays and ints: what :meth:`restore` takes back.
 
         Per PE, its SRAM rows, local roots and prune address manager
-        (:meth:`ProcessingElement.image`); every counter :meth:`statistics`
-        and :meth:`counters` read, as one ``int64`` array in
-        :func:`_counter_slots` order; and the three sizes the arrays are
-        shaped by.  Nothing is walked or rebuilt, so the copy has the row
-        layout, the prune stack and the lifetime counts of the original.
+        (:meth:`ProcessingElement.image`); a copy of the counter array every
+        count is a view of (:mod:`repro.core.counts`); and the three sizes
+        the arrays are shaped by.  Nothing is walked or rebuilt, so the copy
+        has the row layout, the prune stack and the lifetime counts of the
+        original.
         """
         config = self.config
         return {
             "num_pes": config.num_pes,
             "tree_depth": config.tree_depth,
             "entries_per_bank": config.entries_per_bank,
-            "counters": np.array([_read(holder, key) for holder, key in _counter_slots(self)], dtype=np.int64),
+            "counters": self._words.copy(),
             "pes": [pe.image() for pe in self.pes],
         }
 
@@ -383,84 +375,42 @@ class OMUAccelerator:
         """Make this freshly built accelerator the one ``image`` was taken from.
 
         An image may have crossed a socket, so all of it is checked before any
-        array is written (:meth:`ProcessingElement.check_image` per PE): a
+        array is written (:meth:`ProcessingElement.check_image` per PE, and
+        each bank's live-entry word against the valid bytes it counts): a
         malformed one raises ``ValueError`` and leaves this accelerator as it
-        was.  Then each PE's arrays are copied in place and the counters set.
+        was.  Then each PE's arrays and the counter array are copied in place.
         """
         if any(any(pe._local_roots) for pe in self.pes):
             raise ValueError("restore needs a freshly built accelerator (this one holds map state)")
         if not isinstance(image, dict) or set(image) != _IMAGE_KEYS:
             raise ValueError(f"not an accelerator image: expected the fields {sorted(_IMAGE_KEYS)}")
-        config, slots = self.config, _counter_slots(self)
+        config = self.config
         sizes = (image["num_pes"], image["tree_depth"], image["entries_per_bank"])
         if sizes != (config.num_pes, config.tree_depth, config.entries_per_bank):
             raise ValueError(
                 f"an image of {sizes[0]} PEs at depth {sizes[1]} with {sizes[2]} entries per bank; this "
                 f"accelerator has {config.num_pes} at depth {config.tree_depth} with {config.entries_per_bank}"
             )
-        counters, pes = image["counters"], image["pes"]
-        if not (isinstance(counters, np.ndarray) and counters.dtype == np.int64 and counters.shape == (len(slots),)):
-            raise ValueError(f"the image's counters must be int64({len(slots)},)")
+        words, pes = image["counters"], image["pes"]
+        if not (isinstance(words, np.ndarray) and words.dtype == np.int64 and words.shape == self._words.shape):
+            raise ValueError(f"the image's counters must be int64{self._words.shape}")
         if not isinstance(pes, list) or len(pes) != len(self.pes):
             raise ValueError(f"the image must hold a list of {len(self.pes)} PE images")
         for pe, part in zip(self.pes, pes):
             pe.check_image(part)
+        live = words[ACCELERATOR_WORDS:].reshape(self._pe_words.shape)[:, OCCUPIED : OCCUPIED + 8]
+        held = np.array([part["valid"].sum(axis=1, dtype=np.int64) for part in pes])
+        if np.any(live != held):
+            raise ValueError(f"the image's live entries per bank, {live.tolist()}, are not its valid bytes")
         for pe, part in zip(self.pes, pes):
             pe.restore(part)
-        for (holder, key), value in zip(slots, counters.tolist()):
-            _write(holder, key, value)
+        self._words[:] = words
 
 
 _IMAGE_KEYS = frozenset({"num_pes", "tree_depth", "entries_per_bank", "counters", "pes"})
-_OPERATION_COUNTS = (
-    "ray_steps", "leaf_updates", "parent_updates", "child_reads", "prune_checks",
-    "prunes", "expansions", "node_allocations", "node_deletions", "queries",
-)
-_SCAN_TIMING_COUNTS = ("scheduler_cycles", "raycast_cycles", "pe_cycles_max", "pe_cycles_total", "voxel_updates")
-_PE_TIMING_COUNTS = ("voxel_updates", "bank_reads", "bank_writes", "row_accesses", "stalls")
-#: What a dict counter reads as while its key is absent: a PE's ``pe_updates`` before its first update.
-_ABSENT = -1
 
 
-def _counter_slots(accelerator: OMUAccelerator) -> List[Tuple[object, object]]:
-    """Every counter of ``accelerator`` that :meth:`~OMUAccelerator.statistics`
-    and :meth:`~OMUAccelerator.counters` read, in the image's fixed order.
-
-    Each is a ``(holder, key)`` pair: a dict or list holder is indexed by the
-    key, any other holder has the key as an attribute.  The allocator's
-    counts travel in its state words, and the live entries are the valid
-    bytes, so neither is here.
-    """
-
-    def operations(counters: OperationCounters) -> List[Tuple[object, object]]:
-        return [(counters, name) for name in _OPERATION_COUNTS] + [(counters.extra, "pe_updates")]
-
-    def stages(breakdown: CycleBreakdown) -> List[Tuple[object, object]]:
-        return [(breakdown.cycles, stage) for stage in OperationKind.ordered()]
-
-    timing, scheduler, queries = accelerator.map_timing, accelerator.scheduler, accelerator.query_unit
-    slots = [(timing, name) for name in _SCAN_TIMING_COUNTS] + stages(timing.breakdown)
-    slots += [(accelerator, "scans_processed"), *operations(accelerator.raycast_counters)]
-    slots += [(scheduler, "issued_updates"), *((scheduler.per_pe_issued, pe) for pe in range(len(accelerator.pes)))]
-    slots += [(queries, "queries_served"), (queries, "total_cycles")]
-    for pe in accelerator.pes:
-        slots += [(pe.stats, name) for name in _PE_TIMING_COUNTS] + stages(pe.stats.breakdown)
-        slots += [*operations(pe.counters), (pe, "query_cycles"), (pe.memory, "row_reads"), (pe.memory, "row_writes")]
-        slots += [(bank, name) for bank in pe.memory.banks for name in ("read_accesses", "write_accesses")]
-    return slots
-
-
-def _read(holder, key) -> int:
-    if isinstance(holder, dict):
-        return holder.get(key, _ABSENT)
-    return holder[key] if isinstance(holder, list) else getattr(holder, key)
-
-
-def _write(holder, key, value: int) -> None:
-    if isinstance(holder, dict):
-        if value != _ABSENT:
-            holder[key] = value
-    elif isinstance(holder, list):
-        holder[key] = value
-    else:
-        setattr(holder, key, value)
+def _scan_timing(words: List[int]) -> ScanTiming:
+    """The :class:`ScanTiming` of map-timing words: its five counts, then its breakdown's four stages."""
+    stages = CycleBreakdown(dict(zip(OperationKind.ordered(), words[MAP_STAGES:])))
+    return ScanTiming(*words[:MAP_STAGES], breakdown=stages)

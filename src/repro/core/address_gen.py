@@ -21,13 +21,22 @@ import numpy as np
 
 from repro.octomap.keys import KeyConverter, OcTreeKey
 
-__all__ = ["AddressGenerator"]
+__all__ = ["AddressGenerator", "key_columns"]
 
 #: ``_SPREAD[b]``: the bits of byte ``b`` moved from position ``i`` to ``3 * i``
 #: -- one table, as Python ints for the scalar ``shard_index`` and as an
 #: ndarray for the gather in ``shard_indices``.
 _SPREAD = [sum(((byte >> bit) & 1) << (3 * bit) for bit in range(8)) for byte in range(256)]
 _SPREAD_TABLE = np.array(_SPREAD, dtype=np.int64)
+
+
+def key_columns(keys) -> np.ndarray:
+    """``keys`` as the PE kernels take them, C-contiguous ``(N, 3)`` ``uint16``; a
+    ``ValueError`` for a component outside the 16-bit key space, rather than wrapping it."""
+    keys = np.asarray(keys)
+    if keys.dtype != np.uint16 and keys.size and not (0 <= keys.min() and keys.max() <= 0xFFFF):
+        raise ValueError("key component outside [0, 65535]")
+    return np.ascontiguousarray(keys, dtype=np.uint16).reshape(-1, 3)
 
 
 class AddressGenerator:

@@ -24,7 +24,8 @@ complete library is left.
 
 :class:`PEImage` mirrors the C ``pe_image`` struct, and the constants below
 mirror the kernel's return codes and the words of one PE's block of its
-``tallies`` arrays: ``T_*`` for an update call, ``Q_*`` for a read.
+``tallies`` arrays: ``T_*`` for an update call, ``Q_*`` for a read, which
+its caller adds to the accelerator's counter array (:mod:`repro.core.counts`).
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from array import array
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "PEImage",
@@ -104,18 +106,18 @@ class PEImage(ctypes.Structure):
 
 
 def image_table(images: Sequence[PEImage]) -> ctypes.Array:
-    """The ``images`` argument of :data:`apply_batch`: the addresses of ``images``, in PE order."""
+    """The ``images`` argument of the batch entries: the addresses of ``images``, in PE order."""
     return (ctypes.c_void_p * len(images))(*map(ctypes.addressof, images))
 
 
-def tallies(num_pes: int) -> array:
+def tallies(num_pes: int) -> np.ndarray:
     """A zeroed ``tallies`` argument of :data:`apply_batch` for ``num_pes`` PEs."""
-    return array("q", bytes(8 * TALLY_WORDS * num_pes))
+    return np.zeros((num_pes, TALLY_WORDS), dtype=np.int64)
 
 
-def query_tallies(num_pes: int) -> array:
-    """A zeroed ``tallies`` argument of :data:`query_batch` (or :data:`query_key`, one PE)."""
-    return array("q", bytes(8 * QUERY_TALLY_WORDS * num_pes))
+def query_tallies(num_pes: int) -> np.ndarray:
+    """A zeroed ``tallies`` argument of :data:`query_batch` (or, one PE's, of :data:`query_key`)."""
+    return np.zeros((num_pes, QUERY_TALLY_WORDS), dtype=np.int64)
 
 
 def build(source: Path = SOURCE, build_dir: Path = BUILD_DIR) -> Path:

@@ -16,10 +16,11 @@ PE-count ablation).  A voxel update walks down the key path reading one entry
 per level, updates the leaf, then walks back up reading each parent's whole
 children row in a single banked access, recomputing the max occupancy,
 re-deriving the status tags and applying the pruning rule.  Every primitive
-action is charged to the pipeline stage it belongs to, so the accelerator
-reproduces the paper's runtime breakdown (Fig. 10) structurally rather than by
-fiat.  The walks are integer loops over the TreeMem arrays: no entry object is
-built on the update or query path.
+action is tallied, and the cost table of :mod:`repro.core.counts` prices each
+tally word in the pipeline stage it belongs to, so the accelerator reproduces
+the paper's runtime breakdown (Fig. 10) structurally rather than by fiat.  The
+walks are integer loops over the TreeMem arrays: no entry object is built on
+the update or query path.
 
 Where the loops live.  The update loop is C: ``pe_kernel.c``, built and
 loaded by :mod:`repro.core.native`.  Its one entry is the whole PE array's:
@@ -29,21 +30,24 @@ so the accelerators of different shards update on different cores at once.
 The kernel derives each key's path and PE (the voxel scheduler of Fig. 7),
 then runs PE 0, 1, ... each over its own updates in stream order.  It works
 in place on each PE's bank arrays and prune address manager arrays, whose
-addresses the PE pins once per buffer (again only after the image grew), and
-returns what it did per PE as counts that :meth:`ProcessingElement._book`
-charges.  The same loop in Python, one PE at a time, is the kernel's
-differential oracle, ``tests/core/oracle_pe.py``.  Those arrays are the PE's
-whole state: :meth:`ProcessingElement.image` copies them out for a shard
-snapshot and :meth:`ProcessingElement.restore` copies them back, after
-:meth:`ProcessingElement.check_image` found nothing the kernel could trip
-over.
+addresses the PE pins in its ``PEImage`` (again only after the image grew),
+and tallies what it did per PE into a scratch block that the accelerator adds
+to its counter array (:mod:`repro.core.counts`).  A PE holds no count of its
+own: :attr:`ProcessingElement.stats`, :attr:`~ProcessingElement.counters`,
+:attr:`~ProcessingElement.query_cycles` and its memory's access counts are
+views of its words of that array.  The same loop in Python, one PE at a
+time, is the kernel's differential oracle, ``tests/core/oracle_pe.py``.
+Those arrays are the PE's whole state: :meth:`ProcessingElement.image`
+copies them out for a shard snapshot and :meth:`ProcessingElement.restore`
+copies them back, after :meth:`ProcessingElement.check_image` found nothing
+the kernel could trip over.
 
 Reads run in the same file: ``pe_query_batch`` walks a batch of keys over
 the PE array's images in one call, and ``pe_query_key`` one key on its PE,
 both through one ``query_walk`` (see :mod:`repro.core.query_unit`).  They
-only read the image, and hand back per PE the keys walked, absent and known
-and the reads of each bank, which :meth:`ProcessingElement.book_query`
-charges.  A point read takes the foreign call too: with the key's
+only read the image, and tally per PE the keys walked, absent and known
+and the reads of each bank, which are added up the same way.  A point read
+takes the foreign call too: with the key's
 components as scalar arguments it costs ~1 us, against ~9 us for the Python
 walk of a 16-level path.  The Python loop is their oracle,
 ``oracle_pe.query_paths``.
@@ -70,7 +74,7 @@ its children's values)``.  Three consequences, all exact:
   who holds the maximum once the child that held it fell, and -- when the
   word says eight leaves of one class with the changed child at the maximum
   -- whether all eight are equal, i.e. whether to prune.
-  :attr:`ProcessingElement.host_row_reads` counts those reads per call.
+  :attr:`ProcessingElement.host_row_reads` counts those reads.
 * A parent's children row shows an inner child's pointer and value, never its
   tag word.  So on the way up, an inner node whose value did not change ends
   the walk once its own tag word is written: every ancestor would recompute
@@ -81,7 +85,7 @@ and returns a code saying why: no row left (``MemoryCapacityError``), a tag
 listing a child its bank does not hold (``tag/memory mismatch``), a parent
 with no children, or a row the prune address manager refuses to take back.
 The PEs before the failing one and that PE's updates before it are applied
-and charged, the PEs after it are untouched, and :func:`apply_keys` raises
+and tallied, the PEs after it are untouched, and :func:`apply_keys` raises
 the exception the Python kernel raised, with its message.  The invariant
 above holds between *completed* updates only: the failed update has stored
 nodes its parents do not list, the shortcuts are no longer exact on that
@@ -107,15 +111,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import native
+from repro.core import counts, native
 from repro.core.config import OMUConfig
+from repro.core.counts import ALLOCATIONS, DECODED, DONE, EXPANSIONS, NEW_NODES, PATH_NODES, PRUNES, READS
 from repro.core.prune_manager import DEPTH, NEXT_FRESH, PruneAddressManager
-from repro.core.treemem import (
-    BankedTreeMemory,
-    ChildStatus,
-    NULL_POINTER,
-    TreeMemEntry,
-)
+from repro.core.treemem import BankedTreeMemory, NULL_POINTER
 from repro.core.timing import CycleBreakdown, PETimingStats
 from repro.octomap.counters import OperationCounters, OperationKind
 
@@ -153,20 +153,20 @@ class ExportedNode:
 
 
 class ProcessingElement:
-    """One OMU processing element."""
+    """One OMU processing element.
 
-    def __init__(self, pe_id: int, config: OMUConfig) -> None:
+    ``words`` are the PE's words of its accelerator's counter array
+    (:mod:`repro.core.counts`); a PE built alone gets zeroed ones of its own.
+    """
+
+    def __init__(self, pe_id: int, config: OMUConfig, words: Optional[np.ndarray] = None) -> None:
         self.pe_id = pe_id
         self.config = config
-        self.memory = BankedTreeMemory(config.banks_per_pe, config.entries_per_bank)
+        self._words = np.zeros(counts.PE_WORDS, dtype=np.int64) if words is None else words
+        self._costs = counts.costs(config.timing, config.tree_depth)
+        self.memory = BankedTreeMemory(config.banks_per_pe, config.entries_per_bank, self._words)
         self.allocator = PruneAddressManager(config.entries_per_bank, reserved_rows=1)
         self.params = config.quantized_params()
-        self.counters = OperationCounters()
-        self.stats = PETimingStats(pe_id=pe_id)
-        self.query_cycles = 0
-        #: Children rows the host read for this PE in the last update call
-        #: that reached it (the model charges one per parent regardless).
-        self.host_row_reads = 0
         # Per first-level branch: 1 once its local root is initialised in row 0.
         self._local_roots = array("B", bytes(8))
         # The SRAM image as the kernels index it: field[bank][row].
@@ -175,10 +175,58 @@ class ProcessingElement:
         self._pointers = [bank.pointers for bank in banks]
         self._tags = [bank.tags for bank in banks]
         self._probabilities = [bank.probabilities for bank in banks]
-        # What the native kernel works on, made by the first update (_pin).
-        self._image: Optional[native.PEImage] = None
-        self._pinned_entries = 0  # the bank arrays' total length when last pinned
         self._bank_arrays = self._valid + self._pointers + self._tags + self._probabilities  # PEImage's order
+        # What the native kernel works on.  The struct stays where it is for the PE's
+        # life, so an image table of its address stays good; _pin rewrites it in place.
+        allocator, params = self.allocator, self.params
+        self._image = native.PEImage(
+            num_rows=allocator.num_rows,
+            reserved_rows=allocator.reserved_rows,
+            stack=allocator.stack.buffer_info()[0],
+            stacked=allocator.stacked.buffer_info()[0],
+            allocator=allocator.state.buffer_info()[0],
+            roots=self._local_roots.buffer_info()[0],
+            depth=config.tree_depth,
+            raw_hit=params.raw_hit,
+            raw_miss=params.raw_miss,
+            threshold=params.raw_threshold,
+            clamp_min=params.raw_clamp_min,
+            clamp_max=params.raw_clamp_max,
+        )
+        self._pin()
+
+    # ------------------------------------------------------------------
+    # Statistics: views of the PE's counter words
+    # ------------------------------------------------------------------
+    @property
+    def stats(self) -> PETimingStats:
+        """Cycles by stage and SRAM accesses of this PE so far."""
+        words = self._words.tolist()
+        nodes = sum(words[PATH_NODES : PATH_NODES + 8])
+        cycles = (self._words @ self._costs).tolist()
+        return PETimingStats(
+            pe_id=self.pe_id,
+            breakdown=CycleBreakdown(dict(zip(OperationKind.ordered(), cycles))),
+            voxel_updates=words[DONE],
+            bank_reads=nodes + sum(words[READS : READS + 8]),
+            bank_writes=nodes + words[NEW_NODES] + words[ALLOCATIONS],
+            row_accesses=nodes - words[DONE] + words[EXPANSIONS] + words[PRUNES],
+        )
+
+    @property
+    def counters(self) -> OperationCounters:
+        """Functional operation counts of this PE so far."""
+        return counts.operation_counters(self._words)
+
+    @property
+    def query_cycles(self) -> int:
+        """Cycles this PE spent walking reads."""
+        return int(self._words @ self._costs[:, 4])
+
+    @property
+    def host_row_reads(self) -> int:
+        """Children rows the host read for this PE's updates (the model charges one per parent regardless)."""
+        return int(self._words[counts.ROW_READS])
 
     # ------------------------------------------------------------------
     # Voxel update (the main datapath): the native kernel, see apply_keys
@@ -196,43 +244,10 @@ class ProcessingElement:
 
     def _pin(self) -> None:
         """Hand the kernel the bank arrays' current addresses (they move when the image grows)."""
-        if self._image is None:
-            allocator, params = self.allocator, self.params
-            self._image = native.PEImage(
-                num_rows=allocator.num_rows,
-                reserved_rows=allocator.reserved_rows,
-                stack=allocator.stack.buffer_info()[0],
-                stacked=allocator.stacked.buffer_info()[0],
-                allocator=allocator.state.buffer_info()[0],
-                roots=self._local_roots.buffer_info()[0],
-                depth=self.config.tree_depth,
-                raw_hit=params.raw_hit,
-                raw_miss=params.raw_miss,
-                threshold=params.raw_threshold,
-                clamp_min=params.raw_clamp_min,
-                clamp_max=params.raw_clamp_max,
-            )
         # One slice assignment over the image's first 32 words: about a third of the cost of 32 item writes.
         (ctypes.c_void_p * 32).from_buffer(self._image)[:] = [field.buffer_info()[0] for field in self._bank_arrays]
         self._image.capacity = self.memory.rows
         self._pinned_entries = sum(map(len, self._valid))
-
-    def _book(self, tally: Sequence[int]) -> CycleBreakdown:
-        """Charge what one PE's tally block says the kernel did."""
-        self.memory.charge_kernel_writes(
-            tally[native.T_WRITES : native.T_WRITES + 8],
-            tally[native.T_OCCUPIED : native.T_OCCUPIED + 8],
-            tally[native.T_ROW_WRITES],
-        )
-        self.host_row_reads = tally[native.T_ROW_READS]
-        return self._charge(
-            tally[native.T_DONE],
-            tally[native.T_PATH_NODES : native.T_PATH_NODES + 8],
-            tally[native.T_NEW_NODES],
-            tally[native.T_ALLOCATIONS],
-            tally[native.T_EXPANSIONS],
-            tally[native.T_PRUNES],
-        )
 
     def _failure(self, code: int, row: int, bank: int) -> Exception:
         """The exception a kernel return code stands for."""
@@ -245,82 +260,10 @@ class ProcessingElement:
         # native.FREE_ROW: the kernel left the allocator as it found it, so its own check says why.
         return self.allocator.free_error(row)
 
-    def _charge(
-        self,
-        updates: int,
-        path_nodes: Sequence[int],
-        new_nodes: int,
-        allocations: int,
-        expansions: int,
-        prunes: int,
-    ) -> CycleBreakdown:
-        """Book ``updates`` completed updates plus the tallied events, stage by stage.
-
-        ``path_nodes[b]`` of the nodes on those updates' paths live in bank ``b``.
-        """
-        timing = self.config.timing
-        depth = self.config.tree_depth
-        parents = updates * (depth - 1)
-        # Every new node is one bank write, every row allocation one more
-        # (the parent's pointer); an expansion's eight nodes are a row write.
-        event_writes = new_nodes + allocations
-        breakdown = CycleBreakdown()
-        breakdown.charge(
-            OperationKind.UPDATE_LEAF,
-            updates * (depth * timing.bank_read_cycles + timing.alu_cycles + timing.bank_write_cycles)
-            + event_writes * timing.bank_write_cycles,
-        )
-        breakdown.charge(
-            OperationKind.UPDATE_PARENTS,
-            parents * (timing.row_read_cycles + timing.alu_cycles + timing.bank_write_cycles),
-        )
-        breakdown.charge(
-            OperationKind.PRUNE_EXPAND,
-            parents * timing.alu_cycles
-            + (allocations + prunes) * timing.prune_stack_cycles
-            + (expansions + prunes) * timing.row_write_cycles,
-        )
-        self.stats.breakdown.merge(breakdown)
-        self.stats.voxel_updates += updates
-        self.stats.bank_reads += updates * depth
-        self.stats.bank_writes += updates * depth + event_writes
-        self.stats.row_accesses += parents + expansions + prunes
-        self.memory.charge_update_accesses(path_nodes, row_reads=parents)
-        counters = self.counters
-        counters.leaf_updates += updates
-        counters.child_reads += 8 * parents
-        counters.prune_checks += parents
-        counters.parent_updates += parents - prunes
-        counters.prunes += prunes
-        counters.node_deletions += 8 * prunes
-        counters.expansions += expansions
-        counters.node_allocations += new_nodes + 8 * expansions
-        counters.extra["pe_updates"] = counters.extra.get("pe_updates", 0) + updates
-        return breakdown
-
     # ------------------------------------------------------------------
     # Voxel query (service used by collision detection etc.): the native
     # read kernel, see repro.core.query_unit
     # ------------------------------------------------------------------
-    def book_query(self, tally: Sequence[int]) -> int:
-        """Charge what one PE's read tally block says the kernel did; returns its cycles.
-
-        A look-up reads one entry per level until it reaches a leaf or a
-        child the tags call unknown, then pays one ALU pass to classify what
-        it found; a voxel under a first-level branch this PE never stored
-        costs the one read that finds that out.
-        """
-        timing = self.config.timing
-        bank_reads = tally[native.Q_READS : native.Q_READS + 8]
-        reads = sum(bank_reads)
-        cycles = (tally[native.Q_ABSENT] + reads) * timing.bank_read_cycles + tally[native.Q_KNOWN] * timing.alu_cycles
-        for bank, count in zip(self.memory.banks, bank_reads):
-            bank.read_accesses += count
-        self.stats.bank_reads += reads
-        self.counters.queries += tally[native.Q_STARTED]
-        self.query_cycles += cycles
-        return cycles
-
     def query_failure(self) -> RuntimeError:
         """What a read the kernel stopped in this PE's image raises."""
         return RuntimeError(f"PE {self.pe_id}: dangling tag during query")
@@ -332,30 +275,30 @@ class ProcessingElement:
         """Stream every stored node out of the PE (pre-order).
 
         The exported paths start at the global root, so nodes from different
-        PEs can be merged directly into one software octree.
+        PEs can be merged directly into one software octree.  Each entry
+        looked at -- every local root, every child a tag lists -- is one
+        decoded read of its bank, added to the PE's words once the stream
+        is through.
         """
+        reads = [0] * 8
         for branch, live in enumerate(self._local_roots):
-            if not live:
-                continue
-            entry = self.memory.read_entry(0, branch)
-            if entry is None:
-                continue
-            yield from self._export_recurs(entry, (branch,))
+            if live:
+                yield from self._export(0, branch, (branch,), reads)
+        self._words[DECODED : DECODED + 8] += reads
 
-    def _export_recurs(self, entry: TreeMemEntry, path: Tuple[int, ...]) -> Iterator[ExportedNode]:
-        is_leaf = entry.pointer == NULL_POINTER
-        observed = any(tag != ChildStatus.UNKNOWN for tag in entry.child_tags)
-        homogeneous = is_leaf and observed and len(path) < self.config.tree_depth
-        yield ExportedNode(path, entry.probability_raw, is_leaf, homogeneous)
+    def _export(self, row: int, bank: int, path: Tuple[int, ...], reads: List[int]) -> Iterator[ExportedNode]:
+        reads[bank] += 1
+        if row >= len(self._valid[bank]) or not self._valid[bank][row]:
+            return
+        pointer, word = self._pointers[bank][row], self._tags[bank][row]
+        is_leaf = pointer == NULL_POINTER
+        homogeneous = is_leaf and word != 0 and len(path) < self.config.tree_depth
+        yield ExportedNode(path, self._probabilities[bank][row], is_leaf, homogeneous)
         if is_leaf:
             return
-        for child_index in range(8):
-            if entry.tag(child_index) == ChildStatus.UNKNOWN:
-                continue
-            child = self.memory.read_entry(entry.pointer, child_index)
-            if child is None:
-                continue
-            yield from self._export_recurs(child, path + (child_index,))
+        for child in range(8):
+            if (word >> (2 * child)) & 0b11:
+                yield from self._export(pointer, child, path + (child,), reads)
 
     # ------------------------------------------------------------------
     # State image (shard snapshots; see OMUAccelerator.image)
@@ -439,7 +382,8 @@ class ProcessingElement:
         """Copy a :meth:`check_image`-checked ``image`` into this fresh PE's arrays, in place.
 
         The arrays stay the objects ``_valid`` ... and the kernel pin name;
-        they only grow to the image's ``rows``, and are pinned again.
+        they only grow to the image's ``rows``, and are pinned again.  The
+        counts travel in the accelerator's counter array, not here.
         """
         allocator = self.allocator
         written = int(image["allocator"][NEXT_FRESH])
@@ -447,21 +391,12 @@ class ProcessingElement:
         for name, dtype in BANK_FIELDS:
             for field, words in zip(getattr(self, "_" + name), image[name]):
                 np.frombuffer(field, dtype)[:written] = words
-        for bank, valid in zip(self.memory.banks, image["valid"]):
-            bank._occupied = int(np.count_nonzero(valid))
         np.frombuffer(self._local_roots, np.uint8)[:] = image["roots"]
         np.frombuffer(allocator.state, np.int64)[:] = image["allocator"]
         stack = image["stack"]
         np.frombuffer(allocator.stack, np.int32)[: len(stack)] = stack
         np.frombuffer(allocator.stacked, np.uint8)[stack] = 1
         self._pin()
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def busy_cycles(self) -> int:
-        """Cycles of useful work performed so far."""
-        return self.stats.busy_cycles()
 
 
 def _field(image: Dict[str, object], name: str, dtype, shape: Tuple[int, ...], where: str) -> np.ndarray:
@@ -474,17 +409,18 @@ def _field(image: Dict[str, object], name: str, dtype, shape: Tuple[int, ...], w
 
 
 def apply_keys(
-    pes: Sequence[ProcessingElement], keys: np.ndarray, flags: np.ndarray, tally: array
-) -> List[CycleBreakdown]:
-    """Apply an ordered update stream to ``pes`` in one native call, and book it.
+    pes: Sequence[ProcessingElement], table: ctypes.Array, keys: np.ndarray, flags: np.ndarray, tally: np.ndarray
+) -> None:
+    """Apply an ordered update stream to ``pes`` in one native call.
 
-    ``keys`` is the stream's C-ordered ``(N, 3)`` ``uint16`` key components,
-    ``flags`` its ``(N,)`` ``bool`` measurements and ``tally`` a zeroed
-    :func:`native.tallies` for ``pes``.  Key ``i`` belongs to
-    ``pes[path[0] % len(pes)]``, its first-level branch modulo the PE count.
-    Returns each PE's cycles by stage -- an empty breakdown, and no charge,
-    for a PE the stream gives nothing.  The module docstring says how a PE
-    that runs out of image is grown and how a call fails.
+    ``table`` is :func:`native.image_table` of the PEs' images, ``keys`` the
+    stream's C-ordered ``(N, 3)`` ``uint16`` key components, ``flags`` its
+    ``(N,)`` ``bool`` measurements and ``tally`` a zeroed
+    :func:`native.tallies` for ``pes``, which the call fills: key ``i``
+    belongs to ``pes[path[0] % len(pes)]``, its first-level branch modulo the
+    PE count.  The caller adds the tally to the counters, also when this
+    raises.  The module docstring says how a PE that runs out of image is
+    grown and how a call fails.
     """
     num_pes, count = len(pes), len(flags)
     # What the kernel indexes with: anything else would read or write past a buffer.
@@ -492,27 +428,19 @@ def apply_keys(
         raise ValueError(f"{num_pes} PEs, keys {keys.dtype}{keys.shape}, flags {flags.dtype}{flags.shape}")
     if not (keys.flags.c_contiguous and flags.flags.c_contiguous):
         raise ValueError("keys and flags must be C-contiguous")
-    table = native.image_table([pe.pinned_image() for pe in pes])
+    if len(table) != num_pes or tally.shape != (num_pes, native.TALLY_WORDS) or not tally.flags.c_contiguous:
+        raise ValueError(f"an image table of {len(table)} and tallies of shape {tally.shape} for {num_pes} PEs")
+    for pe in pes:
+        pe.pinned_image()
     order = np.empty(count, dtype=np.int64)
-    addresses = keys.ctypes.data, flags.ctypes.data, count, order.ctypes.data, tally.buffer_info()[0]
-    while True:
-        code = native.apply_batch(table, num_pes, *addresses)
-        if code != native.GROW:
-            break
+    arguments = table, num_pes, keys.ctypes.data, flags.ctypes.data, count, order.ctypes.data, tally.ctypes.data
+    code = native.apply_batch(*arguments)
+    while code == native.GROW:
         # The PE the call stopped in is the first with updates left.
-        blocks = range(0, num_pes * native.TALLY_WORDS, native.TALLY_WORDS)
-        pe = next(pe for pe, at in zip(pes, blocks) if tally[at + native.T_DONE] < tally[at + native.T_ISSUED])
+        pe = pes[int(np.argmax(tally[:, native.T_DONE] < tally[:, native.T_ISSUED]))]
         pe.memory.reserve(2 * pe.memory.rows)
         pe._pin()
-    words = tally.tolist()
-    breakdowns = []
-    for index, pe in enumerate(pes):
-        block = words[index * native.TALLY_WORDS : (index + 1) * native.TALLY_WORDS]
-        if not block[native.T_ISSUED]:
-            pe.host_row_reads = 0
-            breakdowns.append(CycleBreakdown())
-            continue
-        breakdowns.append(pe._book(block))
-        if block[native.T_DONE] < block[native.T_ISSUED]:
-            raise pe._failure(code, block[native.T_ERROR_ROW], block[native.T_ERROR_BANK])
-    return breakdowns
+        code = native.apply_batch(*arguments)
+    if code != native.OK:
+        index = int(np.argmax(tally[:, native.T_DONE] < tally[:, native.T_ISSUED]))
+        raise pes[index]._failure(code, int(tally[index, native.T_ERROR_ROW]), int(tally[index, native.T_ERROR_BANK]))

@@ -11,31 +11,32 @@ reduces the achievable parallel speedup).
 
 The routing itself runs in the PE kernel's native batch entry
 (:func:`repro.core.pe.apply_keys`), which counts each PE's updates as it
-splits the stream; :class:`VoxelScheduler` books those counts and the issue
-cycles.
+splits the stream into the PEs' issued-update words of the accelerator's
+counter array (:mod:`repro.core.counts`); :class:`VoxelScheduler` reads them.
+The issue cycles are the accelerator's map timing.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
-from repro.core.config import OMUConfig
+import numpy as np
 
 __all__ = ["VoxelScheduler"]
 
 
 class VoxelScheduler:
-    """Issue accounting of the first-level-branch voxel scheduler."""
+    """The first-level-branch voxel scheduler's load: a view of the PEs' ``issued`` words."""
 
-    def __init__(self, config: OMUConfig) -> None:
-        self.config = config
-        self.issued_updates = 0
-        self.per_pe_issued: List[int] = [0] * config.num_pes
+    def __init__(self, issued: np.ndarray) -> None:
+        self._issued = issued
 
-    def issue(self, per_pe: Sequence[int]) -> int:
-        """Book one batch, ``per_pe[p]`` updates issued to PE ``p``; returns its issue cycles."""
-        for pe, count in enumerate(per_pe):
-            self.per_pe_issued[pe] += count
-        issued = sum(per_pe)
-        self.issued_updates += issued
-        return issued * self.config.timing.scheduler_issue_cycles
+    @property
+    def per_pe_issued(self) -> List[int]:
+        """Updates issued to each PE so far."""
+        return self._issued.tolist()
+
+    @property
+    def issued_updates(self) -> int:
+        """Updates issued so far."""
+        return int(self._issued.sum())

@@ -20,36 +20,16 @@ from repro.octomap.counters import OperationKind
 
 __all__ = ["CycleBreakdown", "PETimingStats", "ScanTiming"]
 
-_STAGES = (
-    OperationKind.RAY_CASTING,
-    OperationKind.UPDATE_LEAF,
-    OperationKind.UPDATE_PARENTS,
-    OperationKind.PRUNE_EXPAND,
-)
-
 
 @dataclass
 class CycleBreakdown:
     """Cycles attributed to each pipeline stage."""
 
-    cycles: Dict[OperationKind, int] = field(
-        default_factory=lambda: {stage: 0 for stage in _STAGES}
-    )
-
-    def charge(self, stage: OperationKind, cycles: int) -> None:
-        """Add ``cycles`` to ``stage``."""
-        if cycles < 0:
-            raise ValueError("cannot charge a negative number of cycles")
-        self.cycles[stage] = self.cycles.get(stage, 0) + cycles
+    cycles: Dict[OperationKind, int] = field(default_factory=lambda: dict.fromkeys(OperationKind.ordered(), 0))
 
     def total(self) -> int:
         """Total cycles across all stages."""
         return sum(self.cycles.values())
-
-    def merge(self, other: "CycleBreakdown") -> None:
-        """Accumulate another breakdown into this one."""
-        for stage, cycles in other.cycles.items():
-            self.cycles[stage] = self.cycles.get(stage, 0) + cycles
 
     def fractions(self) -> Mapping[OperationKind, float]:
         """Per-stage fraction of the total (the quantity Figs. 3/10 plot)."""
@@ -61,7 +41,7 @@ class CycleBreakdown:
 
 @dataclass
 class PETimingStats:
-    """Cycle and utilisation statistics of one PE."""
+    """Cycle and utilisation statistics of one PE (what ``ProcessingElement.stats`` reads off its counter words)."""
 
     pe_id: int
     breakdown: CycleBreakdown = field(default_factory=CycleBreakdown)
@@ -69,7 +49,6 @@ class PETimingStats:
     bank_reads: int = 0
     bank_writes: int = 0
     row_accesses: int = 0
-    stalls: int = 0
 
     def busy_cycles(self) -> int:
         """Cycles this PE spent doing useful work."""
@@ -109,15 +88,6 @@ class ScanTiming:
         """
         parallel_section = max(self.pe_cycles_max, self.raycast_cycles)
         return self.scheduler_cycles + parallel_section
-
-    def merge(self, other: "ScanTiming") -> None:
-        """Accumulate another scan's timing into this one (whole-map totals)."""
-        self.scheduler_cycles += other.scheduler_cycles
-        self.raycast_cycles += other.raycast_cycles
-        self.pe_cycles_max += other.pe_cycles_max
-        self.pe_cycles_total += other.pe_cycles_total
-        self.voxel_updates += other.voxel_updates
-        self.breakdown.merge(other.breakdown)
 
     def cycles_per_update(self) -> float:
         """Effective accelerator cycles per voxel update (after parallelism)."""

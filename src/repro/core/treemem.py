@@ -22,8 +22,9 @@ the only form of the map: the PE's native update kernel writes them in place,
 and a shard snapshot copies them out and back
 (:meth:`repro.core.accelerator.OMUAccelerator.image` / ``restore``).
 :class:`TreeMemEntry` is the *decoded view* of one address that
-:meth:`TreeMemBank.read` hands to map export, verification and tests.
-Every bank access is counted so the timing and energy models can charge it.
+:meth:`TreeMemBank.read` hands to verification and tests.  The access counts
+are views of the PE's words of the accelerator's counter array
+(:mod:`repro.core.counts`).
 
 The arrays are sized to the map, not to the bank: they start at
 :data:`INITIAL_ROWS` entries and double (up to the bank's ``num_entries``)
@@ -40,7 +41,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Optional, Sequence
+from typing import List, Optional
+
+import numpy as np
+
+from repro.core import counts
 
 __all__ = [
     "ChildStatus",
@@ -127,12 +132,12 @@ class TreeMemBank:
     :attr:`valid`, :attr:`pointers`, :attr:`tags` and :attr:`probabilities`,
     holding the first :attr:`rows` addresses (see the module docstring).
     The PE's update kernel writes them in place and a restore copies them
-    back; everything else reads through :meth:`read`.  Reads and writes are
-    counted individually; the energy model charges each access and the
-    timing model enforces one access per bank per cycle.
+    back; everything else reads through :meth:`read`.  Its access counts and
+    live entries are views of ``words``, its PE's counter words (its own
+    zeroed ones if none are given).
     """
 
-    def __init__(self, bank_index: int, num_entries: int) -> None:
+    def __init__(self, bank_index: int, num_entries: int, words: Optional[np.ndarray] = None) -> None:
         if num_entries < 1:
             raise ValueError("a bank needs at least one entry")
         self.bank_index = bank_index
@@ -142,14 +147,22 @@ class TreeMemBank:
         self.pointers = pointers[:num_entries]
         self.tags = tags[:num_entries]
         self.probabilities = probabilities[:num_entries]
-        self.read_accesses = 0
-        self.write_accesses = 0
-        self._occupied = 0
+        self._words = np.zeros(counts.PE_WORDS, dtype=np.int64) if words is None else words
 
     @property
     def rows(self) -> int:
         """Addresses the arrays hold now (every one above is unwritten)."""
         return len(self.valid)
+
+    @property
+    def read_accesses(self) -> int:
+        """Single-entry reads of this bank so far (a row read counts one per bank)."""
+        return int(counts.bank_reads(self._words)[self.bank_index])
+
+    @property
+    def write_accesses(self) -> int:
+        """Single-entry writes of this bank so far (a row write counts one per bank)."""
+        return int(counts.bank_writes(self._words)[self.bank_index])
 
     def reserve(self, rows: int) -> None:
         """Make the arrays hold at least ``rows`` addresses, doubling, at most ``num_entries``.
@@ -170,9 +183,9 @@ class TreeMemBank:
         self.probabilities.frombytes(bytes(2 * extra))
 
     def read(self, address: int) -> Optional[TreeMemEntry]:
-        """Read the entry at ``address`` (None if never written)."""
+        """Read the entry at ``address`` (None if never written): one decoded read access."""
         self._check_address(address)
-        self.read_accesses += 1
+        self._words[counts.DECODED + self.bank_index] += 1
         if address >= self.rows or not self.valid[address]:
             return None
         return TreeMemEntry(
@@ -183,7 +196,7 @@ class TreeMemBank:
 
     def occupied_entries(self) -> int:
         """Number of valid entries currently stored (a live count, not a scan)."""
-        return self._occupied
+        return int(self._words[counts.OCCUPIED + self.bank_index])
 
     def _check_address(self, address: int) -> None:
         if not 0 <= address < self.num_entries:
@@ -198,18 +211,18 @@ class BankedTreeMemory:
 
     Descending the tree touches one bank per level; a parent update or a
     pruning check reads all eight children of a row at once.  The kernel
-    does both on the bank arrays and books them here; :meth:`read_entry` is
-    the decoded single-entry read of export and verification.
+    does both on the bank arrays; the counts here and in every bank read
+    ``words``, the PE's counter words (its own zeroed ones if none are
+    given).  :meth:`read_entry` is the decoded read of verification and tests.
     """
 
-    def __init__(self, num_banks: int, entries_per_bank: int) -> None:
+    def __init__(self, num_banks: int, entries_per_bank: int, words: Optional[np.ndarray] = None) -> None:
         if num_banks != 8:
             raise ValueError("the child-per-bank layout requires exactly 8 banks")
         self.num_banks = num_banks
         self.entries_per_bank = entries_per_bank
-        self.banks = [TreeMemBank(index, entries_per_bank) for index in range(num_banks)]
-        self.row_reads = 0
-        self.row_writes = 0
+        self._words = np.zeros(counts.PE_WORDS, dtype=np.int64) if words is None else words
+        self.banks = [TreeMemBank(index, entries_per_bank, self._words) for index in range(num_banks)]
 
     @property
     def rows(self) -> int:
@@ -226,43 +239,28 @@ class BankedTreeMemory:
         """Read one child entry (one bank access)."""
         return self.banks[self._checked_bank(bank)].read(row)
 
-    # -- statistics ------------------------------------------------------------
-    def charge_update_accesses(self, path_nodes_per_bank: Sequence[int], row_reads: int) -> None:
-        """Book the array accesses the PE's fused update kernel performed.
+    # -- statistics: views of the PE's counter words ------------------------------
+    @property
+    def row_reads(self) -> int:
+        """Whole-row reads: one children row per parent of each completed update."""
+        return int(counts.parents(self._words))
 
-        An update reads each node on its path once on the way down and writes
-        it once on the way back up (``path_nodes_per_bank[b]`` of them live in
-        bank ``b``), and reads one children row per parent (``row_reads``).
-        """
-        self.row_reads += row_reads
-        for bank, nodes in zip(self.banks, path_nodes_per_bank):
-            bank.read_accesses += nodes + row_reads
-            bank.write_accesses += nodes
-
-    def charge_kernel_writes(self, writes: Sequence[int], occupied: Sequence[int], row_writes: int) -> None:
-        """Book the writes the native update kernel made to the arrays in place.
-
-        ``writes[b]`` accesses went to bank ``b`` (one per entry stored or
-        cleared) and changed its live entries by ``occupied[b]``;
-        ``row_writes`` of them were whole-row writes (a prune clearing a
-        row, an expansion filling one).
-        """
-        self.row_writes += row_writes
-        for bank, count, delta in zip(self.banks, writes, occupied):
-            bank.write_accesses += count
-            bank._occupied += delta
+    @property
+    def row_writes(self) -> int:
+        """Whole-row writes: a prune clearing a row, an expansion filling one."""
+        return int(self._words[counts.ROW_WRITES])
 
     def total_reads(self) -> int:
         """Total single-bank read accesses (row reads count as 8)."""
-        return sum(bank.read_accesses for bank in self.banks)
+        return int(counts.bank_reads(self._words).sum())
 
     def total_writes(self) -> int:
         """Total single-bank write accesses (row writes count as 8)."""
-        return sum(bank.write_accesses for bank in self.banks)
+        return int(counts.bank_writes(self._words).sum())
 
     def occupied_entries(self) -> int:
         """Number of valid entries across all banks."""
-        return sum(bank.occupied_entries() for bank in self.banks)
+        return int(self._words[counts.OCCUPIED : counts.OCCUPIED + 8].sum())
 
     def _checked_bank(self, bank: int) -> int:
         if not 0 <= bank < self.num_banks:

@@ -402,11 +402,12 @@ class ShardSnapshot:
 
     The payload is the shard accelerator's state itself
     (:meth:`~repro.core.accelerator.OMUAccelerator.image`): each PE's SRAM
-    rows, local roots and prune address manager, and every modelled counter,
-    as numpy arrays and ints -- no object of this package inside.  A snapshot
-    taken by one worker rehydrates the shard on any other (live failover) as
-    the very accelerator it was, row layout and lifetime statistics included;
-    the receiving worker checks every array before it writes one.  The
+    rows, local roots and prune address manager, and a copy of its counter
+    array (:mod:`repro.core.counts`), as numpy arrays and ints -- no object of
+    this package inside.  A snapshot taken by one worker rehydrates the shard
+    on any other (live failover) as the very accelerator it was, row layout and
+    lifetime statistics included; the receiving worker checks every array
+    (live-entry words against valid bytes too) before it writes one.  The
     accounting fields restore the shard's externally visible counters -- in
     particular ``generation``, which the query cache's invalidation stamps
     build on: a restored shard replays its un-snapshotted flushes on top of

@@ -1,48 +1,54 @@
 """The PE kernels in Python: the differential oracles of ``pe_kernel.c``.
 
-:func:`update_paths` is the loop the native kernel runs for one PE, written
+:func:`walk_paths` is the loop the native kernel runs for one PE, written
 over the same state -- the bank arrays, the prune address manager, the
 local-root flags -- through the small write model below (:func:`store`,
 :func:`clear_row`, :func:`allocate_row`, :func:`free_row`: the kernel's own
 ``store``, prune clear, ``allocate_row`` and ``free_row``, with the same
-checks in the same order), so every count the native kernel tallies and
-hands back is counted here where it happens.  It grows the image by the same
-rule (double before an update whose fresh rows could pass the arrays' end),
-raises what the native call raises, and charges through the PE's own
-``_charge``.  :func:`apply_keys` is the native batch entry's scheduler in
-numpy: each key's path (:func:`paths_for_keys`), a stable split by PE, then
-:func:`update_paths` on each PE in order.  The suites hold the two to
-byte-equal images, stacks, statistics, counters and access counts, failures
-included.
+checks in the same order).  Every event is tallied where it happens, into
+the kernel's own tally words (``native.T_*``) of the PE's block, so the
+suites compare the raw words one for one.  It grows the image by the same
+rule (double before an update whose fresh rows could pass the arrays' end)
+and raises what the native call raises.  :func:`apply_keys` is the native
+batch entry's scheduler in numpy: each key's path (:func:`paths_for_keys`),
+a stable split by PE, then :func:`walk_paths` on each PE in order; the
+accelerator adds its tally to the counter array as it adds the native
+one's.  The suites hold the two to byte-equal images, stacks, counter words,
+statistics, counters and access counts, failures included.
 
 The read side likewise: :func:`query_paths` is the walk of the native
-``query_walk`` over one PE's paths, counting and booking every read itself;
-:func:`query_keys` / :func:`query_key` are what
-``VoxelQueryUnit.query_keys`` / ``query_key`` do around it (per-PE split,
-or stream-order stretches until the first occupied key).
+``query_walk`` over one PE's paths, tallying every read in the kernel's
+read tally words (``native.Q_*``); :func:`query_keys` / :func:`query_key`
+are what ``VoxelQueryUnit.query_keys`` / ``query_key`` do around it (per-PE
+split, or stream-order stretches until the first occupied key), adding the
+tallies to the counter words and pricing them (:func:`read_cycles`) on
+their own.
 
 Use it on a PE with ``oracle_pe.update_paths(pe, paths, occupied)``, or make
 an accelerator run on it with :func:`use_oracle`.  :func:`kernel_update_paths`,
 :func:`kernel_update_voxel` and :func:`kernel_query_voxel` run the *native*
-kernels on one PE alone, the form the PE-level tests drive them in.
+kernels on one PE alone, the form the PE-level tests drive them in.  Writes
+outside an update call (a test tampering with an image) are tallied in a
+:func:`tallying` block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
-from array import array
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import accelerator as accelerator_module
-from repro.core import native
+from repro.core import counts, native
 from repro.core.pe import QUERY_STATUSES, ProcessingElement
 from repro.core.pe import apply_keys as native_apply_keys
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
 from repro.core.prune_manager import ALLOCATIONS, DEPTH, FREES, FRESH, NEXT_FRESH, PEAK, REUSED, PruneAddressManager
 from repro.core.timing import CycleBreakdown
 from repro.core.treemem import NULL_POINTER, BankedTreeMemory, ChildStatus, TreeMemBank
+from repro.octomap.counters import OperationKind
 from repro.octomap.keys import OcTreeKey
 from repro.octomap.logodds import probability as logodds_to_probability
 
@@ -57,24 +63,40 @@ _CHILD_TAGS = tuple(
 
 
 # -- the write model of the oracle (the kernel's is C) ---------------------------
-def store(bank: TreeMemBank, address: int, pointer: int, tags: int, probability_raw: int) -> None:
-    """One write access given as raw field values, at an address below the bank's ``rows``."""
-    bank.write_accesses += 1
-    bank._occupied += not bank.valid[address]
+def store(tally, bank: TreeMemBank, address: int, pointer: int, tags: int, probability_raw: int) -> None:
+    """One write access given as raw field values, at an address below the bank's ``rows``.
+
+    ``tally`` is the PE's update tally block, in the kernel's layout.
+    """
+    tally[native.T_WRITES + bank.bank_index] += 1
+    tally[native.T_OCCUPIED + bank.bank_index] += not bank.valid[address]
     bank.valid[address] = 1
     bank.pointers[address] = pointer
     bank.tags[address] = tags
     bank.probabilities[address] = probability_raw
 
 
-def clear_row(memory: BankedTreeMemory, row: int) -> None:
+def clear_row(tally, memory: BankedTreeMemory, row: int) -> None:
     """Invalidate a whole row in one row write (a prune freeing its block)."""
-    memory.row_writes += 1
+    tally[native.T_ROW_WRITES] += 1
     for bank in memory.banks:
-        bank.write_accesses += 1
+        tally[native.T_WRITES + bank.bank_index] += 1
         if row < bank.rows:
-            bank._occupied -= bank.valid[row]
+            tally[native.T_OCCUPIED + bank.bank_index] -= bank.valid[row]
             bank.valid[row] = 0
+
+
+@contextlib.contextmanager
+def tallying(holder) -> Iterator[np.ndarray]:
+    """A zeroed update tally block whose words are added to ``holder``'s counter words when the block ends.
+
+    ``holder`` is a PE, its memory or one of its banks: the writes of a
+    :func:`store` or :func:`clear_row` outside an update call count as the
+    kernel's do.
+    """
+    tally = native.tallies(1)
+    yield tally[0]
+    holder._words[: counts.QUERY] += tally[0, list(counts.KEPT)]
 
 
 def allocate_row(allocator: PruneAddressManager) -> int:
@@ -109,6 +131,19 @@ def free_row(allocator: PruneAddressManager, row: int) -> None:
 
 
 # -- the native kernel on one PE ----------------------------------------------------
+def on_one_pe(pe: ProcessingElement, run) -> CycleBreakdown:
+    """``run(tally)`` an update call on ``pe`` alone, then add its tally to the PE's words, as an accelerator does.
+
+    Returns the call's cycles by stage.
+    """
+    tally = native.tallies(1)
+    try:
+        run(tally)
+    finally:
+        stages = counts.fold_updates(pe._words[None], tally, pe._costs)
+    return CycleBreakdown(dict(zip(OperationKind.ordered(), stages[0].tolist())))
+
+
 def kernel_update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool]) -> CycleBreakdown:
     """``repro.core.pe.apply_keys`` with ``pe`` as the only PE, fed ``(N, tree_depth)`` paths.
 
@@ -120,8 +155,8 @@ def kernel_update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequ
     axes = (paths[:, None, :] >> np.arange(3)[:, None]) & 1
     keys = np.ascontiguousarray(axes @ (1 << np.arange(depth - 1, -1, -1)), dtype=np.uint16)
     flags = np.ascontiguousarray(occupied, dtype=np.bool_)
-    (breakdown,) = native_apply_keys([pe], keys, flags, native.tallies(1))
-    return breakdown
+    table = native.image_table([pe.pinned_image()])
+    return on_one_pe(pe, lambda tally: native_apply_keys([pe], table, keys, flags, tally))
 
 
 def kernel_update_voxel(pe: ProcessingElement, key: OcTreeKey, occupied: bool) -> int:
@@ -130,11 +165,11 @@ def kernel_update_voxel(pe: ProcessingElement, key: OcTreeKey, occupied: bool) -
 
 
 def kernel_query_voxel(pe: ProcessingElement, key: OcTreeKey) -> Tuple[str, Optional[int]]:
-    """One read of ``key`` by the native kernel on ``pe``, booked: ``(status, raw)``, raw None where unknown."""
+    """One read of ``key`` by the native kernel on ``pe``, counted: ``(status, raw)``, raw None where unknown."""
     tally = native.query_tallies(1)
     raw = ctypes.c_int16()
-    code = native.query_key(pe.pinned_image(), key.x, key.y, key.z, raw, tally.buffer_info()[0])
-    pe.book_query(tally)
+    code = native.query_key(pe.pinned_image(), key.x, key.y, key.z, raw, tally.ctypes.data)
+    pe._words[counts.QUERY : counts.DECODED] += tally[0]
     if code < 0:
         raise pe.query_failure()
     return QUERY_STATUSES[code], raw.value if code else None
@@ -155,16 +190,14 @@ def use_oracle(accelerator) -> None:
     accelerator._execute = on_the_oracle
 
 
-def apply_keys(pes: Sequence[ProcessingElement], keys: np.ndarray, flags: np.ndarray, tally: array):
+def apply_keys(pes: Sequence[ProcessingElement], table, keys: np.ndarray, flags: np.ndarray, tally: np.ndarray) -> None:
     """What ``repro.core.pe.apply_keys`` does, a PE at a time."""
     paths = paths_for_keys(keys, pes[0].config.tree_depth)
     owners = paths[:, 0] % len(pes)
-    tally[native.T_ISSUED :: native.TALLY_WORDS] = array("q", np.bincount(owners, minlength=len(pes)).tolist())
-    breakdowns = []
+    tally[:, native.T_ISSUED] = np.bincount(owners, minlength=len(pes))
     for index, pe in enumerate(pes):
         mine = owners == index
-        breakdowns.append(update_paths(pe, paths[mine], flags[mine].tolist()))
-    return breakdowns
+        walk_paths(pe, paths[mine], flags[mine].tolist(), tally[index])
 
 
 def paths_for_keys(keys: np.ndarray, depth: int) -> np.ndarray:
@@ -197,10 +230,20 @@ def read_children(pe: ProcessingElement, block: int) -> Tuple[int, List[int]]:
 
 
 def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool]) -> CycleBreakdown:
-    """What ``pe.update_paths(paths, occupied)`` does, one Python statement at a time."""
-    pe.host_row_reads = 0
+    """:func:`kernel_update_paths` on the oracle: :func:`walk_paths` on ``pe`` alone, added to its words."""
+
+    def run(tally):
+        tally[0, native.T_ISSUED] = len(paths)
+        walk_paths(pe, paths, occupied, tally[0])
+
+    return on_one_pe(pe, run)
+
+
+def walk_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool], pe_tally: np.ndarray) -> None:
+    """The native kernel's loop over one PE's updates, one Python statement at a time, tallied in ``pe_tally``."""
     if not len(paths):
-        return CycleBreakdown()
+        return
+    tally = [0] * native.TALLY_WORDS
     banks = pe.memory.banks
     valid, pointers, tags, probabilities = pe._valid, pe._pointers, pe._tags, pe._probabilities
     params = pe.params
@@ -220,7 +263,7 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
     # ``intact`` of them survived the previous update's prunes.
     rows: List[int] = []
     intact = 0
-    new_nodes = allocations = expansions = prunes = done = row_reads = 0
+    done = 0
     try:
         for path, hit, resume in zip(paths.tolist(), occupied, shared):
             # --- the image holds every fresh row this update could take ---
@@ -237,9 +280,9 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
                 resume = 1
                 bank, row = path[0], 0
                 if not roots[bank]:
-                    store(banks[bank], 0, NULL_POINTER, 0, 0)
+                    store(tally, banks[bank], 0, NULL_POINTER, 0, 0)
                     roots[bank] = 1
-                    new_nodes += 1
+                    tally[native.T_NEW_NODES] += 1
                 rows = [0]
 
             # --- walk down the key path, allocating / expanding ---------
@@ -251,7 +294,7 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
                 block = pointers[bank][row]
                 if block == NULL_POINTER:
                     block = allocate_row(allocator)
-                    allocations += 1
+                    tally[native.T_ALLOCATIONS] += 1
                     grown = min(grown, len(rows) - 1)
                     if tags[bank][row]:
                         # A pruned leaf covering a uniform region: the
@@ -259,21 +302,21 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
                         value = probabilities[bank][row]
                         uniform = _ALL_OCCUPIED if value > threshold else _ALL_FREE
                         for sibling in banks:
-                            store(sibling, block, NULL_POINTER, uniform, value)
-                        pe.memory.row_writes += 1
-                        expansions += 1
+                            store(tally, sibling, block, NULL_POINTER, uniform, value)
+                        tally[native.T_ROW_WRITES] += 1
+                        tally[native.T_EXPANSIONS] += 1
                     else:
-                        store(banks[child], block, NULL_POINTER, 0, 0)
-                        new_nodes += 1
+                        store(tally, banks[child], block, NULL_POINTER, 0, 0)
+                        tally[native.T_NEW_NODES] += 1
                     # Persist the parent's new pointer immediately; the
                     # upward pass rewrites the entry anyway but a
                     # partially-written tree must never be observable by
                     # queries issued between updates.
                     pointers[bank][row] = block
-                    banks[bank].write_accesses += 1
+                    tally[native.T_WRITES + bank] += 1
                 elif not (tags[bank][row] >> (child + child)) & 0b11:
-                    store(banks[child], block, NULL_POINTER, 0, 0)
-                    new_nodes += 1
+                    store(tally, banks[child], block, NULL_POINTER, 0, 0)
+                    tally[native.T_NEW_NODES] += 1
                 if not valid[child][block]:
                     # The tag said the child exists but the bank holds
                     # nothing: tags and memory image are out of sync.
@@ -309,7 +352,7 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
                         value = stored  # another child holds it and keeps it
                     else:
                         # The child held it and fell: the row says who does now.
-                        row_reads += 1
+                        tally[native.T_ROW_READS] += 1
                         values = read_children(pe, block)[1]
                         value = max(values)
                 word = word ^ listed | child_tags[tag]
@@ -318,13 +361,13 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
                     # Eight leaves of one class, the changed one at the
                     # maximum: the row says whether all are equal.
                     if values is None:
-                        row_reads += 1
+                        tally[native.T_ROW_READS] += 1
                         values = read_children(pe, block)[1]
                     if len(values) == 8 and min(values) == value:
-                        clear_row(pe.memory, block)
+                        clear_row(tally, pe.memory, block)
                         free_row(allocator, block)
                         pointers[bank][row] = NULL_POINTER
-                        prunes += 1
+                        tally[native.T_PRUNES] += 1
                         intact = level + 1
                         probabilities[bank][row] = value
                         tag = 0 if value > threshold else 1
@@ -342,25 +385,24 @@ def update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bo
                 tag = 2
             done += 1
     finally:
-        pe.host_row_reads = row_reads
-        path_nodes = np.bincount(paths[:done].ravel(), minlength=8).tolist()
-        charged = pe._charge(done, path_nodes, new_nodes, allocations, expansions, prunes)
-    return charged
+        tally[native.T_DONE] = done
+        tally[native.T_PATH_NODES : native.T_PATH_NODES + 8] = np.bincount(paths[:done].ravel(), minlength=8).tolist()
+        pe_tally += tally
 
 
 # -- the read oracle -------------------------------------------------------------------
 def query_paths(
-    pe: ProcessingElement, paths: Sequence[Sequence[int]], stop_at_occupied: bool = False
-) -> Tuple[List[int], List[int], int]:
+    pe: ProcessingElement, paths: Sequence[Sequence[int]], tally: np.ndarray, stop_at_occupied: bool = False
+) -> Tuple[List[int], List[int]]:
     """The native ``query_walk`` over a stream of ``pe``'s paths, one Python statement at a time.
 
     ``paths`` holds one row of ``tree_depth`` child indices (plain ints) per
-    voxel.  Returns ``(codes, raws, cycles)``: per voxel its index into
-    ``QUERY_STATUSES`` and its fixed-point log-odds (0 where unknown), and
-    the cycles the whole stream took on this PE.  With ``stop_at_occupied``
-    the stream ends after its first occupied voxel.  The loop tallies reads
-    per bank and answers given, and books them once at the end -- also when
-    a corrupt image stops it half way.
+    voxel.  Returns ``(codes, raws)``: per voxel its index into
+    ``QUERY_STATUSES`` and its fixed-point log-odds (0 where unknown).  With
+    ``stop_at_occupied`` the stream ends after its first occupied voxel.
+    The loop tallies the keys walked, absent and answered and the reads per
+    bank, and adds them to ``tally``, the PE's read tally block, once at the
+    end -- also when a corrupt image stops it half way.
     """
     valid, pointers, tags, probabilities = pe._valid, pe._pointers, pe._tags, pe._probabilities
     roots = pe._local_roots
@@ -411,34 +453,36 @@ def query_paths(
                 codes.append(0)
                 raws.append(0)
     finally:
-        timing = pe.config.timing
-        reads = sum(bank_reads)
-        cycles = (absent + reads) * timing.bank_read_cycles + (len(codes) - codes.count(0)) * timing.alu_cycles
-        for bank, count in zip(pe.memory.banks, bank_reads):
-            bank.read_accesses += count
-        pe.stats.bank_reads += reads
-        pe.counters.queries += started
-        pe.query_cycles += cycles
-    return codes, raws, cycles
+        tally += [started, absent, len(codes) - codes.count(0), *bank_reads]
+    return codes, raws
 
 
-def query_voxel(pe: ProcessingElement, key: OcTreeKey) -> Tuple[str, Optional[int]]:
-    """:func:`query_paths` of one key: ``(status, raw)``, raw None where unknown."""
-    (code,), (raw,), _ = query_paths(pe, (key.path(pe.config.tree_depth),))
-    return QUERY_STATUSES[code], raw if code else None
+def read_cycles(unit: VoxelQueryUnit, tally: np.ndarray) -> int:
+    """The cycles of read tally blocks: a bank read per entry read (one per key under an absent
+    branch) and an ALU pass per key answered free or occupied."""
+    timing = unit.config.timing
+    absent, known = tally[..., native.Q_ABSENT].sum(), tally[..., native.Q_KNOWN].sum()
+    return int((absent + tally[..., native.Q_READS :].sum()) * timing.bank_read_cycles + known * timing.alu_cycles)
+
+
+def _served(unit: VoxelQueryUnit, tally: np.ndarray, answered: int) -> int:
+    """Count ``answered`` queries served, whose walks ``tally`` holds; returns their cycles."""
+    cycles = answered * unit.config.timing.query_issue_cycles + read_cycles(unit, tally)
+    unit._served += (answered, cycles)
+    return cycles
 
 
 def query_key(unit: VoxelQueryUnit, key: OcTreeKey) -> QueryResult:
-    """What ``unit.query_key(key)`` does, on :func:`query_voxel`."""
+    """What ``unit.query_key(key)`` does, on :func:`query_paths`."""
     pe_id = unit.address_generator.pe_for_key(key)
-    pe = unit._pes[pe_id]
-    cycles_before = pe.query_cycles
-    status, raw = query_voxel(pe, key)
-    cycles = unit.config.timing.query_issue_cycles + pe.query_cycles - cycles_before
-    probability = None if raw is None else logodds_to_probability(unit.config.fixed_point.to_value(raw))
-    unit.queries_served += 1
-    unit.total_cycles += cycles
-    return QueryResult(status=status, probability=probability, pe_id=pe_id, cycles=cycles)
+    tally = native.query_tallies(len(unit._pes))
+    try:
+        (code,), (raw,) = query_paths(unit._pes[pe_id], (key.path(unit.config.tree_depth),), tally[pe_id])
+    finally:
+        unit._reads += tally
+    cycles = _served(unit, tally, 1)
+    probability = logodds_to_probability(unit.config.fixed_point.to_value(raw)) if code else None
+    return QueryResult(status=QUERY_STATUSES[code], probability=probability, pe_id=pe_id, cycles=cycles)
 
 
 def query_keys(
@@ -453,31 +497,28 @@ def query_keys(
     pes = unit._pes
     paths = paths_for_keys(keys, unit.config.tree_depth)
     pe_ids = paths[:, 0] % len(pes)
-    issue = unit.config.timing.query_issue_cycles
-    if stop_at_occupied:
-        starts = np.flatnonzero(np.diff(pe_ids)) + 1
-        bounds = [0, *starts.tolist(), len(paths)] if len(paths) else [0]
-        all_codes: List[int] = []
-        all_raws: List[int] = []
-        pe_cycles = 0
-        rows = paths.tolist()
-        for start, stop in zip(bounds, bounds[1:]):
-            codes, raws, cycles = query_paths(pes[int(pe_ids[start])], rows[start:stop], stop_at_occupied=True)
-            all_codes += codes
-            all_raws += raws
-            pe_cycles += cycles
-            if codes[-1] == 2:
-                break
-        codes, raws = np.array(all_codes, dtype=np.uint8), np.array(all_raws, dtype=np.int16)
-        cycles = len(codes) * issue + pe_cycles
-    else:
-        codes = np.zeros(len(paths), dtype=np.uint8)
-        raws = np.zeros(len(paths), dtype=np.int16)
-        cycles = len(paths) * issue
-        for pe_id in np.unique(pe_ids).tolist():
-            mine = pe_ids == pe_id
-            codes[mine], raws[mine], pe_cycles = query_paths(pes[pe_id], paths[mine].tolist())
-            cycles += pe_cycles
-    unit.queries_served += len(codes)
-    unit.total_cycles += cycles
-    return codes, raws, cycles
+    tally = native.query_tallies(len(pes))
+    try:
+        if stop_at_occupied:
+            starts = np.flatnonzero(np.diff(pe_ids)) + 1
+            bounds = [0, *starts.tolist(), len(paths)] if len(paths) else [0]
+            all_codes: List[int] = []
+            all_raws: List[int] = []
+            rows = paths.tolist()
+            for start, stop in zip(bounds, bounds[1:]):
+                pe_id = int(pe_ids[start])
+                codes, raws = query_paths(pes[pe_id], rows[start:stop], tally[pe_id], stop_at_occupied=True)
+                all_codes += codes
+                all_raws += raws
+                if codes[-1] == 2:
+                    break
+            codes, raws = np.array(all_codes, dtype=np.uint8), np.array(all_raws, dtype=np.int16)
+        else:
+            codes = np.zeros(len(paths), dtype=np.uint8)
+            raws = np.zeros(len(paths), dtype=np.int16)
+            for pe_id in np.unique(pe_ids).tolist():
+                mine = pe_ids == pe_id
+                codes[mine], raws[mine] = query_paths(pes[pe_id], paths[mine].tolist(), tally[pe_id])
+    finally:
+        unit._reads += tally
+    return codes, raws, _served(unit, tally, len(codes))

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import OMUAccelerator, OMUConfig
+from repro.core import OMUAccelerator, OMUConfig, counts
 from repro.octomap import PointCloud
 from repro.octomap.counters import OperationCounters, OperationKind
 from repro.octomap.keys import OcTreeKey
@@ -176,3 +176,34 @@ class TestPEScalingBehaviour:
         accelerator = OMUAccelerator(OMUConfig(resolution_m=0.2, num_pes=1))
         accelerator.process_scan_graph(ring_graph)
         assert accelerator.map_parallel_speedup() == pytest.approx(1.0)
+
+
+class TestStateImage:
+    def test_the_image_carries_a_copy_of_the_counter_array(self, loaded_accelerator, default_config):
+        image = loaded_accelerator.image()
+        before = loaded_accelerator.statistics()
+        image["counters"][:] = 0
+        assert loaded_accelerator.statistics() == before
+        restored = OMUAccelerator(default_config)
+        restored.restore(loaded_accelerator.image())
+        assert restored.statistics() == before
+        assert restored.counters() == loaded_accelerator.counters()
+        assert restored.map_timing == loaded_accelerator.map_timing
+        assert restored.scans_processed == loaded_accelerator.scans_processed
+
+    @pytest.mark.parametrize("tamper", ["live-entry word", "valid byte"])
+    def test_live_entries_that_are_not_the_valid_bytes_are_refused(self, loaded_accelerator, default_config, tamper):
+        """An image off a socket carries each bank's live-entry word beside the valid bytes it
+        counts; a restore refuses one whose words and bytes disagree, before writing anything."""
+        image = loaded_accelerator.image()
+        pe = next(part for part in image["pes"] if part["valid"].shape[1] > 1)
+        if tamper == "live-entry word":
+            image["counters"][counts.ACCELERATOR_WORDS + counts.OCCUPIED + 3] += 1
+        else:  # an orphan entry set valid: every check of the arrays alone passes
+            bank, row = np.argwhere(pe["valid"][:, 1:] == 0)[0]
+            pe["valid"][bank, row + 1] = 1
+        fresh = OMUAccelerator(default_config)
+        with pytest.raises(ValueError, match="live entries per bank"):
+            fresh.restore(image)
+        assert not any(any(pe._local_roots) for pe in fresh.pes)
+        assert not fresh.image()["counters"].any()

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OMUAccelerator, OMUConfig, native
+from repro.core import OMUAccelerator, OMUConfig, counts, native
 from repro.core.pe import apply_keys
 from repro.core.treemem import INITIAL_ROWS, NULL_POINTER, MemoryCapacityError
 from repro.serving.sharding import MapShardWorker
@@ -52,6 +52,7 @@ def accelerator_state(accelerator: OMUAccelerator) -> dict:
         "map_timing": accelerator.map_timing,
         "statistics": accelerator.statistics(),
         "counters": accelerator.counters(),
+        "words": accelerator.image()["counters"].tolist(),
     }
 
 
@@ -148,7 +149,12 @@ def test_running_out_of_rows_in_a_middle_pe(num_pes):
     pe_0, pe_1, *later = native.pes
     assert pe_0.stats.voxel_updates == len(branch_0)
     assert 0 < pe_1.stats.voxel_updates < len(branch_1)
-    assert [machine_state(pe) for pe in later] == before[2:]
+    # Issued, never run: the issued-update words are all that moved in them.
+    untouched = [machine_state(pe) for pe in later]
+    for state in untouched + before[2:]:
+        del state["words"][counts.ISSUED]
+    assert untouched == before[2:]
+    assert native.scheduler.per_pe_issued[2] == len(warm_up) + len(branch_2)
     # The whole stream was issued; the failed call left no timing behind.
     assert native.scheduler.issued_updates == len(stream) + len(warm_up)
     assert native.map_timing.voxel_updates == len(warm_up)
@@ -188,7 +194,8 @@ def test_a_bank_grown_between_batches_is_pinned_again():
         memory = accelerator.pes[1].memory
         bank = memory.banks[5]
         bank.reserve(memory.entries_per_bank)
-        oracle_pe.store(bank, memory.entries_per_bank - 1, NULL_POINTER, 0, 7)
+        with oracle_pe.tallying(bank) as tally:
+            oracle_pe.store(tally, bank, memory.entries_per_bank - 1, NULL_POINTER, 0, 7)
         assert bank.rows == memory.entries_per_bank > memory.rows
     apply_both(pair, [scattered(400, (0, 0, 0), 64, seed=8)])
 
@@ -222,6 +229,7 @@ def test_the_batch_entry_refuses_what_the_kernel_cannot_index():
         (pes, keys, flags.astype(np.uint8)),
         (pes, np.asfortranarray(keys), flags),
     ]:
+        table = native.image_table([pe.pinned_image() for pe in bad_pes])
         with pytest.raises(ValueError):
-            apply_keys(bad_pes, bad_keys, bad_flags, native.tallies(len(bad_pes)))
+            apply_keys(bad_pes, table, bad_keys, bad_flags, native.tallies(len(bad_pes)))
     assert all(pe.stats.voxel_updates == 0 and not any(pe._local_roots) for pe in pes)

@@ -39,7 +39,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import OMUAccelerator, OMUConfig
+from repro.core import OMUAccelerator, OMUConfig, counts
 from repro.core.pe import ProcessingElement
 from repro.core.treemem import INITIAL_ROWS, NULL_POINTER, ChildStatus, MemoryCapacityError, TreeMemEntry
 from repro.core.verification import compare_trees
@@ -231,8 +231,10 @@ def machine_state(pe: ProcessingElement) -> dict:
         # next fresh row, stack depth, allocations (all, fresh, reused), frees, peak depth
         "allocator": (allocator.state.tolist(), allocator.stack.tobytes(), allocator.stacked.tobytes()),
         "roots": bytes(pe._local_roots),
+        "words": pe._words.tolist(),
         "stats": pe.stats,
         "counters": pe.counters,
+        "query_cycles": pe.query_cycles,
     }
 
 
@@ -352,7 +354,8 @@ def test_the_path_register_does_not_outlive_the_call():
     config, paths, occupied = stream_columns(4, [(5, 9, 3, True)] * 2)
     pe = ProcessingElement(0, config)
     oracle_pe.kernel_update_paths(pe, paths, occupied)
-    oracle_pe.clear_row(pe.memory, pe.memory.read_entry(0, int(paths[0, 0])).pointer)
+    with oracle_pe.tallying(pe) as tally:
+        oracle_pe.clear_row(tally, pe.memory, pe.memory.read_entry(0, int(paths[0, 0])).pointer)
     with pytest.raises(RuntimeError, match="tag/memory mismatch"):
         oracle_pe.kernel_update_paths(pe, paths, occupied)
 
@@ -443,10 +446,12 @@ def test_a_childless_parent_matches_the_oracle():
     def cyclic_image(pe):
         row = oracle_pe.allocate_row(pe.allocator)
         free = 0x5555 * ChildStatus.FREE
-        oracle_pe.store(pe.memory.banks[0], 0, row, free ^ (ChildStatus.FREE ^ ChildStatus.INNER) << 2, floor)
-        pe._local_roots[0] = 1
-        for bank in range(8):
-            oracle_pe.store(pe.memory.banks[bank], row, row if bank == 1 else NULL_POINTER, free, floor)
+        with oracle_pe.tallying(pe) as tally:
+            inner_at_1 = free ^ (ChildStatus.FREE ^ ChildStatus.INNER) << 2
+            oracle_pe.store(tally, pe.memory.banks[0], 0, row, inner_at_1, floor)
+            pe._local_roots[0] = 1
+            for bank in range(8):
+                oracle_pe.store(tally, pe.memory.banks[bank], row, row if bank == 1 else NULL_POINTER, free, floor)
 
     pe = check_failure_matches_oracle(config, (paths, occupied), RuntimeError, "parent at row 1 has no children",
                                       tamper=cyclic_image)
@@ -485,7 +490,9 @@ def test_a_pointer_past_the_image_is_a_mismatch_not_a_stray_write():
     before = machine_state(pe)
     with pytest.raises(RuntimeError, match=f"tag/memory mismatch at row {beyond} bank {child}"):
         oracle_pe.kernel_update_paths(pe, paths, occupied)
-    assert machine_state(pe) == before
+    after = machine_state(pe)
+    after["words"][counts.ISSUED] -= 1  # the update was issued, and nothing else counted
+    assert after == before
 
 
 # -- the upward pass: one directed stream per arm of the rule --------------------
@@ -496,9 +503,10 @@ def row_reads_of_the_last_update(stream: List[Update]) -> int:
     check_resumed_equals_cold(config, paths, occupied)
     pe = ProcessingElement(0, config)
     oracle_pe.kernel_update_paths(pe, paths[:-1], occupied[:-1])
+    before = pe.host_row_reads
     oracle_pe.kernel_update_paths(pe, paths[-1:], occupied[-1:])
     check_image(pe)
-    return pe.host_row_reads
+    return pe.host_row_reads - before
 
 
 # Depth 3: (0, 0, 0) and (1, 0, 0) are leaves of one block, (2, 0, 0) starts the

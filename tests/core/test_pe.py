@@ -207,7 +207,8 @@ class TestExportAndCapacity:
         oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         root_bank = key.child_index(0, pe.config.tree_depth)
         root = pe.memory.read_entry(0, root_bank)
-        oracle_pe.clear_row(pe.memory, root.pointer)
+        with oracle_pe.tallying(pe) as tally:
+            oracle_pe.clear_row(tally, pe.memory, root.pointer)
         with pytest.raises(RuntimeError, match="tag/memory mismatch"):
             oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         with pytest.raises(RuntimeError, match="dangling tag"):
@@ -218,7 +219,8 @@ class TestExportAndCapacity:
         key = key_at(converter, 1.0, 1.0, 1.0)
         oracle_pe.kernel_update_voxel(pe, key, occupied=True)
         root = pe.memory.read_entry(0, key.child_index(0, pe.config.tree_depth))
-        oracle_pe.clear_row(pe.memory, root.pointer)
+        with oracle_pe.tallying(pe) as tally:
+            oracle_pe.clear_row(tally, pe.memory, root.pointer)
         with pytest.raises(RuntimeError, match=f"row {root.pointer} has no children"):
             oracle_pe.read_children(pe, root.pointer)
 

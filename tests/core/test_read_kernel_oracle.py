@@ -12,9 +12,13 @@ read both must agree on codes (and their dtype), raws, cycles, each PE's
 the whole ``image()`` -- for 1 to 8 PEs, depths 4 to 16 and both stop modes.
 
 A corrupt image must stop both sides at the same key with the same
-``RuntimeError`` naming the PE, and leave the same counts booked: a tag whose
+``RuntimeError`` naming the PE, and leave the same counts behind: a tag whose
 child is not valid (a dangling tag), and an inner entry's pointer at or past
 the rows its bank arrays hold.
+
+Every read count is a view of the accelerator's counter array, which a
+snapshot copies: reads of every kind and a map export before the cut must
+be counted alike on the restored accelerator and the one never stopped.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from hypothesis import strategies as st
 from repro.core import OMUAccelerator, OMUConfig
 from repro.core.treemem import NULL_POINTER
 from repro.octomap.keys import OcTreeKey
-from test_fused_kernel_properties import machine_state
+from test_fused_kernel_properties import machine_state, restorable_state
 
 import oracle_pe
 
@@ -40,13 +44,14 @@ def config_for(depth: int, num_pes: int) -> OMUConfig:
     return OMUConfig(resolution_m=0.2, tree_depth=depth, num_pes=num_pes, bank_kilobytes=8)
 
 
-def state(accelerator: OMUAccelerator) -> dict:
-    """Every count a read may move, and the image it reads."""
+def state(accelerator: OMUAccelerator, pe_state=machine_state) -> dict:
+    """Every count a read may move -- the raw counter words and every view of them -- and the image it reads."""
     unit = accelerator.query_unit
     image = accelerator.image()
     return {
         "unit": (unit.queries_served, unit.total_cycles),
-        "pes": [(machine_state(pe), pe.query_cycles) for pe in accelerator.pes],
+        "pes": [pe_state(pe) for pe in accelerator.pes],
+        "views": (accelerator.statistics(), accelerator.counters(), accelerator.map_timing),
         "counters": image["counters"].tolist(),
         "images": [
             {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in pe.items()}
@@ -132,6 +137,32 @@ def test_the_read_kernel_matches_the_oracle(case):
     for batch, (keys, stop_at_occupied) in zip(batches, reads):
         apply_both(pair, batch)
         read_both(pair, keys, stop_at_occupied)
+
+
+@given(sessions())
+@settings(max_examples=30, deadline=None)
+def test_read_and_export_counts_survive_a_restore(case):
+    """Point, bulk and stopping reads and an export, then a snapshot cut: the restored pair reads on
+    as the pair that never stopped, native against oracle on both sides."""
+    config, batches, reads = case
+    pair = OMUAccelerator(config), OMUAccelerator(config)
+    for batch, (keys, stop_at_occupied) in zip(batches, reads):
+        apply_both(pair, batch)
+        read_both(pair, keys, stop_at_occupied)
+        read_both(pair, keys, not stop_at_occupied)
+    for accelerator in pair:
+        accelerator.export_octree()
+    assert state(pair[0]) == state(pair[1])
+    restored = OMUAccelerator(config), OMUAccelerator(config)
+    for fresh, accelerator in zip(restored, pair):
+        fresh.restore(accelerator.image())
+    assert state(restored[0], restorable_state) == state(pair[0], restorable_state)
+    for keys, stop_at_occupied in reads:
+        read_both(pair, keys, stop_at_occupied)
+        read_both(restored, keys, stop_at_occupied)
+    for accelerator in (*pair, *restored):
+        accelerator.export_octree()
+    assert state(restored[0], restorable_state) == state(pair[0], restorable_state)
 
 
 def inner_entries(pe) -> List[Tuple[int, int, int]]:

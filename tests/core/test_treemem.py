@@ -2,7 +2,8 @@
 
 The SRAM image is written by the PE kernel (and a restore); these tests
 write it through the oracle's write model, ``oracle_pe.store`` /
-``clear_row``, which counts what the kernel counts.
+``clear_row``, which tallies what the kernel tallies, in a
+``oracle_pe.tallying`` block whose words the bank's counts then read.
 """
 
 import pytest
@@ -59,12 +60,14 @@ class TestTreeMemBank:
 
     def test_stored_fields_read_back(self):
         bank = TreeMemBank(0, 16)
-        oracle_pe.store(bank, 5, 9, 0b10, -7)
+        with oracle_pe.tallying(bank) as tally:
+            oracle_pe.store(tally, bank, 5, 9, 0b10, -7)
         assert bank.read(5) == TreeMemEntry(9, [ChildStatus.FREE] + [ChildStatus.UNKNOWN] * 7, -7)
 
     def test_reads_and_writes_are_counted(self):
         bank = TreeMemBank(0, 16)
-        oracle_pe.store(bank, 1, NULL_POINTER, 0, 0)
+        with oracle_pe.tallying(bank) as tally:
+            oracle_pe.store(tally, bank, 1, NULL_POINTER, 0, 0)
         bank.read(1)
         bank.read(2)
         assert bank.write_accesses == 1
@@ -92,8 +95,9 @@ class TestTreeMemBank:
 
     def test_occupied_entries(self):
         bank = TreeMemBank(0, 8)
-        oracle_pe.store(bank, 0, NULL_POINTER, 0, 0)
-        oracle_pe.store(bank, 3, NULL_POINTER, 0, 0)
+        with oracle_pe.tallying(bank) as tally:
+            oracle_pe.store(tally, bank, 0, NULL_POINTER, 0, 0)
+            oracle_pe.store(tally, bank, 3, NULL_POINTER, 0, 0)
         assert bank.occupied_entries() == 2
 
 
@@ -105,15 +109,18 @@ class TestBankedTreeMemory:
     def test_utilization(self):
         memory = BankedTreeMemory(8, 4)
         assert memory.occupied_entries() == 0
-        for bank in memory.banks:
-            oracle_pe.store(bank, 0, NULL_POINTER, 0, 0)
+        with oracle_pe.tallying(memory) as tally:
+            for bank in memory.banks:
+                oracle_pe.store(tally, bank, 0, NULL_POINTER, 0, 0)
         assert memory.occupied_entries() == 8
-        oracle_pe.clear_row(memory, 0)
+        with oracle_pe.tallying(memory) as tally:
+            oracle_pe.clear_row(tally, memory, 0)
         assert memory.occupied_entries() == 0
 
     def test_single_entry_access(self):
         memory = BankedTreeMemory(8, 16)
-        oracle_pe.store(memory.banks[5], 2, NULL_POINTER, 0, 7)
+        with oracle_pe.tallying(memory) as tally:
+            oracle_pe.store(tally, memory.banks[5], 2, NULL_POINTER, 0, 7)
         assert memory.read_entry(2, 5).probability_raw == 7
         assert memory.read_entry(2, 4) is None
 
@@ -134,7 +141,8 @@ class TestBankedTreeMemory:
     def test_entries_read_back_as_independent_views(self):
         """read_entry decodes the stored fields into an equal, independent view."""
         memory = BankedTreeMemory(8, 16)
-        oracle_pe.store(memory.banks[4], 3, 9, 0b10_0000_11_0000, -300)
+        with oracle_pe.tallying(memory) as tally:
+            oracle_pe.store(tally, memory.banks[4], 3, 9, 0b10_0000_11_0000, -300)
         entry = memory.read_entry(3, 4)
         assert entry.pointer == 9 and entry.probability_raw == -300
         assert entry.tag(2) == ChildStatus.INNER and entry.tag(5) == ChildStatus.FREE
@@ -144,12 +152,14 @@ class TestBankedTreeMemory:
     def test_occupied_entries_is_a_live_count(self):
         """Overwrites and row clears keep the count equal to a scan."""
         memory = BankedTreeMemory(8, 4)
-        oracle_pe.store(memory.banks[0], 1, NULL_POINTER, 0, 0)
-        oracle_pe.store(memory.banks[0], 1, NULL_POINTER, 0, 3)  # overwrite: still one
-        for bank in memory.banks:
-            oracle_pe.store(bank, 2, NULL_POINTER, 0, 0)
-        oracle_pe.clear_row(memory, 3)  # clearing an empty row changes nothing
+        with oracle_pe.tallying(memory) as tally:
+            oracle_pe.store(tally, memory.banks[0], 1, NULL_POINTER, 0, 0)
+            oracle_pe.store(tally, memory.banks[0], 1, NULL_POINTER, 0, 3)  # overwrite: still one
+            for bank in memory.banks:
+                oracle_pe.store(tally, bank, 2, NULL_POINTER, 0, 0)
+            oracle_pe.clear_row(tally, memory, 3)  # clearing an empty row changes nothing
         assert memory.occupied_entries() == 9 == sum(sum(bank.valid) for bank in memory.banks)
-        oracle_pe.clear_row(memory, 2)
+        with oracle_pe.tallying(memory) as tally:
+            oracle_pe.clear_row(tally, memory, 2)
         assert memory.occupied_entries() == 1 == sum(sum(bank.valid) for bank in memory.banks)
         assert memory.row_writes == 2
