@@ -2,10 +2,11 @@
 
 Fig. 5 of the paper defines the TreeMem entry: a 32-bit children pointer,
 16 bits of 2-bit child status tags and a 16-bit fixed-point log-odds value.
-The model keeps those three fields in typed arrays per bank; this benchmark
-measures how fast a bank decodes them into the :class:`TreeMemEntry` view
-that map export and verification read, and regenerates the figure's
-two-voxel, depth-3 worked example as a table showing where each node lands.
+The model keeps each of those three fields in one array per accelerator;
+this benchmark measures how fast a bank decodes them into the
+:class:`TreeMemEntry` view that map export and verification read, and
+regenerates the figure's two-voxel, depth-3 worked example as a table
+showing where each node lands.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ ENTRIES = 2000
 
 def _filled_bank() -> TreeMemBank:
     bank = TreeMemBank(0, ENTRIES)
-    bank.reserve(ENTRIES)
+    bank.image.grow(ENTRIES)
     for index in range(ENTRIES):
         bank.valid[index] = 1
         bank.pointers[index] = index

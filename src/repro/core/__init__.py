@@ -7,9 +7,10 @@ cycle-approximate fidelity:
   8 x 32 kB banks per PE, 1 GHz, 12 nm) and primitive cycle costs.
 * :mod:`repro.core.fixedpoint` -- the 16-bit fixed-point log-odds format of
   the TreeMem entry.
-* :mod:`repro.core.treemem` -- the eight-bank SRAM model: the entries'
-  pointer / child-tag / probability fields as typed arrays, and their
-  decoded view.
+* :mod:`repro.core.treemem` -- the eight-bank SRAM model: every PE's
+  pointer / child-tag / probability fields as one array each per
+  accelerator (``SRAMImage``), views of a PE's or a bank's part of it, and
+  the entries' decoded view.
 * :mod:`repro.core.address_gen` -- key-to-path / key-to-PE address generation.
 * :mod:`repro.core.prune_manager` -- the pruned-pointer stack that recycles
   freed children-block rows.

@@ -41,6 +41,7 @@ from repro.core.pe import ProcessingElement, apply_keys
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
 from repro.core.scheduler import VoxelScheduler
 from repro.core.timing import CycleBreakdown, ScanTiming
+from repro.core.treemem import SRAMImage
 from repro.octomap.counters import OperationCounters, OperationKind
 from repro.octomap.keys import OcTreeKey
 from repro.octomap.octree import OccupancyOcTree
@@ -89,14 +90,15 @@ class OMUAccelerator:
         self._words = np.zeros(ACCELERATOR_WORDS + num_pes * PE_WORDS, dtype=np.int64)
         self._pe_words = self._words[ACCELERATOR_WORDS:].reshape(num_pes, PE_WORDS)
         self._costs = counts.costs(config.timing, config.tree_depth)
+        # The only SRAM state: every PE's banks, allocator and roots, and the kernels' structs over them.
+        self.sram = SRAMImage(num_pes, config.entries_per_bank, 1, config.tree_depth, config.quantized_params())
         self.pes: List[ProcessingElement] = [
-            ProcessingElement(pe_id, config, self._pe_words[pe_id]) for pe_id in range(num_pes)
+            ProcessingElement(pe_id, config, self._pe_words[pe_id], self.sram) for pe_id in range(num_pes)
         ]
-        self._table = native.image_table([pe.pinned_image() for pe in self.pes])
         # The update calls' scratch, zeroed before each.
         self._tally = native.tallies(num_pes)
         self.scheduler = VoxelScheduler(self._pe_words[:, counts.ISSUED])
-        self.query_unit = VoxelQueryUnit(config, self.address_generator, self.pes, self._words, self._table)
+        self.query_unit = VoxelQueryUnit(config, self.address_generator, self.pes, self._words, self.sram.table)
 
     @property
     def map_timing(self) -> ScanTiming:
@@ -173,7 +175,7 @@ class OMUAccelerator:
         tally = self._tally
         tally.fill(0)
         try:
-            apply_keys(self.pes, self._table, keys, occupied, tally)
+            apply_keys(self.pes, self.sram.table, keys, occupied, tally)
         finally:
             stages = counts.fold_updates(self._pe_words, tally, self._costs)
         per_pe_cycles = stages.sum(axis=1)
@@ -356,8 +358,9 @@ class OMUAccelerator:
         """The accelerator's whole state as numpy arrays and ints: what :meth:`restore` takes back.
 
         Per PE, its SRAM rows, local roots and prune address manager
-        (:meth:`ProcessingElement.image`); a copy of the counter array every
-        count is a view of (:mod:`repro.core.counts`); and the three sizes
+        (:meth:`ProcessingElement.image`: copies of its slices of
+        :attr:`sram`); a copy of the counter array every count is a view of
+        (:mod:`repro.core.counts`); and the three sizes
         the arrays are shaped by.  Nothing is walked or rebuilt, so the copy
         has the row layout, the prune stack and the lifetime counts of the
         original.
@@ -380,7 +383,7 @@ class OMUAccelerator:
         malformed one raises ``ValueError`` and leaves this accelerator as it
         was.  Then each PE's arrays and the counter array are copied in place.
         """
-        if any(any(pe._local_roots) for pe in self.pes):
+        if self.sram.roots.any():
             raise ValueError("restore needs a freshly built accelerator (this one holds map state)")
         if not isinstance(image, dict) or set(image) != _IMAGE_KEYS:
             raise ValueError(f"not an accelerator image: expected the fields {sorted(_IMAGE_KEYS)}")

@@ -36,7 +36,6 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "apply_batch",
     "query_batch",
     "query_key",
-    "image_table",
     "tallies",
     "query_tallies",
 ]
@@ -82,6 +80,8 @@ class PEImage(ctypes.Structure):
     """The addresses and constants one PE's kernel calls work on (C ``pe_image``).
 
     Its first 32 words are the bank arrays' addresses, eight per field.
+    :class:`repro.core.treemem.SRAMImage` holds one per PE and writes them
+    as ``int64`` words.
     """
 
     _fields_ = [
@@ -103,11 +103,6 @@ class PEImage(ctypes.Structure):
         ("clamp_min", ctypes.c_int64),
         ("clamp_max", ctypes.c_int64),
     ]
-
-
-def image_table(images: Sequence[PEImage]) -> ctypes.Array:
-    """The ``images`` argument of the batch entries: the addresses of ``images``, in PE order."""
-    return (ctypes.c_void_p * len(images))(*map(ctypes.addressof, images))
 
 
 def tallies(num_pes: int) -> np.ndarray:

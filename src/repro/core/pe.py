@@ -10,6 +10,10 @@ the global octree (Section IV-A).  Internally it combines:
 * the fixed-point occupancy arithmetic of eqs. (2)-(3), as the quantised
   parameters of :meth:`~repro.core.config.OMUConfig.quantized_params`.
 
+The first two are views of the PE's part of its accelerator's
+:class:`~repro.core.treemem.SRAMImage`, the arrays every PE's state lives
+in; a PE built alone gets a one-PE image.
+
 The PE's local root(s) -- the depth-1 nodes of the global tree -- live in row
 0, bank = branch index, so up to eight branches can share one PE (used by the
 PE-count ablation).  A voxel update walks down the key path reading one entry
@@ -29,10 +33,10 @@ loaded by :mod:`repro.core.native`.  Its one entry is the whole PE array's:
 so the accelerators of different shards update on different cores at once.
 The kernel derives each key's path and PE (the voxel scheduler of Fig. 7),
 then runs PE 0, 1, ... each over its own updates in stream order.  It works
-in place on each PE's bank arrays and prune address manager arrays, whose
-addresses the PE pins in its ``PEImage`` (again only after the image grew),
-and tallies what it did per PE into a scratch block that the accelerator adds
-to its counter array (:mod:`repro.core.counts`).  A PE holds no count of its
+in place on the image's arrays, whose addresses each PE's ``PEImage`` in the
+image holds (rewritten only when the image grows), and tallies what it did
+per PE into a scratch block that the accelerator adds to its counter array
+(:mod:`repro.core.counts`).  A PE holds no count of its
 own: :attr:`ProcessingElement.stats`, :attr:`~ProcessingElement.counters`,
 :attr:`~ProcessingElement.query_cycles` and its memory's access counts are
 views of its words of that array.  The same loop in Python, one PE at a
@@ -91,9 +95,11 @@ above holds between *completed* updates only: the failed update has stored
 nodes its parents do not list, the shortcuts are no longer exact on that
 image, and the serving layer fail-stops a shard backend on any apply error.
 One code is not a failure: "grow" means a PE's next update could take a fresh
-row past the end of its image's arrays, which are sized to the map
-(:mod:`repro.core.treemem`); that PE doubles them and pins them again, and
-the call is issued again, every PE going on after the updates it has done.
+row past the end of the image's bank arrays, which are sized to the map
+(:mod:`repro.core.treemem`); the image doubles every PE's rows at once, in
+one reallocation that rewrites every PE's addresses, and the call is issued
+again, every PE going on after the updates it has done.  A fresh accelerator
+therefore enters the kernel once plus once per doubling of its largest PE.
 
 A level-synchronous (array-at-a-time) form of the update loop was sized
 against the serving layer's real PE queues and ruled out: ~47% of a queue's
@@ -106,8 +112,8 @@ applying the updates one after another.
 from __future__ import annotations
 
 import ctypes
-from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import functools
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,7 +121,7 @@ from repro.core import counts, native
 from repro.core.config import OMUConfig
 from repro.core.counts import ALLOCATIONS, DECODED, DONE, EXPANSIONS, NEW_NODES, PATH_NODES, PRUNES, READS
 from repro.core.prune_manager import DEPTH, NEXT_FRESH, PruneAddressManager
-from repro.core.treemem import BankedTreeMemory, NULL_POINTER
+from repro.core.treemem import BANK_FIELDS, NULL_POINTER, BankedTreeMemory, SRAMImage
 from repro.core.timing import CycleBreakdown, PETimingStats
 from repro.octomap.counters import OperationCounters, OperationKind
 
@@ -125,9 +131,6 @@ __all__ = ["ProcessingElement", "ExportedNode", "QUERY_STATUSES"]
 #: index into this tuple.
 QUERY_STATUSES = ("unknown", "free", "occupied")
 
-#: The bank arrays' four fields -- the PE holds each as ``_<name>[bank]`` --
-#: and the numpy type of their words.
-BANK_FIELDS = (("valid", np.uint8), ("pointers", np.uint32), ("tags", np.uint16), ("probabilities", np.int16))
 _IMAGE_KEYS = frozenset(name for name, _ in BANK_FIELDS) | {"rows", "roots", "allocator", "stack"}
 
 
@@ -156,44 +159,32 @@ class ProcessingElement:
     """One OMU processing element.
 
     ``words`` are the PE's words of its accelerator's counter array
-    (:mod:`repro.core.counts`); a PE built alone gets zeroed ones of its own.
+    (:mod:`repro.core.counts`) and ``image`` the accelerator's
+    :class:`~repro.core.treemem.SRAMImage`, in which the PE is number
+    ``pe_id``; a PE built alone gets zeroed words and a one-PE image of its own.
     """
 
-    def __init__(self, pe_id: int, config: OMUConfig, words: Optional[np.ndarray] = None) -> None:
+    def __init__(
+        self, pe_id: int, config: OMUConfig, words: Optional[np.ndarray] = None, image: Optional[SRAMImage] = None
+    ) -> None:
         self.pe_id = pe_id
         self.config = config
         self._words = np.zeros(counts.PE_WORDS, dtype=np.int64) if words is None else words
         self._costs = counts.costs(config.timing, config.tree_depth)
-        self.memory = BankedTreeMemory(config.banks_per_pe, config.entries_per_bank, self._words)
-        self.allocator = PruneAddressManager(config.entries_per_bank, reserved_rows=1)
         self.params = config.quantized_params()
-        # Per first-level branch: 1 once its local root is initialised in row 0.
-        self._local_roots = array("B", bytes(8))
-        # The SRAM image as the kernels index it: field[bank][row].
-        banks = self.memory.banks
-        self._valid = [bank.valid for bank in banks]
-        self._pointers = [bank.pointers for bank in banks]
-        self._tags = [bank.tags for bank in banks]
-        self._probabilities = [bank.probabilities for bank in banks]
-        self._bank_arrays = self._valid + self._pointers + self._tags + self._probabilities  # PEImage's order
-        # What the native kernel works on.  The struct stays where it is for the PE's
-        # life, so an image table of its address stays good; _pin rewrites it in place.
-        allocator, params = self.allocator, self.params
-        self._image = native.PEImage(
-            num_rows=allocator.num_rows,
-            reserved_rows=allocator.reserved_rows,
-            stack=allocator.stack.buffer_info()[0],
-            stacked=allocator.stacked.buffer_info()[0],
-            allocator=allocator.state.buffer_info()[0],
-            roots=self._local_roots.buffer_info()[0],
-            depth=config.tree_depth,
-            raw_hit=params.raw_hit,
-            raw_miss=params.raw_miss,
-            threshold=params.raw_threshold,
-            clamp_min=params.raw_clamp_min,
-            clamp_max=params.raw_clamp_max,
-        )
-        self._pin()
+        rows = config.entries_per_bank
+        self._slot = pe_id  # the PE's index in the image
+        if image is None:
+            image, self._slot = SRAMImage(1, rows, 1, config.tree_depth, self.params), 0
+        self.memory = BankedTreeMemory(config.banks_per_pe, rows, self._words, image, self._slot)
+        self.allocator = PruneAddressManager(rows, 1, image, self._slot)
+        #: What the native kernels work on: this PE's struct in the image, which never moves.
+        self.kernel_image = image.kernel[self._slot]
+
+    @functools.cached_property
+    def _local_roots(self) -> memoryview:
+        """Per first-level branch: 1 once its local root is initialised in row 0."""
+        return memoryview(self.memory.image.roots[self._slot])
 
     # ------------------------------------------------------------------
     # Statistics: views of the PE's counter words
@@ -231,24 +222,6 @@ class ProcessingElement:
     # ------------------------------------------------------------------
     # Voxel update (the main datapath): the native kernel, see apply_keys
     # ------------------------------------------------------------------
-    def pinned_image(self) -> native.PEImage:
-        """What the native kernel works on, with the bank arrays' current addresses.
-
-        A check as cheap as the arrays' total length finds an image that grew
-        since it was last pinned, inside the kernel's calls or outside them
-        (a :meth:`~repro.core.treemem.BankedTreeMemory.reserve`).
-        """
-        if sum(map(len, self._valid)) != self._pinned_entries:
-            self._pin()
-        return self._image
-
-    def _pin(self) -> None:
-        """Hand the kernel the bank arrays' current addresses (they move when the image grows)."""
-        # One slice assignment over the image's first 32 words: about a third of the cost of 32 item writes.
-        (ctypes.c_void_p * 32).from_buffer(self._image)[:] = [field.buffer_info()[0] for field in self._bank_arrays]
-        self._image.capacity = self.memory.rows
-        self._pinned_entries = sum(map(len, self._valid))
-
     def _failure(self, code: int, row: int, bank: int) -> Exception:
         """The exception a kernel return code stands for."""
         if code == native.CAPACITY:
@@ -278,27 +251,30 @@ class ProcessingElement:
         PEs can be merged directly into one software octree.  Each entry
         looked at -- every local root, every child a tag lists -- is one
         decoded read of its bank, added to the PE's words once the stream
-        is through.
+        is through.  The walk reads Python lists of the rows handed out
+        (every row from the next fresh one up is unwritten, so absent).
         """
+        image, slot = self.memory.image, self._slot
+        written = int(image.allocator[slot, NEXT_FRESH])
+        valid, pointers, tags, probabilities = (
+            getattr(image, name)[slot, :, :written].tolist() for name, _ in BANK_FIELDS
+        )
+        depth = self.config.tree_depth
         reads = [0] * 8
-        for branch, live in enumerate(self._local_roots):
-            if live:
-                yield from self._export(0, branch, (branch,), reads)
+        # Entries still to look at, the next one last: a child's subtree is streamed before its next sibling.
+        pending = [(0, branch, (branch,)) for branch in range(7, -1, -1) if self._local_roots[branch]]
+        while pending:
+            row, bank, path = pending.pop()
+            reads[bank] += 1
+            if row >= written or not valid[bank][row]:
+                continue
+            pointer, word = pointers[bank][row], tags[bank][row]
+            is_leaf = pointer == NULL_POINTER
+            yield ExportedNode(path, probabilities[bank][row], is_leaf, is_leaf and word != 0 and len(path) < depth)
+            if not is_leaf:
+                listed = [child for child in range(7, -1, -1) if (word >> (2 * child)) & 0b11]
+                pending += [(pointer, child, path + (child,)) for child in listed]
         self._words[DECODED : DECODED + 8] += reads
-
-    def _export(self, row: int, bank: int, path: Tuple[int, ...], reads: List[int]) -> Iterator[ExportedNode]:
-        reads[bank] += 1
-        if row >= len(self._valid[bank]) or not self._valid[bank][row]:
-            return
-        pointer, word = self._pointers[bank][row], self._tags[bank][row]
-        is_leaf = pointer == NULL_POINTER
-        homogeneous = is_leaf and word != 0 and len(path) < self.config.tree_depth
-        yield ExportedNode(path, self._probabilities[bank][row], is_leaf, homogeneous)
-        if is_leaf:
-            return
-        for child in range(8):
-            if (word >> (2 * child)) & 0b11:
-                yield from self._export(pointer, child, path + (child,), reads)
 
     # ------------------------------------------------------------------
     # State image (shard snapshots; see OMUAccelerator.image)
@@ -314,17 +290,14 @@ class ProcessingElement:
         ``allocator`` the manager's state words and ``stack`` its live
         stack, bottom first.
         """
-        allocator = self.allocator
-        written = allocator.next_fresh_row
-        image: Dict[str, object] = {
-            name: np.array([np.frombuffer(field, dtype, written) for field in getattr(self, "_" + name)])
-            for name, dtype in BANK_FIELDS
-        }
+        sram, slot = self.memory.image, self._slot
+        written, depth = sram.allocator[slot, NEXT_FRESH], sram.allocator[slot, DEPTH]
+        image: Dict[str, object] = {name: getattr(sram, name)[slot, :, :written].copy() for name, _ in BANK_FIELDS}
         image.update(
-            rows=self.memory.rows,
-            roots=np.array(self._local_roots, dtype=np.uint8),
-            allocator=np.array(allocator.state, dtype=np.int64),
-            stack=np.frombuffer(allocator.stack, np.int32, allocator.stack_depth).copy(),
+            rows=sram.rows,
+            roots=sram.roots[slot].copy(),
+            allocator=sram.allocator[slot].copy(),
+            stack=sram.stack[slot, :depth].copy(),
         )
         return image
 
@@ -379,24 +352,22 @@ class ProcessingElement:
             )
 
     def restore(self, image) -> None:
-        """Copy a :meth:`check_image`-checked ``image`` into this fresh PE's arrays, in place.
+        """Copy a :meth:`check_image`-checked ``image`` into this fresh PE's part of the image, in place.
 
-        The arrays stay the objects ``_valid`` ... and the kernel pin name;
-        they only grow to the image's ``rows``, and are pinned again.  The
-        counts travel in the accelerator's counter array, not here.
+        The image's arrays only grow, to the snapshot's ``rows`` (every PE's
+        with them), which points the kernels at them again.  The counts
+        travel in the accelerator's counter array, not here.
         """
-        allocator = self.allocator
+        sram, slot = self.memory.image, self._slot
         written = int(image["allocator"][NEXT_FRESH])
-        self.memory.reserve(image["rows"])
-        for name, dtype in BANK_FIELDS:
-            for field, words in zip(getattr(self, "_" + name), image[name]):
-                np.frombuffer(field, dtype)[:written] = words
-        np.frombuffer(self._local_roots, np.uint8)[:] = image["roots"]
-        np.frombuffer(allocator.state, np.int64)[:] = image["allocator"]
+        sram.grow(image["rows"])
+        for name, _ in BANK_FIELDS:
+            getattr(sram, name)[slot, :, :written] = image[name]
+        sram.roots[slot] = image["roots"]
+        sram.allocator[slot] = image["allocator"]
         stack = image["stack"]
-        np.frombuffer(allocator.stack, np.int32)[: len(stack)] = stack
-        np.frombuffer(allocator.stacked, np.uint8)[stack] = 1
-        self._pin()
+        sram.stack[slot, : len(stack)] = stack
+        sram.stacked[slot, stack] = 1
 
 
 def _field(image: Dict[str, object], name: str, dtype, shape: Tuple[int, ...], where: str) -> np.ndarray:
@@ -413,7 +384,8 @@ def apply_keys(
 ) -> None:
     """Apply an ordered update stream to ``pes`` in one native call.
 
-    ``table`` is :func:`native.image_table` of the PEs' images, ``keys`` the
+    ``table`` holds the addresses of the PEs' ``PEImage`` structs (an
+    :class:`~repro.core.treemem.SRAMImage`'s ``table``), ``keys`` the
     stream's C-ordered ``(N, 3)`` ``uint16`` key components, ``flags`` its
     ``(N,)`` ``bool`` measurements and ``tally`` a zeroed
     :func:`native.tallies` for ``pes``, which the call fills: key ``i``
@@ -430,16 +402,13 @@ def apply_keys(
         raise ValueError("keys and flags must be C-contiguous")
     if len(table) != num_pes or tally.shape != (num_pes, native.TALLY_WORDS) or not tally.flags.c_contiguous:
         raise ValueError(f"an image table of {len(table)} and tallies of shape {tally.shape} for {num_pes} PEs")
-    for pe in pes:
-        pe.pinned_image()
     order = np.empty(count, dtype=np.int64)
     arguments = table, num_pes, keys.ctypes.data, flags.ctypes.data, count, order.ctypes.data, tally.ctypes.data
     code = native.apply_batch(*arguments)
     while code == native.GROW:
-        # The PE the call stopped in is the first with updates left.
-        pe = pes[int(np.argmax(tally[:, native.T_DONE] < tally[:, native.T_ISSUED]))]
-        pe.memory.reserve(2 * pe.memory.rows)
-        pe._pin()
+        # The PE the call stopped in is the first with updates left; its image grows every PE's.
+        memory = pes[int(np.argmax(tally[:, native.T_DONE] < tally[:, native.T_ISSUED]))].memory
+        memory.image.grow(2 * memory.rows)
         code = native.apply_batch(*arguments)
     if code != native.OK:
         index = int(np.argmax(tally[:, native.T_DONE] < tally[:, native.T_ISSUED]))

@@ -12,22 +12,24 @@ This model also owns the bump allocator for never-used rows, so a PE obtains
 every children-block address from a single place and the allocation policy
 (reuse-first) is enforced here.
 
-The state lives in typed arrays -- the stack as ``int32`` words, an "on the
-stack" flag per row, and the counters in :attr:`PruneAddressManager.state` --
-because the PE's native update kernel (``pe_kernel.c``) allocates and frees
-rows in those arrays, in place; a shard snapshot copies the state words and
-the live part of the stack, and a restore rebuilds the flags from the stack.
-This class holds the state, reads it out, and words the kernel's refusals
+The state lives in the PE's part of its accelerator's
+:class:`~repro.core.treemem.SRAMImage` -- the counters as ``int64`` words
+(:attr:`PruneAddressManager.state`), the stack as ``int32`` words and an "on
+the stack" flag per row -- because the PE's native update kernel
+(``pe_kernel.c``) allocates and frees rows in those arrays, in place; a shard
+snapshot copies the state words and the live part of the stack, and a
+restore rebuilds the flags from the stack.  This class is a view of that
+state: it reads it out, and words the kernel's refusals
 (:meth:`~PruneAddressManager.exhausted`, :meth:`~PruneAddressManager.free_error`,
-in the kernel's order of checks).
+in the kernel's order of checks).  Built alone, it gets a one-PE image.
 """
 
 from __future__ import annotations
 
-from array import array
+import functools
 from typing import Optional
 
-from repro.core.treemem import MemoryCapacityError
+from repro.core.treemem import MemoryCapacityError, SRAMImage
 
 __all__ = ["PruneAddressManager"]
 
@@ -42,9 +44,13 @@ class PruneAddressManager:
         num_rows: number of rows in the PE's TreeMem (entries per bank).
         reserved_rows: rows reserved at the bottom of the address space (row 0
             holds the PE's local root block and is never recycled).
+        image, pe: the image holding the state, and the PE's index in it
+            (a one-PE image of its own if none is given).
     """
 
-    def __init__(self, num_rows: int, reserved_rows: int = 1) -> None:
+    def __init__(
+        self, num_rows: int, reserved_rows: int = 1, image: Optional[SRAMImage] = None, pe: int = 0
+    ) -> None:
         if num_rows < reserved_rows + 1:
             raise ValueError(
                 f"num_rows={num_rows} leaves no allocatable rows after "
@@ -52,12 +58,25 @@ class PruneAddressManager:
             )
         self._num_rows = num_rows
         self._reserved_rows = reserved_rows
-        #: next fresh row, stack depth, then the statistics used by the
-        #: memory-utilisation experiments: allocations (fresh + reused), frees
-        #: and the peak stack depth.
-        self.state = array("q", [reserved_rows, 0, 0, 0, 0, 0, 0])
-        self.stack = array("i", bytes(4 * num_rows))
-        self.stacked = array("B", bytes(num_rows))  # per row, for the O(1) double-free check
+        self._image = SRAMImage(1, num_rows, reserved_rows) if image is None else image
+        self._pe = pe
+
+    # Views of the image's arrays, which never move.
+    @functools.cached_property
+    def state(self) -> memoryview:
+        """Next fresh row, stack depth, then the statistics used by the memory-utilisation
+        experiments: allocations (fresh + reused), fresh and reused ones, frees and the peak stack depth."""
+        return memoryview(self._image.allocator[self._pe])
+
+    @functools.cached_property
+    def stack(self) -> memoryview:
+        """The freed rows, bottom first; :attr:`stack_depth` of them are live."""
+        return memoryview(self._image.stack[self._pe])
+
+    @functools.cached_property
+    def stacked(self) -> memoryview:
+        """Per row, 1 while it is on the stack (for the O(1) double-free check)."""
+        return memoryview(self._image.stacked[self._pe])
 
     def exhausted(self) -> MemoryCapacityError:
         """The error of an allocation that finds neither a pruned nor a fresh row."""

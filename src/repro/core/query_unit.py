@@ -79,8 +79,12 @@ class VoxelQueryUnit:
         self._tally_address = self._tally.ctypes.data
         read_costs = counts.costs(config.timing, config.tree_depth)[counts.QUERY : counts.DECODED, 4].copy()
         self._tally_costs = np.tile(read_costs, num_pes)
-        # Per PE: its scratch block, the block's address, its read words and their costs.
-        self._per_pe = [(block, block.ctypes.data, reads, read_costs) for block, reads in zip(self._tally, self._reads)]
+        # Per PE: its kernel struct, its scratch block, the block's address, its read words and their costs.
+        addresses = range(self._tally_address, self._tally_address + self._tally.nbytes, self._tally.strides[0])
+        self._per_pe = [
+            (pe.kernel_image, block, address, reads, read_costs)
+            for pe, block, address, reads in zip(self._pes, self._tally, addresses, self._reads)
+        ]
 
     @property
     def queries_served(self) -> int:
@@ -99,14 +103,13 @@ class VoxelQueryUnit:
     def query_key(self, key: OcTreeKey) -> QueryResult:
         """Query the occupancy of one voxel by key."""
         pe_id = self.address_generator.pe_for_key(key)
-        pe = self._pes[pe_id]
-        tally, address, reads, costs = self._per_pe[pe_id]
+        kernel_image, tally, address, reads, costs = self._per_pe[pe_id]
         tally.fill(0)
         raw = ctypes.c_int16()
-        code = native.query_key(pe.pinned_image(), key.x, key.y, key.z, raw, address)
+        code = native.query_key(kernel_image, key.x, key.y, key.z, raw, address)
         pe_cycles = self._fold(reads, tally, costs)
         if code < 0:
-            raise pe.query_failure()
+            raise self._pes[pe_id].query_failure()
         cycles = self.config.timing.query_issue_cycles + pe_cycles
 
         probability = None
@@ -145,8 +148,6 @@ class VoxelQueryUnit:
         codes = np.zeros(count, dtype=np.uint8)
         raws = np.zeros(count, dtype=np.int16)
         answered = ctypes.c_int64()
-        for pe in self._pes:
-            pe.pinned_image()
         self._tally.fill(0)
         failed = native.query_batch(
             self._table,

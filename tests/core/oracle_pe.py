@@ -8,8 +8,11 @@ local-root flags -- through the small write model below (:func:`store`,
 checks in the same order).  Every event is tallied where it happens, into
 the kernel's own tally words (``native.T_*``) of the PE's block, so the
 suites compare the raw words one for one.  It grows the image by the same
-rule (double before an update whose fresh rows could pass the arrays' end)
-and raises what the native call raises.  :func:`apply_keys` is the native
+rule (double every PE's rows before an update whose fresh rows could pass
+the arrays' end) and raises what the native call raises.  It walks
+``memoryview`` views of the image's arrays (``BankedTreeMemory.field``),
+whose items are Python ints as the kernel's are C ints, and takes them again
+after each growth, which moves the arrays.  :func:`apply_keys` is the native
 batch entry's scheduler in numpy: each key's path (:func:`paths_for_keys`),
 a stable split by PE, then :func:`walk_paths` on each PE in order; the
 accelerator adds its tally to the counter array as it adds the native
@@ -27,7 +30,8 @@ their own.
 Use it on a PE with ``oracle_pe.update_paths(pe, paths, occupied)``, or make
 an accelerator run on it with :func:`use_oracle`.  :func:`kernel_update_paths`,
 :func:`kernel_update_voxel` and :func:`kernel_query_voxel` run the *native*
-kernels on one PE alone, the form the PE-level tests drive them in.  Writes
+kernels on one PE alone, the form the PE-level tests drive them in
+(:func:`image_table` is the ``images`` argument for any list of PEs).  Writes
 outside an update call (a test tampering with an image) are tallied in a
 :func:`tallying` block.
 """
@@ -47,7 +51,7 @@ from repro.core.pe import apply_keys as native_apply_keys
 from repro.core.query_unit import QueryResult, VoxelQueryUnit
 from repro.core.prune_manager import ALLOCATIONS, DEPTH, FREES, FRESH, NEXT_FRESH, PEAK, REUSED, PruneAddressManager
 from repro.core.timing import CycleBreakdown
-from repro.core.treemem import NULL_POINTER, BankedTreeMemory, ChildStatus, TreeMemBank
+from repro.core.treemem import BANK_FIELDS, NULL_POINTER, BankedTreeMemory, ChildStatus, TreeMemBank
 from repro.octomap.counters import OperationKind
 from repro.octomap.keys import OcTreeKey
 from repro.octomap.logodds import probability as logodds_to_probability
@@ -63,6 +67,22 @@ _CHILD_TAGS = tuple(
 
 
 # -- the write model of the oracle (the kernel's is C) ---------------------------
+def bank_fields(pe: ProcessingElement) -> Tuple[List[memoryview], ...]:
+    """``(valid, pointers, tags, probabilities)`` of ``pe``, each ``field[bank][row]``; stale once the image grows."""
+    return tuple(pe.memory.field(name) for name, _ in BANK_FIELDS)
+
+
+def _store(tally, fields, bank: int, address: int, pointer: int, tags: int, probability_raw: int) -> None:
+    """:func:`store` on :func:`bank_fields` views."""
+    valid, pointers, tag_words, probabilities = fields
+    tally[native.T_WRITES + bank] += 1
+    tally[native.T_OCCUPIED + bank] += not valid[bank][address]
+    valid[bank][address] = 1
+    pointers[bank][address] = pointer
+    tag_words[bank][address] = tags
+    probabilities[bank][address] = probability_raw
+
+
 def store(tally, bank: TreeMemBank, address: int, pointer: int, tags: int, probability_raw: int) -> None:
     """One write access given as raw field values, at an address below the bank's ``rows``.
 
@@ -79,11 +99,11 @@ def store(tally, bank: TreeMemBank, address: int, pointer: int, tags: int, proba
 def clear_row(tally, memory: BankedTreeMemory, row: int) -> None:
     """Invalidate a whole row in one row write (a prune freeing its block)."""
     tally[native.T_ROW_WRITES] += 1
-    for bank in memory.banks:
-        tally[native.T_WRITES + bank.bank_index] += 1
-        if row < bank.rows:
-            tally[native.T_OCCUPIED + bank.bank_index] -= bank.valid[row]
-            bank.valid[row] = 0
+    for bank, valid in enumerate(memory.field("valid")):
+        tally[native.T_WRITES + bank] += 1
+        if row < memory.rows:
+            tally[native.T_OCCUPIED + bank] -= valid[row]
+            valid[row] = 0
 
 
 @contextlib.contextmanager
@@ -155,8 +175,13 @@ def kernel_update_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequ
     axes = (paths[:, None, :] >> np.arange(3)[:, None]) & 1
     keys = np.ascontiguousarray(axes @ (1 << np.arange(depth - 1, -1, -1)), dtype=np.uint16)
     flags = np.ascontiguousarray(occupied, dtype=np.bool_)
-    table = native.image_table([pe.pinned_image()])
+    table = image_table([pe])
     return on_one_pe(pe, lambda tally: native_apply_keys([pe], table, keys, flags, tally))
+
+
+def image_table(pes: Sequence[ProcessingElement]) -> ctypes.Array:
+    """The ``images`` argument of the batch entries for ``pes``: their kernel structs' addresses, in order."""
+    return (ctypes.c_void_p * len(pes))(*(ctypes.addressof(pe.kernel_image) for pe in pes))
 
 
 def kernel_update_voxel(pe: ProcessingElement, key: OcTreeKey, occupied: bool) -> int:
@@ -168,7 +193,7 @@ def kernel_query_voxel(pe: ProcessingElement, key: OcTreeKey) -> Tuple[str, Opti
     """One read of ``key`` by the native kernel on ``pe``, counted: ``(status, raw)``, raw None where unknown."""
     tally = native.query_tallies(1)
     raw = ctypes.c_int16()
-    code = native.query_key(pe.pinned_image(), key.x, key.y, key.z, raw, tally.ctypes.data)
+    code = native.query_key(pe.kernel_image, key.x, key.y, key.z, raw, tally.ctypes.data)
     pe._words[counts.QUERY : counts.DECODED] += tally[0]
     if code < 0:
         raise pe.query_failure()
@@ -211,14 +236,20 @@ def paths_for_keys(keys: np.ndarray, depth: int) -> np.ndarray:
 
 def read_children(pe: ProcessingElement, block: int) -> Tuple[int, List[int]]:
     """One banked row read: the tag word the row implies and its valid children's values."""
+    return _read_children(pe, bank_fields(pe), block)
+
+
+def _read_children(pe: ProcessingElement, fields, block: int) -> Tuple[int, List[int]]:
+    """:func:`read_children` on :func:`bank_fields` views."""
+    valid, pointers, _, probabilities = fields
     word = 0
     values = []
     threshold = pe.params.raw_threshold
-    for bank, (occupied, free, inner) in zip(pe.memory.banks, _CHILD_TAGS):
-        if bank.valid[block]:
-            value = bank.probabilities[block]
+    for bank, (occupied, free, inner) in enumerate(_CHILD_TAGS):
+        if valid[bank][block]:
+            value = probabilities[bank][block]
             values.append(value)
-            if bank.pointers[block] != NULL_POINTER:
+            if pointers[bank][block] != NULL_POINTER:
                 word |= inner
             elif value > threshold:
                 word |= occupied
@@ -244,8 +275,8 @@ def walk_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool
     if not len(paths):
         return
     tally = [0] * native.TALLY_WORDS
-    banks = pe.memory.banks
-    valid, pointers, tags, probabilities = pe._valid, pe._pointers, pe._tags, pe._probabilities
+    fields = bank_fields(pe)
+    valid, pointers, tags, probabilities = fields
     params = pe.params
     raw_hit, raw_miss, threshold = params.raw_hit, params.raw_miss, params.raw_threshold
     clamp_min, clamp_max = params.raw_clamp_min, params.raw_clamp_max
@@ -268,7 +299,9 @@ def walk_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool
         for path, hit, resume in zip(paths.tolist(), occupied, shared):
             # --- the image holds every fresh row this update could take ---
             while allocator.next_fresh_row + depth - 1 > pe.memory.rows and pe.memory.rows < allocator.num_rows:
-                pe.memory.reserve(2 * pe.memory.rows)
+                pe.memory.image.grow(2 * pe.memory.rows)  # every PE's rows, at once
+                fields = bank_fields(pe)  # the arrays moved
+                valid, pointers, tags, probabilities = fields
             if resume > intact:
                 resume = intact
             if resume:
@@ -280,7 +313,7 @@ def walk_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool
                 resume = 1
                 bank, row = path[0], 0
                 if not roots[bank]:
-                    store(tally, banks[bank], 0, NULL_POINTER, 0, 0)
+                    _store(tally, fields, bank, 0, NULL_POINTER, 0, 0)
                     roots[bank] = 1
                     tally[native.T_NEW_NODES] += 1
                 rows = [0]
@@ -301,12 +334,12 @@ def walk_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool
                         # eight children are re-materialised with its value.
                         value = probabilities[bank][row]
                         uniform = _ALL_OCCUPIED if value > threshold else _ALL_FREE
-                        for sibling in banks:
-                            store(tally, sibling, block, NULL_POINTER, uniform, value)
+                        for sibling in range(8):
+                            _store(tally, fields, sibling, block, NULL_POINTER, uniform, value)
                         tally[native.T_ROW_WRITES] += 1
                         tally[native.T_EXPANSIONS] += 1
                     else:
-                        store(tally, banks[child], block, NULL_POINTER, 0, 0)
+                        _store(tally, fields, child, block, NULL_POINTER, 0, 0)
                         tally[native.T_NEW_NODES] += 1
                     # Persist the parent's new pointer immediately; the
                     # upward pass rewrites the entry anyway but a
@@ -315,7 +348,7 @@ def walk_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool
                     pointers[bank][row] = block
                     tally[native.T_WRITES + bank] += 1
                 elif not (tags[bank][row] >> (child + child)) & 0b11:
-                    store(tally, banks[child], block, NULL_POINTER, 0, 0)
+                    _store(tally, fields, child, block, NULL_POINTER, 0, 0)
                     tally[native.T_NEW_NODES] += 1
                 if not valid[child][block]:
                     # The tag said the child exists but the bank holds
@@ -353,7 +386,7 @@ def walk_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool
                     else:
                         # The child held it and fell: the row says who does now.
                         tally[native.T_ROW_READS] += 1
-                        values = read_children(pe, block)[1]
+                        values = _read_children(pe, fields, block)[1]
                         value = max(values)
                 word = word ^ listed | child_tags[tag]
                 tags[bank][row] = word
@@ -362,7 +395,7 @@ def walk_paths(pe: ProcessingElement, paths: np.ndarray, occupied: Sequence[bool
                     # maximum: the row says whether all are equal.
                     if values is None:
                         tally[native.T_ROW_READS] += 1
-                        values = read_children(pe, block)[1]
+                        values = _read_children(pe, fields, block)[1]
                     if len(values) == 8 and min(values) == value:
                         clear_row(tally, pe.memory, block)
                         free_row(allocator, block)
@@ -404,7 +437,7 @@ def query_paths(
     bank, and adds them to ``tally``, the PE's read tally block, once at the
     end -- also when a corrupt image stops it half way.
     """
-    valid, pointers, tags, probabilities = pe._valid, pe._pointers, pe._tags, pe._probabilities
+    valid, pointers, tags, probabilities = bank_fields(pe)
     roots = pe._local_roots
     threshold = pe.params.raw_threshold
     capacity = pe.memory.rows

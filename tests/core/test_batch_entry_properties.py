@@ -11,17 +11,23 @@ bank access counts, the same scheduler load histogram, and return equal
 shallow trees and at the full depth of 16, across image growth in several
 PEs of one call and a capacity failure in a PE between others.
 
+Growth: the PEs share one image, which doubles every PE's rows at once when
+any PE's next update could outgrow it.  PEs that grow unevenly within one
+call leave ``image()`` equal to the oracle's, and a fresh accelerator fed the
+benchmark's ingest stream enters the kernel once plus once per doubling.
+
 Guards that must hold whatever runs the loop: a key component outside 16
 bits is refused before anything is applied (never wrapped onto another
-voxel), a bank array that grows between two batches, outside the kernel, is
+voxel), an image that grows between two batches, outside the kernel, is
 pinned again before the next one, and the entry refuses buffers the kernel
 cannot index.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
@@ -30,7 +36,8 @@ from hypothesis import strategies as st
 
 from repro.core import OMUAccelerator, OMUConfig, counts, native
 from repro.core.pe import apply_keys
-from repro.core.treemem import INITIAL_ROWS, NULL_POINTER, MemoryCapacityError
+from repro.core.treemem import BANK_FIELDS, INITIAL_ROWS, NULL_POINTER, MemoryCapacityError
+from repro.serving import MapSessionManager
 from repro.serving.sharding import MapShardWorker
 from repro.serving.types import ShardUpdateBatch
 from test_fused_kernel_properties import machine_state
@@ -121,7 +128,8 @@ def test_several_pes_outgrow_their_images_in_one_call(num_pes):
     pair = native_and_oracle(config_for(6, num_pes, bank_kilobytes=16))
     apply_both(pair, [stream])
     native = pair[0]
-    assert sum(pe.memory.rows >= 4 * INITIAL_ROWS for pe in native.pes) >= 2
+    # Two PEs or more each took rows past what two doublings of the initial image hold.
+    assert sum(pe.allocator.next_fresh_row > 2 * INITIAL_ROWS for pe in native.pes) >= 2
 
 
 @pytest.mark.parametrize("num_pes", [3, 8])
@@ -149,10 +157,15 @@ def test_running_out_of_rows_in_a_middle_pe(num_pes):
     pe_0, pe_1, *later = native.pes
     assert pe_0.stats.voxel_updates == len(branch_0)
     assert 0 < pe_1.stats.voxel_updates < len(branch_1)
-    # Issued, never run: the issued-update words are all that moved in them.
+    # Issued, never run: the issued-update words are all that moved in them, and
+    # their arrays only grew with PE 1's, by never-written rows.
     untouched = [machine_state(pe) for pe in later]
     for state in untouched + before[2:]:
         del state["words"][counts.ISSUED]
+        state["image"] = [
+            tuple(words.rstrip(b"\xff" if name == "pointers" else b"\x00") for words, (name, _) in fields)
+            for fields in (zip(bank, BANK_FIELDS) for bank in state["image"])
+        ]
     assert untouched == before[2:]
     assert native.scheduler.per_pe_issued[2] == len(warm_up) + len(branch_2)
     # The whole stream was issued; the failed call left no timing behind.
@@ -186,22 +199,23 @@ def test_columns_of_different_lengths_are_refused():
     assert accelerator.scheduler.issued_updates == 0
 
 
-def test_a_bank_grown_between_batches_is_pinned_again():
-    """One bank grown to its last row, and written there, moves its buffers between two native calls."""
+def test_an_image_grown_between_batches_is_pinned_again():
+    """The image grown to its last row, and written there, moves its arrays between two native calls."""
     pair = native_and_oracle(config_for(6, 3))
     apply_both(pair, [scattered(200, (0, 0, 0), 64, seed=7)])
     for accelerator in pair:
         memory = accelerator.pes[1].memory
+        grown_from = memory.rows
+        memory.image.grow(memory.entries_per_bank)
         bank = memory.banks[5]
-        bank.reserve(memory.entries_per_bank)
         with oracle_pe.tallying(bank) as tally:
             oracle_pe.store(tally, bank, memory.entries_per_bank - 1, NULL_POINTER, 0, 7)
-        assert bank.rows == memory.entries_per_bank > memory.rows
+        assert bank.rows == memory.rows == memory.entries_per_bank > grown_from
     apply_both(pair, [scattered(400, (0, 0, 0), 64, seed=8)])
 
 
 def test_a_restore_after_the_images_were_pinned_is_pinned_again():
-    """An empty batch pins every PE; ``restore`` then grows the arrays the pins point into."""
+    """An empty batch runs the kernel on the fresh image; ``restore`` then grows the arrays it pointed into."""
     config = config_for(6, 8)
     source = OMUAccelerator(config)
     source.apply_update_batch(*_columns(scattered(2000, (0, 0, 0), 64, seed=9)))
@@ -229,7 +243,76 @@ def test_the_batch_entry_refuses_what_the_kernel_cannot_index():
         (pes, keys, flags.astype(np.uint8)),
         (pes, np.asfortranarray(keys), flags),
     ]:
-        table = native.image_table([pe.pinned_image() for pe in bad_pes])
+        table = oracle_pe.image_table(bad_pes)
         with pytest.raises(ValueError):
             apply_keys(bad_pes, table, bad_keys, bad_flags, native.tallies(len(bad_pes)))
     assert all(pe.stats.voxel_updates == 0 and not any(pe._local_roots) for pe in pes)
+
+
+# -- growth: every PE's rows at once ------------------------------------------------
+@st.composite
+def uneven_streams(draw) -> Tuple[int, List[Update]]:
+    """One call's stream whose PEs need very different numbers of rows: per first-level branch, its own voxel count.
+
+    Depth 6 keys in ``[0, 64)``: branch ``b`` is the octant ``b`` of the cube,
+    side 32.  Some branches get hundreds of scattered voxels, some a few, some
+    none; the branches interleave in stream order.
+    """
+    num_pes = draw(st.sampled_from([3, 8]))
+    sizes = draw(st.lists(st.sampled_from([0, 3, 40, 300, 900]), min_size=8, max_size=8))
+    seed = draw(st.integers(0, 2**16))
+    stream: List[Update] = []
+    for branch, size in enumerate(sizes):
+        corner = tuple(32 * ((branch >> axis) & 1) for axis in range(3))
+        stream += scattered(size, corner, 32, seed=seed + branch)
+    random.Random(seed).shuffle(stream)
+    return num_pes, stream
+
+
+@given(uneven_streams())
+@settings(max_examples=15, deadline=None)
+def test_pes_that_grow_unevenly_in_one_call_leave_the_oracles_image(case):
+    num_pes, stream = case
+    native, oracle = native_and_oracle(config_for(6, num_pes, bank_kilobytes=64))  # room for three busy branches
+    if stream:
+        apply_both((native, oracle), [stream])
+    images = native.image(), oracle.image()
+    assert images[0]["counters"].tolist() == images[1]["counters"].tolist()
+    for mine, theirs in zip(images[0]["pes"], images[1]["pes"]):
+        assert mine["rows"] == theirs["rows"] == native.sram.rows
+        for name in [field for field, _ in BANK_FIELDS] + ["roots", "allocator", "stack"]:
+            assert mine[name].tobytes() == theirs[name].tobytes(), name
+
+
+def test_a_fresh_accelerator_enters_the_kernel_once_per_doubling(monkeypatch):
+    """The benchmark's ``ingest_inline`` pass: one flush of four corridor scans into two fresh shards.
+
+    Each accelerator calls ``pe_apply_batch`` once, plus once for each time
+    its image doubled; a per-PE growth made eleven calls per shard here.
+    """
+    from benchmarks.e2e import inputs
+    from benchmarks.e2e.workloads import session_config
+
+    entries: Dict[int, int] = {}
+    kernel = native.apply_batch
+
+    def counted(table, *arguments):
+        entries[id(table)] = entries.get(id(table), 0) + 1
+        return kernel(table, *arguments)
+
+    monkeypatch.setattr(native, "apply_batch", counted)
+    manager = MapSessionManager(session_config("inline"))
+    try:
+        session = manager.create_session("map")
+        for request in inputs.corridor_stream(0, scans_per_client=2):
+            manager.submit(request)
+        while session.pending_requests():
+            session.flush()
+        accelerators = [worker.accelerator for worker in session.workers]
+        assert session.stats.voxel_updates == 6896
+    finally:
+        manager.shutdown()
+    assert len(accelerators) == 2 and len(entries) == 2
+    for accelerator in accelerators:
+        doublings = math.ceil(math.log2(accelerator.sram.rows / INITIAL_ROWS))
+        assert entries[id(accelerator.sram.table)] <= 1 + doublings

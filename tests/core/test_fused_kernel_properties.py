@@ -118,7 +118,7 @@ def check_entry(pe: ProcessingElement, entry: TreeMemEntry, level: int) -> list:
 
 def check_invariant(pe: ProcessingElement) -> None:
     """What the upward pass leans on: every inner entry equals ``read_children`` of its block."""
-    for valid, pointers, tags, probabilities in zip(pe._valid, pe._pointers, pe._tags, pe._probabilities):
+    for valid, pointers, tags, probabilities in zip(*oracle_pe.bank_fields(pe)):
         for row, live in enumerate(valid):
             if live and pointers[row] != NULL_POINTER:
                 word, values = oracle_pe.read_children(pe, pointers[row])
@@ -420,7 +420,7 @@ def test_a_tampered_tag_matches_the_oracle():
     config, paths, occupied = stream_columns(4, stream)
 
     def list_child_7(pe):
-        pe._tags[0][0] |= ChildStatus.FREE << 14
+        pe.memory.field("tags")[0][0] |= ChildStatus.FREE << 14
 
     prefix = (paths[:8], occupied[:8])
     pe = check_failure_matches_oracle(
@@ -485,8 +485,8 @@ def test_a_pointer_past_the_image_is_a_mismatch_not_a_stray_write():
     pe = ProcessingElement(0, config)
     oracle_pe.kernel_update_paths(pe, paths, occupied)
     root, child, beyond = int(paths[0, 0]), int(paths[0, 1]), pe.memory.rows + 5
-    pe._pointers[root][0] = beyond
-    pe._tags[root][0] &= ~(0b11 << 2 * child)
+    pe.memory.field("pointers")[root][0] = beyond
+    pe.memory.field("tags")[root][0] &= ~(0b11 << 2 * child)
     before = machine_state(pe)
     with pytest.raises(RuntimeError, match=f"tag/memory mismatch at row {beyond} bank {child}"):
         oracle_pe.kernel_update_paths(pe, paths, occupied)

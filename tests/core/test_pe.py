@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import counts
 from repro.core.config import OMUConfig
 from repro.core.pe import ProcessingElement
 from repro.core.prune_manager import FREES
-from repro.core.treemem import MemoryCapacityError
+from repro.core.treemem import NULL_POINTER, MemoryCapacityError
 from repro.octomap.keys import KeyConverter, OcTreeKey
 from repro.octomap.counters import OperationKind
 
@@ -183,6 +184,33 @@ class TestExportAndCapacity:
         TestPruneAndExpand()._saturate_block(pe, converter)
         homogeneous = [node for node in pe.export_nodes() if node.homogeneous]
         assert homogeneous, "the pruned block must export as one homogeneous leaf"
+
+    def test_export_is_the_recursive_walk_of_decoded_reads(self, config, converter):
+        """The stream, its order (pre-order, children in bank order) and the decoded reads it books."""
+        pes = [ProcessingElement(0, config) for _ in range(2)]
+        keys = [key_at(converter, x, y, z) for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-0.4, 0.4, 1.4)]
+        for pe in pes:
+            TestPruneAndExpand()._saturate_block(pe, converter)
+            for index, key in enumerate(keys):
+                oracle_pe.kernel_update_voxel(pe, key, occupied=index % 3 != 0)
+        exported, reference = pes
+
+        def walk(row, bank, path):
+            entry = reference.memory.read_entry(row, bank)
+            if entry is None:
+                return
+            is_leaf = entry.pointer == NULL_POINTER
+            yield path, entry.probability_raw, is_leaf, is_leaf and any(entry.child_tags) and len(path) < config.tree_depth
+            for child, tag in enumerate([] if is_leaf else entry.child_tags):
+                if tag:
+                    yield from walk(entry.pointer, child, path + (child,))
+
+        expected = [node for branch in range(8) if reference._local_roots[branch] for node in walk(0, branch, (branch,))]
+        stream = [(node.path, node.probability_raw, node.is_leaf, node.homogeneous) for node in exported.export_nodes()]
+        assert len({node[0][0] for node in stream}) == 8 and any(node[3] for node in stream)
+        assert stream == expected
+        decoded = slice(counts.DECODED, counts.DECODED + 8)
+        assert exported._words[decoded].tolist() == reference._words[decoded].tolist()
 
     def test_capacity_error_on_tiny_memory(self, converter):
         """The error leaves ``update_paths`` where it struck: what came before is applied and charged."""

@@ -144,8 +144,9 @@ def test_a_dangling_tag_books_what_was_walked_before_it_raises():
     key = OcTreeKey(1, 2, 3)
     pe = accelerator.pes[accelerator.address_generator.pe_for_key(key)]
     path = key.path(3)
-    leaf_row = pe._pointers[path[1]][pe._pointers[path[0]][0]]
-    pe._valid[path[2]][leaf_row] = 0  # corrupt the image under the tags
+    pointers = pe.memory.field("pointers")
+    leaf_row = pointers[path[1]][pointers[path[0]][0]]
+    pe.memory.field("valid")[path[2]][leaf_row] = 0  # corrupt the image under the tags
     reads_before = pe.stats.bank_reads
     with pytest.raises(RuntimeError, match=f"PE {pe.pe_id}: dangling tag"):
         accelerator.query_keys(np.array([key.as_tuple()] * 2))

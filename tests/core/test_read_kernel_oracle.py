@@ -168,19 +168,21 @@ def test_read_and_export_counts_survive_a_restore(case):
 def inner_entries(pe) -> List[Tuple[int, int, int]]:
     """``(bank, row, child)`` of every valid inner entry and each child its tag lists."""
     found = []
+    valid, pointers, tags, _ = oracle_pe.bank_fields(pe)
     for bank in range(8):
-        for row, (live, pointer) in enumerate(zip(pe._valid[bank], pe._pointers[bank])):
+        for row, (live, pointer) in enumerate(zip(valid[bank], pointers[bank])):
             if live and pointer != NULL_POINTER:
-                found += [(bank, row, child) for child in range(8) if (pe._tags[bank][row] >> (2 * child)) & 3]
+                found += [(bank, row, child) for child in range(8) if (tags[bank][row] >> (2 * child)) & 3]
     return found
 
 
 def corrupt(pe, bank: int, row: int, child: int, how: str, past: int) -> None:
     """A dangling tag (the child's entry no longer valid) or a pointer at or past the arrays' rows."""
+    valid, pointers, _, _ = oracle_pe.bank_fields(pe)
     if how == "dangling":
-        pe._valid[child][pe._pointers[bank][row]] = 0
+        valid[child][pointers[bank][row]] = 0
     else:
-        pe._pointers[bank][row] = min(pe.memory.rows + past, NULL_POINTER - 1)
+        pointers[bank][row] = min(pe.memory.rows + past, NULL_POINTER - 1)
 
 
 @given(sessions(), st.data())

@@ -6,12 +6,17 @@ write it through the oracle's write model, ``oracle_pe.store`` /
 ``oracle_pe.tallying`` block whose words the bank's counts then read.
 """
 
+import ctypes
+
 import pytest
 
 from repro.core.treemem import (
+    BANK_FIELDS,
+    INITIAL_ROWS,
     BankedTreeMemory,
     ChildStatus,
     NULL_POINTER,
+    SRAMImage,
     TreeMemBank,
     TreeMemEntry,
 )
@@ -84,21 +89,50 @@ class TestTreeMemBank:
         with pytest.raises(ValueError):
             TreeMemBank(0, 0)
 
-    def test_reserve_doubles_up_to_the_bank_size(self):
-        bank = TreeMemBank(0, 200)
-        assert bank.rows == 64
-        bank.reserve(65)
-        assert bank.rows == 128
-        bank.reserve(129)
-        assert bank.rows == 200
-        assert bank.read(199) is None and bank.pointers[199] == NULL_POINTER
-
     def test_occupied_entries(self):
         bank = TreeMemBank(0, 8)
         with oracle_pe.tallying(bank) as tally:
             oracle_pe.store(tally, bank, 0, NULL_POINTER, 0, 0)
             oracle_pe.store(tally, bank, 3, NULL_POINTER, 0, 0)
         assert bank.occupied_entries() == 2
+
+
+class TestSRAMImage:
+    def test_grow_doubles_up_to_the_bank_size(self):
+        """64 -> 128 -> 200 at a bank size that is no power of two; a bank built alone grows its own image."""
+        bank = TreeMemBank(0, 200)
+        assert bank.rows == INITIAL_ROWS == 64
+        bank.image.grow(65)
+        assert bank.rows == 128
+        bank.image.grow(129)
+        assert bank.rows == 200
+        assert bank.read(199) is None and bank.pointers[199] == NULL_POINTER
+        bank.image.grow(400)  # already at the bank size
+        assert bank.rows == 200
+
+    def test_grow_keeps_every_pe_s_rows_and_points_every_struct_at_the_new_arrays(self):
+        image = SRAMImage(3, 1000)
+        memory = BankedTreeMemory(8, 1000, image=image, pe=2)
+        with oracle_pe.tallying(memory) as tally:
+            oracle_pe.store(tally, memory.banks[7], 63, 5, 0b11, -9)
+        image.grow(200)
+        assert memory.rows == 256
+        assert memory.read_entry(63, 7) == TreeMemEntry(5, [ChildStatus.INNER] + [ChildStatus.UNKNOWN] * 7, -9)
+        assert memory.read_entry(255, 7) is None and memory.banks[7].pointers[255] == NULL_POINTER
+        for pe, struct in enumerate(image.kernel):
+            assert struct.capacity == 256
+            for name, _ in BANK_FIELDS:
+                arrays = getattr(image, name)
+                assert list(getattr(struct, name)) == [arrays[pe, bank].ctypes.data for bank in range(8)]
+        assert list(image.table) == [ctypes.addressof(struct) for struct in image.kernel]
+
+    def test_the_state_arrays_never_move(self):
+        image = SRAMImage(2, 300, reserved_rows=1)
+        before = [getattr(image, name).ctypes.data for name in ("allocator", "stack", "stacked", "roots")]
+        image.grow(300)
+        assert [getattr(image, name).ctypes.data for name in ("allocator", "stack", "stacked", "roots")] == before
+        assert image.allocator[:, 0].tolist() == [1, 1]  # every PE's next fresh row
+        assert [struct.stack for struct in image.kernel] == [before[1], before[1] + 4 * 300]
 
 
 class TestBankedTreeMemory:
